@@ -45,7 +45,7 @@ def test_remote_faultsim(benchmark):
     try:
         for index in range(ENDPOINTS):
             server = JavaCADServer(f"bench-farm{index}")
-            servants.append(register_fault_farm(server, isolate=False))
+            servants.append(register_fault_farm(server))
             host, port = server.serve_tcp("127.0.0.1", 0)
             servers.append(server)
             endpoints.append(f"{host}:{port}")

@@ -350,7 +350,7 @@ def _build_server_ssl(args: argparse.Namespace):
 def _cmd_faultworker(args: argparse.Namespace) -> int:
     """Serve fault-simulation shards to remote `faultsim --remote` runs."""
     if args.use_async or args.tls_cert or args.tls_key \
-            or args.auth_token is not None or args.dispatch != "gate":
+            or args.auth_token is not None or args.dispatch != "thread":
         return _cmd_faultworker_async(args)
     from .parallel.remote import register_fault_farm
     from .rmi.server import JavaCADServer
@@ -413,8 +413,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Publishes the Figure 2 multiplier's estimator/timing/test servants
     once (they are read-only and shared across tenants) and gives every
-    connection a private fault-farm servant plus isolated id
-    namespaces -- the paper's multi-client JavaCAD server.
+    connection a private fault-farm servant plus its own id scope --
+    the paper's multi-client JavaCAD server.
     """
     from .ip.provider import IPProvider
     from .server import AsyncRMIServer
@@ -650,8 +650,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 findings.extend(lint_sources(sources))
             if concurrency_only or default_sweep:
                 # The concurrency rules see all sources as one unit --
-                # reachability and COUNTER_SITES only make sense
-                # across module boundaries.
+                # reachability only makes sense across module
+                # boundaries.
                 findings.extend(lint_concurrency(sources))
         except FileNotFoundError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -847,13 +847,12 @@ def build_parser() -> argparse.ArgumentParser:
                              metavar="S",
                              help="drop connections idle for S seconds "
                                   "(async front end; default: never)")
-    faultworker.add_argument("--dispatch", default="gate",
-                             choices=["gate", "affinity", "process"],
-                             help="session dispatch tier: gate (one "
-                                  "global lock), affinity (per-session "
-                                  "threads), process (forked workers, "
-                                  "multi-core); non-gate implies "
-                                  "--async")
+    faultworker.add_argument("--dispatch", default="thread",
+                             choices=["thread", "process"],
+                             help="session dispatch tier: thread "
+                                  "(shared thread pool), process "
+                                  "(forked workers, multi-core; "
+                                  "implies --async)")
     faultworker.set_defaults(fn=_cmd_faultworker)
 
     serve = subparsers.add_parser(
@@ -888,11 +887,11 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="S",
                        help="drop connections idle for S seconds "
                             "(default: never)")
-    serve.add_argument("--dispatch", default="gate",
-                       choices=["gate", "affinity", "process"],
-                       help="session dispatch tier: gate (one global "
-                            "lock), affinity (per-session threads), "
-                            "process (forked workers, multi-core)")
+    serve.add_argument("--dispatch", default="thread",
+                       choices=["thread", "process"],
+                       help="session dispatch tier: thread (shared "
+                            "thread pool), process (forked workers, "
+                            "multi-core)")
     serve.set_defaults(fn=_cmd_serve)
 
     atpg = subparsers.add_parser(
@@ -949,7 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "of servant classes to analyze (repeatable)")
     lint.add_argument("--concurrency", action="store_true",
                       help="run only the concurrency rules "
-                           "(JCD014-JCD019: races, fork hazards, "
+                           "(JCD014-JCD018: races, fork hazards, "
                            "nondeterminism) over the --servants paths, "
                            "or over the installed package by default")
     lint.add_argument("--format", choices=["text", "json"],

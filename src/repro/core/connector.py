@@ -13,24 +13,21 @@ video streams).
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Dict, Optional
 
 from .errors import ConnectionError_, WidthMismatchError
+from .ids import next_id
 from .signal import Logic, SignalValue, Word
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .port import Port
 
+
 # Auto-generated connector names reach marshalled bytes through wiring
-# error messages (error replies carry str(exc)), so this counter is a
-# declared COUNTER_SITES entry: an itertools.count the session gates
-# can swap per tenant, not a bare incremented int.
-_connector_ids = itertools.count(1)
-
-
+# error messages (error replies carry str(exc)), so they are drawn
+# from the current IdScope like every other marshalled id.
 def _next_connector_name(prefix: str) -> str:
-    return f"{prefix}{next(_connector_ids)}"
+    return f"{prefix}{next_id('connector')}"
 
 
 class Connector:

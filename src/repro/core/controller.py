@@ -14,6 +14,7 @@ carrying the active setup.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -256,10 +257,14 @@ class SimulationController:
 
     def start_async(self, max_time: Optional[float] = None,
                     max_events: Optional[int] = None) -> threading.Thread:
-        """Run :meth:`start` in a daemon thread (concurrent simulation)."""
+        """Run :meth:`start` in a daemon thread (concurrent simulation).
+
+        The thread runs in a copy of the caller's context, so ids it
+        draws come from the caller's :class:`~repro.core.ids.IdScope`.
+        """
         thread = threading.Thread(
-            target=self.start, kwargs={"max_time": max_time,
-                                       "max_events": max_events},
+            target=contextvars.copy_context().run, args=(self.start,),
+            kwargs={"max_time": max_time, "max_events": max_events},
             name=self.name, daemon=True)
         thread.start()
         return thread

@@ -11,6 +11,7 @@ cross-scheduler state, because isolation is structural.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -64,8 +65,11 @@ class SimulationCoordinator:
                 clock=VirtualClock(), cost_model=self.cost,
                 name=config.name)
             self.controllers[config.name] = controller
+            # Each run inherits the launcher's IdScope (one context
+            # copy per thread: a Context cannot be entered twice).
             thread = threading.Thread(
-                target=self._run_one, args=(config, controller),
+                target=contextvars.copy_context().run,
+                args=(self._run_one, config, controller),
                 name=f"coord-{config.name}", daemon=True)
             threads.append((config.name, thread))
         for _name, thread in threads:

@@ -10,11 +10,11 @@ same design never interfere.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .connector import Connector
 from .errors import ConnectionError_, DesignError, SimulationError
+from .ids import next_id
 from .port import Port, PortDirection
 from .signal import SignalValue
 from .token import (ControlToken, EstimationToken, SelfTriggerToken,
@@ -22,8 +22,6 @@ from .token import (ControlToken, EstimationToken, SelfTriggerToken,
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .controller import SimulationContext
-
-_module_ids = itertools.count(1)
 
 
 class ModuleSkeleton:
@@ -36,7 +34,7 @@ class ModuleSkeleton:
     """
 
     def __init__(self, name: Optional[str] = None):
-        self.module_id = next(_module_ids)
+        self.module_id = next_id("module")
         self.name = name or f"{type(self).__name__.lower()}{self.module_id}"
         self._ports: Dict[str, Port] = {}
         self._state: Dict[int, Dict[str, Any]] = {}

@@ -13,14 +13,12 @@ values, so the protocol runs over both transports unchanged.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..core.errors import BillingError, RemoteError
-
-_session_counter = itertools.count(1)
+from ..core.ids import next_id
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ class NegotiationServant:
         """Start a session for an intended pattern volume; returns id."""
         if volume <= 0:
             raise RemoteError("volume must be positive")
-        session_id = f"neg{next(_session_counter)}"
+        session_id = f"neg{next_id('negotiation')}"
         floor = self.list_price * self.floor_fraction
         if volume >= self.volume_break:
             # Large volume commitments halve the provider's floor.

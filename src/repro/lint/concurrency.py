@@ -1,19 +1,20 @@
-"""Concurrency lint: races, fork hazards, nondeterminism (JCD014-019).
+"""Concurrency lint: races, fork hazards, nondeterminism (JCD014-018).
 
 The multi-tenant server's byte-identity guarantee -- every tenant sees
 the id streams, frame sizes and report bytes of a fresh single-tenant
-process -- rests on inventories and conventions: ``COUNTER_SITES``
-lists the process-global counters the gates must swap, forked workers
-must not inherit live threads, dispatch-reachable code must not bump
-shared state outside a lock, and marshalled replies must not depend on
-set order or wall clocks.  These rules turn each convention into a
-static check over the :mod:`repro.lint.callgraph` index:
+process -- rests on conventions: marshalled ids come from the
+tenant's :class:`~repro.core.ids.IdScope` and never from a module
+global, forked workers must not inherit live threads,
+dispatch-reachable code must not bump shared state outside a lock, and
+marshalled replies must not depend on set order or wall clocks.  These
+rules turn each convention into a static check over the
+:mod:`repro.lint.callgraph` index:
 
 * **JCD014** -- a module-level counter (``itertools.count`` or
-  ``global``-incremented int) is reachable from server dispatch paths
-  but missing from ``COUNTER_SITES``: two tenants would draw from one
-  sequence.  Declared, waived, or provably non-marshalled counters
-  pass.
+  ``global``-incremented int) is reachable from server dispatch
+  paths: two tenants would draw from one sequence.  Draw the id from
+  the current ``IdScope`` instead; waived, provably non-marshalled
+  counters pass.
 * **JCD015** -- a blocking call (``time.sleep``, ``open``, raw
   sockets, ``Future.result``, explicit lock ``.acquire``) inside an
   ``async def`` in :mod:`repro.server`: one tenant's wait stalls the
@@ -22,13 +23,13 @@ static check over the :mod:`repro.lint.callgraph` index:
   a ``ProcessDispatcher`` forks its workers, or threads started inside
   a worker initializer, are inherited in undefined states.
 * **JCD017** -- dispatch-reachable code mutates module- or
-  class-level mutable state outside any lock/gate ``with`` block: the
-  exact pattern that made the counter sites bugs originally.
+  class-level mutable state outside any lock/gate ``with`` block.
 * **JCD018** -- nondeterminism feeding marshalled bytes: set
   iteration, ``id()``, wall clocks, module-level ``random``,
   ``os.urandom`` inside servant-class methods.
-* **JCD019** -- a ``COUNTER_SITES`` entry names a module/attribute
-  that no longer exists in the sweep (the inverse of JCD014).
+
+JCD019 (a stale entry in the hand-kept counter inventory) is retired
+along with the inventory; its number is not reused.
 
 Like the servant analyzers, nothing here imports or executes analyzed
 code, and per-line ``# lint: allow(JCDxxx)`` waivers apply on the
@@ -41,8 +42,7 @@ import ast
 from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
-from .callgraph import (CallGraph, CounterSite, ModuleInfo,
-                        declared_counter_sites)
+from .callgraph import CallGraph, ModuleInfo
 from .findings import Finding
 from .registry import finding
 from .servants import MUTATING_CALLS, _allowed_codes
@@ -65,8 +65,8 @@ THREADING_CONSTRUCTORS: FrozenSet[str] = frozenset({
 (threads vanish, locks freeze mid-acquire)."""
 
 GUARD_HINTS: Tuple[str, ...] = ("lock", "gate", "mutex", "guard")
-"""A ``with`` expression mentioning one of these (or calling
-``.isolated()``) counts as owning the state it mutates (JCD017)."""
+"""A ``with`` expression mentioning one of these counts as owning
+the state it mutates (JCD017)."""
 
 WALL_CLOCK_CALLS: FrozenSet[str] = frozenset({
     "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
@@ -135,34 +135,11 @@ class _Emitter:
 
 
 # ---------------------------------------------------------------------------
-# JCD014 / JCD019 -- the COUNTER_SITES contract, both directions
+# JCD014 -- module-level counters on dispatch paths
 # ---------------------------------------------------------------------------
 
-def _all_declared_sites(graph: CallGraph
-                        ) -> Dict[str, Tuple[Tuple[CounterSite, ...],
-                                             int, ModuleInfo]]:
-    """Every ``COUNTER_SITES`` literal in the sweep, by module name."""
-    declared: Dict[str, Tuple[Tuple[CounterSite, ...], int,
-                              ModuleInfo]] = {}
-    for module in graph.modules.values():
-        parsed = declared_counter_sites(module.tree)
-        if parsed is not None:
-            sites, lineno = parsed
-            declared[module.name] = (sites, lineno, module)
-    return declared
-
-
-def _lint_counter_declarations(graph: CallGraph,
-                               emitter: _Emitter) -> None:
-    declared_maps = _all_declared_sites(graph)
-    declared_sites: Set[CounterSite] = set()
-    for sites, _lineno, _module in declared_maps.values():
-        declared_sites.update(sites)
-
-    # JCD014 -- discovered counters the inventory misses.
+def _lint_global_counters(graph: CallGraph, emitter: _Emitter) -> None:
     for counter in graph.counters():
-        if counter.site in declared_sites:
-            continue
         if not graph.is_dispatch_reachable(counter):
             continue  # never runs during server dispatch
         module = graph.modules[counter.module]
@@ -175,48 +152,12 @@ def _lint_counter_declarations(graph: CallGraph,
         emitter.emit(
             module, "JCD014",
             f"module-level counter {counter.module}.{counter.attr} is "
-            f"consumed on server dispatch paths (via {shown}) but is "
-            f"not in COUNTER_SITES; concurrent tenants would share its "
-            f"sequence -- declare it, or waive it here with a comment "
-            f"proving its values never reach marshalled bytes",
+            f"consumed on server dispatch paths (via {shown}); "
+            f"concurrent tenants would share its sequence -- draw the "
+            f"id from the current IdScope (repro.core.ids.next_id), or "
+            f"waive it here with a comment proving its values never "
+            f"reach marshalled bytes",
             counter.lineno)
-
-    # JCD019 -- inventory entries pointing at nothing.
-    discovered = graph.discovered_sites()
-    module_level_names: Dict[str, Set[str]] = {}
-    for name, module in graph.modules.items():
-        names: Set[str] = set()
-        for node in module.tree.body:
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-            elif isinstance(node, ast.AnnAssign) \
-                    and isinstance(node.target, ast.Name):
-                names.add(node.target.id)
-        module_level_names[name] = names
-    for sites, lineno, module in declared_maps.values():
-        for site in sites:
-            site_module, attr = site
-            if site_module not in graph.modules:
-                continue  # outside this sweep; nothing to verify
-            if site in discovered:
-                continue
-            if attr in module_level_names[site_module]:
-                # The attribute exists but is no longer a counter --
-                # stale in the way that matters for the reset loop.
-                emitter.emit(
-                    module, "JCD019",
-                    f"COUNTER_SITES entry ({site_module!r}, {attr!r}) "
-                    f"names a module attribute that is no longer an "
-                    f"id counter; reset_session_state would clobber "
-                    f"unrelated state", lineno)
-            else:
-                emitter.emit(
-                    module, "JCD019",
-                    f"COUNTER_SITES entry ({site_module!r}, {attr!r}) "
-                    f"names an attribute that no longer exists; the "
-                    f"inventory is stale", lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +323,7 @@ def _guarded_ranges(function: "ast.FunctionDef | ast.AsyncFunctionDef"
                 if name is None:
                     continue
                 lowered = name.lower()
-                if name == "isolated" \
-                        or any(hint in lowered
-                               for hint in GUARD_HINTS):
+                if any(hint in lowered for hint in GUARD_HINTS):
                     owns = True
                     break
             if owns:
@@ -570,7 +509,7 @@ def _lint_servant_determinism(graph: CallGraph,
 def lint_call_graph(graph: CallGraph) -> List[Finding]:
     """Run every concurrency rule over a built call graph."""
     emitter = _Emitter()
-    _lint_counter_declarations(graph, emitter)
+    _lint_global_counters(graph, emitter)
     _lint_async_blocking(graph, emitter)
     _lint_fork_safety(graph, emitter)
     _lint_shared_mutation(graph, emitter)
@@ -582,8 +521,7 @@ def lint_concurrency(specs: Sequence[str]) -> List[Finding]:
     """Run the concurrency rules over files and directories.
 
     Unlike the per-file servant analyzers, the whole sweep is one
-    unit: reachability and the COUNTER_SITES contract only make sense
-    across module boundaries.
+    unit: reachability only makes sense across module boundaries.
     """
     from .servants import iter_source_files
     paths: List[str] = []

@@ -171,10 +171,10 @@ register_rule(
 
 # -- concurrency analysis (call graph over the full source sweep) ----------
 register_rule(
-    "JCD014", "undeclared-global-counter", Severity.ERROR,
-    "A module-level id counter is consumed on server dispatch paths "
-    "but is missing from COUNTER_SITES; concurrent tenants would "
-    "share its sequence.")
+    "JCD014", "global-counter-on-dispatch-path", Severity.ERROR,
+    "A module-level id counter is consumed on server dispatch paths; "
+    "concurrent tenants would share its sequence.  Draw the id from "
+    "the current IdScope, or waive it.")
 register_rule(
     "JCD015", "blocking-call-in-async", Severity.ERROR,
     "An async def in repro.server makes a blocking call (time.sleep, "
@@ -195,8 +195,5 @@ register_rule(
     "A servant method feeds nondeterminism (set iteration, id(), "
     "wall clocks, unseeded random, os.urandom) toward marshalled "
     "bytes, breaking byte-identity across runs.")
-register_rule(
-    "JCD019", "stale-counter-site", Severity.ERROR,
-    "A COUNTER_SITES entry names a module attribute that no longer "
-    "exists or is no longer a counter; the reset/isolation inventory "
-    "is stale.")
+# JCD019 (stale-counter-site) is retired with the hand-kept counter
+# inventory it policed; the code is not reused.

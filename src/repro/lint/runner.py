@@ -62,7 +62,7 @@ def run_source_lint(specs: Sequence[str],
 
     Covers the per-servant rules (JCD010-013) and, unless
     ``concurrency=False``, the sweep-wide concurrency rules
-    (JCD014-019) -- races, fork hazards and nondeterminism only make
+    (JCD014-018) -- races, fork hazards and nondeterminism only make
     sense across module boundaries, so they see all ``specs`` as one
     unit.
     """

@@ -12,10 +12,13 @@ which is what makes parallel campaigns merge deterministically.
 
 Telemetry crosses the process boundary explicitly: when the parent's
 :data:`~repro.telemetry.runtime.TELEMETRY` is enabled at ``map()``
-time, each worker runs its task under a fresh telemetry session,
-snapshots its local metrics registry, and ships the snapshot back with
-the result.  The parent aggregates everything under ``parallel.*``
-instruments (see ``docs/observability.md``):
+time, each worker runs its task under a fresh telemetry session and
+ships back, with the result, a snapshot of its local metrics registry
+and its finished spans as Chrome trace events (worker pid, timestamps
+on the parent tracer's epoch).  The parent keeps the events on its
+tracer, so the exported trace shows one pid lane per worker, and
+aggregates the metrics under ``parallel.*`` instruments (see
+``docs/observability.md``):
 
 * ``parallel.workers`` (gauge) -- pool size of the last run;
 * ``parallel.tasks`` / ``parallel.failures`` (counters);
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.errors import ParallelExecutionError
+from ..telemetry.export import chrome_trace_events
 from ..telemetry.runtime import TELEMETRY
 
 _TASK_WALL_BUCKETS = (1e-3, 1e-2, 1e-1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0)
@@ -61,26 +65,37 @@ class TaskOutcome:
     metrics: Dict[str, Any] = field(default_factory=dict)
     """The worker's metrics snapshot (empty when telemetry was off)."""
 
+    trace_events: List[Dict[str, Any]] = field(default_factory=list)
+    """The worker's spans as Chrome trace events (same condition)."""
+
 
 def _execute_task(fn: Callable[[Any], Any], payload: Any,
-                  with_telemetry: bool):
+                  trace_epoch: Optional[float]):
     """Worker-process entry point: run one task under local telemetry.
 
-    With ``with_telemetry`` the worker resets its (possibly
-    fork-inherited) global telemetry first, so the snapshot it returns
-    covers exactly this task and nothing double-counts in the parent.
+    ``trace_epoch`` is the parent tracer's epoch, or None with
+    telemetry off.  Given one, the worker resets its (possibly
+    fork-inherited) global telemetry first, so what it returns covers
+    exactly this task and nothing double-counts in the parent, and
+    adopts the epoch: ``time.perf_counter`` reads one system-wide
+    clock, so the worker's span timestamps land on the parent's time
+    base.
     """
     begin = time.perf_counter()
-    if with_telemetry:
+    collect = trace_epoch is not None
+    if collect:
         TELEMETRY.reset()
+        TELEMETRY.tracer.epoch = trace_epoch
         TELEMETRY.enable()
     try:
         value = fn(payload)
     finally:
-        if with_telemetry:
+        if collect:
             TELEMETRY.disable()
-    snapshot = TELEMETRY.metrics.snapshot() if with_telemetry else {}
-    return value, time.perf_counter() - begin, os.getpid(), snapshot
+    snapshot = TELEMETRY.metrics.snapshot() if collect else {}
+    events = chrome_trace_events(TELEMETRY.tracer) if collect else []
+    return (value, time.perf_counter() - begin, os.getpid(), snapshot,
+            events)
 
 
 class WorkerPool:
@@ -111,7 +126,9 @@ class WorkerPool:
         if effective <= 1:
             outcomes = self._map_inline(fn, payloads)
         else:
-            outcomes = self._map_processes(fn, payloads, effective, collect)
+            outcomes = self._map_processes(
+                fn, payloads, effective,
+                TELEMETRY.tracer.epoch if collect else None)
         if collect:
             self._account(outcomes, effective,
                           time.perf_counter() - pool_begin)
@@ -134,13 +151,15 @@ class WorkerPool:
 
     def _map_processes(self, fn: Callable[[Any], Any],
                        payloads: Sequence[Any], effective: int,
-                       collect: bool) -> List[TaskOutcome]:
+                       trace_epoch: Optional[float]
+                       ) -> List[TaskOutcome]:
         outcomes: List[Optional[TaskOutcome]] = [None] * len(payloads)
         executor = ProcessPoolExecutor(max_workers=effective)
         pending: set = set()
         try:
             futures = {
-                executor.submit(_execute_task, fn, payload, collect): index
+                executor.submit(_execute_task, fn, payload,
+                                trace_epoch): index
                 for index, payload in enumerate(payloads)}
             pending = set(futures)
             while pending:
@@ -148,9 +167,10 @@ class WorkerPool:
                 for future in done:
                     index = futures[future]
                     try:
-                        value, wall, pid, snapshot = future.result()
+                        value, wall, pid, snapshot, events = \
+                            future.result()
                     except Exception as exc:
-                        if collect:
+                        if trace_epoch is not None:
                             TELEMETRY.metrics.counter(
                                 "parallel.failures").inc()
                         failure = ParallelExecutionError(
@@ -159,7 +179,7 @@ class WorkerPool:
                         failure.__cause__ = exc
                         raise failure
                     outcomes[index] = TaskOutcome(index, value, wall, pid,
-                                                  snapshot)
+                                                  snapshot, events)
         except BaseException:
             # First failure aborts the run: cancel what never started
             # and shut down WITHOUT waiting, so a hung sibling worker
@@ -187,6 +207,7 @@ class WorkerPool:
         for outcome in outcomes:
             wall_hist.observe(outcome.wall_seconds)
             self._merge_worker_metrics(outcome.metrics)
+            TELEMETRY.tracer.add_worker_events(outcome.trace_events)
 
     @staticmethod
     def _merge_worker_metrics(snapshot: Dict[str, Any]) -> None:

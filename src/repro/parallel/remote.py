@@ -50,6 +50,7 @@ from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
                     Union)
 
 from ..core.errors import ParallelExecutionError, RemoteError
+from ..core.ids import id_scope
 from ..faults.faultlist import FaultList, build_fault_list
 from ..compiled import fault_simulator_for, resolve_engine
 from ..faults.serial import FaultSimReport
@@ -62,7 +63,6 @@ from ..rmi.wire import WIRE_OPTIONS, wrap_transport
 from ..telemetry.runtime import TELEMETRY
 from .merge import merge_reports
 from .pool import TaskOutcome, _TASK_WALL_BUCKETS
-from .scenarios import reset_session_state
 from .sharding import default_shard_count, shard_fault_list
 
 FAULT_FARM_OBJECT = "faultfarm"
@@ -154,9 +154,8 @@ class FaultFarmServant:
     REMOTE_METHODS = ("ping", "begin_shard", "add_patterns",
                       "collect_report")
 
-    def __init__(self, resolver=None, isolate: bool = True):
+    def __init__(self, resolver=None):
         self.resolver = resolver or resolve_bench
-        self.isolate = isolate
         self.shards_served = 0
         self._lock = threading.Lock()
         self._built: Dict[Tuple[str, str], Tuple[Netlist, FaultList]] = {}
@@ -200,22 +199,22 @@ class FaultFarmServant:
             raise ParallelExecutionError(
                 f"collect_report for unknown shard task {task_id!r} "
                 f"(begin_shard missing or already collected)")
-        if self.isolate:
-            # Same trick as repro.parallel.scenarios: reset the
-            # process-wide id counters so every shard runs as if in a
-            # fresh process, keeping repeated farm runs byte-identical.
-            reset_session_state()
         if collect_telemetry:
             TELEMETRY.reset()
             TELEMETRY.enable()
         try:
-            netlist, fault_list = self._built_for(shard["bench"],
-                                                  shard["collapse"])
-            shard_list = fault_list.subset(shard["fault_names"])
-            simulator = fault_simulator_for(shard["engine"], netlist,
-                                            shard_list)
-            report = simulator.run(shard["patterns"],
-                                   drop_detected=shard["drop_detected"])
+            # A nested fresh scope: every shard draws the ids of a
+            # fresh process (repeated farm runs stay byte-identical)
+            # without disturbing the session the shard arrived on.
+            with id_scope():
+                netlist, fault_list = self._built_for(shard["bench"],
+                                                      shard["collapse"])
+                shard_list = fault_list.subset(shard["fault_names"])
+                simulator = fault_simulator_for(shard["engine"], netlist,
+                                                shard_list)
+                report = simulator.run(
+                    shard["patterns"],
+                    drop_detected=shard["drop_detected"])
         finally:
             if collect_telemetry:
                 TELEMETRY.disable()
@@ -237,10 +236,9 @@ class FaultFarmServant:
 
 
 def register_fault_farm(server: JavaCADServer, resolver=None,
-                        isolate: bool = True,
                         name: str = FAULT_FARM_OBJECT) -> FaultFarmServant:
     """Bind a fresh fault-farm servant on ``server`` and return it."""
-    servant = FaultFarmServant(resolver=resolver, isolate=isolate)
+    servant = FaultFarmServant(resolver=resolver)
     server.rebind(name, servant, FaultFarmServant.REMOTE_METHODS)
     return servant
 

@@ -14,7 +14,7 @@ results come back as ordinary
 :class:`~repro.bench.scenarios.ScenarioResult` rows in submission
 order, so ``run_table2_parallel`` reproduces ``run_table2``'s row order.
 
-Each worker first resets the process-wide RMI/IP session counters it
+Each worker first replaces the process-default id scope it
 inherited from the parent (fork), so every row equals a fresh-process
 run of that scenario and repeated parallel runs are byte-identical.  A
 sequential in-process ``run_table2`` instead lets call/session ids grow
@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence
 from ..bench.scenarios import (DEFAULT_BUFFER, DEFAULT_PATTERNS,
                                DEFAULT_WIDTH, ScenarioResult, run_scenario)
 from ..core.errors import ParallelExecutionError
+from ..core.ids import reset_default_scope
 from ..net.model import PRESETS
 from .pool import WorkerPool, resolve_workers
 
@@ -54,34 +55,19 @@ class ScenarioSpec:
 
 
 def reset_session_state() -> None:
-    """Reset fork-inherited process-wide counters and caches.
+    """Reset fork-inherited process-wide ids and caches.
 
-    Call/session id counters leak into marshalled frame sizes (longer
-    ids, more bytes, more modelled transfer time), and the cached
-    shared provider carries accumulated billing.  Resetting both makes
-    a worker's scenario identical to one run in a fresh process, no
-    matter what the parent ran before forking.
-
-    This is a *worker-side* reset: it rebinds each counter site to a
-    fresh ``itertools.count``, evicting whatever the site held --
-    including the thread-local proxies an affinity-tier
-    :class:`~repro.server.AsyncRMIServer` installs.  That is correct
-    in a freshly-forked worker (the process dispatch tier runs this as
-    its worker initializer for exactly that reason), but do not call
-    it in a parent process that is concurrently serving sessions.
+    Call/session ids leak into marshalled frame sizes (longer ids,
+    more bytes, more modelled transfer time), and the cached shared
+    provider carries accumulated billing.  Installing a fresh
+    process-default :class:`~repro.core.ids.IdScope` and dropping the
+    provider makes a worker's scenario identical to one run in a fresh
+    process, no matter what the parent ran before forking.  Scopes a
+    server has entered for its tenants are untouched.
     """
-    import importlib
-    import itertools
-
     from ..bench import scenarios as bench_scenarios
-    from ..server.session import COUNTER_SITES
 
-    # The authoritative counter list lives in repro.server.session so
-    # the async server's per-connection isolation and this worker reset
-    # can never cover different sites.
-    for module_name, attr in COUNTER_SITES:
-        setattr(importlib.import_module(module_name), attr,
-                itertools.count(1))
+    reset_default_scope()
     bench_scenarios.shared_provider.cache_clear()
 
 

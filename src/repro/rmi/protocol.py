@@ -7,14 +7,33 @@ serializer; the same message types travel over the in-process transport
 
 from __future__ import annotations
 
-import itertools
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from ..core.errors import MarshalError
+from ..core.errors import MarshalError, RemoteError
+from ..core.ids import next_id
 from .marshal import marshal, unmarshal
 
-_call_ids = itertools.count(1)
+MAX_FRAME_BYTES = 64 * 1024 * 1024
+"""Largest frame body any TCP reader accepts.  The 4-byte length
+prefix arrives before AUTH, so without a cap any peer could demand a
+4 GiB buffer; the biggest legitimate frames (a detection-table reply,
+a pattern BATCH) are a few hundred KiB."""
+
+
+def frame_length(header: bytes) -> int:
+    """Decode a frame's 4-byte length prefix, refusing oversized ones.
+
+    Every TCP frame reader calls this *before* allocating or reading
+    the body.
+    """
+    (length,) = struct.unpack(">I", header)
+    if length > MAX_FRAME_BYTES:
+        raise RemoteError(
+            f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte "
+            f"limit")
+    return length
 
 
 @dataclass(frozen=True)
@@ -25,7 +44,7 @@ class CallRequest:
     method: str
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    call_id: int = field(default_factory=lambda: next(_call_ids))
+    call_id: int = field(default_factory=lambda: next_id("call"))
     oneway: bool = False
 
     def to_wire(self) -> Dict[str, Any]:
@@ -114,7 +133,7 @@ class BatchRequest:
     """
 
     calls: Tuple[CallRequest, ...]
-    batch_id: int = field(default_factory=lambda: next(_call_ids))
+    batch_id: int = field(default_factory=lambda: next_id("call"))
 
     def encode(self) -> bytes:
         """Marshal to wire bytes (rejects non-whitelisted arguments)."""
@@ -181,7 +200,7 @@ class AuthRequest:
     """
 
     token: str
-    call_id: int = field(default_factory=lambda: next(_call_ids))
+    call_id: int = field(default_factory=lambda: next_id("call"))
 
     def to_wire(self) -> Dict[str, Any]:
         """The AUTH frame as a marshallable dict."""

@@ -29,7 +29,7 @@ from ..net.clock import CostModel, VirtualClock
 from ..net.model import NetworkModel
 from ..telemetry.runtime import TELEMETRY
 from .protocol import (AuthRequest, BatchReply, BatchRequest, CallReply,
-                       CallRequest, decode_request)
+                       CallRequest, decode_request, frame_length)
 from .registry import Binding, Registry
 
 _thread_state = threading.local()
@@ -325,7 +325,10 @@ def _read_frame(connection: socket.socket) -> Optional[bytes]:
     header = _read_exact(connection, 4)
     if header is None:
         return None
-    (length,) = struct.unpack(">I", header)
+    try:
+        length = frame_length(header)
+    except RemoteError:
+        return None  # oversized: drop the connection unread
     return _read_exact(connection, length)
 
 

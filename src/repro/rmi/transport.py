@@ -29,7 +29,7 @@ from ..net.model import NetworkModel
 from ..telemetry.metrics import DEFAULT_BYTES_BUCKETS
 from ..telemetry.runtime import TELEMETRY
 from .protocol import (AuthRequest, BatchReply, BatchRequest, CallReply,
-                       CallRequest)
+                       CallRequest, frame_length)
 from .security import SecurityPolicy
 from .server import JavaCADServer
 
@@ -557,8 +557,7 @@ class TcpTransport(Transport):
 
     def _read_frame(self, connection: socket.socket) -> bytes:
         header = self._read_exact(connection, 4)
-        (length,) = struct.unpack(">I", header)
-        return self._read_exact(connection, length)
+        return self._read_exact(connection, frame_length(header))
 
     def _read_exact(self, connection: socket.socket, count: int) -> bytes:
         chunks = []

@@ -11,22 +11,23 @@ the front end:
 * an :mod:`asyncio` event loop owns every socket -- thousands of idle
   connections cost file descriptors, not threads;
 * servant work leaves the loop through a selectable **dispatch tier**
-  (``dispatch=``): ``gate`` runs on a bounded shared thread pool with
-  one process-wide isolation lock, ``affinity`` pins each session to
-  its own single-thread executor with per-session locks only (tenants
-  never queue on each other), and ``process`` ships frames to forked
+  (``dispatch=``): ``thread`` runs on a bounded shared thread pool
+  with no lock between tenants, and ``process`` ships frames to forked
   worker processes with sticky session routing so CPU-bound servant
   work escapes the GIL entirely;
 * each connection gets an ordered three-stage pipeline (reader ->
-  replier -> writer) with bounded queues, so a client that stops
+  dispatcher -> writer) with bounded queues, so a client that stops
   reading exerts backpressure instead of ballooning server memory;
+  one connection's frames dispatch strictly one at a time, in arrival
+  order;
 * connections beyond ``max_connections`` are refused with a proper
   error frame, not an unexplained reset;
 * an optional shared **bearer token** is enforced before any frame can
   reach dispatch, and optional **TLS** wraps the whole exchange;
-* per-connection :class:`~repro.server.session.SessionState` gives
-  every tenant the id namespaces of a fresh process, which is what
-  makes a farmed fault report byte-identical to a serial run.
+* every connection owns an :class:`~repro.core.ids.IdScope` entered
+  around each of its dispatches, so a tenant draws the ids of a fresh
+  process -- which is what makes a farmed fault report byte-identical
+  to a serial run.
 
 The server runs its event loop on a dedicated thread behind a
 synchronous ``start()`` / ``stop()`` facade, so the CLI, tests and
@@ -44,18 +45,16 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from ..core.errors import RemoteError
+from ..core.ids import IdScope, id_scope
 from ..rmi.protocol import (AuthRequest, BatchRequest, CallReply,
-                            decode_request)
-from ..rmi.server import (JavaCADServer, _encode_batch_reply,
-                          _encode_reply)
+                            decode_request, frame_length)
+from ..rmi.server import JavaCADServer
 from ..telemetry.runtime import TELEMETRY
-from .dispatch import ProcessDispatcher
-from .session import (IsolationGate, SessionGate, SessionState,
-                      call_session_factory,
-                      install_site_proxies, uninstall_site_proxies)
+from .dispatch import (ProcessDispatcher, SessionFactory,
+                       _dispatch_encoded, call_session_factory)
 
 DEFAULT_MAX_CONNECTIONS = 64
 DEFAULT_DISPATCH_WORKERS = 4
@@ -63,19 +62,15 @@ DEFAULT_HANDSHAKE_TIMEOUT = 5.0
 DEFAULT_DRAIN_TIMEOUT = 5.0
 DEFAULT_QUEUE_DEPTH = 32
 
-DISPATCH_TIERS = ("gate", "affinity", "process")
+DISPATCH_TIERS = ("thread", "process")
 """Selectable dispatch tiers, cheapest-setup first.
 
-``gate``: shared thread pool, one process-wide isolation lock --
-isolated dispatches serialize, which costs nothing while servants are
-I/O-light pure Python under the GIL but caps the server at one core.
-``affinity``: one dedicated single-thread executor per session with
-per-session locks over thread-local counter bindings -- independent
-tenants never queue on each other (a slow tenant no longer stalls the
-rest), though CPU-bound Python still shares the GIL.  ``process``:
-frames ship to forked worker processes with sticky session routing --
-CPU-bound servant work runs truly in parallel.  Every tier keeps each
-tenant byte-identical to a fresh-process serial run."""
+``thread``: a shared pool of ``dispatch_workers`` threads and no lock
+between tenants -- a slow tenant never stalls the rest, though
+CPU-bound Python still shares the GIL.  ``process``: frames ship to
+forked worker processes with sticky session routing -- CPU-bound
+servant work runs truly in parallel.  Both keep each tenant
+byte-identical to a fresh-process serial run."""
 
 
 @dataclass
@@ -137,18 +132,17 @@ class _Connection:
                  reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter,
                  session: Optional[JavaCADServer],
-                 state: Optional[SessionState],
                  session_id: int):
         self.server = server
         self.reader = reader
         self.writer = writer
+        # Process tier: the session and its scope live in the sticky
+        # worker, so ``session`` is None and ``scope`` stays unused.
         self.session = session
-        self.state = state
+        self.scope = IdScope()
         self.session_id = session_id
-        # Affinity tier: this session's dedicated executor + gate.
-        self.executor: Optional[ThreadPoolExecutor] = None
-        self.gate: Optional[SessionGate] = None
-        self.pending: "asyncio.Queue[Optional[asyncio.Future[bytes]]]" = \
+        # Decoded request + raw frame, in arrival order.
+        self.pending: "asyncio.Queue[Optional[Tuple[Any, bytes]]]" = \
             asyncio.Queue(maxsize=server.max_pending)
         self.writes: "asyncio.Queue[Optional[bytes]]" = \
             asyncio.Queue(maxsize=server.max_write_queue)
@@ -178,19 +172,18 @@ class AsyncRMIServer:
     that keep per-tenant state such as the fault farm) must be given.
 
     ``dispatch`` selects how servant work leaves the event loop (see
-    :data:`DISPATCH_TIERS`): ``gate`` (default) is the shared thread
-    pool behind the process-wide isolation lock, ``affinity`` pins
-    each session to a dedicated single-thread executor so tenants
-    never queue on each other, and ``process`` routes each session
-    stickily to one of ``dispatch_workers`` forked worker processes
-    (the session factory crosses by fork inheritance, so it need not
-    be picklable).  All tiers preserve per-tenant byte-identity with a
-    fresh-process serial run while ``isolate_sessions`` is on.
+    :data:`DISPATCH_TIERS`): ``thread`` (default) is the shared pool
+    of ``dispatch_workers`` threads, and ``process`` routes each
+    session stickily to one of ``dispatch_workers`` forked worker
+    processes (the session factory crosses by fork inheritance, so it
+    need not be picklable).  On both, a connection's frames dispatch
+    one at a time in arrival order inside that connection's own
+    :class:`~repro.core.ids.IdScope`, which preserves per-tenant
+    byte-identity with a fresh-process serial run.
     """
 
     def __init__(self, server: Optional[JavaCADServer] = None, *,
-                 session_factory: Optional[
-                     Callable[..., JavaCADServer]] = None,
+                 session_factory: Optional[SessionFactory] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  max_connections: int = DEFAULT_MAX_CONNECTIONS,
                  auth_token: Optional[str] = None,
@@ -199,10 +192,9 @@ class AsyncRMIServer:
                  handshake_timeout: float = DEFAULT_HANDSHAKE_TIMEOUT,
                  drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
                  dispatch_workers: int = DEFAULT_DISPATCH_WORKERS,
-                 dispatch: str = "gate",
+                 dispatch: str = "thread",
                  max_pending: int = DEFAULT_QUEUE_DEPTH,
                  max_write_queue: int = DEFAULT_QUEUE_DEPTH,
-                 isolate_sessions: bool = True,
                  name: str = "async-rmi"):
         if (server is None) == (session_factory is None):
             raise ValueError(
@@ -228,14 +220,11 @@ class AsyncRMIServer:
         self.dispatch_tier = dispatch
         self.max_pending = max_pending
         self.max_write_queue = max_write_queue
-        self.isolate_sessions = isolate_sessions
         self.name = name
         self.stats = ServerStats()
         self.address: Optional[Tuple[str, int]] = None
-        self._gate = IsolationGate()
         self._session_ids = itertools.count(1)
         self._dispatcher: Optional[ProcessDispatcher] = None
-        self._proxied = False
         self._connections: Set[_Connection] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
@@ -313,9 +302,6 @@ class AsyncRMIServer:
         self._stop_event = asyncio.Event()
         self._draining = False
         try:
-            if self.dispatch_tier == "affinity" and self.isolate_sessions:
-                install_site_proxies()
-                self._proxied = True
             if self.dispatch_tier == "process":
                 factory = self._session_factory
                 if factory is None:
@@ -347,9 +333,7 @@ class AsyncRMIServer:
                     "server.dispatch.workers",
                     labels={"server": self.name,
                             "tier": self.dispatch_tier}).set(
-                        self.max_connections
-                        if self.dispatch_tier == "affinity"
-                        else self.dispatch_workers)
+                        self.dispatch_workers)
             self._started.set()
             await self._stop_event.wait()
             await self._shutdown()
@@ -360,9 +344,6 @@ class AsyncRMIServer:
             if self._dispatcher is not None:
                 self._dispatcher.shutdown()
                 self._dispatcher = None
-            if self._proxied:
-                uninstall_site_proxies()
-                self._proxied = False
             self._listener = None
             self._loop = None
             self._stop_event = None
@@ -418,26 +399,13 @@ class AsyncRMIServer:
             # core.
             session_id = next(self._session_ids)
             session: Optional[JavaCADServer] = None
-            state: Optional[SessionState] = None
             if self._dispatcher is None:
                 session = (self._shared_server
                            if self._shared_server is not None
                            else call_session_factory(
                                self._session_factory,  # type: ignore[arg-type]
                                session_id))
-                if self.isolate_sessions:
-                    state = SessionState()
-            # Process tier: the session (and its state) lives in the
-            # sticky worker; the parent never builds one.
-            conn = _Connection(self, reader, writer, session, state,
-                               session_id)
-            if self.dispatch_tier == "affinity":
-                conn.executor = ThreadPoolExecutor(
-                    max_workers=1,
-                    thread_name_prefix=(
-                        f"{self.name}-affinity-{session_id}"))
-                if state is not None:
-                    conn.gate = SessionGate(state)
+            conn = _Connection(self, reader, writer, session, session_id)
             conn.task = asyncio.current_task()
             self._connections.add(conn)
             self._bump("server.sessions", "sessions_started")
@@ -447,8 +415,6 @@ class AsyncRMIServer:
         finally:
             if conn is not None:
                 self._connections.discard(conn)
-                if conn.executor is not None:
-                    conn.executor.shutdown(wait=False)
                 if self._dispatcher is not None:
                     self._dispatcher.forget(conn.session_id)
             if accounted:
@@ -490,7 +456,8 @@ class AsyncRMIServer:
                 self._read_frame(reader),
                 timeout=self.handshake_timeout)
         except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                ConnectionError, OSError):
+                ConnectionError, OSError, RemoteError):
+            # RemoteError: an oversized length prefix, refused unread.
             self._auth_failure()
             return False
         try:
@@ -513,9 +480,8 @@ class AsyncRMIServer:
         return True
 
     async def _serve(self, conn: _Connection) -> None:
-        """Reader stage: decode frames, submit dispatch, keep order."""
-        assert self._loop is not None and self._executor is not None
-        replier = asyncio.ensure_future(self._replier(conn))
+        """Reader stage: decode and account frames, queue them in order."""
+        dispatching = asyncio.ensure_future(self._dispatch_stage(conn))
         sender = asyncio.ensure_future(self._writer(conn))
         try:
             while not conn.broken:
@@ -526,50 +492,58 @@ class AsyncRMIServer:
                             timeout=self.idle_timeout)
                     else:
                         frame = await self._read_frame(conn.reader)
+                    request = decode_request(frame)
                 except (asyncio.TimeoutError,
                         asyncio.IncompleteReadError,
                         ConnectionError, OSError):
                     break
-                future = self._submit(conn, frame)
-                if future is None:
+                except Exception:  # noqa: BLE001 - protocol violation
+                    # Undecodable bytes or an oversized length prefix.
+                    self._bump(None, "protocol_errors")
                     break
+                if not isinstance(request, AuthRequest):
+                    self._account_request(request)
+                    self._queue_depth(+1)
                 conn.in_flight += 1
-                await conn.pending.put(future)
+                await conn.pending.put((request, frame))
         finally:
             # Cancellation (shutdown) can land on any of these awaits;
             # the inner finally guarantees the stage tasks never
             # outlive the handler either way.
             try:
                 await conn.pending.put(None)
-                await replier
+                await dispatching
                 await sender
             finally:
-                replier.cancel()
+                dispatching.cancel()
                 sender.cancel()
 
-    def _submit(self, conn: _Connection,
-                frame: bytes) -> Optional["asyncio.Future[bytes]"]:
-        """Turn one frame into a future producing encoded reply bytes."""
-        assert self._loop is not None and self._executor is not None
-        try:
-            request = decode_request(frame)
-        except Exception:  # noqa: BLE001 - protocol violation
-            self._bump(None, "protocol_errors")
-            return None
-        if isinstance(request, AuthRequest):
-            return self._refresh_auth(request)
-        self._account_request(request)
-        self._queue_depth(+1)
-        if self._dispatcher is not None:
-            return asyncio.ensure_future(
-                self._execute_process(conn, frame))
-        executor = (conn.executor if conn.executor is not None
-                    else self._executor)
-        return self._loop.run_in_executor(
-            executor, self._execute, conn, request)
+    async def _dispatch_stage(self, conn: _Connection) -> None:
+        """Middle stage: dispatch one frame at a time, in arrival order.
 
-    def _refresh_auth(self, request: AuthRequest
-                      ) -> "asyncio.Future[bytes]":
+        Awaiting each reply before taking the next frame is what keeps
+        a session's servant calls strictly sequential even when the
+        client pipelines frames; other connections' stages interleave
+        freely on the shared pool.
+        """
+        while True:
+            item = await conn.pending.get()
+            if item is None:
+                await conn.writes.put(None)
+                return
+            request, frame = item
+            try:
+                if isinstance(request, AuthRequest):
+                    payload = self._refresh_auth(request)
+                else:
+                    payload = await self._dispatch(conn, request, frame)
+            except Exception:  # noqa: BLE001 - executor crash
+                payload = CallReply(
+                    0, ok=False, error="internal dispatch failure"
+                ).encode()
+            await conn.writes.put(payload)
+
+    def _refresh_auth(self, request: AuthRequest) -> bytes:
         """Mid-session AUTH: re-verify the token and count the frame.
 
         Refreshes are *excluded* from ``calls_served``/``server.calls``
@@ -580,20 +554,14 @@ class AsyncRMIServer:
         with a wrong token is an auth failure and an error reply, but
         the session itself stays authenticated from its handshake.
         """
-        assert self._loop is not None
-        resolved: "asyncio.Future[bytes]" = self._loop.create_future()
         if self.auth_token is not None and not hmac.compare_digest(
                 request.token.encode("utf-8"),
                 self.auth_token.encode("utf-8")):
             self._auth_failure()
-            resolved.set_result(CallReply(
-                request.call_id, ok=False,
-                error="authentication failed").encode())
-            return resolved
+            return CallReply(request.call_id, ok=False,
+                             error="authentication failed").encode()
         self._bump("server.auth.refreshes", "auth_refreshes")
-        resolved.set_result(CallReply(
-            request.call_id, ok=True, result="ok").encode())
-        return resolved
+        return CallReply(request.call_id, ok=True, result="ok").encode()
 
     def _account_request(self, request: Any) -> None:
         """Count one dispatched frame (parent-side, every tier)."""
@@ -608,40 +576,21 @@ class AsyncRMIServer:
         else:
             self._bump("server.calls", "calls_served")
 
-    def _execute(self, conn: _Connection, request: Any) -> bytes:
-        """Dispatch one request on an executor thread; encode there too."""
-        start = time.perf_counter()
-        try:
-            if conn.gate is not None:
-                # Affinity tier: per-session lock, thread-local
-                # counters -- other sessions dispatch concurrently.
-                with conn.gate.isolated():
-                    return self._dispatch(conn.session, request)
-            if conn.state is not None:
-                with self._gate.isolated(conn.state):
-                    return self._dispatch(conn.session, request)
-            return self._dispatch(conn.session, request)
-        finally:
-            self._queue_depth(-1)
-            if TELEMETRY.enabled:
-                TELEMETRY.metrics.histogram(
-                    "server.dispatch.latency",
-                    labels={"server": self.name}).observe(
-                        time.perf_counter() - start)
+    async def _dispatch(self, conn: _Connection, request: Any,
+                        frame: bytes) -> bytes:
+        """Run one request on the configured tier; encoded reply bytes.
 
-    async def _execute_process(self, conn: _Connection,
-                               frame: bytes) -> bytes:
-        """Process tier: ship the frame to the session's sticky worker.
-
-        The latency histogram here spans submit-to-reply (queue wait on
-        the worker included), since the worker's own clock is out of
-        reach.
+        The latency histogram spans submit-to-reply on both tiers
+        (wait for a pool thread or the sticky worker included).
         """
-        assert self._dispatcher is not None
+        assert self._loop is not None
         start = time.perf_counter()
         try:
-            return await asyncio.wrap_future(self._dispatcher.submit(
-                conn.session_id, frame, self.isolate_sessions))
+            if self._dispatcher is not None:
+                return await asyncio.wrap_future(
+                    self._dispatcher.submit(conn.session_id, frame))
+            return await self._loop.run_in_executor(
+                self._executor, self._execute, conn, request)
         finally:
             self._queue_depth(-1)
             if TELEMETRY.enabled:
@@ -650,28 +599,12 @@ class AsyncRMIServer:
                     labels={"server": self.name}).observe(
                         time.perf_counter() - start)
 
-    def _dispatch(self, session: Optional[JavaCADServer],
-                  request: Any) -> bytes:
-        assert session is not None
-        if isinstance(request, BatchRequest):
-            return _encode_batch_reply(
-                request, session.dispatch_batch(request))
-        return _encode_reply(request, session.dispatch(request))
-
-    async def _replier(self, conn: _Connection) -> None:
-        """Middle stage: await dispatch futures in submission order."""
-        while True:
-            future = await conn.pending.get()
-            if future is None:
-                await conn.writes.put(None)
-                return
-            try:
-                payload = await future
-            except Exception:  # noqa: BLE001 - executor crash
-                payload = CallReply(
-                    0, ok=False, error="internal dispatch failure"
-                ).encode()
-            await conn.writes.put(payload)
+    @staticmethod
+    def _execute(conn: _Connection, request: Any) -> bytes:
+        """Thread tier: dispatch on a pool thread, in the tenant's scope."""
+        assert conn.session is not None
+        with id_scope(conn.scope):
+            return _dispatch_encoded(conn.session, request)
 
     async def _writer(self, conn: _Connection) -> None:
         """Final stage: frame bytes onto the socket with backpressure."""
@@ -695,8 +628,7 @@ class AsyncRMIServer:
     @staticmethod
     async def _read_frame(reader: asyncio.StreamReader) -> bytes:
         header = await reader.readexactly(4)
-        (length,) = struct.unpack(">I", header)
-        return await reader.readexactly(length)
+        return await reader.readexactly(frame_length(header))
 
     @staticmethod
     async def _send_frame(writer: asyncio.StreamWriter,

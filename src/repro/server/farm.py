@@ -40,7 +40,7 @@ def fault_farm_session_factory(shared: Optional[JavaCADServer] = None,
 
     Session names carry the *tenant's* session id when the server
     provides one (via
-    :func:`~repro.server.session.call_session_factory`), so a tenant's
+    :func:`~repro.server.dispatch.call_session_factory`), so a tenant's
     name -- which is marshalled into farm error strings -- depends only
     on its own connection order, never on how many neighbors the
     server or a forked worker has already seen.  The factory-local

@@ -3,8 +3,10 @@
 ``export_chrome_trace`` writes the ``traceEvents`` JSON consumed by
 ``chrome://tracing`` / Perfetto: one complete (``"ph": "X"``) event per
 span, with microsecond ``ts``/``dur`` relative to the tracer epoch and
-the virtual-clock interval carried in ``args``.  Events are sorted by
-``ts`` so the file is monotonic regardless of finish order.
+the virtual-clock interval carried in ``args``.  Events that worker
+processes shipped back are merged in under their own pid, and
+everything is sorted by ``ts`` so the file is monotonic regardless of
+finish order.
 
 ``export_metrics_json`` dumps a :class:`MetricsRegistry` snapshot;
 ``export_summary`` combines both plus per-category span aggregates.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, IO, List, Union
+from typing import Any, Dict, IO, List, Tuple, Union
 
 from .metrics import MetricsRegistry
 from .trace import Tracer
@@ -23,10 +25,10 @@ PathOrFile = Union[str, "os.PathLike[str]", IO[str]]
 
 
 def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
-    """The span list as Chrome trace-event dicts, sorted by ``ts``."""
+    """Own spans plus worker events as Chrome dicts, sorted by ``ts``."""
     pid = os.getpid()
     events: List[Dict[str, Any]] = []
-    thread_names: Dict[int, str] = {}
+    thread_names: Dict[Tuple[int, int], str] = {}
     for span in tracer.spans:
         args = dict(span.args)
         if span.virtual_start is not None:
@@ -46,16 +48,23 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
             "tid": span.thread_id,
             "args": args,
         })
-        thread_names.setdefault(span.thread_id, span.thread_name)
-    events.sort(key=lambda event: (event["ts"], event["tid"]))
+        thread_names.setdefault((pid, span.thread_id), span.thread_name)
+    for event in tracer.worker_events:
+        if event["ph"] == "M":
+            thread_names.setdefault((event["pid"], event["tid"]),
+                                    event["args"]["name"])
+        else:
+            events.append(event)
+    events.sort(key=lambda event: (event["ts"], event["pid"],
+                                   event["tid"]))
     # Thread-name metadata events let the viewer label each row.
     metadata = [{
         "name": "thread_name",
         "ph": "M",
-        "pid": pid,
+        "pid": owner,
         "tid": tid,
         "args": {"name": name},
-    } for tid, name in sorted(thread_names.items())]
+    } for (owner, tid), name in sorted(thread_names.items())]
     return metadata + events
 
 

@@ -8,7 +8,9 @@ interval of simulated time (:class:`repro.net.clock.VirtualClock`
 thread-local stack, so two schedulers running in concurrent threads
 never interleave their span parents.
 
-The tracer stores finished spans in memory; exporters
+The tracer stores finished spans in memory, plus the already-exported
+trace events that worker processes ship back
+(:meth:`Tracer.add_worker_events`); exporters
 (:mod:`repro.telemetry.export`) turn them into Chrome ``about:tracing``
 files or JSON summaries.  Any object exposing a ``wall`` attribute in
 virtual seconds can serve as the clock -- the tracer deliberately does
@@ -126,6 +128,7 @@ class Tracer:
         self._span_ids = itertools.count(1)
         self._lock = threading.Lock()
         self._spans: List[Span] = []
+        self._worker_events: List[Dict[str, Any]] = []
         self._local = threading.local()
 
     # -- span factory ------------------------------------------------------
@@ -157,6 +160,21 @@ class Tracer:
         with self._lock:
             return tuple(self._spans)
 
+    def add_worker_events(self, events: List[Dict[str, Any]]) -> None:
+        """Keep Chrome trace events a worker process recorded.
+
+        They carry the worker's pid and timestamps already relative to
+        this tracer's epoch (see ``repro.parallel.pool``).
+        """
+        with self._lock:
+            self._worker_events.extend(events)
+
+    @property
+    def worker_events(self) -> Tuple[Dict[str, Any], ...]:
+        """Every worker-recorded trace event, in arrival order."""
+        with self._lock:
+            return tuple(self._worker_events)
+
     def current_span(self) -> Optional[Span]:
         """The innermost open span of the calling thread, if any."""
         stack = self._thread_stack()
@@ -170,6 +188,7 @@ class Tracer:
         """Drop recorded spans and restart the epoch."""
         with self._lock:
             self._spans.clear()
+            self._worker_events.clear()
             self.epoch = time.perf_counter()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

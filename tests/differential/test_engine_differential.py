@@ -34,7 +34,7 @@ def fault_farm(count):
     try:
         for index in range(count):
             server = JavaCADServer(f"farm{index}")
-            servants.append(register_fault_farm(server, isolate=False))
+            servants.append(register_fault_farm(server))
             host, port = server.serve_tcp("127.0.0.1", 0)
             servers.append(server)
             endpoints.append(f"{host}:{port}")

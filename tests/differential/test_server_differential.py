@@ -170,15 +170,14 @@ class TestConcurrentSessions:
 class TestDispatchTiers:
     """Every dispatch tier is byte-identical to fresh-process serial.
 
-    The tiers change *where* a session's dispatches run (behind the
-    global gate, on a pinned per-session thread, in a sticky forked
-    worker) -- never *what* they compute.  Each tier's farmed report
-    must fingerprint identically to a serial run in a fresh process,
-    and two concurrent tenants under the concurrent tiers must each
-    match their own fresh-process baselines.
+    The tiers change *where* a session's dispatches run (on the
+    shared thread pool, in a sticky forked worker) -- never *what*
+    they compute.  Each tier's farmed report must fingerprint
+    identically to a serial run in a fresh process, and two concurrent
+    tenants must each match their own fresh-process baselines.
     """
 
-    @pytest.mark.parametrize("tier", ["gate", "affinity", "process"])
+    @pytest.mark.parametrize("tier", ["thread", "process"])
     def test_tier_matches_fresh_process_serial(self, tier):
         bench = "figure4"
         _netlist, pattern_set = campaign(bench)
@@ -195,7 +194,7 @@ class TestDispatchTiers:
         assert fingerprint == baseline, (
             f"dispatch tier {tier!r} diverged from the serial baseline")
 
-    @pytest.mark.parametrize("tier", ["affinity", "process"])
+    @pytest.mark.parametrize("tier", ["thread", "process"])
     def test_concurrent_tenants_match_their_baselines(self, tier):
         campaigns = {
             "tenant-a": ("figure4", campaign("figure4", seed=3)[1]),

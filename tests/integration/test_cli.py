@@ -212,7 +212,7 @@ class TestRemoteFarmCli:
         try:
             for index in range(2):
                 server = JavaCADServer(f"cli-farm{index}")
-                register_fault_farm(server, isolate=False)
+                register_fault_farm(server)
                 host, port = server.serve_tcp("127.0.0.1", 0)
                 servers.append(server)
                 endpoints.append(f"{host}:{port}")

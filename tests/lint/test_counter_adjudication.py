@@ -2,14 +2,14 @@
 
 ``repro.estimation.setup._setup_ids`` and
 ``repro.parallel.remote._pool_nonces`` were flagged by the JCD014
-discovery and adjudicated as *waived* rather than added to
-``COUNTER_SITES``: their values are claimed never to shape marshalled
+discovery and adjudicated as *waived* rather than drawn from the
+``IdScope``: their values are claimed never to shape marshalled
 bytes (setup wire paths pass explicit names; pool nonces are opaque
 local task keys).  These tests prove that claim by advancing each
 counter far between two otherwise identical runs and asserting the
 observable outputs are byte-identical.  If either counter ever starts
-leaking into wire traffic, the waiver must be revoked and the site
-promoted into ``COUNTER_SITES`` -- and this test will say so first.
+leaking into wire traffic, the waiver must be revoked and the id
+drawn from the ``IdScope`` -- and this test will say so first.
 """
 
 import random
@@ -30,7 +30,7 @@ def _burn(counter, steps):
 
 
 def _er_scenario():
-    # reset_session_state rewinds the inventoried COUNTER_SITES (which
+    # reset_session_state installs a fresh default IdScope (whose ids
     # legitimately shape frame bytes) so the only state differing
     # between the two runs is the counter under adjudication.
     reset_session_state()

@@ -1,35 +1,22 @@
-"""Meta-test: COUNTER_SITES, reset_session_state and JCD014 agree.
+"""Meta-test: the JCD014 discovery and the adjudicated waivers agree.
 
-Three artifacts describe the same set of process-wide counters:
-
-* ``repro.server.session.COUNTER_SITES`` -- the hand-maintained
-  inventory the per-session isolation gate and the worker reset act on;
-* ``repro.parallel.scenarios.reset_session_state`` -- rewinds every
-  inventoried site in a freshly forked worker;
-* the JCD014 call-graph discovery -- finds every module-level counter
-  in ``src/repro`` mechanically.
-
-If they drift apart, a counter either leaks across sessions untouched
-by the gate (inventory too small) or the JCD019 rule starts lying
-about stale entries (inventory too big).  This test pins the three
-views to each other.
+Marshalled ids come from the current ``repro.core.ids.IdScope``, so
+the only module-level counters left in ``src/repro`` are the ones
+waived inline because their values never shape marshalled bytes
+(tests/lint/test_counter_adjudication.py proves that differentially).
+If a new one appears, JCD014 must flag it; if a waived one vanishes,
+its waiver comment should go too.
 """
 
-import importlib
-import itertools
 import os
 
 import repro
 from repro.lint.callgraph import CallGraph
 from repro.lint.concurrency import lint_call_graph
-from repro.parallel.scenarios import reset_session_state
-from repro.server.session import COUNTER_SITES
 
 ADJUDICATED_WAIVERS = frozenset({
-    # Waived with inline comments rather than inventoried: the wire
-    # paths pass explicit names / opaque nonces, so their values never
-    # shape marshalled bytes.  tests/lint/test_counter_adjudication.py
-    # proves that differentially.
+    # The wire paths pass explicit names / opaque nonces, so their
+    # values never shape marshalled bytes.
     ("repro.estimation.setup", "_setup_ids"),
     ("repro.parallel.remote", "_pool_nonces"),
     # Repr-only: token ids appear in debugging reprs, never on the
@@ -48,57 +35,28 @@ def real_tree_graph():
                for name in names if name.endswith(".py")))
 
 
-class TestInventoryAgainstDiscovery:
-    def test_every_inventoried_site_is_discovered(self):
-        discovered = real_tree_graph().discovered_sites()
-        missing = set(COUNTER_SITES) - discovered
-        assert missing == set(), (
-            f"COUNTER_SITES entries the JCD014 discovery cannot see "
-            f"(stale inventory?): {sorted(missing)}")
+def discovered_counters(graph):
+    return {(counter.module, counter.attr)
+            for counter in graph.counters()}
 
+
+class TestInventoryAgainstDiscovery:
     def test_adjudicated_waivers_are_still_real_counters(self):
-        discovered = real_tree_graph().discovered_sites()
-        gone = ADJUDICATED_WAIVERS - discovered
+        gone = ADJUDICATED_WAIVERS - discovered_counters(real_tree_graph())
         assert gone == set(), (
             f"waived counters that vanished -- delete the waiver "
             f"comment and this entry: {sorted(gone)}")
 
     def test_every_discovered_counter_is_accounted_for(self):
-        # Inventory + adjudicated waivers must cover the discovered
-        # set; the lint sweep itself (JCD014, which also honours the
-        # inline waiver comments) must agree there is nothing left.
-        findings = [item for item in lint_call_graph(real_tree_graph())
+        # Every dispatch-reachable counter is an adjudicated waiver
+        # (none of the old id sites holds a module global any more),
+        # and the lint sweep itself -- which honours the inline waiver
+        # comments -- agrees there is nothing left.
+        graph = real_tree_graph()
+        reachable = {(counter.module, counter.attr)
+                     for counter in graph.counters()
+                     if graph.is_dispatch_reachable(counter)}
+        assert reachable <= ADJUDICATED_WAIVERS
+        findings = [item for item in lint_call_graph(graph)
                     if item.code == "JCD014"]
         assert findings == []
-
-    def test_no_stale_inventory_entries(self):
-        findings = [item for item in lint_call_graph(real_tree_graph())
-                    if item.code == "JCD019"]
-        assert findings == []
-
-
-class TestResetCoversTheInventory:
-    def test_reset_rewinds_every_site(self):
-        # Advance every inventoried counter, reset, and check each one
-        # hands out 1 again.
-        for module_name, attr in COUNTER_SITES:
-            module = importlib.import_module(module_name)
-            counter = getattr(module, attr)
-            assert isinstance(counter, type(itertools.count())), (
-                f"{module_name}.{attr} is not an itertools.count")
-            for _ in range(10):
-                next(counter)
-        reset_session_state()
-        for module_name, attr in COUNTER_SITES:
-            module = importlib.import_module(module_name)
-            assert next(getattr(module, attr)) == 1, (
-                f"reset_session_state left {module_name}.{attr} "
-                f"advanced")
-        reset_session_state()
-
-    def test_inventory_is_importable_and_unique(self):
-        assert len(set(COUNTER_SITES)) == len(COUNTER_SITES)
-        for module_name, attr in COUNTER_SITES:
-            module = importlib.import_module(module_name)
-            assert hasattr(module, attr), (
-                f"{module_name}.{attr} missing at runtime")

@@ -34,7 +34,7 @@ def fault_farm(count, servant_factory=None):
                 server.rebind("faultfarm", servant,
                               FaultFarmServant.REMOTE_METHODS)
             else:
-                servant = register_fault_farm(server, isolate=False)
+                servant = register_fault_farm(server)
             host, port = server.serve_tcp("127.0.0.1", 0)
             servers.append(server)
             servants.append(servant)
@@ -151,7 +151,7 @@ class _DyingServant(FaultFarmServant):
     """Kills its own server the first time it is asked to simulate."""
 
     def __init__(self, server):
-        super().__init__(isolate=False)
+        super().__init__()
         self._server = server
         self.died = False
 
@@ -168,7 +168,7 @@ class _PoisonServant(FaultFarmServant):
     """Rejects every shard while staying perfectly reachable."""
 
     def __init__(self, _server):
-        super().__init__(isolate=False)
+        super().__init__()
 
     def collect_report(self, task_id, collect_telemetry=False):
         super().collect_report(task_id, collect_telemetry)
@@ -185,7 +185,7 @@ class TestFailureHandling:
             if first[0]:
                 first[0] = False
                 return _DyingServant(server)
-            return FaultFarmServant(isolate=False)
+            return FaultFarmServant()
 
         with fault_farm(2, servant_factory=factory) as (endpoints,
                                                         servants):

@@ -1,5 +1,7 @@
 """Real TCP transport: the wire protocol across a process boundary."""
 
+import socket
+import struct
 import threading
 
 import pytest
@@ -123,6 +125,18 @@ class TestServerLifecycle:
         server, _host, _port = tcp_server
         with pytest.raises(RemoteError, match="already serving"):
             server.serve_tcp()
+
+    def test_oversized_frame_header_drops_only_that_connection(
+            self, tcp_server):
+        _server, host, port = tcp_server
+        with socket.create_connection((host, port), timeout=5) as raw:
+            raw.sendall(struct.pack(">I", 0xFFFFFFFF))
+            assert raw.recv(1) == b""  # closed, body never awaited
+        transport = TcpTransport(host, port)
+        try:
+            assert transport.invoke("math", "add", (2, 3)) == 5
+        finally:
+            transport.close()
 
     def test_stop_and_restart(self):
         server = JavaCADServer("restart.test")

@@ -27,7 +27,8 @@ def _free_port():
 class _TruncatingServer:
     """Accepts one framed request, replies with a truncated frame."""
 
-    def __init__(self):
+    def __init__(self, reply=struct.pack(">I", 80) + b"oops"):
+        self._reply = reply
         self._socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._socket.bind(("127.0.0.1", 0))
@@ -49,7 +50,7 @@ class _TruncatingServer:
                 if not chunk:
                     return
                 remaining -= len(chunk)
-            connection.sendall(struct.pack(">I", 80) + b"oops")
+            connection.sendall(self._reply)
 
     def close(self):
         self._socket.close()
@@ -83,6 +84,20 @@ class TestStreamFailures:
                 transport.invoke("math", "add", (1, 2))
             assert transport.stats.errors == 1
             # The desynchronized socket must not be reused.
+            assert transport._socket is None
+        finally:
+            server.close()
+
+    def test_oversized_reply_header_is_refused_before_allocating(self):
+        # Without the cap the client would recv(4 GiB) on the peer's
+        # say-so.
+        server = _TruncatingServer(reply=struct.pack(">I", 0xFFFFFFFF))
+        try:
+            transport = TcpTransport(server.host, server.port,
+                                     timeout=2.0)
+            with pytest.raises(RemoteError, match="exceeds"):
+                transport.invoke("math", "add", (1, 2))
+            assert transport.stats.errors == 1
             assert transport._socket is None
         finally:
             server.close()

@@ -2,13 +2,15 @@
 
 import contextlib
 import os
+import socket
+import struct
 import threading
 import time
 
 import pytest
 
 from repro.core.errors import RemoteError
-from repro.ip import component
+from repro.core.ids import next_id
 from repro.rmi import (JavaCADServer, RemoteStub, TcpTransport,
                        client_ssl_context, server_ssl_context,
                        wrap_transport)
@@ -36,10 +38,10 @@ class Echo:
 
 
 class SessionIds:
-    """Exposes one of the global id counters the gate isolates."""
+    """Exposes one of the id sequences each tenant's scope isolates."""
 
     def next_session_id(self):
-        return next(component._session_ids)
+        return next_id("session")
 
 
 def echo_session():
@@ -282,6 +284,40 @@ class TestAuth:
                 assert transport.invoke("echo", "ping", (5,), {}) == 10
 
 
+class TestFrameCap:
+    """A 4-byte length prefix is honoured only up to MAX_FRAME_BYTES."""
+
+    @staticmethod
+    def _send_oversized_header(host, port):
+        with socket.create_connection((host, port), timeout=5) as raw:
+            raw.sendall(struct.pack(">I", 0xFFFFFFFF))
+            begin = time.monotonic()
+            assert raw.recv(1) == b""  # closed without awaiting a body
+            return time.monotonic() - begin
+
+    def test_pre_auth_oversized_header_is_refused_unread(self):
+        # A long handshake timeout: the refusal must come from the
+        # cap, not from waiting out a body that never arrives.
+        with running(auth_token="sekrit", handshake_timeout=30.0
+                     ) as (server, host, port):
+            assert self._send_oversized_header(host, port) < 5.0
+            with connected(host, port, token="sekrit") as transport:
+                assert transport.invoke("echo", "ping", (21,), {}) == 42
+            server.stop()
+            assert server.stats.auth_failures == 1
+            assert server.stats.sessions_started == 1
+
+    def test_mid_session_oversized_header_is_a_protocol_error(self):
+        with running() as (server, host, port):
+            with connected(host, port) as transport:
+                assert transport.invoke("echo", "ping", (1,), {}) == 2
+                self._send_oversized_header(host, port)
+                assert transport.invoke("echo", "ping", (2,), {}) == 4
+            server.stop()
+            assert server.stats.protocol_errors == 1
+            assert server.stats.calls_served == 2
+
+
 class TestMidSessionAuth:
     """AUTH frames after the handshake: counted, but not as calls.
 
@@ -417,28 +453,13 @@ class TestSessionIsolation:
             assert not failures
             assert results == [[1, 2, 3]] * clients
 
-    def test_isolation_off_shares_the_global_namespace(self):
-        import itertools
-        saved = component._session_ids
-        component._session_ids = itertools.count(1)
-        try:
-            with running(isolate_sessions=False) as (_s, host, port):
-                with connected(host, port) as first:
-                    assert first.invoke("ids", "next_session_id",
-                                        (), {}) == 1
-                with connected(host, port) as second:
-                    assert second.invoke("ids", "next_session_id",
-                                         (), {}) == 2
-        finally:
-            component._session_ids = saved
-
     def test_isolation_does_not_leak_into_the_parent(self):
-        before = next(component._session_ids)
+        before = next_id("session")
         with running() as (_server, host, port):
             with connected(host, port) as transport:
                 for _ in range(5):
                     transport.invoke("ids", "next_session_id", (), {})
-        after = next(component._session_ids)
+        after = next_id("session")
         assert after == before + 1  # tenant ids never touched ours
 
 

@@ -1,25 +1,29 @@
-"""Dispatch tiers: gate/affinity/process semantics and independence.
+"""Dispatch tiers: thread/process semantics and independence.
 
 Byte-identity of per-tenant reports against fresh-process serial runs
 lives in tests/differential/test_server_differential.py; this module
 pins the *scheduling* contract -- which tiers exist, how sessions are
-routed, and that non-gate tiers never let one tenant's slow dispatch
-stall another tenant's replies.
+routed, that one tenant's slow dispatch never stalls another tenant's
+replies, and that one connection's frames dispatch one at a time in
+arrival order.
 """
 
 import contextlib
+import socket
+import struct
 import threading
 import time
 
 import pytest
 
-from repro.ip import component
-from repro.rmi import JavaCADServer, TcpTransport
+from repro.core.ids import next_id
+from repro.core.signal import Logic
+from repro.parallel.remote import register_fault_farm, resolve_bench
+from repro.rmi import CallReply, CallRequest, JavaCADServer, TcpTransport
 from repro.server import DISPATCH_TIERS, AsyncRMIServer
 from repro.server.dispatch import ProcessDispatcher
 
 ALL_TIERS = list(DISPATCH_TIERS)
-CONCURRENT_TIERS = ["affinity", "process"]
 
 
 class Echo:
@@ -33,13 +37,38 @@ class Echo:
 
 class SessionIds:
     def next_session_id(self):
-        return next(component._session_ids)
+        return next_id("session")
+
+
+class Overlap:
+    """Records how many of its calls ever ran at the same time."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+        self.order = []
+
+    def visit(self, index):
+        with self._lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        time.sleep(0.01)
+        with self._lock:
+            self.active -= 1
+            self.order.append(index)
+        return index
+
+    def observed(self):
+        return {"peak": self.peak, "order": list(self.order)}
 
 
 def tier_session():
     server = JavaCADServer("tiers.session")
     server.bind("echo", Echo(), ["ping", "slow"])
     server.bind("ids", SessionIds(), ["next_session_id"])
+    server.bind("overlap", Overlap(), ["visit", "observed"])
+    register_fault_farm(server)
     return server
 
 
@@ -56,7 +85,11 @@ def running(tier, **options):
 
 class TestTierSelection:
     def test_known_tiers(self):
-        assert DISPATCH_TIERS == ("gate", "affinity", "process")
+        assert DISPATCH_TIERS == ("thread", "process")
+
+    def test_thread_is_the_default_tier(self):
+        server = AsyncRMIServer(session_factory=tier_session)
+        assert server.dispatch_tier == "thread"
 
     def test_unknown_tier_is_rejected(self):
         with pytest.raises(ValueError, match="dispatch"):
@@ -100,6 +133,45 @@ class TestSessionIdIsolation:
         assert a == [1, 2, 3, 4, 5]
         assert b == [1, 2, 3]
 
+    @pytest.mark.parametrize("tier", ALL_TIERS)
+    def test_a_farm_shard_mid_session_leaves_tenant_ids_alone(self, tier):
+        """collect_report used to rewind process state from inside the
+        live server, silently un-isolating every tenant."""
+        pattern = {net: Logic(1) for net in resolve_bench("c17").inputs}
+        barrier = threading.Barrier(2)
+        seen = {}
+
+        def tenant(name, host, port):
+            transport = TcpTransport(host, port)
+            try:
+                def draw(count):
+                    return [transport.invoke("ids", "next_session_id",
+                                             (), {})
+                            for _ in range(count)]
+                ids = draw(2)
+                barrier.wait(timeout=10)
+                task = f"farm{name}.0"
+                transport.invoke("faultfarm", "begin_shard",
+                                 (task, "c17", "equivalence", []), {})
+                transport.invoke("faultfarm", "add_patterns",
+                                 (task, [pattern]), {})
+                ids += draw(1)
+                transport.invoke("faultfarm", "collect_report",
+                                 (task,), {})
+                seen[name] = ids + draw(2)
+            finally:
+                transport.close()
+
+        with running(tier) as (_server, host, port):
+            threads = [threading.Thread(target=tenant,
+                                        args=(name, host, port))
+                       for name in ("a", "b")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert seen == {"a": [1, 2, 3, 4, 5], "b": [1, 2, 3, 4, 5]}
+
     def test_process_tier_routes_sessions_stickily(self):
         dispatcher = ProcessDispatcher(tier_session, workers=3)
         try:
@@ -120,10 +192,8 @@ class TestCrossTenantIndependence:
     """A slow tenant must not delay a fast tenant's replies.
 
     The slow call sleeps, so this holds even on a one-core runner:
-    what is being pinned is the *scheduling* (no shared gate between
-    tenants), not CPU parallelism.  Under the gate tier the same
-    sequence serializes -- asserted as the baseline so the test would
-    catch the gate accidentally losing its (documented) serialization.
+    what is being pinned is the *scheduling* (nothing shared between
+    tenants), not CPU parallelism.
     """
 
     SLOW_SECONDS = 0.8
@@ -156,7 +226,7 @@ class TestCrossTenantIndependence:
         assert replies == [0, 2, 4, 6, 8]
         return fast_wall, finished_during
 
-    @pytest.mark.parametrize("tier", CONCURRENT_TIERS)
+    @pytest.mark.parametrize("tier", ALL_TIERS)
     def test_fast_tenant_overlaps_a_slow_tenants_dispatch(self, tier):
         fast_wall, finished_during = self._overlap(tier)
         # All five replies must land while the slow call still holds
@@ -164,8 +234,43 @@ class TestCrossTenantIndependence:
         assert not finished_during
         assert fast_wall < self.SLOW_SECONDS / 2, fast_wall
 
-    def test_gate_tier_still_serializes(self):
-        fast_wall, _ = self._overlap("gate")
-        # Baseline: behind the global gate the fast tenant waits out
-        # the slow dispatch (minus the head start before it queued).
-        assert fast_wall > self.SLOW_SECONDS / 2, fast_wall
+    @pytest.mark.parametrize("tier", ALL_TIERS)
+    def test_pipelined_frames_in_order(self, tier):
+        """N frames sent without awaiting any reply: the servant sees
+        them in arrival order, never two at once -- while a second
+        tenant's slow call is in flight on the same server."""
+        count = 12
+        with running(tier) as (_server, host, port):
+            slow = TcpTransport(host, port)
+            worker = threading.Thread(
+                target=slow.invoke,
+                args=("echo", "slow", (1,),
+                      {"seconds": self.SLOW_SECONDS}))
+            worker.start()
+            try:
+                with socket.create_connection((host, port),
+                                              timeout=10) as raw:
+                    frames = [CallRequest("overlap", "visit",
+                                          (index,)).encode()
+                              for index in range(count)]
+                    frames.append(
+                        CallRequest("overlap", "observed").encode())
+                    raw.sendall(b"".join(
+                        struct.pack(">I", len(frame)) + frame
+                        for frame in frames))
+                    stream = raw.makefile("rb")
+                    replies = []
+                    for _ in frames:
+                        (length,) = struct.unpack(">I", stream.read(4))
+                        replies.append(
+                            CallReply.decode(stream.read(length)))
+                still_slow = worker.is_alive()
+            finally:
+                worker.join(timeout=10)
+                slow.close()
+        assert [reply.result for reply in replies[:count]] \
+            == list(range(count))
+        assert replies[-1].result == {"peak": 1,
+                                      "order": list(range(count))}
+        # The pipelined tenant finished under the slow one's dispatch.
+        assert still_slow

@@ -1,6 +1,7 @@
 """The global telemetry switchboard and the instrumented hot paths."""
 
 import json
+import os
 
 import pytest
 
@@ -102,13 +103,14 @@ class TestInstrumentedPaths:
 
 
 class TestCliTelemetry:
-    def test_trace_and_metrics_options_write_files(self, tmp_path,
-                                                   capsys):
+    @staticmethod
+    def _table2(tmp_path, capsys, *extra):
+        """Run a small traced table2; returns (X events, metrics)."""
         trace_path = tmp_path / "trace.json"
         metrics_path = tmp_path / "metrics.json"
         code = main(["table2", "--width", "4", "--patterns", "5",
                      "--trace-out", str(trace_path),
-                     "--metrics-out", str(metrics_path)])
+                     "--metrics-out", str(metrics_path), *extra])
         assert code == 0
         output = capsys.readouterr().out
         assert "trace written to" in output
@@ -120,7 +122,32 @@ class TestCliTelemetry:
         timestamps = [e["ts"] for e in spans]
         assert timestamps == sorted(timestamps)
         metrics = json.loads(metrics_path.read_text())["metrics"]
+        return spans, metrics
+
+    def test_trace_and_metrics_options_write_files(self, tmp_path,
+                                                   capsys):
+        # Default --workers is one per core, so the scheduler metrics
+        # are the parent's own or the workers', depending on the host.
+        _spans, metrics = self._table2(tmp_path, capsys)
+        assert any(key.startswith(("scheduler.",
+                                   "parallel.worker.scheduler."))
+                   for key in metrics)
+
+    def test_single_worker_traces_in_process(self, tmp_path, capsys):
+        spans, metrics = self._table2(tmp_path, capsys, "--workers", "1")
+        assert {e["pid"] for e in spans} == {os.getpid()}
         assert any(key.startswith("scheduler.") for key in metrics)
+
+    def test_forked_workers_ship_their_spans_back(self, tmp_path,
+                                                  capsys):
+        # Pinned to two workers whatever the host's core count: worker
+        # spans used to be dropped, leaving the trace file empty.
+        spans, metrics = self._table2(tmp_path, capsys, "--workers", "2")
+        worker_pids = {e["pid"] for e in spans} - {os.getpid()}
+        assert 1 <= len(worker_pids) <= 2  # one pid lane per worker
+        assert min(e["ts"] for e in spans) >= 0
+        assert any(key.startswith("parallel.worker.scheduler.")
+                   for key in metrics)
 
     def test_cli_without_options_leaves_telemetry_disabled(self, capsys):
         code = main(["figure4"])
