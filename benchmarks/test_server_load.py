@@ -3,13 +3,10 @@
 Opens ``REPRO_SERVER_SESSIONS`` (default 32) concurrent authenticated
 sessions against :class:`repro.server.AsyncRMIServer`, has every
 session issue a burst of RMI calls, and records p50/p99 latency plus
-aggregate throughput into ``BENCH_server_load.json``.  The same load
-is replayed against the legacy blocking thread-per-connection server
-as a baseline, so the report shows what the async front end buys (or
-costs) under fan-in.
+aggregate throughput into ``BENCH_server_load.json``.
 
 The servant is deliberately tiny: the benchmark measures the serving
-stacks -- framing, queueing, dispatch hand-off -- not gate simulation.
+stack -- framing, dispatch hand-off -- not gate simulation.
 """
 
 import json
@@ -55,7 +52,7 @@ def percentile(sorted_values, fraction):
     return sorted_values[index]
 
 
-def drive_load(host, port, *, token=None):
+def drive_load(host, port):
     """Fan SESSIONS concurrent clients in; return latencies + wall."""
     latencies = []
     failures = []
@@ -67,7 +64,7 @@ def drive_load(host, port, *, token=None):
             # Wide connect timeout: SESSIONS client threads contend
             # for the GIL in this one process, so the fail-fast
             # default would misfire on a healthy loopback server.
-            transport = TcpTransport(host, port, token=token,
+            transport = TcpTransport(host, port, token=TOKEN,
                                      connect_timeout=30.0)
             transport.connect()
             barrier.wait(timeout=30)
@@ -124,8 +121,7 @@ def test_server_load(benchmark):
     host, port = server.start()
     try:
         latencies, wall = benchmark.pedantic(
-            drive_load, args=(host, port), kwargs={"token": TOKEN},
-            rounds=1, iterations=1)
+            drive_load, args=(host, port), rounds=1, iterations=1)
         stats = server.stats.snapshot()
     finally:
         server.stop()
@@ -135,31 +131,22 @@ def test_server_load(benchmark):
     assert stats["auth_failures"] == 0
     assert stats["calls_served"] == SESSIONS * CALLS_PER_SESSION
 
-    blocking = JavaCADServer("bench.load.blocking")
-    blocking.bind("probe", Probe(), ["ping"])
-    bhost, bport = blocking.serve_tcp("127.0.0.1", 0)
-    try:
-        blocking_latencies, blocking_wall = drive_load(bhost, bport)
-    finally:
-        blocking.stop_tcp()
-
-    async_summary = stack_summary(latencies, wall)
-    blocking_summary = stack_summary(blocking_latencies, blocking_wall)
+    summary = stack_summary(latencies, wall)
+    cores = os.cpu_count() or 1
     print()
-    print(f"{SESSIONS} concurrent sessions x {CALLS_PER_SESSION} calls")
-    for name, summary in (("async+auth", async_summary),
-                          ("blocking", blocking_summary)):
-        print(f"{name}: p50 {summary['p50_ms']}ms "
-              f"p99 {summary['p99_ms']}ms "
-              f"{summary['throughput_calls_per_second']} calls/s")
+    print(f"{SESSIONS} concurrent sessions x {CALLS_PER_SESSION} calls "
+          f"on {cores} cores")
+    print(f"async+auth: p50 {summary['p50_ms']}ms "
+          f"p99 {summary['p99_ms']}ms "
+          f"{summary['throughput_calls_per_second']} calls/s")
 
     path = _write_merged_report({
         "sessions": SESSIONS,
         "calls_per_session": CALLS_PER_SESSION,
+        "cores": cores,
         "auth": True,
-        "async_server": async_summary,
+        "async_server": summary,
         "async_server_stats": stats,
-        "blocking_server": blocking_summary,
     })
     print(f"wrote {path}")
 

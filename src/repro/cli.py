@@ -347,95 +347,27 @@ def _build_server_ssl(args: argparse.Namespace):
     return True, server_ssl_context(cert, key)
 
 
-def _cmd_faultworker(args: argparse.Namespace) -> int:
-    """Serve fault-simulation shards to remote `faultsim --remote` runs."""
-    if args.use_async or args.tls_cert or args.tls_key \
-            or args.auth_token is not None or args.dispatch != "thread":
-        return _cmd_faultworker_async(args)
-    from .parallel.remote import register_fault_farm
-    from .rmi.server import JavaCADServer
+def _serve_sessions(args: argparse.Namespace, session_factory,
+                    name: str, label: str, serving: str = "") -> int:
+    """Start the one front end, print readiness, wait, stop, report.
 
-    server = JavaCADServer(f"faultfarm@{args.host}:{args.port}")
-    register_fault_farm(server)
-    host, port = server.serve_tcp(args.host, args.port)
-    # The exact line CI and scripts wait for before dispatching work.
-    print(f"fault farm worker serving on {host}:{port}", flush=True)
-    try:
-        _serve_until_interrupted(args.serve_seconds)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop_tcp()
-        print("fault farm worker stopped", flush=True)
-    return 0
-
-
-def _cmd_faultworker_async(args: argparse.Namespace) -> int:
-    """The faultworker on the asyncio multi-tenant front end.
-
-    Selected by ``--async`` (or implicitly by any TLS/auth flag or a
-    non-default ``--dispatch`` tier, which only this front end
-    supports).  Every connection gets its own farm servant, so
-    concurrent ``faultsim --remote`` clients cannot mix task state.
+    The first line printed, ``<label> serving<serving> on HOST:PORT``,
+    is the exact line CI and scripts wait for before connecting.
     """
     from .server import AsyncRMIServer
-    from .server.farm import fault_farm_session_factory
 
     ok, ssl_context = _build_server_ssl(args)
     if not ok:
         return 2
     server = AsyncRMIServer(
-        session_factory=fault_farm_session_factory(),
+        session_factory=session_factory,
         host=args.host, port=args.port,
         max_connections=args.max_connections,
         auth_token=args.auth_token,
         ssl_context=ssl_context,
         idle_timeout=args.idle_timeout,
         dispatch=args.dispatch,
-        name=f"faultfarm@{args.host}:{args.port}")
-    host, port = server.start()
-    # Same readiness line as the blocking worker, so scripts and CI
-    # wait on one pattern regardless of front end.
-    print(f"fault farm worker serving on {host}:{port}", flush=True)
-    try:
-        _serve_until_interrupted(args.serve_seconds)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        print(server.stats.summary_line(), flush=True)
-        print("fault farm worker stopped", flush=True)
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Host a full IP provider on the async multi-tenant server.
-
-    Publishes the Figure 2 multiplier's estimator/timing/test servants
-    once (they are read-only and shared across tenants) and gives every
-    connection a private fault-farm servant plus its own id scope --
-    the paper's multi-client JavaCAD server.
-    """
-    from .ip.provider import IPProvider
-    from .server import AsyncRMIServer
-    from .server.farm import fault_farm_session_factory
-
-    ok, ssl_context = _build_server_ssl(args)
-    if not ok:
-        return 2
-    provider = IPProvider(f"serve@{args.host}:{args.port}")
-    component = provider.publish_multiplier(args.width,
-                                            engine=args.engine)
-    server = AsyncRMIServer(
-        session_factory=fault_farm_session_factory(
-            shared=provider.server),
-        host=args.host, port=args.port,
-        max_connections=args.max_connections,
-        auth_token=args.auth_token,
-        ssl_context=ssl_context,
-        idle_timeout=args.idle_timeout,
-        dispatch=args.dispatch,
-        name=f"serve@{args.host}:{args.port}")
+        name=f"{name}@{args.host}:{args.port}")
     host, port = server.start()
     security = []
     if ssl_context is not None:
@@ -443,8 +375,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.auth_token is not None:
         security.append("token-auth")
     suffix = f" ({', '.join(security)})" if security else ""
-    print(f"repro server serving {component!r} + fault farm on "
-          f"{host}:{port}{suffix}", flush=True)
+    print(f"{label} serving{serving} on {host}:{port}{suffix}", flush=True)
     try:
         _serve_until_interrupted(args.serve_seconds)
     except KeyboardInterrupt:
@@ -452,8 +383,72 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         server.stop()
         print(server.stats.summary_line(), flush=True)
-        print("repro server stopped", flush=True)
+        print(f"{label} stopped", flush=True)
     return 0
+
+
+def _add_server_options(parser: argparse.ArgumentParser) -> None:
+    """The front-end options `faultworker` and `serve` share."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=0,
+                        help="TCP port to listen on (0 = pick a free "
+                             "port and print it)")
+    parser.add_argument("--serve-seconds", type=float, default=None,
+                        metavar="S",
+                        help="exit after S seconds (default: serve "
+                             "until interrupted)")
+    parser.add_argument("--tls-cert", metavar="PEM", default=None,
+                        help="serve TLS with this certificate chain "
+                             "(requires --tls-key)")
+    parser.add_argument("--tls-key", metavar="PEM", default=None,
+                        help="private key for --tls-cert")
+    parser.add_argument("--auth-token", metavar="TOKEN", default=None,
+                        help="require this bearer token as every "
+                             "connection's first frame")
+    parser.add_argument("--max-connections", type=int, default=64,
+                        metavar="N",
+                        help="refuse connections beyond N concurrent "
+                             "tenants (default 64)")
+    parser.add_argument("--idle-timeout", type=float, default=None,
+                        metavar="S",
+                        help="drop connections idle for S seconds "
+                             "(default: never)")
+    parser.add_argument("--dispatch", default="thread",
+                        choices=["thread", "process"],
+                        help="session dispatch tier: thread (shared "
+                             "thread pool), process (forked workers, "
+                             "multi-core)")
+
+
+def _cmd_faultworker(args: argparse.Namespace) -> int:
+    """Serve fault-simulation shards to remote `faultsim --remote` runs.
+
+    Every connection gets its own farm servant and id scope, so
+    concurrent ``faultsim --remote`` clients cannot mix task state.
+    """
+    from .server.farm import fault_farm_session_factory
+
+    return _serve_sessions(args, fault_farm_session_factory(),
+                           "faultfarm", "fault farm worker")
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Host a full IP provider on the multi-tenant server.
+
+    Publishes the Figure 2 multiplier's estimator/timing/test servants
+    once (they are read-only and shared across tenants) and gives every
+    connection a private fault-farm servant plus its own id scope --
+    the paper's multi-client JavaCAD server.
+    """
+    from .ip.provider import IPProvider
+    from .server.farm import fault_farm_session_factory
+
+    provider = IPProvider(f"serve@{args.host}:{args.port}")
+    component = provider.publish_multiplier(args.width,
+                                            engine=args.engine)
+    return _serve_sessions(
+        args, fault_farm_session_factory(shared=provider.server),
+        "serve", "repro server", f" {component!r} + fault farm")
 
 
 def _cmd_atpg(args: argparse.Namespace) -> int:
@@ -816,82 +811,18 @@ def build_parser() -> argparse.ArgumentParser:
     faultworker = subparsers.add_parser(
         "faultworker", help="serve fault-simulation shards to remote "
                             "faultsim --remote clients")
-    faultworker.add_argument("--host", default="127.0.0.1")
-    faultworker.add_argument("--port", type=int, default=0,
-                             help="TCP port to listen on (0 = pick a "
-                                  "free port and print it)")
-    faultworker.add_argument("--serve-seconds", type=float, default=None,
-                             metavar="S",
-                             help="exit after S seconds (default: serve "
-                                  "until interrupted)")
-    faultworker.add_argument("--async", dest="use_async",
-                             action="store_true", default=False,
-                             help="serve on the asyncio multi-tenant "
-                                  "front end (per-connection sessions; "
-                                  "implied by the TLS/auth flags)")
-    faultworker.add_argument("--tls-cert", metavar="PEM", default=None,
-                             help="serve TLS with this certificate "
-                                  "chain (requires --tls-key)")
-    faultworker.add_argument("--tls-key", metavar="PEM", default=None,
-                             help="private key for --tls-cert")
-    faultworker.add_argument("--auth-token", metavar="TOKEN",
-                             default=None,
-                             help="require this bearer token as every "
-                                  "connection's first frame")
-    faultworker.add_argument("--max-connections", type=int, default=64,
-                             metavar="N",
-                             help="refuse connections beyond N "
-                                  "concurrent tenants (async front end; "
-                                  "default 64)")
-    faultworker.add_argument("--idle-timeout", type=float, default=None,
-                             metavar="S",
-                             help="drop connections idle for S seconds "
-                                  "(async front end; default: never)")
-    faultworker.add_argument("--dispatch", default="thread",
-                             choices=["thread", "process"],
-                             help="session dispatch tier: thread "
-                                  "(shared thread pool), process "
-                                  "(forked workers, multi-core; "
-                                  "implies --async)")
+    _add_server_options(faultworker)
     faultworker.set_defaults(fn=_cmd_faultworker)
 
     serve = subparsers.add_parser(
         "serve", help="host the multiplier IP provider + fault farm on "
-                      "the asyncio multi-tenant server")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="TCP port to listen on (0 = pick a free "
-                            "port and print it)")
+                      "the multi-tenant server")
     serve.add_argument("--width", type=int, default=8,
                        help="bit width of the published multiplier IP")
     serve.add_argument("--engine", default="event",
                        choices=["event", "compiled"],
                        help="provider-side gate-simulation engine")
-    serve.add_argument("--serve-seconds", type=float, default=None,
-                       metavar="S",
-                       help="exit after S seconds (default: serve "
-                            "until interrupted)")
-    serve.add_argument("--tls-cert", metavar="PEM", default=None,
-                       help="serve TLS with this certificate chain "
-                            "(requires --tls-key)")
-    serve.add_argument("--tls-key", metavar="PEM", default=None,
-                       help="private key for --tls-cert")
-    serve.add_argument("--auth-token", metavar="TOKEN", default=None,
-                       help="require this bearer token as every "
-                            "connection's first frame")
-    serve.add_argument("--max-connections", type=int, default=64,
-                       metavar="N",
-                       help="refuse connections beyond N concurrent "
-                            "tenants (default 64)")
-    serve.add_argument("--idle-timeout", type=float, default=None,
-                       metavar="S",
-                       help="drop connections idle for S seconds "
-                            "(default: never)")
-    serve.add_argument("--dispatch", default="thread",
-                       choices=["thread", "process"],
-                       help="session dispatch tier: thread (shared "
-                            "thread pool), process (forked workers, "
-                            "multi-core)")
+    _add_server_options(serve)
     serve.set_defaults(fn=_cmd_serve)
 
     atpg = subparsers.add_parser(

@@ -36,6 +36,15 @@ def frame_length(header: bytes) -> int:
     return length
 
 
+def encode_frame(payload: bytes) -> bytes:
+    """Prefix ``payload`` with its 4-byte big-endian length.
+
+    The inverse of :func:`frame_length`; every TCP frame writer uses
+    it, so the length-prefix format lives in this module only.
+    """
+    return struct.pack(">I", len(payload)) + payload
+
+
 @dataclass(frozen=True)
 class CallRequest:
     """A remote method invocation request."""
@@ -230,8 +239,8 @@ class AuthRequest:
 def decode_request(data: bytes):
     """Decode an incoming request frame: a call, a batch, or AUTH.
 
-    The TCP accept loops (blocking and async) use this so one socket
-    carries every frame kind interchangeably.
+    The TCP server (:class:`repro.server.AsyncRMIServer`) uses this so
+    one socket carries every frame kind interchangeably.
     """
     wire = unmarshal(data)
     if isinstance(wire, dict) and wire.get("kind") == "batch":

@@ -1,14 +1,15 @@
 """JavaCADServer: hosts IP servants and dispatches remote calls.
 
-A server owns a registry of servants and can accept calls through two
-paths:
+A server owns a registry of servants and the dispatch core; calls
+reach it through two paths:
 
 * an **in-process endpoint** with a simulated network
   (:class:`~repro.net.model.NetworkModel`) -- deterministic and used by
   the benchmarks;
-* a **real TCP endpoint** over localhost sockets -- used by the
-  integration tests to prove that the substrate genuinely works across a
-  process boundary with the same wire format.
+* a **real TCP endpoint** -- :class:`repro.server.AsyncRMIServer`, the
+  one socket front end.  ``serve_tcp()`` starts it with its defaults
+  around this server; build it directly for a token, TLS, a
+  per-connection session factory or the process dispatch tier.
 
 Servant methods can charge virtual server CPU through the thread-local
 :func:`current_server_context`, which routes shared-host contention into
@@ -18,18 +19,14 @@ configuration.
 
 from __future__ import annotations
 
-import socket
-import struct
 import threading
-import time
 from typing import Any, Optional, Sequence, Tuple
 
 from ..core.errors import RemoteError
 from ..net.clock import CostModel, VirtualClock
 from ..net.model import NetworkModel
 from ..telemetry.runtime import TELEMETRY
-from .protocol import (AuthRequest, BatchReply, BatchRequest, CallReply,
-                       CallRequest, decode_request, frame_length)
+from .protocol import BatchReply, BatchRequest, CallReply, CallRequest
 from .registry import Binding, Registry
 
 _thread_state = threading.local()
@@ -57,19 +54,14 @@ def current_server_context() -> Optional[ServerCallContext]:
 
 
 class JavaCADServer:
-    """An IP provider's server: registry + dispatch + optional TCP door."""
+    """An IP provider's server: registry + dispatch core."""
 
     def __init__(self, host_name: str = "provider.host.name",
                  cost_model: Optional[CostModel] = None):
         self.host_name = host_name
         self.cost = cost_model or CostModel()
         self.registry = Registry()
-        self._tcp_socket: Optional[socket.socket] = None
-        self._tcp_thread: Optional[threading.Thread] = None
-        self._tcp_stop = threading.Event()
-        self._tcp_connections: set = set()
-        self._tcp_workers: set = set()
-        self._tcp_lock = threading.Lock()
+        self._tcp_front: Optional[Any] = None
         self.calls_served = 0
 
     # ------------------------------------------------------------------
@@ -177,111 +169,29 @@ class JavaCADServer:
                                   cost_model=cost_model or self.cost)
 
     # ------------------------------------------------------------------
-    # TCP endpoint (real sockets, integration tests)
+    # TCP endpoint (real sockets)
     # ------------------------------------------------------------------
 
     def serve_tcp(self, host: str = "127.0.0.1",
                   port: int = 0) -> Tuple[str, int]:
-        """Start serving framed requests on a TCP socket; returns address."""
-        if self._tcp_socket is not None:
+        """Serve on :class:`~repro.server.AsyncRMIServer` with its
+        defaults (no token, no TLS); returns the bound address."""
+        if self._tcp_front is not None:
             raise RemoteError("server is already serving TCP")
-        server_socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server_socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server_socket.bind((host, port))
-        server_socket.listen(8)
-        server_socket.settimeout(0.2)
-        self._tcp_socket = server_socket
-        self._tcp_stop.clear()
-        self._tcp_thread = threading.Thread(
-            target=self._tcp_accept_loop, name=f"{self.host_name}-tcp",
-            daemon=True)
-        self._tcp_thread.start()
-        return server_socket.getsockname()
+        # Local import: repro.server imports this module.
+        from ..server.async_server import AsyncRMIServer
+        front = AsyncRMIServer(self, host=host, port=port,
+                               name=self.host_name)
+        address = front.start()
+        self._tcp_front = front
+        return address
 
     def stop_tcp(self, join_timeout: float = 2.0) -> None:
-        """Stop the TCP acceptor and close every open connection.
-
-        Shutdown order matters: the stop event is set (and the accept
-        thread joined) *before* the listening socket closes, so an
-        in-flight ``accept`` can never raise into the accept thread
-        from a socket torn down under it.  Connection worker threads
-        are then joined against one shared deadline -- a wedged servant
-        cannot hang shutdown forever, but a healthy one gets to finish
-        writing its last reply.
-        """
-        self._tcp_stop.set()
-        if self._tcp_thread is not None:
-            self._tcp_thread.join(timeout=join_timeout)
-            self._tcp_thread = None
-        if self._tcp_socket is not None:
-            self._tcp_socket.close()
-            self._tcp_socket = None
-        with self._tcp_lock:
-            connections = list(self._tcp_connections)
-            self._tcp_connections.clear()
-            workers = list(self._tcp_workers)
-            self._tcp_workers.clear()
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            connection.close()
-        deadline = time.monotonic() + join_timeout
-        for worker in workers:
-            worker.join(timeout=max(0.0, deadline - time.monotonic()))
-
-    def _tcp_accept_loop(self) -> None:
-        assert self._tcp_socket is not None
-        while not self._tcp_stop.is_set():
-            try:
-                connection, _address = self._tcp_socket.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            if self._tcp_stop.is_set():
-                # Stop raced the accept: refuse the connection instead
-                # of spawning a worker that shutdown will not see.
-                connection.close()
-                break
-            worker = threading.Thread(
-                target=self._tcp_serve_connection, args=(connection,),
-                daemon=True)
-            with self._tcp_lock:
-                self._tcp_workers.add(worker)
-            worker.start()
-
-    def _tcp_serve_connection(self, connection: socket.socket) -> None:
-        with self._tcp_lock:
-            self._tcp_connections.add(connection)
-        try:
-            with connection:
-                while not self._tcp_stop.is_set():
-                    frame = _read_frame(connection)
-                    if frame is None:
-                        return
-                    request = decode_request(frame)
-                    if isinstance(request, AuthRequest):
-                        # The blocking server keeps no token; AUTH
-                        # trivially succeeds so token-configured
-                        # clients interoperate.  Token *enforcement*
-                        # lives in repro.server.AsyncRMIServer.
-                        payload = CallReply(request.call_id, ok=True,
-                                            result="ok").encode()
-                    elif isinstance(request, BatchRequest):
-                        batch_reply = self.dispatch_batch(request)
-                        payload = _encode_batch_reply(request, batch_reply)
-                    else:
-                        reply = self.dispatch(request)
-                        payload = _encode_reply(request, reply)
-                    _write_frame(connection, payload)
-        except OSError:
-            return
-        finally:
-            with self._tcp_lock:
-                self._tcp_connections.discard(connection)
-                self._tcp_workers.discard(threading.current_thread())
+        """Stop serving; in-flight replies get ``join_timeout`` to flush."""
+        front, self._tcp_front = self._tcp_front, None
+        if front is not None:
+            front.drain_timeout = join_timeout
+            front.stop(timeout=join_timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"JavaCADServer({self.host_name!r}, "
@@ -318,36 +228,3 @@ def _encode_batch_reply(request: BatchRequest,
                     call.call_id, ok=False,
                     error=f"{type(exc).__name__}: {exc}"))
         return BatchReply(request.batch_id, tuple(replies)).encode()
-
-
-def _read_frame(connection: socket.socket) -> Optional[bytes]:
-    """Read one length-prefixed frame; None on clean EOF."""
-    header = _read_exact(connection, 4)
-    if header is None:
-        return None
-    try:
-        length = frame_length(header)
-    except RemoteError:
-        return None  # oversized: drop the connection unread
-    return _read_exact(connection, length)
-
-
-def _read_exact(connection: socket.socket, count: int) -> Optional[bytes]:
-    chunks = []
-    remaining = count
-    while remaining:
-        try:
-            chunk = connection.recv(remaining)
-        except socket.timeout:
-            continue
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _write_frame(connection: socket.socket, payload: bytes) -> None:
-    connection.sendall(struct.pack(">I", len(payload)) + payload)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import socket
 import ssl
-import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from ..net.model import NetworkModel
 from ..telemetry.metrics import DEFAULT_BYTES_BUCKETS
 from ..telemetry.runtime import TELEMETRY
 from .protocol import (AuthRequest, BatchReply, BatchRequest, CallReply,
-                       CallRequest, frame_length)
+                       CallRequest, encode_frame, frame_length)
 from .security import SecurityPolicy
 from .server import JavaCADServer
 
@@ -396,7 +395,7 @@ class TcpTransport(Transport):
     def _authenticate(self, connection: socket.socket) -> None:
         """Run the AUTH handshake as the connection's first frames."""
         payload = AuthRequest(self.token or "").encode()
-        connection.sendall(struct.pack(">I", len(payload)) + payload)
+        connection.sendall(encode_frame(payload))
         reply = CallReply.decode(self._read_frame(connection))
         if not reply.ok:
             if TELEMETRY.enabled:
@@ -437,25 +436,8 @@ class TcpTransport(Transport):
                               dict(kwargs or {}), oneway=oneway)
         marshal_begin = time.perf_counter() if span is not None else 0.0
         payload = request.encode()
-        with self._lock:
-            try:
-                connection = self._ensure_socket()
-                connection.sendall(struct.pack(">I", len(payload)) + payload)
-                reply_bytes = self._read_frame(connection)
-            except (OSError, RemoteError) as exc:
-                # Socket-level failure: account it and drop the socket so
-                # a later invoke starts from a clean connection.
-                self.stats.errors += 1
-                self._close_locked()
-                if span is not None:
-                    TELEMETRY.metrics.counter(
-                        "rmi.errors", labels={"transport": "tcp"}).inc()
-                if isinstance(exc, RemoteError):
-                    raise
-                raise RemoteError(
-                    f"transport failure calling "
-                    f"{object_name}.{method} on {self.host}:{self.port}: "
-                    f"{exc}") from exc
+        reply_bytes = self._exchange(
+            payload, f"calling {object_name}.{method} on", span)
         # Accounting invariant: every call increments exactly one of
         # {stats.record, stats.errors}.  The reply is therefore decoded
         # and checked BEFORE the success counters move, so an error
@@ -507,22 +489,8 @@ class TcpTransport(Transport):
         batch = BatchRequest(tuple(requests))
         marshal_begin = time.perf_counter() if span is not None else 0.0
         payload = batch.encode()
-        with self._lock:
-            try:
-                connection = self._ensure_socket()
-                connection.sendall(struct.pack(">I", len(payload)) + payload)
-                reply_bytes = self._read_frame(connection)
-            except (OSError, RemoteError) as exc:
-                self.stats.errors += 1
-                self._close_locked()
-                if span is not None:
-                    TELEMETRY.metrics.counter(
-                        "rmi.errors", labels={"transport": "tcp"}).inc()
-                if isinstance(exc, RemoteError):
-                    raise
-                raise RemoteError(
-                    f"transport failure sending a {len(requests)}-call "
-                    f"batch to {self.host}:{self.port}: {exc}") from exc
+        reply_bytes = self._exchange(
+            payload, f"sending a {len(requests)}-call batch to", span)
         # Same invariant as _invoke: decode and validate BEFORE the
         # success counters move, so a batch that dies mid-reply never
         # leaves stats.batches/batched_calls inconsistent with calls.
@@ -554,6 +522,31 @@ class TcpTransport(Transport):
                                 len(reply_bytes), len(requests),
                                 time.perf_counter() - marshal_begin)
         return list(reply.replies)
+
+    def _exchange(self, payload: bytes, what: str,
+                  span: Optional[Any]) -> bytes:
+        """Send one frame and read its reply frame.
+
+        A socket-level failure is counted once in ``stats.errors`` and
+        drops the socket, so a later invoke starts from a clean
+        connection; ``what`` names the exchange in the error.
+        """
+        with self._lock:
+            try:
+                connection = self._ensure_socket()
+                connection.sendall(encode_frame(payload))
+                return self._read_frame(connection)
+            except (OSError, RemoteError) as exc:
+                self.stats.errors += 1
+                self._close_locked()
+                if span is not None:
+                    TELEMETRY.metrics.counter(
+                        "rmi.errors", labels={"transport": "tcp"}).inc()
+                if isinstance(exc, RemoteError):
+                    raise
+                raise RemoteError(
+                    f"transport failure {what} {self.host}:{self.port}: "
+                    f"{exc}") from exc
 
     def _read_frame(self, connection: socket.socket) -> bytes:
         header = self._read_exact(connection, 4)

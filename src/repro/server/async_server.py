@@ -1,12 +1,12 @@
-"""AsyncRMIServer: an asyncio multi-tenant front end for JavaCADServer.
+"""AsyncRMIServer: the asyncio multi-tenant front end for JavaCADServer.
 
-The blocking TCP door in :mod:`repro.rmi.server` spawns one OS thread
-per connection -- fine for a handful of integration sockets, hopeless
-for a provider hosting many design sessions at once (the paper's
-multi-client JavaCAD server).  This module keeps the *dispatch core*
-exactly as it is (``JavaCADServer.dispatch`` / ``dispatch_batch``, with
-its method whitelists, error replies and telemetry) and replaces only
-the front end:
+This is the only TCP server in the tree -- the paper's multi-client
+JavaCAD server, one door for every user
+(``JavaCADServer.serve_tcp`` merely starts it with its defaults).
+The *dispatch core* stays in :mod:`repro.rmi.server`
+(``JavaCADServer.dispatch`` / ``dispatch_batch``, with its method
+whitelists, error replies and telemetry); this module is the front
+end:
 
 * an :mod:`asyncio` event loop owns every socket -- thousands of idle
   connections cost file descriptors, not threads;
@@ -15,11 +15,11 @@ the front end:
   with no lock between tenants, and ``process`` ships frames to forked
   worker processes with sticky session routing so CPU-bound servant
   work escapes the GIL entirely;
-* each connection gets an ordered three-stage pipeline (reader ->
-  dispatcher -> writer) with bounded queues, so a client that stops
-  reading exerts backpressure instead of ballooning server memory;
-  one connection's frames dispatch strictly one at a time, in arrival
-  order;
+* each connection is one request loop -- read a frame, dispatch it,
+  write the reply, ``drain()``, next -- so its frames dispatch
+  strictly one at a time in arrival order, and a client that stops
+  reading stalls only its own loop instead of ballooning server
+  memory;
 * connections beyond ``max_connections`` are refused with a proper
   error frame, not an unexplained reset;
 * an optional shared **bearer token** is enforced before any frame can
@@ -30,8 +30,8 @@ the front end:
   to a serial run.
 
 The server runs its event loop on a dedicated thread behind a
-synchronous ``start()`` / ``stop()`` facade, so the CLI, tests and
-benchmarks use it exactly like the blocking ``serve_tcp`` door.
+synchronous ``start()`` / ``stop()`` facade for the CLI, tests and
+benchmarks.
 """
 
 from __future__ import annotations
@@ -40,17 +40,18 @@ import asyncio
 import hmac
 import itertools
 import ssl
-import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
 from ..core.errors import RemoteError
 from ..core.ids import IdScope, id_scope
-from ..rmi.protocol import (AuthRequest, BatchRequest, CallReply,
-                            decode_request, frame_length)
+from ..rmi.protocol import (AuthRequest, BatchReply, BatchRequest,
+                            CallReply, decode_request, encode_frame,
+                            frame_length)
 from ..rmi.server import JavaCADServer
 from ..telemetry.runtime import TELEMETRY
 from .dispatch import (ProcessDispatcher, SessionFactory,
@@ -60,7 +61,6 @@ DEFAULT_MAX_CONNECTIONS = 64
 DEFAULT_DISPATCH_WORKERS = 4
 DEFAULT_HANDSHAKE_TIMEOUT = 5.0
 DEFAULT_DRAIN_TIMEOUT = 5.0
-DEFAULT_QUEUE_DEPTH = 32
 
 DISPATCH_TIERS = ("thread", "process")
 """Selectable dispatch tiers, cheapest-setup first.
@@ -87,9 +87,12 @@ class ServerStats:
     calls_served: int = 0
     batches_served: int = 0
     protocol_errors: int = 0
+    worker_deaths: int = 0
+    """Process-tier workers found dead at dispatch, counted once per
+    session that lost its state with them."""
     drained: bool = True
-    """Whether the last shutdown flushed every pipeline before the
-    drain deadline (False means in-flight work was cut off)."""
+    """Whether the last shutdown flushed every in-flight reply before
+    the drain deadline (False means work was cut off)."""
 
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False)
@@ -108,11 +111,12 @@ class ServerStats:
                 "calls_served": self.calls_served,
                 "batches_served": self.batches_served,
                 "protocol_errors": self.protocol_errors,
+                "worker_deaths": self.worker_deaths,
                 "drained": self.drained,
             }
 
     def summary_line(self) -> str:
-        """One-line summary (the async faultworker prints it at exit)."""
+        """One-line summary (``serve``/``faultworker`` print it at exit)."""
         snap = self.snapshot()
         return ("server stats: "
                 f"accepted={snap['connections_accepted']} "
@@ -122,18 +126,17 @@ class ServerStats:
                 f"auth_failures={snap['auth_failures']} "
                 f"calls={snap['calls_served']} "
                 f"batches={snap['batches_served']} "
+                f"worker_deaths={snap['worker_deaths']} "
                 f"drained={snap['drained']}")
 
 
 class _Connection:
-    """Per-connection pipeline state (event-loop thread only)."""
+    """Per-connection state (event-loop thread only)."""
 
-    def __init__(self, server: "AsyncRMIServer",
-                 reader: asyncio.StreamReader,
+    def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter,
                  session: Optional[JavaCADServer],
                  session_id: int):
-        self.server = server
         self.reader = reader
         self.writer = writer
         # Process tier: the session and its scope live in the sticky
@@ -141,20 +144,9 @@ class _Connection:
         self.session = session
         self.scope = IdScope()
         self.session_id = session_id
-        # Decoded request + raw frame, in arrival order.
-        self.pending: "asyncio.Queue[Optional[Tuple[Any, bytes]]]" = \
-            asyncio.Queue(maxsize=server.max_pending)
-        self.writes: "asyncio.Queue[Optional[bytes]]" = \
-            asyncio.Queue(maxsize=server.max_write_queue)
-        self.in_flight = 0
-        self.broken = False
+        # A frame has been read and its reply is not yet flushed.
+        self.busy = False
         self.task: Optional["asyncio.Task[None]"] = None
-
-    @property
-    def quiescent(self) -> bool:
-        """No queued or in-flight work left to flush."""
-        return (self.in_flight == 0 and self.pending.empty()
-                and self.writes.empty())
 
     def abort(self) -> None:
         """Tear the transport down immediately (shutdown path)."""
@@ -193,8 +185,6 @@ class AsyncRMIServer:
                  drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
                  dispatch_workers: int = DEFAULT_DISPATCH_WORKERS,
                  dispatch: str = "thread",
-                 max_pending: int = DEFAULT_QUEUE_DEPTH,
-                 max_write_queue: int = DEFAULT_QUEUE_DEPTH,
                  name: str = "async-rmi"):
         if (server is None) == (session_factory is None):
             raise ValueError(
@@ -218,8 +208,6 @@ class AsyncRMIServer:
         self.drain_timeout = drain_timeout
         self.dispatch_workers = dispatch_workers
         self.dispatch_tier = dispatch
-        self.max_pending = max_pending
-        self.max_write_queue = max_write_queue
         self.name = name
         self.stats = ServerStats()
         self.address: Optional[Tuple[str, int]] = None
@@ -349,7 +337,7 @@ class AsyncRMIServer:
             self._stop_event = None
 
     async def _shutdown(self) -> None:
-        """Stop accepting, drain pipelines, then close what remains."""
+        """Stop accepting, flush in-flight replies, close what remains."""
         self._draining = True
         if self._listener is not None:
             self._listener.close()
@@ -357,8 +345,7 @@ class AsyncRMIServer:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.drain_timeout
         clean = True
-        while any(not conn.quiescent
-                  for conn in list(self._connections)):
+        while any(conn.busy for conn in self._connections):
             if loop.time() >= deadline:
                 clean = False
                 break
@@ -405,7 +392,7 @@ class AsyncRMIServer:
                            else call_session_factory(
                                self._session_factory,  # type: ignore[arg-type]
                                session_id))
-            conn = _Connection(self, reader, writer, session, session_id)
+            conn = _Connection(reader, writer, session, session_id)
             conn.task = asyncio.current_task()
             self._connections.add(conn)
             self._bump("server.sessions", "sessions_started")
@@ -432,7 +419,7 @@ class AsyncRMIServer:
                 error=(f"server at capacity "
                        f"({self.max_connections} connections); "
                        f"retry later")).encode()
-            writer.write(struct.pack(">I", len(payload)) + payload)
+            writer.write(encode_frame(payload))
             await writer.drain()
         except (ConnectionError, OSError):
             pass
@@ -480,68 +467,52 @@ class AsyncRMIServer:
         return True
 
     async def _serve(self, conn: _Connection) -> None:
-        """Reader stage: decode and account frames, queue them in order."""
-        dispatching = asyncio.ensure_future(self._dispatch_stage(conn))
-        sender = asyncio.ensure_future(self._writer(conn))
-        try:
-            while not conn.broken:
-                try:
-                    if self.idle_timeout is not None:
-                        frame = await asyncio.wait_for(
-                            self._read_frame(conn.reader),
-                            timeout=self.idle_timeout)
-                    else:
-                        frame = await self._read_frame(conn.reader)
-                    request = decode_request(frame)
-                except (asyncio.TimeoutError,
-                        asyncio.IncompleteReadError,
-                        ConnectionError, OSError):
-                    break
-                except Exception:  # noqa: BLE001 - protocol violation
-                    # Undecodable bytes or an oversized length prefix.
-                    self._bump(None, "protocol_errors")
-                    break
-                if not isinstance(request, AuthRequest):
-                    self._account_request(request)
-                    self._queue_depth(+1)
-                conn.in_flight += 1
-                await conn.pending.put((request, frame))
-        finally:
-            # Cancellation (shutdown) can land on any of these awaits;
-            # the inner finally guarantees the stage tasks never
-            # outlive the handler either way.
-            try:
-                await conn.pending.put(None)
-                await dispatching
-                await sender
-            finally:
-                dispatching.cancel()
-                sender.cancel()
+        """The connection's request loop: one frame at a time.
 
-    async def _dispatch_stage(self, conn: _Connection) -> None:
-        """Middle stage: dispatch one frame at a time, in arrival order.
-
-        Awaiting each reply before taking the next frame is what keeps
-        a session's servant calls strictly sequential even when the
-        client pipelines frames; other connections' stages interleave
-        freely on the shared pool.
+        Read -> decode -> account -> dispatch (or mid-session AUTH
+        refresh) -> write -> ``drain()`` -> next.  Taking the next
+        frame only after the previous reply drained *is* the in-order
+        guarantee (a session's servant calls stay strictly sequential
+        even when the client pipelines frames) and *is* the
+        backpressure: a client that stops reading stalls its own loop
+        and, through TCP flow control, its own sends.  Other
+        connections' loops interleave freely on the dispatch tier.
         """
-        while True:
-            item = await conn.pending.get()
-            if item is None:
-                await conn.writes.put(None)
+        while not self._draining:
+            try:
+                frame = await asyncio.wait_for(
+                    self._read_frame(conn.reader),
+                    timeout=self.idle_timeout)
+                request = decode_request(frame)
+            except (asyncio.TimeoutError, asyncio.IncompleteReadError,
+                    ConnectionError, OSError):
                 return
-            request, frame = item
+            except Exception:  # noqa: BLE001 - protocol violation
+                # Undecodable bytes or an oversized length prefix.
+                self._bump(None, "protocol_errors")
+                return
+            conn.busy = True
             try:
                 if isinstance(request, AuthRequest):
                     payload = self._refresh_auth(request)
                 else:
-                    payload = await self._dispatch(conn, request, frame)
-            except Exception:  # noqa: BLE001 - executor crash
-                payload = CallReply(
-                    0, ok=False, error="internal dispatch failure"
-                ).encode()
-            await conn.writes.put(payload)
+                    self._account_request(request)
+                    try:
+                        payload = await self._dispatch(conn, request, frame)
+                    except BrokenProcessPool:
+                        await self._send_frame(
+                            conn.writer, self._worker_died(conn, request))
+                        return
+                    except Exception:  # noqa: BLE001 - executor crash
+                        payload = CallReply(
+                            0, ok=False, error="internal dispatch failure"
+                        ).encode()
+                # A failed write ends the loop (the handler swallows
+                # the error and closes the connection).
+                conn.writer.write(encode_frame(payload))
+                await conn.writer.drain()
+            finally:
+                conn.busy = False
 
     def _refresh_auth(self, request: AuthRequest) -> bytes:
         """Mid-session AUTH: re-verify the token and count the frame.
@@ -581,10 +552,13 @@ class AsyncRMIServer:
         """Run one request on the configured tier; encoded reply bytes.
 
         The latency histogram spans submit-to-reply on both tiers
-        (wait for a pool thread or the sticky worker included).
+        (wait for a pool thread or the sticky worker included), and
+        ``server.dispatch.queue_depth`` counts dispatches in flight
+        (at most one per connection).
         """
         assert self._loop is not None
         start = time.perf_counter()
+        self._queue_depth(+1)
         try:
             if self._dispatcher is not None:
                 return await asyncio.wrap_future(
@@ -606,20 +580,25 @@ class AsyncRMIServer:
         with id_scope(conn.scope):
             return _dispatch_encoded(conn.session, request)
 
-    async def _writer(self, conn: _Connection) -> None:
-        """Final stage: frame bytes onto the socket with backpressure."""
-        while True:
-            payload = await conn.writes.get()
-            if payload is None:
-                return
-            if not conn.broken:
-                try:
-                    conn.writer.write(
-                        struct.pack(">I", len(payload)) + payload)
-                    await conn.writer.drain()
-                except (ConnectionError, OSError):
-                    conn.broken = True
-            conn.in_flight -= 1
+    def _worker_died(self, conn: _Connection, request: Any) -> bytes:
+        """Account a dead sticky worker; the session's last reply.
+
+        The session's servants and id scope died with the worker.
+        Re-creating them on a fresh worker would rewind the tenant's
+        ids -- silently different bytes -- so the session ends with a
+        named error instead, and only *new* sessions use the slot's
+        replacement worker.
+        """
+        assert self._dispatcher is not None
+        self._bump("server.dispatch.worker_deaths", "worker_deaths")
+        self._dispatcher.replace_dead_worker(conn.session_id)
+        error = (f"dispatch worker for session {conn.session_id} died; "
+                 f"session state is lost — reconnect")
+        if isinstance(request, BatchRequest):
+            return BatchReply(request.batch_id, tuple(
+                CallReply(call.call_id, ok=False, error=error)
+                for call in request.calls)).encode()
+        return CallReply(request.call_id, ok=False, error=error).encode()
 
     # ------------------------------------------------------------------
     # Frame + accounting helpers
@@ -634,7 +613,7 @@ class AsyncRMIServer:
     async def _send_frame(writer: asyncio.StreamWriter,
                           payload: bytes) -> None:
         try:
-            writer.write(struct.pack(">I", len(payload)) + payload)
+            writer.write(encode_frame(payload))
             await writer.drain()
         except (ConnectionError, OSError):
             pass

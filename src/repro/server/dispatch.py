@@ -171,11 +171,19 @@ class ProcessDispatcher:
         # written before this dispatcher's first fork and read by
         # workers after it; the asyncio loop thread is the sole writer.
         _FACTORIES[self.id] = session_factory  # lint: allow(JCD017)
-        context = multiprocessing.get_context("fork")
         self._pools: List[ProcessPoolExecutor] = [
-            ProcessPoolExecutor(max_workers=1, mp_context=context,
-                                initializer=_worker_init)
-            for _ in range(workers)]
+            self._new_pool() for _ in range(workers)]
+        # The pool each live session first dispatched on.  A session
+        # stays bound to that pool object even after its worker died
+        # and the slot got a replacement, so it can never be silently
+        # re-created (with rewound ids) on the new worker.
+        self._bound: Dict[int, ProcessPoolExecutor] = {}
+
+    @staticmethod
+    def _new_pool() -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("fork"),
+            initializer=_worker_init)
 
     def warm_futures(self) -> List["Future[bool]"]:
         """Fork every worker now; await these before serving traffic.
@@ -187,19 +195,38 @@ class ProcessDispatcher:
         return [pool.submit(_worker_ready) for pool in self._pools]
 
     def pool_for(self, session_id: int) -> ProcessPoolExecutor:
-        return self._pools[(session_id - 1) % self.workers]
+        """The session's sticky pool, bound at first use."""
+        return self._bound.setdefault(
+            session_id, self._pools[(session_id - 1) % self.workers])
 
     def submit(self, session_id: int, frame: bytes) -> "Future[bytes]":
-        """Dispatch one frame on the session's sticky worker."""
+        """Dispatch one frame on the session's sticky worker.
+
+        Raises (or the future carries) ``BrokenProcessPool`` once that
+        worker has died.
+        """
         return self.pool_for(session_id).submit(
             _worker_dispatch, self.id, session_id, frame)
 
+    def replace_dead_worker(self, session_id: int) -> None:
+        """Give the slot of ``session_id``'s dead worker a fresh pool.
+
+        Only sessions that start afterwards use it; idempotent across
+        the several sessions that find the same worker dead.
+        """
+        dead = self._bound.get(session_id)
+        if dead in self._pools:
+            self._pools[self._pools.index(dead)] = self._new_pool()
+            dead.shutdown(wait=False)
+
     def forget(self, session_id: int) -> None:
         """Drop the worker-resident session (connection closed)."""
+        pool = self._bound.pop(session_id, None)
+        if pool is None:
+            return  # never dispatched: no worker-side state to drop
         try:
-            self.pool_for(session_id).submit(
-                _worker_forget, self.id, session_id)
-        except RuntimeError:  # pragma: no cover - pool already down
+            pool.submit(_worker_forget, self.id, session_id)
+        except RuntimeError:  # pool shut down, or its worker died
             pass
 
     def shutdown(self) -> None:

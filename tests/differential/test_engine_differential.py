@@ -29,7 +29,11 @@ from repro.rmi.server import JavaCADServer
 
 @contextlib.contextmanager
 def fault_farm(count):
-    """Spin up ``count`` TCP farm workers; yields (endpoints, servants)."""
+    """Spin up ``count`` TCP farm workers; yields (endpoints, servants).
+
+    Each is the front end in shared-core mode (``serve_tcp()``): one
+    farm servant per worker, shared by that worker's connections.
+    """
     servers, endpoints, servants = [], [], []
     try:
         for index in range(count):

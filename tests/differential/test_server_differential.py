@@ -1,11 +1,12 @@
-"""Differential gate: the async front end changes nothing functional.
+"""Differential gate: the serving front end changes nothing functional.
 
-Every serving stack -- in-process serial, the legacy blocking TCP
-door, and the async server in its plain / TLS / TLS+auth
-configurations -- must produce byte-identical fault reports for the
-same campaign.  The fingerprints reuse the wire-differential harness's
-canonical JSON serialization, so "identical" means identical bytes,
-not approximately equal coverage.
+Every serving stack -- in-process serial, the async server around one
+shared core (``server=`` mode, what ``serve_tcp()`` starts), and the
+async server with per-connection sessions (``session_factory=`` mode)
+in its plain / TLS / TLS+auth configurations -- must produce
+byte-identical fault reports for the same campaign.  The fingerprints
+reuse the wire-differential harness's canonical JSON serialization, so
+"identical" means identical bytes, not approximately equal coverage.
 """
 
 import os
@@ -65,27 +66,27 @@ def farmed_fingerprint(endpoint, bench, pattern_set, **client):
 
 
 class TestServingStacksAreByteIdentical:
-    def test_async_stacks_match_blocking_and_serial(self):
+    def test_async_stacks_match_shared_core_and_serial(self):
         bench = "figure4"
         _netlist, pattern_set = campaign(bench)
         baseline = serial_fingerprint(bench, pattern_set)
         fingerprints = {"serial": baseline}
 
-        blocking = JavaCADServer("differential.blocking")
-        register_fault_farm(blocking)
-        host, port = blocking.serve_tcp("127.0.0.1", 0)
+        shared_core = JavaCADServer("differential.shared-core")
+        register_fault_farm(shared_core)
+        host, port = shared_core.serve_tcp("127.0.0.1", 0)
         try:
-            fingerprints["blocking"] = farmed_fingerprint(
+            fingerprints["shared-core"] = farmed_fingerprint(
                 f"{host}:{port}", bench, pattern_set)
         finally:
-            blocking.stop_tcp()
+            shared_core.stop_tcp()
 
         stacks = {
-            "async-plain": (dict(), dict()),
-            "async-tls": (
+            "sessions-plain": (dict(), dict()),
+            "sessions-tls": (
                 dict(ssl_context=server_ssl_context(CERT, KEY)),
                 dict(tls_ca=CERT)),
-            "async-tls-auth": (
+            "sessions-tls-auth": (
                 dict(ssl_context=server_ssl_context(CERT, KEY),
                      auth_token="differential"),
                 dict(tls_ca=CERT, token="differential")),

@@ -1,5 +1,10 @@
 """The repro-bench command-line interface."""
 
+import os
+import signal
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -202,6 +207,46 @@ class TestRemoteFarmCli:
             ["faultworker", "--port", "9001", "--serve-seconds", "0.5"])
         assert args.port == 9001
         assert args.serve_seconds == 0.5
+
+    def test_faultworker_has_no_async_flag(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(["faultworker", "--async"])
+        assert caught.value.code == 2
+        assert "--async" in capsys.readouterr().err
+
+    def test_plain_faultworker_runs_the_multi_tenant_front_end(self):
+        """No flags: the readiness line, then two clients at once, each
+        on its own farm servant (one session per connection)."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir,
+                           os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        cli = [sys.executable, "-u", "-m", "repro.cli"]
+        worker = subprocess.Popen(
+            cli + ["faultworker"], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        try:
+            ready = worker.stdout.readline()
+            assert ready.startswith(
+                "fault farm worker serving on 127.0.0.1:"), ready
+            faultsim = cli + ["faultsim", "figure4", "--patterns", "16",
+                              "--remote", ready.split()[-1]]
+            clients = [subprocess.Popen(faultsim, env=env, text=True,
+                                        stdout=subprocess.PIPE)
+                       for _ in range(2)]
+            reports = [client.communicate(timeout=120)[0]
+                       for client in clients]
+            assert [client.returncode for client in clients] == [0, 0]
+            assert "23/24 detected" in reports[0]
+            assert reports[0] == reports[1]
+        finally:
+            worker.send_signal(signal.SIGINT)
+            log = worker.communicate(timeout=60)[0]
+        assert worker.returncode == 0
+        stats = next(line for line in log.splitlines()
+                     if line.startswith("server stats:"))
+        assert "accepted=2 " in stats and "sessions=2 " in stats
+        assert "auth_failures=0 " in stats and "drained=True" in stats
+        assert log.splitlines()[-1] == "fault farm worker stopped"
 
     def test_faultsim_remote_end_to_end(self, capsys):
         from repro.parallel.remote import register_fault_farm

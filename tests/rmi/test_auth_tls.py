@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.core.errors import RemoteError
+from repro.core.ids import next_id
 from repro.rmi import (AuthRequest, CallReply, JavaCADServer,
                        TcpTransport, WIRE_OPTIONS, client_ssl_context,
                        decode_request, server_ssl_context, wire_session)
@@ -53,11 +54,11 @@ class TestAuthFrame:
         assert wire == {"kind": "auth", "token": "tok", "id": 7}
 
 
-class TestLegacyServerAuthTolerance:
-    def test_blocking_server_accepts_token_clients(self):
-        # The blocking door has no token store; AUTH trivially succeeds
-        # so a token-configured client still interoperates.  Token
-        # *enforcement* lives in repro.server.AsyncRMIServer.
+class TestTokenlessServerAuthTolerance:
+    def test_serve_tcp_accepts_token_clients(self):
+        # serve_tcp() starts the front end without a token; AUTH
+        # trivially succeeds so a token-configured client still
+        # interoperates.  Enforcement needs AsyncRMIServer(auth_token=).
         server, host, port = serve_echo()
         try:
             transport = TcpTransport(host, port, token="whatever")
@@ -128,8 +129,33 @@ class TestConnectTimeout:
             server.stop_tcp()
 
 
+class TestServeTcpIdScopes:
+    def test_each_client_draws_ids_from_one(self):
+        # Per-connection IdScope through the facade: ids drawn while
+        # serving one client never advance another client's sequence.
+        class Ids:
+            def draw(self):
+                return next_id("session")
+
+        server = JavaCADServer("auth.tls.ids")
+        server.bind("ids", Ids(), ["draw"])
+        host, port = server.serve_tcp("127.0.0.1", 0)
+        first, second = TcpTransport(host, port), TcpTransport(host, port)
+        try:
+            drawn = {"first": [], "second": []}
+            for _ in range(3):
+                drawn["first"].append(first.invoke("ids", "draw", (), {}))
+                drawn["second"].append(second.invoke("ids", "draw", (), {}))
+            assert drawn == {"first": [1, 2, 3], "second": [1, 2, 3]}
+        finally:
+            first.close()
+            second.close()
+            server.stop_tcp()
+
+
 class TestStopTcpShutdown:
-    def test_workers_are_joined_on_stop(self):
+    def test_stop_closes_every_client_and_allows_restart(self):
+        baseline = threading.active_count()
         server, host, port = serve_echo()
         transports = [TcpTransport(host, port) for _ in range(3)]
         try:
@@ -137,12 +163,24 @@ class TestStopTcpShutdown:
                 assert transport.invoke("echo", "ping",
                                         (index,), {}) == index + 1
             server.stop_tcp()
-            assert not server._tcp_workers
-            assert not server._tcp_connections
-            assert server._tcp_thread is None
+            for transport in transports:
+                with pytest.raises(RemoteError):
+                    transport.invoke("echo", "ping", (0,), {})
         finally:
             for transport in transports:
                 transport.close()
+        deadline = time.monotonic() + 5
+        while threading.active_count() > baseline and \
+                time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert threading.active_count() <= baseline
+        host, port = server.serve_tcp("127.0.0.1", 0)
+        try:
+            again = TcpTransport(host, port)
+            assert again.invoke("echo", "ping", (6,), {}) == 7
+            again.close()
+        finally:
+            server.stop_tcp()
 
     def test_stop_start_cycles_do_not_leak_threads(self):
         baseline = threading.active_count()

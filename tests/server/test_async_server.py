@@ -11,9 +11,10 @@ import pytest
 
 from repro.core.errors import RemoteError
 from repro.core.ids import next_id
-from repro.rmi import (JavaCADServer, RemoteStub, TcpTransport,
-                       client_ssl_context, server_ssl_context,
-                       wrap_transport)
+from repro.rmi import (CallReply, CallRequest, JavaCADServer, RemoteStub,
+                       TcpTransport, client_ssl_context,
+                       server_ssl_context, wrap_transport)
+from repro.rmi.protocol import encode_frame, frame_length
 from repro.server import AsyncRMIServer, ServerStats
 from repro.telemetry import TELEMETRY
 
@@ -223,6 +224,56 @@ class TestLimitsAndTimeouts:
             thread.join(timeout=5)
             assert answers == [7]
             assert server.stats.drained is True
+
+    def test_a_client_that_stops_reading_stalls_only_its_own_dispatch(self):
+        """Backpressure: the next frame is taken only after the
+        previous reply drained, so N pipelined large-reply frames from
+        a client that does not read are NOT all dispatched (and their
+        replies buffered) -- the loop stalls once the socket is full."""
+        count, size = 40, 512 * 1024
+        calls = []
+
+        class Blob:
+            def make(self, index):
+                calls.append(index)
+                return [index, "x" * size]
+
+        core = JavaCADServer("async.backpressure")
+        core.bind("blob", Blob(), ["make"])
+        core.bind("echo", Echo(), ["ping"])
+        server = AsyncRMIServer(core)
+        host, port = server.start()
+        try:
+            raw = socket.socket()
+            # A small receive buffer keeps the plateau far below count
+            # whatever the kernel's autotuning would otherwise allow.
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+            raw.settimeout(30)
+            raw.connect((host, port))
+            with raw:
+                frames = [CallRequest("blob", "make", (index,)).encode()
+                          for index in range(count)]
+                raw.sendall(b"".join(encode_frame(f) for f in frames))
+                seen, since = -1, time.monotonic()
+                while time.monotonic() - since < 0.5:  # until it plateaus
+                    if len(calls) != seen:
+                        seen, since = len(calls), time.monotonic()
+                    time.sleep(0.02)
+                assert 1 <= seen <= count // 2, seen
+                # Stalled on one tenant only: another is served at once.
+                with connected(host, port) as other:
+                    assert other.invoke("echo", "ping", (4,), {}) == 8
+                stream = raw.makefile("rb")
+                for index in range(count):
+                    reply = CallReply.decode(
+                        stream.read(frame_length(stream.read(4))))
+                    assert reply.result[0] == index
+                    assert len(reply.result[1]) == size
+            assert calls == list(range(count))
+        finally:
+            server.stop()
+        assert server.stats.drained is True
+        assert server.stats.calls_served == count + 1
 
 
 class TestAuth:

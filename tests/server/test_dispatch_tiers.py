@@ -9,6 +9,8 @@ arrival order.
 """
 
 import contextlib
+import os
+import signal
 import socket
 import struct
 import threading
@@ -16,6 +18,7 @@ import time
 
 import pytest
 
+from repro.core.errors import RemoteError
 from repro.core.ids import next_id
 from repro.core.signal import Logic
 from repro.parallel.remote import register_fault_farm, resolve_bench
@@ -33,6 +36,9 @@ class Echo:
     def slow(self, value, seconds=0.2):
         time.sleep(seconds)
         return value
+
+    def pid(self):
+        return os.getpid()
 
 
 class SessionIds:
@@ -65,7 +71,7 @@ class Overlap:
 
 def tier_session():
     server = JavaCADServer("tiers.session")
-    server.bind("echo", Echo(), ["ping", "slow"])
+    server.bind("echo", Echo(), ["ping", "slow", "pid"])
     server.bind("ids", SessionIds(), ["next_session_id"])
     server.bind("overlap", Overlap(), ["visit", "observed"])
     register_fault_farm(server)
@@ -186,6 +192,49 @@ class TestSessionIdIsolation:
     def test_process_dispatcher_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers"):
             ProcessDispatcher(tier_session, workers=0)
+
+
+class TestWorkerDeath:
+    def test_a_killed_worker_ends_its_sessions_and_is_replaced(self):
+        """SIGKILL one sticky worker mid-session: its tenant gets one
+        named error and a closed socket (never a silently re-created
+        session with rewound ids), the other slot's tenant is
+        unaffected, and new sessions on the dead slot are served."""
+        def draw(transport, count):
+            return [transport.invoke("ids", "next_session_id", (), {})
+                    for _ in range(count)]
+
+        with running("process", dispatch_workers=2) as (server, host, port):
+            doomed = TcpTransport(host, port)     # session 1 -> slot 0
+            bystander = TcpTransport(host, port)  # session 2 -> slot 1
+            try:
+                assert draw(doomed, 2) == [1, 2]
+                assert draw(bystander, 2) == [1, 2]
+                victim = doomed.invoke("echo", "pid", (), {})
+                assert victim != bystander.invoke("echo", "pid", (), {})
+                os.kill(victim, signal.SIGKILL)
+                with pytest.raises(RemoteError, match=(
+                        "dispatch worker for session 1 died; "
+                        "session state is lost")):
+                    draw(doomed, 1)
+                # The server closed that connection after the error.
+                with pytest.raises(
+                        RemoteError,
+                        match="connection closed|transport failure"):
+                    draw(doomed, 1)
+                assert draw(bystander, 2) == [3, 4]
+                # The transport reconnects: session 3 -> the dead slot,
+                # now a fresh worker, and a fresh session's ids.
+                assert draw(doomed, 3) == [1, 2, 3]
+                replacement = doomed.invoke("echo", "pid", (), {})
+                assert replacement not in (victim, os.getpid())
+            finally:
+                doomed.close()
+                bystander.close()
+            server.stop()
+            assert server.stats.worker_deaths == 1
+            assert server.stats.sessions_started == 3
+            assert "worker_deaths=1" in server.stats.summary_line()
 
 
 class TestCrossTenantIndependence:
