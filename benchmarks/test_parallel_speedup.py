@@ -42,7 +42,7 @@ def _campaigns():
     begin = time.perf_counter()
     parallel = parallel_fault_simulate(netlist, patterns,
                                        fault_list=fault_list,
-                                       workers=WORKERS)
+                                       workers=WORKERS, engine="event")
     parallel_wall = time.perf_counter() - begin
     return netlist, fault_list, serial, serial_wall, parallel, \
         parallel_wall

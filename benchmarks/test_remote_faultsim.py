@@ -60,7 +60,8 @@ def test_remote_faultsim(benchmark):
             begin = time.perf_counter()
             remote = benchmark.pedantic(
                 remote_fault_simulate, args=(BENCH, patterns, endpoints),
-                kwargs={"pool": RemoteWorkerPool(endpoints)},
+                kwargs={"pool": RemoteWorkerPool(endpoints),
+                        "engine": "event"},
                 rounds=1, iterations=1)
             remote_wall = time.perf_counter() - begin
             snapshot = TELEMETRY.metrics.snapshot()

@@ -199,7 +199,7 @@ def drive_tenants(tier):
             barrier.wait(timeout=60)
             reports[index] = report_to_wire(remote_fault_simulate(
                 TENANT_BENCH, patterns, [f"{host}:{port}"],
-                workers=1))
+                workers=1, engine="event"))
         except Exception as exc:
             failures.append((index, exc))
             try:

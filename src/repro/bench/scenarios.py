@@ -257,11 +257,10 @@ def run_corpus_scenario(mode: str, bench: str,
     """
     import random
 
-    from ..compiled import CompiledSimulator, resolve_engine
+    from ..compiled import resolve_engine, simulator_for
     from ..core.signal import Logic
     from ..gates.corpus import load_bench
     from ..gates.io import SequentialBench
-    from ..gates.simulator import NetlistSimulator
     from ..ip.provider import BenchFunctionalServant, BitPowerServant
     from ..power.toggle import ToggleCountModel
 
@@ -296,9 +295,7 @@ def run_corpus_scenario(mode: str, bench: str,
 
     local_simulator = None
     if mode != "MR":
-        local_simulator = (CompiledSimulator(core)
-                           if engine == "compiled"
-                           else NetlistSimulator(core))
+        local_simulator = simulator_for(engine, core)
     local_power = ToggleCountModel(core) if mode == "AL" else None
 
     # Client-side register state: core output position of each d net.

@@ -165,130 +165,100 @@ def _cmd_figure4(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faultsim_sequential(args: argparse.Namespace, bench) -> int:
-    """Fault-simulate a sequential bench (one pattern per clock cycle).
+def _reject_sequential_flags(args: argparse.Namespace, bench) -> bool:
+    """Print the error for combinational-only flags on a sequential bench.
 
-    Runs the event-driven sequential serial simulator over the whole
-    combinational core; the compiled PPSFP kernel, worker sharding and
-    the remote farm are combinational-only, so those flags are rejected
-    with a pointer at the sequential entry point.
+    The compiled PPSFP kernel, worker sharding and the remote farm are
+    combinational-only; ``--workers 1`` and an unset ``--engine`` *are*
+    the serial sequential path, so only explicit requests for the
+    others are refused.
     """
-    from .core.signal import Logic
-    from .faults.faultlist import build_fault_list
-    from .faults.sequential import (SequentialSerialFaultSimulator,
-                                    design_from_bench)
-
     rejected = []
-    if args.engine != "event":
+    if args.engine not in (None, "event"):
         rejected.append(f"--engine {args.engine}")
-    if getattr(args, "remote", None):
+    if args.remote:
         rejected.append("--remote")
-    if getattr(args, "workers", 0):
+    if args.workers > 1:
         rejected.append("--workers")
     if rejected:
-        flags = ', '.join(rejected)
         verb = "requires" if len(rejected) == 1 else "require"
         print(f"error: {args.netlist!r} is a sequential bench "
-              f"({bench.ff_count()} flip-flops): {flags} "
+              f"({bench.ff_count()} flip-flops): {', '.join(rejected)} "
               f"{verb} a combinational netlist; sequential campaigns "
               f"run serially through repro.faults.sequential "
               f"(read_sequential_bench -> design_from_bench -> "
               f"SequentialSerialFaultSimulator)", file=sys.stderr)
-        return 2
-    design = design_from_bench(bench)
-    fault_list = build_fault_list(bench.core, collapse=args.collapse)
-    rng = random.Random(args.seed)
-    patterns = [{net: Logic(rng.getrandbits(1))
-                 for net in design.primary_inputs}
-                for _ in range(args.patterns)]
-    simulator = SequentialSerialFaultSimulator(design, bench.core,
-                                               fault_list)
-    report = simulator.run(patterns)
-    print(f"{args.netlist}: {bench.gate_count()} gates, "
-          f"{bench.ff_count()} flip-flops, "
-          f"{len(bench.primary_inputs)} inputs, "
-          f"{len(bench.primary_outputs)} outputs")
-    print(f"fault list over the core ({args.collapse}): "
-          f"{len(fault_list)} faults, sequential event engine")
-    print(f"{args.patterns} clock cycles -> "
-          f"{report.detected_count}/{report.total_faults} detected "
-          f"({report.coverage:.1%} coverage)")
-    if args.history:
-        history = report.coverage_history()
-        print(ascii_plot(list(enumerate(history)),
-                         label="coverage vs cycle"))
-    if args.report_out:
-        payload = {
-            "netlist": args.netlist,
-            "gates": bench.gate_count(),
-            "flip_flops": bench.ff_count(),
-            "collapse": args.collapse,
-            "patterns": args.patterns,
-            "seed": args.seed,
-            "engine": "sequential-event",
-            "workers": 1,
-            "total_faults": report.total_faults,
-            "detected": report.detected,
-            "coverage": report.coverage,
-            "undetected": sorted(report.undetected(fault_list.names())),
-            "coverage_history": report.coverage_history(),
-        }
-        with open(args.report_out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"report written to {args.report_out}")
-    return 0
+    return bool(rejected)
 
 
 def _cmd_faultsim(args: argparse.Namespace) -> int:
-    from .compiled import fault_simulator_for
+    """Fault-simulate a bench with random patterns.
+
+    A sequential bench applies one pattern per clock cycle through the
+    event-driven sequential serial simulator over its combinational
+    core; everything else (patterns, summary, history, report) is the
+    combinational flow.
+    """
+    from .compiled import resolve_engine
     from .core.signal import Logic
     from .faults.faultlist import build_fault_list
     from .gates.io import SequentialBench
     from .parallel import parallel_fault_simulate, resolve_workers
 
-    netlist = _load_bench(args.netlist)
-    if netlist is None:
+    bench = _load_bench(args.netlist)
+    if bench is None:
         return 2
-    if isinstance(netlist, SequentialBench):
-        return _cmd_faultsim_sequential(args, netlist)
+    sequential = isinstance(bench, SequentialBench)
+    if sequential and _reject_sequential_flags(args, bench):
+        return 2
+    netlist = bench.core if sequential else bench
     fault_list = build_fault_list(netlist, collapse=args.collapse)
+    if sequential:
+        from .faults.sequential import (SequentialSerialFaultSimulator,
+                                        design_from_bench)
+
+        design = design_from_bench(bench)
+        input_nets, outputs = design.primary_inputs, bench.primary_outputs
+        engine, stimulus = "sequential-event", "clock cycles"
+        flip_flops = f"{bench.ff_count()} flip-flops, "
+    else:
+        input_nets, outputs = netlist.inputs, netlist.outputs
+        engine, stimulus = resolve_engine(args.engine), "random patterns"
+        flip_flops = ""
     rng = random.Random(args.seed)
-    patterns = [{net: Logic(rng.getrandbits(1))
-                 for net in netlist.inputs}
+    patterns = [{net: Logic(rng.getrandbits(1)) for net in input_nets}
                 for _ in range(args.patterns)]
-    remotes = getattr(args, "remote", None) or []
-    workers = resolve_workers(getattr(args, "workers", 0) or None)
-    if remotes and len(fault_list) > 1:
+    remotes = args.remote or []
+    workers = resolve_workers(args.workers or None)
+    if len(fault_list) <= 1:
+        workers, remotes = 1, []  # nothing to shard or farm out
+    if sequential:
+        workers = 1
+        report = SequentialSerialFaultSimulator(
+            design, netlist, fault_list).run(patterns)
+    elif remotes:
         from .parallel.remote import remote_fault_simulate
 
         report = remote_fault_simulate(
             args.netlist, patterns, remotes, collapse=args.collapse,
             netlist=netlist, fault_list=fault_list,
-            workers=getattr(args, "workers", 0) or None,
-            engine=args.engine,
-            token=getattr(args, "remote_token", None),
-            tls_ca=getattr(args, "remote_ca", None))
+            workers=args.workers or None, engine=engine,
+            token=args.remote_token, tls_ca=args.remote_ca)
         workers = len(remotes)
-    elif workers > 1 and len(fault_list) > 1:
+    else:
         report = parallel_fault_simulate(netlist, patterns,
                                          fault_list=fault_list,
-                                         workers=workers,
-                                         engine=args.engine)
-    else:
-        workers = 1
-        report = fault_simulator_for(args.engine, netlist,
-                                     fault_list).run(patterns)
-    print(f"{args.netlist}: {netlist.gate_count()} gates, "
-          f"{len(netlist.inputs)} inputs, {len(netlist.outputs)} outputs")
+                                         workers=workers, engine=engine)
+    print(f"{args.netlist}: {netlist.gate_count()} gates, {flip_flops}"
+          f"{len(input_nets)} inputs, {len(outputs)} outputs")
     print(f"fault list ({args.collapse}): {len(fault_list)} faults, "
-          f"{args.engine} engine")
+          f"{engine} engine")
     if remotes:
         print(f"farmed across {len(remotes)} remote endpoint(s): "
               f"{', '.join(remotes)}")
     elif workers > 1:
         print(f"sharded across {workers} workers")
-    print(f"{args.patterns} random patterns -> "
+    print(f"{args.patterns} {stimulus} -> "
           f"{report.detected_count}/{report.total_faults} detected "
           f"({report.coverage:.1%} coverage)")
     if args.history:
@@ -302,7 +272,7 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
             "collapse": args.collapse,
             "patterns": args.patterns,
             "seed": args.seed,
-            "engine": args.engine,
+            "engine": engine,
             "workers": workers,
             "total_faults": report.total_faults,
             "detected": report.detected,
@@ -310,6 +280,8 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
             "undetected": sorted(report.undetected(fault_list.names())),
             "coverage_history": report.coverage_history(),
         }
+        if sequential:
+            payload["flip_flops"] = bench.ff_count()
         with open(args.report_out, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -420,6 +392,25 @@ def _add_server_options(parser: argparse.ArgumentParser) -> None:
                              "multi-core)")
 
 
+def _add_campaign_options(parser: argparse.ArgumentParser,
+                          engine_help: Optional[str] = None,
+                          workers_help: Optional[str] = None,
+                          engine_default: Optional[str] = None) -> None:
+    """``--engine`` / ``--workers``, each declared where its help is given.
+
+    ``engine_default`` stays ``None`` (= ``repro.compiled.DEFAULT_ENGINE``,
+    resolved by the callee) except on the provider-side commands, where
+    the flag also picks the power estimator (see ``compiled/engine.py``).
+    """
+    if engine_help is not None:
+        parser.add_argument("--engine", default=engine_default,
+                            choices=["event", "compiled"],
+                            help=engine_help)
+    if workers_help is not None:
+        parser.add_argument("--workers", type=int, default=0, metavar="N",
+                            help=f"{workers_help} (0 = one per CPU core)")
+
+
 def _cmd_faultworker(args: argparse.Namespace) -> int:
     """Serve fault-simulation shards to remote `faultsim --remote` runs.
 
@@ -455,7 +446,7 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
     from .faults.faultlist import build_fault_list
     from .gates.io import SequentialBench
     from .gates.scoap import ScoapAnalysis
-    from .parallel import parallel_generate_test_set, resolve_workers
+    from .parallel import parallel_generate_test_set
 
     netlist = _load_bench(args.netlist)
     if netlist is None:
@@ -469,19 +460,11 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
               f"full-scan tests over the combinational core")
         netlist = netlist.core
     fault_list = build_fault_list(netlist, collapse=args.collapse)
-    workers = resolve_workers(getattr(args, "workers", 0) or None)
-    if workers > 1 and len(fault_list) > 1:
-        test_set = parallel_generate_test_set(
-            netlist, fault_list, workers=workers,
-            random_patterns=args.random_patterns, seed=args.seed,
-            max_backtracks=args.max_backtracks, engine=args.engine)
-    else:
-        from .faults.atpg import generate_test_set
-
-        test_set = generate_test_set(
-            netlist, fault_list, random_patterns=args.random_patterns,
-            seed=args.seed, max_backtracks=args.max_backtracks,
-            engine=args.engine)
+    # One worker (or one fault) is the serial generate_test_set path.
+    test_set = parallel_generate_test_set(
+        netlist, fault_list, workers=args.workers or None,
+        random_patterns=args.random_patterns, seed=args.seed,
+        max_backtracks=args.max_backtracks, engine=args.engine)
     print(f"{args.netlist}: {netlist.gate_count()} gates, "
           f"{len(fault_list)} target faults ({args.collapse})")
     print(f"test set: {len(test_set.patterns)} patterns, "
@@ -748,13 +731,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "their register state client-side)")
     table2.add_argument("--patterns", type=int, default=100)
     table2.add_argument("--buffer", type=int, default=5)
-    table2.add_argument("--engine", default="event",
-                        choices=["event", "compiled"],
-                        help="provider-side gate-simulation engine "
-                             "(toggle power model, detection tables)")
-    table2.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="run scenarios concurrently on N worker "
-                             "processes (0 = one per CPU core)")
+    _add_campaign_options(
+        table2, engine_default="event",
+        engine_help="provider-side gate-simulation engine (toggle power "
+                    "model, detection tables)",
+        workers_help="run scenarios concurrently on N worker processes")
     table2.set_defaults(fn=_cmd_table2)
 
     figure3 = subparsers.add_parser(
@@ -780,10 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["none", "equivalence", "dominance"])
     faultsim.add_argument("--history", action="store_true",
                           help="plot incremental coverage")
-    faultsim.add_argument("--workers", type=int, default=0, metavar="N",
-                          help="shard the fault list across N worker "
-                               "processes (0 = one per CPU core); with "
-                               "--remote, scales the shard count instead")
     faultsim.add_argument("--remote", metavar="HOST:PORT",
                           action="append", default=None,
                           help="farm shards out to a remote fault-farm "
@@ -797,12 +774,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="CA bundle for TLS to --remote endpoints "
                                "(enables TLS; match the worker's "
                                "--tls-cert)")
-    faultsim.add_argument("--engine", default="event",
-                          choices=["event", "compiled"],
-                          help="gate-simulation engine: the interpreted "
-                               "event-driven path or the compiled "
-                               "pattern-packed (PPSFP) kernel; reports "
-                               "are identical either way")
+    _add_campaign_options(
+        faultsim,
+        engine_help="gate-simulation engine: the compiled pattern-packed "
+                    "(PPSFP) kernel (the default) or the interpreted "
+                    "event-driven oracle; reports are identical either "
+                    "way",
+        workers_help="shard the fault list across N worker processes; "
+                     "with --remote, scales the shard count instead")
     faultsim.add_argument("--report-out", metavar="FILE", default=None,
                           help="write the full report (detected map, "
                                "coverage, undetected) as JSON to FILE")
@@ -819,9 +798,9 @@ def build_parser() -> argparse.ArgumentParser:
                       "the multi-tenant server")
     serve.add_argument("--width", type=int, default=8,
                        help="bit width of the published multiplier IP")
-    serve.add_argument("--engine", default="event",
-                       choices=["event", "compiled"],
-                       help="provider-side gate-simulation engine")
+    _add_campaign_options(
+        serve, engine_default="event",
+        engine_help="provider-side gate-simulation engine")
     _add_server_options(serve)
     serve.set_defaults(fn=_cmd_serve)
 
@@ -840,13 +819,11 @@ def build_parser() -> argparse.ArgumentParser:
     atpg.add_argument("--collapse", default="equivalence",
                       choices=["none", "equivalence", "dominance"])
     atpg.add_argument("--show-patterns", action="store_true")
-    atpg.add_argument("--workers", type=int, default=0, metavar="N",
-                      help="shard target faults across N worker "
-                           "processes (0 = one per CPU core)")
-    atpg.add_argument("--engine", default="event",
-                      choices=["event", "compiled"],
-                      help="fault-simulation engine for the random "
-                           "phase and per-pattern dropping")
+    _add_campaign_options(
+        atpg,
+        engine_help="fault-simulation engine for the random phase and "
+                    "per-pattern dropping (default: compiled)",
+        workers_help="shard target faults across N worker processes")
     atpg.set_defaults(fn=_cmd_atpg)
 
     scoap = subparsers.add_parser(
@@ -898,10 +875,9 @@ def build_parser() -> argparse.ArgumentParser:
         "all", help="run every paper experiment (use --quick for a "
                     "reduced-scale pass)")
     everything.add_argument("--quick", action="store_true")
-    everything.add_argument("--workers", type=int, default=0,
-                            metavar="N",
-                            help="run independent scenarios on N "
-                                 "worker processes (0 = one per core)")
+    _add_campaign_options(
+        everything,
+        workers_help="run independent scenarios on N worker processes")
     everything.set_defaults(fn=_cmd_all)
     return parser
 

@@ -7,15 +7,18 @@ bitwise code -- one word operation per gate -- and runs 64 test
 patterns per machine word (classic PPSFP), with stuck-at faults
 injected through per-site masks and dropped at word granularity.
 
-The compiled engine is selectable end to end with ``--engine compiled``
-on the ``faultsim`` / ``atpg`` / ``table2`` CLI commands and produces
-``FaultSimReport`` values byte-identical to the serial interpreted
-path (see ``tests/differential/test_engine_differential.py``).
+The compiled engine is what ``engine=None`` means wherever the choice
+only picks a logic simulator (``faultsim`` / ``atpg``, the parallel and
+remote farms, the testability servants; see :mod:`.engine`) and
+produces ``FaultSimReport`` values byte-identical to the serial
+interpreted path, which stays selectable as ``--engine event`` and is
+the oracle of ``tests/differential/test_engine_differential.py``.
 """
 
 from .compiler import (CompiledKernel, compile_netlist, clear_kernel_cache,
                        netlist_fingerprint)
-from .engine import ENGINES, fault_simulator_for, resolve_engine
+from .engine import (ENGINES, FaultSimulator, fault_simulator_for,
+                     resolve_engine, simulator_for)
 from .power import CompiledToggleModel
 from .ppsfp import (WORD_BITS, CompiledFaultSimulator, CompiledSimulator,
                     pack_patterns)
@@ -27,10 +30,12 @@ __all__ = [
     "CompiledKernel",
     "CompiledSimulator",
     "CompiledToggleModel",
+    "FaultSimulator",
     "clear_kernel_cache",
     "compile_netlist",
     "fault_simulator_for",
     "netlist_fingerprint",
     "pack_patterns",
     "resolve_engine",
+    "simulator_for",
 ]

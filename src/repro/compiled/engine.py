@@ -1,33 +1,64 @@
 """Engine selection: the interpreted event path vs the compiled kernel.
 
-Every campaign entry point (CLI, parallel workers, the remote fault
-farm) funnels its ``--engine`` choice through :func:`resolve_engine`
-and builds its serial-equivalent simulator through
-:func:`fault_simulator_for`, so the two engines stay interchangeable
-everywhere a :class:`~repro.faults.serial.SerialFaultSimulator` is
-accepted.
+This is the one place an engine name turns into a simulator.  Every
+campaign entry point (CLI, ATPG, parallel workers, the remote fault
+farm, the testability servants) funnels its ``engine`` argument through
+:func:`resolve_engine` and builds what it runs through
+:func:`fault_simulator_for` (whole campaigns) or :func:`simulator_for`
+(single patterns); nothing else chooses between the implementations.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Mapping, Optional, Protocol, Sequence, Union
 
 from ..core.errors import FaultSimulationError
+from ..core.signal import Logic
 from ..faults.faultlist import FaultList
-from ..faults.serial import SerialFaultSimulator
+from ..faults.serial import FaultSimReport, SerialFaultSimulator
 from ..gates.netlist import Netlist
-from .ppsfp import CompiledFaultSimulator
+from ..gates.simulator import NetlistSimulator
+from .ppsfp import CompiledFaultSimulator, CompiledSimulator
 
 ENGINES = ("event", "compiled")
 """Selectable gate-simulation engines."""
 
-DEFAULT_ENGINE = "event"
+DEFAULT_ENGINE = "compiled"
+"""What ``engine=None`` means, written here and nowhere else.
 
-AnyFaultSimulator = Union[SerialFaultSimulator, CompiledFaultSimulator]
+The two engines are byte-identical as *logic* simulators (same reports,
+detection tables and test sets; ``tests/differential`` holds them to
+it), so the fast one is the default and ``"event"`` stays as the
+oracle.  The signatures that still default to ``"event"`` --
+``IPProvider.publish_multiplier`` / ``publish_bench``, ``shared_provider``
+/ ``shared_bench_provider``, ``run_scenario`` / ``run_table2`` /
+``run_corpus_*``, ``parallel/scenarios.py`` and the CLI's ``table2`` /
+``serve`` -- do so because there the same flag also picks the power
+*estimator* (``ToggleCountModel`` vs ``CompiledToggleModel``, see
+``compiled/power.py``): the two agree only to float round-off and
+count ``evaluated_gates`` differently, so flipping it would move
+Table 2 and add a kernel compile to every provider publish.
+"""
+
+
+class FaultSimulator(Protocol):
+    """The campaign surface both engines' fault simulators expose."""
+
+    netlist: Netlist
+    fault_list: FaultList
+
+    def run(self, patterns: Sequence[Mapping[str, Logic]],
+            drop_detected: bool = True) -> FaultSimReport: ...
+
+    def detects(self, pattern: Mapping[str, Logic],
+                fault_name: str) -> bool: ...
+
+    def detecting(self, pattern: Mapping[str, Logic],
+                  names: Sequence[str]) -> List[str]: ...
 
 
 def resolve_engine(engine: Optional[str]) -> str:
-    """Validate an engine name; ``None`` means the default (event)."""
+    """Validate an engine name; ``None`` means :data:`DEFAULT_ENGINE`."""
     if engine is None:
         return DEFAULT_ENGINE
     if engine not in ENGINES:
@@ -38,13 +69,21 @@ def resolve_engine(engine: Optional[str]) -> str:
 
 def fault_simulator_for(engine: Optional[str], netlist: Netlist,
                         fault_list: Optional[FaultList] = None
-                        ) -> AnyFaultSimulator:
+                        ) -> FaultSimulator:
     """A serial-semantics fault simulator for the chosen engine.
 
-    Both return types expose the same campaign surface (``run``,
-    ``detects``, ``fault_list``, ``netlist``) and produce identical
+    Either engine's simulator produces identical
     :class:`~repro.faults.serial.FaultSimReport` values.
     """
     if resolve_engine(engine) == "compiled":
         return CompiledFaultSimulator(netlist, fault_list)
     return SerialFaultSimulator(netlist, fault_list)
+
+
+def simulator_for(engine: Optional[str], netlist: Netlist
+                  ) -> Union[NetlistSimulator, CompiledSimulator]:
+    """A single-pattern logic simulator (``evaluate`` / ``outputs`` /
+    ``outputs_for_faults``) for the chosen engine; identical values."""
+    if resolve_engine(engine) == "compiled":
+        return CompiledSimulator(netlist)
+    return NetlistSimulator(netlist)

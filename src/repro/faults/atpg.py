@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.signal import Logic
 from ..gates.netlist import Netlist
 from ..gates.simulator import NetlistSimulator
 from .faultlist import FaultList, build_fault_list
 from .model import StuckAtFault
-from .serial import SerialFaultSimulator
 
 DETECTED = "detected"
 UNTESTABLE = "untestable"
@@ -167,7 +166,7 @@ def generate_test_set(netlist: Netlist,
                       fault_list: Optional[FaultList] = None,
                       random_patterns: int = 32, seed: int = 0,
                       max_backtracks: int = 20_000,
-                      engine: str = "event") -> TestSet:
+                      engine: Optional[str] = None) -> TestSet:
     """Random-then-deterministic test generation with fault dropping.
 
     The classic ATPG flow: cheap random patterns first (each kept only
@@ -185,23 +184,7 @@ def generate_test_set(netlist: Netlist,
 
     # Imported lazily: repro.compiled depends on this package.
     from ..compiled import fault_simulator_for
-    fast = fault_simulator_for(engine, netlist, fault_list)
-    if isinstance(fast, SerialFaultSimulator):
-        simulator = NetlistSimulator(netlist)
-
-        def detected_by(pattern: Dict[str, Logic],
-                        names: Sequence[str]) -> List[str]:
-            good = simulator.outputs(pattern)
-            hits = []
-            for name in names:
-                if simulator.outputs(pattern,
-                                     fault=fault_list.fault(name)) != good:
-                    hits.append(name)
-            return hits
-    else:
-        def detected_by(pattern: Dict[str, Logic],
-                        names: Sequence[str]) -> List[str]:
-            return fast.detecting(pattern, names)
+    detected_by = fault_simulator_for(engine, netlist, fault_list).detecting
 
     # Phase 1: random patterns with dropping.
     for _ in range(random_patterns):

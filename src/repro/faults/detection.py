@@ -91,32 +91,19 @@ def build_detection_table(netlist: Netlist, fault_list: FaultList,
     (remaining) fault; faults whose output pattern differs from the
     fault-free one are grouped by that erroneous pattern.  ``only``
     restricts the computation to the user's still-undetected faults.
-    ``simulator`` may be any object exposing
-    :meth:`~repro.gates.simulator.NetlistSimulator.outputs` -- in
-    particular a :class:`repro.compiled.CompiledSimulator`, which is
-    what :class:`~repro.faults.virtual.TestabilityServant` passes when
-    published with ``engine="compiled"``; both engines build identical
-    tables.
+    ``simulator`` is what :func:`repro.compiled.simulator_for` returns
+    for either engine (the compiled one probes up to 64 faults per
+    kernel run); both build identical tables.
     """
     simulator = simulator or NetlistSimulator(netlist)
     fault_free = simulator.outputs(input_values)
     names = tuple(only) if only is not None else fault_list.names()
     rows: Dict[OutputPattern, set] = {}
-    if hasattr(simulator, "outputs_for_faults"):
-        # Compiled engine: lane-packed probing, up to 64 faults per
-        # kernel run instead of one simulation per fault.
-        faults = [fault_list.fault(name) for name in names]
-        for name, faulty in zip(
-                names, simulator.outputs_for_faults(input_values,
-                                                    faults)):
-            if faulty != fault_free:
-                rows.setdefault(faulty, set()).add(name)
-    else:
-        for name in names:
-            fault = fault_list.fault(name)
-            faulty = simulator.outputs(input_values, fault=fault)
-            if faulty != fault_free:
-                rows.setdefault(faulty, set()).add(name)
+    faults = [fault_list.fault(name) for name in names]
+    for name, faulty in zip(
+            names, simulator.outputs_for_faults(input_values, faults)):
+        if faulty != fault_free:
+            rows.setdefault(faulty, set()).add(name)
     input_pattern = tuple(input_values[net] for net in netlist.inputs)
     return DetectionTable(netlist.name, input_pattern, fault_free, rows)
 

@@ -23,14 +23,18 @@ configuration encountered by *any* machine, good or faulty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 from ..core.errors import DesignError, FaultSimulationError
 from ..core.signal import Logic
 from ..gates.netlist import Netlist
 from ..gates.simulator import NetlistSimulator
 from .detection import DetectionTable
-from .serial import FaultSimReport
+from .serial import FaultSimReport, run_campaign
+
+IPBehaviour = Callable[[Tuple[Logic, ...]], Sequence[Logic]]
+"""An IP block's response: input bits in, output bits out."""
 
 
 @dataclass
@@ -217,13 +221,54 @@ class SequentialEvaluator:
         return next_state, outputs, ip_in
 
 
-class SequentialSerialFaultSimulator:
-    """Full-knowledge baseline: per fault, replay the whole sequence.
+class _SequentialCampaign:
+    """The cycle-by-cycle campaign both sequential simulators run.
 
-    The IP netlist is known here; each fault's machine is stepped with
-    the faulty IP response, and the fault is detected at the first
-    cycle whose primary outputs differ from the good machine's.
+    One pattern per clock cycle: the good machine and every
+    still-undetected fault's machine step in lockstep, and a fault is
+    dropped at the first cycle its machine's primary outputs differ from
+    the good machine's.  Subclasses say only which faults there are and
+    where the good and each faulty machine's IP response comes from.
     """
+
+    design: SequentialDesign
+    evaluator: SequentialEvaluator
+
+    def _fault_names(self) -> Sequence[str]:
+        raise NotImplementedError
+
+    def _ip_behaviour(self, name: Optional[str] = None) -> IPBehaviour:
+        """The IP's response for the good machine or for fault ``name``."""
+        raise NotImplementedError
+
+    def run(self, patterns: Sequence[Mapping[str, Logic]]
+            ) -> FaultSimReport:
+        """Simulate the sequence against every fault, with dropping."""
+        names = self._fault_names()
+        good_behaviour = self._ip_behaviour()
+        good_state = self.design.reset_state()
+        faulty_states: Dict[str, Dict[str, Logic]] = {
+            name: self.design.reset_state() for name in names}
+
+        def detect(pattern: Mapping[str, Logic],
+                   remaining: Sequence[str]) -> List[str]:
+            nonlocal good_state
+            good_state, good_outputs, _ip_in = self.evaluator.step(
+                good_state, pattern, good_behaviour)
+            hits = []
+            for name in remaining:
+                faulty_states[name], outputs, _ip_in = self.evaluator.step(
+                    faulty_states[name], pattern, self._ip_behaviour(name))
+                if outputs != good_outputs:
+                    hits.append(name)
+            return hits
+
+        return run_campaign(names, patterns, detect)
+
+
+class SequentialSerialFaultSimulator(_SequentialCampaign):
+    """Full-knowledge baseline: the IP netlist is known here, so each
+    fault's machine steps with the locally simulated faulty response."""
 
     def __init__(self, design: SequentialDesign, ip_netlist: Netlist,
                  fault_list):
@@ -233,44 +278,19 @@ class SequentialSerialFaultSimulator:
         self.ip_netlist = ip_netlist
         self.fault_list = fault_list
 
-    def _ip_behaviour(self, fault=None):
+    def _fault_names(self) -> Sequence[str]:
+        return self.fault_list.names()
+
+    def _ip_behaviour(self, name: Optional[str] = None) -> IPBehaviour:
+        fault = None if name is None else self.fault_list.fault(name)
+
         def behaviour(bits: Tuple[Logic, ...]) -> Tuple[Logic, ...]:
             values = dict(zip(self.ip_netlist.inputs, bits))
             return self.ip_simulator.outputs(values, fault=fault)
         return behaviour
 
-    def run(self, patterns: Sequence[Mapping[str, Logic]]
-            ) -> FaultSimReport:
-        """Simulate the sequence against every fault, with dropping."""
-        remaining = list(self.fault_list.names())
-        report = FaultSimReport(total_faults=len(remaining))
 
-        good_state = self.design.reset_state()
-        good_outputs: List[Tuple[Logic, ...]] = []
-        state = dict(good_state)
-        for pattern in patterns:
-            state, outputs, _ip_in = self.evaluator.step(
-                state, pattern, self._ip_behaviour())
-            good_outputs.append(outputs)
-
-        faulty_states: Dict[str, Dict[str, Logic]] = {
-            name: self.design.reset_state() for name in remaining}
-        for index, pattern in enumerate(patterns):
-            newly: Set[str] = set()
-            for name in remaining:
-                fault = self.fault_list.fault(name)
-                faulty_states[name], outputs, _ip_in = \
-                    self.evaluator.step(faulty_states[name], pattern,
-                                        self._ip_behaviour(fault))
-                if outputs != good_outputs[index]:
-                    newly.add(name)
-                    report.detected[name] = index
-            remaining = [name for name in remaining if name not in newly]
-            report.per_pattern.append(newly)
-        return report
-
-
-class SequentialVirtualFaultSimulator:
+class SequentialVirtualFaultSimulator(_SequentialCampaign):
     """Client side: sequential virtual fault simulation over RMI.
 
     Phase 1 as usual (symbolic fault list).  Phase 2, per clock cycle:
@@ -279,8 +299,7 @@ class SequentialVirtualFaultSimulator:
     resolved from a provider detection table for *that machine's* IP
     input configuration (fetched once per distinct configuration and
     cached -- the tables are requested over the full fault list so they
-    stay valid for every machine).  A fault is dropped at the first
-    cycle its machine's primary outputs differ from the good machine's.
+    stay valid for every machine).
     """
 
     def __init__(self, design: SequentialDesign, stub: Any,
@@ -300,6 +319,8 @@ class SequentialVirtualFaultSimulator:
             self._all_names = tuple(self.stub.fault_list())
         return self._all_names
 
+    _fault_names = build_fault_list
+
     def _table_for(self, bits: Tuple[Logic, ...]) -> DetectionTable:
         table = self._tables.get(bits)
         if table is None:
@@ -312,7 +333,10 @@ class SequentialVirtualFaultSimulator:
             self.remote_table_fetches += 1
         return table
 
-    def _faulty_behaviour(self, name: str):
+    def _ip_behaviour(self, name: Optional[str] = None) -> IPBehaviour:
+        if name is None:
+            return self.public_model
+
         def behaviour(bits: Tuple[Logic, ...]) -> Tuple[Logic, ...]:
             if not all(bit.is_known for bit in bits):
                 return tuple(self.public_model(bits))
@@ -320,34 +344,3 @@ class SequentialVirtualFaultSimulator:
             faulty = table.output_for_fault(name)
             return faulty if faulty is not None else table.fault_free
         return behaviour
-
-    def run(self, patterns: Sequence[Mapping[str, Logic]]
-            ) -> FaultSimReport:
-        """Phase 2: sequential fault simulation with dropping."""
-        names = self.build_fault_list()
-        report = FaultSimReport(total_faults=len(names))
-        remaining: List[str] = list(names)
-
-        # Good machine trajectory, once.
-        state = self.design.reset_state()
-        good_outputs: List[Tuple[Logic, ...]] = []
-        for pattern in patterns:
-            state, outputs, _ip_in = self.evaluator.step(
-                state, pattern, self.public_model)
-            good_outputs.append(outputs)
-
-        faulty_states: Dict[str, Dict[str, Logic]] = {
-            name: self.design.reset_state() for name in remaining}
-        for index, pattern in enumerate(patterns):
-            newly: Set[str] = set()
-            for name in remaining:
-                behaviour = self._faulty_behaviour(name)
-                faulty_states[name], outputs, _ip_in = \
-                    self.evaluator.step(faulty_states[name], pattern,
-                                        behaviour)
-                if outputs != good_outputs[index]:
-                    newly.add(name)
-                    report.detected[name] = index
-            remaining = [name for name in remaining if name not in newly]
-            report.per_pattern.append(newly)
-        return report

@@ -11,7 +11,8 @@ as the baseline the IP-protection machinery makes unnecessary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 from ..core.signal import Logic
 from ..gates.netlist import Netlist
@@ -58,6 +59,37 @@ class FaultSimReport:
         return history
 
 
+DetectStep = Callable[[Any, Sequence[str]], Sequence[str]]
+"""``detect(pattern, remaining)``: the still-targeted names this pattern
+detects, in ``remaining`` order (it fixes ``detected``'s insertion
+order).  Called exactly once per pattern, in sequence, so a step may
+carry state from one pattern to the next (register state, the previous
+pattern of a launch pair)."""
+
+
+def run_campaign(names: Sequence[str], patterns: Sequence[Any],
+                 detect: DetectStep,
+                 drop_detected: bool = True) -> FaultSimReport:
+    """The campaign loop every per-pattern fault simulator shares.
+
+    With ``drop_detected`` (the default, as in the paper) a detected
+    fault leaves the target list and is never simulated again; without
+    it ``detected`` keeps first-detection insertion order but records
+    the *last* detecting index.
+    """
+    remaining: List[str] = list(names)
+    report = FaultSimReport(total_faults=len(remaining))
+    for index, pattern in enumerate(patterns):
+        hits = detect(pattern, remaining)
+        for name in hits:
+            report.detected[name] = index
+        newly = set(hits)
+        if drop_detected:
+            remaining = [name for name in remaining if name not in newly]
+        report.per_pattern.append(newly)
+    return report
+
+
 class SerialFaultSimulator:
     """Flat, full-knowledge stuck-at fault simulation over one netlist."""
 
@@ -69,31 +101,20 @@ class SerialFaultSimulator:
 
     def run(self, patterns: Sequence[Mapping[str, Logic]],
             drop_detected: bool = True) -> FaultSimReport:
-        """Simulate every pattern against every remaining fault.
+        """Simulate every pattern against every remaining fault."""
+        return run_campaign(self.fault_list.names(), patterns,
+                            self.detecting, drop_detected)
 
-        With ``drop_detected`` (the default, as in the paper) a detected
-        fault is removed from the target list and never simulated again.
-        """
-        remaining: List[str] = list(self.fault_list.names())
-        report = FaultSimReport(total_faults=len(remaining))
-        for index, pattern in enumerate(patterns):
-            fault_free = self.simulator.outputs(pattern)
-            newly: Set[str] = set()
-            for name in remaining:
-                fault = self.fault_list.fault(name)
-                faulty = self.simulator.outputs(pattern, fault=fault)
-                if faulty != fault_free:
-                    newly.add(name)
-                    report.detected[name] = index
-            if drop_detected:
-                remaining = [name for name in remaining
-                             if name not in newly]
-            report.per_pattern.append(newly)
-        return report
+    def detecting(self, pattern: Mapping[str, Logic],
+                  names: Sequence[str]) -> List[str]:
+        """The subset of ``names`` detected by one pattern, in order."""
+        fault_free = self.simulator.outputs(pattern)
+        faulty = self.simulator.outputs_for_faults(
+            pattern, [self.fault_list.fault(name) for name in names])
+        return [name for name, outputs in zip(names, faulty)
+                if outputs != fault_free]
 
     def detects(self, pattern: Mapping[str, Logic],
                 fault_name: str) -> bool:
         """Whether one pattern detects one fault (no dropping)."""
-        fault = self.fault_list.fault(fault_name)
-        return (self.simulator.outputs(pattern, fault=fault)
-                != self.simulator.outputs(pattern))
+        return bool(self.detecting(pattern, (fault_name,)))

@@ -19,7 +19,7 @@ bookkeeping are new.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import FaultSimulationError
 from ..core.signal import Logic
@@ -28,8 +28,8 @@ from ..gates.simulator import NetlistSimulator
 from ..rmi.server import current_server_context
 from .detection import DetectionTable
 from .model import StuckAtFault
-from .serial import FaultSimReport
-from .virtual import VirtualFaultSimulator
+from .serial import FaultSimReport, run_campaign
+from .virtual import IPBlockClient, VirtualFaultSimulator
 
 
 @dataclass(frozen=True)
@@ -185,29 +185,28 @@ class SerialTransitionSimulator:
     def run(self, patterns: Sequence[Mapping[str, Logic]]
             ) -> FaultSimReport:
         """Simulate consecutive pairs with fault dropping."""
-        remaining = list(self.fault_list.names())
-        report = FaultSimReport(total_faults=len(remaining))
         previous: Optional[Mapping[str, Logic]] = None
-        for index, pattern in enumerate(patterns):
-            newly: Set[str] = set()
-            if previous is not None:
-                initial_values = self.simulator.evaluate(previous)
-                fault_free = self.simulator.outputs(pattern)
-                for name in remaining:
-                    fault = self.fault_list.fault(name)
-                    if initial_values[fault.net] is not \
-                            fault.initial_value:
-                        continue
-                    faulty = self.simulator.outputs(
-                        pattern, fault=fault.equivalent_stuck_at())
-                    if faulty != fault_free:
-                        newly.add(name)
-                        report.detected[name] = index
-                remaining = [name for name in remaining
-                             if name not in newly]
-            report.per_pattern.append(newly)
-            previous = pattern
-        return report
+
+        def detect(pattern: Mapping[str, Logic],
+                   remaining: Sequence[str]) -> List[str]:
+            nonlocal previous
+            initialization, previous = previous, pattern
+            if initialization is None:
+                return []
+            initial_values = self.simulator.evaluate(initialization)
+            fault_free = self.simulator.outputs(pattern)
+            hits = []
+            for name in remaining:
+                fault = self.fault_list.fault(name)
+                if initial_values[fault.net] is not fault.initial_value:
+                    continue  # transition not launched by this pair
+                faulty = self.simulator.outputs(
+                    pattern, fault=fault.equivalent_stuck_at())
+                if faulty != fault_free:
+                    hits.append(name)
+            return hits
+
+        return run_campaign(self.fault_list.names(), patterns, detect)
 
 
 class VirtualTransitionSimulator(VirtualFaultSimulator):
@@ -218,49 +217,21 @@ class VirtualTransitionSimulator(VirtualFaultSimulator):
     configurations, and the table cache keys on the pair.
     """
 
-    def run(self, patterns: Sequence[Mapping[str, object]]
-            ) -> FaultSimReport:
-        self._previous_bits: Dict[str, Tuple[Logic, ...]] = {}
-        # super().run clears the per-block table caches, which is
-        # equally necessary here (tables were fetched against a prior
-        # run's undetected set).
-        return super().run(patterns)
+    _previous_bits: Dict[str, Tuple[Logic, ...]]
 
-    def _simulate_pattern(self, pattern, remaining):
-        from ..core.controller import SimulationController
+    def _reset_tables(self) -> None:
+        super()._reset_tables()
+        self._previous_bits = {}
 
-        good = SimulationController(self.circuit, clock=self.clock,
-                                    cost_model=self.cost,
-                                    name="fault-free")
-        self._drive(good, pattern)
-        good.start()
-        good_sid = good.scheduler.scheduler_id
-        good_outputs = self._observe(good_sid)
-
-        newly: Dict[str, Set[str]] = {}
-        try:
-            for block in self.ip_blocks:
-                undetected = sorted(remaining[block.name])
-                current_bits = block.input_bits(good_sid)
-                previous_bits = self._previous_bits.get(block.name)
-                self._previous_bits[block.name] = current_bits
-                if not undetected or previous_bits is None:
-                    continue
-                if not all(bit.is_known for bit in
-                           previous_bits + current_bits):
-                    continue
-                cache_key = (previous_bits, current_bits)
-                table = block._table_cache.get(cache_key)
-                if table is None:
-                    table = block.stub.detection_table(
-                        list(previous_bits), list(current_bits),
-                        list(undetected))
-                    block._table_cache[cache_key] = table
-                    block.remote_table_fetches += 1
-                detected = self._try_rows(block, table, undetected,
-                                          good_sid, good_outputs)
-                if detected:
-                    newly[block.name] = detected
-        finally:
-            good.teardown()
-        return newly
+    def _table_for(self, block: IPBlockClient,
+                   input_bits: Tuple[Logic, ...],
+                   undetected: Sequence[str]) -> Optional[DetectionTable]:
+        previous_bits = self._previous_bits.get(block.name)
+        self._previous_bits[block.name] = input_bits
+        if previous_bits is None or not all(
+                bit.is_known for bit in previous_bits + input_bits):
+            return None
+        return block.cached_table(
+            (previous_bits, input_bits),
+            lambda: block.stub.detection_table(
+                list(previous_bits), list(input_bits), list(undetected)))

@@ -20,7 +20,8 @@ values, the user sees only symbolic names and output patterns.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 from ..core.connector import Connector
 from ..core.controller import SimulationController
@@ -30,7 +31,6 @@ from ..core.module import ModuleSkeleton
 from ..core.signal import Logic, SignalValue, Word
 from ..core.token import SignalToken
 from ..gates.netlist import Netlist
-from ..gates.simulator import NetlistSimulator
 from ..net.clock import CostModel, VirtualClock
 from ..rmi.server import current_server_context
 from .detection import DetectionTable, build_detection_table
@@ -57,20 +57,13 @@ class TestabilityServant:
     def __init__(self, netlist: Netlist,
                  fault_list: Optional[FaultList] = None,
                  gate_eval_cost: float = 40e-6,
-                 engine: str = "event"):
+                 engine: Optional[str] = None):
+        # Imported lazily: repro.compiled depends on this package.
+        from ..compiled import resolve_engine, simulator_for
         self.netlist = netlist
         self.faults = fault_list or build_fault_list(netlist)
-        self.engine = engine
-        if engine == "compiled":
-            # Imported lazily: repro.compiled depends on this package.
-            from ..compiled import CompiledSimulator
-            self.simulator = CompiledSimulator(netlist)
-        else:
-            if engine != "event":
-                raise FaultSimulationError(
-                    f"unknown engine {engine!r}; expected one of "
-                    f"('event', 'compiled')")
-            self.simulator = NetlistSimulator(netlist)
+        self.engine = resolve_engine(engine)
+        self.simulator = simulator_for(self.engine, netlist)
         self.gate_eval_cost = gate_eval_cost
         self.tables_served = 0
 
@@ -112,7 +105,7 @@ class IPBlockClient:
         self.module = module
         self.stub = stub
         self.name = name or module.name
-        self._table_cache: Dict[Tuple[Logic, ...], DetectionTable] = {}
+        self._table_cache: Dict[Any, DetectionTable] = {}
         self.remote_table_fetches = 0
 
     # -- flattened port views ------------------------------------------------
@@ -136,11 +129,18 @@ class IPBlockClient:
         were computed against a superset of the current undetected set
         (the set only shrinks), so filtered reuse is always valid.
         """
-        key = tuple(input_bits)
+        return self.cached_table(
+            tuple(input_bits),
+            lambda: self.stub.detection_table(list(input_bits),
+                                              list(undetected)))
+
+    def cached_table(self, key: Any,
+                     request: Callable[[], DetectionTable]
+                     ) -> DetectionTable:
+        """The table cached under ``key``, requesting it on a miss."""
         table = self._table_cache.get(key)
         if table is None:
-            table = self.stub.detection_table(list(input_bits),
-                                              list(undetected))
+            table = request()
             self._table_cache[key] = table
             self.remote_table_fetches += 1
         return table
@@ -233,12 +233,7 @@ class VirtualFaultSimulator:
         depends on the rest of the target list, so restricted runs over
         a disjoint partition merge into exactly the full run's report.
         """
-        # Cached tables were fetched against an earlier run's undetected
-        # set; a new run resets the fault list, so stale tables could
-        # silently miss faults dropped before their fetch.  Within one
-        # run the set only shrinks, which is what makes caching valid.
-        for block in self.ip_blocks:
-            block._table_cache.clear()
+        self._reset_tables()
         composed = self.build_fault_list()
         if only is not None:
             wanted = set(only)
@@ -270,6 +265,26 @@ class VirtualFaultSimulator:
 
     # ------------------------------------------------------------------
 
+    def _reset_tables(self) -> None:
+        # Cached tables were fetched against an earlier run's undetected
+        # set; a new run resets the fault list, so stale tables could
+        # silently miss faults dropped before their fetch.  Within one
+        # run the set only shrinks, which is what makes caching valid.
+        for block in self.ip_blocks:
+            block._table_cache.clear()
+
+    def _table_for(self, block: IPBlockClient,
+                   input_bits: Tuple[Logic, ...],
+                   undetected: Sequence[str]) -> Optional[DetectionTable]:
+        """The block's table for this pattern, or ``None`` to skip it.
+
+        The one step a fault model overrides (see
+        :class:`~repro.faults.transition.VirtualTransitionSimulator`).
+        """
+        if not all(bit.is_known for bit in input_bits):
+            return None
+        return block.fetch_table(input_bits, undetected)
+
     def _simulate_pattern(self, pattern: Mapping[str, object],
                           remaining: Dict[str, Set[str]]
                           ) -> Dict[str, Set[str]]:
@@ -286,10 +301,10 @@ class VirtualFaultSimulator:
                 undetected = sorted(remaining[block.name])
                 if not undetected:
                     continue
-                input_bits = block.input_bits(good_sid)
-                if not all(bit.is_known for bit in input_bits):
+                table = self._table_for(block, block.input_bits(good_sid),
+                                        undetected)
+                if table is None:
                     continue
-                table = block.fetch_table(input_bits, undetected)
                 detected = self._try_rows(block, table, undetected,
                                           good_sid, good_outputs)
                 if detected:

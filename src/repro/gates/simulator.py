@@ -8,7 +8,7 @@ exposing ``is_stem``, ``net``, ``gate_name``, ``pin`` and ``value``.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Mapping, Set, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Set, Tuple
 
 from ..core.errors import SimulationError
 from ..core.signal import Logic
@@ -67,6 +67,12 @@ class NetlistSimulator:
         """Primary-output values only, in declaration order."""
         values = self.evaluate(input_values, fault=fault)
         return tuple(values[net] for net in self.netlist.outputs)
+
+    def outputs_for_faults(self, input_values: Mapping[str, Logic],
+                           faults: Sequence[Any]
+                           ) -> List[Tuple[Logic, ...]]:
+        """Faulty primary outputs of one input pattern, one per fault."""
+        return [self.outputs(input_values, fault=fault) for fault in faults]
 
     def evaluate_int(self, input_word: int,
                      fault: Any = None) -> Dict[str, Logic]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..compiled import CompiledToggleModel, resolve_engine
+from ..compiled import CompiledToggleModel, resolve_engine, simulator_for
 from ..core.errors import IPProtectionError, RemoteError
 from ..faults.faultlist import build_fault_list
 from ..faults.virtual import TestabilityServant
@@ -279,16 +279,11 @@ class BenchFunctionalServant:
 
     REMOTE_METHODS = ("evaluate",)
 
-    def __init__(self, netlist: Netlist, engine: str = "event",
+    def __init__(self, netlist: Netlist, engine: Optional[str] = None,
                  gate_eval_cost: float = 40e-6):
         self.netlist = netlist
         self.gate_eval_cost = gate_eval_cost
-        if resolve_engine(engine) == "compiled":
-            from ..compiled import CompiledSimulator
-            self.simulator = CompiledSimulator(netlist)
-        else:
-            from ..gates.simulator import NetlistSimulator
-            self.simulator = NetlistSimulator(netlist)
+        self.simulator = simulator_for(engine, netlist)
 
     def evaluate(self, bits: Sequence[int]) -> List[int]:
         """Core output bits for one full input vector, in order."""

@@ -35,7 +35,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..core.errors import ParallelExecutionError
 from ..telemetry.export import chrome_trace_events
@@ -52,6 +52,27 @@ def resolve_workers(workers: Optional[int]) -> int:
         raise ParallelExecutionError(
             f"worker count must be >= 0, got {workers}")
     return workers
+
+
+def merge_worker_metrics(snapshot: Mapping[str, Any], prefix: str) -> None:
+    """Fold one worker's metrics snapshot into the parent registry.
+
+    Counters sum under ``<prefix>.<metric>``; histograms contribute
+    ``<prefix>.<metric>.count`` / ``.sum``.  Gauges are point-in-time
+    worker state; summing them across workers would be meaningless, so
+    they are dropped.
+    """
+    metrics = TELEMETRY.metrics
+    for key, snap in snapshot.items():
+        kind = snap.get("type")
+        if kind == "counter":
+            metrics.counter(f"{prefix}.{key}").inc(
+                max(0.0, snap.get("value", 0.0)))
+        elif kind == "histogram":
+            metrics.counter(f"{prefix}.{key}.count").inc(
+                max(0, snap.get("count", 0)))
+            metrics.counter(f"{prefix}.{key}.sum").inc(
+                max(0.0, snap.get("sum", 0.0)))
 
 
 @dataclass
@@ -206,21 +227,5 @@ class WorkerPool:
                                       buckets=_TASK_WALL_BUCKETS)
         for outcome in outcomes:
             wall_hist.observe(outcome.wall_seconds)
-            self._merge_worker_metrics(outcome.metrics)
+            merge_worker_metrics(outcome.metrics, "parallel.worker")
             TELEMETRY.tracer.add_worker_events(outcome.trace_events)
-
-    @staticmethod
-    def _merge_worker_metrics(snapshot: Dict[str, Any]) -> None:
-        metrics = TELEMETRY.metrics
-        for key, snap in snapshot.items():
-            kind = snap.get("type")
-            if kind == "counter":
-                metrics.counter(f"parallel.worker.{key}").inc(
-                    max(0.0, snap.get("value", 0.0)))
-            elif kind == "histogram":
-                metrics.counter(f"parallel.worker.{key}.count").inc(
-                    max(0, snap.get("count", 0)))
-                metrics.counter(f"parallel.worker.{key}.sum").inc(
-                    max(0.0, snap.get("sum", 0.0)))
-            # Gauges are point-in-time worker state; summing them across
-            # workers would be meaningless, so they are dropped.

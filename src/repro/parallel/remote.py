@@ -13,7 +13,8 @@ The wire shape is built around BATCH frames, not per-call round trips:
 
 * ``begin_shard`` (oneway) names the bench, the collapse mode, the
   shard's fault subset and the gate-simulation engine (event or
-  compiled) the servant must run;
+  compiled; the client always sends a resolved name) the servant must
+  run;
 * ``add_patterns`` (oneway, chunked) streams the pattern set;
 * ``collect_report`` (blocking) runs the simulation and answers with
   the marshalled report plus the worker's telemetry snapshot.
@@ -62,7 +63,7 @@ from ..rmi.transport import TcpTransport, Transport
 from ..rmi.wire import WIRE_OPTIONS, wrap_transport
 from ..telemetry.runtime import TELEMETRY
 from .merge import merge_reports
-from .pool import TaskOutcome, _TASK_WALL_BUCKETS
+from .pool import TaskOutcome, _TASK_WALL_BUCKETS, merge_worker_metrics
 from .sharding import default_shard_count, shard_fault_list
 
 FAULT_FARM_OBJECT = "faultfarm"
@@ -168,14 +169,14 @@ class FaultFarmServant:
     def begin_shard(self, task_id: str, bench: str, collapse: str,
                     fault_names: Sequence[str],
                     drop_detected: bool = True,
-                    engine: str = "event") -> bool:
+                    engine: Optional[str] = None) -> bool:
         with self._lock:
             self._shards[task_id] = {
                 "bench": str(bench),
                 "collapse": str(collapse),
                 "fault_names": tuple(fault_names),
                 "drop_detected": bool(drop_detected),
-                "engine": resolve_engine(str(engine)),
+                "engine": resolve_engine(engine),
                 "patterns": [],
             }
         return True
@@ -277,7 +278,7 @@ class RemoteShard:
     fault_names: Tuple[str, ...]
     patterns: Tuple[Mapping[str, Any], ...]
     drop_detected: bool = True
-    engine: str = "event"
+    engine: Optional[str] = None
 
 
 class _Endpoint:
@@ -623,7 +624,8 @@ class RemoteWorkerPool:
         stub = endpoint.stub
         stub.invoke_oneway("begin_shard", task_id, shard.bench,
                            shard.collapse, list(shard.fault_names),
-                           shard.drop_detected, shard.engine)
+                           shard.drop_detected,
+                           resolve_engine(shard.engine))
         patterns = list(shard.patterns)
         step = self.patterns_per_call
         for start in range(0, len(patterns), step):
@@ -660,23 +662,8 @@ class RemoteWorkerPool:
                                       buckets=_TASK_WALL_BUCKETS)
         for outcome in outcomes:
             wall_hist.observe(outcome.wall_seconds)
-            self._merge_worker_metrics(outcome.metrics)
-
-    @staticmethod
-    def _merge_worker_metrics(snapshot: Mapping[str, Any]) -> None:
-        metrics = TELEMETRY.metrics
-        for key, snap in snapshot.items():
-            kind = snap.get("type")
-            if kind == "counter":
-                metrics.counter(f"parallel.remote.worker.{key}").inc(
-                    max(0.0, snap.get("value", 0.0)))
-            elif kind == "histogram":
-                metrics.counter(
-                    f"parallel.remote.worker.{key}.count").inc(
-                        max(0, snap.get("count", 0)))
-                metrics.counter(
-                    f"parallel.remote.worker.{key}.sum").inc(
-                        max(0.0, snap.get("sum", 0.0)))
+            merge_worker_metrics(outcome.metrics,
+                                 "parallel.remote.worker")
 
 
 # ----------------------------------------------------------------------
@@ -693,7 +680,7 @@ def remote_fault_simulate(bench: str,
                           shards: Optional[int] = None,
                           drop_detected: bool = True,
                           pool: Optional[RemoteWorkerPool] = None,
-                          engine: str = "event",
+                          engine: Optional[str] = None,
                           token: Optional[str] = None,
                           tls_ca: Optional[str] = None,
                           server_hostname: Optional[str] = None

@@ -114,10 +114,7 @@ def shard_fault_list(fault_list: FaultList, count: int,
                      weight_of: Optional[Callable[[str], float]] = None
                      ) -> List[Shard]:
     """Shard a :class:`FaultList`'s symbolic names for parallel workers."""
-    names = fault_list.names()
-    if weight_of is not None:
-        return weighted_shards(names, count, weight_of)
-    return round_robin_shards(names, count)
+    return shard_names(fault_list.names(), count, weight_of)
 
 
 def shard_names(names: Sequence[str], count: int,

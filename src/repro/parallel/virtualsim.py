@@ -22,10 +22,9 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from ..faults.serial import FaultSimReport
 from ..faults.virtual import VirtualFaultSimulator
-from ..telemetry.runtime import TELEMETRY
+from .faultsim import _run_sharded
 from .merge import merge_reports
-from .pool import WorkerPool, resolve_workers
-from .sharding import default_shard_count, shard_names
+from .pool import WorkerPool
 
 
 def block_gate_weights(simulator: VirtualFaultSimulator
@@ -74,19 +73,11 @@ def parallel_virtual_fault_simulate(
     """
     kwargs = dict(factory_kwargs or {})
     probe = factory(**kwargs)
-    names = tuple(probe.build_fault_list())
-    worker_count = pool.workers if pool is not None \
-        else resolve_workers(workers)
     patterns = list(patterns)
-    if worker_count <= 1 or len(names) <= 1:
-        return probe.run(patterns)
     weight_map = block_gate_weights(probe) if weighted else None
-    count = shards or default_shard_count(worker_count, len(names))
-    parts = shard_names(names, count,
-                        weight_of=weight_map.get if weight_map else None)
-    if TELEMETRY.enabled:
-        TELEMETRY.metrics.counter("parallel.shards").inc(len(parts))
-    payloads = [(factory, kwargs, part.names, patterns) for part in parts]
-    pool = pool or WorkerPool(worker_count)
-    outcomes = pool.map(_simulate_virtual_shard, payloads)
-    return merge_reports([outcome.value for outcome in outcomes])
+    return _run_sharded(
+        tuple(probe.build_fault_list()), _simulate_virtual_shard,
+        lambda names: (factory, kwargs, names, patterns),
+        merge_reports, workers, shards, pool,
+        weight_of=weight_map.get if weight_map else None,
+        serial=lambda: probe.run(patterns))

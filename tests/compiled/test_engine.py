@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.compiled import (CompiledFaultSimulator, fault_simulator_for,
-                            resolve_engine)
+from repro.compiled import (CompiledFaultSimulator, CompiledSimulator,
+                            fault_simulator_for, resolve_engine,
+                            simulator_for)
+from repro.compiled.engine import DEFAULT_ENGINE
 from repro.core.errors import FaultSimulationError
 from repro.core.signal import Logic
 from repro.faults.atpg import generate_test_set
@@ -12,12 +14,13 @@ from repro.faults.faultlist import build_fault_list
 from repro.faults.serial import SerialFaultSimulator
 from repro.faults.virtual import TestabilityServant
 from repro.gates.generators import ip1_block
+from repro.gates.simulator import NetlistSimulator
 from repro.parallel.remote import resolve_bench
 
 
 class TestResolution:
-    def test_none_means_event(self):
-        assert resolve_engine(None) == "event"
+    def test_none_means_compiled(self):
+        assert resolve_engine(None) == "compiled" == DEFAULT_ENGINE
 
     def test_known_engines_pass_through(self):
         assert resolve_engine("event") == "event"
@@ -34,7 +37,32 @@ class TestResolution:
         assert isinstance(fault_simulator_for("compiled", netlist),
                           CompiledFaultSimulator)
         assert isinstance(fault_simulator_for(None, netlist),
-                          SerialFaultSimulator)
+                          CompiledFaultSimulator)
+
+    def test_simulator_dispatch_types(self):
+        netlist = resolve_bench("figure4")
+        assert isinstance(simulator_for("event", netlist),
+                          NetlistSimulator)
+        assert isinstance(simulator_for("compiled", netlist),
+                          CompiledSimulator)
+        assert isinstance(simulator_for(None, netlist), CompiledSimulator)
+        with pytest.raises(FaultSimulationError, match="unknown engine"):
+            simulator_for("jit", netlist)
+
+    @pytest.mark.parametrize("engine", ["event", "compiled"])
+    def test_outputs_for_faults_equals_per_fault_outputs(self, engine):
+        netlist = resolve_bench("figure4")
+        fault_list = build_fault_list(netlist, collapse="none")
+        faults = [fault_list.fault(name) for name in fault_list.names()]
+        simulator = simulator_for(engine, netlist)
+        oracle = NetlistSimulator(netlist)
+        for word in range(1 << len(netlist.inputs)):
+            pattern = {net: Logic((word >> bit) & 1)
+                       for bit, net in enumerate(netlist.inputs)}
+            assert simulator.outputs_for_faults(pattern, faults) \
+                == [oracle.outputs(pattern, fault=fault)
+                    for fault in faults]
+        assert simulator.outputs_for_faults(pattern, []) == []
 
 
 class TestAtpgParity:
@@ -57,9 +85,9 @@ class TestServantEngine:
     def test_detection_tables_identical(self):
         netlist = ip1_block()
         fault_list = build_fault_list(netlist)
-        event = TestabilityServant(netlist, fault_list)
-        compiled = TestabilityServant(netlist, fault_list,
-                                      engine="compiled")
+        event = TestabilityServant(netlist, fault_list, engine="event")
+        compiled = TestabilityServant(netlist, fault_list)
+        assert (event.engine, compiled.engine) == ("event", "compiled")
         undetected = fault_list.names()
         bits = [Logic.ONE if i % 2 else Logic.ZERO
                 for i in range(len(netlist.inputs))]

@@ -78,7 +78,8 @@ class TestAtpgByteIdentity:
     @pytest.mark.parametrize("bench", ["c17", "figure4"])
     def test_test_sets_identical_across_engines(self, bench):
         netlist = load_bench(bench)
-        event = generate_test_set(netlist, random_patterns=16, seed=1)
+        event = generate_test_set(netlist, random_patterns=16, seed=1,
+                                  engine="event")
         compiled = generate_test_set(netlist, random_patterns=16,
                                      seed=1, engine="compiled")
         assert compiled.patterns == event.patterns
@@ -91,7 +92,7 @@ class TestAtpgByteIdentity:
         run quick and the aborted list must agree across engines too."""
         netlist = load_bench("alu8")
         event = generate_test_set(netlist, random_patterns=64, seed=1,
-                                  max_backtracks=50)
+                                  max_backtracks=50, engine="event")
         compiled = generate_test_set(netlist, random_patterns=64,
                                      seed=1, max_backtracks=50,
                                      engine="compiled")

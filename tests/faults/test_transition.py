@@ -99,28 +99,32 @@ class TestServant:
                                     servant.fault_list())
 
 
+def transition_experiment(ip_netlist, block_name="IP"):
+    """``(experiment, virtual, serial)`` over one embedded IP block."""
+    experiment = build_embedded(ip_netlist, block_name=block_name)
+    # Rewire for the transition protocol: transition servant on the
+    # same netlist, restricted to internal nets like the embedded
+    # stuck-at list.
+    internal_nets = set(ip_netlist.nets()) - set(ip_netlist.inputs)
+    faults = {fault.name: fault
+              for fault in enumerate_transition_faults(ip_netlist)
+              if fault.net in internal_nets}
+    fault_list = TransitionFaultList(ip_netlist.name, faults)
+    servant = TransitionTestabilityServant(ip_netlist, fault_list)
+    client = experiment.virtual.ip_blocks[0]
+    client.stub = servant
+    client._table_cache.clear()
+    virtual = VirtualTransitionSimulator(
+        experiment.virtual.circuit, experiment.virtual.inputs,
+        experiment.virtual.outputs, [client])
+    serial = SerialTransitionSimulator(
+        experiment.serial.netlist,
+        TransitionFaultList(ip_netlist.name, faults))
+    return experiment, virtual, serial
+
+
 class TestVirtualTransition:
-    def make_experiment(self, ip_netlist, block_name="IP"):
-        experiment = build_embedded(ip_netlist, block_name=block_name)
-        # Rewire for the transition protocol: transition servant on the
-        # same netlist, restricted to internal nets like the embedded
-        # stuck-at list.
-        internal_nets = set(ip_netlist.nets()) - set(ip_netlist.inputs)
-        faults = {fault.name: fault
-                  for fault in enumerate_transition_faults(ip_netlist)
-                  if fault.net in internal_nets}
-        fault_list = TransitionFaultList(ip_netlist.name, faults)
-        servant = TransitionTestabilityServant(ip_netlist, fault_list)
-        client = experiment.virtual.ip_blocks[0]
-        client.stub = servant
-        client._table_cache.clear()
-        virtual = VirtualTransitionSimulator(
-            experiment.virtual.circuit, experiment.virtual.inputs,
-            experiment.virtual.outputs, [client])
-        serial = SerialTransitionSimulator(
-            experiment.serial.netlist,
-            TransitionFaultList(ip_netlist.name, faults))
-        return experiment, virtual, serial
+    make_experiment = staticmethod(transition_experiment)
 
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_matches_serial_baseline(self, seed):
@@ -154,3 +158,23 @@ class TestVirtualTransition:
         # pairs seen: (p,o), (o,p), (p,o)... -> at most 2 fetches after
         # the first (no-predecessor) pattern.
         assert client.remote_table_fetches <= 2
+
+    def test_disjoint_only_halves_merge_to_the_unsharded_report(self):
+        """The shard interface of the stuck-at protocol holds for the
+        transition one (it used to die on ``run(..., only=)``)."""
+        from repro.parallel import merge_reports
+        experiment, virtual, serial = self.make_experiment(parity_tree(4))
+        patterns = experiment.random_patterns(16, seed=5)
+        whole = virtual.run(patterns)
+        names = tuple(virtual.build_fault_list())
+        halves = [virtual.run(patterns, only=names[0::2]),
+                  virtual.run(patterns, only=names[1::2])]
+        assert halves[0].total_faults + halves[1].total_faults \
+            == whole.total_faults
+        merged = merge_reports(halves)
+        assert merged.detected == whole.detected
+        assert merged.per_pattern == whole.per_pattern
+        assert whole.detected_count > 0
+        assert reports_agree(merged, serial.run(
+            experiment.patterns_as_logic(patterns)),
+            rename=lambda q: q.split(":", 1)[1])

@@ -1,5 +1,6 @@
 """The repro-bench command-line interface."""
 
+import json
 import os
 import signal
 import subprocess
@@ -139,6 +140,37 @@ class TestCorpusBenches:
         assert "3 flip-flops" in out
         assert "clock cycles" in out
         assert "coverage" in out
+
+    def test_faultsim_sequential_accepts_one_worker(self, tmp_path):
+        """One worker *is* the serial path (it used to exit 2)."""
+        out = tmp_path / "s27.json"
+        assert main(["faultsim", "s27", "--patterns", "20",
+                     "--workers", "1", "--report-out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["engine"] == "sequential-event"
+        assert report["workers"] == 1
+        assert report["flip_flops"] == 3
+
+    def test_faultsim_default_engine_is_compiled(self, tmp_path, capsys):
+        """No ``--engine``: the compiled kernel, and a report equal to
+        the event oracle's in every other key."""
+        reports = {}
+        for label, flags in (("default", []),
+                             ("event", ["--engine", "event"])):
+            out = tmp_path / f"{label}.json"
+            assert main(["faultsim", "figure4", "--patterns", "32",
+                         "--workers", "1", "--report-out", str(out)]
+                        + flags) == 0
+            reports[label] = json.loads(out.read_text())
+        assert "compiled engine" in capsys.readouterr().out
+        assert reports["default"].pop("engine") == "compiled"
+        assert reports["event"].pop("engine") == "event"
+        assert set(reports["event"]) == {
+            "netlist", "gates", "collapse", "patterns", "seed", "workers",
+            "total_faults", "detected", "coverage", "undetected",
+            "coverage_history"}
+        assert json.dumps(reports["default"]) \
+            == json.dumps(reports["event"])
 
     def test_faultsim_sequential_rejects_compiled_engine(self, capsys):
         assert main(["faultsim", "s27", "--engine", "compiled",
