@@ -155,9 +155,8 @@ class BatchRequest:
         })
 
     @staticmethod
-    def decode(data: bytes) -> "BatchRequest":
-        """Rebuild a batch from wire bytes."""
-        wire = unmarshal(data)
+    def from_wire(wire: Any) -> "BatchRequest":
+        """Rebuild a batch from its marshallable dict form."""
         if not isinstance(wire, dict) or wire.get("kind") != "batch":
             raise MarshalError(f"not a batch request: {wire!r}")
         calls = tuple(CallRequest.from_wire(item)
@@ -165,6 +164,11 @@ class BatchRequest:
         if not calls:
             raise MarshalError("BATCH frame carries no calls")
         return BatchRequest(calls=calls, batch_id=wire["id"])
+
+    @staticmethod
+    def decode(data: bytes) -> "BatchRequest":
+        """Rebuild a batch from wire bytes."""
+        return BatchRequest.from_wire(unmarshal(data))
 
 
 @dataclass(frozen=True)
@@ -243,12 +247,9 @@ def decode_request(data: bytes):
     one socket carries every frame kind interchangeably.
     """
     wire = unmarshal(data)
-    if isinstance(wire, dict) and wire.get("kind") == "batch":
-        calls = tuple(CallRequest.from_wire(item)
-                      for item in wire["calls"])
-        if not calls:
-            raise MarshalError("BATCH frame carries no calls")
-        return BatchRequest(calls=calls, batch_id=wire["id"])
-    if isinstance(wire, dict) and wire.get("kind") == "auth":
+    kind = wire.get("kind") if isinstance(wire, dict) else None
+    if kind == "batch":
+        return BatchRequest.from_wire(wire)
+    if kind == "auth":
         return AuthRequest.from_wire(wire)
     return CallRequest.from_wire(wire)

@@ -79,7 +79,7 @@ class JavaCADServer:
         return self.registry.rebind(name, servant, methods)
 
     # ------------------------------------------------------------------
-    # Dispatch (shared by both transports)
+    # Dispatch (shared by every path)
     # ------------------------------------------------------------------
 
     def dispatch(self, request: CallRequest,
@@ -153,6 +153,32 @@ class JavaCADServer:
             if span is not None:
                 span.finish()
 
+    def dispatch_encoded(self, request: Any,
+                         clock: Optional[VirtualClock] = None,
+                         shared_host: bool = False) -> bytes:
+        """Dispatch one decoded CALL or BATCH; its encoded reply.
+
+        The one entry the in-process transport, the thread tier and
+        the process-tier workers all use, so the IP-leak guard runs on
+        every path: a result that may not cross the boundary
+        (typically a MarshalError -- an attempted IP leak) travels as
+        an error reply instead of desynchronizing the stream, and
+        inside a BATCH only the offending calls are downgraded.
+        """
+        if isinstance(request, BatchRequest):
+            reply: Any = self.dispatch_batch(request, clock=clock,
+                                             shared_host=shared_host)
+        else:
+            reply = self.dispatch(request, clock=clock,
+                                  shared_host=shared_host)
+        try:
+            return reply.encode()
+        except Exception:  # noqa: BLE001 - isolate the offending call(s)
+            if isinstance(reply, BatchReply):
+                return BatchReply(reply.batch_id, tuple(
+                    _marshallable(item) for item in reply.replies)).encode()
+            return _marshallable(reply).encode()
+
     # ------------------------------------------------------------------
     # In-process endpoint
     # ------------------------------------------------------------------
@@ -198,33 +224,11 @@ class JavaCADServer:
                 f"{len(self.registry.names())} bindings)")
 
 
-def _encode_reply(request: CallRequest, reply: CallReply) -> bytes:
-    """Encode a reply; a marshal failure becomes an error reply.
-
-    Typically a MarshalError: the servant produced a result that may
-    not cross the boundary (an attempted IP leak).  Report it as a
-    fault instead of desynchronizing the stream.
-    """
+def _marshallable(reply: CallReply) -> CallReply:
+    """``reply``, or an error reply if its result may not cross."""
     try:
-        return reply.encode()
+        reply.encode()
+        return reply
     except Exception as exc:  # noqa: BLE001
-        return CallReply(request.call_id, ok=False,
-                         error=f"{type(exc).__name__}: {exc}").encode()
-
-
-def _encode_batch_reply(request: BatchRequest,
-                        reply: BatchReply) -> bytes:
-    """Encode a batch reply, downgrading unmarshallable results per call."""
-    try:
-        return reply.encode()
-    except Exception:  # noqa: BLE001 - isolate the offending call(s)
-        replies = []
-        for call, call_reply in zip(request.calls, reply.replies):
-            try:
-                call_reply.encode()
-                replies.append(call_reply)
-            except Exception as exc:  # noqa: BLE001
-                replies.append(CallReply(
-                    call.call_id, ok=False,
-                    error=f"{type(exc).__name__}: {exc}"))
-        return BatchReply(request.batch_id, tuple(replies)).encode()
+        return CallReply(reply.call_id, ok=False,
+                         error=f"{type(exc).__name__}: {exc}")

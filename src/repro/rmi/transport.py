@@ -15,6 +15,7 @@ reads back.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import ssl
 import threading
@@ -28,11 +29,15 @@ from ..net.model import NetworkModel
 from ..telemetry.metrics import DEFAULT_BYTES_BUCKETS
 from ..telemetry.runtime import TELEMETRY
 from .protocol import (AuthRequest, BatchReply, BatchRequest, CallReply,
-                       CallRequest, encode_frame, frame_length)
+                       CallRequest, decode_request, encode_frame,
+                       frame_length)
 from .security import SecurityPolicy
 from .server import JavaCADServer
 
 _BATCH_SIZE_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
+
+_NO_SPAN = contextlib.nullcontext()
+"""Stands in for the span while telemetry is off (``as span`` is None)."""
 
 DEFAULT_TCP_TIMEOUT = 5.0
 """Socket timeout (seconds) used when no override is configured."""
@@ -78,54 +83,26 @@ class TransportStats:
 
 
 class Transport:
-    """Abstract client transport."""
+    """Client transport: one round trip, whatever the wire.
+
+    :meth:`invoke` and :meth:`invoke_batch` build their request and
+    hand it to :meth:`_round_trip`, the only place a request frame
+    becomes an accounted reply.  A wire transport supplies just
+    :meth:`_exchange`; wrappers (batching, caching) override the two
+    public methods instead.
+    """
+
+    kind = "abstract"
+    """The ``transport`` label on this transport's spans and metrics."""
+
+    clock: Optional[VirtualClock] = None
+    """Virtual clock the spans are timed on (real wires have none)."""
+
+    peer = ""
+    """Who answers, as named in error messages; set by wire transports."""
 
     def __init__(self) -> None:
         self.stats = TransportStats()
-
-    def _account(self, span: Any, kind: str, sent: int, received: int,
-                 oneway: bool, marshal_seconds: float) -> None:
-        """Record one call's telemetry (only called when enabled)."""
-        span.set("request_bytes", sent)
-        span.set("reply_bytes", received)
-        span.set("marshal_wall_s", marshal_seconds)
-        metrics = TELEMETRY.metrics
-        labels = {"transport": kind}
-        metrics.counter("rmi.calls", labels=labels).inc()
-        if oneway:
-            metrics.counter("rmi.oneway_calls", labels=labels).inc()
-        metrics.histogram("rmi.request_bytes",
-                          buckets=DEFAULT_BYTES_BUCKETS,
-                          labels=labels).observe(sent)
-        metrics.histogram("rmi.reply_bytes",
-                          buckets=DEFAULT_BYTES_BUCKETS,
-                          labels=labels).observe(received)
-        metrics.counter("rmi.marshal_wall_seconds",
-                        labels=labels).inc(marshal_seconds)
-
-    def _account_batch(self, span: Any, kind: str, sent: int,
-                       received: int, size: int,
-                       marshal_seconds: float) -> None:
-        """Record one BATCH round trip's telemetry (only when enabled)."""
-        span.set("request_bytes", sent)
-        span.set("reply_bytes", received)
-        span.set("batch_size", size)
-        span.set("marshal_wall_s", marshal_seconds)
-        metrics = TELEMETRY.metrics
-        labels = {"transport": kind}
-        metrics.counter("rmi.calls", labels=labels).inc()
-        metrics.counter("rmi.batch.frames", labels=labels).inc()
-        metrics.histogram("rmi.batch.size",
-                          buckets=_BATCH_SIZE_BUCKETS,
-                          labels=labels).observe(size)
-        metrics.histogram("rmi.request_bytes",
-                          buckets=DEFAULT_BYTES_BUCKETS,
-                          labels=labels).observe(sent)
-        metrics.histogram("rmi.reply_bytes",
-                          buckets=DEFAULT_BYTES_BUCKETS,
-                          labels=labels).observe(received)
-        metrics.counter("rmi.marshal_wall_seconds",
-                        labels=labels).inc(marshal_seconds)
 
     def invoke(self, object_name: str, method: str,
                args: Tuple[Any, ...] = (),
@@ -135,8 +112,13 @@ class Transport:
 
         A oneway call returns None immediately (fire-and-forget); the
         paper uses this for non-blocking gate-level simulation runs.
+        Its failure never raises to the issuer but still counts in
+        ``stats.errors`` (like a lost oneway frame).
         """
-        raise NotImplementedError
+        replies = self._round_trip(CallRequest(
+            object_name, method, tuple(args), dict(kwargs or {}),
+            oneway=oneway))
+        return None if oneway else replies[0].result
 
     def invoke_batch(self, requests: Sequence[CallRequest]
                      ) -> List[CallReply]:
@@ -147,7 +129,130 @@ class Transport:
         :class:`~repro.rmi.batching.BatchingTransport`) decides which
         failures are fire-and-forget and which must surface.
         """
+        if not requests:
+            return []
+        return list(self._round_trip(BatchRequest(tuple(requests))))
+
+    def _round_trip(self, request: Any) -> Tuple[CallReply, ...]:
+        """Send one CALL or BATCH frame; its accounted replies.
+
+        Accounting invariant: every round trip moves exactly one of
+        {``stats.record``/``record_batch``, ``stats.errors``}.  The
+        reply is therefore decoded and checked BEFORE the success
+        counters move, so an error reply, an undecodable frame or a
+        batch that died mid-reply counts only as an error.  A CALL's
+        error reply raises unless the call was oneway; a BATCH hands
+        its per-call error replies back to the caller.
+        """
+        batch = isinstance(request, BatchRequest)
+        if batch:
+            calls = request.calls
+            # Fire-and-forget only if nobody waits on any of the replies.
+            oneway = all(call.oneway for call in calls)
+            what = f"sending a {len(calls)}-call batch to {self.peer}"
+        else:
+            calls = (request,)
+            oneway = request.oneway
+            what = (f"calling {request.object_name}.{request.method} "
+                    f"on {self.peer}")
+        with (self._span(request) if TELEMETRY.enabled
+              else _NO_SPAN) as span:
+            marshal_begin = time.perf_counter() if span is not None else 0.0
+            payload = request.encode()
+            reply_bytes = self._exchange(payload, oneway, what, span)
+            try:
+                replies = (BatchReply.decode(reply_bytes).replies if batch
+                           else (CallReply.decode(reply_bytes),))
+            except Exception as exc:
+                self._count_error(span)
+                self.close()  # a desynchronized wire is never reused
+                raise RemoteError(
+                    f"undecodable reply while {what}: {exc}") from exc
+            if len(replies) != len(calls):
+                self._count_error(span)
+                raise RemoteError(
+                    f"batch reply carries {len(replies)} replies for "
+                    f"{len(calls)} calls")
+            sent, received = len(payload), len(reply_bytes)
+            if span is not None:
+                self._account(span, sent, received,
+                              len(calls) if batch else 0, oneway,
+                              time.perf_counter() - marshal_begin)
+            if batch:
+                self.stats.record_batch(sent, received, len(calls), oneway)
+            elif replies[0].ok:
+                self.stats.record(sent, received, oneway)
+            else:
+                self._count_error(span)
+                if not oneway:
+                    raise RemoteError(
+                        replies[0].error or "remote call failed")
+            return replies
+
+    def _span(self, request: Any) -> Any:
+        """The ``rmi.invoke`` / ``rmi.invoke_batch`` span of a request."""
+        if isinstance(request, BatchRequest):
+            name = "rmi.invoke_batch"
+            args = {**self._span_labels(), "calls": len(request.calls)}
+        else:
+            name = "rmi.invoke"
+            args = {"object": request.object_name,
+                    "method": request.method,
+                    **self._span_labels(), "oneway": request.oneway}
+        return TELEMETRY.tracer.span(name, category="rmi",
+                                     clock=self.clock, args=args)
+
+    def _exchange(self, payload: bytes, oneway: bool, what: str,
+                  span: Optional[Any]) -> bytes:
+        """Carry one encoded request to the server; its reply bytes.
+
+        The per-wire half of a round trip.  ``oneway`` says nobody
+        waits for the reply; ``what`` names the exchange and the peer
+        in errors.  A wire-level failure is counted once
+        (:meth:`_count_error`) and raised as
+        :class:`~repro.core.errors.RemoteError`.
+        """
         raise NotImplementedError
+
+    def _span_labels(self) -> Dict[str, Any]:
+        """Span attributes naming this transport (and its peer)."""
+        return {"transport": self.kind}
+
+    def _count_error(self, span: Optional[Any]) -> None:
+        """Count one failed round trip (``span``: telemetry is on)."""
+        self.stats.errors += 1
+        if span is not None:
+            TELEMETRY.metrics.counter(
+                "rmi.errors", labels={"transport": self.kind}).inc()
+
+    def _account(self, span: Any, sent: int, received: int,
+                 batch_size: int, oneway: bool,
+                 marshal_seconds: float) -> None:
+        """Record one answered round trip's telemetry (only when
+        enabled); ``batch_size`` is 0 for a plain CALL frame."""
+        span.set("request_bytes", sent)
+        span.set("reply_bytes", received)
+        if batch_size:
+            span.set("batch_size", batch_size)
+        span.set("marshal_wall_s", marshal_seconds)
+        metrics = TELEMETRY.metrics
+        labels = {"transport": self.kind}
+        metrics.counter("rmi.calls", labels=labels).inc()
+        if batch_size:
+            metrics.counter("rmi.batch.frames", labels=labels).inc()
+            metrics.histogram("rmi.batch.size",
+                              buckets=_BATCH_SIZE_BUCKETS,
+                              labels=labels).observe(batch_size)
+        elif oneway:
+            metrics.counter("rmi.oneway_calls", labels=labels).inc()
+        metrics.histogram("rmi.request_bytes",
+                          buckets=DEFAULT_BYTES_BUCKETS,
+                          labels=labels).observe(sent)
+        metrics.histogram("rmi.reply_bytes",
+                          buckets=DEFAULT_BYTES_BUCKETS,
+                          labels=labels).observe(received)
+        metrics.counter("rmi.marshal_wall_seconds",
+                        labels=labels).inc(marshal_seconds)
 
     def flush(self) -> None:
         """Push out any locally queued traffic (no-op on base transports)."""
@@ -171,137 +276,54 @@ class InProcessTransport(Transport):
     contends with the client only when ``network.shared_host`` is set.
     """
 
+    kind = "in-process"
+
     def __init__(self, server: JavaCADServer, network: NetworkModel,
                  clock: Optional[VirtualClock] = None,
                  cost_model: Optional[CostModel] = None,
                  policy: Optional[SecurityPolicy] = None):
         super().__init__()
         self.server = server
+        self.peer = server.host_name
         self.network = network
         self.clock = clock or VirtualClock()
         self.cost = cost_model or CostModel()
         self.policy = policy
         self._link_free = 0.0  # virtual time the shared link is busy until
 
-    def invoke(self, object_name: str, method: str,
-               args: Tuple[Any, ...] = (),
-               kwargs: Optional[Dict[str, Any]] = None,
-               oneway: bool = False) -> Any:
-        if TELEMETRY.enabled:
-            with TELEMETRY.tracer.span(
-                    "rmi.invoke", category="rmi", clock=self.clock,
-                    args={"object": object_name, "method": method,
-                          "transport": "in-process",
-                          "oneway": oneway}) as span:
-                return self._invoke(object_name, method, args, kwargs,
-                                    oneway, span)
-        return self._invoke(object_name, method, args, kwargs, oneway, None)
-
-    def _invoke(self, object_name: str, method: str,
-                args: Tuple[Any, ...],
-                kwargs: Optional[Dict[str, Any]],
-                oneway: bool, span: Optional[Any]) -> Any:
+    def _exchange(self, payload: bytes, oneway: bool, what: str,
+                  span: Optional[Any]) -> bytes:
         if self.policy is not None:
             self.policy.check_connect(self.server.host_name)
-        request = CallRequest(object_name, method, tuple(args),
-                              dict(kwargs or {}), oneway=oneway)
-        marshal_begin = time.perf_counter() if span is not None else 0.0
-        request_bytes = request.encode()
+        # One marshal_call per frame: this is the fixed per-call
+        # overhead that batching amortizes.
         self.clock.charge_cpu(self.cost.marshal_call
-                              + self.cost.marshal_per_byte
-                              * len(request_bytes))
-        reply = self.server.dispatch(CallRequest.decode(request_bytes),
-                                     clock=self.clock,
-                                     shared_host=self.network.shared_host)
-        reply_bytes = reply.encode()
+                              + self.cost.marshal_per_byte * len(payload))
+        reply_bytes = self.server.dispatch_encoded(
+            decode_request(payload), clock=self.clock,
+            shared_host=self.network.shared_host)
         # Java object serialization carries class descriptors and object
         # headers; the wire image is several times the raw payload.
         factor = self.cost.wire_overhead_factor
         network_time = self.network.call_time(
-            int(len(request_bytes) * factor),
-            int(len(reply_bytes) * factor))
-        self.stats.record(len(request_bytes), len(reply_bytes), oneway)
+            int(len(payload) * factor), int(len(reply_bytes) * factor))
         if span is not None:
-            self._account(span, "in-process", len(request_bytes),
-                          len(reply_bytes), oneway,
-                          time.perf_counter() - marshal_begin)
             span.set("network_time_s", network_time)
         if oneway:
             # Non-blocking transfers still share one physical link: each
             # starts when the link frees up, so back-to-back buffers queue
-            # rather than overlapping perfectly.
+            # rather than overlapping perfectly.  Nobody waits for the
+            # reply, so no unmarshal CPU is charged either.
             start = max(self.clock.wall, self._link_free)
-            completion = start + network_time
-            self._link_free = completion
-            self.clock.begin_async(completion - self.clock.wall)
-            return None
-        queue_delay = max(0.0, self._link_free - self.clock.wall)
-        self.clock.wait(queue_delay + network_time)
-        self._link_free = self.clock.wall
-        self.clock.charge_cpu(self.cost.marshal_per_byte * len(reply_bytes))
-        decoded = CallReply.decode(reply_bytes)
-        if not decoded.ok:
-            self.stats.errors += 1
-            if span is not None:
-                TELEMETRY.metrics.counter(
-                    "rmi.errors", labels={"transport": "in-process"}).inc()
-            raise RemoteError(decoded.error or "remote call failed")
-        return decoded.result
-
-    def invoke_batch(self, requests: Sequence[CallRequest]
-                     ) -> List[CallReply]:
-        if TELEMETRY.enabled:
-            with TELEMETRY.tracer.span(
-                    "rmi.invoke_batch", category="rmi", clock=self.clock,
-                    args={"transport": "in-process",
-                          "calls": len(requests)}) as span:
-                return self._invoke_batch(requests, span)
-        return self._invoke_batch(requests, None)
-
-    def _invoke_batch(self, requests: Sequence[CallRequest],
-                      span: Optional[Any]) -> List[CallReply]:
-        if not requests:
-            return []
-        if self.policy is not None:
-            self.policy.check_connect(self.server.host_name)
-        batch = BatchRequest(tuple(requests))
-        marshal_begin = time.perf_counter() if span is not None else 0.0
-        request_bytes = batch.encode()
-        # One marshal_call for the whole frame: this is the fixed
-        # per-call overhead that batching amortizes.
-        self.clock.charge_cpu(self.cost.marshal_call
-                              + self.cost.marshal_per_byte
-                              * len(request_bytes))
-        batch_reply = self.server.dispatch_batch(
-            BatchRequest.decode(request_bytes), clock=self.clock,
-            shared_host=self.network.shared_host)
-        reply_bytes = batch_reply.encode()
-        factor = self.cost.wire_overhead_factor
-        network_time = self.network.call_time(
-            int(len(request_bytes) * factor),
-            int(len(reply_bytes) * factor))
-        all_oneway = all(request.oneway for request in requests)
-        self.stats.record_batch(len(request_bytes), len(reply_bytes),
-                                len(requests), all_oneway)
-        if span is not None:
-            self._account_batch(span, "in-process", len(request_bytes),
-                                len(reply_bytes), len(requests),
-                                time.perf_counter() - marshal_begin)
-            span.set("network_time_s", network_time)
-        if all_oneway:
-            # A pure fire-and-forget frame keeps oneway semantics: the
-            # transfer queues on the shared link and completes
-            # asynchronously; nobody waits for the replies.
-            start = max(self.clock.wall, self._link_free)
-            completion = start + network_time
-            self._link_free = completion
-            self.clock.begin_async(completion - self.clock.wall)
-            return list(batch_reply.replies)
-        queue_delay = max(0.0, self._link_free - self.clock.wall)
-        self.clock.wait(queue_delay + network_time)
-        self._link_free = self.clock.wall
-        self.clock.charge_cpu(self.cost.marshal_per_byte * len(reply_bytes))
-        return list(BatchReply.decode(reply_bytes).replies)
+            self._link_free = start + network_time
+            self.clock.begin_async(self._link_free - self.clock.wall)
+        else:
+            queue_delay = max(0.0, self._link_free - self.clock.wall)
+            self.clock.wait(queue_delay + network_time)
+            self._link_free = self.clock.wall
+            self.clock.charge_cpu(self.cost.marshal_per_byte
+                                  * len(reply_bytes))
+        return reply_bytes
 
 
 class TcpTransport(Transport):
@@ -326,6 +348,8 @@ class TcpTransport(Transport):
     calls use ``timeout``.
     """
 
+    kind = "tcp"
+
     def __init__(self, host: str, port: int,
                  policy: Optional[SecurityPolicy] = None,
                  timeout: Optional[float] = None,
@@ -336,6 +360,7 @@ class TcpTransport(Transport):
         super().__init__()
         self.host = host
         self.port = port
+        self.peer = f"{host}:{port}"
         self.policy = policy
         if timeout is None or connect_timeout is None:
             # Deferred import: wire.py imports this module at load time.
@@ -414,122 +439,17 @@ class TcpTransport(Transport):
                 pass
             self._socket = None
 
-    def invoke(self, object_name: str, method: str,
-               args: Tuple[Any, ...] = (),
-               kwargs: Optional[Dict[str, Any]] = None,
-               oneway: bool = False) -> Any:
-        if TELEMETRY.enabled:
-            with TELEMETRY.tracer.span(
-                    "rmi.invoke", category="rmi",
-                    args={"object": object_name, "method": method,
-                          "transport": "tcp", "host": self.host,
-                          "oneway": oneway}) as span:
-                return self._invoke(object_name, method, args, kwargs,
-                                    oneway, span)
-        return self._invoke(object_name, method, args, kwargs, oneway, None)
+    def _span_labels(self) -> Dict[str, Any]:
+        return {"transport": "tcp", "host": self.host}
 
-    def _invoke(self, object_name: str, method: str,
-                args: Tuple[Any, ...],
-                kwargs: Optional[Dict[str, Any]],
-                oneway: bool, span: Optional[Any]) -> Any:
-        request = CallRequest(object_name, method, tuple(args),
-                              dict(kwargs or {}), oneway=oneway)
-        marshal_begin = time.perf_counter() if span is not None else 0.0
-        payload = request.encode()
-        reply_bytes = self._exchange(
-            payload, f"calling {object_name}.{method} on", span)
-        # Accounting invariant: every call increments exactly one of
-        # {stats.record, stats.errors}.  The reply is therefore decoded
-        # and checked BEFORE the success counters move, so an error
-        # reply (or an undecodable frame) counts only as an error.
-        try:
-            reply = CallReply.decode(reply_bytes)
-        except Exception as exc:
-            self.stats.errors += 1
-            with self._lock:
-                self._close_locked()
-            if span is not None:
-                TELEMETRY.metrics.counter(
-                    "rmi.errors", labels={"transport": "tcp"}).inc()
-            raise RemoteError(
-                f"undecodable reply from {self.host}:{self.port} for "
-                f"{object_name}.{method}: {exc}") from exc
-        if span is not None:
-            self._account(span, "tcp", len(payload), len(reply_bytes),
-                          oneway, time.perf_counter() - marshal_begin)
-        if not reply.ok:
-            self.stats.errors += 1
-            if span is not None:
-                TELEMETRY.metrics.counter(
-                    "rmi.errors", labels={"transport": "tcp"}).inc()
-            if oneway:
-                # Oneway semantics never raise to the issuer; the
-                # failure still counts (like a lost oneway frame).
-                return None
-            raise RemoteError(reply.error or "remote call failed")
-        self.stats.record(len(payload), len(reply_bytes), oneway)
-        if oneway:
-            return None
-        return reply.result
-
-    def invoke_batch(self, requests: Sequence[CallRequest]
-                     ) -> List[CallReply]:
-        if not requests:
-            return []
-        if TELEMETRY.enabled:
-            with TELEMETRY.tracer.span(
-                    "rmi.invoke_batch", category="rmi",
-                    args={"transport": "tcp", "host": self.host,
-                          "calls": len(requests)}) as span:
-                return self._invoke_batch(requests, span)
-        return self._invoke_batch(requests, None)
-
-    def _invoke_batch(self, requests: Sequence[CallRequest],
-                      span: Optional[Any]) -> List[CallReply]:
-        batch = BatchRequest(tuple(requests))
-        marshal_begin = time.perf_counter() if span is not None else 0.0
-        payload = batch.encode()
-        reply_bytes = self._exchange(
-            payload, f"sending a {len(requests)}-call batch to", span)
-        # Same invariant as _invoke: decode and validate BEFORE the
-        # success counters move, so a batch that dies mid-reply never
-        # leaves stats.batches/batched_calls inconsistent with calls.
-        try:
-            reply = BatchReply.decode(reply_bytes)
-        except Exception as exc:
-            self.stats.errors += 1
-            with self._lock:
-                self._close_locked()
-            if span is not None:
-                TELEMETRY.metrics.counter(
-                    "rmi.errors", labels={"transport": "tcp"}).inc()
-            raise RemoteError(
-                f"undecodable batch reply from {self.host}:{self.port}: "
-                f"{exc}") from exc
-        if len(reply.replies) != len(requests):
-            self.stats.errors += 1
-            if span is not None:
-                TELEMETRY.metrics.counter(
-                    "rmi.errors", labels={"transport": "tcp"}).inc()
-            raise RemoteError(
-                f"batch reply carries {len(reply.replies)} replies for "
-                f"{len(requests)} calls")
-        all_oneway = all(request.oneway for request in requests)
-        self.stats.record_batch(len(payload), len(reply_bytes),
-                                len(requests), all_oneway)
-        if span is not None:
-            self._account_batch(span, "tcp", len(payload),
-                                len(reply_bytes), len(requests),
-                                time.perf_counter() - marshal_begin)
-        return list(reply.replies)
-
-    def _exchange(self, payload: bytes, what: str,
+    def _exchange(self, payload: bytes, oneway: bool, what: str,
                   span: Optional[Any]) -> bytes:
         """Send one frame and read its reply frame.
 
-        A socket-level failure is counted once in ``stats.errors`` and
-        drops the socket, so a later invoke starts from a clean
-        connection; ``what`` names the exchange in the error.
+        Every frame is answered, oneway or not, so ``oneway`` changes
+        nothing here.  A socket-level failure is counted once in
+        ``stats.errors`` and drops the socket, so a later invoke starts
+        from a clean connection.
         """
         with self._lock:
             try:
@@ -537,16 +457,12 @@ class TcpTransport(Transport):
                 connection.sendall(encode_frame(payload))
                 return self._read_frame(connection)
             except (OSError, RemoteError) as exc:
-                self.stats.errors += 1
+                self._count_error(span)
                 self._close_locked()
-                if span is not None:
-                    TELEMETRY.metrics.counter(
-                        "rmi.errors", labels={"transport": "tcp"}).inc()
                 if isinstance(exc, RemoteError):
                     raise
                 raise RemoteError(
-                    f"transport failure {what} {self.host}:{self.port}: "
-                    f"{exc}") from exc
+                    f"transport failure {what}: {exc}") from exc
 
     def _read_frame(self, connection: socket.socket) -> bytes:
         header = self._read_exact(connection, 4)

@@ -16,7 +16,8 @@ batching below so misses and stateful traffic still coalesce.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterator, Optional
+import dataclasses
+from typing import Any, Callable, Iterator, Optional
 
 from ..cache import ResponseCache
 from .batching import DEFAULT_MAX_BATCH, BatchingTransport
@@ -25,69 +26,48 @@ from .transport import (DEFAULT_CONNECT_TIMEOUT, DEFAULT_TCP_TIMEOUT,
                         Transport)
 
 
+@dataclasses.dataclass
 class WireOptions:
     """Mutable process-wide defaults for the invocation layer."""
 
-    def __init__(self) -> None:
-        self.batching: bool = False
-        self.caching: bool = False
-        self.max_batch: int = DEFAULT_MAX_BATCH
-        self.cache_entries: int = 1024
-        self.cache_ttl: Optional[float] = None
-        self.rmi_timeout: float = DEFAULT_TCP_TIMEOUT
-        """Socket timeout for :class:`~repro.rmi.transport.TcpTransport`
-        instances constructed without an explicit override (the CLI's
-        ``--rmi-timeout`` flag); slow providers and CI can raise it
-        without code changes."""
-        self.connect_timeout: float = DEFAULT_CONNECT_TIMEOUT
-        """Timeout for the initial TCP connect (and TLS/AUTH
-        handshake), separate from ``rmi_timeout``: a dead or
-        unroutable host should fail in about a second instead of
-        inheriting the full per-call timeout meant for slow servant
-        work.  The CLI's ``--rmi-connect-timeout`` flag overrides it."""
-        self.cache_time_fn: Optional[Callable[[], float]] = None
-        """Clock driving response-cache TTL expiry.  ``None`` lets each
-        cache fall back to ``time.monotonic`` -- correct for real
-        wall-clock deployments, but wrong for runs driven by the
-        deterministic :class:`~repro.net.clock.VirtualClock`, where a
-        long wall-clock run could expire entries mid-run and break
-        byte-identical reproduction.  Virtual-clock sessions pin this
-        (see :class:`~repro.ip.component.ProviderConnection`, which
-        defaults its cache to the session clock's wall time)."""
+    batching: bool = False
+    caching: bool = False
+    max_batch: int = DEFAULT_MAX_BATCH
+    cache_entries: int = 1024
+    cache_ttl: Optional[float] = None
+    rmi_timeout: float = DEFAULT_TCP_TIMEOUT
+    """Socket timeout for :class:`~repro.rmi.transport.TcpTransport`
+    instances constructed without an explicit override (the CLI's
+    ``--rmi-timeout`` flag); slow providers and CI can raise it
+    without code changes."""
+    connect_timeout: float = DEFAULT_CONNECT_TIMEOUT
+    """Timeout for the initial TCP connect (and TLS/AUTH
+    handshake), separate from ``rmi_timeout``: a dead or
+    unroutable host should fail in about a second instead of
+    inheriting the full per-call timeout meant for slow servant
+    work.  The CLI's ``--rmi-connect-timeout`` flag overrides it."""
+    cache_time_fn: Optional[Callable[[], float]] = None
+    """Clock driving response-cache TTL expiry.  ``None`` lets each
+    cache fall back to ``time.monotonic`` -- correct for real
+    wall-clock deployments, but wrong for runs driven by the
+    deterministic :class:`~repro.net.clock.VirtualClock`, where a
+    long wall-clock run could expire entries mid-run and break
+    byte-identical reproduction.  Virtual-clock sessions pin this
+    (see :class:`~repro.ip.component.ProviderConnection`, which
+    defaults its cache to the session clock's wall time)."""
 
-    def configure(self, batching: Optional[bool] = None,
-                  caching: Optional[bool] = None,
-                  max_batch: Optional[int] = None,
-                  cache_entries: Optional[int] = None,
-                  cache_ttl: Optional[float] = None,
-                  rmi_timeout: Optional[float] = None,
-                  connect_timeout: Optional[float] = None,
-                  cache_time_fn: Optional[Callable[[], float]] = None
-                  ) -> None:
-        """Update the defaults (None leaves a field unchanged)."""
-        if batching is not None:
-            self.batching = batching
-        if caching is not None:
-            self.caching = caching
-        if max_batch is not None:
-            self.max_batch = max_batch
-        if cache_entries is not None:
-            self.cache_entries = cache_entries
-        if cache_ttl is not None:
-            self.cache_ttl = cache_ttl
-        if rmi_timeout is not None:
-            if rmi_timeout <= 0:
-                raise ValueError(
-                    f"rmi_timeout must be positive, got {rmi_timeout}")
-            self.rmi_timeout = rmi_timeout
-        if connect_timeout is not None:
-            if connect_timeout <= 0:
-                raise ValueError(
-                    f"connect_timeout must be positive, "
-                    f"got {connect_timeout}")
-            self.connect_timeout = connect_timeout
-        if cache_time_fn is not None:
-            self.cache_time_fn = cache_time_fn
+    def configure(self, **options: Any) -> None:
+        """Update the named defaults (None leaves a field unchanged)."""
+        unknown = options.keys() - {f.name for f in dataclasses.fields(self)}
+        if unknown:
+            raise TypeError(f"unknown wire options: {sorted(unknown)}")
+        for name in ("rmi_timeout", "connect_timeout"):
+            value = options.get(name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        for name, value in options.items():
+            if value is not None:
+                setattr(self, name, value)
 
     def reset(self) -> None:
         """Back to the plain-wire defaults."""
@@ -99,30 +79,17 @@ WIRE_OPTIONS = WireOptions()
 
 
 @contextlib.contextmanager
-def wire_session(batching: Optional[bool] = None,
-                 caching: Optional[bool] = None,
-                 max_batch: Optional[int] = None,
-                 cache_entries: Optional[int] = None,
-                 cache_ttl: Optional[float] = None,
-                 rmi_timeout: Optional[float] = None,
-                 connect_timeout: Optional[float] = None,
-                 cache_time_fn: Optional[Callable[[], float]] = None
-                 ) -> Iterator[WireOptions]:
-    """Apply wire options for a block, restoring the previous state."""
-    saved = (WIRE_OPTIONS.batching, WIRE_OPTIONS.caching,
-             WIRE_OPTIONS.max_batch, WIRE_OPTIONS.cache_entries,
-             WIRE_OPTIONS.cache_ttl, WIRE_OPTIONS.rmi_timeout,
-             WIRE_OPTIONS.connect_timeout, WIRE_OPTIONS.cache_time_fn)
-    WIRE_OPTIONS.configure(batching, caching, max_batch, cache_entries,
-                           cache_ttl, rmi_timeout, connect_timeout,
-                           cache_time_fn)
+def wire_session(**options: Any) -> Iterator[WireOptions]:
+    """Apply wire options (the :class:`WireOptions` fields, by name)
+    for a block, restoring the previous state."""
+    saved = {f.name: getattr(WIRE_OPTIONS, f.name)
+             for f in dataclasses.fields(WIRE_OPTIONS)}
     try:
+        WIRE_OPTIONS.configure(**options)
         yield WIRE_OPTIONS
     finally:
-        (WIRE_OPTIONS.batching, WIRE_OPTIONS.caching,
-         WIRE_OPTIONS.max_batch, WIRE_OPTIONS.cache_entries,
-         WIRE_OPTIONS.cache_ttl, WIRE_OPTIONS.rmi_timeout,
-         WIRE_OPTIONS.connect_timeout, WIRE_OPTIONS.cache_time_fn) = saved
+        for name, value in saved.items():
+            setattr(WIRE_OPTIONS, name, value)
 
 
 def wrap_transport(base: Transport,

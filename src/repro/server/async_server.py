@@ -55,7 +55,7 @@ from ..rmi.protocol import (AuthRequest, BatchReply, BatchRequest,
 from ..rmi.server import JavaCADServer
 from ..telemetry.runtime import TELEMETRY
 from .dispatch import (ProcessDispatcher, SessionFactory,
-                       _dispatch_encoded, call_session_factory)
+                       call_session_factory)
 
 DEFAULT_MAX_CONNECTIONS = 64
 DEFAULT_DISPATCH_WORKERS = 4
@@ -578,7 +578,7 @@ class AsyncRMIServer:
         """Thread tier: dispatch on a pool thread, in the tenant's scope."""
         assert conn.session is not None
         with id_scope(conn.scope):
-            return _dispatch_encoded(conn.session, request)
+            return conn.session.dispatch_encoded(request)
 
     def _worker_died(self, conn: _Connection, request: Any) -> bytes:
         """Account a dead sticky worker; the session's last reply.

@@ -34,9 +34,8 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Callable, Dict, List, Tuple
 
 from ..core.ids import IdScope, id_scope
-from ..rmi.protocol import BatchRequest, decode_request
-from ..rmi.server import (JavaCADServer, _encode_batch_reply,
-                          _encode_reply)
+from ..rmi.protocol import decode_request
+from ..rmi.server import JavaCADServer
 
 # Factories may optionally accept a session_id keyword (see
 # call_session_factory), so the signature is deliberately loose.
@@ -128,15 +127,7 @@ def _worker_dispatch(dispatcher_id: int, session_id: int,
     session, scope = _worker_session(dispatcher_id, session_id)
     request = decode_request(frame)
     with id_scope(scope):
-        return _dispatch_encoded(session, request)
-
-
-def _dispatch_encoded(session: JavaCADServer, request: object) -> bytes:
-    """Dispatch one decoded CALL or BATCH and encode its reply."""
-    if isinstance(request, BatchRequest):
-        return _encode_batch_reply(request,
-                                   session.dispatch_batch(request))
-    return _encode_reply(request, session.dispatch(request))
+        return session.dispatch_encoded(request)
 
 
 def _worker_forget(dispatcher_id: int, session_id: int) -> None:

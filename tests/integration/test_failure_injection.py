@@ -83,9 +83,9 @@ class TestLeakPrevention:
         server.bind("leak", LeakyServant(array_multiplier(2)),
                     ("gimme", "gimme_nested"))
         transport = server.connect(LOCALHOST)
-        with pytest.raises(MarshalError, match="IP protection"):
+        with pytest.raises(RemoteError, match="IP protection"):
             transport.invoke("leak", "gimme")
-        with pytest.raises(MarshalError, match="IP protection"):
+        with pytest.raises(RemoteError, match="IP protection"):
             transport.invoke("leak", "gimme_nested")
 
     def test_leak_blocked_over_tcp_too(self):

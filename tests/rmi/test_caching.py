@@ -126,7 +126,7 @@ class TestErrors:
             with pytest.raises(RemoteError, match="servant exploded"):
                 transport.invoke("catalog", "boom")
         assert transport.stats.errors == 2
-        assert transport.inner.stats.calls == 2
+        assert transport.inner.stats.errors == 2
         assert len(transport.cache) == 0
 
 
