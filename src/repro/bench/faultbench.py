@@ -282,7 +282,7 @@ def build_embedded(ip_netlist: Netlist, collapse: str = "equivalence",
     """
     fault_list = build_fault_list(ip_netlist, collapse=collapse)
     internal = [name for name in fault_list.names()
-                if fault_list.fault(name).net not in ip_netlist.inputs]
+                if not ip_netlist.is_input(fault_list.fault(name).net)]
     restricted = FaultList(
         ip_netlist.name,
         {name: fault_list.fault(name) for name in internal},

@@ -15,7 +15,8 @@ interpreted path, which stays selectable as ``--engine event`` and is
 the oracle of ``tests/differential/test_engine_differential.py``.
 """
 
-from .compiler import (CompiledKernel, compile_netlist, clear_kernel_cache,
+from .compiler import (CompiledKernel, built_fault_list, clear_build_cache,
+                       clear_kernel_cache, compile_netlist,
                        netlist_fingerprint)
 from .engine import (ENGINES, FaultSimulator, fault_simulator_for,
                      resolve_engine, simulator_for)
@@ -31,6 +32,8 @@ __all__ = [
     "CompiledSimulator",
     "CompiledToggleModel",
     "FaultSimulator",
+    "built_fault_list",
+    "clear_build_cache",
     "clear_kernel_cache",
     "compile_netlist",
     "fault_simulator_for",

@@ -40,7 +40,9 @@ fans out to more than one reader.
 
 Compilation is cached process-wide, keyed by a content hash over the
 netlist structure, and reports ``compiled.*`` telemetry (compile time,
-cache hits/misses).
+cache hits/misses).  The same hash keys the process-wide fault-list
+build memo (:func:`built_fault_list`), so every session of a farm
+worker shares one netlist, one fault list and one kernel per bench.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import time
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..core.errors import FaultSimulationError
+from ..faults.faultlist import FaultList, build_fault_list
 from ..gates.netlist import Netlist
 from ..telemetry.runtime import TELEMETRY
 
@@ -281,3 +284,39 @@ def clear_kernel_cache() -> None:
     """Drop every cached kernel (tests and memory-sensitive callers)."""
     with _KERNEL_LOCK:
         _KERNEL_CACHE.clear()
+
+
+_BUILD_CACHE: Dict[Tuple[str, str], Tuple[Netlist, FaultList]] = {}
+_BUILD_LOCK = threading.Lock()
+
+
+def built_fault_list(netlist: Netlist, collapse: str = "equivalence"
+                     ) -> Tuple[Netlist, FaultList]:
+    """The process-wide ``(netlist, fault list)`` of a netlist's content.
+
+    Keyed like the kernel cache plus the collapse mode; the first
+    caller's netlist is kept and returned to every later caller of
+    equal content, so its derived tables and levelized order are shared
+    along with the list.  The build runs under the lock: concurrent
+    first shards of one bench wait for one build instead of each doing
+    their own (``faults.build_cache.misses`` counts builds).  Both
+    values are shared, so callers must treat them as read-only.
+    """
+    key = (netlist_fingerprint(netlist), collapse)
+    with _BUILD_LOCK:
+        built = _BUILD_CACHE.get(key)
+        hit = built is not None
+        if built is None:
+            built = _BUILD_CACHE[key] = (
+                netlist, build_fault_list(netlist, collapse=collapse))
+    if TELEMETRY.enabled:
+        TELEMETRY.metrics.counter(
+            "faults.build_cache.hits" if hit
+            else "faults.build_cache.misses").inc()
+    return built
+
+
+def clear_build_cache() -> None:
+    """Drop every memoized fault-list build (cold set-ups, tests)."""
+    with _BUILD_LOCK:
+        _BUILD_CACHE.clear()

@@ -57,7 +57,7 @@ class CompiledToggleModel(ToggleCountModel):
         self._settle()
         changed = False
         for net, value in inputs.items():
-            if net not in self.netlist.inputs:
+            if not self.netlist.is_input(net):
                 raise SimulationError(f"{net!r} is not a primary input")
             if self._input_state[net] is not value:
                 self._input_state[net] = value

@@ -88,7 +88,7 @@ def generate_test(netlist: Netlist, fault: StuckAtFault,
     """
     simulator = NetlistSimulator(netlist)
     pis = _support(netlist, fault)
-    if not pis and fault.net not in netlist.inputs:
+    if not pis and not netlist.is_input(fault.net):
         return TestGenResult(UNTESTABLE)
     assignment: Dict[str, Logic] = {net: Logic.X for net in netlist.inputs}
     backtracks = 0

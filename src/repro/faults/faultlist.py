@@ -55,11 +55,8 @@ _CONTROLLING: Dict[str, Tuple[int, int]] = {
 
 
 class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: Dict[str, str] = {}
-
-    def add(self, item: str) -> None:
-        self._parent.setdefault(item, item)
+    def __init__(self, items: Iterable[str]) -> None:
+        self._parent: Dict[str, str] = {item: item for item in items}
 
     def find(self, item: str) -> str:
         parent = self._parent[item]
@@ -159,13 +156,22 @@ class FaultList:
                 f"{self.universe_size()} total)")
 
 
-def _input_fault(netlist: Netlist, gate: Gate, pin: int,
-                 value: int) -> StuckAtFault:
-    """The universe fault representing a gate input pin stuck at value."""
+_Site = Tuple[str, str, int, int]
+"""(net, gate name, pin, stuck value) of a universe fault; stems carry
+the dataclass defaults ``""`` / ``-1`` for gate and pin."""
+
+
+def _site(fault: StuckAtFault) -> _Site:
+    return (fault.net, fault.gate_name, fault.pin, int(fault.value))
+
+
+def _pin_site(netlist: Netlist, gate: Gate, pin: int, value: int) -> _Site:
+    """The universe fault standing for a gate input pin stuck at value:
+    the pin's branch where the source fans out, else the source's stem."""
     source = gate.inputs[pin]
     if len(netlist.fanout_of(source)) > 1:
-        return StuckAtFault.branch(source, gate.name, pin, value)
-    return StuckAtFault.stem(source, value)
+        return (source, gate.name, pin, value)
+    return (source, "", -1, value)
 
 
 def build_fault_list(netlist: Netlist, collapse: str = "equivalence",
@@ -178,38 +184,40 @@ def build_fault_list(netlist: Netlist, collapse: str = "equivalence",
     gate-output faults dominated by their input faults).  With
     ``obfuscate`` the exported symbolic names are opaque (``f0``, ``f1``
     ...), hiding internal net names from the user.
+
+    Each universe fault's name is formatted once; collapsing then works
+    on names looked up by fault site, in time linear in the pin count.
     """
     if collapse not in ("none", "equivalence", "dominance"):
         raise FaultSimulationError(f"unknown collapse mode {collapse!r}")
-    universe = enumerate_faults(netlist)
-    by_name = {fault.name: fault for fault in universe}
-
-    union = _UnionFind()
-    for fault in universe:
-        union.add(fault.name)
-
-    if collapse in ("equivalence", "dominance"):
-        for gate in netlist.gates:
-            _merge_gate_equivalences(netlist, gate, union, by_name)
+    by_name = {fault.name: fault for fault in enumerate_faults(netlist)}
+    union = _UnionFind(by_name)
 
     dropped: set = set()
-    if collapse == "dominance":
-        dropped = _dominated_output_faults(netlist, union, by_name)
+    if collapse != "none":
+        name_at = {_site(fault): name for name, fault in by_name.items()}
+        for gate in netlist.gates:
+            _merge_gate_equivalences(netlist, gate, union, name_at)
+        if collapse == "dominance":
+            dropped = _dominated_output_faults(netlist, union, name_at)
 
-    classes = union.classes()
     faults: Dict[str, StuckAtFault] = {}
     class_map: Dict[str, List[StuckAtFault]] = {}
-    for root, member_names in sorted(classes.items()):
+    for root, member_names in sorted(union.classes().items()):
         if root in dropped:
             # The whole class is dominated by input faults that remain in
             # the list: every test for a dominating fault detects these,
             # so they are removed from the target list (classic dominance
             # collapsing loses nothing for test generation).
             continue
-        members = [by_name[name] for name in sorted(member_names)]
-        representative = _pick_representative(members)
-        faults[representative.name] = representative
-        class_map[representative.name] = members
+        member_names.sort()
+        # Prefer stem faults, then the lexicographically smallest name.
+        representative = next(
+            (name for name in member_names if by_name[name].is_stem),
+            member_names[0])
+        faults[representative] = by_name[representative]
+        class_map[representative] = [by_name[name]
+                                     for name in member_names]
     if obfuscate:
         renamed = {}
         renamed_classes = {}
@@ -223,29 +231,27 @@ def build_fault_list(netlist: Netlist, collapse: str = "equivalence",
 
 def _merge_gate_equivalences(netlist: Netlist, gate: Gate,
                              union: _UnionFind,
-                             by_name: Dict[str, StuckAtFault]) -> None:
+                             name_at: Mapping[_Site, str]) -> None:
     cell = gate.cell.name
     output = gate.output
     if cell in ("NOT", "BUF"):
         inverted = cell == "NOT"
         for value in (0, 1):
-            in_fault = _input_fault(netlist, gate, 0, value)
             out_value = (1 - value) if inverted else value
-            out_fault = StuckAtFault.stem(output, out_value)
-            union.add(in_fault.name)
-            union.union(in_fault.name, out_fault.name)
+            union.union(name_at[_pin_site(netlist, gate, 0, value)],
+                        name_at[(output, "", -1, out_value)])
         return
     if cell in _CONTROLLING:
         controlling, forced = _CONTROLLING[cell]
-        out_fault = StuckAtFault.stem(output, forced)
+        out_fault = name_at[(output, "", -1, forced)]
         for pin in range(len(gate.inputs)):
-            in_fault = _input_fault(netlist, gate, pin, controlling)
-            union.add(in_fault.name)
-            union.union(in_fault.name, out_fault.name)
+            union.union(
+                name_at[_pin_site(netlist, gate, pin, controlling)],
+                out_fault)
 
 
 def _dominated_output_faults(netlist: Netlist, union: _UnionFind,
-                             by_name: Dict[str, StuckAtFault]) -> set:
+                             name_at: Mapping[_Site, str]) -> set:
     """Output stem faults dominated by each of their input faults.
 
     For an AND gate, the output stuck-at-1 is detected by any test that
@@ -253,25 +259,18 @@ def _dominated_output_faults(netlist: Netlist, union: _UnionFind,
     the target list.
     """
     dropped = set()
+    primary_outputs = frozenset(netlist.outputs)
     for gate in netlist.gates:
         cell = gate.cell.name
         if cell not in _CONTROLLING:
             continue
-        controlling, forced = _CONTROLLING[cell]
-        dominated = StuckAtFault.stem(gate.output, 1 - forced)
-        if gate.output in netlist.outputs:
+        if gate.output in primary_outputs:
             # Keep faults directly observable at primary outputs: the
             # user handles faults on component boundary signals itself.
             continue
-        dropped.add(union.find(dominated.name))
+        _controlling, forced = _CONTROLLING[cell]
+        dropped.add(union.find(name_at[(gate.output, "", -1, 1 - forced)]))
     return dropped
-
-
-def _pick_representative(members: Sequence[StuckAtFault]) -> StuckAtFault:
-    """Prefer stem faults, then lexicographically smallest name."""
-    stems = [fault for fault in members if fault.is_stem]
-    pool = stems or list(members)
-    return min(pool, key=lambda fault: fault.name)
 
 
 def compose_design_fault_list(

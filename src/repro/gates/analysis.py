@@ -17,7 +17,7 @@ from .netlist import Netlist
 
 def fanin_cone(netlist: Netlist, net: str) -> Set[str]:
     """Every net that can influence ``net`` (including itself)."""
-    if net not in set(netlist.nets()):
+    if not netlist.has_net(net):
         raise DesignError(f"unknown net {net!r}")
     cone: Set[str] = {net}
     changed = True
@@ -34,7 +34,7 @@ def fanin_cone(netlist: Netlist, net: str) -> Set[str]:
 
 def fanout_cone(netlist: Netlist, net: str) -> Set[str]:
     """Every net that ``net`` can influence (including itself)."""
-    if net not in set(netlist.nets()):
+    if not netlist.has_net(net):
         raise DesignError(f"unknown net {net!r}")
     cone: Set[str] = {net}
     changed = True

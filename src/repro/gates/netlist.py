@@ -9,7 +9,8 @@ leave a provider's server.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..core.errors import DesignError
 from .cells import CellType, cell as lookup_cell
@@ -38,6 +39,13 @@ class Netlist:
     declared explicitly.  The netlist validates single-driver and
     acyclicity invariants and exposes a topological gate order for
     levelized evaluation.
+
+    Everything derived from the declarations -- the tuples and sets the
+    accessors hand out, the levelized order, the fan-out index -- lives
+    in one cache, each entry built on first use and all of them dropped
+    by any ``add_*``.  Every simulator, fault-list build and kernel
+    compile over one netlist therefore shares one table, and the shared
+    tuples and mappings are read-only by contract.
     """
 
     def __init__(self, name: str):
@@ -46,8 +54,24 @@ class Netlist:
         self._outputs: List[str] = []
         self._gates: List[Gate] = []
         self._driver: Dict[str, Gate] = {}
-        self._levelized: Optional[List[Gate]] = None
-        self._levelized_tuple: Optional[Tuple[Gate, ...]] = None
+        self._derived: Dict[str, Any] = {}
+
+    def _cached(self, key: str, build: Callable[[], Any]) -> Any:
+        """One entry of the derived cache, built on first use.
+
+        Two threads racing on a cold entry both build it and either
+        copy serves: the entries are pure functions of the declarations.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The derived cache is rebuilt on demand; shipping it to pool
+        # workers would multiply the pickled netlist's size.
+        return {**self.__dict__, "_derived": {}}
 
     # -- construction -------------------------------------------------------
 
@@ -58,6 +82,7 @@ class Netlist:
         if net in self._driver:
             raise DesignError(f"net {net!r} is already gate-driven")
         self._inputs.append(net)
+        self._derived.clear()
         return net
 
     def add_output(self, net: str) -> str:
@@ -65,6 +90,7 @@ class Netlist:
         if net in self._outputs:
             raise DesignError(f"duplicate primary output {net!r}")
         self._outputs.append(net)
+        self._derived.clear()
         return net
 
     def add_gate(self, cell_name: str, inputs: Sequence[str], output: str,
@@ -78,8 +104,7 @@ class Netlist:
                     lookup_cell(cell_name), tuple(inputs), output)
         self._gates.append(gate)
         self._driver[output] = gate
-        self._levelized = None
-        self._levelized_tuple = None
+        self._derived.clear()
         return gate
 
     # -- access -----------------------------------------------------------
@@ -87,17 +112,17 @@ class Netlist:
     @property
     def inputs(self) -> Tuple[str, ...]:
         """Primary input net names, in declaration order."""
-        return tuple(self._inputs)
+        return self._cached("inputs", lambda: tuple(self._inputs))
 
     @property
     def outputs(self) -> Tuple[str, ...]:
         """Primary output net names, in declaration order."""
-        return tuple(self._outputs)
+        return self._cached("outputs", lambda: tuple(self._outputs))
 
     @property
     def gates(self) -> Tuple[Gate, ...]:
         """All gates, in instantiation order."""
-        return tuple(self._gates)
+        return self._cached("gates", lambda: tuple(self._gates))
 
     def driver_of(self, net: str) -> Optional[Gate]:
         """The gate driving a net, or None for primary inputs."""
@@ -105,27 +130,55 @@ class Netlist:
 
     def nets(self) -> Tuple[str, ...]:
         """Every net name: inputs first, then gate outputs."""
-        seen: List[str] = list(self._inputs)
-        seen_set: Set[str] = set(self._inputs)
-        for gate in self._gates:
-            if gate.output not in seen_set:
-                seen.append(gate.output)
-                seen_set.add(gate.output)
-        return tuple(seen)
+        # Inputs and gate outputs are disjoint and single-driver by
+        # construction, so the concatenation has no duplicates.
+        return self._cached("nets", lambda: tuple(self._inputs) + tuple(
+            gate.output for gate in self._gates))
+
+    def is_input(self, net: str) -> bool:
+        """Whether ``net`` is a declared primary input."""
+        return net in self._cached("input_set",
+                                   lambda: frozenset(self._inputs))
+
+    def has_net(self, net: str) -> bool:
+        """Whether ``net`` is a primary input or a gate output."""
+        return net in self._cached("net_set",
+                                   lambda: frozenset(self.nets()))
 
     def internal_nets(self) -> Tuple[str, ...]:
         """Gate-driven nets that are not primary outputs."""
         outs = set(self._outputs)
         return tuple(g.output for g in self._gates if g.output not in outs)
 
-    def fanout_of(self, net: str) -> Tuple[Tuple[Gate, int], ...]:
-        """All (gate, pin index) pairs reading a net."""
-        readers: List[Tuple[Gate, int]] = []
+    def _build_fanout(self) -> Dict[str, Tuple[Tuple[Gate, int], ...]]:
+        readers: Dict[str, List[Tuple[Gate, int]]] = {}
         for gate in self._gates:
             for pin, source in enumerate(gate.inputs):
-                if source == net:
-                    readers.append((gate, pin))
-        return tuple(readers)
+                readers.setdefault(source, []).append((gate, pin))
+        return {net: tuple(pairs) for net, pairs in readers.items()}
+
+    def fanout_of(self, net: str) -> Tuple[Tuple[Gate, int], ...]:
+        """All (gate, pin index) pairs reading a net.
+
+        Ordered by gate instantiation, then pin; answered from the
+        reader index, which one pass over the gates builds.
+        """
+        return self._cached("fanout", self._build_fanout).get(net, ())
+
+    def reader_gates(self) -> Mapping[str, Tuple[Gate, ...]]:
+        """Every net's reading gates, one entry per reading pin.
+
+        The event-driven states of one netlist all walk this one table.
+        """
+        return self._cached("reader_gates", lambda: {
+            net: tuple(gate for gate, _pin in self.fanout_of(net))
+            for net in self.nets()})
+
+    def gate_levels(self) -> Mapping[str, int]:
+        """Each gate name's position in the levelized order."""
+        return self._cached("gate_levels", lambda: {
+            gate.name: index
+            for index, gate in enumerate(self.levelize())})
 
     # -- validation & levelization --------------------------------------------
 
@@ -192,8 +245,9 @@ class Netlist:
 
     def levelize(self) -> Tuple[Gate, ...]:
         """Topologically ordered gates; raises on combinational loops."""
-        if self._levelized_tuple is not None:
-            return self._levelized_tuple
+        return self._cached("levelized", self._build_levelized)
+
+    def _build_levelized(self) -> Tuple[Gate, ...]:
         order: List[Gate] = []
         level: Dict[str, int] = {net: 0 for net in self._inputs}
         remaining = list(self._gates)
@@ -219,9 +273,7 @@ class Netlist:
                     f"netlist {self.name!r} has undriven nets feeding: "
                     f"{names}")
             remaining = still
-        self._levelized = order
-        self._levelized_tuple = tuple(order)
-        return self._levelized_tuple
+        return tuple(order)
 
     # -- physical summary ---------------------------------------------------
 
@@ -231,18 +283,16 @@ class Netlist:
 
     def depth(self) -> int:
         """Logic depth in gate levels."""
-        self.levelize()
         level: Dict[str, int] = {net: 0 for net in self._inputs}
-        for gate in self._levelized or []:
+        for gate in self.levelize():
             level[gate.output] = 1 + max(
                 (level[s] for s in gate.inputs), default=0)
         return max((level.get(net, 0) for net in self._outputs), default=0)
 
     def critical_path_delay(self) -> float:
         """Worst-case input-to-output delay, ns."""
-        self.levelize()
         arrival: Dict[str, float] = {net: 0.0 for net in self._inputs}
-        for gate in self._levelized or []:
+        for gate in self.levelize():
             arrival[gate.output] = gate.cell.delay + max(
                 (arrival[s] for s in gate.inputs), default=0.0)
         return max((arrival.get(net, 0.0) for net in self._outputs),

@@ -101,14 +101,9 @@ class EventDrivenState:
         self._values: Dict[str, Logic] = {
             net: Logic.X for net in self.netlist.nets()}
         self.evaluated_gates = 0
-        # Precompute reader lists once: net -> gates reading it.
-        self._readers: Dict[str, Tuple[Gate, ...]] = {}
-        for net in self.netlist.nets():
-            self._readers[net] = tuple(
-                gate for gate, _pin in self.netlist.fanout_of(net))
-        self._gate_level = {
-            gate.name: index
-            for index, gate in enumerate(simulator._order)}
+        # The netlist's shared tables: a state owns only its values.
+        self._readers = self.netlist.reader_gates()
+        self._gate_level = self.netlist.gate_levels()
 
     @property
     def values(self) -> Dict[str, Logic]:
@@ -144,8 +139,9 @@ class EventDrivenState:
                     dirty_gates[gate.name] = gate
                     heapq.heappush(wave, (levels[gate.name], gate.name))
 
+        is_input = self.netlist.is_input
         for net, value in input_changes.items():
-            if net not in self.netlist.inputs:
+            if not is_input(net):
                 raise SimulationError(f"{net!r} is not a primary input")
             note_change(net, value)
 

@@ -58,11 +58,10 @@ def lint_fault_list(fault_list: FaultList,
     """
     findings: List[Finding] = []
     prefix = component or fault_list.component
-    nets = set(netlist.nets())
     gates = {gate.name: gate for gate in netlist.gates}
     for name, fault in fault_list.items():
         target = f"{prefix}.{name}"
-        if fault.net not in nets:
+        if not netlist.has_net(fault.net):
             findings.append(finding(
                 "JCD008",
                 f"fault {name!r} targets net {fault.net!r}, which does "

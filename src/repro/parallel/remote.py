@@ -53,7 +53,8 @@ from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
 from ..core.errors import ParallelExecutionError, RemoteError
 from ..core.ids import id_scope
 from ..faults.faultlist import FaultList, build_fault_list
-from ..compiled import fault_simulator_for, resolve_engine
+from ..compiled import (built_fault_list, fault_simulator_for,
+                        resolve_engine)
 from ..faults.serial import FaultSimReport
 from ..gates.netlist import Netlist
 from ..rmi.server import JavaCADServer
@@ -147,9 +148,11 @@ class FaultFarmServant:
     keyed by a client-chosen task id, so one servant can serve several
     farms at once without mixing their state.
 
-    Built netlists and fault lists are cached per (bench, collapse):
-    every shard of one campaign names the same bench, and rebuilding it
-    per shard would dominate small campaigns.
+    A shard resolves its bench name and takes the netlist and fault
+    list from the process-wide build memo
+    (:func:`repro.compiled.built_fault_list`), so every shard, session
+    and servant of one worker process shares one build per
+    (bench content, collapse).
     """
 
     REMOTE_METHODS = ("ping", "begin_shard", "add_patterns",
@@ -159,7 +162,6 @@ class FaultFarmServant:
         self.resolver = resolver or resolve_bench
         self.shards_served = 0
         self._lock = threading.Lock()
-        self._built: Dict[Tuple[str, str], Tuple[Netlist, FaultList]] = {}
         self._shards: Dict[str, Dict[str, Any]] = {}
 
     def ping(self) -> str:
@@ -208,8 +210,8 @@ class FaultFarmServant:
             # fresh process (repeated farm runs stay byte-identical)
             # without disturbing the session the shard arrived on.
             with id_scope():
-                netlist, fault_list = self._built_for(shard["bench"],
-                                                      shard["collapse"])
+                netlist, fault_list = built_fault_list(
+                    self.resolver(shard["bench"]), shard["collapse"])
                 shard_list = fault_list.subset(shard["fault_names"])
                 simulator = fault_simulator_for(shard["engine"], netlist,
                                                 shard_list)
@@ -223,17 +225,6 @@ class FaultFarmServant:
         with self._lock:
             self.shards_served += 1
         return {"report": report_to_wire(report), "metrics": snapshot}
-
-    def _built_for(self, bench: str,
-                   collapse: str) -> Tuple[Netlist, FaultList]:
-        with self._lock:
-            built = self._built.get((bench, collapse))
-        if built is None:
-            netlist = self.resolver(bench)
-            built = (netlist, build_fault_list(netlist, collapse=collapse))
-            with self._lock:
-                self._built[(bench, collapse)] = built
-        return built
 
 
 def register_fault_farm(server: JavaCADServer, resolver=None,

@@ -63,12 +63,16 @@ def reset_session_state() -> None:
     process-default :class:`~repro.core.ids.IdScope` and dropping the
     provider makes a worker's scenario identical to one run in a fresh
     process, no matter what the parent ran before forking.  Scopes a
-    server has entered for its tenants are untouched.
+    server has entered for its tenants are untouched.  The fault-list
+    build memo goes too: it cannot change a byte, but a set-up timed
+    after this call should pay its build like a fresh process does.
     """
     from ..bench import scenarios as bench_scenarios
+    from ..compiled import clear_build_cache
 
     reset_default_scope()
     bench_scenarios.shared_provider.cache_clear()
+    clear_build_cache()
 
 
 def _run_scenario_task(spec: ScenarioSpec) -> ScenarioResult:

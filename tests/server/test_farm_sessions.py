@@ -11,10 +11,24 @@ callers.  These tests pin both behaviours.
 """
 
 import contextlib
+import random
+import threading
 
+import pytest
+
+from repro.compiled import (built_fault_list, clear_build_cache,
+                            fault_simulator_for)
+from repro.core.signal import Logic
+from repro.faults import build_fault_list
+from repro.parallel import (diff_reports, merge_reports,
+                            reset_session_state, shard_fault_list)
+from repro.parallel.remote import (RemoteShard, RemoteWorkerPool,
+                                   resolve_bench)
 from repro.rmi import JavaCADServer, TcpTransport
-from repro.server import AsyncRMIServer, call_session_factory
+from repro.server import (DISPATCH_TIERS, AsyncRMIServer,
+                          call_session_factory)
 from repro.server.farm import fault_farm_session_factory
+from repro.telemetry import TELEMETRY
 
 
 class WhoAmI:
@@ -107,3 +121,95 @@ class TestFactoryFallback:
         binding = session.registry.lookup("whoami")
         assert binding.servant._session is shared
         assert session.host_name == "faultfarm.session.2"
+
+
+class TestSharedBuild:
+    """Sessions of one worker share one fault-list build per bench.
+
+    Every connection gets its own servant (see the module docstring),
+    and each servant used to keep its own ``(bench, collapse)`` memo --
+    so each new session rebuilt the netlist's fault list, which for a
+    campaign-per-connection client was most of the campaign.
+    """
+
+    @staticmethod
+    def _session(endpoint, shards):
+        """One client connection running ``shards``; worker snapshots."""
+        TELEMETRY.enable()
+        try:
+            return RemoteWorkerPool([endpoint]).map(shards)
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+
+    @pytest.mark.parametrize("tier", DISPATCH_TIERS)
+    def test_two_sessions_build_mult8_once(self, tier):
+        netlist = resolve_bench("mult8")
+        fault_list = build_fault_list(netlist)
+        fault_list = fault_list.subset(fault_list.names()[::16])
+        rng = random.Random(5)
+        patterns = tuple({net: Logic(rng.getrandbits(1))
+                          for net in netlist.inputs} for _ in range(8))
+        oracle = fault_simulator_for(None, netlist, fault_list).run(
+            patterns)
+        shards = [RemoteShard("mult8", "equivalence", part.names, patterns)
+                  for part in shard_fault_list(fault_list, 2)]
+        clear_build_cache()
+        server = AsyncRMIServer(
+            session_factory=fault_farm_session_factory(),
+            dispatch=tier, dispatch_workers=1)
+        host, port = server.start()
+        try:
+            sessions = [self._session(f"{host}:{port}", shards)
+                        for _ in range(2)]
+        finally:
+            server.stop()
+            clear_build_cache()
+
+        def count(metric):
+            return sum(outcome.metrics.get(metric, {}).get("value", 0)
+                       for outcomes in sessions for outcome in outcomes)
+
+        assert server.stats.snapshot()["sessions_started"] == 2
+        assert count("faults.build_cache.misses") == 1
+        assert count("faults.build_cache.hits") == 3
+        for outcomes in sessions:
+            merged = merge_reports([outcome.value for outcome in outcomes])
+            assert diff_reports(merged, oracle) == []
+
+    def test_concurrent_first_shards_wait_for_one_build(self):
+        netlist = resolve_bench("c17")
+        builds = []
+        started = threading.Barrier(4)
+
+        def first_shard():
+            started.wait(timeout=10)
+            builds.append(built_fault_list(netlist, "dominance"))
+
+        clear_build_cache()
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            threads = [threading.Thread(target=first_shard)
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            snapshot = TELEMETRY.metrics.snapshot()
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+            clear_build_cache()
+        assert len(builds) == 4
+        assert all(built[1] is builds[0][1] for built in builds)
+        assert snapshot["faults.build_cache.misses"]["value"] == 1
+        assert snapshot["faults.build_cache.hits"]["value"] == 3
+
+    def test_reset_session_state_empties_the_memo(self):
+        netlist = resolve_bench("c17")
+        _netlist, first = built_fault_list(netlist)
+        assert built_fault_list(resolve_bench("c17"))[1] is first
+        reset_session_state()
+        assert built_fault_list(netlist)[1] is not first
+        clear_build_cache()
