@@ -55,12 +55,13 @@ class PublicFunctionalModel(ModuleSkeleton):
                           connector=connectors.get(port_name))
 
     def process_input_event(self, token: SignalToken, ctx) -> None:
-        bits = tuple(self.read_port(port, ctx)
-                     for port in self.input_ports())
-        if not all(isinstance(bit, Logic) and bit.is_known
-                   for bit in bits):
-            return
-        outputs = self._fn(bits)
+        bits = []
+        for port in self.input_ports():
+            bit = self.read_port(port, ctx)
+            if not (isinstance(bit, Logic) and bit.is_known):
+                return  # the first unknown input decides; skip the rest
+            bits.append(bit)
+        outputs = self._fn(tuple(bits))
         for port_name, value in zip(self._output_names, outputs):
             self.emit(port_name, value, ctx)
 

@@ -65,6 +65,13 @@ def _unpack_bit(v: int, c: int, bit: int) -> Logic:
     return Logic.X
 
 
+def _unpack_lane(words: Sequence[int], output_index: Sequence[int],
+                 lane: int) -> Tuple[Logic, ...]:
+    """One lane's primary-output values out of a kernel result."""
+    return tuple(_unpack_bit(words[2 * index], words[2 * index + 1], lane)
+                 for index in output_index)
+
+
 class CompiledSimulator:
     """Drop-in levelized simulator backed by the compiled kernel.
 
@@ -153,11 +160,19 @@ class CompiledSimulator:
                     fv |= 1 << lane
             words = kernel.run_fault(iv, ic, fm, fv)
             evals += kernel.gate_count
+            # Most faults of a chunk leave the outputs as lane 0 has
+            # them: find the lanes that differ from lane 0 on any output
+            # word, unpack only those, and let the rest share one tuple.
+            differs = 0
+            for index in kernel.output_index:
+                v, c = words[2 * index], words[2 * index + 1]
+                differs |= (v ^ (mask if v & 1 else 0)) \
+                    | (c ^ (mask if c & 1 else 0))
+            lane0 = _unpack_lane(words, kernel.output_index, 0)
             for lane in range(len(chunk)):
-                results.append(tuple(
-                    _unpack_bit(words[2 * index], words[2 * index + 1],
-                                lane)
-                    for index in kernel.output_index))
+                results.append(
+                    _unpack_lane(words, kernel.output_index, lane)
+                    if (differs >> lane) & 1 else lane0)
         if TELEMETRY.enabled and evals:
             TELEMETRY.metrics.counter("compiled.gate_evals").inc(evals)
         return results

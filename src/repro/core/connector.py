@@ -96,7 +96,8 @@ class Connector:
 
     def get_value(self, scheduler_id: int) -> SignalValue:
         """Current value as seen by the given scheduler."""
-        return self._values.get(scheduler_id, self.default_value())
+        value = self._values.get(scheduler_id)  # None is no signal value
+        return self.default_value() if value is None else value
 
     def set_value(self, scheduler_id: int, value: SignalValue) -> None:
         """Set the current value for the given scheduler."""

@@ -38,20 +38,17 @@ class SimulationContext:
     through it, which is what enforces scheduler isolation.
     """
 
-    __slots__ = ("scheduler", "controller", "clock", "cost")
+    __slots__ = ("scheduler", "scheduler_id", "controller", "clock", "cost")
 
     def __init__(self, scheduler: Scheduler,
                  controller: "SimulationController",
                  clock: VirtualClock, cost: CostModel):
         self.scheduler = scheduler
+        #: Identity of the active scheduler (keys all state LUTs).
+        self.scheduler_id: int = scheduler.scheduler_id
         self.controller = controller
         self.clock = clock
         self.cost = cost
-
-    @property
-    def scheduler_id(self) -> int:
-        """Identity of the active scheduler (keys all state LUTs)."""
-        return self.scheduler.scheduler_id
 
     @property
     def now(self) -> float:
@@ -206,9 +203,17 @@ class SimulationController:
                 "scheduler.run", category="scheduler", clock=self.clock,
                 args={"scheduler": self.scheduler.name,
                       "controller": self.name}).start()
+        # Loop invariants: none of these is rebound while a run lasts.
+        scheduler = self.scheduler
+        scheduler_id = scheduler.scheduler_id
+        context = self._context
+        observers = self._observers
+        charge_cpu = self.clock.charge_cpu
+        cost = self.cost
+        event_dispatch = cost.event_dispatch
         try:
-            while not self.scheduler.empty:
-                next_time = self.scheduler.next_time()
+            while not scheduler.empty:
+                next_time = scheduler.next_time()
                 if max_time is not None and next_time is not None \
                         and next_time > max_time:
                     break
@@ -216,28 +221,27 @@ class SimulationController:
                         and next_time > current_instant:
                     self._end_of_instant(current_instant)
                     stats.instants += 1
-                token = self.scheduler.pop()
+                token = scheduler.pop()
                 current_instant = token.time
-                self.clock.charge_cpu(
-                    self.cost.event_dispatch
-                    + token.target.event_cost(self.cost, token))
+                target = token.target
+                charge_cpu(event_dispatch + target.event_cost(cost, token))
                 if isinstance(token, SignalToken) and \
                         token.port.connector is not None:
-                    token.port.connector.set_value(
-                        self.scheduler.scheduler_id, token.value)
-                for observer in self._observers:
-                    observer(token, self._context)
+                    token.port.connector.set_value(scheduler_id,
+                                                   token.value)
+                for observer in observers:
+                    observer(token, context)
                 if TELEMETRY.enabled:
                     with TELEMETRY.tracer.span(
                             "scheduler.deliver", category="scheduler",
                             clock=self.clock,
-                            args={"scheduler": self.scheduler.name,
+                            args={"scheduler": scheduler.name,
                                   "token": type(token).__name__,
-                                  "target": token.target.name,
+                                  "target": target.name,
                                   "sim_time": token.time}):
-                        token.target.receive(token, self._context)
+                        target.receive(token, context)
                 else:
-                    token.target.receive(token, self._context)
+                    target.receive(token, context)
                 stats.events += 1
                 if max_events is not None and stats.events >= max_events:
                     break

@@ -10,7 +10,7 @@ circuit inside :meth:`Design.design`, then hand the result to a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .connector import Connector
 from .errors import DesignError
@@ -91,11 +91,19 @@ class Circuit:
                     f"{len(connector.endpoints)} endpoint(s)")
         return warnings
 
-    def clear_scheduler_state(self, scheduler_id: int) -> None:
-        """Drop every per-scheduler value stored for one scheduler."""
+    def clear_scheduler_state(
+            self, scheduler_id: int,
+            connectors: Optional[Iterable[Connector]] = None) -> None:
+        """Drop every per-scheduler value stored for one scheduler.
+
+        A caller that already holds the result of :meth:`connectors`
+        (and knows the wiring has not changed since) passes it to spare
+        the scan; it may add connectors of its own to be cleared.
+        """
         for module in self._modules:
             module.clear_state(scheduler_id)
-        for connector in self.connectors():
+        for connector in (self.connectors() if connectors is None
+                          else connectors):
             connector.clear(scheduler_id)
 
     def __iter__(self):

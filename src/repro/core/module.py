@@ -10,7 +10,8 @@ same design never interfere.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Tuple)
 
 from .connector import Connector
 from .errors import ConnectionError_, DesignError, SimulationError
@@ -37,6 +38,10 @@ class ModuleSkeleton:
         self.module_id = next_id("module")
         self.name = name or f"{type(self).__name__.lower()}{self.module_id}"
         self._ports: Dict[str, Port] = {}
+        # (ports, input_ports, output_ports): built on first use and
+        # dropped by add_port / add_alias, so the event path never
+        # rebuilds a tuple or re-tests a direction.
+        self._port_views: Optional[Tuple[Tuple[Port, ...], ...]] = None
         self._state: Dict[int, Dict[str, Any]] = {}
         # Candidate estimators per parameter name (provider-installed).
         self._candidates: Dict[str, List[Any]] = {}
@@ -56,6 +61,7 @@ class ModuleSkeleton:
                 f"module {self.name!r} already has a port {name!r}")
         port = Port(name, direction, width, owner=self)
         self._ports[name] = port
+        self._port_views = None
         if connector is not None:
             connector.attach(port)
         return port
@@ -68,18 +74,32 @@ class ModuleSkeleton:
             raise ConnectionError_(
                 f"module {self.name!r} has no port {name!r}") from None
 
+    def _declared_ports(self) -> Iterable[Port]:
+        """The ports this module exposes, in declaration order."""
+        return self._ports.values()
+
+    def _build_port_views(self) -> Tuple[Tuple[Port, ...], ...]:
+        # Two threads racing on a cold view both build it and either
+        # copy serves: the tuples are pure functions of the declarations.
+        ports = tuple(self._declared_ports())
+        views = self._port_views = (
+            ports,
+            tuple(p for p in ports if p.direction.can_read),
+            tuple(p for p in ports if p.direction.can_write))
+        return views
+
     @property
     def ports(self) -> Tuple[Port, ...]:
         """All declared ports, in declaration order."""
-        return tuple(self._ports.values())
+        return (self._port_views or self._build_port_views())[0]
 
     def input_ports(self) -> Tuple[Port, ...]:
         """Ports that can receive events."""
-        return tuple(p for p in self.ports if p.direction.can_read)
+        return (self._port_views or self._build_port_views())[1]
 
     def output_ports(self) -> Tuple[Port, ...]:
         """Ports that can emit events."""
-        return tuple(p for p in self.ports if p.direction.can_write)
+        return (self._port_views or self._build_port_views())[2]
 
     # ------------------------------------------------------------------
     # Per-scheduler state (the lookup tables of the paper)
@@ -292,6 +312,7 @@ class CompositeModule(ModuleSkeleton):
             raise DesignError(
                 f"composite {self.name!r} already exposes {name!r}")
         self._aliases[name] = inner_port
+        self._port_views = None
 
     def port(self, name: str) -> Port:
         """Resolve an exposed alias to the underlying inner port."""
@@ -302,9 +323,8 @@ class CompositeModule(ModuleSkeleton):
                 f"composite {self.name!r} has no exposed port {name!r}"
             ) from None
 
-    @property
-    def ports(self) -> Tuple[Port, ...]:
-        return tuple(self._aliases.values())
+    def _declared_ports(self) -> Iterable[Port]:
+        return self._aliases.values()
 
     def submodules(self) -> Tuple[ModuleSkeleton, ...]:
         """Recursively flatten to leaf modules."""

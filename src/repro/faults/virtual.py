@@ -148,21 +148,22 @@ class IPBlockClient:
     def inject_outputs(self, controller: SimulationController,
                        pattern: Sequence[Logic]) -> None:
         """Assign a faulty output configuration at the block's outputs."""
-        offset = 0
-        for port in self.module.output_ports():
-            width = port.width
-            chunk = tuple(pattern[offset:offset + width])
-            offset += width
-            value: SignalValue
-            if width == 1:
-                value = chunk[0]
-            else:
-                value = Word.from_bits(chunk)
-            controller.inject(port, value)
-        if offset != len(pattern):
+        ports = self.module.output_ports()
+        expected = sum(port.width for port in ports)
+        if expected != len(pattern):
             raise FaultSimulationError(
                 f"output pattern width {len(pattern)} does not match the "
-                f"block's output ports ({offset} bits)")
+                f"block's output ports ({expected} bits)")
+        offset = 0
+        for port in ports:
+            width = port.width
+            value: SignalValue
+            if width == 1:
+                value = pattern[offset]
+            else:
+                value = Word.from_bits(pattern[offset:offset + width])
+            offset += width
+            controller.inject(port, value)
 
 
 def _value_bits(value: SignalValue) -> Tuple[Logic, ...]:
@@ -290,13 +291,18 @@ class VirtualFaultSimulator:
                           ) -> Dict[str, Set[str]]:
         good = SimulationController(self.circuit, clock=self.clock,
                                     cost_model=self.cost, name="fault-free")
-        self._drive(good, pattern)
-        good.start()
         good_sid = good.scheduler.scheduler_id
-        good_outputs = self._observe(good_sid)
-
+        # The one structure scan of the pattern: wiring cannot change
+        # while it is simulated, so the fault-free run and every
+        # injection run below prime from and clear over this tuple.
+        connectors = self.circuit.connectors()
         newly: Dict[str, Set[str]] = {}
         try:
+            self._drive(good, pattern)
+            good.start()
+            good_outputs = self._observe(good_sid)
+            fault_free = {connector: connector.get_value(good_sid)
+                          for connector in connectors}
             for block in self.ip_blocks:
                 undetected = sorted(remaining[block.name])
                 if not undetected:
@@ -306,15 +312,19 @@ class VirtualFaultSimulator:
                 if table is None:
                     continue
                 detected = self._try_rows(block, table, undetected,
-                                          good_sid, good_outputs)
+                                          fault_free, good_outputs)
                 if detected:
                     newly[block.name] = detected
         finally:
-            good.teardown()
+            # A primary input nothing in the circuit reads is primed by
+            # drive_connector but is no connector of the circuit.
+            self.circuit.clear_scheduler_state(
+                good_sid, (*connectors, *self.inputs.values()))
         return newly
 
     def _try_rows(self, block: IPBlockClient, table: DetectionTable,
-                  undetected: Sequence[str], good_sid: int,
+                  undetected: Sequence[str],
+                  fault_free: Mapping[Connector, SignalValue],
                   good_outputs: Dict[str, SignalValue]) -> Set[str]:
         detected: Set[str] = set()
         undetected_set = set(undetected)
@@ -324,14 +334,14 @@ class VirtualFaultSimulator:
             live = names & undetected_set
             if not live:
                 continue
-            if self._injection_detects(block, faulty_pattern, good_sid,
+            if self._injection_detects(block, faulty_pattern, fault_free,
                                        good_outputs):
                 detected |= live
         return detected
 
     def _injection_detects(self, block: IPBlockClient,
                            faulty_pattern: Tuple[Logic, ...],
-                           good_sid: int,
+                           fault_free: Mapping[Connector, SignalValue],
                            good_outputs: Dict[str, SignalValue]) -> bool:
         """Figure 5 step 2: inject, propagate, compare primary outputs."""
         injection = SimulationController(self.circuit, clock=self.clock,
@@ -340,8 +350,8 @@ class VirtualFaultSimulator:
         self.injection_runs += 1
         try:
             # Retain the fault-free signal values everywhere.
-            for connector in self.circuit.connectors():
-                injection.prime(connector, connector.get_value(good_sid))
+            for connector, value in fault_free.items():
+                injection.prime(connector, value)
             # The faulty module's event handling is replaced: it holds
             # the injected outputs no matter what reaches its inputs.
             injection.override_handler(block.module,
@@ -351,7 +361,8 @@ class VirtualFaultSimulator:
             bad_outputs = self._observe(injection.scheduler.scheduler_id)
             return bad_outputs != good_outputs
         finally:
-            injection.teardown()
+            self.circuit.clear_scheduler_state(
+                injection.scheduler.scheduler_id, fault_free)
 
     # ------------------------------------------------------------------
 

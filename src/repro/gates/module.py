@@ -52,7 +52,7 @@ class LogicGateModule(ModuleSkeleton):
 
     def process_input_event(self, token: SignalToken,
                             ctx: "SimulationContext") -> None:
-        values = [self.read(port.name, ctx) for port in self.input_ports()]
+        values = [self.read_port(port, ctx) for port in self.input_ports()]
         if not all(isinstance(value, Logic) for value in values):
             raise DesignError(
                 f"gate module {self.name!r} needs Logic inputs")

@@ -11,8 +11,10 @@ including unknown (X/Z) inputs.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.compiled import CompiledSimulator
+from repro.compiled import CompiledSimulator, simulator_for
 from repro.core import Logic
 from repro.faults import build_fault_list
 from repro.faults.atpg import generate_test_set
@@ -57,6 +59,30 @@ class TestOutputsForFaults:
         packed = compiled.outputs_for_faults(stimulus, faults)
         for fault, outputs in zip(faults, packed):
             assert outputs == event.outputs(stimulus, fault=fault)
+
+
+class TestLaneSharedRows:
+    """Lanes whose outputs equal lane 0's share lane 0's tuple; the
+    returned list is still the per-fault one, whichever fault lands in
+    lane 0 and however the last chunk is filled."""
+
+    NETLIST = load_bench("alu8")
+    FAULTS = build_fault_list(NETLIST)
+
+    @pytest.mark.parametrize("engine", ["event", "compiled"])
+    @pytest.mark.parametrize("count", [1, 63, 64, 65])
+    @settings(max_examples=20, deadline=None)
+    @given(bits=st.lists(st.sampled_from(list(Logic)),
+                         min_size=len(NETLIST.inputs),
+                         max_size=len(NETLIST.inputs)),
+           seed=st.integers(0, 10_000))
+    def test_equals_per_fault_outputs(self, engine, count, bits, seed):
+        names = random.Random(seed).sample(self.FAULTS.names(), count)
+        faults = [self.FAULTS.fault(name) for name in names]
+        stimulus = dict(zip(self.NETLIST.inputs, bits))
+        simulator = simulator_for(engine, self.NETLIST)
+        assert simulator.outputs_for_faults(stimulus, faults) == [
+            simulator.outputs(stimulus, fault=fault) for fault in faults]
 
 
 class TestDetectionTableParity:

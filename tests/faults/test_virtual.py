@@ -3,7 +3,9 @@
 import pytest
 
 from repro.bench import build_figure4
-from repro.core import FaultSimulationError, Logic
+from repro.core import (BitConnector, ConnectionError_,
+                        FaultSimulationError, Logic,
+                        SimulationController, Word)
 from repro.faults import TestabilityServant, build_fault_list
 from repro.gates import ip1_block
 
@@ -95,6 +97,59 @@ class TestClientProtocol:
         setup = build_figure4(collapse="none")
         with pytest.raises(FaultSimulationError, match="missing"):
             setup.simulator.run([{"A": 1, "B": 1, "C": 0}])
+
+
+class TestNothingLeftBehind:
+    """Every per-scheduler entry a pattern creates dies with it."""
+
+    @staticmethod
+    def leftovers(setup, *extra):
+        return ([c.name for c in setup.circuit.connectors() + extra
+                 if c._values]
+                + [m.name for m in setup.circuit.modules if m._state])
+
+    def test_unread_primary_input_does_not_leak(self):
+        """A primary input nothing reads is primed, not scheduled, and
+        is no connector of the circuit: the pattern must clear it."""
+        setup = build_figure4(collapse="none")
+        spare = BitConnector("SPARE")
+        setup.simulator.inputs["SPARE"] = spare
+        setup.simulator.run([
+            {"A": a, "B": 1, "C": c, "D": 1, "SPARE": a}
+            for a in (0, 1) for c in (0, 1, 1)])
+        assert setup.simulator.injection_runs > 0
+        assert self.leftovers(setup, spare) == []
+
+    def test_missing_input_error_still_tears_down(self):
+        setup = build_figure4(collapse="none")
+        spare = BitConnector("SPARE")
+        setup.simulator.inputs = {"SPARE": spare,
+                                  **setup.simulator.inputs}
+        with pytest.raises(FaultSimulationError, match="missing"):
+            setup.simulator.run([{"SPARE": 1, "A": 1, "B": 1, "C": 0}])
+        assert self.leftovers(setup, spare) == []
+
+    def test_module_error_in_the_fault_free_run_still_tears_down(self):
+        setup = build_figure4(collapse="none")
+        # A word on a bit connector is rejected when the event is
+        # delivered, after A and B have already reached gate gE.
+        with pytest.raises(ConnectionError_, match="carries Logic"):
+            setup.simulator.run([{"A": 1, "B": 1, "C": Word(1, 2),
+                                  "D": 1}])
+        assert self.leftovers(setup) == []
+
+
+class TestInjectOutputs:
+    def test_short_faulty_pattern_schedules_nothing(self):
+        """The width is validated before the first token is scheduled."""
+        setup = build_figure4(collapse="none")
+        controller = SimulationController(setup.circuit)
+        block = setup.simulator.ip_blocks[0]
+        for width in (1, 3):
+            with pytest.raises(FaultSimulationError,
+                               match="output pattern width"):
+                block.inject_outputs(controller, [Logic.ONE] * width)
+        assert controller.scheduler.empty
 
 
 class TestSimulatorReuse:
