@@ -11,6 +11,7 @@ computed from.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (Any, Dict, FrozenSet, Iterable, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -116,10 +117,10 @@ def _table_to_wire(table: DetectionTable) -> dict:
         "component": table.component,
         "input": tuple(table.input_pattern),
         "fault_free": tuple(table.fault_free),
+        # Logic is an IntEnum: patterns order as their int tuples do.
         "rows": [[tuple(pattern), sorted(names)]
-                 for pattern, names in sorted(
-                     table.rows.items(),
-                     key=lambda item: tuple(int(b) for b in item[0]))],
+                 for pattern, names in sorted(table.rows.items(),
+                                              key=itemgetter(0))],
     }
 
 

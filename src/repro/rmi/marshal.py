@@ -12,19 +12,33 @@ can smuggle structure across the boundary -- not even accidentally.
 The wire format is tagged JSON encoded as UTF-8, which is portable
 (unlike the precompiled object files of the model-encryption approach
 discussed in the paper's related work) and never executes code on
-deserialization (unlike pickle).
+deserialization (unlike pickle).  Its grammar and formatting rules are
+in ``docs/protocol.md`` ("The wire format"); frame sizes feed the
+virtual clock, so the bytes are a fixed point, pinned against the
+two-phase reference kept in ``tests/rmi/reference_marshal.py``.
+
+Both directions are total: :func:`marshal` returns bytes or raises
+``MarshalError`` for any object, :func:`unmarshal` returns a value or
+raises ``MarshalError`` for any bytes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Tuple, Type
+import threading
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from ..core.errors import MarshalError
 from ..core.signal import Logic, Word
 
+_MAX_DEPTH = 32
+_TOO_DEEP = "marshalled structure is too deeply nested"
+
 _VALUE_CODECS: Dict[str, Tuple[Type, Callable[[Any], Any],
                                Callable[[Any], Any]]] = {}
+_REGISTRY_LOCK = threading.Lock()
 
 
 def register_value_type(tag: str, cls: Type,
@@ -37,9 +51,13 @@ def register_value_type(tag: str, cls: Type,
     security decision: only plain value objects (no references to design
     structure) should ever be registered.
     """
-    if tag in _VALUE_CODECS and _VALUE_CODECS[tag][0] is not cls:
-        raise MarshalError(f"marshal tag {tag!r} is already registered")
-    _VALUE_CODECS[tag] = (cls, to_wire, from_wire)
+    with _REGISTRY_LOCK:
+        if tag in _VALUE_CODECS and _VALUE_CODECS[tag][0] is not cls:
+            raise MarshalError(f"marshal tag {tag!r} is already registered")
+        _VALUE_CODECS[tag] = (cls, to_wire, from_wire)
+        # A new codec can capture types an older one (or none) used to
+        # answer for, so every type resolves again.
+        _EMITTERS.clear()
 
 
 def registered_value_types() -> Dict[str, Type]:
@@ -52,44 +70,184 @@ def registered_value_types() -> Dict[str, Type]:
     return {tag: cls for tag, (cls, _t, _f) in _VALUE_CODECS.items()}
 
 
-def _to_wire(obj: Any, depth: int = 0) -> Any:
-    if depth > 32:
-        raise MarshalError("marshalled structure is too deeply nested")
-    # Logic is an IntEnum, so it must be tagged before the plain-int
-    # check or it would silently degrade to a bare integer on the wire.
-    if isinstance(obj, Logic):
-        return {"$t": "logic", "v": int(obj)}
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, Word):
-        if obj.known:
-            return {"$t": "word", "v": obj.value, "w": obj.width}
-        return {"$t": "word", "v": None, "w": obj.width}
-    if isinstance(obj, tuple):
-        return {"$t": "tuple", "v": [_to_wire(x, depth + 1) for x in obj]}
-    if isinstance(obj, list):
-        return {"$t": "list", "v": [_to_wire(x, depth + 1) for x in obj]}
-    if isinstance(obj, (set, frozenset)):
-        return {"$t": "set", "v": sorted(
-            (_to_wire(x, depth + 1) for x in obj),
-            key=lambda item: json.dumps(item, sort_keys=True))}
-    if isinstance(obj, dict):
-        items = []
-        for key, value in obj.items():
-            items.append([_to_wire(key, depth + 1),
-                          _to_wire(value, depth + 1)])
-        return {"$t": "dict", "v": items}
-    if isinstance(obj, bytes):
-        return {"$t": "bytes", "v": obj.hex()}
+# -- encoding -------------------------------------------------------------
+#
+# One pass: every value is written straight to its wire text by the
+# emitter its *type* selects.  The text is what ``json.dumps(tree,
+# separators=(",", ":"))`` printed for the tagged tree, so each emitter
+# spells out a rule json used to supply: ASCII-escaped strings,
+# ``int.__repr__`` / ``float.__repr__`` whatever a subclass overrides,
+# ``NaN`` / ``Infinity`` / ``-Infinity``, keys in ``$t``, ``v``, ``w``
+# order, no whitespace.
+
+_Emitter = Callable[[Any, int], str]
+
+# Keyed on ``type(x)``, never on the value: Logic is an IntEnum, so
+# ``Logic.ONE == 1 == True`` and all three hash alike.  Read lock-free;
+# filled by :func:`_resolve`, emptied by :func:`register_value_type`.
+_EMITTERS: Dict[type, _Emitter] = {}
+
+# Looked up by value, so only once the type has said Logic.
+_LOGIC_TEXT = {bit: '{"$t":"logic","v":%d}' % bit for bit in Logic}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_json_text = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _emit(obj: Any, depth: int) -> str:
+    if depth > _MAX_DEPTH:
+        raise MarshalError(_TOO_DEEP)
+    return (_EMITTERS.get(type(obj)) or _resolve(type(obj)))(obj, depth)
+
+
+def _emit_logic(obj: Logic, depth: int) -> str:
+    return _LOGIC_TEXT[obj]
+
+
+def _emit_none(obj: None, depth: int) -> str:
+    return "null"
+
+
+def _emit_bool(obj: bool, depth: int) -> str:
+    return "true" if obj else "false"
+
+
+def _emit_int(obj: int, depth: int) -> str:
+    return int.__repr__(obj)
+
+
+def _emit_float(obj: float, depth: int) -> str:
+    text = float.__repr__(obj)
+    return _NON_FINITE.get(text, text)
+
+
+def _emit_str(obj: str, depth: int) -> str:
+    return _quote(obj)
+
+
+def _json_field(value: Any) -> str:
+    # A Word's fields are plain JSON, not marshalled values: anything
+    # but an int is json's to print (a bool width) or to refuse.
+    return repr(value) if type(value) is int else _json_text(value)
+
+
+def _emit_word(obj: Word, depth: int) -> str:
+    value = _json_field(obj.value) if obj.known else "null"
+    return ('{"$t":"word","v":' + value + ',"w":'
+            + _json_field(obj.width) + "}")
+
+
+def _emit_bytes(obj: bytes, depth: int) -> str:
+    return '{"$t":"bytes","v":"' + obj.hex() + '"}'
+
+
+# Element types whose text does not depend on depth and comes from one
+# C-level callable: a sequence of nothing else is one ``map``.
+_BULK: Dict[type, Callable[[Any], str]] = {
+    Logic: _LOGIC_TEXT.__getitem__,
+    str: _quote,
+}
+
+
+def _element_texts(items: Any, depth: int) -> Any:
+    """Wire texts of the elements of a tuple or list, which sit at
+    ``depth`` (one below their container)."""
+    if items and depth <= _MAX_DEPTH:  # too deep: _emit below refuses
+        bulk = _BULK.get(type(items[0]))
+        if bulk is not None and len(set(map(type, items))) == 1:
+            return map(bulk, items)
+    return [_emit(item, depth) for item in items]
+
+
+def _emit_tuple(obj: tuple, depth: int) -> str:
+    return ('{"$t":"tuple","v":['
+            + ",".join(_element_texts(obj, depth + 1)) + "]}")
+
+
+def _emit_list(obj: list, depth: int) -> str:
+    return ('{"$t":"list","v":['
+            + ",".join(_element_texts(obj, depth + 1)) + "]}")
+
+
+def _emit_set(obj: Any, depth: int) -> str:
+    # The tree form was ordered by each element's spaced, key-sorted
+    # json.dumps text.  Compact texts sort the same way: keys are
+    # emitted in sorted order already, and a space after every
+    # structural "," and ":" never moves the first differing character.
+    return ('{"$t":"set","v":['
+            + ",".join(sorted(_element_texts(tuple(obj), depth + 1)))
+            + "]}")
+
+
+def _emit_dict(obj: dict, depth: int) -> str:
+    depth += 1
+    return ('{"$t":"dict","v":['
+            + ",".join(["[" + _emit(key, depth) + ","
+                        + _emit(value, depth) + "]"
+                        for key, value in obj.items()])
+            + "]}")
+
+
+def _codec_emitter(tag: str, to_wire: Callable[[Any], Any]) -> _Emitter:
+    head = '{"$t":' + _quote(f"x:{tag}") + ',"v":'
+
+    def emit(obj: Any, depth: int) -> str:
+        return head + _emit(to_wire(obj), depth + 1) + "}"
+    return emit
+
+
+def _refuse(obj: Any, depth: int) -> str:
+    raise MarshalError(_refusal_message(obj))
+
+
+# In precedence order: Logic is an int and bool is an int, so both are
+# asked before int.
+_BUILTIN_EMITTERS: Tuple[Tuple[type, _Emitter], ...] = (
+    (Logic, _emit_logic),
+    (type(None), _emit_none),
+    (bool, _emit_bool),
+    (int, _emit_int),
+    (float, _emit_float),
+    (str, _emit_str),
+    (Word, _emit_word),
+    (tuple, _emit_tuple),
+    (list, _emit_list),
+    (set, _emit_set),
+    (frozenset, _emit_set),
+    (dict, _emit_dict),
+    (bytes, _emit_bytes),
+)
+
+
+def _resolve(cls: type) -> _Emitter:
+    """The emitter for a type the table does not hold yet.
+
+    Built-ins by ``issubclass`` in precedence order (a namedtuple goes
+    out as a tuple, an ``OrderedDict`` as a dict), then the codecs.
+    Memoized per type; a refusal is not, because classes nobody can
+    marshal are not worth keeping alive.
+    """
+    with _REGISTRY_LOCK:
+        for base, emitter in _BUILTIN_EMITTERS:
+            if issubclass(cls, base):
+                break
+        else:
+            emitter = _codec_emitter_for(cls)
+            if emitter is None:
+                return _refuse
+        _EMITTERS[cls] = emitter
+        return emitter
+
+
+def _codec_emitter_for(cls: type) -> Optional[_Emitter]:
     # Prefer an exact-type codec so subclasses with their own codec are
     # not captured by a base-class registration.
-    for tag, (cls, to_wire, _from_wire) in _VALUE_CODECS.items():
-        if type(obj) is cls:
-            return {"$t": f"x:{tag}", "v": _to_wire(to_wire(obj), depth + 1)}
-    for tag, (cls, to_wire, _from_wire) in _VALUE_CODECS.items():
-        if isinstance(obj, cls):
-            return {"$t": f"x:{tag}", "v": _to_wire(to_wire(obj), depth + 1)}
-    raise MarshalError(_refusal_message(obj))
+    for tag, (base, to_wire, _from_wire) in _VALUE_CODECS.items():
+        if base is cls:
+            return _codec_emitter(tag, to_wire)
+    for tag, (base, to_wire, _from_wire) in _VALUE_CODECS.items():
+        if issubclass(cls, base):
+            return _codec_emitter(tag, to_wire)
+    return None
 
 
 def _refusal_message(obj: Any) -> str:
@@ -114,47 +272,110 @@ def _refusal_message(obj: Any) -> str:
             f"values may cross the client/server boundary")
 
 
-def _from_wire(data: Any, depth: int = 0) -> Any:
-    if depth > 32:
-        raise MarshalError("marshalled structure is too deeply nested")
-    if data is None or isinstance(data, (bool, int, float, str)):
-        return data
-    if isinstance(data, list):  # only produced inside tagged containers
+# -- decoding -------------------------------------------------------------
+#
+# ``json.loads`` stays the scanner (it is C); what it builds is turned
+# into values by the decoder its ``$t`` tag selects.  JSON scalars are
+# their own values, a JSON list is legal only directly under a tagged
+# container, a JSON object only as a tagged node.
+
+_LOGIC_OF = {int(bit): bit for bit in Logic}
+_ONLY_LOGIC = {"logic"}
+_NESTED = {dict, list}
+_tag_of = itemgetter("$t")
+
+
+def _decode(data: Any, depth: int) -> Any:
+    if depth > _MAX_DEPTH:
+        raise MarshalError(_TOO_DEEP)
+    kind = type(data)
+    if kind is dict:
+        if "$t" not in data:
+            raise MarshalError(f"malformed wire data: {data!r}")
+        tag = data["$t"]
+        decoder = _DECODERS.get(tag)
+        if decoder is not None:
+            return decoder(data, depth)
+        if type(tag) is str and tag.startswith("x:"):
+            codec = _VALUE_CODECS.get(tag[2:])
+            if codec is not None:
+                return codec[2](_decode(data.get("v"), depth + 1))
+        raise MarshalError(f"unknown marshal tag {tag!r}")
+    if kind is list:  # only produced inside tagged containers
         raise MarshalError("bare JSON list in wire data")
-    if not isinstance(data, dict) or "$t" not in data:
-        raise MarshalError(f"malformed wire data: {data!r}")
-    tag, value = data["$t"], data.get("v")
-    if tag == "logic":
-        return Logic(value)
-    if tag == "word":
-        width = data["w"]
-        if value is None:
-            return Word.unknown(width)
-        return Word(value, width)
-    if tag == "tuple":
-        return tuple(_from_wire(x, depth + 1) for x in value)
-    if tag == "list":
-        return [_from_wire(x, depth + 1) for x in value]
-    if tag == "set":
-        return frozenset(_from_wire(x, depth + 1) for x in value)
-    if tag == "dict":
-        return {_from_wire(k, depth + 1): _from_wire(v, depth + 1)
-                for k, v in value}
-    if tag == "bytes":
-        return bytes.fromhex(value)
-    if tag.startswith("x:"):
-        codec = _VALUE_CODECS.get(tag[2:])
-        if codec is None:
-            raise MarshalError(f"unknown marshal tag {tag!r}")
-        _cls, _to_wire_fn, from_wire_fn = codec
-        return from_wire_fn(_from_wire(value, depth + 1))
-    raise MarshalError(f"unknown marshal tag {tag!r}")
+    return data
+
+
+def _decode_elements(items: Any, depth: int) -> list:
+    """Values of the JSON list under a tuple, list or set node; its
+    elements sit at ``depth``."""
+    if type(items) is not list:
+        raise MarshalError(f"malformed wire data: {items!r}")
+    if not items:
+        return items
+    if depth > _MAX_DEPTH:
+        raise MarshalError(_TOO_DEEP)
+    if type(items[0]) is not dict:
+        if _NESTED.isdisjoint(map(type, items)):
+            return items  # scalars only: already their values
+    else:
+        # A run of logic nodes (a pattern, a table row).  Anything
+        # irregular -- a scalar or an untagged node among them, a value
+        # outside 0..3 -- falls through to be refused node by node.
+        try:
+            if set(map(_tag_of, items)) == _ONLY_LOGIC:
+                return [_LOGIC_OF[node["v"]] for node in items]
+        except (KeyError, TypeError):
+            pass
+    return [_decode(item, depth) for item in items]
+
+
+def _decode_logic(node: dict, depth: int) -> Logic:
+    return _LOGIC_OF[node["v"]]
+
+
+def _decode_word(node: dict, depth: int) -> Word:
+    value, width = node.get("v"), node["w"]
+    return Word.unknown(width) if value is None else Word(value, width)
+
+
+def _decode_tuple(node: dict, depth: int) -> tuple:
+    return tuple(_decode_elements(node["v"], depth + 1))
+
+
+def _decode_list(node: dict, depth: int) -> list:
+    return _decode_elements(node["v"], depth + 1)
+
+
+def _decode_set(node: dict, depth: int) -> frozenset:
+    return frozenset(_decode_elements(node["v"], depth + 1))
+
+
+def _decode_dict(node: dict, depth: int) -> dict:
+    depth += 1
+    return {_decode(key, depth): _decode(value, depth)
+            for key, value in node["v"]}
+
+
+def _decode_bytes(node: dict, depth: int) -> bytes:
+    return bytes.fromhex(node["v"])
+
+
+_DECODERS: Dict[str, Callable[[dict, int], Any]] = {
+    "logic": _decode_logic,
+    "word": _decode_word,
+    "tuple": _decode_tuple,
+    "list": _decode_list,
+    "set": _decode_set,
+    "dict": _decode_dict,
+    "bytes": _decode_bytes,
+}
 
 
 def marshal(obj: Any) -> bytes:
     """Serialize a whitelisted value to wire bytes."""
     try:
-        return json.dumps(_to_wire(obj), separators=(",", ":")).encode()
+        return _emit(obj, 0).encode()
     except MarshalError:
         raise
     except (TypeError, ValueError) as exc:
@@ -162,12 +383,24 @@ def marshal(obj: Any) -> bytes:
 
 
 def unmarshal(data: bytes) -> Any:
-    """Deserialize wire bytes produced by :func:`marshal`."""
+    """Deserialize wire bytes produced by :func:`marshal`.
+
+    Total over hostile input: whatever ``data`` holds, the outcome is a
+    value or a ``MarshalError`` (cause chained).  The node decoders
+    index and unpack without checking shapes; the one handler here is
+    what turns a missing field, a wrong type, an unhashable key, a
+    codec's ``from_wire`` failing on a foreign shape, or the JSON
+    scanner running out of stack into the refusal.
+    """
     try:
-        wire = json.loads(data.decode())
+        return _decode(json.loads(data.decode()), 0)
+    except MarshalError:
+        raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MarshalError(f"corrupt wire data: {exc}") from exc
-    return _from_wire(wire)
+    except Exception as exc:
+        raise MarshalError(f"malformed wire data: "
+                           f"{type(exc).__name__}: {exc}") from exc
 
 
 def payload_size(obj: Any) -> int:

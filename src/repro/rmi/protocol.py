@@ -45,6 +45,15 @@ def encode_frame(payload: bytes) -> bytes:
     return struct.pack(">I", len(payload)) + payload
 
 
+_FIELD_ERRORS = (KeyError, TypeError, ValueError)
+
+
+def _malformed(what: str, exc: Exception) -> MarshalError:
+    """The refusal for a frame of the right kind whose fields are
+    missing or mistyped: decoding is total, like ``unmarshal``."""
+    return MarshalError(f"malformed {what}: {type(exc).__name__}: {exc}")
+
+
 @dataclass(frozen=True)
 class CallRequest:
     """A remote method invocation request."""
@@ -77,14 +86,17 @@ class CallRequest:
         """Rebuild a request from its marshallable dict form."""
         if not isinstance(wire, dict) or wire.get("kind") != "call":
             raise MarshalError(f"not a call request: {wire!r}")
-        return CallRequest(
-            object_name=wire["object"],
-            method=wire["method"],
-            args=tuple(wire["args"]),
-            kwargs=dict(wire["kwargs"]),
-            call_id=wire["id"],
-            oneway=wire["oneway"],
-        )
+        try:
+            return CallRequest(
+                object_name=wire["object"],
+                method=wire["method"],
+                args=tuple(wire["args"]),
+                kwargs=dict(wire["kwargs"]),
+                call_id=wire["id"],
+                oneway=wire["oneway"],
+            )
+        except _FIELD_ERRORS as exc:
+            raise _malformed("call request", exc) from exc
 
     @staticmethod
     def decode(data: bytes) -> "CallRequest":
@@ -120,8 +132,11 @@ class CallReply:
         """Rebuild a reply from its marshallable dict form."""
         if not isinstance(wire, dict) or wire.get("kind") != "reply":
             raise MarshalError(f"not a call reply: {wire!r}")
-        return CallReply(call_id=wire["id"], ok=wire["ok"],
-                         result=wire["result"], error=wire["error"])
+        try:
+            return CallReply(call_id=wire["id"], ok=wire["ok"],
+                             result=wire["result"], error=wire["error"])
+        except _FIELD_ERRORS as exc:
+            raise _malformed("call reply", exc) from exc
 
     @staticmethod
     def decode(data: bytes) -> "CallReply":
@@ -159,11 +174,14 @@ class BatchRequest:
         """Rebuild a batch from its marshallable dict form."""
         if not isinstance(wire, dict) or wire.get("kind") != "batch":
             raise MarshalError(f"not a batch request: {wire!r}")
-        calls = tuple(CallRequest.from_wire(item)
-                      for item in wire["calls"])
-        if not calls:
-            raise MarshalError("BATCH frame carries no calls")
-        return BatchRequest(calls=calls, batch_id=wire["id"])
+        try:
+            calls = tuple(CallRequest.from_wire(item)
+                          for item in wire["calls"])
+            if not calls:
+                raise MarshalError("BATCH frame carries no calls")
+            return BatchRequest(calls=calls, batch_id=wire["id"])
+        except _FIELD_ERRORS as exc:
+            raise _malformed("batch request", exc) from exc
 
     @staticmethod
     def decode(data: bytes) -> "BatchRequest":
@@ -192,10 +210,13 @@ class BatchReply:
         wire = unmarshal(data)
         if not isinstance(wire, dict) or wire.get("kind") != "batch-reply":
             raise MarshalError(f"not a batch reply: {wire!r}")
-        return BatchReply(
-            batch_id=wire["id"],
-            replies=tuple(CallReply.from_wire(item)
-                          for item in wire["replies"]))
+        try:
+            return BatchReply(
+                batch_id=wire["id"],
+                replies=tuple(CallReply.from_wire(item)
+                              for item in wire["replies"]))
+        except _FIELD_ERRORS as exc:
+            raise _malformed("batch reply", exc) from exc
 
 
 @dataclass(frozen=True)
@@ -232,7 +253,10 @@ class AuthRequest:
         """Rebuild an AUTH frame from its marshallable dict form."""
         if not isinstance(wire, dict) or wire.get("kind") != "auth":
             raise MarshalError(f"not an auth request: {wire!r}")
-        return AuthRequest(token=str(wire["token"]), call_id=wire["id"])
+        try:
+            return AuthRequest(token=str(wire["token"]), call_id=wire["id"])
+        except _FIELD_ERRORS as exc:
+            raise _malformed("auth request", exc) from exc
 
     @staticmethod
     def decode(data: bytes) -> "AuthRequest":
