@@ -5,7 +5,8 @@ gate for one pattern at a time.  This package compiles a levelized
 :class:`~repro.gates.netlist.Netlist` once into straight-line Python
 bitwise code -- one word operation per gate -- and runs 64 test
 patterns per machine word (classic PPSFP), with stuck-at faults
-injected through per-site masks and dropped at word granularity.
+injected through per-site masks, a few hundred of them side by side in
+the lanes of one wide word, and dropped at word granularity.
 
 The compiled engine is what ``engine=None`` means wherever the choice
 only picks a logic simulator (``faultsim`` / ``atpg``, the parallel and
@@ -21,11 +22,12 @@ from .compiler import (CompiledKernel, built_fault_list, clear_build_cache,
 from .engine import (ENGINES, FaultSimulator, fault_simulator_for,
                      resolve_engine, simulator_for)
 from .power import CompiledToggleModel
-from .ppsfp import (WORD_BITS, CompiledFaultSimulator, CompiledSimulator,
-                    pack_patterns)
+from .ppsfp import (SUPERWORD_BITS, WORD_BITS, CompiledFaultSimulator,
+                    CompiledSimulator, pack_patterns)
 
 __all__ = [
     "ENGINES",
+    "SUPERWORD_BITS",
     "WORD_BITS",
     "CompiledFaultSimulator",
     "CompiledKernel",

@@ -30,9 +30,12 @@ Two functions are generated per netlist:
   ``(v, c)`` pair of every net, interleaved in net order.
 * ``run_fault(iv, ic, fm, fv)`` -- the same straight line with a
   mask-based *injection hook* at every fault site: ``fm`` holds one
-  mask word per site (all zero except the site under test) and ``fv``
-  the stuck value word, so activating a fault is two list writes, not
-  a recompile.
+  mask word per site (zero wherever no fault is active; a hook whose
+  mask is zero is skipped) and ``fv`` the stuck value word, so
+  activating a fault is two word writes, not a recompile.  Every
+  statement is a pure bitwise operation -- no shift, no add -- so bit
+  positions never interact and the words may be as wide as the caller
+  likes: the runners give every fault its own lane of patterns.
 
 Sites mirror :func:`repro.faults.faultlist.enumerate_faults`: one stem
 site per net, plus one branch site per gate input pin whose source net
@@ -66,8 +69,14 @@ def netlist_fingerprint(netlist: Netlist) -> str:
     """A content hash of the netlist structure (not its name).
 
     Two netlists with the same inputs, outputs and gate list compile to
-    the same kernel, so they share one cache entry.
+    the same kernel, so they share one cache entry.  The digest is kept
+    in the netlist's derived cache: any ``add_*`` drops it, pickles
+    leave it out, and a cache lookup does not re-hash every gate.
     """
+    return netlist._cached("fingerprint", lambda: _hash_structure(netlist))
+
+
+def _hash_structure(netlist: Netlist) -> str:
     digest = hashlib.sha256()
     digest.update(repr(netlist.inputs).encode())
     digest.update(repr(netlist.outputs).encode())
@@ -118,11 +127,11 @@ def _gate_lines(cell_name: str, out_v: str, out_c: str,
         f"cannot compile cell type {cell_name!r}")
 
 
-def _force(v_expr: str, c_expr: str, mask: str,
-           target_v: str, target_c: str) -> List[str]:
-    """Statements overriding a (value, care) pair where ``mask`` is set."""
-    return [f"{target_v} = ({v_expr} & ~{mask}) | (fv & {mask})",
-            f"{target_c} = {c_expr} | {mask}"]
+def _force(site: int, v: str, c: str) -> str:
+    """The injection hook of one site: override the (value, care) pair
+    ``v``, ``c`` where the site's mask is set, and skip the hook where
+    no fault is active (all but a few hundred sites in any one run)."""
+    return f"if m := fm[{site}]: {v} = {v} & ~m | fv & m; {c} |= m"
 
 
 class CompiledKernel:
@@ -211,14 +220,10 @@ class CompiledKernel:
         body: List[str] = []
         for position, net in enumerate(self.inputs):
             i = index[net]
+            body.append(f"v{i} = iv[{position}]")
+            body.append(f"c{i} = ic[{position}]")
             if with_faults:
-                site = self.stem_site[net]
-                body.append(f"m = fm[{site}]")
-                body.extend(_force(f"iv[{position}]", f"ic[{position}]",
-                                   "m", f"v{i}", f"c{i}"))
-            else:
-                body.append(f"v{i} = iv[{position}]")
-                body.append(f"c{i} = ic[{position}]")
+                body.append(_force(self.stem_site[net], f"v{i}", f"c{i}"))
         for gate in order:
             vs: List[str] = []
             cs: List[str] = []
@@ -226,9 +231,9 @@ class CompiledKernel:
                 s = index[source]
                 site = self.branch_site.get((gate.name, pin))
                 if with_faults and site is not None:
-                    body.append(f"m = fm[{site}]")
-                    body.extend(_force(f"v{s}", f"c{s}", "m",
-                                       f"b{pin}v", f"b{pin}c"))
+                    body.append(f"b{pin}v = v{s}")
+                    body.append(f"b{pin}c = c{s}")
+                    body.append(_force(site, f"b{pin}v", f"b{pin}c"))
                     vs.append(f"b{pin}v")
                     cs.append(f"b{pin}c")
                 else:
@@ -238,9 +243,7 @@ class CompiledKernel:
             body.extend(_gate_lines(gate.cell.name, f"v{out}", f"c{out}",
                                     vs, cs))
             if with_faults:
-                site = self.stem_site[gate.output]
-                body.append(f"m = fm[{site}]")
-                body.extend(_force(f"v{out}", f"c{out}", "m",
+                body.append(_force(self.stem_site[gate.output],
                                    f"v{out}", f"c{out}"))
         terms = ", ".join(f"v{i}, c{i}" for i in range(len(self.nets)))
         body.append(f"return ({terms})")

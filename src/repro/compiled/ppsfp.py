@@ -5,15 +5,18 @@
 net values, optional fault) and :class:`CompiledFaultSimulator` mirrors
 :class:`~repro.faults.serial.SerialFaultSimulator` (whole campaigns
 with fault dropping), but both run 64 packed patterns per word
-operation.  The fault simulator reproduces the serial report
-*byte-identically*: same ``detected`` map (values and insertion
-order), same ``per_pattern`` sets, same coverage history.
+operation, and a faulty run carries a few hundred faults side by side
+in one wide word (:data:`SUPERWORD_BITS`).  The fault simulator
+reproduces the serial report *byte-identically*: same ``detected`` map
+(values and insertion order), same ``per_pattern`` sets, same coverage
+history.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..core.errors import SimulationError
 from ..core.signal import Logic
@@ -24,9 +27,16 @@ from ..telemetry.runtime import TELEMETRY
 from .compiler import CompiledKernel, compile_netlist
 
 WORD_BITS = 64
-"""Patterns packed per word.  Python ints are arbitrary precision, but
-64 keeps every word in the fast fixed-digit regime of CPython's int
-arithmetic and matches the classic PPSFP block size."""
+"""Patterns packed per block: the classic PPSFP block size, and the
+granularity of fault dropping."""
+
+SUPERWORD_BITS = 16384
+"""Bits per word of a hooked kernel run: a block of ``w`` patterns is
+copied into ``SUPERWORD_BITS // w`` lanes, one live fault each, because
+CPython pays the same ~25 ns of interpreter overhead per word operation
+whatever the word's width.  A constant, not a tunable: campaign time
+measured flat from 8 k to 32 k bits, and one run holds ``2 * nets *
+SUPERWORD_BITS / 8`` bytes of live words (~6 MB on ``mult16``)."""
 
 
 def pack_patterns(inputs: Sequence[str],
@@ -72,6 +82,51 @@ def _unpack_lane(words: Sequence[int], output_index: Sequence[int],
                  for index in output_index)
 
 
+def _injection(kernel: CompiledKernel, fault: Any) -> Tuple[int, bool]:
+    """A stuck-at fault as the kernel sees it: (site, stuck at one)."""
+    return kernel.site_for(fault), fault.value is Logic.ONE
+
+
+def _fault_lanes(kernel: CompiledKernel, iv: Sequence[int],
+                 ic: Sequence[int], width: int,
+                 injections: Sequence[Tuple[int, bool]]
+                 ) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
+    """Run the hooked kernel over many faults, one lane of bits each.
+
+    ``iv`` / ``ic`` pack one block of ``width`` patterns; the faults go
+    ``SUPERWORD_BITS // width`` to a run.  Fault ``k`` of a run owns
+    bits ``[k * width, (k + 1) * width)`` of every word: one multiply
+    copies the block into each lane, a site's mask is the OR of the
+    lanes whose fault sits there and ``fv`` holds each lane's stuck
+    value.  The kernel is bitwise throughout, so lanes cannot interact.
+    Yields ``(lanes used, rep, run_fault result)`` per run, in fault
+    order; ``word * rep`` copies a one-lane word into every used lane.
+    """
+    mask = (1 << width) - 1
+    lanes = SUPERWORD_BITS // width
+    for first in range(0, len(injections), lanes):
+        chunk = injections[first:first + lanes]
+        rep = ((1 << width * len(chunk)) - 1) // mask
+        fm = [0] * kernel.site_count
+        fv = 0
+        lane = mask
+        for site, stuck_at_one in chunk:
+            fm[site] |= lane
+            if stuck_at_one:
+                fv |= lane
+            lane <<= width
+        yield len(chunk), rep, kernel.run_fault(
+            [word * rep for word in iv], [word * rep for word in ic],
+            fm, fv)
+
+
+def _record_work(gate_evals: int, kernel_runs: int) -> None:
+    if TELEMETRY.enabled:
+        metrics = TELEMETRY.metrics
+        metrics.counter("compiled.gate_evals").inc(gate_evals)
+        metrics.counter("compiled.kernel_runs").inc(kernel_runs)
+
+
 class CompiledSimulator:
     """Drop-in levelized simulator backed by the compiled kernel.
 
@@ -103,13 +158,9 @@ class CompiledSimulator:
         if fault is None:
             words = kernel.run_good(iv, ic)
         else:
-            fm = [0] * kernel.site_count
-            fm[kernel.site_for(fault)] = 1
-            words = kernel.run_fault(iv, ic, fm,
-                                     1 if fault.value is Logic.ONE else 0)
-        if TELEMETRY.enabled:
-            TELEMETRY.metrics.counter("compiled.gate_evals").inc(
-                kernel.gate_count)
+            _, _, words = next(_fault_lanes(kernel, iv, ic, 1,
+                                            [_injection(kernel, fault)]))
+        _record_work(kernel.gate_count, 1)
         values: Dict[str, Logic] = dict(echo)
         for index in range(len(kernel.inputs), len(kernel.nets)):
             values[kernel.nets[index]] = _unpack_bit(
@@ -128,53 +179,30 @@ class CompiledSimulator:
         """Faulty primary outputs for many faults of one input pattern.
 
         Equivalent to ``[self.outputs(input_values, fault=f) for f in
-        faults]`` but lane-packed: each fault occupies its own bit lane
-        of a replicated-pattern word, so one ``run_fault`` probes up to
-        64 faults.  Distinct faults never interfere -- a site's
-        injection mask selects only the lanes carrying a fault at that
-        site, and the stuck-value word is per lane.  This is the packed
-        path under detection-table construction.
+        faults]`` but lane-packed (:func:`_fault_lanes`, block of one
+        pattern).  This is the path under detection-table construction.
         """
         kernel = self.kernel
-        row: Dict[str, Logic] = {}
-        for net in kernel.inputs:
-            try:
-                row[net] = input_values[net]
-            except KeyError:
-                raise SimulationError(
-                    f"missing value for primary input {net!r}") from None
-        iv1, ic1 = pack_patterns(kernel.inputs, [row])
+        iv, ic = pack_patterns(kernel.inputs, [input_values])
+        injections = [_injection(kernel, fault) for fault in faults]
         results: List[Tuple[Logic, ...]] = []
-        faults = list(faults)
-        evals = 0
-        for start in range(0, len(faults), WORD_BITS):
-            chunk = faults[start:start + WORD_BITS]
-            mask = (1 << len(chunk)) - 1
-            iv = [mask if word & 1 else 0 for word in iv1]
-            ic = [mask if word & 1 else 0 for word in ic1]
-            fm = [0] * kernel.site_count
-            fv = 0
-            for lane, fault in enumerate(chunk):
-                fm[kernel.site_for(fault)] |= 1 << lane
-                if fault.value is Logic.ONE:
-                    fv |= 1 << lane
-            words = kernel.run_fault(iv, ic, fm, fv)
-            evals += kernel.gate_count
+        runs = 0
+        for count, rep, words in _fault_lanes(kernel, iv, ic, 1,
+                                              injections):
+            runs += 1
             # Most faults of a chunk leave the outputs as lane 0 has
             # them: find the lanes that differ from lane 0 on any output
             # word, unpack only those, and let the rest share one tuple.
             differs = 0
             for index in kernel.output_index:
                 v, c = words[2 * index], words[2 * index + 1]
-                differs |= (v ^ (mask if v & 1 else 0)) \
-                    | (c ^ (mask if c & 1 else 0))
+                differs |= (v ^ (v & 1) * rep) | (c ^ (c & 1) * rep)
             lane0 = _unpack_lane(words, kernel.output_index, 0)
-            for lane in range(len(chunk)):
+            for lane in range(count):
                 results.append(
                     _unpack_lane(words, kernel.output_index, lane)
                     if (differs >> lane) & 1 else lane0)
-        if TELEMETRY.enabled and evals:
-            TELEMETRY.metrics.counter("compiled.gate_evals").inc(evals)
+        _record_work(kernel.gate_count * len(injections), runs)
         return results
 
 
@@ -182,7 +210,8 @@ class CompiledFaultSimulator:
     """PPSFP stuck-at fault simulation matching the serial oracle.
 
     Each 64-pattern block runs the fault-free kernel once, then the
-    hooked kernel once per still-active fault; the detection word
+    hooked kernel once per ``SUPERWORD_BITS // 64`` still-active faults
+    (:func:`_fault_lanes`); a fault's lane of the detection word
     ``(vg ^ vf) | (cg ^ cf)`` over the primary outputs marks every
     detecting pattern of the block at once.  With ``drop_detected`` a
     detected fault leaves the active list for all later blocks.
@@ -193,16 +222,35 @@ class CompiledFaultSimulator:
         self.netlist = netlist
         self.kernel: CompiledKernel = compile_netlist(netlist)
         self.fault_list = fault_list or build_fault_list(netlist)
-        kernel = self.kernel
-        self._sites: Dict[str, Tuple[int, int]] = {}
-        for name in self.fault_list.names():
-            fault = self.fault_list.fault(name)
-            self._sites[name] = (kernel.site_for(fault),
-                                 1 if fault.value is Logic.ONE else 0)
+        self._sites: Dict[str, Tuple[int, bool]] = {
+            name: _injection(self.kernel, self.fault_list.fault(name))
+            for name in self.fault_list.names()}
         self._out_pos: Tuple[int, ...] = tuple(
-            2 * index for index in kernel.output_index)
+            2 * index for index in self.kernel.output_index)
 
-    # ------------------------------------------------------------------
+    def _detection_words(self, block: Sequence[Mapping[str, Logic]],
+                         names: Sequence[str]) -> Tuple[List[int], int]:
+        """One detection word per fault of ``names`` (bit ``i`` set iff
+        ``block[i]`` detects it) and the kernel runs that took."""
+        kernel = self.kernel
+        width = len(block)
+        mask = (1 << width) - 1
+        iv, ic = pack_patterns(kernel.inputs, block)
+        good = kernel.run_good(iv, ic)
+        detections: List[int] = []
+        runs = 1
+        for count, rep, faulty in _fault_lanes(
+                kernel, iv, ic, width,
+                [self._sites[name] for name in names]):
+            runs += 1
+            diff = 0
+            for pos in self._out_pos:
+                diff |= (good[pos] * rep ^ faulty[pos]) \
+                    | (good[pos + 1] * rep ^ faulty[pos + 1])
+            for _ in range(count):
+                detections.append(diff & mask)
+                diff >>= width
+        return detections, runs
 
     def run(self, patterns: Sequence[Mapping[str, Logic]],
             drop_detected: bool = True) -> FaultSimReport:
@@ -213,71 +261,53 @@ class CompiledFaultSimulator:
         same netlist, fault list and patterns -- including the
         insertion order of ``detected`` and the exact per-pattern sets.
         """
-        kernel = self.kernel
         remaining: List[str] = list(self.fault_list.names())
         report = FaultSimReport(total_faults=len(remaining))
         patterns = list(patterns)
         report.per_pattern = [set() for _ in patterns]
-        fm = [0] * kernel.site_count
         begin = time.perf_counter()
-        evals = 0
-        blocks = 0
-        last_bits: Dict[str, int] = {}
+        evals = blocks = kernel_runs = 0
         for start in range(0, len(patterns), WORD_BITS):
             block = patterns[start:start + WORD_BITS]
-            width = len(block)
-            mask = (1 << width) - 1
-            iv, ic = pack_patterns(kernel.inputs, block)
-            good = kernel.run_good(iv, ic)
-            good_out = [(good[pos], good[pos + 1])
-                        for pos in self._out_pos]
+            detections, runs = self._detection_words(block, remaining)
             blocks += 1
-            evals += kernel.gate_count * width
-            hits: List[Tuple[str, int]] = []
+            kernel_runs += runs
+            evals += self.kernel.gate_count * len(block) \
+                * (1 + len(remaining))
+            # (first detecting index, name, index to report) per fault
+            # this block detects for the first time.
+            hits: List[Tuple[int, str, int]] = []
             still: List[str] = []
-            for name in remaining:
-                site, value = self._sites[name]
-                fm[site] = mask
-                faulty = kernel.run_fault(iv, ic, fm,
-                                          mask if value else 0)
-                fm[site] = 0
-                evals += kernel.gate_count * width
-                diff = 0
-                for pos, (gv, gc) in zip(self._out_pos, good_out):
-                    diff |= (gv ^ faulty[pos]) | (gc ^ faulty[pos + 1])
+            for name, diff in zip(remaining, detections):
                 if not diff:
                     still.append(name)
                     continue
-                first = (diff & -diff).bit_length() - 1
+                first = start + (diff & -diff).bit_length() - 1
                 if drop_detected:
-                    report.per_pattern[start + first].add(name)
-                    hits.append((name, start + first))
+                    report.per_pattern[first].add(name)
+                    hits.append((first, name, first))
+                    continue
+                still.append(name)
+                bits = diff
+                while bits:
+                    low = (bits & -bits).bit_length() - 1
+                    report.per_pattern[start + low].add(name)
+                    bits &= bits - 1
+                last = start + diff.bit_length() - 1
+                if name in report.detected:
+                    report.detected[name] = last
                 else:
-                    bits = diff
-                    while bits:
-                        low = (bits & -bits).bit_length() - 1
-                        report.per_pattern[start + low].add(name)
-                        bits &= bits - 1
-                    last = diff.bit_length() - 1
-                    if name in last_bits:
-                        report.detected[name] = start + last
-                    else:
-                        hits.append((name, start + first))
-                        last_bits[name] = start + last
-                    still.append(name)
+                    hits.append((first, name, last))
             # Serial inserts detections pattern-major (pattern index,
             # then fault-list order); a stable sort on the first
             # detecting index reproduces that insertion order.
-            for name, first in sorted(hits, key=lambda item: item[1]):
-                if drop_detected:
-                    report.detected[name] = first
-                else:
-                    report.detected[name] = last_bits[name]
-            remaining = still if drop_detected else remaining
+            for _, name, index in sorted(hits, key=lambda hit: hit[0]):
+                report.detected[name] = index
+            remaining = still
+        _record_work(evals, kernel_runs)
         if TELEMETRY.enabled:
             elapsed = time.perf_counter() - begin
             metrics = TELEMETRY.metrics
-            metrics.counter("compiled.gate_evals").inc(evals)
             metrics.counter("compiled.eval_seconds").inc(elapsed)
             metrics.counter("compiled.blocks").inc(blocks)
             if elapsed > 0:
@@ -294,42 +324,11 @@ class CompiledFaultSimulator:
                   names: Sequence[str]) -> List[str]:
         """The subset of ``names`` detected by one pattern, in order.
 
-        This is the compiled replacement for the interpreted
-        ``detected_by`` inner loop of random-phase ATPG.  Faults are
-        lane-packed: the pattern is replicated across the word and each
-        fault of a 64-chunk occupies its own bit lane, so one hooked
-        kernel run probes 64 faults at once (injection masks select
-        only the lanes carrying a fault at that site, and the stuck
-        value is per lane -- distinct faults never interfere).
+        The compiled replacement for the interpreted ``detected_by``
+        inner loop of random-phase ATPG: a block of one pattern, so one
+        hooked kernel run probes up to ``SUPERWORD_BITS`` faults.
         """
-        kernel = self.kernel
-        iv1, ic1 = pack_patterns(kernel.inputs, [pattern])
-        good = kernel.run_good(iv1, ic1)
-        hits: List[str] = []
         names = list(names)
-        evals = kernel.gate_count
-        for start in range(0, len(names), WORD_BITS):
-            chunk = names[start:start + WORD_BITS]
-            mask = (1 << len(chunk)) - 1
-            iv = [mask if word & 1 else 0 for word in iv1]
-            ic = [mask if word & 1 else 0 for word in ic1]
-            fm = [0] * kernel.site_count
-            fv = 0
-            for lane, name in enumerate(chunk):
-                site, value = self._sites[name]
-                fm[site] |= 1 << lane
-                if value:
-                    fv |= 1 << lane
-            faulty = kernel.run_fault(iv, ic, fm, fv)
-            evals += kernel.gate_count
-            diff = 0
-            for pos in self._out_pos:
-                gv = mask if good[pos] & 1 else 0
-                gc = mask if good[pos + 1] & 1 else 0
-                diff |= (gv ^ faulty[pos]) | (gc ^ faulty[pos + 1])
-            for lane, name in enumerate(chunk):
-                if (diff >> lane) & 1:
-                    hits.append(name)
-        if TELEMETRY.enabled:
-            TELEMETRY.metrics.counter("compiled.gate_evals").inc(evals)
-        return hits
+        detections, runs = self._detection_words([pattern], names)
+        _record_work(self.kernel.gate_count * (1 + len(names)), runs)
+        return [name for name, diff in zip(names, detections) if diff]

@@ -93,8 +93,8 @@ def build_detection_table(netlist: Netlist, fault_list: FaultList,
     fault-free one are grouped by that erroneous pattern.  ``only``
     restricts the computation to the user's still-undetected faults.
     ``simulator`` is what :func:`repro.compiled.simulator_for` returns
-    for either engine (the compiled one probes up to 64 faults per
-    kernel run); both build identical tables.
+    for either engine (the compiled one gives every fault a bit lane
+    of one kernel run); both build identical tables.
     """
     simulator = simulator or NetlistSimulator(netlist)
     fault_free = simulator.outputs(input_values)

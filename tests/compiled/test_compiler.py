@@ -1,5 +1,7 @@
 """Unit tests for the netlist-to-Python compiler and its cache."""
 
+import pickle
+
 import pytest
 
 from repro.compiled import (clear_kernel_cache, compile_netlist,
@@ -50,6 +52,22 @@ class TestFingerprint:
             != netlist_fingerprint(other)
 
 
+    def test_cached_on_the_netlist_until_it_changes(self):
+        netlist = small_netlist()
+        before = netlist_fingerprint(netlist)
+        assert netlist._derived["fingerprint"] == before
+        netlist.add_output("n0")
+        assert "fingerprint" not in netlist._derived
+        assert netlist_fingerprint(netlist) != before
+
+    def test_left_out_of_pickles(self):
+        netlist = small_netlist()
+        before = netlist_fingerprint(netlist)
+        clone = pickle.loads(pickle.dumps(netlist))
+        assert clone._derived == {}
+        assert netlist_fingerprint(clone) == before
+
+
 class TestKernelCache:
     def test_equal_content_shares_one_kernel(self):
         first = compile_netlist(small_netlist("one"))
@@ -79,6 +97,14 @@ class TestKernelShape:
         assert "def run_fault(iv, ic, fm, fv):" in kernel.source
         assert callable(kernel.run_good)
         assert callable(kernel.run_fault)
+
+    def test_one_skippable_hook_per_site(self):
+        kernel = CompiledKernel(resolve_bench("figure4"))
+        assert kernel.source.count("if m := fm[") == kernel.site_count
+        iv = [0b0101] * len(kernel.inputs)
+        ic = [0b1111] * len(kernel.inputs)
+        assert kernel.run_fault(iv, ic, [0] * kernel.site_count, 0) \
+            == kernel.run_good(iv, ic)
 
     def test_net_order_inputs_then_levelized(self):
         netlist = resolve_bench("figure4")

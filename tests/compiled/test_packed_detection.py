@@ -1,4 +1,4 @@
-"""Lane-packed fault probing: 64 faults per kernel run, same answers.
+"""Lane-packed fault probing: many faults per kernel run, same answers.
 
 ``CompiledSimulator.outputs_for_faults`` packs distinct faults into
 distinct bit lanes of one replicated pattern, so detection-table
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiled import CompiledSimulator, simulator_for
+from repro.compiled import CompiledSimulator, ppsfp, simulator_for
 from repro.core import Logic
 from repro.faults import build_fault_list
 from repro.faults.atpg import generate_test_set
@@ -36,7 +36,6 @@ class TestOutputsForFaults:
     def test_matches_per_fault_probing(self, bench, with_unknowns):
         netlist = load_bench(bench)
         fault_list = build_fault_list(netlist)
-        # >64 faults exercises multi-chunk packing on alu8.
         names = fault_list.names()[:96]
         faults = [fault_list.fault(name) for name in names]
         compiled = CompiledSimulator(netlist)
@@ -47,6 +46,25 @@ class TestOutputsForFaults:
             for fault, outputs in zip(faults, packed):
                 assert outputs == compiled.outputs(stimulus,
                                                    fault=fault)
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 19])
+    @pytest.mark.parametrize("with_unknowns", [False, True])
+    def test_run_boundaries_match_event_engine(self, monkeypatch, count,
+                                               with_unknowns):
+        """A block of one pattern puts ``SUPERWORD_BITS`` faults in one
+        kernel run; shrunk to 8, the boundaries fall inside alu8's
+        list and the interpreted simulator can referee them."""
+        monkeypatch.setattr(ppsfp, "SUPERWORD_BITS", 8)
+        netlist = load_bench("alu8")
+        fault_list = build_fault_list(netlist)
+        rng = random.Random(count)
+        faults = [fault_list.fault(name)
+                  for name in rng.sample(fault_list.names(), count)]
+        stimulus = random_stimulus(netlist, rng, with_unknowns)
+        event = NetlistSimulator(netlist)
+        assert CompiledSimulator(netlist).outputs_for_faults(
+            stimulus, faults) == [event.outputs(stimulus, fault=fault)
+                                  for fault in faults]
 
     def test_event_engine_agrees(self):
         netlist = load_bench("c17")

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from repro.compiled import (WORD_BITS, CompiledFaultSimulator,
-                            CompiledSimulator, pack_patterns)
+from repro.compiled import (SUPERWORD_BITS, WORD_BITS,
+                            CompiledFaultSimulator, CompiledSimulator,
+                            pack_patterns)
 from repro.core.errors import SimulationError
 from repro.core.signal import Logic
 from repro.faults.faultlist import build_fault_list
@@ -135,6 +136,40 @@ class TestTelemetry:
             assert metrics.counter("compiled.eval_seconds").value > 0
             assert metrics.gauge(
                 "compiled.gate_evals_per_second").value > 0
+
+    def test_work_counters_are_exact(self):
+        """The logical work (``gate_evals``) does not depend on how the
+        faults are packed; the kernel invocations (``kernel_runs``) do:
+        one fault-free run plus one hooked run per superword of faults.
+        """
+        netlist = resolve_bench("mult8")
+        fault_list = build_fault_list(netlist)
+        assert len(fault_list) == 1344
+        rng = random.Random(1)
+        patterns = [{net: Logic(rng.getrandbits(1))
+                     for net in netlist.inputs}
+                    for _ in range(WORD_BITS)]
+        lanes = SUPERWORD_BITS // WORD_BITS
+        with telemetry_session():
+            CompiledFaultSimulator(netlist, fault_list).run(patterns)
+            metrics = TELEMETRY.metrics
+            assert metrics.counter("compiled.gate_evals").value \
+                == 29_267_200
+            assert metrics.counter("compiled.blocks").value == 1
+            assert metrics.counter("compiled.kernel_runs").value \
+                == 1 + -(-1344 // lanes)
+
+    def test_probe_counters(self):
+        netlist, patterns = figure4_patterns(1)
+        simulator = CompiledFaultSimulator(netlist)
+        names = simulator.fault_list.names()
+        gates = simulator.kernel.gate_count
+        with telemetry_session():
+            simulator.detecting(patterns[0], names)
+            metrics = TELEMETRY.metrics
+            assert metrics.counter("compiled.gate_evals").value \
+                == gates * (1 + len(names))
+            assert metrics.counter("compiled.kernel_runs").value == 2
 
     def test_silent_when_disabled(self):
         netlist, patterns = figure4_patterns(4)
