@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
+from ..compiled import resolve_engine, simulator_for
 from ..core.connector import WordConnector
 from ..core.controller import SimulationController
 from ..core.design import Circuit, Design
@@ -36,6 +37,13 @@ from ..rtl.combinational import WordMultiplier
 
 SCENARIOS = ("AL", "ER", "MR")
 """The three paper scenarios."""
+
+TABLE2_ROWS: Tuple[Tuple[str, NetworkModel], ...] = (
+    ("AL", LOCALHOST),
+    ("ER", LOCALHOST), ("MR", LOCALHOST),
+    ("ER", LAN), ("MR", LAN),
+    ("ER", WAN), ("MR", WAN))
+"""The seven Table 2 cells, in the paper's row order."""
 
 DEFAULT_WIDTH = 16
 DEFAULT_PATTERNS = 100
@@ -63,20 +71,51 @@ class ScenarioResult:
 
 
 @lru_cache(maxsize=8)
-def shared_provider(width: int = DEFAULT_WIDTH,
-                    power_enabled: bool = True,
-                    engine: str = "event") -> IPProvider:
-    """A memoized provider publishing the Figure 2 multiplier IP.
-
-    Publishing characterizes power models over the secret netlist, which
-    is expensive; benchmarks reuse one provider per configuration.
-    ``engine`` selects the provider-side gate simulation (see
-    :meth:`repro.ip.provider.IPProvider.publish_multiplier`).
-    """
+def _multiplier_provider(width: int, power_enabled: bool,
+                         engine: str) -> IPProvider:
     provider = IPProvider("provider.host.name")
     provider.publish_multiplier(width, power_enabled=power_enabled,
                                 engine=engine)
     return provider
+
+
+def shared_provider(width: int = DEFAULT_WIDTH,
+                    power_enabled: bool = True,
+                    engine: Optional[str] = None) -> IPProvider:
+    """A memoized provider publishing the Figure 2 multiplier IP.
+
+    Publishing characterizes power models over the secret netlist, which
+    is expensive; benchmarks reuse one provider per configuration,
+    however the call spells its defaults.  ``engine`` selects the
+    provider's logic simulator (see
+    :meth:`repro.ip.provider.IPProvider.publish_multiplier`).
+    """
+    return _multiplier_provider(width, power_enabled,
+                                resolve_engine(engine))
+
+
+@lru_cache(maxsize=16)
+def _bench_provider(bench: str, engine: str) -> IPProvider:
+    provider = IPProvider("provider.host.name")
+    provider.publish_bench(bench, engine=engine)
+    return provider
+
+
+def shared_bench_provider(bench: str,
+                          engine: Optional[str] = None) -> IPProvider:
+    """A memoized provider publishing one corpus bench as IP.
+
+    Publishing builds the netlist and its fault list, which is expensive
+    for the four-digit-gate corpus entries; benchmarks and the CLI reuse
+    one provider per (bench, engine) pair.
+    """
+    return _bench_provider(bench, resolve_engine(engine))
+
+
+def clear_shared_providers() -> None:
+    """Drop both provider memos (``reset_session_state()`` says why)."""
+    _multiplier_provider.cache_clear()
+    _bench_provider.cache_clear()
 
 
 class Figure2Design(Design):
@@ -150,24 +189,20 @@ def run_scenario(mode: str, network: NetworkModel = LOCALHOST,
                  nonblocking: bool = False,
                  batching: Optional[bool] = None,
                  caching: Optional[bool] = None,
-                 engine: str = "event") -> ScenarioResult:
+                 engine: Optional[str] = None) -> ScenarioResult:
     """Run one Table 2 cell and return its measured row.
 
     ``batching``/``caching`` select the wire wrappers for the provider
     connection; ``None`` defers to the process-wide ``WIRE_OPTIONS``
     (the CLI's ``--rmi-batch`` / ``--rmi-cache`` flags).  ``engine``
-    picks the provider-side gate simulation (event or compiled); the
-    timing rows are engine-independent.
+    picks the provider's logic simulator; the rows are
+    engine-independent.
     """
     cost = cost_model or CostModel()
     clock = VirtualClock()
     connection: Optional[ProviderConnection] = None
     if mode != "AL":
-        # Two-argument form for the default engine so the memo key is
-        # shared with direct ``shared_provider(width, enabled)`` callers.
-        provider = (shared_provider(width, power_enabled)
-                    if engine == "event"
-                    else shared_provider(width, power_enabled, engine))
+        provider = shared_provider(width, power_enabled, engine)
         connection = ProviderConnection(provider, network, clock=clock,
                                         cost_model=cost,
                                         batching=batching,
@@ -210,38 +245,18 @@ def run_scenario(mode: str, network: NetworkModel = LOCALHOST,
 
 def run_table2(width: int = DEFAULT_WIDTH, patterns: int = DEFAULT_PATTERNS,
                buffer_size: int = DEFAULT_BUFFER,
-               engine: str = "event") -> List[ScenarioResult]:
+               engine: Optional[str] = None) -> List[ScenarioResult]:
     """All seven rows of the paper's Table 2, in paper order."""
-    rows = [run_scenario("AL", LOCALHOST, width, patterns, buffer_size,
-                         engine=engine)]
-    for network in (LOCALHOST, LAN, WAN):
-        rows.append(run_scenario("ER", network, width, patterns,
-                                 buffer_size, engine=engine))
-        rows.append(run_scenario("MR", network, width, patterns,
-                                 buffer_size, engine=engine))
-    # Paper order: AL, ER/MR local, ER/MR LAN, ER/MR WAN.
-    return rows
-
-
-@lru_cache(maxsize=16)
-def shared_bench_provider(bench: str,
-                          engine: str = "event") -> IPProvider:
-    """A memoized provider publishing one corpus bench as IP.
-
-    Publishing builds the netlist and its fault list, which is expensive
-    for the four-digit-gate corpus entries; benchmarks and the CLI reuse
-    one provider per (bench, engine) pair.
-    """
-    provider = IPProvider("provider.host.name")
-    provider.publish_bench(bench, engine=engine)
-    return provider
+    return [run_scenario(mode, network, width, patterns, buffer_size,
+                         engine=engine)
+            for mode, network in TABLE2_ROWS]
 
 
 def run_corpus_scenario(mode: str, bench: str,
                         network: NetworkModel = LOCALHOST,
                         patterns: int = DEFAULT_PATTERNS,
                         buffer_size: int = DEFAULT_BUFFER,
-                        engine: str = "event", seed: int = 0,
+                        engine: Optional[str] = None, seed: int = 0,
                         cost_model: Optional[CostModel] = None
                         ) -> ScenarioResult:
     """One Table 2 cell over a corpus bench instead of Figure 2.
@@ -257,7 +272,6 @@ def run_corpus_scenario(mode: str, bench: str,
     """
     import random
 
-    from ..compiled import resolve_engine, simulator_for
     from ..core.signal import Logic
     from ..gates.corpus import load_bench
     from ..gates.io import SequentialBench
@@ -266,7 +280,6 @@ def run_corpus_scenario(mode: str, bench: str,
 
     if mode not in SCENARIOS:
         raise DesignError(f"unknown scenario {mode!r}")
-    engine = resolve_engine(engine)
     loaded = load_bench(bench)
     sequential = isinstance(loaded, SequentialBench)
     core = loaded.core if sequential else loaded
@@ -357,20 +370,12 @@ def run_corpus_scenario(mode: str, bench: str,
 
 def run_corpus_table2(bench: str, patterns: int = DEFAULT_PATTERNS,
                       buffer_size: int = DEFAULT_BUFFER,
-                      engine: str = "event",
+                      engine: Optional[str] = None,
                       seed: int = 0) -> List[ScenarioResult]:
     """All seven Table 2 rows over a corpus bench, in paper order."""
-    rows = [run_corpus_scenario("AL", bench, LOCALHOST, patterns,
-                                buffer_size, engine=engine, seed=seed)]
-    for network in (LOCALHOST, LAN, WAN):
-        rows.append(run_corpus_scenario("ER", bench, network, patterns,
-                                        buffer_size, engine=engine,
-                                        seed=seed))
-        rows.append(run_corpus_scenario("MR", bench, network, patterns,
-                                        buffer_size, engine=engine,
-                                        seed=seed))
-    # Paper order: AL, ER/MR local, ER/MR LAN, ER/MR WAN.
-    return rows
+    return [run_corpus_scenario(mode, bench, network, patterns,
+                                buffer_size, engine=engine, seed=seed)
+            for mode, network in TABLE2_ROWS]
 
 
 def run_buffer_sweep(buffer_percents: Optional[List[int]] = None,

@@ -83,8 +83,9 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     from .parallel import resolve_workers, run_table2_parallel
 
     workers = resolve_workers(getattr(args, "workers", 0) or None)
-    engine = getattr(args, "engine", "event")
+    engine = getattr(args, "engine", None)
     bench = getattr(args, "bench", None)
+    title = "Table 2"
     if bench is not None:
         from .bench.scenarios import run_corpus_table2
         from .core.errors import DesignError
@@ -96,14 +97,8 @@ def _cmd_table2(args: argparse.Namespace) -> int:
         except DesignError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(f"Table 2 over bench {bench!r} -- {args.patterns} "
-              f"patterns, buffer of {args.buffer}:")
-        print(format_table(
-            ["Design", "Host", "CPU time (s)", "Real time (s)"],
-            [[row.scenario, row.host, f"{row.cpu:.0f}",
-              f"{row.real:.0f}"] for row in rows]))
-        return 0
-    if workers > 1:
+        title = f"Table 2 over bench {bench!r}"
+    elif workers > 1:
         rows = run_table2_parallel(width=args.width,
                                    patterns=args.patterns,
                                    buffer_size=args.buffer,
@@ -113,7 +108,7 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
         rows = run_table2(width=args.width, patterns=args.patterns,
                           buffer_size=args.buffer, engine=engine)
-    print(f"Table 2 -- {args.patterns} patterns, buffer of "
+    print(f"{title} -- {args.patterns} patterns, buffer of "
           f"{args.buffer}:")
     print(format_table(
         ["Design", "Host", "CPU time (s)", "Real time (s)"],
@@ -394,16 +389,14 @@ def _add_server_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_campaign_options(parser: argparse.ArgumentParser,
                           engine_help: Optional[str] = None,
-                          workers_help: Optional[str] = None,
-                          engine_default: Optional[str] = None) -> None:
+                          workers_help: Optional[str] = None) -> None:
     """``--engine`` / ``--workers``, each declared where its help is given.
 
-    ``engine_default`` stays ``None`` (= ``repro.compiled.DEFAULT_ENGINE``,
-    resolved by the callee) except on the provider-side commands, where
-    the flag also picks the power estimator (see ``compiled/engine.py``).
+    An unset ``--engine`` stays ``None``; the callee resolves it to
+    ``repro.compiled.DEFAULT_ENGINE``.
     """
     if engine_help is not None:
-        parser.add_argument("--engine", default=engine_default,
+        parser.add_argument("--engine", default=None,
                             choices=["event", "compiled"],
                             help=engine_help)
     if workers_help is not None:
@@ -732,9 +725,11 @@ def build_parser() -> argparse.ArgumentParser:
     table2.add_argument("--patterns", type=int, default=100)
     table2.add_argument("--buffer", type=int, default=5)
     _add_campaign_options(
-        table2, engine_default="event",
-        engine_help="provider-side gate-simulation engine (toggle power "
-                    "model, detection tables)",
+        table2,
+        engine_help="logic-simulation engine under the provider's "
+                    "servants and the bench evaluations (default: "
+                    "compiled; event is the interpreted oracle; rows are "
+                    "identical either way)",
         workers_help="run scenarios concurrently on N worker processes")
     table2.set_defaults(fn=_cmd_table2)
 
@@ -799,8 +794,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--width", type=int, default=8,
                        help="bit width of the published multiplier IP")
     _add_campaign_options(
-        serve, engine_default="event",
-        engine_help="provider-side gate-simulation engine")
+        serve,
+        engine_help="logic-simulation engine under the served detection "
+                    "tables (default: compiled; event is the interpreted "
+                    "oracle; replies are identical either way)")
     _add_server_options(serve)
     serve.set_defaults(fn=_cmd_serve)
 

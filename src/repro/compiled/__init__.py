@@ -8,10 +8,10 @@ patterns per machine word (classic PPSFP), with stuck-at faults
 injected through per-site masks, a few hundred of them side by side in
 the lanes of one wide word, and dropped at word granularity.
 
-The compiled engine is what ``engine=None`` means wherever the choice
-only picks a logic simulator (``faultsim`` / ``atpg``, the parallel and
-remote farms, the testability servants; see :mod:`.engine`) and
-produces ``FaultSimReport`` values byte-identical to the serial
+The compiled engine is what ``engine=None`` means everywhere
+(``faultsim`` / ``atpg``, the parallel and remote farms, every servant a
+provider publishes; see :mod:`.engine`) and produces ``FaultSimReport``
+values, detection tables and evaluations byte-identical to the
 interpreted path, which stays selectable as ``--engine event`` and is
 the oracle of ``tests/differential/test_engine_differential.py``.
 """
@@ -21,7 +21,6 @@ from .compiler import (CompiledKernel, built_fault_list, clear_build_cache,
                        netlist_fingerprint)
 from .engine import (ENGINES, FaultSimulator, fault_simulator_for,
                      resolve_engine, simulator_for)
-from .power import CompiledToggleModel
 from .ppsfp import (SUPERWORD_BITS, WORD_BITS, CompiledFaultSimulator,
                     CompiledSimulator, pack_patterns)
 
@@ -32,7 +31,6 @@ __all__ = [
     "CompiledFaultSimulator",
     "CompiledKernel",
     "CompiledSimulator",
-    "CompiledToggleModel",
     "FaultSimulator",
     "built_fault_list",
     "clear_build_cache",

@@ -1,8 +1,8 @@
 """Engine selection: the interpreted event path vs the compiled kernel.
 
 This is the one place an engine name turns into a simulator.  Every
-campaign entry point (CLI, ATPG, parallel workers, the remote fault
-farm, the testability servants) funnels its ``engine`` argument through
+entry point (CLI, ATPG, parallel workers, the remote fault farm, the
+provider's published servants) funnels its ``engine`` argument through
 :func:`resolve_engine` and builds what it runs through
 :func:`fault_simulator_for` (whole campaigns) or :func:`simulator_for`
 (single patterns); nothing else chooses between the implementations.
@@ -27,17 +27,11 @@ DEFAULT_ENGINE = "compiled"
 """What ``engine=None`` means, written here and nowhere else.
 
 The two engines are byte-identical as *logic* simulators (same reports,
-detection tables and test sets; ``tests/differential`` holds them to
-it), so the fast one is the default and ``"event"`` stays as the
-oracle.  The signatures that still default to ``"event"`` --
-``IPProvider.publish_multiplier`` / ``publish_bench``, ``shared_provider``
-/ ``shared_bench_provider``, ``run_scenario`` / ``run_table2`` /
-``run_corpus_*``, ``parallel/scenarios.py`` and the CLI's ``table2`` /
-``serve`` -- do so because there the same flag also picks the power
-*estimator* (``ToggleCountModel`` vs ``CompiledToggleModel``, see
-``compiled/power.py``): the two agree only to float round-off and
-count ``evaluated_gates`` differently, so flipping it would move
-Table 2 and add a kernel compile to every provider publish.
+detection tables, evaluations and test sets; ``tests/differential``
+holds them to it), so the fast one is the default everywhere and
+``"event"`` stays selectable as the oracle.  ``engine`` never picks
+anything else: the provider's power estimator is always
+:class:`~repro.power.toggle.ToggleCountModel`.
 """
 
 

@@ -15,6 +15,7 @@ history.
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
 
@@ -138,7 +139,12 @@ class CompiledSimulator:
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self.kernel: CompiledKernel = compile_netlist(netlist)
+
+    @cached_property
+    def kernel(self) -> CompiledKernel:
+        """Taken from the process-wide cache on first use: a servant
+        that is published but never called compiles nothing."""
+        return compile_netlist(self.netlist)
 
     def evaluate(self, input_values: Mapping[str, Logic],
                  fault: Any = None) -> Dict[str, Logic]:

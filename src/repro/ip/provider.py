@@ -11,11 +11,12 @@ itself can never leave: the restricted marshaller rejects it.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..compiled import CompiledToggleModel, resolve_engine, simulator_for
+from ..compiled import simulator_for
 from ..core.errors import IPProtectionError, RemoteError
-from ..faults.faultlist import build_fault_list
+from ..core.signal import Logic
+from ..faults.faultlist import FaultList, build_fault_list
 from ..faults.virtual import TestabilityServant
 from ..gates.generators import array_multiplier
 from ..gates.netlist import Netlist
@@ -27,7 +28,18 @@ from ..power.toggle import (SiliconReference, ToggleCountModel,
 from ..rmi.server import JavaCADServer, current_server_context
 
 
-class PowerServant:
+def bits_to_inputs(netlist: Netlist,
+                   bits: Sequence[int]) -> Dict[str, Logic]:
+    """One wire bit per netlist primary input, in declaration order."""
+    if len(bits) != len(netlist.inputs):
+        raise RemoteError(
+            f"expected {len(netlist.inputs)} input bits, "
+            f"got {len(bits)}")
+    return {net: Logic(int(bit))
+            for net, bit in zip(netlist.inputs, bits)}
+
+
+class SessionPowerServant:
     """Provider-side accurate power estimation (the PPP stand-in).
 
     Keeps one toggle-count model per client session (consecutive
@@ -35,45 +47,45 @@ class PowerServant:
     so that oneway (non-blocking) buffered calls can be fetched later.
     With ``enabled=False`` the actual simulator call is skipped -- the
     Figure 3 configuration, where only RMI overhead remains.
+
+    This is the whole implementation; the two published surfaces,
+    :class:`PowerServant` and :class:`BitPowerServant`, supply only
+    ``_decode`` (wire pattern -> ``{input net: Logic}``) and the two
+    single-pattern methods whose argument shape follows from it.
     """
 
-    REMOTE_METHODS = ("reset", "power_of_pair", "power_buffer",
-                      "mark_pattern", "fetch_results")
+    REMOTE_METHODS = ("reset", "power_buffer", "fetch_results")
 
-    def __init__(self, netlist: Netlist, prefixes: Sequence[str],
-                 widths: Sequence[int],
-                 model_factory: Optional[Callable[[], ToggleCountModel]]
-                 = None,
-                 calibration: float = 1.0, enabled: bool = True,
-                 gate_eval_cost: float = 40e-6):
+    def __init__(self, netlist: Netlist, calibration: float = 1.0,
+                 enabled: bool = True, gate_eval_cost: float = 0.0):
         self.netlist = netlist
-        self.prefixes = tuple(prefixes)
-        self.widths = tuple(widths)
         self.calibration = calibration
         self.enabled = enabled
         self.gate_eval_cost = gate_eval_cost
-        self._model_factory = model_factory or \
-            (lambda: ToggleCountModel(netlist))
-        self._models: Dict[str, ToggleCountModel] = {}
-        self._results: Dict[str, List[float]] = {}
+        self._sessions: Dict[str, Tuple[ToggleCountModel,
+                                        List[float]]] = {}
         self._lock = threading.Lock()
 
-    def _model(self, session: str) -> ToggleCountModel:
-        with self._lock:
-            model = self._models.get(session)
-            if model is None:
-                model = self._model_factory()
-                self._models[session] = model
-                self._results[session] = []
-            return model
+    def _decode(self, pattern: Sequence[int]) -> Dict[str, Logic]:
+        raise NotImplementedError
 
-    def _compute(self, model: ToggleCountModel,
-                 pattern: Sequence[int]) -> float:
+    def _session(self, session: str
+                 ) -> Tuple[ToggleCountModel, List[float]]:
+        """The session's (model, accumulated powers), made on first use."""
+        with self._lock:
+            state = self._sessions.get(session)
+            if state is None:
+                state = self._sessions[session] = (
+                    ToggleCountModel(self.netlist), [])
+            return state
+
+    def _power(self, model: ToggleCountModel,
+               pattern: Sequence[int]) -> float:
+        inputs = self._decode(pattern)
         if not self.enabled:
             return 0.0
         before = model.evaluated_gates
-        power = model.power_of_pattern(
-            operands_to_inputs(pattern, self.prefixes, self.widths))
+        power = model.power_of_pattern(inputs)
         context = current_server_context()
         if context is not None:
             context.charge(self.gate_eval_cost
@@ -85,21 +97,46 @@ class PowerServant:
     def reset(self, session: str) -> None:
         """Start a fresh pattern sequence for a session."""
         with self._lock:
-            self._models.pop(session, None)
-            self._results.pop(session, None)
-
-    def power_of_pair(self, session: str, a: int, b: int) -> float:
-        """Blocking single-pattern estimation (unbuffered)."""
-        return self._compute(self._model(session), (a, b))
+            self._sessions.pop(session, None)
 
     def power_buffer(self, session: str,
                      patterns: Sequence[Sequence[int]]) -> int:
         """Batch estimation; results accumulate for fetch_results."""
-        model = self._model(session)
-        results = self._results[session]
+        model, results = self._session(session)
         for pattern in patterns:
-            results.append(self._compute(model, tuple(pattern)))
+            results.append(self._power(model, pattern))
         return len(results)
+
+    def fetch_results(self, session: str) -> List[float]:
+        """All accumulated per-pattern powers for a session.
+
+        A read creates no state: a session never seen has none.
+        """
+        with self._lock:
+            state = self._sessions.get(session)
+        return list(state[1]) if state else []
+
+
+class PowerServant(SessionPowerServant):
+    """The power servant of an operand-structured component: a pattern
+    is one integer per word port (``a``/``b`` of the multiplier)."""
+
+    REMOTE_METHODS = ("reset", "power_of_pair", "power_buffer",
+                      "mark_pattern", "fetch_results")
+
+    def __init__(self, netlist: Netlist, prefixes: Sequence[str],
+                 widths: Sequence[int], calibration: float = 1.0,
+                 enabled: bool = True, gate_eval_cost: float = 40e-6):
+        super().__init__(netlist, calibration, enabled, gate_eval_cost)
+        self.prefixes = tuple(prefixes)
+        self.widths = tuple(widths)
+
+    def _decode(self, pattern: Sequence[int]) -> Dict[str, Logic]:
+        return operands_to_inputs(pattern, self.prefixes, self.widths)
+
+    def power_of_pair(self, session: str, a: int, b: int) -> float:
+        """Blocking single-pattern estimation (unbuffered)."""
+        return self._power(self._session(session)[0], (a, b))
 
     def mark_pattern(self, session: str, a: int, b: int) -> None:
         """Single-pattern push with *server-side* buffering.
@@ -109,13 +146,7 @@ class PowerServant:
         pattern with a small call and the provider accumulates and runs
         the accurate simulation on its side.
         """
-        model = self._model(session)
-        self._results[session].append(self._compute(model, (a, b)))
-
-    def fetch_results(self, session: str) -> List[float]:
-        """All accumulated per-pattern powers for a session."""
-        self._model(session)
-        return list(self._results[session])
+        self.power_buffer(session, [(a, b)])
 
 
 class FunctionalServant:
@@ -177,94 +208,25 @@ class FunctionalServant:
         return [("o", (a * b) & ((1 << (2 * self.width)) - 1))]
 
 
-class BitPowerServant:
-    """Accurate power estimation addressed with raw input bit vectors.
-
-    :class:`PowerServant` is bound to operand-structured ports
-    (``a``/``b`` words); corpus benches have arbitrary port structures,
-    so this variant takes one bit per netlist primary input, in
-    declaration order.  Session handling, batch buffering
-    (``power_buffer``), server-side marking (``mark_bits``) and result
-    fetching mirror :class:`PowerServant` exactly.
-    """
+class BitPowerServant(SessionPowerServant):
+    """The power servant of a corpus bench: arbitrary port structures,
+    so a pattern is one bit per netlist primary input, in declaration
+    order."""
 
     REMOTE_METHODS = ("reset", "power_of_bits", "power_buffer",
                       "mark_bits", "fetch_results")
 
-    def __init__(self, netlist: Netlist,
-                 model_factory: Optional[Callable[[], ToggleCountModel]]
-                 = None,
-                 calibration: float = 1.0, enabled: bool = True,
-                 gate_eval_cost: float = 0.0):
-        self.netlist = netlist
-        self.calibration = calibration
-        self.enabled = enabled
-        self.gate_eval_cost = gate_eval_cost
-        self._model_factory = model_factory or \
-            (lambda: ToggleCountModel(netlist))
-        self._models: Dict[str, ToggleCountModel] = {}
-        self._results: Dict[str, List[float]] = {}
-        self._lock = threading.Lock()
-
-    def _model(self, session: str) -> ToggleCountModel:
-        with self._lock:
-            model = self._models.get(session)
-            if model is None:
-                model = self._model_factory()
-                self._models[session] = model
-                self._results[session] = []
-            return model
-
-    def _compute(self, model: ToggleCountModel,
-                 bits: Sequence[int]) -> float:
-        if len(bits) != len(self.netlist.inputs):
-            raise RemoteError(
-                f"expected {len(self.netlist.inputs)} input bits, "
-                f"got {len(bits)}")
-        if not self.enabled:
-            return 0.0
-        from ..core.signal import Logic
-        inputs = {net: Logic(int(bit))
-                  for net, bit in zip(self.netlist.inputs, bits)}
-        before = model.evaluated_gates
-        power = model.power_of_pattern(inputs)
-        context = current_server_context()
-        if context is not None:
-            context.charge(self.gate_eval_cost
-                           * (model.evaluated_gates - before))
-        return power * self.calibration
-
-    # -- remote methods -----------------------------------------------------
-
-    def reset(self, session: str) -> None:
-        """Start a fresh pattern sequence for a session."""
-        with self._lock:
-            self._models.pop(session, None)
-            self._results.pop(session, None)
+    def _decode(self, pattern: Sequence[int]) -> Dict[str, Logic]:
+        return bits_to_inputs(self.netlist, pattern)
 
     def power_of_bits(self, session: str,
                       bits: Sequence[int]) -> float:
         """Blocking single-pattern estimation (unbuffered)."""
-        return self._compute(self._model(session), bits)
-
-    def power_buffer(self, session: str,
-                     patterns: Sequence[Sequence[int]]) -> int:
-        """Batch estimation; results accumulate for fetch_results."""
-        model = self._model(session)
-        results = self._results[session]
-        for pattern in patterns:
-            results.append(self._compute(model, pattern))
-        return len(results)
+        return self._power(self._session(session)[0], bits)
 
     def mark_bits(self, session: str, bits: Sequence[int]) -> None:
         """Single-pattern push with server-side buffering (MR)."""
-        model = self._model(session)
-        self._results[session].append(self._compute(model, bits))
-
-    def fetch_results(self, session: str) -> List[float]:
-        """All accumulated per-pattern powers for a session."""
-        self._model(session)
-        return list(self._results[session])
+        self.power_buffer(session, [bits])
 
 
 class BenchFunctionalServant:
@@ -287,14 +249,8 @@ class BenchFunctionalServant:
 
     def evaluate(self, bits: Sequence[int]) -> List[int]:
         """Core output bits for one full input vector, in order."""
-        if len(bits) != len(self.netlist.inputs):
-            raise RemoteError(
-                f"expected {len(self.netlist.inputs)} input bits, "
-                f"got {len(bits)}")
-        from ..core.signal import Logic
-        inputs = {net: Logic(int(bit))
-                  for net, bit in zip(self.netlist.inputs, bits)}
-        outputs = self.simulator.outputs(inputs)
+        outputs = self.simulator.outputs(
+            bits_to_inputs(self.netlist, bits))
         context = current_server_context()
         if context is not None:
             context.charge(self.gate_eval_cost
@@ -366,23 +322,19 @@ class IPProvider:
                            power_server_cost: float = 0.0,
                            fault_collapse: str = "equivalence",
                            obfuscate_faults: bool = False,
-                           engine: str = "event") -> str:
+                           engine: Optional[str] = None) -> str:
         """Author and publish the Figure 2 multiplier IP component.
 
         Builds the secret gate-level implementation, characterizes the
         three Table 1 power estimators against the provider's silicon
         reference, and binds the private servants (power, functionality,
         timing, testability) on the server.  Returns the component name.
-        ``engine`` selects the provider-side gate simulation (toggle
-        power model and detection tables): the interpreted event path
-        or the compiled kernel.
+        ``engine`` selects the logic simulator under the detection
+        tables (:func:`repro.compiled.simulator_for`); replies are
+        identical either way.
         """
         import random
-        engine = resolve_engine(engine)
-        toggle_cls = (CompiledToggleModel if engine == "compiled"
-                      else ToggleCountModel)
         netlist = array_multiplier(width, name=f"{name}-impl")
-        self._netlists[name] = netlist
         prefixes, widths = ("a", "b"), (width, width)
 
         # Provider-side characterization against measured silicon.
@@ -394,7 +346,7 @@ class IPProvider:
                                          widths)
         silicon = SiliconReference(netlist, seed=self.seed)
         regression = fit_regression(silicon, training, prefixes, widths)
-        toggle = toggle_cls(netlist)
+        toggle = ToggleCountModel(netlist)
         silicon = SiliconReference(netlist, seed=self.seed)
         calibration = calibrate_toggle_model(
             toggle, silicon,
@@ -434,27 +386,32 @@ class IPProvider:
                  "unpredictable_time": True},
             ],
         }
-        self.catalog.add(name, datasheet)
-
         # The paper's Table 2 excludes the time spent in the actual PPP
         # estimations (it is constant across scenarios), so the default
         # provider-side power compute carries no virtual cost.
         power = PowerServant(netlist, prefixes, widths,
-                             model_factory=lambda: toggle_cls(netlist),
                              calibration=calibration,
                              enabled=power_enabled,
                              gate_eval_cost=power_server_cost)
-        self.server.bind(f"{name}.power", power, PowerServant.REMOTE_METHODS)
-        self.server.bind(f"{name}.module", FunctionalServant(width),
-                         FunctionalServant.REMOTE_METHODS)
-        self.server.bind(f"{name}.timing", TimingServant(netlist),
-                         TimingServant.REMOTE_METHODS)
         fault_list = build_fault_list(netlist, collapse=fault_collapse,
                                       obfuscate=obfuscate_faults)
-        self.server.bind(f"{name}.test",
-                         TestabilityServant(netlist, fault_list,
-                                            engine=engine),
-                         TestabilityServant.REMOTE_METHODS)
+        return self._publish(name, netlist, datasheet, power,
+                             FunctionalServant(width), fault_list, engine)
+
+    def _publish(self, name: str, netlist: Netlist, datasheet: dict,
+                 power: SessionPowerServant, module: Any,
+                 fault_list: FaultList, engine: Optional[str]) -> str:
+        """Keep the netlist, export the data sheet, bind the four
+        private servants of a full component; returns ``name``."""
+        self._netlists[name] = netlist
+        self.catalog.add(name, datasheet)
+        for suffix, servant in (
+                ("power", power), ("module", module),
+                ("timing", TimingServant(netlist)),
+                ("test", TestabilityServant(netlist, fault_list,
+                                            engine=engine))):
+            self.server.bind(f"{name}.{suffix}", servant,
+                             servant.REMOTE_METHODS)
         return name
 
     def publish_netlist_component(self, netlist: Netlist, name: str,
@@ -476,7 +433,7 @@ class IPProvider:
         })
         return name
 
-    def publish_bench(self, spec: str, engine: str = "event",
+    def publish_bench(self, spec: str, engine: Optional[str] = None,
                       power_enabled: bool = True,
                       power_server_cost: float = 0.0,
                       fault_collapse: str = "equivalence") -> str:
@@ -489,36 +446,17 @@ class IPProvider:
         thread): the bound servants are ``{name}.power``
         (:class:`BitPowerServant`), ``{name}.module``
         (:class:`BenchFunctionalServant`), ``{name}.timing`` and
-        ``{name}.test``.  Returns the component name.
+        ``{name}.test``.  ``engine`` selects the logic simulator under
+        ``.module`` and ``.test``; replies are identical either way.
+        Returns the component name.
         """
         from ..gates.corpus import load_bench
         from ..gates.io import SequentialBench
-        engine = resolve_engine(engine)
         bench = load_bench(spec)
         sequential = isinstance(bench, SequentialBench)
         core = bench.core if sequential else bench
-        name = spec
-        self._netlists[name] = core
-        toggle_cls = (CompiledToggleModel if engine == "compiled"
-                      else ToggleCountModel)
-        power = BitPowerServant(core,
-                                model_factory=lambda: toggle_cls(core),
-                                enabled=power_enabled,
-                                gate_eval_cost=power_server_cost)
-        self.server.bind(f"{name}.power", power,
-                         BitPowerServant.REMOTE_METHODS)
-        self.server.bind(f"{name}.module",
-                         BenchFunctionalServant(core, engine=engine),
-                         BenchFunctionalServant.REMOTE_METHODS)
-        self.server.bind(f"{name}.timing", TimingServant(core),
-                         TimingServant.REMOTE_METHODS)
-        fault_list = build_fault_list(core, collapse=fault_collapse)
-        self.server.bind(f"{name}.test",
-                         TestabilityServant(core, fault_list,
-                                            engine=engine),
-                         TestabilityServant.REMOTE_METHODS)
-        self.catalog.add(name, {
-            "component": name,
+        datasheet = {
+            "component": spec,
             "gates": core.gate_count(),
             "area": core.area(),
             "delay_ns": core.critical_path_delay(),
@@ -526,8 +464,13 @@ class IPProvider:
             "outputs": len(core.outputs),
             "flip_flops": len(bench.registers) if sequential else 0,
             "sequential": sequential,
-        })
-        return name
+        }
+        power = BitPowerServant(core, enabled=power_enabled,
+                                gate_eval_cost=power_server_cost)
+        return self._publish(
+            spec, core, datasheet, power,
+            BenchFunctionalServant(core, engine=engine),
+            build_fault_list(core, collapse=fault_collapse), engine)
 
     def private_netlist(self, name: str) -> Netlist:
         """Provider-internal access to a published implementation.

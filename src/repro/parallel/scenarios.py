@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..bench.scenarios import (DEFAULT_BUFFER, DEFAULT_PATTERNS,
-                               DEFAULT_WIDTH, ScenarioResult, run_scenario)
+                               DEFAULT_WIDTH, TABLE2_ROWS, ScenarioResult,
+                               clear_shared_providers, run_scenario)
 from ..core.errors import ParallelExecutionError
 from ..core.ids import reset_default_scope
 from ..net.model import PRESETS
@@ -51,7 +52,7 @@ class ScenarioSpec:
     power_enabled: bool = True
     nonblocking: bool = False
     collect_powers: bool = False
-    engine: str = "event"
+    engine: Optional[str] = None
 
 
 def reset_session_state() -> None:
@@ -59,19 +60,20 @@ def reset_session_state() -> None:
 
     Call/session ids leak into marshalled frame sizes (longer ids,
     more bytes, more modelled transfer time), and the cached shared
-    provider carries accumulated billing.  Installing a fresh
-    process-default :class:`~repro.core.ids.IdScope` and dropping the
-    provider makes a worker's scenario identical to one run in a fresh
-    process, no matter what the parent ran before forking.  Scopes a
-    server has entered for its tenants are untouched.  The fault-list
-    build memo goes too: it cannot change a byte, but a set-up timed
-    after this call should pay its build like a fresh process does.
+    providers carry accumulated billing and every past session's power
+    model and results -- which a restarted ``session1`` would append
+    to.  Installing a fresh process-default
+    :class:`~repro.core.ids.IdScope` and dropping both provider memos
+    makes a worker's scenario identical to one run in a fresh process,
+    no matter what the parent ran before forking.  Scopes a server has
+    entered for its tenants are untouched.  The fault-list build memo
+    goes too: it cannot change a byte, but a set-up timed after this
+    call should pay its build like a fresh process does.
     """
-    from ..bench import scenarios as bench_scenarios
     from ..compiled import clear_build_cache
 
     reset_default_scope()
-    bench_scenarios.shared_provider.cache_clear()
+    clear_shared_providers()
     clear_build_cache()
 
 
@@ -124,23 +126,19 @@ def run_scenarios_parallel(specs: Sequence[ScenarioSpec],
 def table2_specs(width: int = DEFAULT_WIDTH,
                  patterns: int = DEFAULT_PATTERNS,
                  buffer_size: int = DEFAULT_BUFFER,
-                 engine: str = "event") -> List[ScenarioSpec]:
+                 engine: Optional[str] = None) -> List[ScenarioSpec]:
     """The seven Table 2 rows as specs, in the paper's order."""
-    specs = [ScenarioSpec("AL", "localhost", width, patterns, buffer_size,
-                          engine=engine)]
-    for network in ("localhost", "lan", "wan"):
-        specs.append(ScenarioSpec("ER", network, width, patterns,
-                                  buffer_size, engine=engine))
-        specs.append(ScenarioSpec("MR", network, width, patterns,
-                                  buffer_size, engine=engine))
-    return specs
+    return [ScenarioSpec(mode, network.name, width, patterns, buffer_size,
+                         engine=engine)
+            for mode, network in TABLE2_ROWS]
 
 
 def run_table2_parallel(width: int = DEFAULT_WIDTH,
                         patterns: int = DEFAULT_PATTERNS,
                         buffer_size: int = DEFAULT_BUFFER,
                         workers: Optional[int] = None,
-                        engine: str = "event") -> List[ScenarioResult]:
+                        engine: Optional[str] = None
+                        ) -> List[ScenarioResult]:
     """All Table 2 rows, fanned out across workers, in paper order."""
     return run_scenarios_parallel(
         table2_specs(width, patterns, buffer_size, engine=engine),

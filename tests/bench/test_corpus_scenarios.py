@@ -5,6 +5,7 @@ import pytest
 from repro.bench.scenarios import (run_corpus_scenario,
                                    run_corpus_table2,
                                    shared_bench_provider)
+from repro.compiled.engine import DEFAULT_ENGINE
 from repro.core import Logic
 from repro.gates import load_bench
 from repro.gates.simulator import NetlistSimulator
@@ -12,6 +13,7 @@ from repro.ip.component import ProviderConnection
 from repro.ip.provider import (BenchFunctionalServant, BitPowerServant,
                                IPProvider)
 from repro.net.model import LOCALHOST, WAN
+from repro.parallel import reset_session_state
 
 
 class TestPublishBench:
@@ -116,3 +118,26 @@ class TestCorpusScenarios:
     def test_shared_provider_memoized(self):
         assert shared_bench_provider("c17") is \
             shared_bench_provider("c17")
+
+    def test_memo_ignores_how_the_default_engine_is_spelled(self):
+        assert shared_bench_provider("c17") is \
+            shared_bench_provider("c17", None) is \
+            shared_bench_provider("c17", engine=DEFAULT_ENGINE)
+        assert shared_bench_provider("c17", "event") is not \
+            shared_bench_provider("c17")
+
+    def test_reset_session_state_drops_the_bench_provider(self):
+        """Session ids restart at ``session1`` after a reset; a bench
+        provider that survived it would still hold the previous
+        ``session1``'s model and results, and the second run would
+        fetch 20 powers and 128 more bytes than the first."""
+        runs = []
+        for _ in range(2):
+            reset_session_state()
+            runs.append(run_corpus_scenario("ER", "c17", WAN,
+                                            patterns=10))
+        first, second = runs
+        assert len(first.powers) == len(second.powers) == 10
+        assert first.powers == second.powers
+        assert first.remote_bytes == second.remote_bytes
+        assert (first.cpu, first.real) == (second.cpu, second.real)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.compiled import (CompiledFaultSimulator, CompiledSimulator,
-                            fault_simulator_for, resolve_engine,
-                            simulator_for)
+                            clear_kernel_cache, fault_simulator_for,
+                            resolve_engine, simulator_for)
 from repro.compiled.engine import DEFAULT_ENGINE
 from repro.core.errors import FaultSimulationError
 from repro.core.signal import Logic
@@ -15,7 +15,9 @@ from repro.faults.serial import SerialFaultSimulator
 from repro.faults.virtual import TestabilityServant
 from repro.gates.generators import ip1_block
 from repro.gates.simulator import NetlistSimulator
+from repro.ip import IPProvider
 from repro.parallel.remote import resolve_bench
+from repro.telemetry import TELEMETRY, telemetry_session
 
 
 class TestResolution:
@@ -97,6 +99,27 @@ class TestServantEngine:
     def test_unknown_engine_rejected(self):
         with pytest.raises(FaultSimulationError, match="unknown engine"):
             TestabilityServant(ip1_block(), engine="jit")
+
+    def test_publishing_compiles_no_kernel(self):
+        """The compiled engine is the default on the provider path and
+        costs a publish nothing: the kernel is taken from the
+        process-wide cache by the first ``detection_table`` /
+        ``evaluate`` that needs it, not at construction."""
+        clear_kernel_cache()
+        with telemetry_session():
+            counter = TELEMETRY.metrics.counter
+            provider = IPProvider("lazy.provider")
+            name = provider.publish_multiplier(8, training_patterns=20)
+            provider.publish_bench("c17")
+            assert counter("compiled.cache.misses").value == 0
+            assert counter("compiled.cache.hits").value == 0
+            lookup = provider.server.registry.lookup
+            test = lookup(f"{name}.test").servant
+            bits = [Logic.ZERO] * len(test.netlist.inputs)
+            test.detection_table(bits, test.fault_list()[:8])
+            test.detection_table(bits, test.fault_list()[8:16])
+            lookup("c17.module").servant.evaluate([0, 1, 0, 1, 1])
+            assert counter("compiled.cache.misses").value == 2
 
     def test_detection_table_accepts_compiled_simulator(self):
         netlist = ip1_block()

@@ -8,23 +8,47 @@ campaign tooling ships: the paper's Figure 4 half-adder, the chatty
 random netlist, and the embedded (virtual IP) bench.  The matrix
 covers the serial runner, the sharded multiprocessing runner with
 four workers, and the remote fault farm.
+
+The provider path is held to the same bar: ``engine`` picks the logic
+simulator under a published component's servants and nothing else, so
+providers published with it unset, ``"event"`` and ``"compiled"`` answer
+every call with the same reply, Table 2 comes out row for row the same,
+and the CLI's ``table2`` / ``serve`` print and serve the same thing.
 """
 
 import contextlib
+import dataclasses
+import os
 import random
+import signal
+import subprocess
+import sys
 
 import pytest
 
 from repro.bench.faultbench import build_embedded, chatty_fault_bench
-from repro.compiled import CompiledFaultSimulator
+from repro.bench.scenarios import (run_corpus_table2, run_scenario,
+                                   run_table2)
+from repro.cli import main
+from repro.compiled import ENGINES, CompiledFaultSimulator
 from repro.core.signal import Logic
 from repro.faults.faultlist import build_fault_list
 from repro.faults.serial import SerialFaultSimulator
+from repro.faults.virtual import TestabilityServant
 from repro.gates.generators import ip1_block
-from repro.parallel import diff_reports, parallel_fault_simulate
+from repro.ip.component import ProviderConnection
+from repro.ip.provider import (BenchFunctionalServant, IPProvider,
+                               PowerServant)
+from repro.net.model import LOCALHOST, WAN
+from repro.parallel import (diff_reports, parallel_fault_simulate,
+                            reset_session_state)
 from repro.parallel.remote import (register_fault_farm,
                                    remote_fault_simulate, resolve_bench)
+from repro.rmi import RemoteStub, TcpTransport
 from repro.rmi.server import JavaCADServer
+
+PROVIDER_ENGINES = (None, *ENGINES)
+"""Unset first: what it gives is what the two named engines must."""
 
 
 @contextlib.contextmanager
@@ -172,3 +196,176 @@ class TestRemoteParity:
         with pytest.raises(ParallelExecutionError,
                            match="read_sequential_bench"):
             resolve_bench("s27")
+
+
+def one_answer(answers):
+    """The one value every engine of ``PROVIDER_ENGINES`` produced."""
+    first = answers[0]
+    for engine, answer in zip(PROVIDER_ENGINES[1:], answers[1:]):
+        assert answer == first, f"engine {engine!r} differs from unset"
+    return first
+
+
+class TestProviderReplyParity:
+    """Same calls, same replies, same bytes on the wire, whichever
+    engine the provider was published with."""
+
+    def exchange(self, publish, script):
+        """Publish per engine, run ``script(connection)`` over RMI and
+        return the replies plus the bytes they took."""
+        answers = []
+        for engine in PROVIDER_ENGINES:
+            reset_session_state()
+            provider = IPProvider("parity.provider")
+            publish(provider, engine)
+            connection = ProviderConnection(provider, LOCALHOST)
+            replies = script(connection)
+            wire = connection.base_transport.stats
+            answers.append((replies, wire.bytes_sent,
+                            wire.bytes_received))
+        return one_answer(answers)
+
+    def test_multiplier_detection_tables(self):
+        def script(connection):
+            stub = connection.stub("MultFastLowPower.test",
+                                   TestabilityServant.REMOTE_METHODS)
+            names = list(stub.fault_list())
+            rng = random.Random(4)
+            tables = []
+            for _ in range(4):
+                bits = [Logic(rng.getrandbits(1)) for _ in range(8)]
+                tables.append(stub.detection_table(bits, names))
+                names = names[len(names) // 3:]
+            return tables
+
+        tables, _, _ = self.exchange(
+            lambda provider, engine: provider.publish_multiplier(
+                4, training_patterns=20, engine=engine), script)
+        assert all(table.rows for table in tables)
+
+    @pytest.mark.parametrize("bench", ["c17", "s27", "alu8"])
+    def test_bench_evaluate_and_detection_tables(self, bench):
+        def script(connection):
+            module = connection.stub(f"{bench}.module",
+                                     BenchFunctionalServant.REMOTE_METHODS)
+            test = connection.stub(f"{bench}.test",
+                                   TestabilityServant.REMOTE_METHODS)
+            names = list(test.fault_list())
+            width = connection.describe(bench)["inputs"]
+            rng = random.Random(5)
+            replies = []
+            for _ in range(6):
+                bits = [rng.getrandbits(1) for _ in range(width)]
+                replies.append(module.evaluate(bits))
+                replies.append(test.detection_table(
+                    [Logic(bit) for bit in bits], names))
+            return replies
+
+        replies, _, _ = self.exchange(
+            lambda provider, engine: provider.publish_bench(
+                bench, engine=engine), script)
+        assert any(table.rows for table in replies[1::2])
+
+
+class TestTable2Parity:
+    """Table 2 does not move with the engine: not a virtual second, not
+    a byte, not an event, not a power."""
+
+    @staticmethod
+    def rows_per_engine(run):
+        answers = []
+        for engine in PROVIDER_ENGINES:
+            reset_session_state()
+            answers.append([dataclasses.asdict(row)
+                            for row in run(engine)])
+        return one_answer(answers)
+
+    def test_figure2_rows_identical(self):
+        rows = self.rows_per_engine(
+            lambda engine: run_table2(width=8, engine=engine) + [
+                run_scenario("ER", WAN, width=8, patterns=30,
+                             collect_powers=True, engine=engine)])
+        assert len(rows) == 8 and len(rows[-1]["powers"]) == 30
+        assert all(row["remote_bytes"] for row in rows[1:])
+
+    def test_corpus_rows_identical(self):
+        rows = self.rows_per_engine(
+            lambda engine: run_corpus_table2("c17", engine=engine))
+        assert len(rows) == 7
+        assert all(len(row["powers"]) == 100 for row in rows[1:])
+
+
+ENGINE_FLAGS = [["--engine", engine] if engine else []
+                for engine in PROVIDER_ENGINES]
+
+
+class TestCliParity:
+    """``--engine`` unset, ``event`` and ``compiled``: the same printed
+    rows from ``table2``, the same replies from ``serve``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table2", "--width", "4", "--patterns", "12", "--workers", "1"],
+        ["table2", "--bench", "c17", "--patterns", "12"],
+        ["table2", "--bench", "s27", "--patterns", "12"],
+    ], ids=["figure2", "c17", "s27"])
+    def test_table2_prints_the_same_rows(self, argv, capsys):
+        printed = []
+        for flags in ENGINE_FLAGS:
+            reset_session_state()
+            assert main(argv + flags) == 0
+            printed.append(capsys.readouterr().out)
+        table = one_answer(printed)
+        assert table.count("\n") == 10 and "\nMR " in table
+
+    def test_serve_answers_the_same(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir,
+                           os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        serve = [sys.executable, "-u", "-m", "repro.cli", "serve",
+                 "--width", "4"]
+        servers = [subprocess.Popen(serve + flags, env=env, text=True,
+                                    stdout=subprocess.PIPE,
+                                    stderr=subprocess.STDOUT)
+                   for flags in ENGINE_FLAGS]
+        answers = []
+        try:
+            for server in servers:
+                ready = server.stdout.readline()
+                assert ready.startswith(
+                    "repro server serving 'MultFastLowPower' + fault "
+                    "farm on 127.0.0.1:"), ready
+                host, port = ready.split()[-1].split(":")
+                reset_session_state()  # call ids are bytes on the wire
+                transport = TcpTransport(host, int(port))
+                try:
+                    answers.append(self.converse(transport))
+                finally:
+                    transport.close()
+        finally:
+            for server in servers:
+                server.send_signal(signal.SIGINT)
+            logs = [server.communicate(timeout=60)[0]
+                    for server in servers]
+        replies = one_answer(answers)
+        assert replies["tables"][0].rows and len(replies["powers"]) == 3
+        assert [server.returncode for server in servers] == [0, 0, 0]
+        assert all("accepted=1 " in log and "calls=6 " in log
+                   for log in logs)
+
+    @staticmethod
+    def converse(transport):
+        """One tenant's calls on every engine-dependent servant."""
+        test = RemoteStub(transport, "MultFastLowPower.test",
+                          TestabilityServant.REMOTE_METHODS)
+        power = RemoteStub(transport, "MultFastLowPower.power",
+                           PowerServant.REMOTE_METHODS)
+        names = list(test.fault_list())
+        rng = random.Random(6)
+        tables = [test.detection_table(
+            [Logic(rng.getrandbits(1)) for _ in range(8)], names)
+            for _ in range(3)]
+        power.power_buffer("tenant", [(3, 5), (15, 15), (0, 9)])
+        return {"faults": names, "tables": tables,
+                "powers": power.fetch_results("tenant"),
+                "bytes": (transport.stats.bytes_sent,
+                          transport.stats.bytes_received)}

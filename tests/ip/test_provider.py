@@ -4,10 +4,11 @@ import pytest
 
 from repro.core import IPProtectionError, RemoteError
 from repro.faults import DetectionTable
-from repro.gates import Netlist, parity_tree
+from repro.gates import array_multiplier, parity_tree
 from repro.ip import IPProvider, PowerServant
-from repro.ip.provider import FunctionalServant
+from repro.ip.provider import BitPowerServant, FunctionalServant
 from repro.net import LOCALHOST
+from repro.rmi.server import JavaCADServer
 from tests.ip.conftest import WIDTH
 
 
@@ -54,50 +55,136 @@ class TestPublishing:
         assert vendor.catalog.describe("Parity4")["area"] > 0
 
 
-class TestPowerServant:
-    def make(self, enabled=True):
-        netlist = parity_tree(4)
-        return PowerServant(netlist, ("i",), (4,), enabled=enabled)
+class Surface:
+    """One power servant, bound on a server and called over RMI."""
 
-    def test_sessions_are_independent(self):
-        servant = self.make()
-        servant.power_buffer("s1", [(0b1111,), (0b0000,)])
-        servant.power_buffer("s2", [(0b1111,)])
-        assert len(servant.fetch_results("s1")) == 2
-        assert len(servant.fetch_results("s2")) == 1
+    def __init__(self, servant, single, mark, arguments, patterns,
+                 malformed):
+        self.servant = servant
+        self.single, self.mark = single, mark  # per-pattern methods
+        self.arguments = arguments  # pattern -> their call arguments
+        self.patterns = patterns  # three distinct well-formed ones
+        self.malformed = malformed
+        server = JavaCADServer("contract.provider")
+        server.bind("ip.power", servant, servant.REMOTE_METHODS)
+        self.transport = server.connect(LOCALHOST)
 
-    def test_reset_clears_session(self):
-        servant = self.make()
-        servant.power_buffer("s1", [(0b1111,)])
-        servant.reset("s1")
-        assert servant.fetch_results("s1") == []
+    def call(self, method, session, *args):
+        return self.transport.invoke("ip.power", method, (session, *args))
 
-    def test_disabled_servant_returns_zero(self):
+    def call_pattern(self, method, session, pattern):
+        return self.call(method, session, *self.arguments(pattern))
+
+
+def operand_surface(enabled=True):
+    return Surface(
+        PowerServant(array_multiplier(3), ("a", "b"), (3, 3),
+                     enabled=enabled),
+        "power_of_pair", "mark_pattern", tuple,
+        [(7, 5), (0, 0), (3, 6)], malformed=(1, 2, 3))
+
+
+def bit_surface(enabled=True):
+    return Surface(
+        BitPowerServant(array_multiplier(3), enabled=enabled),
+        "power_of_bits", "mark_bits", lambda bits: (list(bits),),
+        [(1, 1, 1, 1, 0, 1), (0,) * 6, (1, 1, 0, 0, 1, 1)],
+        malformed=(0, 1))
+
+
+@pytest.mark.parametrize("surface", [operand_surface, bit_surface],
+                         ids=["operands", "bits"])
+class TestPowerSessionContract:
+    """One session-state implementation, two wire surfaces: every case
+    runs over RMI against :class:`PowerServant` (operand words) and
+    :class:`BitPowerServant` (one bit per primary input), which differ
+    only in how a pattern decodes."""
+
+    def test_buffer_counts_and_fetch_returns_every_power(self, surface):
+        ip = surface()
+        assert ip.call("power_buffer", "s", ip.patterns[:2]) == 2
+        assert ip.call("power_buffer", "s", ip.patterns[2:]) == 3
+        powers = ip.call("fetch_results", "s")
+        assert len(powers) == 3 and powers[0] > 0.0 and powers[2] > 0.0
+        assert ip.call("fetch_results", "s") == powers
+
+    def test_mark_accumulates_what_buffer_would(self, surface):
+        ip = surface()
+        for pattern in ip.patterns:
+            assert ip.call_pattern(ip.mark, "marked", pattern) is None
+        ip.call("power_buffer", "buffered", ip.patterns)
+        assert ip.call("fetch_results", "marked") \
+            == ip.call("fetch_results", "buffered")
+
+    def test_single_is_unbuffered_but_advances_the_model(self, surface):
+        ip = surface()
+        ip.call("power_buffer", "reference", ip.patterns[:2])
+        first, second = ip.call("fetch_results", "reference")
+        assert ip.call_pattern(ip.single, "s", ip.patterns[0]) == first
+        assert ip.call("fetch_results", "s") == []
+        # A repeated pattern toggles nothing: consecutive patterns matter.
+        assert ip.call_pattern(ip.single, "s", ip.patterns[0]) == 0.0
+        assert ip.call_pattern(ip.single, "s", ip.patterns[1]) == second
+
+    def test_sessions_are_isolated(self, surface):
+        ip = surface()
+        ip.call("power_buffer", "s1", ip.patterns)
+        ip.call("power_buffer", "s2", ip.patterns[:1])
+        assert len(ip.call("fetch_results", "s1")) == 3
+        assert ip.call("fetch_results", "s2") \
+            == ip.call("fetch_results", "s1")[:1]
+
+    def test_reset_starts_the_sequence_over(self, surface):
+        ip = surface()
+        ip.call("power_buffer", "s", ip.patterns)
+        before = ip.call("fetch_results", "s")
+        assert ip.call("reset", "s") is None
+        assert ip.call("fetch_results", "s") == []
+        ip.call("power_buffer", "s", ip.patterns)
+        assert ip.call("fetch_results", "s") == before
+
+    def test_fetch_of_an_unknown_session_creates_no_state(self, surface):
+        ip = surface()
+        assert ip.call("fetch_results", "never-seen") == []
+        assert ip.servant._sessions == {}
+        ip.call("power_buffer", "seen", ip.patterns[:1])
+        ip.call("reset", "seen")
+        assert ip.call("fetch_results", "seen") == []
+        assert ip.servant._sessions == {}
+
+    def test_disabled_servant_returns_zero(self, surface):
         """The Figure 3 configuration: PPP call disabled."""
-        servant = self.make(enabled=False)
-        servant.power_buffer("s", [(0b1111,), (0b0101,)])
-        assert servant.fetch_results("s") == [0.0, 0.0]
+        ip = surface(enabled=False)
+        assert ip.call_pattern(ip.single, "s", ip.patterns[0]) == 0.0
+        ip.call("power_buffer", "s", ip.patterns[:2])
+        ip.call_pattern(ip.mark, "s", ip.patterns[2])
+        assert ip.call("fetch_results", "s") == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_malformed_pattern_is_a_remote_error(self, surface, enabled):
+        ip = surface(enabled=enabled)
+        with pytest.raises(RemoteError, match="expected|must align"):
+            ip.call("power_buffer", "s", [ip.patterns[0], ip.malformed])
+        # The well-formed pattern before it was estimated and kept.
+        assert len(ip.call("fetch_results", "s")) == 1
+
+    def test_only_its_own_five_methods_are_remote(self, surface):
+        ip = surface()
+        assert len(ip.servant.REMOTE_METHODS) == 5
+        other = bit_surface() if surface is operand_surface \
+            else operand_surface()
+        for method in (other.single, other.mark):
+            with pytest.raises(RemoteError):
+                ip.call_pattern(method, "s", ip.patterns[0])
+
+
+class TestPowerServant:
     def test_consecutive_patterns_matter(self):
-        servant = self.make()
+        servant = PowerServant(parity_tree(4), ("i",), (4,))
         # 0b0111 flips the parity output; repeating it toggles nothing.
         servant.power_buffer("s", [(0b0111,), (0b0111,)])
         powers = servant.fetch_results("s")
         assert powers[0] > 0 and powers[1] == 0.0
-
-    def test_mark_pattern_accumulates(self):
-        netlist = parity_tree(4)
-        servant = PowerServant(netlist, ("i",), (4,))
-        # mark_pattern is the MR-mode single-pattern push; the parity
-        # tree takes one operand, the multiplier two -- use the
-        # multiplier-shaped servant from a provider instead.
-        vendor = IPProvider("mark.provider")
-        vendor.publish_multiplier(4, training_patterns=40)
-        binding = vendor.server.registry.lookup("MultFastLowPower.power")
-        binding.servant.mark_pattern("s", 3, 5)
-        binding.servant.mark_pattern("s", 3, 5)
-        results = binding.servant.fetch_results("s")
-        assert len(results) == 2 and results[1] == 0.0
 
 
 class TestFunctionalServant:

@@ -49,6 +49,33 @@ class LeakyNetlistServant:
                 "gates": self.netlist.gate_count()}
 
 
+class LeakyBaseServant:
+    """JCD012 through inheritance: the leaking body lives in a base
+    that declares ``REMOTE_METHODS``, and the servant that is actually
+    bound (:class:`InheritingLeakServant`) only inherits it -- the
+    shape of ``SessionPowerServant`` under ``PowerServant`` and
+    ``BitPowerServant``.  The base is a servant class in its own
+    right, so the leak is reported there."""
+
+    REMOTE_METHODS = ("inherited_dump",)
+
+    def __init__(self, netlist: Netlist):
+        self.netlist = netlist
+
+    def inherited_dump(self):
+        return self.netlist.gates
+
+
+class InheritingLeakServant(LeakyBaseServant):
+    """Binds the inherited leak next to a clean method of its own."""
+
+    REMOTE_METHODS = ("inherited_dump", "own_summary")
+
+    def own_summary(self) -> int:
+        # A data-sheet scalar: must NOT be flagged.
+        return self.netlist.gate_count()
+
+
 class UnmarshallableServant:
     """JCD011: promises to return types the marshaller rejects."""
 

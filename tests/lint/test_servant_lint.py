@@ -46,6 +46,15 @@ class TestFixtureFile:
         # Data-sheet scalars (name, gate_count()) are not leaks.
         assert "summary" not in messages
 
+    def test_inherited_leak_flagged_on_the_declaring_base(self):
+        """A subclass servant cannot carry a remote method out from
+        under the rules: the base that defines the body declares
+        ``REMOTE_METHODS`` itself and is linted as a servant."""
+        messages = [f.message for f in self.by_code("JCD012")]
+        assert any("LeakyBaseServant.inherited_dump" in message
+                   for message in messages)
+        assert not any("own_summary" in message for message in messages)
+
     def test_unmarshallable_return_flagged(self):
         bad = self.by_code("JCD011")
         messages = " | ".join(f.message for f in bad)
@@ -232,6 +241,19 @@ class TestRepoIsClean:
         findings = lint_sources([package_dir])
         errors = [f for f in findings if f.severity >= Severity.ERROR]
         assert errors == [], "\n".join(f.format() for f in errors)
+
+    def test_inherited_power_servant_bodies_are_linted(self):
+        """The analyzers read a class's own body only, so every remote
+        method of the two power servants must be defined in a class
+        that lists it in its own ``REMOTE_METHODS``."""
+        from repro.ip.provider import BitPowerServant, PowerServant
+
+        for servant in (PowerServant, BitPowerServant):
+            for name in servant.REMOTE_METHODS:
+                owner = next(cls for cls in servant.__mro__
+                             if name in vars(cls))
+                assert name in vars(owner).get("REMOTE_METHODS", ()), \
+                    f"{owner.__name__}.{name} escapes JCD010-013"
 
 
 class TestDiscovery:
