@@ -61,6 +61,11 @@ RULES = (
     Rule(r'engine_default|engine: str = "event"|"engine", "event"', SRC,
          None, "a provider-path default names an engine (None means "
                "DEFAULT_ENGINE, written in compiled/engine.py only)"),
+    # PR 21: one event wave, over the netlist's integer event table.
+    Rule(r"def reader_gates|def gate_levels|heappush\(wave, \(",
+         ("src/repro/gates",), None,
+         "the name-keyed event wave or its two lookup tables are back "
+         "(the oracle lives in tests/gates/reference_event.py)"),
 )
 
 

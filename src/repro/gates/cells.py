@@ -9,7 +9,7 @@ their relative magnitudes matter for the reproduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from ..core.signal import (Logic, logic_and, logic_buf, logic_nand,
@@ -37,6 +37,26 @@ class CellType:
 
     inverting: bool
     """Whether the cell logically inverts (drives fault equivalences)."""
+
+    truth_table: Optional[tuple] = field(init=False, compare=False,
+                                         repr=False)
+    """``evaluate`` tabulated over all four :class:`Logic` values:
+    ``table[a]`` for a one-pin cell, ``table[a][b]`` for a two-pin
+    instance; None for a cell that never has one or two pins."""
+
+    def __post_init__(self) -> None:
+        pins, table = self.arity or 2, None
+        if pins == 1:
+            table = tuple(self.evaluate(a) for a in Logic)
+        elif pins == 2:
+            table = tuple(tuple(self.evaluate(a, b) for b in Logic)
+                          for a in Logic)
+        object.__setattr__(self, "truth_table", table)
+
+    def table_for(self, n_inputs: int) -> Optional[tuple]:
+        """The truth table of an ``n_inputs``-pin instance, or None when
+        only ``evaluate`` covers it (three pins and up)."""
+        return self.truth_table if n_inputs == (self.arity or 2) else None
 
     def check_arity(self, n_inputs: int) -> bool:
         """Whether this cell accepts ``n_inputs`` input pins."""

@@ -154,23 +154,14 @@ class GateLevelModule(ModuleSkeleton):
         before = engine.evaluated_gates
         toggled = engine.apply(dict(zip(nets, bits)))
         ctx.charge(ctx.cost.gate_eval * (engine.evaluated_gates - before))
-        self._record_energy(ctx, engine, toggled)
+        self.state(ctx)["energy_trace"].append(
+            (ctx.now, engine.switched_energy))
         for port_name, out_nets in self._output_map.items():
             if toggled.intersection(out_nets):
                 value = _bits_to_value(
                     [engine.value_of(net) for net in out_nets],
                     len(out_nets))
                 self.emit(port_name, value, ctx, delay=self.delay)
-
-    def _record_energy(self, ctx: "SimulationContext",
-                       engine: EventDrivenState, toggled) -> None:
-        energy = 0.0
-        for net in toggled:
-            driver = self.netlist.driver_of(net)
-            if driver is not None:
-                energy += driver.cell.energy
-        trace: List[Tuple[float, float]] = self.state(ctx)["energy_trace"]
-        trace.append((ctx.now, energy))
 
     # -- observability for estimators -----------------------------------------
 

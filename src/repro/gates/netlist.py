@@ -9,8 +9,8 @@ leave a provider's server.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..core.errors import DesignError
 from .cells import CellType, cell as lookup_cell
@@ -32,6 +32,27 @@ class Gate:
                 f"{len(self.inputs)} inputs")
 
 
+class EventTable(NamedTuple):
+    """A netlist with every name resolved to an int, built once.
+
+    A net's id is its position in ``nets()`` (so ids below ``n_inputs``
+    are the primary inputs); a gate's index is its position in
+    ``levelize()``, which is also its priority in an event wave.
+    """
+
+    names: Tuple[str, ...]
+    net_id: Dict[str, int]
+    n_inputs: int
+    outputs: Tuple[int, ...]
+    rows: Tuple[Tuple[Tuple[int, ...], int, Optional[tuple], Callable], ...]
+    """Per gate index: (input net ids, output net id, the cell's truth
+    table for that pin count or None, the cell's ``evaluate``)."""
+    readers: Tuple[Tuple[int, ...], ...]
+    """Per net id: the gate indices reading it, each once, ascending."""
+    energy: Tuple[float, ...]
+    """Per net id: the driving cell's energy per toggle, fJ (0 for inputs)."""
+
+
 class Netlist:
     """A combinational gate-level network.
 
@@ -41,11 +62,12 @@ class Netlist:
     levelized evaluation.
 
     Everything derived from the declarations -- the tuples and sets the
-    accessors hand out, the levelized order, the fan-out index -- lives
-    in one cache, each entry built on first use and all of them dropped
-    by any ``add_*``.  Every simulator, fault-list build and kernel
-    compile over one netlist therefore shares one table, and the shared
-    tuples and mappings are read-only by contract.
+    accessors hand out, the levelized order, the fan-out index, the
+    event table -- lives in one cache, each entry built on first use
+    and all of them dropped by any ``add_*``.  Every simulator,
+    fault-list build and kernel compile over one netlist therefore
+    shares one table, and the shared tuples and mappings are read-only
+    by contract.
     """
 
     def __init__(self, name: str):
@@ -165,20 +187,27 @@ class Netlist:
         """
         return self._cached("fanout", self._build_fanout).get(net, ())
 
-    def reader_gates(self) -> Mapping[str, Tuple[Gate, ...]]:
-        """Every net's reading gates, one entry per reading pin.
+    def event_table(self) -> EventTable:
+        """The integer form every event-driven state of this netlist runs."""
+        return self._cached("event_table", self._build_event_table)
 
-        The event-driven states of one netlist all walk this one table.
-        """
-        return self._cached("reader_gates", lambda: {
-            net: tuple(gate for gate, _pin in self.fanout_of(net))
-            for net in self.nets()})
-
-    def gate_levels(self) -> Mapping[str, int]:
-        """Each gate name's position in the levelized order."""
-        return self._cached("gate_levels", lambda: {
-            gate.name: index
-            for index, gate in enumerate(self.levelize())})
+    def _build_event_table(self) -> EventTable:
+        names = self.nets()
+        net_id = {net: index for index, net in enumerate(names)}
+        rows, energy = [], [0.0] * len(names)
+        readers: List[List[int]] = [[] for _ in names]
+        for index, gate in enumerate(self.levelize()):
+            pins = tuple(net_id[source] for source in gate.inputs)
+            out = net_id[gate.output]
+            rows.append((pins, out, gate.cell.table_for(len(pins)),
+                         gate.cell.evaluate))
+            energy[out] = gate.cell.energy
+            for source in dict.fromkeys(pins):
+                readers[source].append(index)
+        return EventTable(names, net_id, len(self._inputs),
+                          tuple(net_id[net] for net in self._outputs),
+                          tuple(rows), tuple(map(tuple, readers)),
+                          tuple(energy))
 
     # -- validation & levelization --------------------------------------------
 

@@ -15,15 +15,6 @@ from ..core.signal import Logic
 from .netlist import Gate, Netlist
 
 
-def _stem_forces(fault: Any, net: str) -> bool:
-    return fault is not None and fault.is_stem and fault.net == net
-
-
-def _branch_forces(fault: Any, gate: Gate, pin: int) -> bool:
-    return (fault is not None and not fault.is_stem
-            and fault.gate_name == gate.name and fault.pin == pin)
-
-
 class NetlistSimulator:
     """Levelized (full-evaluation) simulator for a combinational netlist."""
 
@@ -39,6 +30,14 @@ class NetlistSimulator:
         ``fault``, when given, injects a single stuck-at fault (stem or
         branch).  Returns a dict of all net values.
         """
+        # Resolve the fault once: the net a stem fault forces, or the
+        # (gate name, pin) a branch fault forces; None matches no name.
+        stem = branch_gate = None
+        if fault is not None:
+            if fault.is_stem:
+                stem = fault.net
+            else:
+                branch_gate = fault.gate_name
         values: Dict[str, Logic] = {}
         for net in self.netlist.inputs:
             try:
@@ -46,20 +45,14 @@ class NetlistSimulator:
             except KeyError:
                 raise SimulationError(
                     f"missing value for primary input {net!r}") from None
-            if _stem_forces(fault, net):
-                value = fault.value
-            values[net] = value
+            values[net] = fault.value if net == stem else value
         for gate in self._order:
-            pins = []
-            for pin, source in enumerate(gate.inputs):
-                value = values[source]
-                if _branch_forces(fault, gate, pin):
-                    value = fault.value
-                pins.append(value)
+            pins = [values[source] for source in gate.inputs]
+            if gate.name == branch_gate and 0 <= fault.pin < len(pins):
+                pins[fault.pin] = fault.value
             output = gate.cell.evaluate(*pins)
-            if _stem_forces(fault, gate.output):
-                output = fault.value
-            values[gate.output] = output
+            values[gate.output] = (fault.value if gate.output == stem
+                                   else output)
         return values
 
     def outputs(self, input_values: Mapping[str, Logic],
@@ -92,65 +85,80 @@ class EventDrivenState:
     This mirrors the backplane's event-driven semantics at the netlist
     level and provides the toggle stream consumed by the gate-level power
     estimator; ``evaluated_gates`` counts the work done (for virtual CPU
-    accounting).
+    accounting) and ``switched_energy`` is the sum of the driving cells'
+    per-toggle energies (fJ) over the nets the last ``apply`` toggled.
+
+    The wave runs on the netlist's shared :class:`EventTable`, where
+    nets and gates are ints; a state owns only its list of values.
     """
 
     def __init__(self, simulator: NetlistSimulator):
         self.simulator = simulator
         self.netlist = simulator.netlist
-        self._values: Dict[str, Logic] = {
-            net: Logic.X for net in self.netlist.nets()}
+        self._table = table = self.netlist.event_table()
+        self._values: List[Logic] = [Logic.X] * len(table.names)
         self.evaluated_gates = 0
-        # The netlist's shared tables: a state owns only its values.
-        self._readers = self.netlist.reader_gates()
-        self._gate_level = self.netlist.gate_levels()
+        self.switched_energy = 0.0
 
     @property
     def values(self) -> Dict[str, Logic]:
         """Current value of every net."""
-        return dict(self._values)
+        return dict(zip(self._table.names, self._values))
 
     def value_of(self, net: str) -> Logic:
         """Current value of a single net."""
-        return self._values[net]
+        return self._values[self._table.net_id[net]]
 
     def output_values(self) -> Tuple[Logic, ...]:
         """Current primary-output values, in declaration order."""
-        return tuple(self._values[net] for net in self.netlist.outputs)
+        return tuple(self._values[net] for net in self._table.outputs)
 
     def apply(self, input_changes: Mapping[str, Logic]) -> Set[str]:
-        """Apply new input values; return the set of nets that toggled."""
-        toggled: Set[str] = set()
-        dirty_gates: Dict[str, Gate] = {}
-        # Level-keyed heap over the dirty set: popping the lowest-level
-        # gate first guarantees every driver settles before its readers,
-        # so each gate is evaluated at most once per wave.  The dict
-        # doubles as the membership test that keeps heap entries unique.
-        wave: List[Tuple[int, str]] = []
-        levels = self._gate_level
+        """Apply new input values; return the set of nets that toggled.
 
-        def note_change(net: str, value: Logic) -> None:
-            if self._values[net] is value:
-                return
-            self._values[net] = value
-            toggled.add(net)
-            for gate in self._readers[net]:
-                if gate.name not in dirty_gates:
-                    dirty_gates[gate.name] = gate
-                    heapq.heappush(wave, (levels[gate.name], gate.name))
-
-        is_input = self.netlist.is_input
-        for net, value in input_changes.items():
-            if not is_input(net):
+        A key that is not a primary input raises before anything is
+        written, so a rejected call leaves the state as it was.
+        """
+        names, net_id, n_inputs, _, rows, readers, energy = self._table
+        for net in input_changes:
+            if net_id.get(net, n_inputs) >= n_inputs:
                 raise SimulationError(f"{net!r} is not a primary input")
-            note_change(net, value)
-
+        values, push, pop = self._values, heapq.heappush, heapq.heappop
+        # A heap of gate indices: a gate's index is its levelized
+        # position, so popping the smallest settles every driver before
+        # its readers and evaluates each gate at most once per wave.
+        # The ``queued`` flags keep heap entries unique.
+        wave: List[int] = []
+        queued = bytearray(len(rows))
+        changed: List[int] = []
+        for name, value in input_changes.items():
+            net = net_id[name]
+            if values[net] is not value:
+                values[net] = value
+                changed.append(net)
+                for reader in readers[net]:
+                    if not queued[reader]:
+                        queued[reader] = 1
+                        push(wave, reader)
+        evaluated = 0
         while wave:
-            _, name = heapq.heappop(wave)
-            gate = dirty_gates.pop(name, None)
-            if gate is None:  # pragma: no cover - defensive
-                continue
-            pins = [self._values[source] for source in gate.inputs]
-            self.evaluated_gates += 1
-            note_change(gate.output, gate.cell.evaluate(*pins))
-        return toggled
+            gate = pop(wave)
+            queued[gate] = 0
+            pins, net, table, evaluate = rows[gate]
+            evaluated += 1
+            if table is None:
+                value = evaluate(*[values[pin] for pin in pins])
+            elif len(pins) == 2:
+                value = table[values[pins[0]]][values[pins[1]]]
+            else:
+                value = table[values[pins[0]]]
+            if values[net] is not value:
+                values[net] = value
+                changed.append(net)
+                for reader in readers[net]:
+                    if not queued[reader]:
+                        queued[reader] = 1
+                        push(wave, reader)
+        self.evaluated_gates += evaluated
+        self.switched_energy = sum(map(energy.__getitem__, changed), 0.0)
+        return {names[net] for net in changed}

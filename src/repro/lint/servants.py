@@ -48,7 +48,7 @@ state from a pure method is a JCD010 violation."""
 
 STRUCTURE_METHODS: FrozenSet[str] = frozenset({
     "gates", "nets", "internal_nets", "driver_of", "fanout_of",
-    "reader_gates", "gate_levels", "levelize", "items",
+    "event_table", "levelize", "items",
 })
 """Accessors that enumerate protected structure.  Scalar summaries
 (``area``, ``depth``, ``critical_path_delay``, ``gate_count``) are

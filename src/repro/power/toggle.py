@@ -53,13 +53,8 @@ class ToggleCountModel:
     def energy_of_pattern(self, inputs: Dict[str, Logic]) -> float:
         """Switched energy (fJ) of transitioning to ``inputs``."""
         state = self._ensure_state()
-        toggled = state.apply(inputs)
-        energy = 0.0
-        for net in toggled:
-            driver = self.netlist.driver_of(net)
-            if driver is not None:
-                energy += driver.cell.energy
-        return energy
+        state.apply(inputs)
+        return state.switched_energy
 
     def power_of_pattern(self, inputs: Dict[str, Logic]) -> float:
         """Average power (mW) if this transition repeats at ``frequency``."""

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiled import CompiledKernel
+from repro.core.signal import Logic
 from repro.faults import build_fault_list
 from repro.gates import (EventDrivenState, NetlistSimulator, load_bench,
                          random_netlist)
@@ -33,11 +34,6 @@ def assert_index_matches_scan(netlist):
         assert netlist.fanout_of(net) == scanned_fanout(netlist, net)
         assert netlist.has_net(net) == (net in nets)
         assert netlist.is_input(net) == (net in netlist.inputs)
-    assert netlist.reader_gates() == {
-        net: tuple(gate for gate, _pin in scanned_fanout(netlist, net))
-        for net in nets}
-    assert netlist.gate_levels() == {
-        gate.name: index for index, gate in enumerate(netlist.levelize())}
 
 
 class TestIndexedFanout:
@@ -71,18 +67,27 @@ class TestIndexedFanout:
         assert netlist.gates is netlist.gates
         assert netlist.inputs is netlist.inputs
         assert netlist.nets() is netlist.nets()
+
+    def test_states_of_one_netlist_share_one_event_table(self):
+        netlist = load_bench("c17")
+        table = netlist.event_table()
         first = EventDrivenState(NetlistSimulator(netlist))
         second = EventDrivenState(NetlistSimulator(netlist))
-        assert first._readers is second._readers is netlist.reader_gates()
-        assert first._gate_level is second._gate_level
+        assert netlist.event_table() is table  # the states built no other
+        first.apply({net: Logic.ONE for net in netlist.inputs})
+        assert second.values == {net: Logic.X for net in netlist.nets()}
+        assert first.values != second.values
+        netlist.add_output(netlist.internal_nets()[0])
+        assert netlist.event_table() is not table  # any add_* drops it
 
     def test_pickling_ships_no_derived_tables(self):
         netlist = load_bench("c17")
-        netlist.reader_gates(), netlist.gate_levels()
+        netlist.event_table()
         clone = pickle.loads(pickle.dumps(netlist))
         assert clone._derived == {}
         assert [g.name for g in clone.levelize()] == \
             [g.name for g in netlist.levelize()]
+        assert clone.event_table() == netlist.event_table()
 
 
 class _CountedPins:
