@@ -66,6 +66,11 @@ RULES = (
          ("src/repro/gates",), None,
          "the name-keyed event wave or its two lookup tables are back "
          "(the oracle lives in tests/gates/reference_event.py)"),
+    # PR 22: the event path follows Port.route / can_read / can_write.
+    Rule(r"peer_of\(|\.direction\.can_",
+         ("src/repro/core/module.py", "src/repro/core/controller.py"),
+         None, "the event path scans a connector for its peer or "
+               "evaluates a PortDirection property per token again"),
 )
 
 

@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.connector import BitConnector, Connector
 from ..core.design import Circuit
+from ..core.errors import SimulationError
 from ..core.library import PrimaryOutput
 from ..core.module import ModuleSkeleton
 from ..core.port import PortDirection
@@ -55,13 +56,24 @@ class PublicFunctionalModel(ModuleSkeleton):
                           connector=connectors.get(port_name))
 
     def process_input_event(self, token: SignalToken, ctx) -> None:
+        scheduler_id = ctx.scheduler_id
         bits = []
-        for port in self.input_ports():
-            bit = self.read_port(port, ctx)
-            if not (isinstance(bit, Logic) and bit.is_known):
-                return  # the first unknown input decides; skip the rest
+        # Last pin first: inputs driven in port order leave the last one
+        # unknown until all have arrived, so a wait costs one read.
+        for port in reversed(self.input_ports()):
+            if port.connector is None:
+                raise SimulationError(
+                    f"port {port.full_name} is not connected")
+            bit = port.connector.get_value(scheduler_id)
+            if bit is not Logic.ZERO and bit is not Logic.ONE:
+                return  # one unknown input decides; skip the rest
             bits.append(bit)
-        outputs = self._fn(tuple(bits))
+        outputs = self._fn(tuple(reversed(bits)))
+        if len(outputs) != len(self._output_names):
+            raise SimulationError(
+                f"module {self.name!r}: functional model returned "
+                f"{len(outputs)} bits for {len(self._output_names)} "
+                f"output ports")
         for port_name, value in zip(self._output_names, outputs):
             self.emit(port_name, value, ctx)
 

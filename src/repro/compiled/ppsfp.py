@@ -196,18 +196,28 @@ class CompiledSimulator:
         for count, rep, words in _fault_lanes(kernel, iv, ic, 1,
                                               injections):
             runs += 1
-            # Most faults of a chunk leave the outputs as lane 0 has
-            # them: find the lanes that differ from lane 0 on any output
-            # word, unpack only those, and let the rest share one tuple.
-            differs = 0
+            # Lanes that agree on every output word share one row, and
+            # most faults leave the outputs as lane 0 has them: split
+            # the lanes word by word, then unpack one lane per group
+            # and hand its tuple to the group's other lanes.
+            groups = [rep]
             for index in kernel.output_index:
-                v, c = words[2 * index], words[2 * index + 1]
-                differs |= (v ^ (v & 1) * rep) | (c ^ (c & 1) * rep)
-            lane0 = _unpack_lane(words, kernel.output_index, 0)
-            for lane in range(count):
-                results.append(
-                    _unpack_lane(words, kernel.output_index, lane)
-                    if (differs >> lane) & 1 else lane0)
+                for word in words[2 * index:2 * index + 2]:
+                    other = ~word
+                    groups = [part for group in groups
+                              for part in (group & word, group & other)
+                              if part]
+            rows = [_unpack_lane(words, kernel.output_index, 0)] * count
+            for group in groups:
+                if group & 1:
+                    continue  # lane 0's own group: already in place
+                row = _unpack_lane(words, kernel.output_index,
+                                   (group & -group).bit_length() - 1)
+                while group:
+                    low = group & -group
+                    rows[low.bit_length() - 1] = row
+                    group ^= low
+            results += rows
         _record_work(kernel.gate_count * len(injections), runs)
         return results
 

@@ -63,6 +63,7 @@ class Connector:
                 f"connector {self.name!r} (width {self.width})")
         self._endpoints.append(port)
         port.connector = self
+        self._reroute()
 
     def detach(self, port: "Port") -> None:
         """Detach a port from this connector."""
@@ -70,7 +71,15 @@ class Connector:
             raise ConnectionError_(
                 f"port {port.full_name} is not attached to {self.name!r}")
         self._endpoints.remove(port)
-        port.connector = None
+        port.connector = port.route = None
+        self._reroute()
+
+    def _reroute(self) -> None:
+        # The event path follows Port.route and never scans endpoints:
+        # every wiring change must end here.
+        for port in self._endpoints:
+            peer = self.peer_of(port)
+            port.route = (self, peer, None if peer is None else peer.owner)
 
     @property
     def endpoints(self) -> tuple:

@@ -17,13 +17,13 @@ from __future__ import annotations
 import contextvars
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..net.clock import CostModel, VirtualClock
 from ..telemetry.runtime import TELEMETRY
 from .design import Circuit
 from .errors import SimulationError
-from .module import HandlerOverride, ModuleSkeleton
+from .module import HandlerOverride, ModuleSkeleton, deliver
 from .port import Port
 from .scheduler import Scheduler
 from .signal import SignalValue
@@ -38,7 +38,8 @@ class SimulationContext:
     through it, which is what enforces scheduler isolation.
     """
 
-    __slots__ = ("scheduler", "scheduler_id", "controller", "clock", "cost")
+    __slots__ = ("scheduler", "scheduler_id", "controller", "overrides",
+                 "clock", "cost")
 
     def __init__(self, scheduler: Scheduler,
                  controller: "SimulationController",
@@ -47,6 +48,9 @@ class SimulationContext:
         #: Identity of the active scheduler (keys all state LUTs).
         self.scheduler_id: int = scheduler.scheduler_id
         self.controller = controller
+        #: The controller's handler overrides by module id (the live
+        #: dict: usually empty, so ``receive`` tests it before a lookup).
+        self.overrides: Dict[int, HandlerOverride] = controller._overrides
         self.clock = clock
         self.cost = cost
 
@@ -149,11 +153,6 @@ class SimulationController:
         """Restore a module's normal event handling."""
         self._overrides.pop(module.module_id, None)
 
-    def handler_override(self,
-                         module: ModuleSkeleton) -> Optional[HandlerOverride]:
-        """The override installed for a module, if any."""
-        return self._overrides.get(module.module_id)
-
     # ------------------------------------------------------------------
     # Priming and injection (used by fault simulation and tests)
     # ------------------------------------------------------------------
@@ -162,16 +161,17 @@ class SimulationController:
         """Preset a connector's value for this controller's scheduler."""
         connector.set_value(self.scheduler.scheduler_id, value)
 
+    def prime_all(self, snapshot: Mapping[Any, SignalValue]) -> None:
+        """:meth:`prime` every connector of ``snapshot`` in one pass."""
+        scheduler_id = self.scheduler.scheduler_id
+        for connector, value in snapshot.items():
+            connector.check_value(value)
+            connector._values[scheduler_id] = value
+
     def inject(self, port: Port, value: SignalValue,
                delay: float = 0.0) -> None:
         """Schedule a signal token as if ``port`` had emitted ``value``."""
-        if port.connector is None:
-            return
-        peer = port.connector.peer_of(port)
-        if peer is None:
-            port.connector.set_value(self.scheduler.scheduler_id, value)
-            return
-        self.scheduler.schedule(SignalToken(peer.owner, peer, value), delay)
+        deliver(port.route, value, self.scheduler, delay)
 
     # ------------------------------------------------------------------
     # The event loop
@@ -203,34 +203,37 @@ class SimulationController:
                 "scheduler.run", category="scheduler", clock=self.clock,
                 args={"scheduler": self.scheduler.name,
                       "controller": self.name}).start()
-        # Loop invariants: none of these is rebound while a run lasts.
+        # Loop invariants: none of these is rebound while a run lasts
+        # (the queue is the scheduler's own heap, emptied in place).
         scheduler = self.scheduler
         scheduler_id = scheduler.scheduler_id
+        queue = scheduler._queue
+        pop = scheduler.pop
         context = self._context
         observers = self._observers
         charge_cpu = self.clock.charge_cpu
         cost = self.cost
         event_dispatch = cost.event_dispatch
         try:
-            while not scheduler.empty:
-                next_time = scheduler.next_time()
-                if max_time is not None and next_time is not None \
-                        and next_time > max_time:
+            while queue:
+                next_time = queue[0][0]
+                if max_time is not None and next_time > max_time:
                     break
-                if current_instant is not None and next_time is not None \
+                if current_instant is not None \
                         and next_time > current_instant:
                     self._end_of_instant(current_instant)
                     stats.instants += 1
-                token = scheduler.pop()
-                current_instant = token.time
+                token = pop()
+                current_instant = next_time
                 target = token.target
                 charge_cpu(event_dispatch + target.event_cost(cost, token))
-                if isinstance(token, SignalToken) and \
-                        token.port.connector is not None:
-                    token.port.connector.set_value(scheduler_id,
-                                                   token.value)
-                for observer in observers:
-                    observer(token, context)
+                if isinstance(token, SignalToken):
+                    connector = token.port.connector
+                    if connector is not None:
+                        connector.set_value(scheduler_id, token.value)
+                if observers:
+                    for observer in observers:
+                        observer(token, context)
                 if TELEMETRY.enabled:
                     with TELEMETRY.tracer.span(
                             "scheduler.deliver", category="scheduler",

@@ -16,13 +16,35 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
 from .connector import Connector
 from .errors import ConnectionError_, DesignError, SimulationError
 from .ids import next_id
-from .port import Port, PortDirection
+from .port import Port, PortDirection, Route
 from .signal import SignalValue
 from .token import (ControlToken, EstimationToken, SelfTriggerToken,
                     SignalToken, Token)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .controller import SimulationContext
+
+
+def deliver(route: Optional[Route], value: SignalValue, scheduler: Any,
+            delay: float = 0.0) -> None:
+    """Send ``value`` along a :attr:`Port.route` on ``scheduler``.
+
+    The one way a value leaves a port, however it got there
+    (:meth:`ModuleSkeleton.emit`, ``SimulationController.inject``,
+    ``drive_connector``): no route drops the value, a route with no
+    peer just records it on the connector, and a peer that cannot read
+    is refused.
+    """
+    if route is None:
+        return
+    connector, peer, owner = route
+    if peer is None:
+        connector.set_value(scheduler.scheduler_id, value)
+    elif not peer.can_read:
+        raise SimulationError(
+            f"peer port {peer.full_name} cannot receive events")
+    else:
+        scheduler.schedule(SignalToken(owner, peer, value), delay)
 
 
 class ModuleSkeleton:
@@ -84,8 +106,8 @@ class ModuleSkeleton:
         ports = tuple(self._declared_ports())
         views = self._port_views = (
             ports,
-            tuple(p for p in ports if p.direction.can_read),
-            tuple(p for p in ports if p.direction.can_write))
+            tuple(p for p in ports if p.can_read),
+            tuple(p for p in ports if p.can_write))
         return views
 
     @property
@@ -141,20 +163,10 @@ class ModuleSkeleton:
         and simply drops the value.
         """
         port = self.port(port_name)
-        if not port.direction.can_write:
+        if not port.can_write:
             raise SimulationError(
                 f"port {port.full_name} is not an output port")
-        if port.connector is None:
-            return
-        peer = port.connector.peer_of(port)
-        if peer is None:
-            port.connector.set_value(ctx.scheduler_id, value)
-            return
-        if not peer.direction.can_read:
-            raise SimulationError(
-                f"peer port {peer.full_name} cannot receive events")
-        token = SignalToken(peer.owner, peer, value)
-        ctx.schedule(token, delay)
+        deliver(port.route, value, ctx.scheduler, delay)
 
     def self_trigger(self, ctx: "SimulationContext", delay: float,
                      tag: str = "tick", payload: Any = None) -> None:
@@ -172,10 +184,12 @@ class ModuleSkeleton:
         (used by fault injection); overrides take precedence over the
         normal hooks.
         """
-        override = ctx.controller.handler_override(self)
-        if override is not None:
-            override(self, token, ctx)
-            return
+        overrides = ctx.overrides
+        if overrides:
+            override = overrides.get(self.module_id)
+            if override is not None:
+                override(self, token, ctx)
+                return
         if isinstance(token, SignalToken):
             self.process_input_event(token, ctx)
         elif isinstance(token, SelfTriggerToken):

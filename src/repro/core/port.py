@@ -9,7 +9,7 @@ nets are built with explicit fanout modules (:mod:`repro.core.fanout`).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .errors import ConnectionError_
 
@@ -36,10 +36,15 @@ class PortDirection(enum.Enum):
         return self in (PortDirection.OUT, PortDirection.INOUT)
 
 
+Route = Tuple["Connector", "Optional[Port]", "Optional[ModuleSkeleton]"]
+"""Where a value leaving a port goes: the wiring, resolved once."""
+
+
 class Port:
     """A named, oriented, fixed-width connection point on a module."""
 
-    __slots__ = ("name", "direction", "width", "owner", "connector")
+    __slots__ = ("name", "direction", "can_read", "can_write", "width",
+                 "owner", "connector", "route")
 
     def __init__(self, name: str, direction: PortDirection, width: int = 1,
                  owner: "Optional[ModuleSkeleton]" = None):
@@ -47,9 +52,16 @@ class Port:
             raise ConnectionError_(f"port {name!r}: width must be positive")
         self.name = name
         self.direction = direction
+        self.can_read: bool = direction.can_read
+        self.can_write: bool = direction.can_write
         self.width = width
         self.owner = owner
         self.connector: "Optional[Connector]" = None
+        #: ``(connector, peer, peer.owner)`` while attached (``peer`` and
+        #: its owner ``None`` until the far end is), else ``None``.
+        #: :meth:`Connector.attach` / ``detach`` keep it and
+        #: ``connector`` current; nothing else writes either.
+        self.route: "Optional[Route]" = None
 
     @property
     def is_connected(self) -> bool:
@@ -64,9 +76,7 @@ class Port:
 
     def peer(self) -> "Optional[Port]":
         """The port at the other end of this port's connector, if any."""
-        if self.connector is None:
-            return None
-        return self.connector.peer_of(self)
+        return None if self.route is None else self.route[1]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Port({self.full_name}, {self.direction.value}, "

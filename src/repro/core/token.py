@@ -57,7 +57,11 @@ class SignalToken(Token):
 
     def __init__(self, target: "ModuleSkeleton", port: "Port",
                  value: "SignalValue"):
-        super().__init__(target)
+        # Token.__init__, flat: one of these is built per signal event.
+        self.token_id = next(_token_ids)
+        self.target = target
+        self.time = 0.0
+        self.scheduler_id = None
         self.port = port
         self.value = value
 

@@ -20,6 +20,7 @@ values, the user sees only symbolic names and output patterns.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
@@ -27,9 +28,8 @@ from ..core.connector import Connector
 from ..core.controller import SimulationController
 from ..core.design import Circuit
 from ..core.errors import FaultSimulationError
-from ..core.module import ModuleSkeleton
+from ..core.module import ModuleSkeleton, deliver
 from ..core.signal import Logic, SignalValue, Word
-from ..core.token import SignalToken
 from ..gates.netlist import Netlist
 from ..net.clock import CostModel, VirtualClock
 from ..rmi.server import current_server_context
@@ -175,13 +175,11 @@ def _value_bits(value: SignalValue) -> Tuple[Logic, ...]:
 def drive_connector(controller: SimulationController, connector: Connector,
                     value: SignalValue) -> None:
     """Schedule a primary-input value at the module reading ``connector``."""
-    for endpoint in connector.endpoints:
-        if endpoint.direction.can_read:
-            controller.scheduler.schedule(
-                SignalToken(endpoint.owner, endpoint, value))
-            return
-    # No reader: just record the value.
-    controller.prime(connector, value)
+    reader = next((endpoint for endpoint in connector.endpoints
+                   if endpoint.can_read), None)
+    # With no reader, deliver just records the value.
+    deliver((connector, reader, None if reader is None else reader.owner),
+            value, controller.scheduler)
 
 
 class VirtualFaultSimulator:
@@ -328,9 +326,9 @@ class VirtualFaultSimulator:
                   good_outputs: Dict[str, SignalValue]) -> Set[str]:
         detected: Set[str] = set()
         undetected_set = set(undetected)
-        for faulty_pattern, names in sorted(
-                table.rows.items(),
-                key=lambda item: tuple(int(b) for b in item[0])):
+        # The wire's row order (Logic is an IntEnum): see _table_to_wire.
+        for faulty_pattern, names in sorted(table.rows.items(),
+                                            key=itemgetter(0)):
             live = names & undetected_set
             if not live:
                 continue
@@ -350,8 +348,7 @@ class VirtualFaultSimulator:
         self.injection_runs += 1
         try:
             # Retain the fault-free signal values everywhere.
-            for connector, value in fault_free.items():
-                injection.prime(connector, value)
+            injection.prime_all(fault_free)
             # The faulty module's event handling is replaced: it holds
             # the injected outputs no matter what reaches its inputs.
             injection.override_handler(block.module,

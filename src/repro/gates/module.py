@@ -13,7 +13,7 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from ..core.connector import Connector
-from ..core.errors import DesignError
+from ..core.errors import DesignError, SimulationError
 from ..core.module import ModuleSkeleton
 from ..core.port import PortDirection
 from ..core.signal import Logic, SignalValue, Word
@@ -52,10 +52,17 @@ class LogicGateModule(ModuleSkeleton):
 
     def process_input_event(self, token: SignalToken,
                             ctx: "SimulationContext") -> None:
-        values = [self.read_port(port, ctx) for port in self.input_ports()]
-        if not all(isinstance(value, Logic) for value in values):
-            raise DesignError(
-                f"gate module {self.name!r} needs Logic inputs")
+        scheduler_id = ctx.scheduler_id
+        values = []
+        for port in self.input_ports():
+            if port.connector is None:
+                raise SimulationError(
+                    f"port {port.full_name} is not connected")
+            value = port.connector.get_value(scheduler_id)
+            if not isinstance(value, Logic):
+                raise DesignError(
+                    f"gate module {self.name!r} needs Logic inputs")
+            values.append(value)
         self.emit("out", self.cell.evaluate(*values), ctx,
                   delay=self.cell.delay * 1e-3)
 

@@ -20,6 +20,7 @@ from repro.faults import build_fault_list
 from repro.faults.atpg import generate_test_set
 from repro.faults.detection import build_detection_table
 from repro.gates import NetlistSimulator, load_bench
+from repro.gates.generators import random_netlist
 
 BENCHES = ["c17", "figure4", "alu8"]
 
@@ -101,6 +102,32 @@ class TestLaneSharedRows:
         simulator = simulator_for(engine, self.NETLIST)
         assert simulator.outputs_for_faults(stimulus, faults) == [
             simulator.outputs(stimulus, fault=fault) for fault in faults]
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(2, 6, 1), (4, 20, 3), (3, 30, 2)]),
+           seed=st.integers(0, 10_000), data=st.data())
+    def test_generated_netlists_across_superwords(self, shape, seed,
+                                                  data):
+        """Every distinct row is unpacked once per kernel run and its
+        lanes share the tuple, on random netlists with X/Z inputs and
+        several superwords of faults."""
+        netlist = random_netlist(*shape, seed=seed)
+        fault_list = build_fault_list(netlist, collapse="none")
+        faults = [fault_list.fault(name) for name in fault_list.names()]
+        stimulus = {net: data.draw(st.sampled_from(list(Logic)))
+                    for net in netlist.inputs}
+        compiled = CompiledSimulator(netlist)
+        lanes = 8
+        assert len(faults) > 2 * lanes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ppsfp, "SUPERWORD_BITS", lanes)
+            packed = compiled.outputs_for_faults(stimulus, faults)
+        assert packed == [compiled.outputs(stimulus, fault=fault)
+                          for fault in faults]
+        for first in range(0, len(packed), lanes):
+            run = packed[first:first + lanes]
+            assert len({id(row) for row in run}) == len(set(run))
 
 
 class TestDetectionTableParity:

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import (Circuit, Logic, ModuleSkeleton,
                         PatternPrimaryInput, PortDirection, PrimaryOutput,
-                        SimulationController, Word, WordConnector,
-                        connect)
+                        SimulationController, SimulationError, Word,
+                        WordConnector, connect)
 from repro.estimation import (AVERAGE_POWER, ByName, ConstantEstimator,
                               SetupController)
 
@@ -85,6 +85,20 @@ class TestPrimeAndInject:
         controller.inject(out, Word(17, 8))
         controller.start()
         assert sink.last_value(controller.context) == Word(17, 8)
+
+    def test_inject_and_emit_refuse_an_out_only_peer_alike(self):
+        a = ModuleSkeleton("a")
+        b = ModuleSkeleton("b")
+        connect(a.add_port("o", PortDirection.OUT),
+                b.add_port("o", PortDirection.OUT))
+        controller = SimulationController(Circuit(a, b))
+        with pytest.raises(SimulationError) as injected:
+            controller.inject(a.port("o"), Logic.ONE)
+        with pytest.raises(SimulationError) as emitted:
+            a.emit("o", Logic.ONE, controller.context)
+        assert str(injected.value) == str(emitted.value) \
+            == "peer port b.o cannot receive events"
+        assert controller.scheduler.pending == 0
 
 
 class TestEstimationSweep:

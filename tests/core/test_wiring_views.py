@@ -9,8 +9,8 @@ work.  Work is checked by counting calls, never by timing.
 import sys
 
 from repro.bench import build_figure4
-from repro.core import (BitConnector, Circuit, CompositeModule, Logic,
-                        ModuleSkeleton, PortDirection,
+from repro.core import (BitConnector, Circuit, CompositeModule, Connector,
+                        Logic, ModuleSkeleton, PortDirection,
                         SimulationController, connect)
 from repro.faults.virtual import drive_connector
 
@@ -120,7 +120,129 @@ class TestCircuitSeesRewiring:
         assert connector._values == {sid: Logic.ONE}
 
 
+class Recorder(ModuleSkeleton):
+    """Logs every signal event it is handed as (module, port, value)."""
+
+    def __init__(self, name, log):
+        super().__init__(name)
+        self.log = log
+
+    def process_input_event(self, token, ctx):
+        self.log.append((self.name, token.port.name, token.value))
+
+
+class TestRouteInvalidation:
+    """A port's route is resolved by attach / detach, never per event:
+    every rewiring, however late, must be what the next event sees."""
+
+    def make(self):
+        log = []
+        a, b, c = (Recorder(name, log) for name in "abc")
+        out = a.add_port("o", PortDirection.OUT)
+        connector = connect(out, b.add_port("i", PortDirection.IN))
+        c.add_port("i", PortDirection.IN)
+        controller = SimulationController(Circuit(a, b, c))
+        return controller, log, a, b, c, out, connector
+
+    def test_routes_follow_attach_and_detach(self):
+        _controller, _log, a, b, _c, out, connector = self.make()
+        inp = b.port("i")
+        assert out.route == (connector, inp, b)
+        assert inp.route == (connector, out, a)
+        assert out.peer() is inp and inp.peer() is out
+        connector.detach(inp)
+        assert inp.route is None and inp.peer() is None
+        assert out.route == (connector, None, None)
+        connector.detach(out)
+        assert out.route is None and out.connector is None
+        assert connector.endpoints == ()
+
+    def test_detach_then_emit_drops_the_value(self):
+        controller, log, a, b, _c, out, connector = self.make()
+        sid = controller.scheduler.scheduler_id
+        connector.detach(out)
+        a.emit("o", Logic.ONE, controller.context)
+        assert controller.scheduler.empty
+        assert connector._values == {}
+        # The far end alone on the connector: the value is recorded.
+        connector.attach(out)
+        connector.detach(b.port("i"))
+        a.emit("o", Logic.ONE, controller.context)
+        assert controller.scheduler.empty
+        assert connector._values == {sid: Logic.ONE}
+        assert log == []
+
+    def test_rewiring_after_the_first_event_reaches_the_new_peer(self):
+        controller, log, a, _b, c, out, connector = self.make()
+        a.emit("o", Logic.ONE, controller.context)
+        controller.start()
+        assert log == [("b", "i", Logic.ONE)]
+        connector.detach(out)
+        replacement = connect(out, c.port("i"))
+        a.emit("o", Logic.ZERO, controller.context)
+        controller.inject(out, Logic.ONE)
+        controller.start()
+        assert log[1:] == [("c", "i", Logic.ZERO), ("c", "i", Logic.ONE)]
+        sid = controller.scheduler.scheduler_id
+        assert replacement.get_value(sid) is Logic.ONE
+        assert connector.get_value(sid) is Logic.ONE  # b's, untouched
+
+    def test_composite_alias_resolves_to_the_inner_route(self):
+        controller, log, a, _b, c, out, connector = self.make()
+        composite = CompositeModule(a, name="outer")
+        composite.add_alias("result", out)
+        composite.emit("result", Logic.ONE, controller.context)
+        connector.detach(out)
+        connect(composite.port("result"), c.port("i"))
+        composite.emit("result", Logic.ZERO, controller.context)
+        controller.start()
+        assert log == [("b", "i", Logic.ONE), ("c", "i", Logic.ZERO)]
+
+    def test_inout_ports_route_both_ways(self):
+        log = []
+        left, right = Recorder("left", log), Recorder("right", log)
+        connect(left.add_port("io", PortDirection.INOUT),
+                right.add_port("io", PortDirection.INOUT))
+        controller = SimulationController(Circuit(left, right))
+        left.emit("io", Logic.ONE, controller.context)
+        right.emit("io", Logic.ZERO, controller.context)
+        controller.start()
+        assert log == [("right", "io", Logic.ONE),
+                       ("left", "io", Logic.ZERO)]
+
+
 class TestEventPathWorkCounts:
+    def test_a_campaign_never_rescans_wiring_or_directions(
+            self, monkeypatch):
+        """After build, no event scans a connector for its peer or
+        evaluates a direction property: ports carry both."""
+        setup = build_figure4(collapse="none")
+        calls = []
+
+        def counting(name, wrapped):
+            def counted(*args):
+                calls.append(name)
+                return wrapped(*args)
+            return counted
+
+        monkeypatch.setattr(Connector, "peer_of",
+                            counting("peer_of", Connector.peer_of))
+        for name in ("can_read", "can_write"):
+            monkeypatch.setattr(PortDirection, name, property(counting(
+                name, getattr(PortDirection, name).fget)))
+        patterns = [dict(zip("ABCD", ((index >> 3) & 1, (index >> 2) & 1,
+                                      (index >> 1) & 1, index & 1)))
+                    for index in range(16)]
+        report = setup.simulator.run(patterns)
+        assert setup.simulator.injection_runs == 12
+        assert len(report.detected) == 36
+        assert calls == []
+        # The counters do count: one wiring change is one rescan.
+        out = setup.circuit.module("gE").port("out")
+        out.connector.detach(out)
+        assert calls == ["peer_of"]
+        assert PortDirection.IN.can_read and calls[1:] == ["can_read"]
+
     def test_default_value_is_not_evaluated_for_a_present_value(
             self, monkeypatch):
         calls = []

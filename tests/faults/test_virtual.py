@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.bench import build_figure4
-from repro.core import (BitConnector, ConnectionError_,
+from repro.bench import PublicFunctionalModel, build_figure4
+from repro.core import (BitConnector, Circuit, ConnectionError_,
                         FaultSimulationError, Logic,
-                        SimulationController, Word)
-from repro.faults import TestabilityServant, build_fault_list
+                        SimulationController, SimulationError, Word)
+from repro.faults import (DetectionTable, TestabilityServant,
+                          build_fault_list)
+from repro.faults.detection import _table_to_wire
+from repro.faults.virtual import drive_connector
 from repro.gates import ip1_block
 
 
@@ -150,6 +153,48 @@ class TestInjectOutputs:
                                match="output pattern width"):
                 block.inject_outputs(controller, [Logic.ONE] * width)
         assert controller.scheduler.empty
+
+
+class TestRowOrder:
+    def test_rows_are_injected_in_wire_order(self, monkeypatch):
+        """``_try_rows`` walks the rows as ``_table_to_wire`` ships them
+        (one sort key), which is their int-tuple order, X and Z too."""
+        setup = build_figure4(collapse="none")
+        patterns = [(Logic.Z, Logic.ZERO), (Logic.X, Logic.ONE),
+                    (Logic.ONE, Logic.Z), (Logic.ZERO, Logic.X),
+                    (Logic.ONE, Logic.ZERO), (Logic.X, Logic.X),
+                    (Logic.ZERO, Logic.ONE), (Logic.Z, Logic.Z)]
+        names = setup.fault_list.names()[:len(patterns)]
+        table = DetectionTable(
+            "IP1", (Logic.ONE, Logic.ZERO), (Logic.ONE, Logic.ONE),
+            {pattern: [name] for pattern, name in zip(patterns, names)})
+        injected = []
+        monkeypatch.setattr(
+            setup.simulator, "_injection_detects",
+            lambda block, pattern, *rest: injected.append(pattern))
+        setup.simulator._try_rows(setup.simulator.ip_blocks[0], table,
+                                  names, {}, {})
+        assert injected == [tuple(pattern) for pattern, _names
+                            in _table_to_wire(table)["rows"]]
+        assert injected == sorted(
+            patterns, key=lambda pattern: tuple(int(b) for b in pattern))
+
+
+class TestPublicModelWidth:
+    @pytest.mark.parametrize("returned", [1, 3])
+    def test_wrong_output_width_is_refused(self, returned):
+        """Zipping a short or long result against the two output ports
+        would silently simulate something else."""
+        connectors = {name: BitConnector(name) for name in "ab"}
+        model = PublicFunctionalModel(
+            ["a"], ["x", "y"], lambda bits: (Logic.ONE,) * returned,
+            connectors, name="M")
+        controller = SimulationController(Circuit(model))
+        drive_connector(controller, connectors["a"], Logic.ZERO)
+        with pytest.raises(
+                SimulationError,
+                match=f"'M'.*returned {returned} bits for 2 output"):
+            controller.start()
 
 
 class TestSimulatorReuse:
