@@ -71,6 +71,10 @@ RULES = (
          ("src/repro/core/module.py", "src/repro/core/controller.py"),
          None, "the event path scans a connector for its peer or "
                "evaluates a PortDirection property per token again"),
+    # PR 23: an endpoint is told the campaign, not each shard.
+    Rule(r"begin_shard|collect_report|RemoteShard", SRC, None,
+         "the per-shard farm protocol (patterns re-shipped and bench "
+         "re-resolved with every shard) is back"),
 )
 
 

@@ -25,7 +25,7 @@ guarantees (and their limits).
 from .faultsim import parallel_fault_simulate, parallel_generate_test_set
 from .merge import diff_reports, merge_reports, merge_test_sets
 from .pool import TaskOutcome, WorkerPool, resolve_workers
-from .remote import (FaultFarmServant, RemoteShard, RemoteWorkerPool,
+from .remote import (FaultFarmServant, RemoteCampaign, RemoteWorkerPool,
                      register_fault_farm, remote_fault_simulate)
 from .scenarios import (ScenarioSpec, reset_session_state,
                         run_scenarios_parallel, run_table2_parallel,
@@ -35,7 +35,7 @@ from .sharding import (Shard, default_shard_count, round_robin_shards,
 from .virtualsim import block_gate_weights, parallel_virtual_fault_simulate
 
 __all__ = [
-    "FaultFarmServant", "RemoteShard", "RemoteWorkerPool",
+    "FaultFarmServant", "RemoteCampaign", "RemoteWorkerPool",
     "ScenarioSpec", "Shard", "TaskOutcome", "WorkerPool",
     "block_gate_weights", "default_shard_count", "diff_reports",
     "merge_reports", "merge_test_sets", "parallel_fault_simulate",

@@ -9,21 +9,24 @@ submission-order :class:`~repro.parallel.pool.TaskOutcome`s out,
 `merge_reports`-exact recombination -- so serial, local-parallel and
 remote-farm runs of one campaign produce byte-identical reports.
 
-The wire shape is built around BATCH frames, not per-call round trips:
+The unit an endpoint is told about is the *campaign*, not the shard:
 
-* ``begin_shard`` (oneway) names the bench, the collapse mode, the
-  shard's fault subset and the gate-simulation engine (event or
-  compiled; the client always sends a resolved name) the servant must
-  run;
+* ``begin_campaign`` (oneway) names the bench, the collapse mode,
+  ``drop_detected`` and the gate-simulation engine (event or compiled;
+  the client always sends a resolved name) under a client-chosen id;
 * ``add_patterns`` (oneway, chunked) streams the pattern set;
-* ``collect_report`` (blocking) runs the simulation and answers with
-  the marshalled report plus the worker's telemetry snapshot.
+* ``run_shard`` (blocking) names a fault subset, runs it and answers
+  with the marshalled report plus the worker's telemetry snapshot;
+* ``end_campaign`` (oneway) drops the servant's campaign state.
 
-All three are issued through a :class:`~repro.rmi.batching.
-BatchingTransport`, so the oneways queue client-side and the blocking
-collect coalesces the whole shard into one
-:class:`~repro.rmi.protocol.BatchRequest` -- one round trip per shard
-(plus auto-flushes for very large pattern sets).
+All are issued through a :class:`~repro.rmi.batching.
+BatchingTransport`, so the announcement queues client-side and rides in
+the :class:`~repro.rmi.protocol.BatchRequest` frame of that endpoint's
+first ``run_shard``; every later shard is one small call carrying fault
+names only.  The campaign crosses the wire once per endpoint
+connection: an endpoint that fails a shard attempt forgets what it
+announced (its transport may have reconnected to a fresh servant) and
+announces again with its next shard.
 
 Only marshallable values cross the wire: bench *names*, fault *names*,
 pattern dicts of :class:`~repro.core.signal.Logic`.  Netlists never
@@ -73,8 +76,8 @@ FAULT_FARM_OBJECT = "faultfarm"
 DEFAULT_PATTERNS_PER_CALL = 32
 """Patterns per ``add_patterns`` oneway (BATCH frame-size bound)."""
 
-# Pool nonces namespace *client-chosen* farm task ids ("farm7.3").
-# They cross the wire inside begin_shard, but the servant treats them
+# Pool nonces namespace *client-chosen* farm campaign ids ("farm7").
+# They cross the wire inside begin_campaign, but the servant treats them
 # as opaque keys: report bytes never depend on the nonce value, so two
 # pools sharing the sequence cannot perturb each other's results
 # (pinned by tests/lint/test_counter_adjudication.py).
@@ -140,68 +143,65 @@ def resolve_bench(spec: str) -> Netlist:
 
 
 class FaultFarmServant:
-    """Provider-side worker: assembles shards, simulates, replies.
+    """Provider-side worker: holds campaigns, simulates shards, replies.
 
-    A shard arrives in pieces -- ``begin_shard`` then any number of
-    ``add_patterns`` (both oneway, so they ride in the same BATCH frame
-    as the final call) -- and ``collect_report`` runs it.  Shards are
-    keyed by a client-chosen task id, so one servant can serve several
-    farms at once without mixing their state.
+    A campaign arrives in pieces -- ``begin_campaign`` then any number
+    of ``add_patterns`` (both oneway, so they ride in the same BATCH
+    frame as the first blocking call) -- and each ``run_shard`` runs one
+    fault subset of it.  Campaigns are keyed by a client-chosen id, so
+    one servant can serve several farms at once without mixing their
+    state; ``end_campaign`` drops it.
 
-    A shard resolves its bench name and takes the netlist and fault
+    ``begin_campaign`` only stores: every error (unknown bench or
+    engine, sequential bench, unknown fault name) surfaces on the
+    blocking ``run_shard`` with its own cause.  The first shard of a
+    campaign resolves the bench name and takes the netlist and fault
     list from the process-wide build memo
-    (:func:`repro.compiled.built_fault_list`), so every shard, session
-    and servant of one worker process shares one build per
-    (bench content, collapse).
+    (:func:`repro.compiled.built_fault_list`), so every session and
+    servant of one worker process shares one build per
+    (bench content, collapse) and a campaign resolves its bench once.
     """
 
-    REMOTE_METHODS = ("ping", "begin_shard", "add_patterns",
-                      "collect_report")
+    REMOTE_METHODS = ("ping", "begin_campaign", "add_patterns",
+                      "run_shard", "end_campaign")
 
     def __init__(self, resolver=None):
         self.resolver = resolver or resolve_bench
         self.shards_served = 0
         self._lock = threading.Lock()
-        self._shards: Dict[str, Dict[str, Any]] = {}
+        self._campaigns: Dict[str, Dict[str, Any]] = {}
 
     def ping(self) -> str:
         """Liveness probe the client pool uses to triage failures."""
         return "pong"
 
-    def begin_shard(self, task_id: str, bench: str, collapse: str,
-                    fault_names: Sequence[str],
-                    drop_detected: bool = True,
-                    engine: Optional[str] = None) -> bool:
+    def begin_campaign(self, campaign_id: str, bench: str, collapse: str,
+                       drop_detected: bool = True,
+                       engine: Optional[str] = None) -> bool:
+        """Store (or replace) a campaign; nothing is resolved yet."""
         with self._lock:
-            self._shards[task_id] = {
+            self._campaigns[campaign_id] = {
                 "bench": str(bench),
                 "collapse": str(collapse),
-                "fault_names": tuple(fault_names),
                 "drop_detected": bool(drop_detected),
-                "engine": resolve_engine(engine),
+                "engine": engine,
                 "patterns": [],
+                "built": None,
             }
         return True
 
-    def add_patterns(self, task_id: str,
+    def add_patterns(self, campaign_id: str,
                      patterns: Sequence[Mapping[str, Any]]) -> bool:
         with self._lock:
-            shard = self._shards.get(task_id)
-            if shard is None:
-                raise ParallelExecutionError(
-                    f"add_patterns for unknown shard task {task_id!r}")
-            shard["patterns"].extend(dict(pattern) for pattern in patterns)
+            self._campaign(campaign_id, "add_patterns")["patterns"].extend(
+                dict(pattern) for pattern in patterns)
         return True
 
-    def collect_report(self, task_id: str,
-                       collect_telemetry: bool = False) -> Dict[str, Any]:
-        """Run the assembled shard and return report + telemetry."""
+    def run_shard(self, campaign_id: str, fault_names: Sequence[str],
+                  collect_telemetry: bool = False) -> Dict[str, Any]:
+        """Run one fault subset of the campaign: report + telemetry."""
         with self._lock:
-            shard = self._shards.pop(task_id, None)
-        if shard is None:
-            raise ParallelExecutionError(
-                f"collect_report for unknown shard task {task_id!r} "
-                f"(begin_shard missing or already collected)")
+            campaign = self._campaign(campaign_id, "run_shard")
         if collect_telemetry:
             TELEMETRY.reset()
             TELEMETRY.enable()
@@ -210,14 +210,17 @@ class FaultFarmServant:
             # fresh process (repeated farm runs stay byte-identical)
             # without disturbing the session the shard arrived on.
             with id_scope():
-                netlist, fault_list = built_fault_list(
-                    self.resolver(shard["bench"]), shard["collapse"])
-                shard_list = fault_list.subset(shard["fault_names"])
-                simulator = fault_simulator_for(shard["engine"], netlist,
-                                                shard_list)
+                if campaign["built"] is None:
+                    campaign["built"] = built_fault_list(
+                        self.resolver(campaign["bench"]),
+                        campaign["collapse"])
+                netlist, fault_list = campaign["built"]
+                simulator = fault_simulator_for(
+                    campaign["engine"], netlist,
+                    fault_list.subset(fault_names))
                 report = simulator.run(
-                    shard["patterns"],
-                    drop_detected=shard["drop_detected"])
+                    campaign["patterns"],
+                    drop_detected=campaign["drop_detected"])
         finally:
             if collect_telemetry:
                 TELEMETRY.disable()
@@ -225,6 +228,21 @@ class FaultFarmServant:
         with self._lock:
             self.shards_served += 1
         return {"report": report_to_wire(report), "metrics": snapshot}
+
+    def end_campaign(self, campaign_id: str) -> bool:
+        """Drop the campaign's state (a no-op for an unknown id)."""
+        with self._lock:
+            self._campaigns.pop(campaign_id, None)
+        return True
+
+    def _campaign(self, campaign_id: str, call: str) -> Dict[str, Any]:
+        campaign = self._campaigns.get(campaign_id)
+        if campaign is None:
+            raise ParallelExecutionError(
+                f"{call} for unknown campaign {campaign_id!r} "
+                f"(begin_campaign missing, ended, or sent on an earlier "
+                f"connection)")
+        return campaign
 
 
 def register_fault_farm(server: JavaCADServer, resolver=None,
@@ -261,12 +279,14 @@ def parse_endpoint(spec: EndpointSpec) -> Tuple[str, int]:
 
 
 @dataclass(frozen=True)
-class RemoteShard:
-    """One shard's worth of remote work, fully marshallable."""
+class RemoteCampaign:
+    """What every shard of one farm run shares, fully marshallable.
+
+    A shard is then just a tuple of fault names.
+    """
 
     bench: str
     collapse: str
-    fault_names: Tuple[str, ...]
     patterns: Tuple[Mapping[str, Any], ...]
     drop_detected: bool = True
     engine: Optional[str] = None
@@ -276,10 +296,13 @@ class _Endpoint:
     """One remote worker: its transport stack and farm stub.
 
     The stack pins the wire options the farm depends on: BATCH on (the
-    whole point -- a shard travels as one frame) and cache *off* (a
-    fault report is a function of servant state assembled by earlier
-    oneways, not a pure call; replaying a cached reply for a different
-    shard would be wrong).
+    whole point -- the campaign rides in its first shard's frame) and
+    cache *off* (a fault report is a function of servant state
+    assembled by earlier oneways, not a pure call; replaying a cached
+    reply for a different shard would be wrong).
+
+    ``alive`` turns true once the connection is up; ``announced`` says
+    this connection's servant has been told the campaign.
     """
 
     def __init__(self, index: int, host: str, port: int,
@@ -302,7 +325,8 @@ class _Endpoint:
             max_batch=max_batch or WIRE_OPTIONS.max_batch)
         self.stub = RemoteStub(self.transport, FAULT_FARM_OBJECT,
                                FaultFarmServant.REMOTE_METHODS)
-        self.alive = True
+        self.alive = False
+        self.announced = False
 
     def probe(self) -> bool:
         """Can the worker still answer at all?"""
@@ -331,7 +355,7 @@ class _RunState:
     this endpoint can pick up.
     """
 
-    def __init__(self, shards: Sequence[RemoteShard],
+    def __init__(self, shards: Sequence[Sequence[str]],
                  endpoint_count: int):
         self.shards = list(shards)
         self.outcomes: List[Optional[TaskOutcome]] = [None] * len(shards)
@@ -447,10 +471,11 @@ class RemoteWorkerPool:
 
     Satisfies the local pool's contract -- disjoint shards in,
     submission-order outcomes out -- but each shard crosses the wire as
-    one BATCH frame to a :class:`FaultFarmServant` instead of being
-    pickled into a subprocess.  ``TaskOutcome.worker_pid`` carries the
-    *endpoint index* that served the shard (there is no meaningful
-    remote pid on this side of the wire).
+    one call to a :class:`FaultFarmServant` that was told the campaign
+    once, instead of being pickled into a subprocess with it.
+    ``TaskOutcome.worker_pid`` carries the *endpoint index* that served
+    the shard (there is no meaningful remote pid on this side of the
+    wire).
 
     One transport stack (socket + batching layer) is opened per
     endpoint and one client thread drives it; shards are pulled from a
@@ -499,14 +524,18 @@ class RemoteWorkerPool:
         """Endpoint count (the local pool's ``workers`` analogue)."""
         return len(self.endpoints)
 
-    def map(self, shards: Sequence[RemoteShard]) -> List[TaskOutcome]:
-        """Run every shard remotely; outcomes in submission order."""
+    def map(self, campaign: RemoteCampaign,
+            shards: Sequence[Sequence[str]]) -> List[TaskOutcome]:
+        """Run ``campaign`` on every shard; outcomes in submission order.
+
+        A shard is a sequence of fault names.
+        """
         shards = list(shards)
         if not shards:
             return []
         collect = TELEMETRY.enabled
         pool_begin = time.perf_counter()
-        nonce = next(_pool_nonces)
+        campaign_id = f"farm{next(_pool_nonces)}"
         endpoints = [
             _Endpoint(index, host, port, self.max_batch, self.timeout,
                       ssl_context=self.ssl_context,
@@ -517,7 +546,7 @@ class RemoteWorkerPool:
         threads = [
             threading.Thread(
                 target=self._serve_endpoint,
-                args=(endpoint, state, nonce, collect),
+                args=(endpoint, state, campaign, campaign_id, collect),
                 name=f"remote-farm-{endpoint.host}:{endpoint.port}",
                 daemon=True)
             for endpoint in endpoints]
@@ -528,6 +557,10 @@ class RemoteWorkerPool:
                 thread.join()
         finally:
             for endpoint in endpoints:
+                if endpoint.alive:
+                    # Drained by close(); a servant that outlives this
+                    # connection must not keep the campaign.
+                    endpoint.stub.invoke_oneway("end_campaign", campaign_id)
                 endpoint.close()
         if state.failure is not None:
             raise state.failure
@@ -564,6 +597,7 @@ class RemoteWorkerPool:
                 return False
             try:
                 endpoint.base.connect()
+                endpoint.alive = True
                 return True
             except (RemoteError, OSError) as exc:
                 last = exc
@@ -580,25 +614,27 @@ class RemoteWorkerPool:
                     state.note_connect_retry()
                     time.sleep(delay)
                     delay *= 2
-        endpoint.alive = False
         state.endpoint_lost(endpoint.index, last)
         return False
 
     def _serve_endpoint(self, endpoint: _Endpoint, state: _RunState,
-                        nonce: int, collect: bool) -> None:
+                        campaign: RemoteCampaign, campaign_id: str,
+                        collect: bool) -> None:
         if not self._connect_endpoint(endpoint, state):
             return
         while True:
             index = state.take(endpoint.index)
             if index is None:
                 return
-            shard = state.shards[index]
             begin = time.perf_counter()
             try:
-                report, metrics = self._run_shard(endpoint, shard,
-                                                  f"farm{nonce}.{index}",
-                                                  collect)
+                report, metrics = self._run_shard(
+                    endpoint, campaign, campaign_id, state.shards[index],
+                    collect)
             except Exception as exc:
+                # The transport may have dropped its socket and will
+                # reconnect to a fresh servant: announce again.
+                endpoint.announced = False
                 alive = endpoint.probe()
                 endpoint.alive = alive
                 state.shard_failed(index, endpoint.index, alive, exc)
@@ -609,21 +645,23 @@ class RemoteWorkerPool:
                 index, report, time.perf_counter() - begin,
                 endpoint.index, metrics))
 
-    def _run_shard(self, endpoint: _Endpoint, shard: RemoteShard,
-                   task_id: str, collect: bool
+    def _run_shard(self, endpoint: _Endpoint, campaign: RemoteCampaign,
+                   campaign_id: str, fault_names: Sequence[str],
+                   collect: bool
                    ) -> Tuple[FaultSimReport, Dict[str, Any]]:
         stub = endpoint.stub
-        stub.invoke_oneway("begin_shard", task_id, shard.bench,
-                           shard.collapse, list(shard.fault_names),
-                           shard.drop_detected,
-                           resolve_engine(shard.engine))
-        patterns = list(shard.patterns)
-        step = self.patterns_per_call
-        for start in range(0, len(patterns), step):
-            stub.invoke_oneway("add_patterns", task_id,
-                               [dict(pattern)
-                                for pattern in patterns[start:start + step]])
-        payload = stub.collect_report(task_id, collect)
+        if not endpoint.announced:
+            stub.invoke_oneway("begin_campaign", campaign_id,
+                               campaign.bench, campaign.collapse,
+                               campaign.drop_detected,
+                               resolve_engine(campaign.engine))
+            step = self.patterns_per_call
+            for start in range(0, len(campaign.patterns), step):
+                stub.invoke_oneway(
+                    "add_patterns", campaign_id,
+                    list(campaign.patterns[start:start + step]))
+            endpoint.announced = True
+        payload = stub.run_shard(campaign_id, list(fault_names), collect)
         return report_from_wire(payload["report"]), dict(
             payload.get("metrics") or {})
 
@@ -693,7 +731,7 @@ def remote_fault_simulate(bench: str,
         netlist = resolve_bench(bench)
     if fault_list is None:
         fault_list = build_fault_list(netlist, collapse=collapse)
-    patterns = [dict(pattern) for pattern in patterns]
+    patterns = tuple(dict(pattern) for pattern in patterns)
     if len(fault_list) <= 1:
         # Nothing to shard; keep the exact serial code path.
         return fault_simulator_for(engine, netlist, fault_list).run(
@@ -701,9 +739,7 @@ def remote_fault_simulate(bench: str,
     effective = workers if workers and workers > 0 else pool.workers
     effective = max(effective, pool.workers)
     count = shards or default_shard_count(effective, len(fault_list))
-    parts = shard_fault_list(fault_list, count)
-    tasks = [RemoteShard(bench, collapse, part.names, tuple(patterns),
-                         drop_detected, engine)
-             for part in parts]
-    outcomes = pool.map(tasks)
+    outcomes = pool.map(
+        RemoteCampaign(bench, collapse, patterns, drop_detected, engine),
+        [part.names for part in shard_fault_list(fault_list, count)])
     return merge_reports([outcome.value for outcome in outcomes])

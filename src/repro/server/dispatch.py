@@ -8,10 +8,10 @@ tenant's frames to a small farm of **forked worker processes** with
 ``(session_id - 1) % workers``, so every frame of one session lands on
 the same worker and the worker-resident
 :class:`~repro.core.ids.IdScope` plus servant graph carry that
-session's id sequences and farm-task state forward exactly as a
+session's id sequences and farm-campaign state forward exactly as a
 dedicated fresh process would.  That stickiness is the whole
-byte-identity story: ids continue across a session's calls, and
-``begin_shard``/``add_patterns``/``collect_report`` sequences never
+byte-identity story: ids continue across a session's calls, and a
+campaign's ``begin_campaign``/``add_patterns``/``run_shard`` calls never
 straddle two servant instances.
 
 Forking is load-bearing twice.  First, the parent registers the

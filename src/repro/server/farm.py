@@ -5,8 +5,8 @@ The async front end keeps tenants apart with per-connection
 the factories the CLI and benchmarks use:
 
 * every session gets its **own**
-  :class:`~repro.parallel.remote.FaultFarmServant`, because farm task
-  ids are client-chosen nonces (``farm<nonce>.<index>``) that collide
+  :class:`~repro.parallel.remote.FaultFarmServant`, because farm
+  campaign ids are client-chosen nonces (``farm<nonce>``) that collide
   the moment two tenant processes share one servant;
 * expensive read-only servants (estimators, catalogs) are built once
   in a ``shared`` base server and re-bound into every session by

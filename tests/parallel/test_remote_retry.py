@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.errors import ParallelExecutionError
 from repro.core.signal import Logic
-from repro.parallel.remote import (RemoteShard, RemoteWorkerPool,
+from repro.parallel.remote import (RemoteCampaign, RemoteWorkerPool,
                                    remote_fault_simulate, resolve_bench)
 from repro.server import AsyncRMIServer
 from repro.server.farm import fault_farm_session_factory
@@ -31,9 +31,10 @@ def c17_campaign(patterns=12, seed=0):
             for _ in range(patterns)]
 
 
-def trivial_shard():
-    return RemoteShard("c17", "equivalence", ("G1 sa0",),
-                       tuple(c17_campaign(2)))
+def trivial_campaign():
+    """``pool.map`` arguments: a campaign and its one shard."""
+    return (RemoteCampaign("c17", "equivalence", tuple(c17_campaign(2))),
+            [("10sa1",)])
 
 
 class TestConstruction:
@@ -53,7 +54,7 @@ class TestDeadEndpoints:
         begin = time.monotonic()
         with pytest.raises(ParallelExecutionError,
                            match="no remote endpoint"):
-            pool.map([trivial_shard()])
+            pool.map(*trivial_campaign())
         # 3 attempts with 10-20ms backoffs, nowhere near call timeouts.
         assert time.monotonic() - begin < 5.0
 
@@ -65,7 +66,7 @@ class TestDeadEndpoints:
                                     connect_retries=3,
                                     connect_backoff=0.01)
             with pytest.raises(ParallelExecutionError):
-                pool.map([trivial_shard()])
+                pool.map(*trivial_campaign())
         finally:
             TELEMETRY.disable()
         # The run failed before _account ran, so read the state the
@@ -135,7 +136,7 @@ class TestBareOSErrors:
                                 connect_retries=2, connect_backoff=0.01)
         with pytest.raises(ParallelExecutionError,
                            match="no remote endpoint"):
-            pool.map([trivial_shard()])
+            pool.map(*trivial_campaign())
         assert len(attempts) == 3  # initial try + connect_retries
 
     def test_bare_oserror_retries_reach_telemetry(self, monkeypatch):
@@ -213,7 +214,7 @@ class TestDeterministicRefusals:
             begin = time.monotonic()
             with pytest.raises(ParallelExecutionError,
                                match="authentication"):
-                pool.map([trivial_shard()])
+                pool.map(*trivial_campaign())
             assert time.monotonic() - begin < 3.0
         finally:
             server.stop()

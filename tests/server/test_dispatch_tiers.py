@@ -141,7 +141,7 @@ class TestSessionIdIsolation:
 
     @pytest.mark.parametrize("tier", ALL_TIERS)
     def test_a_farm_shard_mid_session_leaves_tenant_ids_alone(self, tier):
-        """collect_report used to rewind process state from inside the
+        """Running a shard used to rewind process state from inside the
         live server, silently un-isolating every tenant."""
         pattern = {net: Logic(1) for net in resolve_bench("c17").inputs}
         barrier = threading.Barrier(2)
@@ -156,14 +156,14 @@ class TestSessionIdIsolation:
                             for _ in range(count)]
                 ids = draw(2)
                 barrier.wait(timeout=10)
-                task = f"farm{name}.0"
-                transport.invoke("faultfarm", "begin_shard",
-                                 (task, "c17", "equivalence", []), {})
+                campaign = f"farm{name}"
+                transport.invoke("faultfarm", "begin_campaign",
+                                 (campaign, "c17", "equivalence"), {})
                 transport.invoke("faultfarm", "add_patterns",
-                                 (task, [pattern]), {})
+                                 (campaign, [pattern]), {})
                 ids += draw(1)
-                transport.invoke("faultfarm", "collect_report",
-                                 (task,), {})
+                transport.invoke("faultfarm", "run_shard",
+                                 (campaign, []), {})
                 seen[name] = ids + draw(2)
             finally:
                 transport.close()

@@ -22,7 +22,7 @@ from repro.core.signal import Logic
 from repro.faults import build_fault_list
 from repro.parallel import (diff_reports, merge_reports,
                             reset_session_state, shard_fault_list)
-from repro.parallel.remote import (RemoteShard, RemoteWorkerPool,
+from repro.parallel.remote import (RemoteCampaign, RemoteWorkerPool,
                                    resolve_bench)
 from repro.rmi import JavaCADServer, TcpTransport
 from repro.server import (DISPATCH_TIERS, AsyncRMIServer,
@@ -133,11 +133,11 @@ class TestSharedBuild:
     """
 
     @staticmethod
-    def _session(endpoint, shards):
+    def _session(endpoint, campaign, shards):
         """One client connection running ``shards``; worker snapshots."""
         TELEMETRY.enable()
         try:
-            return RemoteWorkerPool([endpoint]).map(shards)
+            return RemoteWorkerPool([endpoint]).map(campaign, shards)
         finally:
             TELEMETRY.disable()
             TELEMETRY.reset()
@@ -152,15 +152,15 @@ class TestSharedBuild:
                           for net in netlist.inputs} for _ in range(8))
         oracle = fault_simulator_for(None, netlist, fault_list).run(
             patterns)
-        shards = [RemoteShard("mult8", "equivalence", part.names, patterns)
-                  for part in shard_fault_list(fault_list, 2)]
+        campaign = RemoteCampaign("mult8", "equivalence", patterns)
+        shards = [part.names for part in shard_fault_list(fault_list, 2)]
         clear_build_cache()
         server = AsyncRMIServer(
             session_factory=fault_farm_session_factory(),
             dispatch=tier, dispatch_workers=1)
         host, port = server.start()
         try:
-            sessions = [self._session(f"{host}:{port}", shards)
+            sessions = [self._session(f"{host}:{port}", campaign, shards)
                         for _ in range(2)]
         finally:
             server.stop()
@@ -171,8 +171,12 @@ class TestSharedBuild:
                        for outcomes in sessions for outcome in outcomes)
 
         assert server.stats.snapshot()["sessions_started"] == 2
+        # A servant consults the process-wide memo once per campaign
+        # (in its first shard) and keeps the pair for the later shards,
+        # so two one-campaign sessions look it up twice: one build, one
+        # hit -- not once per shard.
         assert count("faults.build_cache.misses") == 1
-        assert count("faults.build_cache.hits") == 3
+        assert count("faults.build_cache.hits") == 1
         for outcomes in sessions:
             merged = merge_reports([outcome.value for outcome in outcomes])
             assert diff_reports(merged, oracle) == []
