@@ -75,6 +75,10 @@ RULES = (
     Rule(r"begin_shard|collect_report|RemoteShard", SRC, None,
          "the per-shard farm protocol (patterns re-shipped and bench "
          "re-resolved with every shard) is back"),
+    # PR 24: a connection's wire is what its constructor was given.
+    Rule(r"WIRE_OPTIONS|wire_session|class WireOptions|_cmd_wirebench"
+         r"|rmi_batch|rmi_cache|rmi_max_batch", SRC, None,
+         "wire options are ambient again, or the showcase command is back"),
 )
 
 

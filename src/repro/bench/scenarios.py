@@ -187,16 +187,14 @@ def run_scenario(mode: str, network: NetworkModel = LOCALHOST,
                  cost_model: Optional[CostModel] = None,
                  collect_powers: bool = False,
                  nonblocking: bool = False,
-                 batching: Optional[bool] = None,
-                 caching: Optional[bool] = None,
+                 batching: bool = False,
+                 caching: bool = False,
                  engine: Optional[str] = None) -> ScenarioResult:
     """Run one Table 2 cell and return its measured row.
 
     ``batching``/``caching`` select the wire wrappers for the provider
-    connection; ``None`` defers to the process-wide ``WIRE_OPTIONS``
-    (the CLI's ``--rmi-batch`` / ``--rmi-cache`` flags).  ``engine``
-    picks the provider's logic simulator; the rows are
-    engine-independent.
+    connection (both off: the paper's plain wire).  ``engine`` picks
+    the provider's logic simulator; the rows are engine-independent.
     """
     cost = cost_model or CostModel()
     clock = VirtualClock()

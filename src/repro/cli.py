@@ -22,6 +22,7 @@ from typing import List, Optional
 from .bench.reporting import ascii_plot, format_table
 
 from .gates.corpus import corpus_names
+from .rmi.transport import DEFAULT_CONNECT_TIMEOUT, DEFAULT_TCP_TIMEOUT
 
 BUILTIN_BENCHES = corpus_names()
 """Bench names the fault-simulation commands accept besides files
@@ -56,7 +57,7 @@ def _load_netlist(spec: str, validate: bool = True,
     bench = _load_bench(spec, validate=validate)
     if isinstance(bench, SequentialBench):
         print(f"error: {spec!r} is a sequential bench "
-              f"({bench.ff_count()} flip-flops); {context} simulates "
+              f"({bench.ff_count()} flip-flops); {context} takes "
               f"combinational netlists only -- load sequential designs "
               f"with repro.gates.io.read_sequential_bench and run them "
               f"through repro.faults.sequential", file=sys.stderr)
@@ -232,13 +233,17 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
         report = SequentialSerialFaultSimulator(
             design, netlist, fault_list).run(patterns)
     elif remotes:
-        from .parallel.remote import remote_fault_simulate
+        from .parallel.remote import (RemoteWorkerPool,
+                                      remote_fault_simulate)
 
         report = remote_fault_simulate(
             args.netlist, patterns, remotes, collapse=args.collapse,
             netlist=netlist, fault_list=fault_list,
             workers=args.workers or None, engine=engine,
-            token=args.remote_token, tls_ca=args.remote_ca)
+            pool=RemoteWorkerPool(
+                remotes, timeout=args.rmi_timeout,
+                connect_timeout=args.rmi_connect_timeout,
+                token=args.remote_token, tls_ca=args.remote_ca))
         workers = len(remotes)
     else:
         report = parallel_fault_simulate(netlist, patterns,
@@ -387,6 +392,14 @@ def _add_server_options(parser: argparse.ArgumentParser) -> None:
                              "multi-core)")
 
 
+def _positive_seconds(text: str) -> float:
+    """argparse type: a timeout in seconds, which must be positive."""
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _add_campaign_options(parser: argparse.ArgumentParser,
                           engine_help: Optional[str] = None,
                           workers_help: Optional[str] = None) -> None:
@@ -482,11 +495,11 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
 
 def _cmd_scoap(args: argparse.Namespace) -> int:
     from .gates.analysis import critical_path, netlist_stats
-    from .gates.io import read_bench
     from .gates.scoap import ScoapAnalysis
 
-    with open(args.netlist) as handle:
-        netlist = read_bench(handle.read(), name=args.netlist)
+    netlist = _load_netlist(args.netlist, context="scoap")
+    if netlist is None:
+        return 2
     print(netlist_stats(netlist))
     print("critical path:", " -> ".join(critical_path(netlist)))
     analysis = ScoapAnalysis(netlist)
@@ -501,50 +514,6 @@ def _cmd_scoap(args: argparse.Namespace) -> int:
     print()
     print(format_table(["Net", "CC0", "CC1", "CO", "worst effort"],
                        rows[:args.top]))
-    return 0
-
-
-def _cmd_wirebench(args: argparse.Namespace) -> int:
-    """A deliberately chatty remote workload: the wire layer's showcase.
-
-    Phase 1 is the chattiest Figure 2 configuration -- ER with a buffer
-    of one, so every pattern is its own non-blocking push (batching
-    fodder).  Phase 2 repeats pure calls (data-sheet reads, gate-level
-    timing) on one connection (caching fodder).  Run it with
-    ``--rmi-batch --rmi-cache --metrics-out`` to see the saved round
-    trips; without the flags it shows the plain-wire baseline.
-    """
-    from .bench.scenarios import run_scenario, shared_provider
-    from .ip.component import ProviderConnection
-    from .ip.provider import TimingServant
-    from .net.model import WAN
-
-    scenario = run_scenario("ER", WAN, width=args.width,
-                            patterns=args.patterns, buffer_size=1,
-                            nonblocking=True)
-
-    provider = shared_provider(args.width, True)
-    connection = ProviderConnection(provider, WAN)
-    timing = connection.stub("MultFastLowPower.timing",
-                             TimingServant.REMOTE_METHODS)
-    for _ in range(args.repeats):
-        connection.describe("MultFastLowPower")
-        timing.output_timing()
-    connection.flush()
-    pure_calls = connection.transport.stats.calls
-
-    print(f"Wire benchmark -- ER/WAN, {args.patterns} patterns, "
-          f"buffer of 1; {args.repeats} pure-call repeats:")
-    print(format_table(
-        ["Phase", "Logical calls", "Round trips"],
-        [["chatty ER (oneway pushes)", scenario.remote_calls,
-          scenario.round_trips],
-         ["pure repeats (describe+timing)", pure_calls,
-          connection.round_trips]]))
-    total_calls = scenario.remote_calls + pure_calls
-    total_trips = scenario.round_trips + connection.round_trips
-    print(f"total: {total_calls} calls in {total_trips} round trips "
-          f"({total_calls - total_trips} saved)")
     return 0
 
 
@@ -686,23 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument(
         "--metrics-out", metavar="FILE", default=None,
         help="write a JSON metrics snapshot of the run to FILE")
-    telemetry.add_argument(
-        "--rmi-batch", action="store_true", default=False,
-        help="coalesce buffered oneway RMI calls into BATCH frames")
-    telemetry.add_argument(
-        "--rmi-cache", action="store_true", default=False,
-        help="memoize pure remote calls in a client response cache")
-    telemetry.add_argument(
-        "--rmi-max-batch", type=int, metavar="N", default=None,
-        help="auto-flush the batch queue at N queued calls")
-    telemetry.add_argument(
-        "--rmi-timeout", type=float, metavar="SECONDS", default=None,
-        help="socket timeout for TCP RMI transports (default 5.0)")
-    telemetry.add_argument(
-        "--rmi-connect-timeout", type=float, metavar="SECONDS",
-        default=None,
-        help="timeout for the initial TCP connect and TLS/AUTH "
-             "handshake (default 1.0; dead hosts fail this fast)")
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=lambda **kw:
                                        argparse.ArgumentParser(
@@ -769,6 +721,16 @@ def build_parser() -> argparse.ArgumentParser:
                           help="CA bundle for TLS to --remote endpoints "
                                "(enables TLS; match the worker's "
                                "--tls-cert)")
+    faultsim.add_argument("--rmi-timeout", type=_positive_seconds,
+                          metavar="SECONDS", default=DEFAULT_TCP_TIMEOUT,
+                          help="socket timeout for calls to --remote "
+                               "endpoints (default %(default)s)")
+    faultsim.add_argument("--rmi-connect-timeout", type=_positive_seconds,
+                          metavar="SECONDS",
+                          default=DEFAULT_CONNECT_TIMEOUT,
+                          help="timeout for the TCP connect and TLS/AUTH "
+                               "handshake to --remote endpoints (default "
+                               "%(default)s; dead hosts fail this fast)")
     _add_campaign_options(
         faultsim,
         engine_help="gate-simulation engine: the compiled pattern-packed "
@@ -825,18 +787,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     scoap = subparsers.add_parser(
         "scoap", help="SCOAP testability report for a .bench netlist")
-    scoap.add_argument("netlist", help="ISCAS .bench file")
+    scoap.add_argument("netlist",
+                       help="ISCAS .bench file or builtin combinational "
+                            "bench")
     scoap.add_argument("--top", type=int, default=20,
                        help="show the N hardest nets")
     scoap.set_defaults(fn=_cmd_scoap)
-
-    wirebench = subparsers.add_parser(
-        "wirebench", help="chatty remote workload showcasing "
-                          "--rmi-batch / --rmi-cache savings")
-    wirebench.add_argument("--width", type=int, default=16)
-    wirebench.add_argument("--patterns", type=int, default=120)
-    wirebench.add_argument("--repeats", type=int, default=20)
-    wirebench.set_defaults(fn=_cmd_wirebench)
 
     lint = subparsers.add_parser(
         "lint", help="static design lint + RMI servant code analysis "
@@ -905,22 +861,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     _check_output_paths(parser, args)
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
+    if trace_out is None and metrics_out is None:
+        return args.fn(args)
+
     from contextlib import ExitStack
 
-    from .rmi.wire import wire_session
+    from .telemetry import telemetry_session
 
     with ExitStack() as stack:
-        stack.enter_context(wire_session(
-            batching=getattr(args, "rmi_batch", False) or None,
-            caching=getattr(args, "rmi_cache", False) or None,
-            max_batch=getattr(args, "rmi_max_batch", None),
-            rmi_timeout=getattr(args, "rmi_timeout", None),
-            connect_timeout=getattr(args, "rmi_connect_timeout", None)))
-        if trace_out is None and metrics_out is None:
-            return args.fn(args)
-
-        from .telemetry import telemetry_session
-
         # Open the output files before running so a bad path fails
         # fast instead of discarding a completed run.
         try:

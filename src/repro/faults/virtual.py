@@ -35,7 +35,7 @@ from ..net.clock import CostModel, VirtualClock
 from ..rmi.server import current_server_context
 from .detection import DetectionTable, build_detection_table
 from .faultlist import FaultList, build_fault_list
-from .serial import FaultSimReport
+from .serial import FaultSimReport, run_campaign
 
 
 class TestabilityServant:
@@ -244,23 +244,10 @@ class VirtualFaultSimulator:
             composed = {qualified: origin
                         for qualified, origin in composed.items()
                         if qualified in wanted}
-        remaining: Dict[str, Set[str]] = {
-            block.name: set() for block in self.ip_blocks}
-        for qualified, (block, local_name) in composed.items():
-            remaining[block.name].add(local_name)
-        report = FaultSimReport(total_faults=len(composed))
-
-        for index, pattern in enumerate(patterns):
-            newly = self._simulate_pattern(pattern, remaining)
-            qualified_newly = set()
-            for block_name, local_names in newly.items():
-                remaining[block_name] -= local_names
-                for local_name in local_names:
-                    qualified = f"{block_name}:{local_name}"
-                    qualified_newly.add(qualified)
-                    report.detected[qualified] = index
-            report.per_pattern.append(qualified_newly)
-        return report
+        return run_campaign(
+            tuple(composed), patterns,
+            lambda pattern, remaining: self._simulate_pattern(
+                pattern, remaining, composed))
 
     # ------------------------------------------------------------------
 
@@ -285,8 +272,15 @@ class VirtualFaultSimulator:
         return block.fetch_table(input_bits, undetected)
 
     def _simulate_pattern(self, pattern: Mapping[str, object],
-                          remaining: Dict[str, Set[str]]
-                          ) -> Dict[str, Set[str]]:
+                          remaining: Sequence[str],
+                          composed: Mapping[str, Tuple[IPBlockClient, str]]
+                          ) -> List[str]:
+        """The qualified names of ``remaining`` this pattern detects,
+        in ``remaining`` (composed fault-list) order."""
+        live: Dict[str, List[str]] = {}
+        for qualified in remaining:
+            block, local_name = composed[qualified]
+            live.setdefault(block.name, []).append(local_name)
         good = SimulationController(self.circuit, clock=self.clock,
                                     cost_model=self.cost, name="fault-free")
         good_sid = good.scheduler.scheduler_id
@@ -294,7 +288,7 @@ class VirtualFaultSimulator:
         # while it is simulated, so the fault-free run and every
         # injection run below prime from and clear over this tuple.
         connectors = self.circuit.connectors()
-        newly: Dict[str, Set[str]] = {}
+        newly: Set[str] = set()
         try:
             self._drive(good, pattern)
             good.start()
@@ -302,23 +296,22 @@ class VirtualFaultSimulator:
             fault_free = {connector: connector.get_value(good_sid)
                           for connector in connectors}
             for block in self.ip_blocks:
-                undetected = sorted(remaining[block.name])
-                if not undetected:
+                if block.name not in live:
                     continue
+                undetected = sorted(live[block.name])
                 table = self._table_for(block, block.input_bits(good_sid),
                                         undetected)
                 if table is None:
                     continue
-                detected = self._try_rows(block, table, undetected,
-                                          fault_free, good_outputs)
-                if detected:
-                    newly[block.name] = detected
+                newly.update(
+                    f"{block.name}:{name}" for name in self._try_rows(
+                        block, table, undetected, fault_free, good_outputs))
         finally:
             # A primary input nothing in the circuit reads is primed by
             # drive_connector but is no connector of the circuit.
             self.circuit.clear_scheduler_state(
                 good_sid, (*connectors, *self.inputs.values()))
-        return newly
+        return [qualified for qualified in remaining if qualified in newly]
 
     def _try_rows(self, block: IPBlockClient, table: DetectionTable,
                   undetected: Sequence[str],

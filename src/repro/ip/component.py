@@ -32,11 +32,12 @@ from ..net.model import LOCALHOST, NetworkModel
 from ..power.constant import ConstantPowerEstimator
 from ..power.regression import LinearRegressionPowerEstimator
 from ..cache import ResponseCache
+from ..rmi.batching import DEFAULT_MAX_BATCH
 from ..rmi.security import SecurityPolicy, default_policy_for
 from ..rmi.server import JavaCADServer
 from ..rmi.stub import RemoteStub
 from ..rmi.transport import InProcessTransport
-from ..rmi.wire import WIRE_OPTIONS, wrap_transport
+from ..rmi.wire import wrap_transport
 from .buffering import BufferedRemoteEstimation
 from .provider import (FunctionalServant, IPProvider, PowerServant,
                        TimingServant)
@@ -61,10 +62,17 @@ class ProviderConnection:
                  cost_model: Optional[CostModel] = None,
                  policy: Optional[SecurityPolicy] = None,
                  session: Optional[str] = None,
-                 batching: Optional[bool] = None,
-                 caching: Optional[bool] = None,
-                 max_batch: Optional[int] = None,
+                 batching: bool = False,
+                 caching: bool = False,
+                 max_batch: int = DEFAULT_MAX_BATCH,
                  cache: Optional[ResponseCache] = None):
+        """``batching`` / ``caching`` / ``max_batch`` are this
+        connection's wire (see :func:`~repro.rmi.wire.wrap_transport`).
+        ``cache`` shares or tunes the response cache; the implicit one
+        never expires entries, so a session that wants expiry passes
+        ``ResponseCache(ttl=..., time_fn=lambda: clock.wall)`` -- aged
+        by its *virtual* clock, so a slow real-time run cannot expire
+        entries a fast one keeps."""
         server = provider.server if isinstance(provider, IPProvider) \
             else provider
         self.server = server
@@ -74,27 +82,16 @@ class ProviderConnection:
         self.policy = policy or default_policy_for(server.host_name)
         self.session = session or f"session{next_id('session')}"
         # The wire transport (true round-trip counter), optionally
-        # stacked with batching/caching wrappers; ``None`` flags defer
-        # to the process-wide WIRE_OPTIONS (the CLI's --rmi-batch /
-        # --rmi-cache switches).
+        # stacked with batching/caching wrappers.
         self.base_transport = InProcessTransport(server, network,
                                                  clock=self.clock,
                                                  cost_model=self.cost,
                                                  policy=self.policy)
-        # The cache's TTL clock follows the session: entries age with
-        # the *virtual* wall clock driving this connection, not the
-        # host's monotonic clock, so a slow real-time run can never
-        # expire entries mid-run and break byte-identical repro runs.
         self.transport = wrap_transport(
             self.base_transport, batching=batching, caching=caching,
-            max_batch=max_batch, cache=cache,
-            cache_time_fn=WIRE_OPTIONS.cache_time_fn or self._cache_clock)
+            max_batch=max_batch, cache=cache)
         self._catalog = RemoteStub(self.transport, "catalog",
                                    ("list_components", "describe"))
-
-    def _cache_clock(self) -> float:
-        """TTL time source for this session's response cache."""
-        return self.clock.wall
 
     @property
     def round_trips(self) -> int:

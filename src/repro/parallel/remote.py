@@ -63,8 +63,10 @@ from ..gates.netlist import Netlist
 from ..rmi.server import JavaCADServer
 from ..rmi.stub import RemoteStub
 from ..rmi.tlsconfig import client_ssl_context
-from ..rmi.transport import TcpTransport, Transport
-from ..rmi.wire import WIRE_OPTIONS, wrap_transport
+from ..rmi.batching import DEFAULT_MAX_BATCH
+from ..rmi.transport import (DEFAULT_CONNECT_TIMEOUT, DEFAULT_TCP_TIMEOUT,
+                             TcpTransport, Transport)
+from ..rmi.wire import wrap_transport
 from ..telemetry.runtime import TELEMETRY
 from .merge import merge_reports
 from .pool import TaskOutcome, _TASK_WALL_BUCKETS, merge_worker_metrics
@@ -306,7 +308,7 @@ class _Endpoint:
     """
 
     def __init__(self, index: int, host: str, port: int,
-                 max_batch: Optional[int], timeout: Optional[float],
+                 max_batch: int, timeout: float, connect_timeout: float,
                  ssl_context: Optional[Any] = None,
                  server_hostname: Optional[str] = None,
                  token: Optional[str] = None):
@@ -314,15 +316,12 @@ class _Endpoint:
         self.host = host
         self.port = port
         self.base = TcpTransport(
-            host, port,
-            timeout=timeout if timeout is not None
-            else WIRE_OPTIONS.rmi_timeout,
+            host, port, timeout=timeout, connect_timeout=connect_timeout,
             ssl_context=ssl_context,
             server_hostname=server_hostname,
             token=token)
         self.transport: Transport = wrap_transport(
-            self.base, batching=True, caching=False,
-            max_batch=max_batch or WIRE_OPTIONS.max_batch)
+            self.base, batching=True, caching=False, max_batch=max_batch)
         self.stub = RemoteStub(self.transport, FAULT_FARM_OBJECT,
                                FaultFarmServant.REMOTE_METHODS)
         self.alive = False
@@ -487,8 +486,9 @@ class RemoteWorkerPool:
     DEFAULT_CONNECT_BACKOFF = 0.1
 
     def __init__(self, endpoints: Sequence[EndpointSpec],
-                 max_batch: Optional[int] = None,
-                 timeout: Optional[float] = None,
+                 max_batch: int = DEFAULT_MAX_BATCH,
+                 timeout: float = DEFAULT_TCP_TIMEOUT,
+                 connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
                  patterns_per_call: int = DEFAULT_PATTERNS_PER_CALL,
                  token: Optional[str] = None,
                  tls_ca: Optional[str] = None,
@@ -508,9 +508,14 @@ class RemoteWorkerPool:
         if connect_backoff <= 0:
             raise ParallelExecutionError(
                 f"connect_backoff must be positive, got {connect_backoff}")
+        if timeout <= 0 or connect_timeout <= 0:
+            raise ParallelExecutionError(
+                f"timeouts must be positive, got timeout={timeout}, "
+                f"connect_timeout={connect_timeout}")
         self.endpoints = specs
         self.max_batch = max_batch
         self.timeout = timeout
+        self.connect_timeout = connect_timeout
         self.patterns_per_call = patterns_per_call
         self.token = token
         self.server_hostname = server_hostname
@@ -538,7 +543,7 @@ class RemoteWorkerPool:
         campaign_id = f"farm{next(_pool_nonces)}"
         endpoints = [
             _Endpoint(index, host, port, self.max_batch, self.timeout,
-                      ssl_context=self.ssl_context,
+                      self.connect_timeout, ssl_context=self.ssl_context,
                       server_hostname=self.server_hostname,
                       token=self.token)
             for index, (host, port) in enumerate(self.endpoints)]

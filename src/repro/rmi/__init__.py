@@ -12,8 +12,7 @@ from .server import JavaCADServer, ServerCallContext, current_server_context
 from .stub import RemoteStub
 from .transport import (InProcessTransport, TcpTransport, Transport,
                         TransportStats)
-from .wire import (WIRE_OPTIONS, WireOptions, base_transport_of,
-                   wire_session, wrap_transport)
+from .wire import base_transport_of, wrap_transport
 
 __all__ = [
     "marshal", "payload_size", "register_value_type", "unmarshal",
@@ -27,6 +26,5 @@ __all__ = [
     "InProcessTransport", "TcpTransport", "Transport", "TransportStats",
     "DEFAULT_MAX_BATCH", "BatchingTransport",
     "PURE_METHODS", "CachePolicy", "CachingTransport",
-    "WIRE_OPTIONS", "WireOptions", "base_transport_of", "wire_session",
-    "wrap_transport",
+    "base_transport_of", "wrap_transport",
 ]

@@ -40,7 +40,7 @@ _NO_SPAN = contextlib.nullcontext()
 """Stands in for the span while telemetry is off (``as span`` is None)."""
 
 DEFAULT_TCP_TIMEOUT = 5.0
-"""Socket timeout (seconds) used when no override is configured."""
+"""Socket timeout (seconds) of a transport built without one."""
 
 DEFAULT_CONNECT_TIMEOUT = 1.0
 """Timeout (seconds) for the initial TCP connect.  Deliberately much
@@ -352,23 +352,20 @@ class TcpTransport(Transport):
 
     def __init__(self, host: str, port: int,
                  policy: Optional[SecurityPolicy] = None,
-                 timeout: Optional[float] = None,
-                 connect_timeout: Optional[float] = None,
+                 timeout: float = DEFAULT_TCP_TIMEOUT,
+                 connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
                  ssl_context: Optional[ssl.SSLContext] = None,
                  server_hostname: Optional[str] = None,
                  token: Optional[str] = None):
         super().__init__()
+        if timeout <= 0 or connect_timeout <= 0:
+            raise ValueError(
+                f"timeouts must be positive, got timeout={timeout}, "
+                f"connect_timeout={connect_timeout}")
         self.host = host
         self.port = port
         self.peer = f"{host}:{port}"
         self.policy = policy
-        if timeout is None or connect_timeout is None:
-            # Deferred import: wire.py imports this module at load time.
-            from .wire import WIRE_OPTIONS
-            if timeout is None:
-                timeout = WIRE_OPTIONS.rmi_timeout
-            if connect_timeout is None:
-                connect_timeout = WIRE_OPTIONS.connect_timeout
         self.timeout = timeout
         self.connect_timeout = connect_timeout
         self.ssl_context = ssl_context

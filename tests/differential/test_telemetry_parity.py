@@ -58,8 +58,13 @@ class TestParity:
             "rmi.cache.misses" in cache_families
 
     def test_saved_round_trip_counters_are_nonzero(self):
+        """Chatty oneway pushes feed the batch counter; the fault
+        simulation's repeated table fetches feed the cache counter."""
         with telemetry_session():
-            WORKLOADS["er-chatty"](True, True)
-            saved = TELEMETRY.metrics.counter(
-                "rmi.batch.saved_round_trips").value
-        assert saved > 0
+            for name in sorted(WORKLOADS):
+                WORKLOADS[name](True, True)
+            saved = {family: TELEMETRY.metrics.counter(
+                f"rmi.{family}.saved_round_trips").value
+                for family in ("batch", "cache")}
+        assert saved["batch"] > 0
+        assert saved["cache"] > 0

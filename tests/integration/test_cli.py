@@ -80,6 +80,24 @@ class TestExecution:
         assert "CC0" in out and "CO" in out
         assert "6 gates" in out
 
+    def test_scoap_accepts_a_builtin_bench(self, capsys):
+        assert main(["scoap", "c17", "--top", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "6 gates" in out and "CC0" in out
+
+    @pytest.mark.parametrize("spec, message", [
+        ("no_such_file", "neither a file nor a builtin"),
+        ("s27", "is a sequential bench (3 flip-flops); scoap takes "
+                "combinational netlists only")])
+    def test_scoap_bad_input_is_one_error_line(self, spec, message,
+                                               capsys):
+        assert main(["scoap", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_atpg_on_c17(self, tmp_path, capsys):
         bench = tmp_path / "c17.bench"
         bench.write_text(C17_BENCH)

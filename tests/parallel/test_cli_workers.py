@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.rmi.wire import WIRE_OPTIONS
+from repro.core.errors import ParallelExecutionError, RemoteError
+from repro.rmi.transport import (DEFAULT_CONNECT_TIMEOUT,
+                                 DEFAULT_TCP_TIMEOUT, TcpTransport)
 
 
 class TestFaultsimWorkers:
@@ -51,14 +53,79 @@ class TestAtpgWorkers:
         assert "coverage 100.0%" in out
 
 
-class TestRmiTimeoutFlag:
-    def test_flag_sets_and_restores_wire_options(self, capsys):
-        before = WIRE_OPTIONS.rmi_timeout
-        assert main(["faultsim", "c17", "--patterns", "4",
-                     "--rmi-timeout", "9.5"]) == 0
-        capsys.readouterr()
-        assert WIRE_OPTIONS.rmi_timeout == before
+@pytest.fixture
+def refused_connects(monkeypatch):
+    """Every TCP connect is refused at once (a deterministic refusal:
+    no retry, no sleeping); yields the transports that tried."""
+    tried = []
 
-    def test_nonpositive_timeout_rejected(self):
-        with pytest.raises(ValueError):
-            WIRE_OPTIONS.configure(rmi_timeout=0.0)
+    def connect(transport):
+        tried.append(transport)
+        raise RemoteError("refused by the test")
+
+    monkeypatch.setattr(TcpTransport, "connect", connect)
+    return tried
+
+
+class TestRmiTimeoutFlag:
+    REMOTE = ["faultsim", "figure4", "--patterns", "4",
+              "--remote", "127.0.0.1:1", "--remote", "127.0.0.1:2"]
+
+    def test_flags_reach_the_tcp_transports(self, refused_connects):
+        with pytest.raises(ParallelExecutionError, match="refused"):
+            main(self.REMOTE + ["--rmi-timeout", "9.5",
+                                "--rmi-connect-timeout", "0.25"])
+        assert sorted(t.port for t in refused_connects) == [1, 2]
+        assert {(t.timeout, t.connect_timeout)
+                for t in refused_connects} == {(9.5, 0.25)}
+
+    def test_unset_flags_are_the_transport_defaults(self,
+                                                    refused_connects):
+        with pytest.raises(ParallelExecutionError, match="refused"):
+            main(self.REMOTE)
+        assert {(t.timeout, t.connect_timeout) for t in refused_connects} \
+            == {(DEFAULT_TCP_TIMEOUT, DEFAULT_CONNECT_TIMEOUT)}
+
+    def test_nonpositive_timeout_rejected(self, capsys):
+        for flag in ("--rmi-timeout", "--rmi-connect-timeout"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["faultsim", "c17", flag, "0"])
+            assert exit_info.value.code == 2
+            assert f"argument {flag}: must be positive" \
+                in capsys.readouterr().err
+
+
+class TestDeletedWireFlags:
+    """The ambient wire switches and their showcase command are gone:
+    argparse refuses them (exit 2, usage message, no traceback)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table2", "--rmi-batch"],
+        ["table2", "--rmi-cache"],
+        ["table2", "--rmi-max-batch", "8"],
+        ["table1", "--rmi-timeout", "3"],
+        ["wirebench"],
+    ], ids="".join)
+    def test_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "Traceback" not in err
+
+
+class TestTable2Workers:
+    ROWS = [["AL", "NA", "1", "1"],
+            ["ER", "localhost", "2", "2"], ["MR", "localhost", "4", "6"],
+            ["ER", "lan", "2", "2"], ["MR", "lan", "4", "6"],
+            ["ER", "wan", "2", "17"], ["MR", "wan", "4", "64"]]
+    """What ``table2 --width 4 --patterns 10`` printed before the
+    ambient wire flags went (no connection it builds changed)."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_rows_are_pinned_for_any_worker_count(self, workers, capsys):
+        assert main(["table2", "--width", "4", "--patterns", "10",
+                     "--workers", workers]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split() for line in lines[3:]] == self.ROWS

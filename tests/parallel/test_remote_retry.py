@@ -46,6 +46,12 @@ class TestConstruction:
         with pytest.raises(ParallelExecutionError):
             RemoteWorkerPool(["h:1"], connect_backoff=0)
 
+    def test_rejects_nonpositive_timeouts(self):
+        for option in ("timeout", "connect_timeout"):
+            with pytest.raises(ParallelExecutionError,
+                               match="must be positive"):
+                RemoteWorkerPool(["h:1"], **{option: 0})
+
 
 class TestDeadEndpoints:
     def test_dead_endpoint_fails_after_bounded_retries(self):

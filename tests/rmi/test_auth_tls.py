@@ -10,8 +10,8 @@ import pytest
 from repro.core.errors import RemoteError
 from repro.core.ids import next_id
 from repro.rmi import (AuthRequest, CallReply, JavaCADServer,
-                       TcpTransport, WIRE_OPTIONS, client_ssl_context,
-                       decode_request, server_ssl_context, wire_session)
+                       TcpTransport, client_ssl_context,
+                       decode_request, server_ssl_context)
 from repro.rmi.marshal import MarshalError
 from repro.rmi.transport import (DEFAULT_CONNECT_TIMEOUT,
                                  DEFAULT_TCP_TIMEOUT)
@@ -87,21 +87,15 @@ class TestConnectTimeout:
     def test_default_is_much_shorter_than_the_call_timeout(self):
         assert DEFAULT_CONNECT_TIMEOUT < DEFAULT_TCP_TIMEOUT
 
-    def test_transport_falls_back_to_wire_options(self):
-        with wire_session(connect_timeout=0.25, rmi_timeout=9.0):
-            transport = TcpTransport("127.0.0.1", 1)
-            assert transport.connect_timeout == 0.25
-            assert transport.timeout == 9.0
+    def test_transport_defaults_are_the_constants(self):
+        transport = TcpTransport("127.0.0.1", 1)
+        assert transport.timeout == DEFAULT_TCP_TIMEOUT
+        assert transport.connect_timeout == DEFAULT_CONNECT_TIMEOUT
 
-    def test_wire_session_restores_connect_timeout(self):
-        before = WIRE_OPTIONS.connect_timeout
-        with wire_session(connect_timeout=0.125):
-            assert WIRE_OPTIONS.connect_timeout == 0.125
-        assert WIRE_OPTIONS.connect_timeout == before
-
-    def test_configure_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            WIRE_OPTIONS.configure(connect_timeout=0)
+    def test_constructor_rejects_nonpositive(self):
+        for option in ("timeout", "connect_timeout"):
+            with pytest.raises(ValueError, match="must be positive"):
+                TcpTransport("127.0.0.1", 1, **{option: 0})
 
     def test_dead_endpoint_fails_fast_with_oserror_cause(self):
         probe = socket.socket()

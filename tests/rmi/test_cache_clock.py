@@ -11,10 +11,10 @@ import time as time_module
 import pytest
 
 from repro.bench.scenarios import shared_provider
+from repro.cache import ResponseCache
 from repro.ip.component import ProviderConnection
 from repro.net.clock import VirtualClock
 from repro.net.model import LOCALHOST
-from repro.rmi.wire import WIRE_OPTIONS, wire_session
 
 
 @pytest.fixture
@@ -25,36 +25,42 @@ def wall_clock(monkeypatch):
     return fake
 
 
+def cached_connection(clock):
+    """A caching connection whose 60 s TTL ages by the session clock --
+    the explicit cache ``ProviderConnection``'s docstring prescribes."""
+    return ProviderConnection(
+        shared_provider(8, True), LOCALHOST, clock=clock, caching=True,
+        cache=ResponseCache(ttl=60.0, time_fn=lambda: clock.wall))
+
+
 class TestSessionClockDrivesTtl:
     def test_wall_time_cannot_expire_entries(self, wall_clock):
-        clock = VirtualClock()
-        with wire_session(caching=True, cache_ttl=60.0):
-            connection = ProviderConnection(shared_provider(8, True),
-                                            LOCALHOST, clock=clock)
-            connection.describe("MultFastLowPower")
-            trips = connection.round_trips
-            # Two weeks of *wall* time pass (a slow real-time run);
-            # virtual time has barely moved, so the entry must live on.
-            wall_clock["now"] += 14 * 24 * 3600.0
-            connection.describe("MultFastLowPower")
-            assert connection.round_trips == trips
+        connection = cached_connection(VirtualClock())
+        connection.describe("MultFastLowPower")
+        trips = connection.round_trips
+        # Two weeks of *wall* time pass (a slow real-time run);
+        # virtual time has barely moved, so the entry must live on.
+        wall_clock["now"] += 14 * 24 * 3600.0
+        connection.describe("MultFastLowPower")
+        assert connection.round_trips == trips
 
     def test_virtual_time_does_expire_entries(self, wall_clock):
         clock = VirtualClock()
-        with wire_session(caching=True, cache_ttl=60.0):
-            connection = ProviderConnection(shared_provider(8, True),
-                                            LOCALHOST, clock=clock)
-            connection.describe("MultFastLowPower")
-            trips = connection.round_trips
-            clock.wait(120.0)  # virtual time passes the TTL
-            connection.describe("MultFastLowPower")
-            assert connection.round_trips == trips + 1
+        connection = cached_connection(clock)
+        connection.describe("MultFastLowPower")
+        trips = connection.round_trips
+        clock.wait(120.0)  # virtual time passes the TTL
+        connection.describe("MultFastLowPower")
+        assert connection.round_trips == trips + 1
 
-    def test_wire_session_pins_an_explicit_clock(self):
-        def frozen() -> float:
-            return 42.0
-
-        assert WIRE_OPTIONS.cache_time_fn is None
-        with wire_session(cache_time_fn=frozen):
-            assert WIRE_OPTIONS.cache_time_fn is frozen
-        assert WIRE_OPTIONS.cache_time_fn is None
+    def test_implicit_cache_never_expires(self, wall_clock):
+        clock = VirtualClock()
+        connection = ProviderConnection(shared_provider(8, True),
+                                        LOCALHOST, clock=clock,
+                                        caching=True)
+        connection.describe("MultFastLowPower")
+        trips = connection.round_trips
+        wall_clock["now"] += 14 * 24 * 3600.0
+        clock.wait(14 * 24 * 3600.0)
+        connection.describe("MultFastLowPower")
+        assert connection.round_trips == trips
