@@ -79,6 +79,11 @@ RULES = (
     Rule(r"WIRE_OPTIONS|wire_session|class WireOptions|_cmd_wirebench"
          r"|rmi_batch|rmi_cache|rmi_max_batch", SRC, None,
          "wire options are ambient again, or the showcase command is back"),
+    # PR 25: concurrency defects are caught by tests that run the code.
+    Rule(r"lint\.callgraph|lint\.concurrency|lint_concurrency|CallGraph"
+         r"|allow\(JCD01[4-8]\)", SRC, None,
+         "the concurrency lint was retired for behavioural tests; add a "
+         "test, not a rule"),
 )
 
 

@@ -377,12 +377,12 @@ def _add_server_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--auth-token", metavar="TOKEN", default=None,
                         help="require this bearer token as every "
                              "connection's first frame")
-    parser.add_argument("--max-connections", type=int, default=64,
+    parser.add_argument("--max-connections", type=_positive_int, default=64,
                         metavar="N",
                         help="refuse connections beyond N concurrent "
                              "tenants (default 64)")
-    parser.add_argument("--idle-timeout", type=float, default=None,
-                        metavar="S",
+    parser.add_argument("--idle-timeout", type=_positive_seconds,
+                        default=None, metavar="S",
                         help="drop connections idle for S seconds "
                              "(default: never)")
     parser.add_argument("--dispatch", default="thread",
@@ -396,6 +396,14 @@ def _positive_seconds(text: str) -> float:
     """argparse type: a timeout in seconds, which must be positive."""
     value = float(text)
     if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: a count, which must be at least 1."""
+    value = int(text)
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
@@ -539,8 +547,7 @@ def _resolve_servant_spec(spec: str) -> Optional[str]:
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Static design lint + servant code analysis (no execution)."""
     from .core.errors import DesignError
-    from .lint import (Severity, format_findings, lint_concurrency,
-                       lint_netlist, lint_sources)
+    from .lint import Severity, format_findings, lint_netlist, lint_sources
     from .lint.registry import check_codes, filter_suppressed
     from .lint.runner import record_lint_run
 
@@ -551,15 +558,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    concurrency_only = args.concurrency
-    design_specs = [] if concurrency_only else (args.design or [])
+    design_specs = args.design or []
     servant_specs = args.servants or []
-    default_sweep = not design_specs and not servant_specs
-    if default_sweep:
+    if not design_specs and not servant_specs:
         # Default sweep: every builtin bench plus the installed
-        # package's own sources (servant + concurrency rules).
-        if not concurrency_only:
-            design_specs = list(BUILTIN_BENCHES)
+        # package's own servant sources.
+        design_specs = list(BUILTIN_BENCHES)
         servant_specs = [os.path.dirname(os.path.abspath(__file__))]
 
     findings = []
@@ -586,13 +590,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         sources.append(resolved)
     if sources:
         try:
-            if not concurrency_only:
-                findings.extend(lint_sources(sources))
-            if concurrency_only or default_sweep:
-                # The concurrency rules see all sources as one unit --
-                # reachability only makes sense across module
-                # boundaries.
-                findings.extend(lint_concurrency(sources))
+            findings.extend(lint_sources(sources))
         except FileNotFoundError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -807,11 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None,
                       help="source file, directory or importable module "
                            "of servant classes to analyze (repeatable)")
-    lint.add_argument("--concurrency", action="store_true",
-                      help="run only the concurrency rules "
-                           "(JCD014-JCD018: races, fork hazards, "
-                           "nondeterminism) over the --servants paths, "
-                           "or over the installed package by default")
     lint.add_argument("--format", choices=["text", "json"],
                       default="text", help="output format")
     lint.add_argument("--fail-on", choices=["warning", "error"],

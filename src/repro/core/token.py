@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # Token ids appear only in __repr__ output, never in marshalled bytes
 # (the scheduler heap-orders events with its own per-instance _seq
 # counter), so concurrent tenants sharing this sequence is harmless.
-_token_ids = itertools.count(1)  # lint: allow(JCD014)
+_token_ids = itertools.count(1)
 
 
 class Token:

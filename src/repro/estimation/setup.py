@@ -27,8 +27,8 @@ from .parameter import Parameter, ParamValue
 # Setup ids only back the "setupN" fallback name of a SetupController
 # built without an explicit name; every wire-reaching construction
 # (bench scenarios, Table 1) passes a name, so the fallback never feeds
-# marshalled bytes (pinned by tests/lint/test_counter_adjudication.py).
-_setup_ids = itertools.count(1)  # lint: allow(JCD014)
+# marshalled bytes (pinned by tests/differential/test_counter_adjudication.py).
+_setup_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """repro.lint: static analysis for distributed IP-based designs.
 
-Three analyzer families behind one rule registry:
+Two analyzer families behind one rule registry:
 
 * **design lint** -- structural rules over Design/Circuit/Netlist
   objects, catching defects (unconnected ports, conflicting drivers,
@@ -9,21 +9,18 @@ Three analyzer families behind one rule registry:
 * **static code analysis** -- ``ast``-based rules over RMI servant
   sources, proving purity of cacheable methods, marshallability of
   remote returns, and absence of IP privacy leaks without executing
-  any servant code;
-* **concurrency analysis** -- a name-based call graph over the whole
-  sweep (:mod:`repro.lint.callgraph`) backing rules for global
-  counters on dispatch paths, blocking calls in async code, fork
-  hazards, unguarded shared-state mutation and nondeterministic
-  marshalling.
+  any servant code.
+
+Concurrency defects (shared id sequences, blocking the event loop,
+fork hazards, unguarded servant state, hash-ordered replies) are not
+linted: behavioural tests under ``tests/server`` and
+``tests/differential`` catch them by running the code.
 
 Run ``repro lint`` from the CLI, or :func:`run_lint` /
 :func:`run_source_lint` from Python.  The rule catalog lives in
 ``docs/lint.md`` and mirrors :func:`all_rules`.
 """
 
-from .callgraph import CallGraph
-from .concurrency import (lint_call_graph, lint_concurrency,
-                          lint_concurrency_sources)
 from .design import lint_circuit, lint_design, lint_setup
 from .findings import Finding, Severity
 from .netlist import lint_fault_list, lint_netlist
@@ -33,10 +30,6 @@ from .runner import (format_findings, max_severity, run_lint,
 from .servants import lint_servant_source, lint_sources
 
 __all__ = [
-    "CallGraph",
-    "lint_call_graph",
-    "lint_concurrency",
-    "lint_concurrency_sources",
     "Finding",
     "Severity",
     "Rule",

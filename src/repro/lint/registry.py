@@ -169,31 +169,10 @@ register_rule(
     "A PURE_METHODS entry names a method the servant does not define, "
     "or one missing from REMOTE_METHODS; the whitelist is stale.")
 
-# -- concurrency analysis (call graph over the full source sweep) ----------
-register_rule(
-    "JCD014", "global-counter-on-dispatch-path", Severity.ERROR,
-    "A module-level id counter is consumed on server dispatch paths; "
-    "concurrent tenants would share its sequence.  Draw the id from "
-    "the current IdScope, or waive it.")
-register_rule(
-    "JCD015", "blocking-call-in-async", Severity.ERROR,
-    "An async def in repro.server makes a blocking call (time.sleep, "
-    "file/socket I/O, Future.result, lock .acquire); every tenant on "
-    "the event loop stalls behind it.")
-register_rule(
-    "JCD016", "fork-unsafe-state", Severity.WARNING,
-    "Threads, executors or locks are created before ProcessDispatcher "
-    "forks its workers (or started in a worker initializer); forked "
-    "children inherit them in undefined states.")
-register_rule(
-    "JCD017", "unguarded-shared-mutation", Severity.WARNING,
-    "Dispatch-reachable code mutates module- or class-level mutable "
-    "state outside any owning lock or gate; concurrent tenants race "
-    "on it.")
-register_rule(
-    "JCD018", "nondeterministic-marshal", Severity.ERROR,
-    "A servant method feeds nondeterminism (set iteration, id(), "
-    "wall clocks, unseeded random, os.urandom) toward marshalled "
-    "bytes, breaking byte-identity across runs.")
-# JCD019 (stale-counter-site) is retired with the hand-kept counter
-# inventory it policed; the code is not reused.
+# Retired codes, never reused:
+# JCD014-JCD018 (global-counter-on-dispatch-path, blocking-call-in-async,
+# fork-unsafe-state, unguarded-shared-mutation, nondeterministic-marshal)
+# went with the concurrency call graph; behavioural tests in
+# tests/server and tests/differential catch those defects by running
+# the code.  JCD019 (stale-counter-site) went with the hand-kept
+# counter inventory it policed.

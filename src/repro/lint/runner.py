@@ -56,21 +56,10 @@ def run_lint(subject: Any,
 
 
 def run_source_lint(specs: Sequence[str],
-                    suppress: Iterable[str] = (),
-                    concurrency: bool = True) -> List[Finding]:
-    """Run the static code analyzers over source files/directories.
-
-    Covers the per-servant rules (JCD010-013) and, unless
-    ``concurrency=False``, the sweep-wide concurrency rules
-    (JCD014-018) -- races, fork hazards and nondeterminism only make
-    sense across module boundaries, so they see all ``specs`` as one
-    unit.
-    """
-    from .concurrency import lint_concurrency
+                    suppress: Iterable[str] = ()) -> List[Finding]:
+    """Run the servant analyzers (JCD010-013) over files/directories."""
     from .servants import lint_sources
     findings = lint_sources(specs)
-    if concurrency:
-        findings.extend(lint_concurrency(specs))
     kept, dropped = filter_suppressed(findings, suppress)
     record_lint_run(kept, dropped)
     return kept

@@ -82,8 +82,8 @@ DEFAULT_PATTERNS_PER_CALL = 32
 # They cross the wire inside begin_campaign, but the servant treats them
 # as opaque keys: report bytes never depend on the nonce value, so two
 # pools sharing the sequence cannot perturb each other's results
-# (pinned by tests/lint/test_counter_adjudication.py).
-_pool_nonces = itertools.count(1)  # lint: allow(JCD014)
+# (pinned by tests/differential/test_counter_adjudication.py).
+_pool_nonces = itertools.count(1)
 
 
 # ----------------------------------------------------------------------

@@ -192,6 +192,12 @@ class AsyncRMIServer:
         if max_connections < 1:
             raise ValueError(
                 f"max_connections must be >= 1, got {max_connections}")
+        if idle_timeout is not None and idle_timeout <= 0:
+            # wait_for(timeout<=0) expires at once: every tenant's
+            # first read would time out and drop the connection.
+            raise ValueError(
+                f"idle_timeout must be positive (or None for never), "
+                f"got {idle_timeout}")
         if dispatch not in DISPATCH_TIERS:
             raise ValueError(
                 f"unknown dispatch tier {dispatch!r}; expected one of "
@@ -307,7 +313,8 @@ class AsyncRMIServer:
                     for future in self._dispatcher.warm_futures()])
             # The dispatch thread pool comes up only after the process
             # tier has forked its workers: a forked child must never
-            # inherit live dispatch threads (JCD016).
+            # inherit live dispatch threads (pinned at fork time by
+            # tests/server/test_dispatch_tiers.py::TestForkHygiene).
             self._executor = ThreadPoolExecutor(
                 max_workers=self.dispatch_workers,
                 thread_name_prefix=f"{self.name}-dispatch")

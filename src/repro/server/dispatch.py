@@ -66,7 +66,7 @@ def call_session_factory(factory: SessionFactory,
 
 # Dispatcher ids key the parent-side factory registry; they never
 # leave the parent process or reach marshalled bytes.
-_dispatcher_ids = itertools.count(1)  # lint: allow(JCD014)
+_dispatcher_ids = itertools.count(1)
 
 # Parent-side registry, inherited by forked workers.  Keyed by
 # dispatcher id so several process-tier servers can coexist in one
@@ -87,7 +87,7 @@ def _worker_init() -> None:
     reset_session_state()
     # Runs once per fork, before the worker serves anything; no other
     # thread exists in the child yet.
-    _worker_sessions.clear()  # lint: allow(JCD017)
+    _worker_sessions.clear()
 
 
 def _worker_ready() -> bool:
@@ -111,7 +111,7 @@ def _worker_session(dispatcher_id: int, session_id: int
         entry = (call_session_factory(factory, session_id), IdScope())
         # Worker-local copy of the dict: a single-process pool runs
         # one dispatch at a time, so no second thread can be here.
-        _worker_sessions[key] = entry  # lint: allow(JCD017)
+        _worker_sessions[key] = entry
     return entry
 
 
@@ -133,8 +133,7 @@ def _worker_dispatch(dispatcher_id: int, session_id: int,
 def _worker_forget(dispatcher_id: int, session_id: int) -> None:
     """Release a closed connection's worker-resident session."""
     # Same single-dispatch-at-a-time story as _worker_session.
-    _worker_sessions.pop((dispatcher_id, session_id),  # lint: allow(JCD017)
-                         None)
+    _worker_sessions.pop((dispatcher_id, session_id), None)
 
 
 class ProcessDispatcher:
@@ -161,7 +160,7 @@ class ProcessDispatcher:
         # inherits the factory through fork memory.  Parent-side only,
         # written before this dispatcher's first fork and read by
         # workers after it; the asyncio loop thread is the sole writer.
-        _FACTORIES[self.id] = session_factory  # lint: allow(JCD017)
+        _FACTORIES[self.id] = session_factory
         self._pools: List[ProcessPoolExecutor] = [
             self._new_pool() for _ in range(workers)]
         # The pool each live session first dispatched on.  A session
@@ -225,7 +224,7 @@ class ProcessDispatcher:
             pool.shutdown(wait=True)
         # Single writer (the owning server's loop thread), and every
         # worker that could read the entry has already exited.
-        _FACTORIES.pop(self.id, None)  # lint: allow(JCD017)
+        _FACTORIES.pop(self.id, None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ProcessDispatcher(id={self.id}, "

@@ -264,6 +264,28 @@ class TestRemoteFarmCli:
         assert caught.value.code == 2
         assert "--async" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--idle-timeout", "0"],
+        ["serve", "--idle-timeout", "-1"],
+        ["serve", "--max-connections", "0"],
+        ["faultworker", "--max-connections", "0"],
+    ], ids=" ".join)
+    def test_non_positive_server_limits_are_usage_errors(self, argv,
+                                                         capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: must be positive" in err
+        assert "Traceback" not in err
+
+    def test_serve_stops_after_serve_seconds(self, capsys):
+        assert main(["serve", "--serve-seconds", "0.2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("repro server serving")
+        assert out[-2].startswith("server stats:")
+        assert out[-1] == "repro server stopped"
+
     def test_plain_faultworker_runs_the_multi_tenant_front_end(self):
         """No flags: the readiness line, then two clients at once, each
         on its own farm servant (one session per connection)."""

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -39,6 +41,12 @@ class TestExitCodes:
         assert main(["lint", "--servants", "no.such.module"]) == 2
         assert "neither a path" in capsys.readouterr().err
 
+    def test_retired_concurrency_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "--concurrency"])
+        assert exit_info.value.code == 2
+        assert "--concurrency" in capsys.readouterr().err
+
 
 class TestThresholds:
     def test_warnings_pass_by_default(self, capsys):
@@ -64,8 +72,10 @@ class TestThresholds:
         assert "no findings" in capsys.readouterr().out
 
     def test_unknown_suppress_code_is_usage_error(self, capsys):
-        assert main(["lint", "--suppress", "JCD999"]) == 2
-        assert "unknown rule code" in capsys.readouterr().err
+        # JCD014 is retired, and a retired code is an unknown one.
+        for code in ("JCD999", "JCD014"):
+            assert main(["lint", "--suppress", code]) == 2
+            assert "unknown rule code" in capsys.readouterr().err
 
 
 class TestJsonFormat:

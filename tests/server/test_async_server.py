@@ -84,6 +84,12 @@ class TestConstruction:
             AsyncRMIServer(session_factory=echo_session,
                            max_connections=0)
 
+    @pytest.mark.parametrize("seconds", [0, -1])
+    def test_rejects_a_non_positive_idle_timeout(self, seconds):
+        # It would time out every tenant's first read at once.
+        with pytest.raises(ValueError, match="idle_timeout"):
+            AsyncRMIServer(JavaCADServer("x"), idle_timeout=seconds)
+
     def test_double_start_refused(self):
         with running() as (server, _host, _port):
             with pytest.raises(RemoteError):

@@ -4,8 +4,9 @@ Byte-identity of per-tenant reports against fresh-process serial runs
 lives in tests/differential/test_server_differential.py; this module
 pins the *scheduling* contract -- which tiers exist, how sessions are
 routed, that one tenant's slow dispatch never stalls another tenant's
-replies, and that one connection's frames dispatch one at a time in
-arrival order.
+replies, that one connection's frames dispatch one at a time in
+arrival order, and that no process-tier worker is forked while a
+dispatch thread is alive.
 """
 
 import contextlib
@@ -76,6 +77,34 @@ def tier_session():
     server.bind("overlap", Overlap(), ["visit", "observed"])
     register_fault_farm(server)
     return server
+
+
+class ForkRecorder:
+    """Names of the threads alive in the parent at each ``os.fork``.
+
+    The hook is registered once per process (``os.register_at_fork``
+    has no unregister) and records only inside :meth:`recording`.
+    """
+
+    def __init__(self):
+        self._forks = None
+        os.register_at_fork(before=self._before)
+
+    def _before(self):
+        if self._forks is not None:
+            self._forks.append([thread.name
+                                for thread in threading.enumerate()])
+
+    @contextlib.contextmanager
+    def recording(self):
+        self._forks = forks = []
+        try:
+            yield forks
+        finally:
+            self._forks = None
+
+
+FORKS = ForkRecorder()
 
 
 @contextlib.contextmanager
@@ -235,6 +264,41 @@ class TestWorkerDeath:
             assert server.stats.worker_deaths == 1
             assert server.stats.sessions_started == 3
             assert "worker_deaths=1" in server.stats.summary_line()
+
+
+class TestForkHygiene:
+    def test_no_dispatch_thread_is_alive_at_any_fork(self):
+        """A forked worker must never inherit live dispatch threads:
+        checked at the fork itself, for both startup forks and the
+        replacement fork after a killed worker."""
+        name = f"fork-hygiene-{os.getpid()}"
+        with FORKS.recording() as forks:
+            with running("process", dispatch_workers=2,
+                         name=name) as (_server, host, port):
+                startup = len(forks)
+                doomed = TcpTransport(host, port)     # session 1 -> slot 0
+                bystander = TcpTransport(host, port)  # session 2 -> slot 1
+                try:
+                    assert doomed.invoke("echo", "ping", (1,), {}) == 2
+                    assert bystander.invoke("echo", "ping", (2,), {}) == 4
+                    os.kill(doomed.invoke("echo", "pid", (), {}),
+                            signal.SIGKILL)
+                    with pytest.raises(RemoteError, match="died"):
+                        doomed.invoke("echo", "ping", (3,), {})
+                    with pytest.raises(
+                            RemoteError,
+                            match="connection closed|transport failure"):
+                        doomed.invoke("echo", "ping", (3,), {})
+                    # Session 3 lands on the dead slot's replacement.
+                    assert doomed.invoke("echo", "ping", (3,), {}) == 6
+                finally:
+                    doomed.close()
+                    bystander.close()
+        assert startup == 2
+        assert len(forks) == 3
+        dispatch = f"{name}-dispatch"
+        assert [[thread for thread in alive if thread.startswith(dispatch)]
+                for alive in forks] == [[], [], []]
 
 
 class TestCrossTenantIndependence:

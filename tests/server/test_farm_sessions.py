@@ -5,7 +5,7 @@ The original ``fault_farm_session_factory`` closed over one
 therefore the farm error strings marshalled back to clients -- depended
 on how many *other* tenants the factory had already served.  The
 factory now derives the name from the tenant's own connection session
-id, threaded in by :func:`repro.server.session.call_session_factory`;
+id, threaded in by :func:`repro.server.dispatch.call_session_factory`;
 the closure counter survives only as a fallback for direct zero-arg
 callers.  These tests pin both behaviours.
 """
