@@ -84,6 +84,11 @@ RULES = (
          r"|allow\(JCD01[4-8]\)", SRC, None,
          "the concurrency lint was retired for behavioural tests; add a "
          "test, not a rule"),
+    # One fan-out protocol, local and remote.
+    Rule(r"_simulate_fault_shard|payload_of|weighted: bool"
+         r"|chunks_per_worker|patterns_per_call", ("src/repro/parallel",),
+         None, "the local pool is told the campaign once; a shard is its "
+               "fault names"),
 )
 
 

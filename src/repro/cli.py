@@ -226,10 +226,9 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
                 for _ in range(args.patterns)]
     remotes = args.remote or []
     workers = resolve_workers(args.workers or None)
-    if len(fault_list) <= 1:
-        workers, remotes = 1, []  # nothing to shard or farm out
+    if sequential or len(fault_list) <= 1:
+        workers, remotes = 1, []  # serial by design, or nothing to shard
     if sequential:
-        workers = 1
         report = SequentialSerialFaultSimulator(
             design, netlist, fault_list).run(patterns)
     elif remotes:
@@ -408,6 +407,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: a count where 0 has a meaning of its own."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
 def _add_campaign_options(parser: argparse.ArgumentParser,
                           engine_help: Optional[str] = None,
                           workers_help: Optional[str] = None) -> None:
@@ -421,8 +428,9 @@ def _add_campaign_options(parser: argparse.ArgumentParser,
                             choices=["event", "compiled"],
                             help=engine_help)
     if workers_help is not None:
-        parser.add_argument("--workers", type=int, default=0, metavar="N",
-                            help=f"{workers_help} (0 = one per CPU core)")
+        parser.add_argument("--workers", type=_non_negative_int, default=0,
+                            metavar="N",
+                            help=f"{workers_help} (0 = one per usable CPU)")
 
 
 def _cmd_faultworker(args: argparse.Namespace) -> int:

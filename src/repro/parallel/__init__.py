@@ -6,9 +6,10 @@ scheduling/partitioning layer *above* the simulator that turns that
 property into wall-clock speedup on multi-core hosts:
 
 * :mod:`~repro.parallel.sharding` -- deterministic fault-list
-  partitioning (round-robin or cost-weighted);
-* :mod:`~repro.parallel.pool` -- a process pool with ordered results
-  and per-worker telemetry serialized back to the parent;
+  partitioning and ``run_sharded``, the one driver of sharded campaigns;
+* :mod:`~repro.parallel.pool` -- a process pool told the campaign once
+  per worker, with ordered results and per-worker telemetry serialized
+  back to the parent;
 * :mod:`~repro.parallel.merge` -- exact recombination of per-shard
   fault-simulation reports (and union-merge of ATPG test sets);
 * :mod:`~repro.parallel.faultsim` / :mod:`~repro.parallel.virtualsim`
@@ -16,7 +17,7 @@ property into wall-clock speedup on multi-core hosts:
 * :mod:`~repro.parallel.scenarios` -- concurrent independent
   estimation/bench scenarios (Table 2 fan-out);
 * :mod:`~repro.parallel.remote` -- the multi-host fault farm: the same
-  shards shipped to remote workers over RMI BATCH frames.
+  protocol (campaign once per endpoint, shards of names) over RMI BATCH.
 
 See ``docs/parallel.md`` for the sharding model and the determinism
 guarantees (and their limits).

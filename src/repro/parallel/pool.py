@@ -1,8 +1,11 @@
 """A process pool with deterministic result ordering and telemetry.
 
-:class:`WorkerPool` runs picklable task functions over a
-``concurrent.futures.ProcessPoolExecutor``.  Tasks are submitted all at
-once into the executor's shared work queue, so an idle worker steals
+:class:`WorkerPool` runs one picklable function -- for a sharded
+campaign, the campaign itself -- over payloads -- for a shard, its
+fault names -- on a ``concurrent.futures.ProcessPoolExecutor``.  The
+function reaches each worker once, through the executor's initializer
+(under ``fork`` it is inherited, not pickled).  Tasks are submitted all
+at once into the executor's shared work queue, so an idle worker steals
 the next pending shard instead of waiting for a static partition --
 callers are expected to cut several shards per worker (see
 :func:`repro.parallel.sharding.default_shard_count`).
@@ -45,8 +48,10 @@ _TASK_WALL_BUCKETS = (1e-3, 1e-2, 1e-1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0)
 
 
 def resolve_workers(workers: Optional[int]) -> int:
-    """Resolve a ``--workers`` value: ``None``/``0`` means one per core."""
+    """Resolve a ``--workers`` value: ``None``/``0`` = one per usable CPU."""
     if workers is None or workers == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if workers < 0:
         raise ParallelExecutionError(
@@ -90,8 +95,17 @@ class TaskOutcome:
     """The worker's spans as Chrome trace events (same condition)."""
 
 
-def _execute_task(fn: Callable[[Any], Any], payload: Any,
-                  trace_epoch: Optional[float]):
+# Set by the executor initializer in worker processes only.
+_worker_fn: Callable[[Any], Any]
+
+
+def _install_worker_fn(fn: Callable[[Any], Any]) -> None:
+    """Executor initializer: tell this worker the function, once."""
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _execute_task(payload: Any, trace_epoch: Optional[float]):
     """Worker-process entry point: run one task under local telemetry.
 
     ``trace_epoch`` is the parent tracer's epoch, or None with
@@ -109,7 +123,7 @@ def _execute_task(fn: Callable[[Any], Any], payload: Any,
         TELEMETRY.tracer.epoch = trace_epoch
         TELEMETRY.enable()
     try:
-        value = fn(payload)
+        value = _worker_fn(payload)
     finally:
         if collect:
             TELEMETRY.disable()
@@ -120,10 +134,10 @@ def _execute_task(fn: Callable[[Any], Any], payload: Any,
 
 
 class WorkerPool:
-    """Ordered fan-out of picklable tasks over worker processes.
+    """Ordered fan-out of one picklable function over worker processes.
 
     ``workers`` follows the CLI convention (``None``/``0`` = one per
-    CPU core); a resolved pool of one runs tasks inline in the parent,
+    usable CPU); a resolved pool of one runs tasks inline in the parent,
     which keeps single-core hosts and ``--workers 1`` on the exact
     serial code path with no pickling round trip.
     """
@@ -134,6 +148,9 @@ class WorkerPool:
     def map(self, fn: Callable[[Any], Any],
             payloads: Sequence[Any]) -> List[TaskOutcome]:
         """Run ``fn`` over every payload; outcomes in submission order.
+
+        Each worker process is told ``fn`` once; each task ships only
+        its payload.
 
         The first failing task aborts the run with a
         :class:`ParallelExecutionError` chaining the worker's exception.
@@ -175,12 +192,12 @@ class WorkerPool:
                        trace_epoch: Optional[float]
                        ) -> List[TaskOutcome]:
         outcomes: List[Optional[TaskOutcome]] = [None] * len(payloads)
-        executor = ProcessPoolExecutor(max_workers=effective)
-        pending: set = set()
+        executor = ProcessPoolExecutor(max_workers=effective,
+                                       initializer=_install_worker_fn,
+                                       initargs=(fn,))
         try:
             futures = {
-                executor.submit(_execute_task, fn, payload,
-                                trace_epoch): index
+                executor.submit(_execute_task, payload, trace_epoch): index
                 for index, payload in enumerate(payloads)}
             pending = set(futures)
             while pending:
@@ -205,12 +222,7 @@ class WorkerPool:
             # First failure aborts the run: cancel what never started
             # and shut down WITHOUT waiting, so a hung sibling worker
             # cannot block the error from reaching the caller.
-            for future in pending:
-                future.cancel()
-            try:
-                executor.shutdown(wait=False, cancel_futures=True)
-            except TypeError:  # pragma: no cover - Python < 3.9
-                executor.shutdown(wait=False)
+            executor.shutdown(wait=False, cancel_futures=True)
             raise
         executor.shutdown(wait=True)
         return [outcome for outcome in outcomes if outcome is not None]

@@ -4,10 +4,10 @@ This is the multi-host half of the paper's concurrency story: the
 local :class:`~repro.parallel.pool.WorkerPool` fans shards out to
 *processes*; :class:`RemoteWorkerPool` fans the same shards out to
 *machines*, over the same protected RMI channel the simulation traffic
-already uses.  The contract is identical -- disjoint shards in,
-submission-order :class:`~repro.parallel.pool.TaskOutcome`s out,
-`merge_reports`-exact recombination -- so serial, local-parallel and
-remote-farm runs of one campaign produce byte-identical reports.
+already uses.  Both are driven by :func:`~repro.parallel.sharding.
+run_sharded` and run :func:`~repro.parallel.faultsim.simulate_shard`
+per shard, so serial, local-parallel and remote-farm runs of one
+campaign produce byte-identical reports.
 
 The unit an endpoint is told about is the *campaign*, not the shard:
 
@@ -50,14 +50,14 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
                     Union)
 
 from ..core.errors import ParallelExecutionError, RemoteError
 from ..core.ids import id_scope
 from ..faults.faultlist import FaultList, build_fault_list
-from ..compiled import (built_fault_list, fault_simulator_for,
-                        resolve_engine)
+from ..compiled import built_fault_list, resolve_engine
 from ..faults.serial import FaultSimReport
 from ..gates.netlist import Netlist
 from ..rmi.server import JavaCADServer
@@ -68,9 +68,10 @@ from ..rmi.transport import (DEFAULT_CONNECT_TIMEOUT, DEFAULT_TCP_TIMEOUT,
                              TcpTransport, Transport)
 from ..rmi.wire import wrap_transport
 from ..telemetry.runtime import TELEMETRY
+from .faultsim import simulate_shard
 from .merge import merge_reports
 from .pool import TaskOutcome, _TASK_WALL_BUCKETS, merge_worker_metrics
-from .sharding import default_shard_count, shard_fault_list
+from .sharding import run_sharded
 
 FAULT_FARM_OBJECT = "faultfarm"
 """The server-side name a fault-farm servant is bound under."""
@@ -217,12 +218,10 @@ class FaultFarmServant:
                         self.resolver(campaign["bench"]),
                         campaign["collapse"])
                 netlist, fault_list = campaign["built"]
-                simulator = fault_simulator_for(
-                    campaign["engine"], netlist,
-                    fault_list.subset(fault_names))
-                report = simulator.run(
-                    campaign["patterns"],
-                    drop_detected=campaign["drop_detected"])
+                report = simulate_shard(
+                    netlist, fault_list, campaign["patterns"],
+                    campaign["drop_detected"], campaign["engine"],
+                    fault_names)
         finally:
             if collect_telemetry:
                 TELEMETRY.disable()
@@ -382,8 +381,6 @@ class _RunState:
                     self._pending.remove(eligible)
                     self._inflight += 1
                     return eligible
-                if not self._pending and not self._inflight:
-                    return None
                 if not self._inflight:
                     # Every pending shard has already failed here and
                     # nothing in flight can requeue new work for us.
@@ -447,12 +444,6 @@ class _RunState:
                     cause)
             self._cond.notify_all()
 
-    def fail(self, failure: ParallelExecutionError,
-             cause: Optional[Exception] = None) -> None:
-        with self._cond:
-            self._fail_locked(failure, cause)
-            self._cond.notify_all()
-
     def _fail_locked(self, failure: ParallelExecutionError,
                      cause: Optional[Exception]) -> None:
         if self.failure is None:
@@ -468,10 +459,10 @@ class _RunState:
 class RemoteWorkerPool:
     """Ordered fan-out of fault-sim shards over remote farm workers.
 
-    Satisfies the local pool's contract -- disjoint shards in,
-    submission-order outcomes out -- but each shard crosses the wire as
-    one call to a :class:`FaultFarmServant` that was told the campaign
-    once, instead of being pickled into a subprocess with it.
+    Satisfies the local pool's contract -- told the campaign once,
+    disjoint shards of fault names in, submission-order outcomes out --
+    but each shard crosses the wire as one call to a
+    :class:`FaultFarmServant`.
     ``TaskOutcome.worker_pid`` carries the *endpoint index* that served
     the shard (there is no meaningful remote pid on this side of the
     wire).
@@ -489,7 +480,6 @@ class RemoteWorkerPool:
                  max_batch: int = DEFAULT_MAX_BATCH,
                  timeout: float = DEFAULT_TCP_TIMEOUT,
                  connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
-                 patterns_per_call: int = DEFAULT_PATTERNS_PER_CALL,
                  token: Optional[str] = None,
                  tls_ca: Optional[str] = None,
                  server_hostname: Optional[str] = None,
@@ -499,9 +489,6 @@ class RemoteWorkerPool:
         if not specs:
             raise ParallelExecutionError(
                 "a remote pool needs at least one endpoint")
-        if patterns_per_call < 1:
-            raise ParallelExecutionError(
-                f"patterns_per_call must be >= 1, got {patterns_per_call}")
         if connect_retries < 0:
             raise ParallelExecutionError(
                 f"connect_retries must be >= 0, got {connect_retries}")
@@ -516,7 +503,6 @@ class RemoteWorkerPool:
         self.max_batch = max_batch
         self.timeout = timeout
         self.connect_timeout = connect_timeout
-        self.patterns_per_call = patterns_per_call
         self.token = token
         self.server_hostname = server_hostname
         self.connect_retries = connect_retries
@@ -660,7 +646,7 @@ class RemoteWorkerPool:
                                campaign.bench, campaign.collapse,
                                campaign.drop_detected,
                                resolve_engine(campaign.engine))
-            step = self.patterns_per_call
+            step = DEFAULT_PATTERNS_PER_CALL
             for start in range(0, len(campaign.patterns), step):
                 stub.invoke_oneway(
                     "add_patterns", campaign_id,
@@ -725,8 +711,9 @@ def remote_fault_simulate(bench: str,
     sides rebuild the same netlist from the spec.  ``workers`` (the
     CLI's ``--workers``) scales the shard count beyond the endpoint
     count so endpoints steal work from each other; by default the farm
-    cuts :func:`default_shard_count` shards for one worker per
-    endpoint.  The merged report is byte-identical to a serial run.
+    cuts :func:`~repro.parallel.sharding.default_shard_count` shards for
+    one worker per endpoint.  A single fault runs in this process.  The
+    merged report is byte-identical to a serial run.
     """
     engine = resolve_engine(engine)
     if pool is None:
@@ -737,14 +724,9 @@ def remote_fault_simulate(bench: str,
     if fault_list is None:
         fault_list = build_fault_list(netlist, collapse=collapse)
     patterns = tuple(dict(pattern) for pattern in patterns)
-    if len(fault_list) <= 1:
-        # Nothing to shard; keep the exact serial code path.
-        return fault_simulator_for(engine, netlist, fault_list).run(
-            patterns, drop_detected=drop_detected)
-    effective = workers if workers and workers > 0 else pool.workers
-    effective = max(effective, pool.workers)
-    count = shards or default_shard_count(effective, len(fault_list))
-    outcomes = pool.map(
+    return run_sharded(
+        fault_list.names(),
         RemoteCampaign(bench, collapse, patterns, drop_detected, engine),
-        [part.names for part in shard_fault_list(fault_list, count)])
-    return merge_reports([outcome.value for outcome in outcomes])
+        merge_reports, pool, workers, shards,
+        inline=partial(simulate_shard, netlist, fault_list, patterns,
+                       drop_detected, engine))

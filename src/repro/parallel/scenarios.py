@@ -35,7 +35,7 @@ from ..bench.scenarios import (DEFAULT_BUFFER, DEFAULT_PATTERNS,
 from ..core.errors import ParallelExecutionError
 from ..core.ids import reset_default_scope
 from ..net.model import PRESETS
-from .pool import WorkerPool, resolve_workers
+from .pool import WorkerPool
 
 
 @dataclass(frozen=True)
@@ -111,14 +111,12 @@ def run_scenarios_parallel(specs: Sequence[ScenarioSpec],
                            ) -> List[ScenarioResult]:
     """Run independent scenarios concurrently; results in spec order."""
     specs = list(specs)
-    worker_count = pool.workers if pool is not None \
-        else resolve_workers(workers)
+    pool = pool or WorkerPool(workers)
     # The pool also inlines single-payload maps into this process, so
     # route those through the non-resetting task (see
     # _run_scenario_task_isolated).
-    if worker_count <= 1 or len(specs) <= 1:
+    if pool.workers <= 1 or len(specs) <= 1:
         return [_run_scenario_task(spec) for spec in specs]
-    pool = pool or WorkerPool(worker_count)
     return [outcome.value
             for outcome in pool.map(_run_scenario_task_isolated, specs)]
 

@@ -19,15 +19,19 @@ Two balancing strategies are provided:
 Both strategies are pure functions of their inputs, so the same fault
 list always shards the same way -- a prerequisite for the determinism
 guarantee documented in ``docs/parallel.md``.
+
+:func:`run_sharded` drives every sharded campaign, local or remote.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import ParallelExecutionError
 from ..faults.faultlist import FaultList
+from ..telemetry.runtime import TELEMETRY
+from .pool import WorkerPool, resolve_workers
 
 DEFAULT_CHUNKS_PER_WORKER = 4
 """Shards created per worker so idle workers steal remaining chunks."""
@@ -45,9 +49,7 @@ class Shard:
         return len(self.names)
 
 
-def default_shard_count(workers: int, items: int,
-                        chunks_per_worker: int = DEFAULT_CHUNKS_PER_WORKER
-                        ) -> int:
+def default_shard_count(workers: int, items: int) -> int:
     """How many shards to cut for a pool of ``workers``.
 
     Several shards per worker keep the pool's shared queue non-empty
@@ -56,18 +58,21 @@ def default_shard_count(workers: int, items: int,
     """
     if items <= 0:
         return 0
-    return max(1, min(items, workers * chunks_per_worker))
+    return max(1, min(items, workers * DEFAULT_CHUNKS_PER_WORKER))
+
+
+def _listed(names: Iterable[str], count: int) -> Tuple[List[str], int]:
+    """``names`` as a list and ``count`` checked, capped at its length."""
+    ordered = list(names)
+    if ordered and count <= 0:
+        raise ParallelExecutionError(
+            f"shard count must be positive, got {count}")
+    return ordered, min(count, len(ordered))
 
 
 def round_robin_shards(names: Iterable[str], count: int) -> List[Shard]:
     """Split ``names`` into ``count`` shards by round-robin index."""
-    ordered = list(names)
-    if not ordered:
-        return []
-    if count <= 0:
-        raise ParallelExecutionError(
-            f"shard count must be positive, got {count}")
-    count = min(count, len(ordered))
+    ordered, count = _listed(names, count)
     buckets: List[List[str]] = [[] for _ in range(count)]
     for index, name in enumerate(ordered):
         buckets[index % count].append(name)
@@ -84,13 +89,7 @@ def weighted_shards(names: Iterable[str], count: int,
     within a shard the original list order is restored so a worker's
     simulation order never depends on the balancing pass.
     """
-    ordered = list(names)
-    if not ordered:
-        return []
-    if count <= 0:
-        raise ParallelExecutionError(
-            f"shard count must be positive, got {count}")
-    count = min(count, len(ordered))
+    ordered, count = _listed(names, count)
     weights = {name: float(weight_of(name)) for name in ordered}
     for name, weight in weights.items():
         if weight < 0:
@@ -124,3 +123,34 @@ def shard_names(names: Sequence[str], count: int,
     if weight_of is not None:
         return weighted_shards(names, count, weight_of)
     return round_robin_shards(names, count)
+
+
+def run_sharded(names: Sequence[str], campaign: Any,
+                merge: Callable[[Sequence[Any]], Any],
+                pool: Any = None, workers: Optional[int] = None,
+                shards: Optional[int] = None,
+                weight_of: Optional[Callable[[str], float]] = None,
+                inline: Optional[Callable[[Sequence[str]], Any]] = None
+                ) -> Any:
+    """Shard ``names``, run ``campaign`` on every shard, merge.
+
+    ``pool`` (default: a local ``WorkerPool(workers)``; or a
+    ``RemoteWorkerPool``) tells each worker the campaign once, then
+    hands it shards: tuples of names.  ``workers`` (``None``/``0`` =
+    one per usable CPU) can raise the shard count above the pool's
+    size.  One name, or a local pool of one, runs ``inline(names)``
+    (default ``campaign``) in this process instead.  ``weight_of``
+    switches round-robin sharding to cost-weighted balancing.
+    """
+    pool = pool or WorkerPool(workers)
+    worker_count = max(pool.workers,
+                       resolve_workers(workers) if workers else 0)
+    if len(names) <= 1 or (isinstance(pool, WorkerPool)
+                           and pool.workers <= 1):
+        return (inline or campaign)(names)
+    count = shards or default_shard_count(worker_count, len(names))
+    parts = shard_names(names, count, weight_of=weight_of)
+    if TELEMETRY.enabled:
+        TELEMETRY.metrics.counter("parallel.shards").inc(len(parts))
+    outcomes = pool.map(campaign, [part.names for part in parts])
+    return merge([outcome.value for outcome in outcomes])

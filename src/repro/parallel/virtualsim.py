@@ -3,8 +3,9 @@
 The virtual protocol's phase 2 is just as embarrassingly parallel as
 the serial flow: whether one pattern detects one composed fault depends
 only on that fault's detection-table row and its injection run, never
-on the rest of the target list.  Each worker therefore rebuilds the
-full client-side setup from a picklable *factory* (an isolated circuit,
+on the rest of the target list.  Each worker is told the factory, its
+arguments and the patterns once, and then rebuilds the full
+client-side setup from the picklable *factory* (an isolated circuit,
 controller and provider servant per process -- concurrent schedulers
 over the same design, as the paper's backplane promises), runs the
 campaign restricted to its shard of qualified fault names, and the
@@ -18,13 +19,14 @@ its keyword arguments must pickle; see
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from ..faults.serial import FaultSimReport
 from ..faults.virtual import VirtualFaultSimulator
-from .faultsim import _run_sharded
 from .merge import merge_reports
 from .pool import WorkerPool
+from .sharding import run_sharded
 
 
 def block_gate_weights(simulator: VirtualFaultSimulator
@@ -48,9 +50,9 @@ def block_gate_weights(simulator: VirtualFaultSimulator
     return weights
 
 
-def _simulate_virtual_shard(payload) -> FaultSimReport:
-    """Worker task: fresh client-side setup, campaign over one shard."""
-    factory, kwargs, names, patterns = payload
+def _simulate_virtual_shard(factory, kwargs, patterns,
+                            names) -> FaultSimReport:
+    """Fresh client-side setup, campaign over one shard of names."""
     simulator = factory(**kwargs)
     return simulator.run(patterns, only=names)
 
@@ -61,23 +63,23 @@ def parallel_virtual_fault_simulate(
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         factory_kwargs: Optional[Dict[str, Any]] = None,
-        weighted: bool = True,
         pool: Optional[WorkerPool] = None) -> FaultSimReport:
     """Run a virtual fault campaign with the composed list sharded.
 
     ``factory(**factory_kwargs)`` must build a fresh, self-contained
     :class:`VirtualFaultSimulator`; it is called once in the parent to
-    compose the design fault list (phase 1) and once per worker.  With
-    ``weighted`` (the default) shards are balanced by block gate count
-    when the stubs expose their netlists locally.
+    compose the design fault list (phase 1) and once per shard; the
+    serial path runs that first one.  Shards are balanced by block gate
+    count when the stubs expose their netlists locally, round-robin
+    otherwise.
     """
     kwargs = dict(factory_kwargs or {})
     probe = factory(**kwargs)
     patterns = list(patterns)
-    weight_map = block_gate_weights(probe) if weighted else None
-    return _run_sharded(
-        tuple(probe.build_fault_list()), _simulate_virtual_shard,
-        lambda names: (factory, kwargs, names, patterns),
-        merge_reports, workers, shards, pool,
+    weight_map = block_gate_weights(probe)
+    return run_sharded(
+        tuple(probe.build_fault_list()),
+        partial(_simulate_virtual_shard, factory, kwargs, patterns),
+        merge_reports, pool, workers, shards,
         weight_of=weight_map.get if weight_map else None,
-        serial=lambda: probe.run(patterns))
+        inline=partial(probe.run, patterns))

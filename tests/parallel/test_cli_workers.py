@@ -6,6 +6,10 @@ import pytest
 
 from repro.cli import main
 from repro.core.errors import ParallelExecutionError, RemoteError
+from repro.gates.io import c17
+from repro.parallel import (parallel_fault_simulate,
+                            parallel_generate_test_set,
+                            remote_fault_simulate)
 from repro.rmi.transport import (DEFAULT_CONNECT_TIMEOUT,
                                  DEFAULT_TCP_TIMEOUT, TcpTransport)
 
@@ -93,6 +97,34 @@ class TestRmiTimeoutFlag:
             assert exit_info.value.code == 2
             assert f"argument {flag}: must be positive" \
                 in capsys.readouterr().err
+
+
+class TestNegativeWorkers:
+    """A negative worker count is refused up front: a usage error on
+    the CLI, ParallelExecutionError from every Python entry point
+    (the remote one before it opens a connection)."""
+
+    @pytest.mark.parametrize("command", ["faultsim", "atpg"])
+    def test_cli_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "c17", "--workers", "-1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] \
+            == [f"repro-bench {command}: error: argument --workers: "
+                f"must be non-negative, got -1"]
+
+    def test_local_entry_points_raise(self):
+        with pytest.raises(ParallelExecutionError, match=">= 0"):
+            parallel_fault_simulate(c17(), [], workers=-1)
+        with pytest.raises(ParallelExecutionError, match=">= 0"):
+            parallel_generate_test_set(c17(), workers=-1)
+
+    def test_remote_entry_point_raises(self, refused_connects):
+        with pytest.raises(ParallelExecutionError, match=">= 0"):
+            remote_fault_simulate("c17", [], ["127.0.0.1:1"], workers=-1)
+        assert refused_connects == []
 
 
 class TestDeletedWireFlags:

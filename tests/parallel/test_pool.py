@@ -1,10 +1,24 @@
 """WorkerPool ordering, failure propagation and telemetry round-trip."""
 
+import os
+
 import pytest
 
+from repro.compiled import fault_simulator_for
+from repro.core import Logic
 from repro.core.errors import ParallelExecutionError
-from repro.parallel import TaskOutcome, WorkerPool, resolve_workers
+from repro.faults import build_fault_list
+from repro.gates.io import c17
+from repro.parallel import (TaskOutcome, WorkerPool, diff_reports,
+                            parallel_fault_simulate, resolve_workers)
 from repro.telemetry import TELEMETRY
+
+
+@pytest.fixture
+def one_usable_cpu(monkeypatch):
+    """This process may run on CPU 0 only, as under ``taskset -c 0``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
 
 
 def _square(value):
@@ -33,6 +47,27 @@ class TestResolveWorkers:
     def test_negative_rejected(self):
         with pytest.raises(ParallelExecutionError):
             resolve_workers(-1)
+
+    def test_auto_counts_usable_cpus(self, one_usable_cpu):
+        assert resolve_workers(None) == 1
+        assert resolve_workers(0) == 1
+        assert resolve_workers(3) == 3
+
+    def test_one_usable_cpu_runs_the_serial_path(self, one_usable_cpu,
+                                                 monkeypatch):
+        def no_fan_out(self, fn, payloads):
+            raise AssertionError("a one-CPU auto pool fanned out")
+
+        monkeypatch.setattr(WorkerPool, "map", no_fan_out)
+        netlist = c17()
+        fault_list = build_fault_list(netlist)
+        patterns = [{net: Logic(index >> bit & 1)
+                     for bit, net in enumerate(netlist.inputs)}
+                    for index in range(8)]
+        serial = fault_simulator_for(None, netlist, fault_list).run(
+            patterns)
+        assert diff_reports(serial, parallel_fault_simulate(
+            netlist, patterns, fault_list, workers=0)) == []
 
 
 class TestWorkerPoolMap:

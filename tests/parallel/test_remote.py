@@ -13,7 +13,7 @@ from repro.core.errors import ParallelExecutionError, RemoteError
 from repro.core.signal import Logic
 from repro.faults.faultlist import build_fault_list
 from repro.faults.serial import FaultSimReport, SerialFaultSimulator
-from repro.parallel import diff_reports
+from repro.parallel import diff_reports, parallel_fault_simulate
 from repro.parallel.remote import (FAULT_FARM_OBJECT, FaultFarmServant,
                                    RemoteCampaign, RemoteWorkerPool,
                                    parse_endpoint, register_fault_farm,
@@ -411,6 +411,11 @@ class TestCampaignCrossesOnce:
         if not patterns:
             assert not any(servant.calls["add_patterns"]
                            for servant in servants)
+        # The same cut through the local pool: one protocol, one report.
+        local = parallel_fault_simulate(
+            netlist, pattern_set, fault_list, workers=2, shards=shards,
+            drop_detected=drop_detected, engine=engine)
+        assert diff_reports(local, oracle) == []
 
 
 class TestReannounce:
