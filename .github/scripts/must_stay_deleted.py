@@ -89,6 +89,9 @@ RULES = (
          r"|chunks_per_worker|patterns_per_call", ("src/repro/parallel",),
          None, "the local pool is told the campaign once; a shard is its "
                "fault names"),
+    # Exact packed power: a buffer is one run of the compiled kernel.
+    Rule(r"EventDrivenState|def _power\b", ("src/repro/ip",), None,
+         "the power servant steps the event wave per pattern again"),
 )
 
 

@@ -1,10 +1,10 @@
 """Netlist-to-Python compiler for pattern-packed simulation.
 
-The compiler levelizes a netlist once and emits a straight-line Python
-function containing one bitwise expression per gate, working on whole
-machine words of packed test patterns.  Three-valued logic uses a
-two-word encoding per net -- a *value* word ``v`` and a *care* word
-``c`` -- with the canonical invariant ``v & ~c == 0``:
+The compiler levelizes a netlist once and emits Python containing one
+bitwise expression per gate, working on whole machine words of packed
+test patterns.  Three-valued logic uses a two-word encoding per net --
+a *value* word ``v`` and a *care* word ``c`` -- with the canonical
+invariant ``v & ~c == 0``:
 
 ==========  ===========  ==========
 ``Logic``   value bit    care bit
@@ -27,15 +27,22 @@ the interpreted simulator's output-tuple comparison.
 Two functions are generated per netlist:
 
 * ``run_good(iv, ic)`` -- fault-free evaluation; returns the
-  ``(v, c)`` pair of every net, interleaved in net order.
-* ``run_fault(iv, ic, fm, fv)`` -- the same straight line with a
-  mask-based *injection hook* at every fault site: ``fm`` holds one
-  mask word per site (zero wherever no fault is active; a hook whose
-  mask is zero is skipped) and ``fv`` the stuck value word, so
-  activating a fault is two word writes, not a recompile.  Every
-  statement is a pure bitwise operation -- no shift, no add -- so bit
-  positions never interact and the words may be as wide as the caller
-  likes: the runners give every fault its own lane of patterns.
+  ``(v, c)`` pair of every net, interleaved in net order.  It is a
+  chain of chunk functions of :data:`GOOD_CHUNK_GATES` gates each,
+  all writing one word list: CPython's compiler holds a whole
+  function's syntax tree at once, so a straight line of a few
+  thousand gates costs tens of megabytes to compile.
+* ``run_fault(iv, ic, fm, fv)`` -- one straight line (chunking it
+  costs a quarter of a campaign's speed), built on first use so a
+  kernel that only ever runs fault-free (power estimation) never
+  compiles it, with a mask-based *injection hook* at every fault site:
+  ``fm`` holds one mask word per site (zero wherever no fault is
+  active; a hook whose mask is zero is skipped) and ``fv`` the stuck
+  value word, so activating a fault is two word writes, not a
+  recompile.  Every statement is a pure bitwise operation -- no shift,
+  no add -- so bit positions never interact and the words may be as
+  wide as the caller likes: the runners give every fault its own lane
+  of patterns.
 
 Sites mirror :func:`repro.faults.faultlist.enumerate_faults`: one stem
 site per net, plus one branch site per gate input pin whose source net
@@ -53,7 +60,9 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from functools import cached_property
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Sequence, Tuple)
 
 from ..core.errors import FaultSimulationError
 from ..faults.faultlist import FaultList, build_fault_list
@@ -63,6 +72,11 @@ from ..telemetry.runtime import TELEMETRY
 _GoodFn = Callable[[Sequence[int], Sequence[int]], Tuple[int, ...]]
 _FaultFn = Callable[[Sequence[int], Sequence[int], Sequence[int], int],
                     Tuple[int, ...]]
+
+GOOD_CHUNK_GATES = 100
+"""Gates per chunk function of ``run_good``.  A constant, not a knob:
+on ``mult16`` the chunked kernel runs as fast as one straight line and
+compiles in a tenth of the memory."""
 
 
 def netlist_fingerprint(netlist: Netlist) -> str:
@@ -134,8 +148,17 @@ def _force(site: int, v: str, c: str) -> str:
     return f"if m := fm[{site}]: {v} = {v} & ~m | fv & m; {c} |= m"
 
 
+def _exec(sources: Iterable[str], name: str, label: str) -> Any:
+    """Compile each function on its own -- one syntax tree alive at a
+    time -- into one namespace, and return the one called ``name``."""
+    namespace: Dict[str, Any] = {}
+    for source in sources:
+        exec(compile(source, label, "exec"), namespace)
+    return namespace[name]
+
+
 class CompiledKernel:
-    """One netlist compiled to straight-line word-op Python.
+    """One netlist compiled to word-op Python.
 
     Attributes are all derived once at compile time; the kernel itself
     is immutable and safe to share between simulators (and across
@@ -158,10 +181,10 @@ class CompiledKernel:
             net: index for index, net in enumerate(self.nets)}
         self.output_index: Tuple[int, ...] = tuple(
             self.net_index[net] for net in self.outputs)
-        # Fault sites, numbered stems first then branch pins, mirroring
-        # enumerate_faults (branch sites only where fanout > 1).
-        self.stem_site: Dict[str, int] = {
-            net: index for index, net in enumerate(self.nets)}
+        # Fault sites, numbered stems first (a stem's site is its net's
+        # index) then branch pins, mirroring enumerate_faults (branch
+        # sites only where fanout > 1).
+        self.stem_site: Dict[str, int] = self.net_index
         self.branch_site: Dict[Tuple[str, int], int] = {}
         site = len(self.nets)
         for net in self.nets:
@@ -172,12 +195,32 @@ class CompiledKernel:
                 self.branch_site[(gate.name, pin)] = site
                 site += 1
         self.site_count = site
-        self.source = self._generate(order)
-        namespace: Dict[str, Any] = {}
-        exec(compile(self.source, f"<compiled:{netlist.name}>", "exec"),
-             namespace)
-        self.run_good: _GoodFn = namespace["run_good"]
-        self.run_fault: _FaultFn = namespace["run_fault"]
+        self._order = order
+        self._label = f"<compiled:{netlist.name}>"
+        self.run_good: _GoodFn = _exec(self._emit_good(order), "run_good",
+                                       self._label)
+
+    @cached_property
+    def fault_source(self) -> str:
+        """The text of ``run_fault``, generated on first use."""
+        return self._emit_fault(self._order)
+
+    @cached_property
+    def run_fault(self) -> _FaultFn:
+        """The hooked kernel, compiled on first use.  Two threads racing
+        here both compile it and either copy serves."""
+        begin = time.perf_counter()
+        run_fault = _exec([self.fault_source], "run_fault", self._label)
+        if TELEMETRY.enabled:
+            TELEMETRY.metrics.counter("compiled.compile_seconds").inc(
+                time.perf_counter() - begin)
+        return run_fault
+
+    @property
+    def source(self) -> str:
+        """Both entry points' text, generated again on each read."""
+        return "".join(self._emit_good(self._order)) + "\n" \
+            + self.fault_source
 
     # ------------------------------------------------------------------
 
@@ -203,34 +246,55 @@ class CompiledKernel:
 
     # ------------------------------------------------------------------
 
-    def _generate(self, order: Sequence[Any]) -> str:
-        lines: List[str] = []
-        self._emit(lines, order, with_faults=False)
-        lines.append("")
-        self._emit(lines, order, with_faults=True)
-        return "\n".join(lines) + "\n"
-
-    def _emit(self, lines: List[str], order: Sequence[Any],
-              with_faults: bool) -> None:
+    def _emit_good(self, order: Sequence[Any]) -> Iterator[str]:
+        """``run_good``'s chunks and then ``run_good``, one function's
+        text at a time: the inputs go into one word list, then one call
+        per chunk; a chunk loads the words it reads from earlier chunks
+        and stores every word it computes."""
         index = self.net_index
-        if with_faults:
-            lines.append("def run_fault(iv, ic, fm, fv):")
-        else:
-            lines.append("def run_good(iv, ic):")
+        inputs = 2 * len(self.inputs)
+        head = ["def run_good(iv, ic):",
+                f"    w = [0] * {2 * len(self.nets)}",
+                f"    w[0:{inputs}:2] = iv",
+                f"    w[1:{inputs}:2] = ic"]
+        for first in range(0, len(order), GOOD_CHUNK_GATES):
+            name = f"_good{first // GOOD_CHUNK_GATES}"
+            head.append(f"    {name}(w)")
+            gates = order[first:first + GOOD_CHUNK_GATES]
+            made = {index[gate.output] for gate in gates}
+            loads = dict.fromkeys(index[source] for gate in gates
+                                  for source in gate.inputs
+                                  if index[source] not in made)
+            body = [f"v{i} = w[{2 * i}]; c{i} = w[{2 * i + 1}]"
+                    for i in loads]
+            for gate in gates:
+                out = index[gate.output]
+                body.extend(_gate_lines(
+                    gate.cell.name, f"v{out}", f"c{out}",
+                    [f"v{index[s]}" for s in gate.inputs],
+                    [f"c{index[s]}" for s in gate.inputs]))
+                body.append(f"w[{2 * out}] = v{out}; "
+                            f"w[{2 * out + 1}] = c{out}")
+            yield "\n".join([f"def {name}(w):"] + [
+                f"    {line}" for line in body]) + "\n"
+        head.append("    return tuple(w)")
+        yield "\n".join(head) + "\n"
+
+    def _emit_fault(self, order: Sequence[Any]) -> str:
+        index = self.net_index
         body: List[str] = []
         for position, net in enumerate(self.inputs):
             i = index[net]
             body.append(f"v{i} = iv[{position}]")
             body.append(f"c{i} = ic[{position}]")
-            if with_faults:
-                body.append(_force(self.stem_site[net], f"v{i}", f"c{i}"))
+            body.append(_force(self.stem_site[net], f"v{i}", f"c{i}"))
         for gate in order:
             vs: List[str] = []
             cs: List[str] = []
             for pin, source in enumerate(gate.inputs):
                 s = index[source]
                 site = self.branch_site.get((gate.name, pin))
-                if with_faults and site is not None:
+                if site is not None:
                     body.append(f"b{pin}v = v{s}")
                     body.append(f"b{pin}c = c{s}")
                     body.append(_force(site, f"b{pin}v", f"b{pin}c"))
@@ -242,12 +306,12 @@ class CompiledKernel:
             out = index[gate.output]
             body.extend(_gate_lines(gate.cell.name, f"v{out}", f"c{out}",
                                     vs, cs))
-            if with_faults:
-                body.append(_force(self.stem_site[gate.output],
-                                   f"v{out}", f"c{out}"))
+            body.append(_force(self.stem_site[gate.output],
+                               f"v{out}", f"c{out}"))
         terms = ", ".join(f"v{i}, c{i}" for i in range(len(self.nets)))
         body.append(f"return ({terms})")
-        lines.extend(f"    {line}" for line in body)
+        return "\n".join(["def run_fault(iv, ic, fm, fv):"] + [
+            f"    {line}" for line in body]) + "\n"
 
 
 _KERNEL_CACHE: Dict[str, CompiledKernel] = {}

@@ -31,7 +31,9 @@ detection tables, evaluations and test sets; ``tests/differential``
 holds them to it), so the fast one is the default everywhere and
 ``"event"`` stays selectable as the oracle.  ``engine`` never picks
 anything else: the provider's power estimator is always
-:class:`~repro.power.toggle.ToggleCountModel`.
+:class:`~repro.power.toggle.ToggleCountModel`, which runs on the
+compiled fault-free kernel whatever ``engine`` says and reports what
+the event wave would, exactly.
 """
 
 

@@ -30,13 +30,19 @@ from ..rmi.server import JavaCADServer, current_server_context
 
 def bits_to_inputs(netlist: Netlist,
                    bits: Sequence[int]) -> Dict[str, Logic]:
-    """One wire bit per netlist primary input, in declaration order."""
+    """One wire bit per netlist primary input, in declaration order:
+    0, 1, 2 (``X``) or 3 (``Z``)."""
     if len(bits) != len(netlist.inputs):
         raise RemoteError(
             f"expected {len(netlist.inputs)} input bits, "
             f"got {len(bits)}")
-    return {net: Logic(int(bit))
-            for net, bit in zip(netlist.inputs, bits)}
+    inputs: Dict[str, Logic] = {}
+    for position, (net, bit) in enumerate(zip(netlist.inputs, bits)):
+        if not isinstance(bit, int) or not 0 <= bit <= 3:
+            raise RemoteError(f"input bit {position} ({net}) is {bit!r}; "
+                              f"expected an int in 0..3")
+        inputs[net] = Logic(bit)
+    return inputs
 
 
 class SessionPowerServant:
@@ -51,7 +57,9 @@ class SessionPowerServant:
     This is the whole implementation; the two published surfaces,
     :class:`PowerServant` and :class:`BitPowerServant`, supply only
     ``_decode`` (wire pattern -> ``{input net: Logic}``) and the two
-    single-pattern methods whose argument shape follows from it.
+    single-pattern methods whose argument shape follows from it.  Every
+    call is a buffer, evaluated in one run of the model; a
+    single-pattern call is a buffer of one.
     """
 
     REMOTE_METHODS = ("reset", "power_buffer", "fetch_results")
@@ -79,18 +87,25 @@ class SessionPowerServant:
                     ToggleCountModel(self.netlist), [])
             return state
 
-    def _power(self, model: ToggleCountModel,
-               pattern: Sequence[int]) -> float:
-        inputs = self._decode(pattern)
+    def _estimate(self, session: str, patterns: Sequence[Sequence[int]]
+                  ) -> Tuple[List[float], List[float]]:
+        """A buffer's calibrated powers, and the session's results.
+
+        The whole buffer decodes before the session is touched, so a
+        rejected buffer changes nothing.  Each pattern charges the
+        gates it evaluated, in order.
+        """
+        inputs = [self._decode(pattern) for pattern in patterns]
+        model, results = self._session(session)
         if not self.enabled:
-            return 0.0
-        before = model.evaluated_gates
-        power = model.power_of_pattern(inputs)
+            return [0.0] * len(inputs), results
         context = current_server_context()
-        if context is not None:
-            context.charge(self.gate_eval_cost
-                           * (model.evaluated_gates - before))
-        return power * self.calibration
+        powers: List[float] = []
+        for energy, gates in model.transitions(inputs):
+            if context is not None:
+                context.charge(self.gate_eval_cost * gates)
+            powers.append(model.power_of_energy(energy) * self.calibration)
+        return powers, results
 
     # -- remote methods -----------------------------------------------------
 
@@ -102,9 +117,8 @@ class SessionPowerServant:
     def power_buffer(self, session: str,
                      patterns: Sequence[Sequence[int]]) -> int:
         """Batch estimation; results accumulate for fetch_results."""
-        model, results = self._session(session)
-        for pattern in patterns:
-            results.append(self._power(model, pattern))
+        powers, results = self._estimate(session, patterns)
+        results.extend(powers)
         return len(results)
 
     def fetch_results(self, session: str) -> List[float]:
@@ -132,11 +146,21 @@ class PowerServant(SessionPowerServant):
         self.widths = tuple(widths)
 
     def _decode(self, pattern: Sequence[int]) -> Dict[str, Logic]:
+        if len(pattern) != len(self.widths):
+            raise RemoteError(f"expected {len(self.widths)} operands, "
+                              f"got {len(pattern)}")
+        for prefix, width, operand in zip(self.prefixes, self.widths,
+                                          pattern):
+            if not isinstance(operand, int) \
+                    or not 0 <= operand < 1 << width:
+                raise RemoteError(
+                    f"operand {prefix} is {operand!r}; expected an int "
+                    f"in 0..{(1 << width) - 1}")
         return operands_to_inputs(pattern, self.prefixes, self.widths)
 
     def power_of_pair(self, session: str, a: int, b: int) -> float:
         """Blocking single-pattern estimation (unbuffered)."""
-        return self._power(self._session(session)[0], (a, b))
+        return self._estimate(session, [(a, b)])[0][0]
 
     def mark_pattern(self, session: str, a: int, b: int) -> None:
         """Single-pattern push with *server-side* buffering.
@@ -222,7 +246,7 @@ class BitPowerServant(SessionPowerServant):
     def power_of_bits(self, session: str,
                       bits: Sequence[int]) -> float:
         """Blocking single-pattern estimation (unbuffered)."""
-        return self._power(self._session(session)[0], bits)
+        return self._estimate(session, [bits])[0][0]
 
     def mark_bits(self, session: str, bits: Sequence[int]) -> None:
         """Single-pattern push with server-side buffering (MR)."""

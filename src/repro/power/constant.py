@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence
 from ..core.signal import Logic
 from ..estimation.estimator import ConstantEstimator
 from ..estimation.parameter import AVERAGE_POWER
-from .toggle import ToggleCountModel
+from .toggle import PowerModel
 
 
 class ConstantPowerEstimator(ConstantEstimator):
@@ -42,7 +42,7 @@ def operands_to_inputs(operands: Sequence[int], prefixes: Sequence[str],
     return inputs
 
 
-def characterize_constant(model: ToggleCountModel,
+def characterize_constant(model: PowerModel,
                           training: Sequence[Sequence[int]],
                           prefixes: Sequence[str],
                           widths: Sequence[int],

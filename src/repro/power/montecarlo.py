@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from ..core.errors import EstimationError
 from .constant import operands_to_inputs
-from .toggle import ToggleCountModel
+from .toggle import PowerModel
 
 Z_95 = 1.96
 """Normal z-score for a 95% confidence interval."""
@@ -45,7 +45,7 @@ class MonteCarloResult:
                 f"{'converged' if self.converged else 'NOT converged'})")
 
 
-def monte_carlo_power(model: ToggleCountModel,
+def monte_carlo_power(model: PowerModel,
                       prefixes: Sequence[str], widths: Sequence[int],
                       relative_tolerance: float = 0.05,
                       min_patterns: int = 30,

@@ -21,7 +21,7 @@ from ..estimation.estimator import EstimatorSkeleton
 from ..estimation.parameter import AVERAGE_POWER
 from .activity import pair_activity, word_activity
 from .constant import operands_to_inputs
-from .toggle import ToggleCountModel
+from .toggle import PowerModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.controller import SimulationContext
@@ -61,7 +61,7 @@ class LinearRegressionPowerEstimator(EstimatorSkeleton):
         return self.intercept + self.slope * activity
 
 
-def fit_regression(model: ToggleCountModel,
+def fit_regression(model: PowerModel,
                    training: Sequence[Sequence[int]],
                    prefixes: Sequence[str], widths: Sequence[int],
                    name: str = "linreg-power",

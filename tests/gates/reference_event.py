@@ -20,7 +20,7 @@ from repro.core.errors import SimulationError
 from repro.core.signal import Logic
 from repro.gates.netlist import Gate, Netlist
 from repro.gates.simulator import NetlistSimulator
-from repro.power.toggle import SiliconReference, ToggleCountModel
+from repro.power.toggle import PowerModel, SiliconReference
 
 
 def _reader_gates(netlist: Netlist) -> Mapping[str, Tuple[Gate, ...]]:
@@ -98,17 +98,33 @@ class ReferenceEventDrivenState:
         return toggled
 
 
-def _settled(model: ToggleCountModel) -> ReferenceEventDrivenState:
-    """``ToggleCountModel._ensure_state`` over the reference wave."""
+def _settled(model) -> ReferenceEventDrivenState:
+    """The old ``ToggleCountModel._ensure_state`` over the reference wave."""
     if model._state is None:
         model._state = ReferenceEventDrivenState(model.simulator)
         model._state.apply({net: Logic.ZERO for net in model.netlist.inputs})
     return model._state
 
 
-class ReferenceToggleCountModel(ToggleCountModel):
-    """``ToggleCountModel`` as it was: the reference wave, and the
-    switched energy summed by name over the toggled set."""
+class ReferenceToggleCountModel(PowerModel):
+    """``ToggleCountModel`` as it was: the reference wave, settled at
+    all-zero, and the switched energy summed by name over the toggled
+    set."""
+
+    def __init__(self, netlist: Netlist, frequency: float = 50e6):
+        super().__init__(netlist, frequency)
+        self.simulator = NetlistSimulator(netlist)
+        self._state = None
+
+    def reset(self) -> None:
+        self._state = None
+
+    @property
+    def evaluated_gates(self) -> int:
+        return self._state.evaluated_gates if self._state else 0
+
+    def energies(self, patterns) -> List[float]:
+        return [self.energy_of_pattern(inputs) for inputs in patterns]
 
     def energy_of_pattern(self, inputs: Dict[str, Logic]) -> float:
         energy = 0.0

@@ -1,5 +1,7 @@
 """Provider-side publishing and servants."""
 
+import re
+
 import pytest
 
 from repro.core import IPProtectionError, RemoteError
@@ -163,10 +165,23 @@ class TestPowerSessionContract:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_malformed_pattern_is_a_remote_error(self, surface, enabled):
         ip = surface(enabled=enabled)
-        with pytest.raises(RemoteError, match="expected|must align"):
+        with pytest.raises(RemoteError, match="expected"):
             ip.call("power_buffer", "s", [ip.patterns[0], ip.malformed])
-        # The well-formed pattern before it was estimated and kept.
-        assert len(ip.call("fetch_results", "s")) == 1
+        # The buffer decodes whole before it runs: nothing was kept.
+        assert ip.call("fetch_results", "s") == []
+        assert ip.servant._sessions == {}
+
+    def test_a_rejected_buffer_changes_nothing(self, surface):
+        ip, reference = surface(), surface()
+        ip.call("power_buffer", "s", ip.patterns[:1])
+        with pytest.raises(RemoteError, match="expected"):
+            ip.call("power_buffer", "s",
+                    [ip.patterns[1], ip.malformed, ip.patterns[2]])
+        ip.call("power_buffer", "s", ip.patterns[1:])
+        # Same results, same indices, and the model was not advanced.
+        reference.call("power_buffer", "s", reference.patterns)
+        assert ip.call("fetch_results", "s") \
+            == reference.call("fetch_results", "s")
 
     def test_only_its_own_five_methods_are_remote(self, surface):
         ip = surface()
@@ -176,6 +191,45 @@ class TestPowerSessionContract:
         for method in (other.single, other.mark):
             with pytest.raises(RemoteError):
                 ip.call_pattern(method, "s", ip.patterns[0])
+
+
+class TestWirePatternsAreChecked:
+    """A pattern the component cannot take is a named ``RemoteError``,
+    never a truncated operand or a ``ValueError`` from ``Logic``."""
+
+    @pytest.mark.parametrize("pair, operand", [
+        ((99, 1), "operand a is 99; expected an int in 0..15"),
+        ((1, -1), "operand b is -1; expected an int in 0..15"),
+        ((16, 0), "operand a is 16"),
+        ((1.5, 0), "operand a is 1.5"),
+    ])
+    def test_operand_out_of_range(self, pair, operand):
+        servant = PowerServant(array_multiplier(4), ("a", "b"), (4, 4))
+        with pytest.raises(RemoteError, match=re.escape(operand)):
+            servant.power_of_pair("s", *pair)
+        with pytest.raises(RemoteError, match=re.escape(operand)):
+            servant.power_buffer("s", [(1, 2), pair])
+        assert servant._sessions == {}
+        assert servant.power_of_pair("s", 15, 15) > 0.0
+
+    @pytest.mark.parametrize("bit", [5, -1, "1", None])
+    def test_bit_out_of_range(self, bit):
+        netlist = array_multiplier(2)
+        servant = BitPowerServant(netlist)
+        bits = [0, 1, 0, bit]
+        expected = (f"input bit 3 ({netlist.inputs[3]}) is {bit!r}; "
+                    f"expected an int in 0..3")
+        with pytest.raises(RemoteError, match=re.escape(expected)):
+            servant.power_of_bits("s", bits)
+        with pytest.raises(RemoteError, match=re.escape(expected)):
+            servant.mark_bits("s", bits)
+        assert servant._sessions == {}
+
+    def test_x_and_z_bits_are_accepted(self):
+        servant = BitPowerServant(array_multiplier(2))
+        servant.power_buffer("s", [[1, 1, 1, 1], [2, 3, 1, 1],
+                                   [3, 2, 1, 1]])
+        assert len(servant.fetch_results("s")) == 3
 
 
 class TestPowerServant:
