@@ -17,7 +17,8 @@ import threading
 from repro.core import Logic
 from repro.faults import SerialFaultSimulator, build_fault_list
 from repro.parallel import diff_reports
-from repro.parallel.remote import remote_fault_simulate, resolve_bench
+from repro.parallel.remote import (RemoteWorkerPool, remote_fault_simulate,
+                                   resolve_bench)
 
 CLIENTS = 8
 
@@ -38,7 +39,8 @@ def client(index):
     try:
         results[index] = remote_fault_simulate(
             "figure4", patterns, [endpoint],
-            token="ci-secret", tls_ca="ci.pem")
+            pool=RemoteWorkerPool([endpoint], token="ci-secret",
+                                  tls_ca="ci.pem"))
     except Exception as exc:
         failures.append((index, exc))
 

@@ -92,6 +92,12 @@ RULES = (
     # Exact packed power: a buffer is one run of the compiled kernel.
     Rule(r"EventDrivenState|def _power\b", ("src/repro/ip",), None,
          "the power servant steps the event wave per pattern again"),
+    # One connection context: a tenant's state lives in its connection.
+    Rule(r"call_session_factory|fallback_ids|inspect\.signature"
+         r"|self\._sessions\b|self\._campaigns\b",
+         ("src/repro/ip", "src/repro/server", "src/repro/parallel"), None,
+         "a servant or the server keys tenant state outside the "
+         "connection context again"),
 )
 
 

@@ -318,8 +318,8 @@ def _build_server_ssl(args: argparse.Namespace):
     return True, server_ssl_context(cert, key)
 
 
-def _serve_sessions(args: argparse.Namespace, session_factory,
-                    name: str, label: str, serving: str = "") -> int:
+def _serve(args: argparse.Namespace, core, name: str, label: str,
+           serving: str = "") -> int:
     """Start the one front end, print readiness, wait, stop, report.
 
     The first line printed, ``<label> serving<serving> on HOST:PORT``,
@@ -331,8 +331,7 @@ def _serve_sessions(args: argparse.Namespace, session_factory,
     if not ok:
         return 2
     server = AsyncRMIServer(
-        session_factory=session_factory,
-        host=args.host, port=args.port,
+        core, host=args.host, port=args.port,
         max_connections=args.max_connections,
         auth_token=args.auth_token,
         ssl_context=ssl_context,
@@ -436,32 +435,36 @@ def _add_campaign_options(parser: argparse.ArgumentParser,
 def _cmd_faultworker(args: argparse.Namespace) -> int:
     """Serve fault-simulation shards to remote `faultsim --remote` runs.
 
-    Every connection gets its own farm servant and id scope, so
-    concurrent ``faultsim --remote`` clients cannot mix task state.
+    One farm servant serves every connection; each campaign lives in
+    its connection's context, so concurrent ``faultsim --remote``
+    clients cannot mix campaign state.
     """
-    from .server.farm import fault_farm_session_factory
+    from .parallel.remote import register_fault_farm
+    from .rmi.server import JavaCADServer
 
-    return _serve_sessions(args, fault_farm_session_factory(),
-                           "faultfarm", "fault farm worker")
+    core = JavaCADServer(f"faultfarm@{args.host}:{args.port}")
+    register_fault_farm(core)
+    return _serve(args, core, "faultfarm", "fault farm worker")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Host a full IP provider on the multi-tenant server.
 
-    Publishes the Figure 2 multiplier's estimator/timing/test servants
-    once (they are read-only and shared across tenants) and gives every
-    connection a private fault-farm servant plus its own id scope --
-    the paper's multi-client JavaCAD server.
+    Publishes the Figure 2 multiplier's servants once and binds the
+    fault farm beside them on the provider's own server -- the paper's
+    multi-client JavaCAD server.  Every connection draws its own ids
+    and keeps its own power, port and campaign state in its connection
+    context, so tenants never see each other's.
     """
     from .ip.provider import IPProvider
-    from .server.farm import fault_farm_session_factory
+    from .parallel.remote import register_fault_farm
 
     provider = IPProvider(f"serve@{args.host}:{args.port}")
     component = provider.publish_multiplier(args.width,
                                             engine=args.engine)
-    return _serve_sessions(
-        args, fault_farm_session_factory(shared=provider.server),
-        "serve", "repro server", f" {component!r} + fault farm")
+    register_fault_farm(provider.server)
+    return _serve(args, provider.server, "serve", "repro server",
+                  f" {component!r} + fault farm")
 
 
 def _cmd_atpg(args: argparse.Namespace) -> int:

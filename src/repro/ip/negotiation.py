@@ -13,12 +13,11 @@ values, so the protocol runs over both transports unchanged.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..core.errors import BillingError, RemoteError
-from ..core.ids import next_id
+from ..core.ids import current_connection, next_id
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,7 @@ class NegotiationServant:
     commitments (``volume_break`` patterns halves the margin).  Each
     counter-offer below the provider's current quote is met by a bounded
     concession; sessions end by acceptance, or after ``max_rounds``.
+    A session lives in the connection that opened it.
     """
 
     REMOTE_METHODS = ("open_session", "quote", "counter_offer", "accept",
@@ -63,8 +63,6 @@ class NegotiationServant:
         self.volume_break = volume_break
         self.concession = concession
         self.max_rounds = max_rounds
-        self._sessions: Dict[str, Dict[str, Any]] = {}
-        self._lock = threading.Lock()
 
     # -- remote methods ------------------------------------------------------
 
@@ -77,14 +75,13 @@ class NegotiationServant:
         if volume >= self.volume_break:
             # Large volume commitments halve the provider's floor.
             floor /= 2.0
-        with self._lock:
-            self._sessions[session_id] = {
-                "volume": volume,
-                "quote": self.list_price,
-                "floor": floor,
-                "rounds": 0,
-                "open": True,
-            }
+        current_connection().sessions(self)[session_id] = {
+            "volume": volume,
+            "quote": self.list_price,
+            "floor": floor,
+            "rounds": 0,
+            "open": True,
+        }
         return session_id
 
     def quote(self, session_id: str) -> float:
@@ -124,8 +121,7 @@ class NegotiationServant:
         self._session(session_id)["open"] = False
 
     def _session(self, session_id: str) -> Dict[str, Any]:
-        with self._lock:
-            session = self._sessions.get(session_id)
+        session = current_connection().sessions(self).get(session_id)
         if session is None:
             raise RemoteError(f"unknown negotiation session "
                               f"{session_id!r}")

@@ -10,11 +10,11 @@ itself can never leave: the restricted marshaller rejects it.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..compiled import simulator_for
 from ..core.errors import IPProtectionError, RemoteError
+from ..core.ids import current_connection
 from ..core.signal import Logic
 from ..faults.faultlist import FaultList, build_fault_list
 from ..faults.virtual import TestabilityServant
@@ -50,7 +50,8 @@ class SessionPowerServant:
 
     Keeps one toggle-count model per client session (consecutive
     patterns matter for switched energy) and accumulates batch results
-    so that oneway (non-blocking) buffered calls can be fetched later.
+    so that oneway (non-blocking) buffered calls can be fetched later;
+    both live in the caller's connection context.
     With ``enabled=False`` the actual simulator call is skipped -- the
     Figure 3 configuration, where only RMI overhead remains.
 
@@ -70,9 +71,6 @@ class SessionPowerServant:
         self.calibration = calibration
         self.enabled = enabled
         self.gate_eval_cost = gate_eval_cost
-        self._sessions: Dict[str, Tuple[ToggleCountModel,
-                                        List[float]]] = {}
-        self._lock = threading.Lock()
 
     def _decode(self, pattern: Sequence[int]) -> Dict[str, Logic]:
         raise NotImplementedError
@@ -80,12 +78,12 @@ class SessionPowerServant:
     def _session(self, session: str
                  ) -> Tuple[ToggleCountModel, List[float]]:
         """The session's (model, accumulated powers), made on first use."""
-        with self._lock:
-            state = self._sessions.get(session)
-            if state is None:
-                state = self._sessions[session] = (
-                    ToggleCountModel(self.netlist), [])
-            return state
+        sessions = current_connection().sessions(self)
+        state = sessions.get(session)
+        if state is None:
+            state = sessions.setdefault(
+                session, (ToggleCountModel(self.netlist), []))
+        return state
 
     def _estimate(self, session: str, patterns: Sequence[Sequence[int]]
                   ) -> Tuple[List[float], List[float]]:
@@ -111,8 +109,7 @@ class SessionPowerServant:
 
     def reset(self, session: str) -> None:
         """Start a fresh pattern sequence for a session."""
-        with self._lock:
-            self._sessions.pop(session, None)
+        current_connection().sessions(self).pop(session, None)
 
     def power_buffer(self, session: str,
                      patterns: Sequence[Sequence[int]]) -> int:
@@ -126,8 +123,7 @@ class SessionPowerServant:
 
         A read creates no state: a session never seen has none.
         """
-        with self._lock:
-            state = self._sessions.get(session)
+        state = current_connection().sessions(self).get(session)
         return list(state[1]) if state else []
 
 
@@ -178,7 +174,8 @@ class FunctionalServant:
 
     The module's event handling runs here: the client pushes every event
     arriving at the module's ports and receives the resulting output
-    emissions.  Port state is per client session.
+    emissions.  Port state is per client session, kept in the caller's
+    connection context.
     """
 
     REMOTE_METHODS = ("handle_event", "evaluate", "reset")
@@ -186,23 +183,19 @@ class FunctionalServant:
     def __init__(self, width: int, word_op_cost: float = 85e-3):
         self.width = width
         self.word_op_cost = word_op_cost
-        self._state: Dict[str, Dict[str, int]] = {}
-        self._lock = threading.Lock()
 
     def reset(self, session: str) -> None:
         """Drop a session's port state."""
-        with self._lock:
-            self._state.pop(session, None)
+        current_connection().sessions(self).pop(session, None)
 
     def handle_event(self, session: str, port: str,
                      value: int) -> List[Tuple[str, int]]:
         """Process one input event; return the output emissions."""
         if port not in ("a", "b"):
             raise RemoteError(f"multiplier has no input port {port!r}")
-        with self._lock:
-            state = self._state.setdefault(session, {})
-            state[port] = value
-            a, b = state.get("a"), state.get("b")
+        state = current_connection().sessions(self).setdefault(session, {})
+        state[port] = value
+        a, b = state.get("a"), state.get("b")
         context = current_server_context()
         if context is not None:
             context.charge(self.word_op_cost)

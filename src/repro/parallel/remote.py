@@ -25,8 +25,9 @@ the :class:`~repro.rmi.protocol.BatchRequest` frame of that endpoint's
 first ``run_shard``; every later shard is one small call carrying fault
 names only.  The campaign crosses the wire once per endpoint
 connection: an endpoint that fails a shard attempt forgets what it
-announced (its transport may have reconnected to a fresh servant) and
-announces again with its next shard.
+announced (its transport may have reconnected, and a campaign lives in
+the connection that announced it) and announces again with its next
+shard.
 
 Only marshallable values cross the wire: bench *names*, fault *names*,
 pattern dicts of :class:`~repro.core.signal.Logic`.  Netlists never
@@ -55,7 +56,7 @@ from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
                     Union)
 
 from ..core.errors import ParallelExecutionError, RemoteError
-from ..core.ids import id_scope
+from ..core.ids import current_connection, id_scope
 from ..faults.faultlist import FaultList, build_fault_list
 from ..compiled import built_fault_list, resolve_engine
 from ..faults.serial import FaultSimReport
@@ -163,6 +164,9 @@ class FaultFarmServant:
     (:func:`repro.compiled.built_fault_list`), so every session and
     servant of one worker process shares one build per
     (bench content, collapse) and a campaign resolves its bench once.
+
+    A campaign lives in the connection that announced it, so tenants
+    of one servant never meet and a vanished client leaves nothing.
     """
 
     REMOTE_METHODS = ("ping", "begin_campaign", "add_patterns",
@@ -171,8 +175,8 @@ class FaultFarmServant:
     def __init__(self, resolver=None):
         self.resolver = resolver or resolve_bench
         self.shards_served = 0
+        # The one provider-wide field: every tenant's shards count here.
         self._lock = threading.Lock()
-        self._campaigns: Dict[str, Dict[str, Any]] = {}
 
     def ping(self) -> str:
         """Liveness probe the client pool uses to triage failures."""
@@ -182,29 +186,26 @@ class FaultFarmServant:
                        drop_detected: bool = True,
                        engine: Optional[str] = None) -> bool:
         """Store (or replace) a campaign; nothing is resolved yet."""
-        with self._lock:
-            self._campaigns[campaign_id] = {
-                "bench": str(bench),
-                "collapse": str(collapse),
-                "drop_detected": bool(drop_detected),
-                "engine": engine,
-                "patterns": [],
-                "built": None,
-            }
+        current_connection().sessions(self)[campaign_id] = {
+            "bench": str(bench),
+            "collapse": str(collapse),
+            "drop_detected": bool(drop_detected),
+            "engine": engine,
+            "patterns": [],
+            "built": None,
+        }
         return True
 
     def add_patterns(self, campaign_id: str,
                      patterns: Sequence[Mapping[str, Any]]) -> bool:
-        with self._lock:
-            self._campaign(campaign_id, "add_patterns")["patterns"].extend(
-                dict(pattern) for pattern in patterns)
+        self._campaign(campaign_id, "add_patterns")["patterns"].extend(
+            dict(pattern) for pattern in patterns)
         return True
 
     def run_shard(self, campaign_id: str, fault_names: Sequence[str],
                   collect_telemetry: bool = False) -> Dict[str, Any]:
         """Run one fault subset of the campaign: report + telemetry."""
-        with self._lock:
-            campaign = self._campaign(campaign_id, "run_shard")
+        campaign = self._campaign(campaign_id, "run_shard")
         if collect_telemetry:
             TELEMETRY.reset()
             TELEMETRY.enable()
@@ -232,12 +233,11 @@ class FaultFarmServant:
 
     def end_campaign(self, campaign_id: str) -> bool:
         """Drop the campaign's state (a no-op for an unknown id)."""
-        with self._lock:
-            self._campaigns.pop(campaign_id, None)
+        current_connection().sessions(self).pop(campaign_id, None)
         return True
 
     def _campaign(self, campaign_id: str, call: str) -> Dict[str, Any]:
-        campaign = self._campaigns.get(campaign_id)
+        campaign = current_connection().sessions(self).get(campaign_id)
         if campaign is None:
             raise ParallelExecutionError(
                 f"{call} for unknown campaign {campaign_id!r} "
@@ -549,8 +549,8 @@ class RemoteWorkerPool:
         finally:
             for endpoint in endpoints:
                 if endpoint.alive:
-                    # Drained by close(); a servant that outlives this
-                    # connection must not keep the campaign.
+                    # Drained by close(), which would drop the campaign
+                    # anyway; the servant hears that it is over first.
                     endpoint.stub.invoke_oneway("end_campaign", campaign_id)
                 endpoint.close()
         if state.failure is not None:
@@ -624,7 +624,8 @@ class RemoteWorkerPool:
                     collect)
             except Exception as exc:
                 # The transport may have dropped its socket and will
-                # reconnect to a fresh servant: announce again.
+                # reconnect on a connection with no campaign: announce
+                # again.
                 endpoint.announced = False
                 alive = endpoint.probe()
                 endpoint.alive = alive
@@ -700,10 +701,7 @@ def remote_fault_simulate(bench: str,
                           shards: Optional[int] = None,
                           drop_detected: bool = True,
                           pool: Optional[RemoteWorkerPool] = None,
-                          engine: Optional[str] = None,
-                          token: Optional[str] = None,
-                          tls_ca: Optional[str] = None,
-                          server_hostname: Optional[str] = None
+                          engine: Optional[str] = None
                           ) -> FaultSimReport:
     """Fault-simulate ``bench`` across a farm of remote workers.
 
@@ -713,12 +711,13 @@ def remote_fault_simulate(bench: str,
     count so endpoints steal work from each other; by default the farm
     cuts :func:`~repro.parallel.sharding.default_shard_count` shards for
     one worker per endpoint.  A single fault runs in this process.  The
-    merged report is byte-identical to a serial run.
+    merged report is byte-identical to a serial run.  Token, TLS and
+    timeouts are the ``pool``'s (default: a plain
+    :class:`RemoteWorkerPool` over ``endpoints``).
     """
     engine = resolve_engine(engine)
     if pool is None:
-        pool = RemoteWorkerPool(endpoints, token=token, tls_ca=tls_ca,
-                                server_hostname=server_hostname)
+        pool = RemoteWorkerPool(endpoints)
     if netlist is None:
         netlist = resolve_bench(bench)
     if fault_list is None:

@@ -33,7 +33,7 @@ from ..bench.scenarios import (DEFAULT_BUFFER, DEFAULT_PATTERNS,
                                DEFAULT_WIDTH, TABLE2_ROWS, ScenarioResult,
                                clear_shared_providers, run_scenario)
 from ..core.errors import ParallelExecutionError
-from ..core.ids import reset_default_scope
+from ..core.ids import reset_default_context
 from ..net.model import PRESETS
 from .pool import WorkerPool
 
@@ -60,19 +60,19 @@ def reset_session_state() -> None:
 
     Call/session ids leak into marshalled frame sizes (longer ids,
     more bytes, more modelled transfer time), and the cached shared
-    providers carry accumulated billing and every past session's power
-    model and results -- which a restarted ``session1`` would append
-    to.  Installing a fresh process-default
-    :class:`~repro.core.ids.IdScope` and dropping both provider memos
-    makes a worker's scenario identical to one run in a fresh process,
-    no matter what the parent ran before forking.  Scopes a server has
-    entered for its tenants are untouched.  The fault-list build memo
+    providers carry accumulated billing.  Installing a fresh
+    process-default :class:`~repro.core.ids.ConnectionContext` (ids,
+    and the servant state of direct calls) and dropping both provider
+    memos makes a worker's scenario identical to one run in a fresh
+    process, no matter what the parent ran before forking.  Contexts a
+    server has made for its tenants are untouched.  The fault-list
+    build memo
     goes too: it cannot change a byte, but a set-up timed after this
     call should pay its build like a fresh process does.
     """
     from ..compiled import clear_build_cache
 
-    reset_default_scope()
+    reset_default_context()
     clear_shared_providers()
     clear_build_cache()
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import RemoteError
+from ..core.ids import ConnectionContext, entered
 from ..net.clock import CostModel, VirtualClock
 from ..net.model import NetworkModel
 from ..telemetry.metrics import DEFAULT_BYTES_BUCKETS
@@ -274,6 +275,9 @@ class InProcessTransport(Transport):
 
     Server CPU is charged separately through the dispatch path and
     contends with the client only when ``network.shared_host`` is set.
+
+    The transport is one connection: its ``context`` holds the servant
+    state of its sessions (ids come from the caller's scope).
     """
 
     kind = "in-process"
@@ -290,6 +294,7 @@ class InProcessTransport(Transport):
         self.cost = cost_model or CostModel()
         self.policy = policy
         self._link_free = 0.0  # virtual time the shared link is busy until
+        self.context = ConnectionContext()
 
     def _exchange(self, payload: bytes, oneway: bool, what: str,
                   span: Optional[Any]) -> bytes:
@@ -299,9 +304,10 @@ class InProcessTransport(Transport):
         # overhead that batching amortizes.
         self.clock.charge_cpu(self.cost.marshal_call
                               + self.cost.marshal_per_byte * len(payload))
-        reply_bytes = self.server.dispatch_encoded(
-            decode_request(payload), clock=self.clock,
-            shared_host=self.network.shared_host)
+        with entered(self.context):
+            reply_bytes = self.server.dispatch_encoded(
+                decode_request(payload), clock=self.clock,
+                shared_host=self.network.shared_host)
         # Java object serialization carries class descriptors and object
         # headers; the wire image is several times the raw payload.
         factor = self.cost.wire_overhead_factor
@@ -324,6 +330,10 @@ class InProcessTransport(Transport):
             self.clock.charge_cpu(self.cost.marshal_per_byte
                                   * len(reply_bytes))
         return reply_bytes
+
+    def close(self) -> None:
+        """Drop the connection's session state."""
+        self.context = ConnectionContext()
 
 
 class TcpTransport(Transport):

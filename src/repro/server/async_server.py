@@ -24,10 +24,10 @@ end:
   error frame, not an unexplained reset;
 * an optional shared **bearer token** is enforced before any frame can
   reach dispatch, and optional **TLS** wraps the whole exchange;
-* every connection owns an :class:`~repro.core.ids.IdScope` entered
-  around each of its dispatches, so a tenant draws the ids of a fresh
-  process -- which is what makes a farmed fault report byte-identical
-  to a serial run.
+* every connection owns a :class:`~repro.core.ids.ConnectionContext`
+  entered around each of its dispatches, so a tenant draws the ids of
+  a fresh process -- which makes a farmed fault report byte-identical
+  to a serial run -- and its servant state dies with it.
 
 The server runs its event loop on a dedicated thread behind a
 synchronous ``start()`` / ``stop()`` facade for the CLI, tests and
@@ -48,14 +48,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
 from ..core.errors import RemoteError
-from ..core.ids import IdScope, id_scope
+from ..core.ids import ConnectionContext, IdScope, entered
 from ..rmi.protocol import (AuthRequest, BatchReply, BatchRequest,
                             CallReply, decode_request, encode_frame,
                             frame_length)
 from ..rmi.server import JavaCADServer
 from ..telemetry.runtime import TELEMETRY
-from .dispatch import (ProcessDispatcher, SessionFactory,
-                       call_session_factory)
+from .dispatch import ProcessDispatcher, SessionFactory
 
 DEFAULT_MAX_CONNECTIONS = 64
 DEFAULT_DISPATCH_WORKERS = 4
@@ -139,10 +138,10 @@ class _Connection:
                  session_id: int):
         self.reader = reader
         self.writer = writer
-        # Process tier: the session and its scope live in the sticky
-        # worker, so ``session`` is None and ``scope`` stays unused.
+        # Process tier: both live in the sticky worker (``session`` is
+        # None, ``context`` unused).
         self.session = session
-        self.scope = IdScope()
+        self.context = ConnectionContext(IdScope())
         self.session_id = session_id
         # A frame has been read and its reply is not yet flushed.
         self.busy = False
@@ -159,9 +158,11 @@ class AsyncRMIServer:
     """Asyncio front end multiplexing tenants onto a dispatch core.
 
     Exactly one of ``server`` (a shared :class:`JavaCADServer` every
-    connection dispatches against) or ``session_factory`` (a callable
-    returning a *fresh* ``JavaCADServer`` per connection, for servants
-    that keep per-tenant state such as the fault farm) must be given.
+    connection dispatches against) or ``session_factory`` (a
+    zero-argument callable returning a ``JavaCADServer`` per
+    connection) must be given.  Either way each connection has its own
+    :class:`~repro.core.ids.ConnectionContext`, where servants keep
+    their per-tenant state.
 
     ``dispatch`` selects how servant work leaves the event loop (see
     :data:`DISPATCH_TIERS`): ``thread`` (default) is the shared pool
@@ -169,9 +170,9 @@ class AsyncRMIServer:
     session stickily to one of ``dispatch_workers`` forked worker
     processes (the session factory crosses by fork inheritance, so it
     need not be picklable).  On both, a connection's frames dispatch
-    one at a time in arrival order inside that connection's own
-    :class:`~repro.core.ids.IdScope`, which preserves per-tenant
-    byte-identity with a fresh-process serial run.
+    one at a time in arrival order inside that connection's context,
+    which preserves per-tenant byte-identity with a fresh-process
+    serial run.
     """
 
     def __init__(self, server: Optional[JavaCADServer] = None, *,
@@ -198,6 +199,16 @@ class AsyncRMIServer:
             raise ValueError(
                 f"idle_timeout must be positive (or None for never), "
                 f"got {idle_timeout}")
+        if handshake_timeout <= 0:
+            # Same expiry: even a correct token would be refused.
+            raise ValueError(f"handshake_timeout must be positive, "
+                             f"got {handshake_timeout}")
+        if drain_timeout < 0:
+            raise ValueError(f"drain_timeout must be >= 0, "
+                             f"got {drain_timeout}")
+        if dispatch_workers < 1:
+            raise ValueError(f"dispatch_workers must be >= 1, "
+                             f"got {dispatch_workers}")
         if dispatch not in DISPATCH_TIERS:
             raise ValueError(
                 f"unknown dispatch tier {dispatch!r}; expected one of "
@@ -300,9 +311,8 @@ class AsyncRMIServer:
                 factory = self._session_factory
                 if factory is None:
                     # Shared-core mode: workers dispatch against their
-                    # fork-inherited copy of the shared server (its
-                    # servants must be per-call pure, the documented
-                    # contract for sharing them at all).
+                    # fork-inherited copy of the shared server; each
+                    # session's servant state lives in its context.
                     shared = self._shared_server
                     factory = lambda: shared  # noqa: E731
                 self._dispatcher = ProcessDispatcher(
@@ -391,15 +401,13 @@ class AsyncRMIServer:
             # Session state is built only for authenticated tenants, so
             # a wrong token can never reach a session or the dispatch
             # core.
-            session_id = next(self._session_ids)
             session: Optional[JavaCADServer] = None
             if self._dispatcher is None:
                 session = (self._shared_server
                            if self._shared_server is not None
-                           else call_session_factory(
-                               self._session_factory,  # type: ignore[arg-type]
-                               session_id))
-            conn = _Connection(reader, writer, session, session_id)
+                           else self._session_factory())  # type: ignore[misc]
+            conn = _Connection(reader, writer, session,
+                               next(self._session_ids))
             conn.task = asyncio.current_task()
             self._connections.add(conn)
             self._bump("server.sessions", "sessions_started")
@@ -582,15 +590,16 @@ class AsyncRMIServer:
 
     @staticmethod
     def _execute(conn: _Connection, request: Any) -> bytes:
-        """Thread tier: dispatch on a pool thread, in the tenant's scope."""
+        """Thread tier: dispatch on a pool thread, in the tenant's
+        connection context."""
         assert conn.session is not None
-        with id_scope(conn.scope):
+        with entered(conn.context):
             return conn.session.dispatch_encoded(request)
 
     def _worker_died(self, conn: _Connection, request: Any) -> bytes:
         """Account a dead sticky worker; the session's last reply.
 
-        The session's servants and id scope died with the worker.
+        The session's servants and context died with the worker.
         Re-creating them on a fresh worker would rewind the tenant's
         ids -- silently different bytes -- so the session ends with a
         named error instead, and only *new* sessions use the slot's

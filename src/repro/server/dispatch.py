@@ -1,4 +1,4 @@
-"""Process-tier dispatch: per-session servant work in forked workers.
+"""Process-tier dispatch: each session's servant work in forked workers.
 
 The ``thread`` tier shares the GIL, so CPU-bound servant work -- a
 fault-farm shard, an event-driven campaign -- scales past one core
@@ -7,12 +7,12 @@ tenant's frames to a small farm of **forked worker processes** with
 *sticky* session-to-worker routing: a session's slot is
 ``(session_id - 1) % workers``, so every frame of one session lands on
 the same worker and the worker-resident
-:class:`~repro.core.ids.IdScope` plus servant graph carry that
-session's id sequences and farm-campaign state forward exactly as a
+:class:`~repro.core.ids.ConnectionContext` plus servant graph carry
+that session's id sequences and servant state forward exactly as a
 dedicated fresh process would.  That stickiness is the whole
 byte-identity story: ids continue across a session's calls, and a
 campaign's ``begin_campaign``/``add_patterns``/``run_shard`` calls never
-straddle two servant instances.
+straddle two worker processes.
 
 Forking is load-bearing twice.  First, the parent registers the
 session factory in a module-level registry *before* any worker forks,
@@ -21,47 +21,23 @@ memory -- the same trick :mod:`repro.parallel` uses for scenario
 workers.  Second, every worker runs
 :func:`repro.parallel.scenarios.reset_session_state` once at fork, so
 ids and caches inherited from a busy parent never bleed into tenant
-sessions.  Each worker then enters a session's scope around its
-dispatches, just as the ``thread`` tier does.
+sessions.  Each worker then enters a session's context around its
+dispatches, just as the ``thread`` tier does, and drops it when the
+connection closes.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Callable, Dict, List, Tuple
 
-from ..core.ids import IdScope, id_scope
+from ..core.ids import ConnectionContext, IdScope, entered
 from ..rmi.protocol import decode_request
 from ..rmi.server import JavaCADServer
 
-# Factories may optionally accept a session_id keyword (see
-# call_session_factory), so the signature is deliberately loose.
-SessionFactory = Callable[..., JavaCADServer]
-
-
-def call_session_factory(factory: SessionFactory,
-                         session_id: int) -> JavaCADServer:
-    """Invoke a session factory, passing ``session_id`` if it takes one.
-
-    Session-scoped resources -- above all the session's *name*, which
-    is marshalled into farm task ids and error strings -- must derive
-    from the tenant's own session id, not from factory-level counters
-    shared across tenants (and duplicated across forked workers).
-    Factories opt in by accepting a ``session_id`` parameter; plain
-    zero-argument factories keep working unchanged.
-    """
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins, odd callables
-        return factory()
-    for parameter in signature.parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD \
-                or parameter.name == "session_id":
-            return factory(session_id=session_id)
-    return factory()
+SessionFactory = Callable[[], JavaCADServer]
 
 
 # Dispatcher ids key the parent-side factory registry; they never
@@ -77,7 +53,7 @@ _FACTORIES: Dict[int, SessionFactory] = {}
 
 # Worker-side state: each forked worker mutates only its own copy.
 _worker_sessions: Dict[Tuple[int, int],
-                       Tuple[JavaCADServer, IdScope]] = {}
+                       Tuple[JavaCADServer, ConnectionContext]] = {}
 
 
 def _worker_init() -> None:
@@ -96,7 +72,7 @@ def _worker_ready() -> bool:
 
 
 def _worker_session(dispatcher_id: int, session_id: int
-                    ) -> Tuple[JavaCADServer, IdScope]:
+                    ) -> Tuple[JavaCADServer, ConnectionContext]:
     key = (dispatcher_id, session_id)
     entry = _worker_sessions.get(key)
     if entry is None:
@@ -105,10 +81,7 @@ def _worker_session(dispatcher_id: int, session_id: int
             raise RuntimeError(
                 f"worker has no session factory for dispatcher "
                 f"{dispatcher_id} (forked before registration?)")
-        # The tenant's own session id names the session, so a worker
-        # hosting several tenants (or a restarted worker) reproduces
-        # the names a dedicated fresh process would choose.
-        entry = (call_session_factory(factory, session_id), IdScope())
+        entry = (factory(), ConnectionContext(IdScope()))
         # Worker-local copy of the dict: a single-process pool runs
         # one dispatch at a time, so no second thread can be here.
         _worker_sessions[key] = entry
@@ -124,14 +97,14 @@ def _worker_dispatch(dispatcher_id: int, session_id: int,
     -- not live request objects -- as the only thing crossing the
     process boundary.
     """
-    session, scope = _worker_session(dispatcher_id, session_id)
+    session, context = _worker_session(dispatcher_id, session_id)
     request = decode_request(frame)
-    with id_scope(scope):
+    with entered(context):
         return session.dispatch_encoded(request)
 
 
 def _worker_forget(dispatcher_id: int, session_id: int) -> None:
-    """Release a closed connection's worker-resident session."""
+    """Release a closed connection's session and all its state."""
     # Same single-dispatch-at-a-time story as _worker_session.
     _worker_sessions.pop((dispatcher_id, session_id), None)
 

@@ -1,10 +1,11 @@
-"""IdScope: explicit, per-context id sequences."""
+"""IdScope and ConnectionContext: explicit, per-context ids and state."""
 
 import threading
 
 from repro.core.controller import SimulationController
 from repro.core.design import Circuit
-from repro.core.ids import KINDS, IdScope, id_scope, next_id
+from repro.core.ids import (KINDS, ConnectionContext, IdScope,
+                            current_connection, entered, id_scope, next_id)
 from repro.core.module import ModuleSkeleton
 from repro.parallel import reset_session_state
 
@@ -95,3 +96,55 @@ class TestThreads:
             outsider.join(timeout=5)
             assert next_id("negotiation") == 3
         assert drawn == {"inside": 2, "outside": 1}
+
+
+class TestConnectionContext:
+    def test_entering_serves_its_state_and_draws_from_its_scope(self):
+        context = ConnectionContext(IdScope())
+        owner = object()
+        with id_scope():
+            next_id("call")
+            with entered(context):
+                assert current_connection() is context
+                assert next_id("call") == 1
+                current_connection().sessions(owner)["s"] = "kept"
+            assert next_id("call") == 2  # the caller's scope again
+        assert current_connection() is not context
+        assert current_connection().sessions(owner) == {}
+        assert context.sessions(owner) == {"s": "kept"}
+
+    def test_a_scopeless_connection_keeps_the_callers_ids(self):
+        # In-process connections: no marshalled id may move.
+        with id_scope():
+            assert next_id("session") == 1
+            with entered(ConnectionContext()):
+                assert next_id("session") == 2
+            assert next_id("session") == 3
+
+    def test_owners_keep_separate_sessions(self):
+        context, first, second = ConnectionContext(), object(), object()
+        context.sessions(first)["s"] = 1
+        assert context.sessions(second) == {}
+        assert context.sessions(first) is context.sessions(first)
+
+    def test_concurrent_first_use_makes_one_dict(self):
+        context, owner = ConnectionContext(), object()
+        barrier = threading.Barrier(8)
+        made = []
+
+        def first_use():
+            barrier.wait(timeout=5)
+            made.append(context.sessions(owner))
+
+        threads = [threading.Thread(target=first_use) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert len(made) == 8 and all(found is made[0] for found in made)
+
+    def test_reset_session_state_drops_the_default_state(self):
+        owner = object()
+        current_connection().sessions(owner)["s"] = "kept"
+        reset_session_state()
+        assert current_connection().sessions(owner) == {}

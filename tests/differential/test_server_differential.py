@@ -18,7 +18,7 @@ import pytest
 from repro.core.signal import Logic
 from repro.faults.faultlist import build_fault_list
 from repro.faults.serial import SerialFaultSimulator
-from repro.parallel.remote import (register_fault_farm,
+from repro.parallel.remote import (RemoteWorkerPool, register_fault_farm,
                                    remote_fault_simulate, report_to_wire,
                                    resolve_bench)
 from repro.rmi import JavaCADServer, server_ssl_context
@@ -60,8 +60,10 @@ def serial_fingerprint(bench, pattern_set):
 
 
 def farmed_fingerprint(endpoint, bench, pattern_set, **client):
-    report = remote_fault_simulate(bench, pattern_set, [endpoint],
-                                   workers=3, **client)
+    """``client``: the pool's token / TLS options."""
+    report = remote_fault_simulate(
+        bench, pattern_set, [endpoint], workers=3,
+        pool=RemoteWorkerPool([endpoint], **client))
     return report_fingerprint(report)
 
 

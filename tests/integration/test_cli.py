@@ -288,7 +288,7 @@ class TestRemoteFarmCli:
 
     def test_plain_faultworker_runs_the_multi_tenant_front_end(self):
         """No flags: the readiness line, then two clients at once, each
-        on its own farm servant (one session per connection)."""
+        in its own session (one connection context per connection)."""
         src = os.path.join(os.path.dirname(__file__), os.pardir,
                            os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

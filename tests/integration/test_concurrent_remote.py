@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import (Circuit, PatternPrimaryInput, PrimaryOutput,
-                        SimulationController, WordConnector)
+                        RunConfig, SimulationController,
+                        SimulationCoordinator, WordConnector)
 from repro.estimation import AVERAGE_POWER, ByName, SetupController
 from repro.ip import IPProvider, MultFastLowPower, ProviderConnection
 from repro.net import LOCALHOST
@@ -84,3 +85,19 @@ class TestSessionIsolation:
             controller.start()
             powers = mult.collect_power(controller.context)
             assert len(powers) == 2  # not 4 on the second round
+
+    def test_coordinated_runs_over_one_connection_keep_their_powers(
+            self, provider):
+        """Concurrent schedulers share one connection (one connection
+        context) but each keeps its own provider session."""
+        reference_ctrl, reference_mult = make_run(provider, [1, 2, 3, 4])
+        reference_ctrl.start()
+        reference = reference_mult.collect_power(reference_ctrl.context)
+        controller, mult = make_run(provider, [1, 2, 3, 4])
+        coordinator = SimulationCoordinator(controller.circuit)
+        names = ["r1", "r2", "r3"]
+        coordinator.launch([RunConfig(name, setup=controller.setup)
+                            for name in names])
+        powers = [mult.collect_power(coordinator.controller(name).context)
+                  for name in names]
+        assert powers == [pytest.approx(reference)] * 3

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.core import IPProtectionError, RemoteError
+from repro.core.ids import current_connection
 from repro.faults import DetectionTable
 from repro.gates import array_multiplier, parity_tree
 from repro.ip import IPProvider, PowerServant
@@ -77,6 +78,10 @@ class Surface:
     def call_pattern(self, method, session, pattern):
         return self.call(method, session, *self.arguments(pattern))
 
+    def sessions(self):
+        """The servant's sessions on this surface's connection."""
+        return self.transport.context.sessions(self.servant)
+
 
 def operand_surface(enabled=True):
     return Surface(
@@ -148,11 +153,11 @@ class TestPowerSessionContract:
     def test_fetch_of_an_unknown_session_creates_no_state(self, surface):
         ip = surface()
         assert ip.call("fetch_results", "never-seen") == []
-        assert ip.servant._sessions == {}
+        assert ip.sessions() == {}
         ip.call("power_buffer", "seen", ip.patterns[:1])
         ip.call("reset", "seen")
         assert ip.call("fetch_results", "seen") == []
-        assert ip.servant._sessions == {}
+        assert ip.sessions() == {}
 
     def test_disabled_servant_returns_zero(self, surface):
         """The Figure 3 configuration: PPP call disabled."""
@@ -169,7 +174,7 @@ class TestPowerSessionContract:
             ip.call("power_buffer", "s", [ip.patterns[0], ip.malformed])
         # The buffer decodes whole before it runs: nothing was kept.
         assert ip.call("fetch_results", "s") == []
-        assert ip.servant._sessions == {}
+        assert ip.sessions() == {}
 
     def test_a_rejected_buffer_changes_nothing(self, surface):
         ip, reference = surface(), surface()
@@ -209,7 +214,7 @@ class TestWirePatternsAreChecked:
             servant.power_of_pair("s", *pair)
         with pytest.raises(RemoteError, match=re.escape(operand)):
             servant.power_buffer("s", [(1, 2), pair])
-        assert servant._sessions == {}
+        assert current_connection().sessions(servant) == {}
         assert servant.power_of_pair("s", 15, 15) > 0.0
 
     @pytest.mark.parametrize("bit", [5, -1, "1", None])
@@ -223,7 +228,7 @@ class TestWirePatternsAreChecked:
             servant.power_of_bits("s", bits)
         with pytest.raises(RemoteError, match=re.escape(expected)):
             servant.mark_bits("s", bits)
-        assert servant._sessions == {}
+        assert current_connection().sessions(servant) == {}
 
     def test_x_and_z_bits_are_accepted(self):
         servant = BitPowerServant(array_multiplier(2))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compiled import ENGINES, fault_simulator_for
 from repro.core.errors import ParallelExecutionError, RemoteError
+from repro.core.ids import current_connection
 from repro.core.signal import Logic
 from repro.faults.faultlist import build_fault_list
 from repro.faults.serial import FaultSimReport, SerialFaultSimulator
@@ -252,19 +253,24 @@ class TestFailureHandling:
 # ----------------------------------------------------------------------
 
 def _counted(name):
-    def method(self, *args, **kwargs):
+    def method(self, campaign_id, *args, **kwargs):
         self.calls[name] += 1
-        return getattr(FaultFarmServant, name)(self, *args, **kwargs)
+        self.seen.append((current_connection(), campaign_id))
+        return getattr(FaultFarmServant, name)(self, campaign_id, *args,
+                                               **kwargs)
     method.__name__ = name
     return method
 
 
 class _CountingServant(FaultFarmServant):
-    """Counts the calls it serves and the benches it resolves."""
+    """Counts the calls it serves and the benches it resolves, and
+    remembers each (connection context, campaign id) it was called
+    with."""
 
     def __init__(self, _server=None):
         super().__init__(resolver=self._resolve)
         self.calls = collections.Counter()
+        self.seen = []
 
     def _resolve(self, spec):
         self.calls["resolve"] += 1
@@ -274,6 +280,12 @@ class _CountingServant(FaultFarmServant):
 for _name in ("begin_campaign", "add_patterns", "run_shard",
               "end_campaign"):
     setattr(_CountingServant, _name, _counted(_name))
+
+
+def campaigns_held(servant):
+    """Campaigns a counting servant still keeps, on any connection."""
+    return [campaign for context, campaign in servant.seen
+            if campaign in context.sessions(servant)]
 
 
 class _FailOnceServant(_CountingServant):
@@ -336,17 +348,18 @@ class _ScriptedPool(RemoteWorkerPool):
 
 @contextlib.contextmanager
 def session_farm(count, servant_cls=None):
-    """``count`` servers with a servant per connection, as ``faultworker``
-    serves; yields (endpoints, servers, servants) where ``servants[i]``
-    lists endpoint i's servants in connection order."""
+    """``count`` servers with a servant per connection
+    (``session_factory=`` mode); yields (endpoints, servers, servants)
+    where ``servants[i]`` lists endpoint i's servants in connection
+    order."""
     servers, endpoints, servants = [], [], []
     try:
         for _ in range(count):
             made = []
             inner = fault_farm_session_factory()
 
-            def factory(session_id=None, inner=inner, made=made):
-                session = inner(session_id=session_id)
+            def factory(inner=inner, made=made):
+                session = inner()
                 if servant_cls is not None:
                     session.rebind(FAULT_FARM_OBJECT, servant_cls(),
                                    FaultFarmServant.REMOTE_METHODS)
@@ -436,7 +449,7 @@ class TestReannounce:
                 if index == 0][:2] == [False, False]
         assert servants[0].calls["begin_campaign"] == 2
         assert servants[0].calls["add_patterns"] == 2 * 2
-        assert all(servant._campaigns == {} for servant in servants)
+        assert not any(campaigns_held(servant) for servant in servants)
 
     def test_a_reconnected_endpoint_announces_to_its_new_servant(self):
         netlist, fault_list, patterns = campaign_on("mult8", 40)
@@ -462,7 +475,7 @@ class TestReannounce:
         assert second.calls["begin_campaign"] == 1
         assert second.calls["run_shard"] >= 2  # the orphan, then real ones
         assert second.shards_served >= 1
-        assert second._campaigns == {}
+        assert campaigns_held(second) == []
 
 
 class TestCampaignStateEnds:
@@ -475,14 +488,15 @@ class TestCampaignStateEnds:
         """Two endpoints; yields (endpoints, servants per endpoint,
         a callable that kills endpoint 0)."""
         if kind == "session":
-            with session_farm(2) as (endpoints, servers, servants):
+            with session_farm(2, _CountingServant) as (endpoints, servers,
+                                                       servants):
                 yield endpoints, servants, servers[0].stop
         else:
             servers = []
 
             def shared(server):
                 servers.append(server)
-                return FaultFarmServant()
+                return _CountingServant()
 
             with fault_farm(2, servant_factory=shared) as (endpoints,
                                                            servants):
@@ -491,7 +505,7 @@ class TestCampaignStateEnds:
 
     @staticmethod
     def held(servants):
-        return [servant._campaigns for made in servants
+        return [campaigns_held(servant) for made in servants
                 for servant in made]
 
     @pytest.mark.parametrize("kind", ["shared", "session"])
@@ -501,7 +515,7 @@ class TestCampaignStateEnds:
             remote_fault_simulate("figure4", patterns, endpoints,
                                   pool=_ScriptedPool(endpoints))
             held = self.held(servants)
-        assert held == [{}, {}]
+        assert held == [[], []]
 
     @pytest.mark.parametrize("kind", ["shared", "session"])
     def test_after_a_poison_shard(self, kind):
@@ -514,7 +528,7 @@ class TestCampaignStateEnds:
                     [fault_list.names()[:2], ("no-such-fault sa0",),
                      fault_list.names()[2:4]])
             held = self.held(servants)
-        assert held == [{}, {}]
+        assert held == [[], []]
 
     @pytest.mark.parametrize("kind", ["shared", "session"])
     def test_after_a_dead_endpoint_retry(self, kind):
@@ -533,7 +547,7 @@ class TestCampaignStateEnds:
         assert diff_reports(remote, serial) == []
         assert [servant.shards_served > 0 for servant in survivors] == \
             [True]
-        assert self.held([survivors]) == [{}]
+        assert self.held([survivors]) == [[]]
 
 
 class TestErrorsSurfaceOnTheBlockingCall:
@@ -553,7 +567,8 @@ class TestErrorsSurfaceOnTheBlockingCall:
     ])
     def test_a_raw_stub_gets_the_real_cause(self, announcement, fault,
                                             cause):
-        with fault_farm(1) as (endpoints, servants):
+        with fault_farm(1, servant_factory=_CountingServant) as (
+                endpoints, servants):
             host, port = parse_endpoint(endpoints[0])
             transport = wrap_transport(TcpTransport(host, port),
                                        batching=True, caching=False)
@@ -569,4 +584,4 @@ class TestErrorsSurfaceOnTheBlockingCall:
                 stub.invoke_oneway("end_campaign", "raw")
             finally:
                 transport.close()
-            assert servants[0]._campaigns == {}
+            assert campaigns_held(servants[0]) == []

@@ -243,9 +243,10 @@ class TestSecureFarm:
             auth_token="tok")
         host, port = secure.start()
         try:
+            endpoints = [f"{host}:{port}"]
             secured = remote_fault_simulate(
-                "c17", patterns, [f"{host}:{port}"], token="tok",
-                tls_ca=cert)
+                "c17", patterns, endpoints,
+                pool=RemoteWorkerPool(endpoints, token="tok", tls_ca=cert))
         finally:
             secure.stop()
         plain_server = AsyncRMIServer(

@@ -90,6 +90,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="idle_timeout"):
             AsyncRMIServer(JavaCADServer("x"), idle_timeout=seconds)
 
+    @pytest.mark.parametrize("option, value", [
+        ("handshake_timeout", 0), ("handshake_timeout", -1),
+        ("drain_timeout", -0.5),
+        ("dispatch_workers", 0), ("dispatch_workers", -2),
+    ])
+    def test_rejects_what_would_break_it_later(self, option, value):
+        # handshake_timeout=0 refused even the correct token;
+        # dispatch_workers=0 failed only inside start().
+        with pytest.raises(ValueError, match=option):
+            AsyncRMIServer(JavaCADServer("x"), **{option: value})
+
+    def test_a_zero_drain_timeout_is_allowed(self):
+        server = AsyncRMIServer(JavaCADServer("x"), drain_timeout=0)
+        server.start()
+        server.stop()
+        assert server.stats.drained
+
     def test_double_start_refused(self):
         with running() as (server, _host, _port):
             with pytest.raises(RemoteError):

@@ -1,16 +1,10 @@
-"""Per-session fault-farm naming: no cross-tenant counter sharing.
+"""Farm sessions of one worker process share one fault-list build.
 
-The original ``fault_farm_session_factory`` closed over one
-``itertools.count`` shared by every tenant, so a session's name -- and
-therefore the farm error strings marshalled back to clients -- depended
-on how many *other* tenants the factory had already served.  The
-factory now derives the name from the tenant's own connection session
-id, threaded in by :func:`repro.server.dispatch.call_session_factory`;
-the closure counter survives only as a fallback for direct zero-arg
-callers.  These tests pin both behaviours.
+Every connection keeps its own campaigns (in its connection context),
+but the netlist and fault list a campaign resolves come from the
+process-wide build memo, once per (bench content, collapse).
 """
 
-import contextlib
 import random
 import threading
 
@@ -24,111 +18,16 @@ from repro.parallel import (diff_reports, merge_reports,
                             reset_session_state, shard_fault_list)
 from repro.parallel.remote import (RemoteCampaign, RemoteWorkerPool,
                                    resolve_bench)
-from repro.rmi import JavaCADServer, TcpTransport
-from repro.server import (DISPATCH_TIERS, AsyncRMIServer,
-                          call_session_factory)
+from repro.server import DISPATCH_TIERS, AsyncRMIServer
 from repro.server.farm import fault_farm_session_factory
 from repro.telemetry import TELEMETRY
-
-
-class WhoAmI:
-    def __init__(self, session: JavaCADServer):
-        self._session = session
-
-    def name(self):
-        return self._session.host_name
-
-
-def probed_farm_factory(**kwargs):
-    """The real farm factory, plus a servant exposing the session name."""
-    inner = fault_farm_session_factory(**kwargs)
-
-    def factory(session_id=None):
-        session = inner(session_id=session_id)
-        session.bind("whoami", WhoAmI(session), ["name"])
-        return session
-
-    return factory
-
-
-@contextlib.contextmanager
-def running_farm():
-    server = AsyncRMIServer(session_factory=probed_farm_factory())
-    host, port = server.start()
-    try:
-        yield host, port
-    finally:
-        server.stop()
-
-
-class TestPerTenantNaming:
-    def test_two_tenants_get_their_own_connection_ids(self):
-        with running_farm() as (host, port):
-            first = TcpTransport(host, port)
-            second = TcpTransport(host, port)
-            try:
-                name_a = first.invoke("whoami", "name", (), {})
-                name_b = second.invoke("whoami", "name", (), {})
-            finally:
-                first.close()
-                second.close()
-        assert name_a == "faultfarm.session.1"
-        assert name_b == "faultfarm.session.2"
-
-    def test_reconnecting_tenant_advances_not_repeats(self):
-        # A third connection must get id 3 even after the first two
-        # closed: ids order connections, they are not a free-list.
-        with running_farm() as (host, port):
-            for expected in ("faultfarm.session.1",
-                             "faultfarm.session.2",
-                             "faultfarm.session.3"):
-                transport = TcpTransport(host, port)
-                try:
-                    assert transport.invoke(
-                        "whoami", "name", (), {}) == expected
-                finally:
-                    transport.close()
-
-
-class TestFactoryFallback:
-    def test_zero_arg_callers_still_count_locally(self):
-        factory = fault_farm_session_factory()
-        names = [factory().host_name for _ in range(3)]
-        assert names == ["faultfarm.session.1", "faultfarm.session.2",
-                         "faultfarm.session.3"]
-
-    def test_explicit_session_id_wins(self):
-        factory = fault_farm_session_factory()
-        assert factory(session_id=7).host_name == "faultfarm.session.7"
-
-    def test_call_session_factory_threads_the_id(self):
-        factory = fault_farm_session_factory()
-        session = call_session_factory(factory, 7)
-        assert session.host_name == "faultfarm.session.7"
-
-    def test_call_session_factory_tolerates_zero_arg_factories(self):
-        def legacy():
-            return JavaCADServer("legacy.session")
-
-        assert call_session_factory(legacy, 9).host_name == \
-            "legacy.session"
-
-    def test_shared_bindings_are_rebound(self):
-        shared = JavaCADServer("farm.shared")
-        shared.bind("whoami", WhoAmI(shared), ["name"])
-        factory = fault_farm_session_factory(shared=shared)
-        session = factory(session_id=2)
-        binding = session.registry.lookup("whoami")
-        assert binding.servant._session is shared
-        assert session.host_name == "faultfarm.session.2"
 
 
 class TestSharedBuild:
     """Sessions of one worker share one fault-list build per bench.
 
-    Every connection gets its own servant (see the module docstring),
-    and each servant used to keep its own ``(bench, collapse)`` memo --
-    so each new session rebuilt the netlist's fault list, which for a
+    Each servant used to keep its own ``(bench, collapse)`` memo -- so
+    each new session rebuilt the netlist's fault list, which for a
     campaign-per-connection client was most of the campaign.
     """
 
