@@ -98,6 +98,11 @@ RULES = (
          ("src/repro/ip", "src/repro/server", "src/repro/parallel"), None,
          "a servant or the server keys tenant state outside the "
          "connection context again"),
+    # Blocks sized to the live faults: no fixed-width campaign loop.
+    Rule(re.escape("range(0, len(patterns), WORD_BITS)"),
+         ("src/repro/compiled",), None,
+         "the compiled campaign steps fixed 64-pattern blocks again "
+         "(a block is SUPERWORD_BITS // live patterns)"),
 )
 
 

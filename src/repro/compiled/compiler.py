@@ -144,7 +144,7 @@ def _gate_lines(cell_name: str, out_v: str, out_c: str,
 def _force(site: int, v: str, c: str) -> str:
     """The injection hook of one site: override the (value, care) pair
     ``v``, ``c`` where the site's mask is set, and skip the hook where
-    no fault is active (all but a few hundred sites in any one run)."""
+    no fault is active (all but the live faults' sites in any one run)."""
     return f"if m := fm[{site}]: {v} = {v} & ~m | fv & m; {c} |= m"
 
 

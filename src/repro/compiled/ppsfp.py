@@ -4,9 +4,9 @@
 :class:`~repro.gates.simulator.NetlistSimulator` (single pattern, all
 net values, optional fault) and :class:`CompiledFaultSimulator` mirrors
 :class:`~repro.faults.serial.SerialFaultSimulator` (whole campaigns
-with fault dropping), but both run 64 packed patterns per word
-operation, and a faulty run carries a few hundred faults side by side
-in one wide word (:data:`SUPERWORD_BITS`).  The fault simulator
+with fault dropping), but both run a block of packed patterns per word
+operation, and a faulty run carries the block's live faults side by
+side in one wide word (:data:`SUPERWORD_BITS`).  The fault simulator
 reproduces the serial report *byte-identically*: same ``detected`` map
 (values and insertion order), same ``per_pattern`` sets, same coverage
 history.
@@ -16,28 +16,39 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from ..core.errors import SimulationError
 from ..core.signal import Logic
 from ..faults.faultlist import FaultList, build_fault_list
 from ..faults.serial import FaultSimReport
 from ..gates.netlist import Netlist
+from ..gates.simulator import input_value
 from ..telemetry.runtime import TELEMETRY
 from .compiler import CompiledKernel, compile_netlist
 
 WORD_BITS = 64
-"""Patterns packed per block: the classic PPSFP block size, and the
-granularity of fault dropping."""
+"""The classic PPSFP block size, and the narrowest block a campaign runs
+without fault dropping: every fault then stays live to the end, so a
+narrower block would only add kernel runs.  The benchmark harness's
+fault-free kernel metric packs one block of this width."""
 
 SUPERWORD_BITS = 16384
 """Bits per word of a hooked kernel run: a block of ``w`` patterns is
 copied into ``SUPERWORD_BITS // w`` lanes, one live fault each, because
 CPython pays the same ~25 ns of interpreter overhead per word operation
-whatever the word's width.  A constant, not a tunable: campaign time
-measured flat from 8 k to 32 k bits, and one run holds ``2 * nets *
-SUPERWORD_BITS / 8`` bytes of live words (~6 MB on ``mult16``)."""
+whatever the word's width.  A campaign sizes its blocks so that the
+live faults fill one such run.  A constant, not a tunable: campaign
+time measured flat from 8 k to 32 k bits, and one run holds ``2 * nets
+* SUPERWORD_BITS / 8`` bytes of live words (~6 MB on ``mult16``)."""
+
+# A pattern's Logic codes as the digits of its value and care words:
+# ONE is value 1, ONE and ZERO are cared for, X and Z are not.
+_VALUE_DIGITS = bytes(b"01"[code == Logic.ONE] for code in range(256))
+_CARE_DIGITS = bytes(b"01"[code in (Logic.ZERO, Logic.ONE)]
+                     for code in range(256))
 
 
 def pack_patterns(inputs: Sequence[str],
@@ -46,28 +57,32 @@ def pack_patterns(inputs: Sequence[str],
     """Pack one block of patterns into (value, care) words per input.
 
     Bit ``i`` of each word is pattern ``patterns[i]``.  ``Z`` packs
-    like ``X`` (the kernel sees driven values only).  Raises the same
-    error as the interpreted simulator on a missing primary input.
+    like ``X`` (the kernel sees driven values only).  A missing or
+    non-``Logic`` primary-input value raises the interpreted
+    simulator's error for the first such input in ``inputs`` order.
+
+    One columnar pass: the block's codes, last pattern first, become
+    one ``bytes``; each input's column is an extended slice of it,
+    translated to binary digits and read by one ``int(..., 2)``.
     """
-    iv: List[int] = []
-    ic: List[int] = []
-    for net in inputs:
-        v = 0
-        c = 0
-        for bit, pattern in enumerate(patterns):
-            try:
-                value = pattern[net]
-            except KeyError:
-                raise SimulationError(
-                    f"missing value for primary input {net!r}") from None
-            if value is Logic.ONE:
-                v |= 1 << bit
-                c |= 1 << bit
-            elif value is Logic.ZERO:
-                c |= 1 << bit
-        iv.append(v)
-        ic.append(c)
-    return iv, ic
+    count = len(inputs)
+    if not count or not patterns:
+        return [0] * count, [0] * count
+    row = itemgetter(*inputs)
+    try:
+        rows = map(row, reversed(patterns))
+        values = list(rows if count == 1 else chain.from_iterable(rows))
+    except KeyError:
+        values = None
+    if values is None or set(map(type, values)) != {Logic}:
+        for net in inputs:
+            for pattern in patterns:
+                input_value(pattern, net)
+    codes = bytes(values)
+    value = codes.translate(_VALUE_DIGITS)
+    care = codes.translate(_CARE_DIGITS)
+    return ([int(value[k::count], 2) for k in range(count)],
+            [int(care[k::count], 2) for k in range(count)])
 
 
 def _unpack_bit(v: int, c: int, bit: int) -> Logic:
@@ -152,11 +167,7 @@ class CompiledSimulator:
         kernel = self.kernel
         echo: Dict[str, Logic] = {}
         for net in kernel.inputs:
-            try:
-                value = input_values[net]
-            except KeyError:
-                raise SimulationError(
-                    f"missing value for primary input {net!r}") from None
+            value = input_value(input_values, net)
             if fault is not None and fault.is_stem and fault.net == net:
                 value = fault.value
             echo[net] = value
@@ -225,12 +236,14 @@ class CompiledSimulator:
 class CompiledFaultSimulator:
     """PPSFP stuck-at fault simulation matching the serial oracle.
 
-    Each 64-pattern block runs the fault-free kernel once, then the
-    hooked kernel once per ``SUPERWORD_BITS // 64`` still-active faults
+    Each block of patterns runs the fault-free kernel once, then the
+    hooked kernel over the still-active faults, one lane each
     (:func:`_fault_lanes`); a fault's lane of the detection word
     ``(vg ^ vf) | (cg ^ cf)`` over the primary outputs marks every
-    detecting pattern of the block at once.  With ``drop_detected`` a
-    detected fault leaves the active list for all later blocks.
+    detecting pattern of the block at once.  A block is as wide as one
+    hooked run's lanes allow for the live faults, so with
+    ``drop_detected`` the faults a few patterns detect leave the active
+    list after one short block rather than after a fixed-width one.
     """
 
     def __init__(self, netlist: Netlist,
@@ -250,7 +263,6 @@ class CompiledFaultSimulator:
         ``block[i]`` detects it) and the kernel runs that took."""
         kernel = self.kernel
         width = len(block)
-        mask = (1 << width) - 1
         iv, ic = pack_patterns(kernel.inputs, block)
         good = kernel.run_good(iv, ic)
         detections: List[int] = []
@@ -263,9 +275,11 @@ class CompiledFaultSimulator:
             for pos in self._out_pos:
                 diff |= (good[pos] * rep ^ faulty[pos]) \
                     | (good[pos + 1] * rep ^ faulty[pos + 1])
-            for _ in range(count):
-                detections.append(diff & mask)
-                diff >>= width
+            # Lane k is bits [k * width, (k + 1) * width): in the
+            # binary text, the k-th slice counting from the right.
+            digits = format(diff, f"0{count * width}b")
+            detections += [int(digits[end - width:end], 2)
+                           for end in range(len(digits), 0, -width)]
         return detections, runs
 
     def run(self, patterns: Sequence[Mapping[str, Logic]],
@@ -276,20 +290,29 @@ class CompiledFaultSimulator:
         :meth:`repro.faults.serial.SerialFaultSimulator.run` on the
         same netlist, fault list and patterns -- including the
         insertion order of ``detected`` and the exact per-pattern sets.
+
+        A block holds ``SUPERWORD_BITS // live`` patterns, so that its
+        live faults fill one hooked run, capped at the patterns left.
+        The floor is one pattern with ``drop_detected`` and
+        :data:`WORD_BITS` without it (no fault ever leaves, so a
+        narrower block only adds runs).  Lanes x width stays within
+        ``SUPERWORD_BITS`` either way.
         """
         remaining: List[str] = list(self.fault_list.names())
         report = FaultSimReport(total_faults=len(remaining))
         patterns = list(patterns)
         report.per_pattern = [set() for _ in patterns]
+        floor = 1 if drop_detected else WORD_BITS
         begin = time.perf_counter()
-        evals = blocks = kernel_runs = 0
-        for start in range(0, len(patterns), WORD_BITS):
-            block = patterns[start:start + WORD_BITS]
+        evals = blocks = kernel_runs = start = 0
+        while remaining and start < len(patterns):
+            width = min(max(SUPERWORD_BITS // len(remaining), floor),
+                        len(patterns) - start)
+            block = patterns[start:start + width]
             detections, runs = self._detection_words(block, remaining)
             blocks += 1
             kernel_runs += runs
-            evals += self.kernel.gate_count * len(block) \
-                * (1 + len(remaining))
+            evals += self.kernel.gate_count * width * (1 + len(remaining))
             # (first detecting index, name, index to report) per fault
             # this block detects for the first time.
             hits: List[Tuple[int, str, int]] = []
@@ -320,6 +343,10 @@ class CompiledFaultSimulator:
             for _, name, index in sorted(hits, key=lambda hit: hit[0]):
                 report.detected[name] = index
             remaining = still
+            start += width
+        # Nothing is live past ``start``, but the serial oracle still
+        # reads those patterns: raise its error on a bad one too.
+        pack_patterns(self.kernel.inputs, patterns[start:])
         _record_work(evals, kernel_runs)
         if TELEMETRY.enabled:
             elapsed = time.perf_counter() - begin

@@ -15,6 +15,20 @@ from ..core.signal import Logic
 from .netlist import Gate, Netlist
 
 
+def input_value(input_values: Mapping[str, Logic], net: str) -> Logic:
+    """``input_values[net]``, or the error every engine raises when a
+    primary input is missing or not a :class:`Logic` value."""
+    try:
+        value = input_values[net]
+    except KeyError:
+        raise SimulationError(
+            f"missing value for primary input {net!r}") from None
+    if type(value) is not Logic:
+        raise SimulationError(
+            f"primary input {net!r} is {value!r}, not a Logic value")
+    return value
+
+
 class NetlistSimulator:
     """Levelized (full-evaluation) simulator for a combinational netlist."""
 
@@ -40,11 +54,7 @@ class NetlistSimulator:
                 branch_gate = fault.gate_name
         values: Dict[str, Logic] = {}
         for net in self.netlist.inputs:
-            try:
-                value = input_values[net]
-            except KeyError:
-                raise SimulationError(
-                    f"missing value for primary input {net!r}") from None
+            value = input_value(input_values, net)
             values[net] = fault.value if net == stem else value
         for gate in self._order:
             pins = [values[source] for source in gate.inputs]

@@ -1,0 +1,145 @@
+"""Blocks sized to the live faults, held to the serial oracle.
+
+``CompiledFaultSimulator.run`` makes each block ``SUPERWORD_BITS //
+live`` patterns wide -- at least one pattern with fault dropping and
+``WORD_BITS`` without, at most the patterns left -- so a campaign runs
+blocks from a single pattern to several hundred, and one hooked run can
+carry anything from one fault to the whole superword.  The differential
+below draws those shapes (1 to 666 live faults, 0 to 300 patterns over
+{0, 1, X, Z}, both drop modes, the real superword and smaller ones) and
+compares the report with :class:`SerialFaultSimulator`'s.
+
+The packer is checked against the per-bit loop it replaced, kept here
+as the reference, including which input a missing-value error names.
+"""
+
+import functools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.compiled import (SUPERWORD_BITS, WORD_BITS,
+                            CompiledFaultSimulator, pack_patterns, ppsfp)
+from repro.core.errors import SimulationError
+from repro.core.signal import Logic
+from repro.faults.faultlist import build_fault_list
+from repro.faults.serial import SerialFaultSimulator, run_campaign
+from repro.gates.generators import random_netlist
+
+FOUR_VALUES = (Logic.ZERO, Logic.ONE, Logic.X, Logic.Z)
+
+NETLIST = random_netlist(8, 120, 8, seed=5)
+FAULTS = build_fault_list(NETLIST, collapse="none")
+
+POOL_SIZE = 16
+"""Distinct patterns a drawn campaign is made of."""
+
+
+@functools.lru_cache(maxsize=None)
+def serial_pool():
+    """The pattern pool and, per pool pattern, the faults the serial
+    oracle says it detects.
+
+    Whether a pattern detects a fault does not depend on which other
+    faults are simulated beside it, so replaying these answers through
+    :func:`run_campaign` -- the loop ``SerialFaultSimulator.run`` runs
+    -- gives the serial report of any fault subset and any sequence of
+    pool patterns without re-simulating each one.  The pool runs from
+    all-binary patterns to mostly X/Z ones.
+    """
+    rng = random.Random(29)
+    pool = [{net: (rng.choice(FOUR_VALUES) if rng.random() < k / POOL_SIZE
+                   else Logic(rng.getrandbits(1)))
+             for net in NETLIST.inputs}
+            for k in range(POOL_SIZE)]
+    serial = SerialFaultSimulator(NETLIST, FAULTS)
+    return pool, [frozenset(serial.detecting(pattern, FAULTS.names()))
+                  for pattern in pool]
+
+
+def test_netlist_has_hundreds_of_faults():
+    assert len(FAULTS) == 666
+    assert SUPERWORD_BITS // len(FAULTS) < WORD_BITS
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), drop=st.booleans(),
+       superword=st.sampled_from([SUPERWORD_BITS, 1000, 128, WORD_BITS]))
+def test_report_matches_serial(data, drop, superword):
+    pool, detects = serial_pool()
+    live = data.draw(st.integers(1, len(FAULTS)), label="live")
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    fault_list = FAULTS.subset(
+        random.Random(seed).sample(FAULTS.names(), live))
+    # An explicit length: a bare ``st.lists`` seldom draws the long
+    # campaigns that get blocks of more than 64 patterns.
+    length = data.draw(st.integers(0, 300), label="length")
+    sequence = data.draw(st.lists(st.integers(0, POOL_SIZE - 1),
+                                  min_size=length, max_size=length),
+                         label="sequence")
+    expected = run_campaign(
+        fault_list.names(), sequence,
+        lambda index, names: [name for name in names
+                              if name in detects[index]],
+        drop)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ppsfp, "SUPERWORD_BITS", superword)
+        report = CompiledFaultSimulator(NETLIST, fault_list).run(
+            [pool[index] for index in sequence], drop_detected=drop)
+    assert report.total_faults == expected.total_faults
+    assert list(report.detected.items()) == list(expected.detected.items())
+    assert report.per_pattern == expected.per_pattern
+    assert report.coverage_history() == expected.coverage_history()
+
+
+def reference_pack(inputs, patterns):
+    """The per-bit packing loop that ``pack_patterns`` replaced."""
+    iv = []
+    ic = []
+    for net in inputs:
+        v = 0
+        c = 0
+        for bit, pattern in enumerate(patterns):
+            try:
+                value = pattern[net]
+            except KeyError:
+                raise SimulationError(
+                    f"missing value for primary input {net!r}") from None
+            if value is Logic.ONE:
+                v |= 1 << bit
+                c |= 1 << bit
+            elif value is Logic.ZERO:
+                c |= 1 << bit
+        iv.append(v)
+        ic.append(c)
+    return iv, ic
+
+
+@pytest.mark.parametrize("width", [0, 1, 22, WORD_BITS, WORD_BITS + 1, 300])
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_pack_matches_reference(width, count):
+    rng = random.Random(1000 * width + count)
+    inputs = [f"i{k}" for k in range(count)]
+    patterns = [{net: rng.choice(FOUR_VALUES) for net in inputs}
+                for _ in range(width)]
+    assert pack_patterns(inputs, patterns) \
+        == reference_pack(inputs, patterns)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_missing_input_names_the_reference_input(seed):
+    """Several patterns each lack a different input: the error names
+    the first input in ``inputs`` order that some pattern lacks."""
+    rng = random.Random(seed)
+    inputs = [f"i{k}" for k in range(9)]
+    patterns = [{net: rng.choice(FOUR_VALUES) for net in inputs}
+                for _ in range(rng.choice([1, 22, 65, 300]))]
+    for pattern in rng.sample(patterns, min(3, len(patterns))):
+        del pattern[rng.choice(inputs)]
+    with pytest.raises(SimulationError) as reference:
+        reference_pack(inputs, patterns)
+    with pytest.raises(SimulationError) as packed:
+        pack_patterns(inputs, patterns)
+    assert str(packed.value) == str(reference.value)

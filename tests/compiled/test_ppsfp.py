@@ -6,11 +6,13 @@ import pytest
 
 from repro.compiled import (SUPERWORD_BITS, WORD_BITS,
                             CompiledFaultSimulator, CompiledSimulator,
-                            pack_patterns)
+                            pack_patterns, ppsfp)
 from repro.core.errors import SimulationError
 from repro.core.signal import Logic
 from repro.faults.faultlist import build_fault_list
 from repro.faults.serial import SerialFaultSimulator
+from repro.gates.corpus import load_bench
+from repro.gates.io import c17
 from repro.gates.simulator import NetlistSimulator
 from repro.parallel.remote import resolve_bench
 from repro.telemetry import TELEMETRY, telemetry_session
@@ -56,6 +58,15 @@ class TestPacking:
                            match="missing value for primary input 'b'"):
             pack_patterns(("a", "b"), [{"a": Logic.ONE}])
 
+    @pytest.mark.parametrize("value", [1, 0, True, "1", None])
+    def test_non_logic_value_names_the_input(self, value):
+        patterns = [{"a": Logic.ONE, "b": Logic.ZERO},
+                    {"a": Logic.X, "b": value}]
+        with pytest.raises(SimulationError,
+                           match=f"primary input 'b' is {value!r}, "
+                                 f"not a Logic value"):
+            pack_patterns(("a", "b"), patterns)
+
 
 class TestCompiledSimulator:
     def test_z_input_is_echoed_raw(self):
@@ -76,6 +87,15 @@ class TestCompiledSimulator:
             assert compiled.evaluate(patterns[0], fault=fault) \
                 == interpreted.evaluate(patterns[0], fault=fault), name
 
+    @pytest.mark.parametrize("engine", [CompiledSimulator, NetlistSimulator])
+    def test_non_logic_input_raises_naming_it(self, engine):
+        netlist = c17()
+        pattern = {net: Logic.ZERO for net in netlist.inputs}
+        pattern[netlist.inputs[2]] = 1
+        with pytest.raises(SimulationError,
+                           match="primary input '3' is 1, not a Logic value"):
+            engine(netlist).outputs(pattern)
+
     def test_outputs_in_declaration_order(self):
         netlist, patterns = figure4_patterns(1)
         assert CompiledSimulator(netlist).outputs(patterns[0]) \
@@ -83,8 +103,11 @@ class TestCompiledSimulator:
 
 
 class TestMultiBlockCampaign:
-    def test_partial_and_full_blocks_match_serial(self):
-        # 150 patterns = two full 64-pattern words plus a 22-bit tail.
+    def test_partial_and_full_blocks_match_serial(self, monkeypatch):
+        # A one-word superword: without dropping, 150 patterns are two
+        # full 64-pattern blocks plus a 22-pattern tail; with it, the
+        # blocks are 64 // live patterns wide.
+        monkeypatch.setattr(ppsfp, "SUPERWORD_BITS", WORD_BITS)
         netlist, patterns = figure4_patterns(2 * WORD_BITS + 22)
         fault_list = build_fault_list(netlist)
         for drop in (True, False):
@@ -96,6 +119,31 @@ class TestMultiBlockCampaign:
             assert list(compiled.detected) == list(serial.detected)
             assert compiled.per_pattern == serial.per_pattern
             assert compiled.coverage_history() == serial.coverage_history()
+
+    @pytest.mark.parametrize("bad", [None, 1])
+    def test_bad_pattern_after_the_last_live_fault_raises(
+            self, monkeypatch, bad):
+        """Nothing is left to simulate once every fault has dropped,
+        but a missing or non-Logic input later on still raises, as the
+        serial oracle's fault-free pass does."""
+        netlist, patterns = figure4_patterns(40)
+        fault_list = build_fault_list(netlist)
+        fault_list = fault_list.subset(
+            [name for name in fault_list.names()
+             if name in SerialFaultSimulator(netlist, fault_list).run(
+                 patterns[:1]).detected])
+        # The first block, all of whose faults pattern 0 detects, ends
+        # well before the last pattern.
+        monkeypatch.setattr(ppsfp, "SUPERWORD_BITS", WORD_BITS)
+        assert WORD_BITS // len(fault_list) < len(patterns) - 1
+        net = netlist.inputs[-1]
+        if bad is None:
+            del patterns[-1][net]
+        else:
+            patterns[-1][net] = bad
+        for simulator in (SerialFaultSimulator, CompiledFaultSimulator):
+            with pytest.raises(SimulationError, match=repr(net)):
+                simulator(netlist, fault_list).run(patterns)
 
     def test_empty_pattern_list(self):
         netlist, _ = figure4_patterns(0)
@@ -125,23 +173,60 @@ class TestSinglePatternProbes:
                         if compiled.detects(patterns[0], name)]
 
 
+def replayed_work(simulator, patterns, report, drop_detected=True):
+    """(blocks, kernel runs, gate evaluations) that the block rule
+    implies for a campaign whose report is ``report``: a block is
+    ``SUPERWORD_BITS // live`` patterns (floor 1 with dropping,
+    ``WORD_BITS`` without, capped at the patterns left) and takes one
+    fault-free run plus one hooked run per ``SUPERWORD_BITS // width``
+    live faults."""
+    names = simulator.fault_list.names()
+    gates = simulator.kernel.gate_count
+    blocks = runs = evals = start = 0
+    while start < len(patterns):
+        live = [name for name in names if not drop_detected
+                or report.detected.get(name, start) >= start]
+        if not live:
+            break
+        width = min(max(SUPERWORD_BITS // len(live),
+                        1 if drop_detected else WORD_BITS),
+                    len(patterns) - start)
+        blocks += 1
+        runs += 1 + -(-len(live) // (SUPERWORD_BITS // width))
+        evals += gates * width * (1 + len(live))
+        start += width
+    return blocks, runs, evals
+
+
+def work_counts():
+    metrics = TELEMETRY.metrics
+    return (metrics.counter("compiled.blocks").value,
+            metrics.counter("compiled.kernel_runs").value,
+            metrics.counter("compiled.gate_evals").value)
+
+
 class TestTelemetry:
+    """Work counts repeat exactly on any machine; CI gates on this
+    class."""
+
     def test_campaign_counters(self):
         netlist, patterns = figure4_patterns(70)
+        simulator = CompiledFaultSimulator(netlist)
         with telemetry_session():
-            CompiledFaultSimulator(netlist).run(patterns)
+            report = simulator.run(patterns)
             metrics = TELEMETRY.metrics
-            assert metrics.counter("compiled.blocks").value == 2
-            assert metrics.counter("compiled.gate_evals").value > 0
+            # A handful of faults: one block holds all 70 patterns.
+            assert metrics.counter("compiled.blocks").value == 1
+            assert work_counts() \
+                == replayed_work(simulator, patterns, report)
             assert metrics.counter("compiled.eval_seconds").value > 0
             assert metrics.gauge(
                 "compiled.gate_evals_per_second").value > 0
 
-    def test_work_counters_are_exact(self):
-        """The logical work (``gate_evals``) does not depend on how the
-        faults are packed; the kernel invocations (``kernel_runs``) do:
-        one fault-free run plus one hooked run per superword of faults.
-        """
+    @staticmethod
+    def mult8_counts(drop):
+        """Work counts of ``mult8``'s 1344 collapsed faults x 64
+        patterns, checked against the block rule's replay."""
         netlist = resolve_bench("mult8")
         fault_list = build_fault_list(netlist)
         assert len(fault_list) == 1344
@@ -149,15 +234,44 @@ class TestTelemetry:
         patterns = [{net: Logic(rng.getrandbits(1))
                      for net in netlist.inputs}
                     for _ in range(WORD_BITS)]
-        lanes = SUPERWORD_BITS // WORD_BITS
+        simulator = CompiledFaultSimulator(netlist, fault_list)
         with telemetry_session():
-            CompiledFaultSimulator(netlist, fault_list).run(patterns)
-            metrics = TELEMETRY.metrics
-            assert metrics.counter("compiled.gate_evals").value \
-                == 29_267_200
-            assert metrics.counter("compiled.blocks").value == 1
-            assert metrics.counter("compiled.kernel_runs").value \
-                == 1 + -(-1344 // lanes)
+            report = simulator.run(patterns, drop_detected=drop)
+            counts = work_counts()
+        assert replayed_work(simulator, patterns, report, drop) == counts
+        return counts
+
+    def test_work_counters_are_exact(self):
+        """The logical work (``gate_evals``) does not depend on how the
+        faults are packed; the kernel invocations (``kernel_runs``) do:
+        one fault-free run plus one hooked run per superword of faults,
+        per block.  1344 live faults open with a 12-pattern block.
+        """
+        assert self.mult8_counts(drop=True) == (2, 4, 7_149_520)
+
+    def test_no_drop_work_counters(self):
+        # 340 gates x 64 patterns x (1 fault-free + 1344 faults) in one
+        # 64-pattern block, carried by 1 + ceil(1344 / 256 lanes) runs.
+        assert self.mult8_counts(drop=False) == (1, 7, 29_267_200)
+
+    def test_harness_campaign_counts(self):
+        """The ``compiled_campaign`` benchmark's campaign: 479 faults
+        fill a 34-pattern block and the 5 left share the other 222
+        patterns (fixed 64-pattern blocks took 4 blocks, 9 runs and
+        44 914 176 evaluations)."""
+        netlist = load_bench("mult16")
+        full = build_fault_list(netlist, collapse="equivalence")
+        fault_list = full.subset(full.names()[::12])
+        rng = random.Random(1)
+        patterns = [{net: Logic(rng.getrandbits(1))
+                     for net in netlist.inputs}
+                    for _ in range(256)]
+        simulator = CompiledFaultSimulator(netlist, fault_list)
+        with telemetry_session():
+            report = simulator.run(patterns)
+            assert work_counts() == (2, 4, 25_489_488)
+        assert replayed_work(simulator, patterns, report) \
+            == (2, 4, 25_489_488)
 
     def test_probe_counters(self):
         netlist, patterns = figure4_patterns(1)

@@ -155,7 +155,9 @@ def test_lane_boundaries_match_serial(four_lanes, fault_count,
 
 
 def test_full_width_lane_boundary_matches_serial():
-    """One fault more than a superword holds, at the real constant."""
+    """One fault more than a superword holds, at the real constant:
+    without dropping a block is ``WORD_BITS`` wide, so its faults take
+    two hooked runs."""
     lanes = SUPERWORD_BITS // WORD_BITS
     netlist = random_netlist(6, 45, 4, seed=3)
     full = build_fault_list(netlist, collapse="none")
@@ -164,16 +166,19 @@ def test_full_width_lane_boundary_matches_serial():
     patterns = three_valued_patterns(netlist, WORD_BITS + 1,
                                      random.Random(11))
     assert_same_report(
-        CompiledFaultSimulator(netlist, fault_list).run(patterns),
-        SerialFaultSimulator(netlist, fault_list).run(patterns))
+        CompiledFaultSimulator(netlist, fault_list).run(
+            patterns, drop_detected=False),
+        SerialFaultSimulator(netlist, fault_list).run(
+            patterns, drop_detected=False))
 
 
 @pytest.mark.parametrize("drop", [True, False])
 @pytest.mark.parametrize("fault_count", [255, 256, 257, 515])
 def test_packed_campaign_equals_one_fault_per_run(monkeypatch,
                                                   fault_count, drop):
-    """The real lane count against the old organisation (one hooked
-    kernel run per fault per block) on a corpus bench too large for the
+    """The real superword against one shrunk to a single word (one
+    fault per run of 64-pattern blocks without dropping, one-pattern
+    blocks of 64 lanes with it) on a corpus bench too large for the
     interpreted oracle."""
     from repro.gates.corpus import load_bench
 

@@ -585,3 +585,26 @@ class TestErrorsSurfaceOnTheBlockingCall:
             finally:
                 transport.close()
             assert campaigns_held(servants[0]) == []
+
+    def test_a_non_logic_pattern_value_is_named(self):
+        """A pattern value that is not a ``Logic`` (here the int 1,
+        which marshals as an int) fails the shard with the engine's
+        own error, not a silent X."""
+        pattern = {net: Logic.ZERO for net in resolve_bench("c17").inputs}
+        pattern["3"] = 1
+        with fault_farm(1) as (endpoints, _):
+            host, port = parse_endpoint(endpoints[0])
+            transport = wrap_transport(TcpTransport(host, port),
+                                       batching=True, caching=False)
+            stub = RemoteStub(transport, FAULT_FARM_OBJECT,
+                              FaultFarmServant.REMOTE_METHODS)
+            try:
+                stub.invoke_oneway("begin_campaign", "raw", "c17",
+                                   "equivalence", True, None)
+                stub.invoke_oneway("add_patterns", "raw", [pattern])
+                with pytest.raises(RemoteError,
+                                   match="primary input '3' is 1, not a "
+                                         "Logic value"):
+                    stub.run_shard("raw", ["10sa1"])
+            finally:
+                transport.close()
