@@ -103,6 +103,11 @@ RULES = (
          ("src/repro/compiled",), None,
          "the compiled campaign steps fixed 64-pattern blocks again "
          "(a block is SUPERWORD_BITS // live patterns)"),
+    # One shard per worker: no fixed split of each worker's share.
+    Rule(r"DEFAULT_CHUNKS_PER_WORKER|default_shard_count", SRC, None,
+         "the default cut splits each worker's share into several shards "
+         "again (run_sharded cuts one per worker; stealing is asked for "
+         "with --workers or shards=)"),
 )
 
 

@@ -746,8 +746,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "(PPSFP) kernel (the default) or the interpreted "
                     "event-driven oracle; reports are identical either "
                     "way",
-        workers_help="shard the fault list across N worker processes; "
-                     "with --remote, scales the shard count instead")
+        workers_help="shard the fault list across N worker processes, "
+                     "one shard each; with --remote, raises the shard "
+                     "count from one per endpoint to N, so idle "
+                     "endpoints steal the spares")
     faultsim.add_argument("--report-out", metavar="FILE", default=None,
                           help="write the full report (detected map, "
                                "coverage, undetected) as JSON to FILE")

@@ -31,19 +31,18 @@ from .remote import (FaultFarmServant, RemoteCampaign, RemoteWorkerPool,
 from .scenarios import (ScenarioSpec, reset_session_state,
                         run_scenarios_parallel, run_table2_parallel,
                         table2_specs)
-from .sharding import (Shard, default_shard_count, round_robin_shards,
-                       shard_fault_list, shard_names, weighted_shards)
+from .sharding import (Shard, round_robin_shards, shard_fault_list,
+                       shard_names, weighted_shards)
 from .virtualsim import block_gate_weights, parallel_virtual_fault_simulate
 
 __all__ = [
     "FaultFarmServant", "RemoteCampaign", "RemoteWorkerPool",
     "ScenarioSpec", "Shard", "TaskOutcome", "WorkerPool",
-    "block_gate_weights", "default_shard_count", "diff_reports",
-    "merge_reports", "merge_test_sets", "parallel_fault_simulate",
+    "block_gate_weights", "diff_reports", "merge_reports",
+    "merge_test_sets", "parallel_fault_simulate",
     "parallel_generate_test_set", "parallel_virtual_fault_simulate",
     "register_fault_farm", "remote_fault_simulate",
     "reset_session_state", "resolve_workers", "round_robin_shards",
-    "run_scenarios_parallel",
-    "run_table2_parallel", "shard_fault_list", "shard_names",
-    "table2_specs", "weighted_shards",
+    "run_scenarios_parallel", "run_table2_parallel", "shard_fault_list",
+    "shard_names", "table2_specs", "weighted_shards",
 ]

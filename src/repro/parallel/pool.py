@@ -6,9 +6,9 @@ fault names -- on a ``concurrent.futures.ProcessPoolExecutor``.  The
 function reaches each worker once, through the executor's initializer
 (under ``fork`` it is inherited, not pickled).  Tasks are submitted all
 at once into the executor's shared work queue, so an idle worker steals
-the next pending shard instead of waiting for a static partition --
-callers are expected to cut several shards per worker (see
-:func:`repro.parallel.sharding.default_shard_count`).
+the next pending shard instead of waiting for a static partition
+(:func:`~repro.parallel.sharding.run_sharded` cuts one shard per worker
+unless ``shards=`` asks for spares to steal).
 
 Results come back in *submission order* regardless of completion order,
 which is what makes parallel campaigns merge deterministically.

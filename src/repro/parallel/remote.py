@@ -469,8 +469,8 @@ class RemoteWorkerPool:
 
     One transport stack (socket + batching layer) is opened per
     endpoint and one client thread drives it; shards are pulled from a
-    shared queue, so a fast endpoint steals a slow one's backlog
-    exactly like local workers steal shards.
+    shared queue, so when shards outnumber endpoints a fast endpoint
+    steals a slow one's backlog exactly like local workers steal shards.
     """
 
     DEFAULT_CONNECT_RETRIES = 3
@@ -706,11 +706,10 @@ def remote_fault_simulate(bench: str,
     """Fault-simulate ``bench`` across a farm of remote workers.
 
     The client only needs the bench's *name* and fault names; both
-    sides rebuild the same netlist from the spec.  ``workers`` (the
-    CLI's ``--workers``) scales the shard count beyond the endpoint
-    count so endpoints steal work from each other; by default the farm
-    cuts :func:`~repro.parallel.sharding.default_shard_count` shards for
-    one worker per endpoint.  A single fault runs in this process.  The
+    sides rebuild the same netlist from the spec.  By default the farm
+    cuts one shard per endpoint; ``workers`` (the CLI's ``--workers``)
+    raises the shard count above the endpoint count so endpoints steal
+    work from each other.  A single fault runs in this process.  The
     merged report is byte-identical to a serial run.  Token, TLS and
     timeouts are the ``pool``'s (default: a plain
     :class:`RemoteWorkerPool` over ``endpoints``).

@@ -33,9 +33,6 @@ from ..faults.faultlist import FaultList
 from ..telemetry.runtime import TELEMETRY
 from .pool import WorkerPool, resolve_workers
 
-DEFAULT_CHUNKS_PER_WORKER = 4
-"""Shards created per worker so idle workers steal remaining chunks."""
-
 
 @dataclass(frozen=True)
 class Shard:
@@ -47,18 +44,6 @@ class Shard:
 
     def __len__(self) -> int:
         return len(self.names)
-
-
-def default_shard_count(workers: int, items: int) -> int:
-    """How many shards to cut for a pool of ``workers``.
-
-    Several shards per worker keep the pool's shared queue non-empty
-    until the very end, so a worker that finishes early steals the next
-    shard instead of idling behind a slow sibling.
-    """
-    if items <= 0:
-        return 0
-    return max(1, min(items, workers * DEFAULT_CHUNKS_PER_WORKER))
 
 
 def _listed(names: Iterable[str], count: int) -> Tuple[List[str], int]:
@@ -136,21 +121,36 @@ def run_sharded(names: Sequence[str], campaign: Any,
 
     ``pool`` (default: a local ``WorkerPool(workers)``; or a
     ``RemoteWorkerPool``) tells each worker the campaign once, then
-    hands it shards: tuples of names.  ``workers`` (``None``/``0`` =
-    one per usable CPU) can raise the shard count above the pool's
-    size.  One name, or a local pool of one, runs ``inline(names)``
-    (default ``campaign``) in this process instead.  ``weight_of``
-    switches round-robin sharding to cost-weighted balancing.
+    hands it shards: tuples of names.  It cuts one shard per worker,
+    counting the larger of the pool's size and ``workers``
+    (``None``/``0`` = one per usable CPU), so a ``workers`` above the
+    pool's size leaves spare shards for idle workers to steal.
+    ``shards`` (positive) overrides the count.  One name, or a local
+    pool of one, runs ``inline(names)`` (default ``campaign``) in this
+    process instead.  ``weight_of`` switches round-robin sharding to
+    cost-weighted balancing.
+
+    ``merge``'s result has a ``detected`` map (a report or a test set)
+    listed shard by shard; with ``shards`` unset it is re-listed as a
+    cut of four shards per worker lists it, the order default reports
+    have always had (each such shard lies inside one worker's
+    round-robin shard, so a stable sort by its index is exact).
     """
     pool = pool or WorkerPool(workers)
-    worker_count = max(pool.workers,
-                       resolve_workers(workers) if workers else 0)
     if len(names) <= 1 or (isinstance(pool, WorkerPool)
                            and pool.workers <= 1):
         return (inline or campaign)(names)
-    count = shards or default_shard_count(worker_count, len(names))
-    parts = shard_names(names, count, weight_of=weight_of)
+    worker_count = max(pool.workers,
+                       resolve_workers(workers) if workers else 0)
+    parts = shard_names(names, worker_count if shards is None else shards,
+                        weight_of=weight_of)
     if TELEMETRY.enabled:
         TELEMETRY.metrics.counter("parallel.shards").inc(len(parts))
     outcomes = pool.map(campaign, [part.names for part in parts])
-    return merge([outcome.value for outcome in outcomes])
+    merged = merge([outcome.value for outcome in outcomes])
+    if shards is None:
+        listing = shard_names(names, 4 * worker_count, weight_of=weight_of)
+        rank = {name: part.index for part in listing for name in part.names}
+        merged.detected = dict(sorted(merged.detected.items(),
+                                      key=lambda item: rank[item[0]]))
+    return merged

@@ -17,7 +17,7 @@ from repro.gates.corpus import load_bench
 from repro.gates.io import c17
 from repro.gates.netlist import Netlist
 from repro.parallel import (diff_reports, parallel_fault_simulate,
-                            parallel_generate_test_set)
+                            parallel_generate_test_set, round_robin_shards)
 from repro.parallel import pool as pool_module
 
 WORKERS = 2
@@ -82,3 +82,18 @@ class TestNetlistCrossesOncePerWorker:
                                               random_patterns=8)
         assert parallel.coverage == serial.coverage
         assert len(netlist_pickles) <= WORKERS
+
+
+class TestOneTaskPerWorker:
+    def test_default_cut_submits_one_shard_per_worker(self, submitted):
+        netlist = load_bench("alu8")
+        fault_list = build_fault_list(netlist)
+        patterns = random_patterns(netlist, 16)
+        serial = fault_simulator_for(None, netlist, fault_list).run(
+            patterns)
+        parallel = parallel_fault_simulate(netlist, patterns, fault_list,
+                                           workers=WORKERS)
+        assert diff_reports(serial, parallel) == []
+        assert [payload for payload, _trace_epoch in submitted] == [
+            shard.names
+            for shard in round_robin_shards(fault_list.names(), WORKERS)]

@@ -14,7 +14,9 @@ from repro.core.ids import current_connection
 from repro.core.signal import Logic
 from repro.faults.faultlist import build_fault_list
 from repro.faults.serial import FaultSimReport, SerialFaultSimulator
-from repro.parallel import diff_reports, parallel_fault_simulate
+from repro.parallel import (diff_reports, merge_reports,
+                            parallel_fault_simulate, round_robin_shards)
+from repro.parallel.faultsim import simulate_shard
 from repro.parallel.remote import (FAULT_FARM_OBJECT, FaultFarmServant,
                                    RemoteCampaign, RemoteWorkerPool,
                                    parse_endpoint, register_fault_farm,
@@ -129,7 +131,7 @@ class TestRemoteFarm:
         with fault_farm(1) as (endpoints, servants):
             remote = remote_fault_simulate("figure4", patterns, endpoints,
                                            workers=4)
-            assert servants[0].shards_served > 4
+            assert servants[0].shards_served == 4
         assert diff_reports(remote, serial) == []
 
     def test_shards_travel_as_batch_frames(self):
@@ -204,7 +206,10 @@ class TestFailureHandling:
 
         with fault_farm(2, servant_factory=factory) as (endpoints,
                                                         servants):
-            remote = remote_fault_simulate("figure4", patterns, endpoints)
+            # Scripted: each endpoint takes one of the two shards before
+            # either runs, so the dying one is sure to get one.
+            remote = remote_fault_simulate("figure4", patterns, endpoints,
+                                           pool=_ScriptedPool(endpoints))
             assert servants[0].died
             # The survivor picked up the dead worker's shards.
             assert servants[1].shards_served > 0
@@ -431,6 +436,93 @@ class TestCampaignCrossesOnce:
         assert diff_reports(local, oracle) == []
 
 
+class _ReplyKeepingServant(_CountingServant):
+    """Keeps each ``run_shard``'s fault names and telemetry snapshot."""
+
+    def __init__(self, _server=None):
+        super().__init__()
+        self.replies = []
+
+    def run_shard(self, campaign_id, fault_names, collect_telemetry=False):
+        reply = super().run_shard(campaign_id, fault_names,
+                                  collect_telemetry)
+        self.replies.append((tuple(fault_names), reply["metrics"]))
+        return reply
+
+
+def kernel_runs(netlist, fault_list, patterns, names):
+    """``compiled.kernel_runs`` of one in-process shard over ``names``."""
+    TELEMETRY.reset()
+    TELEMETRY.enable()
+    try:
+        simulate_shard(netlist, fault_list, patterns, True, "compiled",
+                       names)
+        return TELEMETRY.metrics.snapshot()["compiled.kernel_runs"]["value"]
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+
+
+class TestOneShardPerEndpoint:
+    """A default farm run gives each endpoint its whole share as one
+    shard: one ``run_shard`` and the kernel runs of one simulation."""
+
+    def test_each_endpoint_runs_its_half_in_one_shard(self):
+        netlist, fault_list, patterns = campaign_on("mult8", 64)
+        serial = fault_simulator_for(None, netlist, fault_list).run(patterns)
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            with fault_farm(2, servant_factory=_ReplyKeepingServant) as (
+                    endpoints, servants):
+                # lead=1: endpoint 1 runs after endpoint 0's shard, so
+                # the two in-process servants never share the telemetry
+                # registry at once.
+                remote = remote_fault_simulate(
+                    "mult8", patterns, endpoints,
+                    pool=_ScriptedPool(endpoints, lead=1))
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert diff_reports(remote, serial) == []
+        # Listed as a merge of four shards per endpoint lists it.
+        listed = merge_reports([
+            simulate_shard(netlist, fault_list, patterns, True, "compiled",
+                           shard.names)
+            for shard in round_robin_shards(fault_list.names(), 8)])
+        assert list(remote.detected.items()) == \
+            list(listed.detected.items())
+        assert [servant.calls["run_shard"] for servant in servants] == [1, 1]
+        halves = round_robin_shards(fault_list.names(), 2)
+        assert sorted(names for servant in servants
+                      for names, _ in servant.replies) == \
+            sorted(half.names for half in halves)
+        for servant in servants:
+            (names, metrics), = servant.replies
+            assert metrics["compiled.kernel_runs"]["value"] == \
+                kernel_runs(netlist, fault_list, patterns, names)
+
+
+class TestZeroShardsRejected:
+    """``shards=0`` is a non-positive count like -1, not "the default"."""
+
+    def test_local(self):
+        netlist, fault_list, patterns = figure4_campaign(patterns=4)
+        with pytest.raises(ParallelExecutionError,
+                           match="shard count must be positive, got 0"):
+            parallel_fault_simulate(netlist, patterns, fault_list,
+                                    workers=2, shards=0)
+
+    def test_remote(self):
+        _, _, patterns = figure4_campaign(patterns=4)
+        with fault_farm(2) as (endpoints, servants):
+            with pytest.raises(ParallelExecutionError,
+                               match="shard count must be positive, got 0"):
+                remote_fault_simulate("figure4", patterns, endpoints,
+                                      shards=0)
+            assert not any(servant.shards_served for servant in servants)
+
+
 class TestReannounce:
     def test_a_failed_shard_makes_the_endpoint_announce_again(self):
         netlist, fault_list, patterns = campaign_on("mult8", 40)
@@ -539,10 +631,11 @@ class TestCampaignStateEnds:
                 kill()
 
         with self.farm(kind) as (endpoints, servants, kill):
+            # Spare shards, so that endpoint 0 has a second attempt.
             pool = _ScriptedPool(endpoints, lead=2,
                                  before=kill_before_the_second_attempt)
             remote = remote_fault_simulate("figure4", patterns, endpoints,
-                                           pool=pool)
+                                           shards=8, pool=pool)
             survivors = servants[1]
         assert diff_reports(remote, serial) == []
         assert [servant.shards_served > 0 for servant in survivors] == \

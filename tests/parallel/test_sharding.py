@@ -4,25 +4,76 @@ import pytest
 
 from repro.core.errors import ParallelExecutionError
 from repro.faults import build_fault_list
+from repro.faults.serial import FaultSimReport
 from repro.gates import c17
-from repro.parallel import (default_shard_count, round_robin_shards,
+from repro.parallel import (TaskOutcome, merge_reports, round_robin_shards,
                             shard_fault_list, weighted_shards)
+from repro.parallel.sharding import run_sharded
 
 NAMES = [f"f{i}" for i in range(10)]
 
 
+class RecordingPool:
+    """A pool of ``workers`` that runs every shard inline and keeps it."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self.shards = []
+
+    def map(self, campaign, shards):
+        self.shards = list(shards)
+        return [TaskOutcome(index, campaign(shard), 0.0, 0)
+                for index, shard in enumerate(self.shards)]
+
+
+def detect_all(names):
+    """A shard report in which pattern 0 detects every fault."""
+    report = FaultSimReport(total_faults=len(names))
+    report.detected.update((name, 0) for name in names)
+    report.per_pattern.append(set(names))
+    return report
+
+
+def cut(names, pool_size, **options):
+    """The shards ``run_sharded`` hands a pool of ``pool_size``."""
+    pool = RecordingPool(pool_size)
+    run_sharded(names, detect_all, merge_reports, pool=pool, **options)
+    return pool.shards
+
+
 class TestDefaultShardCount:
-    def test_cuts_several_shards_per_worker(self):
-        assert default_shard_count(4, 1000) == 16
+    def test_cuts_one_shard_per_worker(self):
+        names = [f"f{i}" for i in range(1000)]
+        assert [len(shard) for shard in cut(names, 4)] == [250] * 4
 
     def test_never_exceeds_item_count(self):
-        assert default_shard_count(4, 3) == 3
+        assert len(cut(["a", "b", "c"], 4)) == 3
 
     def test_empty_work_means_zero_shards(self):
-        assert default_shard_count(4, 0) == 0
+        assert cut([], 4) == []
 
     def test_at_least_one_shard_for_any_work(self):
-        assert default_shard_count(0, 5) == 1
+        assert len(cut(NAMES[:5], 1)) == 1
+
+    def test_workers_above_the_pool_size_cut_spares(self):
+        assert len(cut(NAMES, 2, workers=5)) == 5
+
+    def test_explicit_shards_override(self):
+        assert len(cut(NAMES, 2, shards=3)) == 3
+
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_nonpositive_shards_rejected(self, shards):
+        with pytest.raises(ParallelExecutionError,
+                           match="shard count must be positive"):
+            cut(NAMES, 2, shards=shards)
+
+    def test_detections_listed_as_four_shards_per_worker(self):
+        pool = RecordingPool(2)
+        merged = run_sharded(NAMES, detect_all, merge_reports, pool=pool)
+        assert len(pool.shards) == 2
+        assert list(merged.detected) == [
+            name for shard in round_robin_shards(NAMES, 8)
+            for name in shard.names]
 
 
 class TestRoundRobinShards:
