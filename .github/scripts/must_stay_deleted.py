@@ -108,6 +108,13 @@ RULES = (
          "the default cut splits each worker's share into several shards "
          "again (run_sharded cuts one per worker; stealing is asked for "
          "with --workers or shards=)"),
+    # One hop per served call: a Protocol splits frames, one queue
+    # feeds the dispatch threads.
+    Rule(r"run_in_executor|ThreadPoolExecutor|StreamReader|readexactly"
+         r"|wait_for\(", ("src/repro/server",), None,
+         "the front end reads frames through streams or hands calls to "
+         "an executor again (frames are split in _Connection and reach "
+         "the dispatch threads through one SimpleQueue)"),
 )
 
 

@@ -385,9 +385,9 @@ def _add_server_options(parser: argparse.ArgumentParser) -> None:
                              "(default: never)")
     parser.add_argument("--dispatch", default="thread",
                         choices=["thread", "process"],
-                        help="session dispatch tier: thread (shared "
-                             "thread pool), process (forked workers, "
-                             "multi-core)")
+                        help="session dispatch tier: thread (dispatch "
+                             "threads on one queue), process (forked "
+                             "workers, multi-core)")
 
 
 def _positive_seconds(text: str) -> float:

@@ -9,16 +9,20 @@ whitelists, error replies and telemetry); this module is the front
 end:
 
 * an :mod:`asyncio` event loop owns every socket -- thousands of idle
-  connections cost file descriptors, not threads;
-* servant work leaves the loop through a selectable **dispatch tier**
-  (``dispatch=``): ``thread`` runs on a bounded shared thread pool
-  with no lock between tenants, and ``process`` ships frames to forked
-  worker processes with sticky session routing so CPU-bound servant
-  work escapes the GIL entirely;
-* each connection is one request loop -- read a frame, dispatch it,
-  write the reply, ``drain()``, next -- so its frames dispatch
-  strictly one at a time in arrival order, and a client that stops
-  reading stalls only its own loop instead of ballooning server
+  connections cost file descriptors, not threads.  Each connection is
+  an :class:`asyncio.Protocol` that splits frames off one buffer and
+  writes replies back; on the ``thread`` tier the loop does no other
+  per-frame work;
+* every frame leaves the loop exactly once, for a selectable
+  **dispatch tier** (``dispatch=``): ``thread`` puts the raw frame on
+  one queue served by ``dispatch_workers`` threads, each of which
+  decodes, dispatches and encodes it with no lock between tenants, and
+  ``process`` ships frames to forked worker processes with sticky
+  session routing so CPU-bound servant work escapes the GIL entirely;
+* a connection takes its next frame only after the previous reply was
+  written and its transport is not paused for writing, so its frames
+  dispatch strictly one at a time in arrival order, and a client that
+  stops reading stalls only itself instead of ballooning server
   memory;
 * connections beyond ``max_connections`` are refused with a proper
   error frame, not an unexplained reset;
@@ -39,13 +43,14 @@ from __future__ import annotations
 import asyncio
 import hmac
 import itertools
+import queue
 import ssl
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import RemoteError
 from ..core.ids import ConnectionContext, IdScope, entered
@@ -64,8 +69,8 @@ DEFAULT_DRAIN_TIMEOUT = 5.0
 DISPATCH_TIERS = ("thread", "process")
 """Selectable dispatch tiers, cheapest-setup first.
 
-``thread``: a shared pool of ``dispatch_workers`` threads and no lock
-between tenants -- a slow tenant never stalls the rest, though
+``thread``: ``dispatch_workers`` threads on one shared queue and no
+lock between tenants -- a slow tenant never stalls the rest, though
 CPU-bound Python still shares the GIL.  ``process``: frames ship to
 forked worker processes with sticky session routing -- CPU-bound
 servant work runs truly in parallel.  Both keep each tenant
@@ -129,29 +134,210 @@ class ServerStats:
                 f"drained={snap['drained']}")
 
 
-class _Connection:
-    """Per-connection state (event-loop thread only)."""
+class _Connection(asyncio.Protocol):
+    """One connection: splits frames, writes replies (loop thread).
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter,
-                 session: Optional[JavaCADServer],
-                 session_id: int):
-        self.reader = reader
-        self.writer = writer
+    A dispatch thread reads only ``session`` and ``context`` (both set
+    before the connection's first frame is queued) and hands its reply
+    back through :meth:`replied`.
+    """
+
+    READ_BUFFER_BYTES = 256 * 1024
+    """Unread bytes buffered before reading pauses -- or the whole
+    frame in progress, if that is larger."""
+
+    def __init__(self, server: "AsyncRMIServer") -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.buffer = bytearray()
         # Process tier: both live in the sticky worker (``session`` is
         # None, ``context`` unused).
-        self.session = session
+        self.session: Optional[JavaCADServer] = None
         self.context = ConnectionContext(IdScope())
-        self.session_id = session_id
-        # A frame has been read and its reply is not yet flushed.
+        self.session_id = 0
+        """0 until the connection is authenticated."""
         self.busy = False
-        self.task: Optional["asyncio.Task[None]"] = None
+        """A frame has been taken and its reply is not yet flushed."""
+        self.write_paused = False
+        self.read_paused = False
+        self.eof = False
+        self.closed = False
+        self.idle_since = 0.0
+        self.submitted = 0.0
+        """When the frame in flight was submitted (telemetry only)."""
+        self.timer: Optional[asyncio.TimerHandle] = None
+
+    # -- asyncio.Protocol ----------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.server._accept(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self.pump()
+
+    def eof_received(self) -> bool:
+        # The peer sent its last frame: answer what is buffered, then
+        # close (pump does once nothing is left).
+        self.eof = True
+        self.pump()
+        return not self.closed
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        if self.busy:  # the last reply has now flushed
+            self._done()
+        self.pump()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if not (self.closed or self.session_id):
+            self.server._auth_failure()  # reset before AUTH
+        self.closed = True
+        if self.timer is not None:
+            self.timer.cancel()
+        self.server._forget(self)
+
+    # -- frames in, replies out -----------------------------------------
+
+    def pump(self) -> None:
+        """Submit buffered frames, one at a time, while replies flow.
+
+        The next frame is taken only once the previous reply was
+        written and the transport is not paused for writing: that is
+        both the in-order guarantee (a session's servant calls stay
+        strictly sequential even when the client pipelines frames) and
+        the backpressure (a client that stops reading stalls only
+        itself).
+        """
+        while not (self.busy or self.write_paused or self.closed
+                   or self.server._draining):
+            frame = self._take_frame()
+            if frame is None:
+                if self.eof and not self.closed:
+                    if not self.session_id:
+                        self.server._auth_failure()  # left before AUTH
+                    self.close()
+                break
+            self.busy = True
+            self.server._submit(self, frame)
+        if self.read_paused or len(self.buffer) > self.READ_BUFFER_BYTES:
+            self._regulate_reading()
+
+    def _take_frame(self) -> Optional[bytes]:
+        """The next complete frame body, if buffered.
+
+        The length prefix is checked before any of its body is waited
+        for: an oversized one ends the connection at once.
+        """
+        buffer = self.buffer
+        if len(buffer) < 4:
+            return None
+        try:
+            end = 4 + frame_length(buffer[:4])
+        except RemoteError:
+            self.server._oversized(self)
+            return None
+        if len(buffer) < end:
+            return None
+        frame = bytes(buffer[4:end])
+        del buffer[:end]
+        return frame
+
+    def _regulate_reading(self) -> None:
+        """Pause reading past the buffer bound, resume below it."""
+        limit = self.READ_BUFFER_BYTES
+        if len(self.buffer) >= 4:
+            try:
+                limit = max(limit, 4 + frame_length(self.buffer[:4]))
+            except RemoteError:
+                pass  # refused once it reaches the head of the buffer
+        over = len(self.buffer) > limit
+        if over != self.read_paused and not self.closed:
+            self.read_paused = over
+            if over:
+                self.transport.pause_reading()  # type: ignore[union-attr]
+            else:
+                self.transport.resume_reading()  # type: ignore[union-attr]
+
+    def finish(self, reply: bytes) -> None:
+        """Write one framed reply; the frame is done once it flushed."""
+        if self.closed:
+            self.busy = False
+            return
+        self.transport.write(reply)  # type: ignore[union-attr]
+        if not self.write_paused:
+            self._done()
+
+    def replied(self, reply: Optional[bytes], close: bool = False) -> None:
+        """A dispatch came back to the loop: write it, take the next.
+
+        ``None`` is an undecodable frame: the connection ends unanswered.
+        """
+        if self.submitted:
+            self.server._observe_dispatch(self.submitted)
+            self.submitted = 0.0
+        if reply is None:
+            self.busy = False
+            self.abort()
+            return
+        self.finish(reply)
+        if close:
+            self.close()
+        else:
+            self.pump()
+
+    def _done(self) -> None:
+        self.busy = False
+        loop = self.server._loop
+        if self.server.idle_timeout is not None and loop is not None:
+            self.idle_since = loop.time()
+
+    # -- timers ----------------------------------------------------------
+
+    def arm(self, delay: float) -> None:
+        self.timer = self.server._loop.call_later(  # type: ignore[union-attr]
+            delay, self._expire)
+
+    def _expire(self) -> None:
+        """Handshake or idle timer.  The idle timer re-arms lazily: a
+        frame never touches it, the expiry checks how long the
+        connection has actually been waiting."""
+        self.timer = None
+        if self.closed:
+            return
+        server = self.server
+        if not self.session_id:
+            server._auth_failure()  # no AUTH within handshake_timeout
+            self.abort()
+            return
+        timeout = server.idle_timeout
+        assert timeout is not None and server._loop is not None
+        if self.busy or self.write_paused:
+            self.arm(timeout)
+            return
+        deadline = self.idle_since + timeout
+        if server._loop.time() >= deadline:
+            self.abort()
+        else:
+            self.timer = server._loop.call_at(deadline, self._expire)
+
+    # -- teardown ---------------------------------------------------------
+
+    def close(self) -> None:
+        """Flush what was written, then close."""
+        self.closed = True
+        if self.transport is not None:
+            self.transport.close()
 
     def abort(self) -> None:
-        """Tear the transport down immediately (shutdown path)."""
-        transport = self.writer.transport
-        if transport is not None:
-            transport.abort()
+        """Tear the transport down immediately."""
+        self.closed = True
+        if self.transport is not None:
+            self.transport.abort()
 
 
 class AsyncRMIServer:
@@ -165,9 +351,9 @@ class AsyncRMIServer:
     their per-tenant state.
 
     ``dispatch`` selects how servant work leaves the event loop (see
-    :data:`DISPATCH_TIERS`): ``thread`` (default) is the shared pool
-    of ``dispatch_workers`` threads, and ``process`` routes each
-    session stickily to one of ``dispatch_workers`` forked worker
+    :data:`DISPATCH_TIERS`): ``thread`` (default) is
+    ``dispatch_workers`` threads on one queue, and ``process`` routes
+    each session stickily to one of ``dispatch_workers`` forked worker
     processes (the session factory crosses by fork inheritance, so it
     need not be picklable).  On both, a connection's frames dispatch
     one at a time in arrival order inside that connection's context,
@@ -194,8 +380,8 @@ class AsyncRMIServer:
             raise ValueError(
                 f"max_connections must be >= 1, got {max_connections}")
         if idle_timeout is not None and idle_timeout <= 0:
-            # wait_for(timeout<=0) expires at once: every tenant's
-            # first read would time out and drop the connection.
+            # It would expire at once: every tenant would be dropped
+            # before its first frame.
             raise ValueError(
                 f"idle_timeout must be positive (or None for never), "
                 f"got {idle_timeout}")
@@ -230,11 +416,13 @@ class AsyncRMIServer:
         self.address: Optional[Tuple[str, int]] = None
         self._session_ids = itertools.count(1)
         self._dispatcher: Optional[ProcessDispatcher] = None
+        self._queue: "queue.SimpleQueue[Optional[Tuple[_Connection, bytes]]]" \
+            = queue.SimpleQueue()
+        self._dispatch_threads: List[threading.Thread] = []
         self._connections: Set[_Connection] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._listener: Optional[asyncio.base_events.Server] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
         self._finished = threading.Event()
@@ -303,7 +491,7 @@ class AsyncRMIServer:
             self._finished.set()
 
     async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
+        self._loop = loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._draining = False
         try:
@@ -321,15 +509,20 @@ class AsyncRMIServer:
                 await asyncio.gather(*[
                     asyncio.wrap_future(future)
                     for future in self._dispatcher.warm_futures()])
-            # The dispatch thread pool comes up only after the process
-            # tier has forked its workers: a forked child must never
-            # inherit live dispatch threads (pinned at fork time by
-            # tests/server/test_dispatch_tiers.py::TestForkHygiene).
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.dispatch_workers,
-                thread_name_prefix=f"{self.name}-dispatch")
-            self._listener = await asyncio.start_server(
-                self._handle_connection, self.host, self.port,
+            else:
+                # Dispatch threads exist on the thread tier only, so a
+                # forked process-tier worker never inherits a live one
+                # (pinned at fork time by
+                # tests/server/test_dispatch_tiers.py::TestForkHygiene).
+                self._dispatch_threads = [
+                    threading.Thread(
+                        target=self._dispatch_thread, args=(loop,),
+                        name=f"{self.name}-dispatch-{index}", daemon=True)
+                    for index in range(self.dispatch_workers)]
+                for thread in self._dispatch_threads:
+                    thread.start()
+            self._listener = await loop.create_server(
+                lambda: _Connection(self), self.host, self.port,
                 ssl=self.ssl_context)
             sockname = self._listener.sockets[0].getsockname()
             self.address = (sockname[0], sockname[1])
@@ -343,9 +536,11 @@ class AsyncRMIServer:
             await self._stop_event.wait()
             await self._shutdown()
         finally:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
+            for _thread in self._dispatch_threads:
+                self._queue.put(None)
+            for thread in self._dispatch_threads:
+                thread.join()
+            self._dispatch_threads = []
             if self._dispatcher is not None:
                 self._dispatcher.shutdown()
                 self._dispatcher = None
@@ -369,165 +564,205 @@ class AsyncRMIServer:
             await asyncio.sleep(0.01)
         with self.stats._lock:
             self.stats.drained = clean
-        tasks = []
         for conn in list(self._connections):
             conn.abort()
-            if conn.task is not None:
-                conn.task.cancel()
-                tasks.append(conn.task)
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        while self._connections:  # connection_lost runs on a later turn
+            await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
-    # Connection lifecycle
+    # Connection lifecycle (loop thread)
     # ------------------------------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
+    def _accept(self, conn: _Connection) -> None:
         with self.stats._lock:
             open_now = self.stats.connections_open
         if self._draining or open_now >= self.max_connections:
-            await self._refuse(writer)
+            self._refuse(conn)
             return
-        accounted = False
-        conn: Optional[_Connection] = None
-        try:
-            self._count_open(+1)
-            accounted = True
-            self._bump("server.connections.accepted",
-                       "connections_accepted")
-            if not await self._authenticate(reader, writer):
-                return
-            # Session state is built only for authenticated tenants, so
-            # a wrong token can never reach a session or the dispatch
-            # core.
-            session: Optional[JavaCADServer] = None
-            if self._dispatcher is None:
-                session = (self._shared_server
-                           if self._shared_server is not None
-                           else self._session_factory())  # type: ignore[misc]
-            conn = _Connection(reader, writer, session,
-                               next(self._session_ids))
-            conn.task = asyncio.current_task()
-            self._connections.add(conn)
-            self._bump("server.sessions", "sessions_started")
-            await self._serve(conn)
-        except (asyncio.CancelledError, ConnectionError, OSError):
-            pass
-        finally:
-            if conn is not None:
-                self._connections.discard(conn)
-                if self._dispatcher is not None:
-                    self._dispatcher.forget(conn.session_id)
-            if accounted:
-                self._count_open(-1)
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
+        self._connections.add(conn)
+        self._count_open(+1)
+        self._bump("server.connections.accepted", "connections_accepted")
+        if self.auth_token is None:
+            self._start_session(conn)
+        else:
+            conn.arm(self.handshake_timeout)
 
-    async def _refuse(self, writer: asyncio.StreamWriter) -> None:
+    def _refuse(self, conn: _Connection) -> None:
         """Reply with a capacity error frame and close."""
         self._bump("server.connections.refused", "connections_refused")
-        try:
-            payload = CallReply(
-                0, ok=False,
-                error=(f"server at capacity "
-                       f"({self.max_connections} connections); "
-                       f"retry later")).encode()
-            writer.write(encode_frame(payload))
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
+        conn.transport.write(encode_frame(  # type: ignore[union-attr]
+            CallReply(0, ok=False,
+                      error=(f"server at capacity "
+                             f"({self.max_connections} connections); "
+                             f"retry later")).encode()))
+        conn.close()
 
-    async def _authenticate(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter) -> bool:
+    def _start_session(self, conn: _Connection) -> None:
+        """Session state is built only for authenticated tenants, so a
+        wrong token can never reach a session or the dispatch core."""
+        if conn.timer is not None:
+            conn.timer.cancel()
+            conn.timer = None
+        if self._dispatcher is None:
+            conn.session = (self._shared_server
+                            if self._shared_server is not None
+                            else self._session_factory())  # type: ignore[misc]
+        conn.session_id = next(self._session_ids)
+        self._bump("server.sessions", "sessions_started")
+        if self.idle_timeout is not None:
+            assert self._loop is not None
+            conn.idle_since = self._loop.time()
+            conn.arm(self.idle_timeout)
+
+    def _forget(self, conn: _Connection) -> None:
+        """The connection is gone (``connection_lost``)."""
+        if conn not in self._connections:
+            return  # refused at capacity: never accounted
+        self._connections.discard(conn)
+        if conn.session_id and self._dispatcher is not None:
+            self._dispatcher.forget(conn.session_id)
+        self._count_open(-1)
+
+    def _oversized(self, conn: _Connection) -> None:
+        """A length prefix above ``MAX_FRAME_BYTES``: refused unread."""
+        if conn.session_id:
+            self._bump(None, "protocol_errors")
+        else:
+            self._auth_failure()
+        conn.abort()
+
+    # ------------------------------------------------------------------
+    # One frame: the handshake on the loop, everything else one hop away
+    # ------------------------------------------------------------------
+
+    def _submit(self, conn: _Connection, frame: bytes) -> None:
+        if not conn.session_id:
+            self._handshake(conn, frame)
+        elif self._dispatcher is None:
+            self._count_submit(conn)
+            self._queue.put((conn, frame))
+        else:
+            self._submit_to_worker(conn, frame)
+
+    def _handshake(self, conn: _Connection, frame: bytes) -> None:
         """Enforce the shared bearer token before any dispatch.
 
         With a token configured, the *first* frame must be a matching
         AUTH frame; anything else (a call, a bad token, garbage) is
         counted as an auth failure and refused without ever touching
-        the dispatch core.  Without a token, AUTH frames are accepted
-        trivially so token-configured clients still interoperate.
+        the dispatch core.  Without a token there is no handshake: the
+        session starts at once and AUTH frames are accepted trivially
+        as refreshes, so token-configured clients still interoperate.
         """
-        if self.auth_token is None:
-            return True
-        try:
-            frame = await asyncio.wait_for(
-                self._read_frame(reader),
-                timeout=self.handshake_timeout)
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                ConnectionError, OSError, RemoteError):
-            # RemoteError: an oversized length prefix, refused unread.
-            self._auth_failure()
-            return False
         try:
             request = decode_request(frame)
         except Exception:  # noqa: BLE001 - garbage is an auth failure
             self._auth_failure()
-            return False
-        if not isinstance(request, AuthRequest) or not hmac.compare_digest(
-                request.token.encode("utf-8"),
-                self.auth_token.encode("utf-8")):
+            conn.abort()
+            return
+        if not isinstance(request, AuthRequest) or not self._token_ok(
+                request):
             self._auth_failure()
             call_id = request.call_id \
                 if isinstance(request, AuthRequest) else 0
-            await self._send_frame(writer, CallReply(
-                call_id, ok=False,
-                error="authentication failed").encode())
-            return False
-        await self._send_frame(writer, CallReply(
-            request.call_id, ok=True, result="ok").encode())
-        return True
+            conn.finish(encode_frame(CallReply(
+                call_id, ok=False, error="authentication failed").encode()))
+            conn.close()
+            return
+        self._start_session(conn)
+        conn.finish(encode_frame(CallReply(
+            request.call_id, ok=True, result="ok").encode()))
 
-    async def _serve(self, conn: _Connection) -> None:
-        """The connection's request loop: one frame at a time.
+    def _dispatch_thread(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Thread tier: serve queued frames until the ``None`` sentinel.
 
-        Read -> decode -> account -> dispatch (or mid-session AUTH
-        refresh) -> write -> ``drain()`` -> next.  Taking the next
-        frame only after the previous reply drained *is* the in-order
-        guarantee (a session's servant calls stay strictly sequential
-        even when the client pipelines frames) and *is* the
-        backpressure: a client that stops reading stalls its own loop
-        and, through TCP flow control, its own sends.  Other
-        connections' loops interleave freely on the dispatch tier.
+        A frame whose connection was already aborted (by a reset or a
+        shutdown past its drain deadline) is skipped: its reply would
+        be dropped.  A frame that raises ends only its own connection;
+        the thread keeps serving everyone else.
         """
-        while not self._draining:
-            try:
-                frame = await asyncio.wait_for(
-                    self._read_frame(conn.reader),
-                    timeout=self.idle_timeout)
-                request = decode_request(frame)
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                    ConnectionError, OSError):
+        get = self._queue.get
+        while True:
+            item = get()
+            if item is None:
                 return
-            except Exception:  # noqa: BLE001 - protocol violation
-                # Undecodable bytes or an oversized length prefix.
-                self._bump(None, "protocol_errors")
-                return
-            conn.busy = True
-            try:
-                if isinstance(request, AuthRequest):
-                    payload = self._refresh_auth(request)
-                else:
-                    self._account_request(request)
-                    try:
-                        payload = await self._dispatch(conn, request, frame)
-                    except BrokenProcessPool:
-                        await self._send_frame(
-                            conn.writer, self._worker_died(conn, request))
-                        return
-                    except Exception:  # noqa: BLE001 - executor crash
-                        payload = CallReply(
-                            0, ok=False, error="internal dispatch failure"
-                        ).encode()
-                # A failed write ends the loop (the handler swallows
-                # the error and closes the connection).
-                conn.writer.write(encode_frame(payload))
-                await conn.writer.drain()
-            finally:
-                conn.busy = False
+            conn, frame = item
+            reply: Optional[bytes] = None
+            if not conn.closed:
+                try:
+                    reply = self._serve_frame(conn, frame)
+                except Exception:  # noqa: BLE001 - end this tenant only
+                    pass
+            loop.call_soon_threadsafe(conn.replied, reply)
+            # An idle thread must not keep a closed connection's
+            # context (and its servant state) alive.
+            del item, conn, frame
+
+    def _serve_frame(self, conn: _Connection,
+                     frame: bytes) -> Optional[bytes]:
+        """Admit, dispatch and encode one frame on a dispatch thread, in
+        the tenant's connection context; the framed reply (``None``:
+        undecodable, the connection ends)."""
+        request = self._admit(frame)
+        if request is None or isinstance(request, bytes):
+            return request
+        assert conn.session is not None
+        try:
+            with entered(conn.context):
+                reply = conn.session.dispatch_encoded(request)
+        except Exception:  # noqa: BLE001 - a bug in the dispatch core
+            reply = self._error_reply(request, "internal dispatch failure")
+        return encode_frame(reply)
+
+    def _submit_to_worker(self, conn: _Connection, frame: bytes) -> None:
+        """Process tier: admit on the loop, ship the frame to the
+        session's sticky worker; the reply returns by done-callback."""
+        request = self._admit(frame)
+        if request is None:
+            conn.replied(None)
+            return
+        if isinstance(request, bytes):
+            conn.finish(request)
+            return
+        self._count_submit(conn)
+        assert self._dispatcher is not None and self._loop is not None
+        pool = self._dispatcher.pool_for(conn.session_id)
+        try:
+            future = self._dispatcher.submit(conn.session_id, frame)
+        except Exception as exc:  # noqa: BLE001 - e.g. a dead worker
+            future = Future()
+            future.set_exception(exc)
+        loop = self._loop
+        future.add_done_callback(lambda done: loop.call_soon_threadsafe(
+            self._worker_replied, conn, request, pool, done))
+
+    def _worker_replied(self, conn: _Connection, request: Any,
+                        pool: ProcessPoolExecutor,
+                        done: "Future[bytes]") -> None:
+        try:
+            reply = done.result()
+        except BrokenProcessPool:
+            conn.replied(encode_frame(
+                self._worker_died(conn, request, pool)), close=True)
+            return
+        except Exception:  # noqa: BLE001 - a bug in the dispatch core
+            reply = self._error_reply(request, "internal dispatch failure")
+        conn.replied(encode_frame(reply))
+
+    def _admit(self, frame: bytes) -> Any:
+        """Decode one mid-session frame and apply the per-frame policy
+        of both tiers: the request to dispatch, already accounted; the
+        framed reply of an AUTH refresh (``bytes``); or ``None`` for an
+        undecodable frame, a protocol error that ends the connection."""
+        try:
+            request = decode_request(frame)
+        except Exception:  # noqa: BLE001 - protocol violation
+            self._bump(None, "protocol_errors")
+            return None
+        if isinstance(request, AuthRequest):
+            return encode_frame(self._refresh_auth(request))
+        self._account_request(request)
+        return request
 
     def _refresh_auth(self, request: AuthRequest) -> bytes:
         """Mid-session AUTH: re-verify the token and count the frame.
@@ -540,17 +775,23 @@ class AsyncRMIServer:
         with a wrong token is an auth failure and an error reply, but
         the session itself stays authenticated from its handshake.
         """
-        if self.auth_token is not None and not hmac.compare_digest(
-                request.token.encode("utf-8"),
-                self.auth_token.encode("utf-8")):
+        if self.auth_token is not None and not self._token_ok(request):
             self._auth_failure()
             return CallReply(request.call_id, ok=False,
                              error="authentication failed").encode()
         self._bump("server.auth.refreshes", "auth_refreshes")
         return CallReply(request.call_id, ok=True, result="ok").encode()
 
+    def _token_ok(self, request: AuthRequest) -> bool:
+        # "surrogatepass": a token string may carry a lone surrogate
+        # (JSON allows "\ud800"); it must be compared, not raise.
+        assert self.auth_token is not None
+        return hmac.compare_digest(
+            request.token.encode("utf-8", "surrogatepass"),
+            self.auth_token.encode("utf-8", "surrogatepass"))
+
     def _account_request(self, request: Any) -> None:
-        """Count one dispatched frame (parent-side, every tier)."""
+        """Count one dispatched frame (every tier)."""
         if isinstance(request, BatchRequest):
             self._bump("server.batches", "batches_served")
             with self.stats._lock:
@@ -562,41 +803,18 @@ class AsyncRMIServer:
         else:
             self._bump("server.calls", "calls_served")
 
-    async def _dispatch(self, conn: _Connection, request: Any,
-                        frame: bytes) -> bytes:
-        """Run one request on the configured tier; encoded reply bytes.
-
-        The latency histogram spans submit-to-reply on both tiers
-        (wait for a pool thread or the sticky worker included), and
-        ``server.dispatch.queue_depth`` counts dispatches in flight
-        (at most one per connection).
-        """
-        assert self._loop is not None
-        start = time.perf_counter()
-        self._queue_depth(+1)
-        try:
-            if self._dispatcher is not None:
-                return await asyncio.wrap_future(
-                    self._dispatcher.submit(conn.session_id, frame))
-            return await self._loop.run_in_executor(
-                self._executor, self._execute, conn, request)
-        finally:
-            self._queue_depth(-1)
-            if TELEMETRY.enabled:
-                TELEMETRY.metrics.histogram(
-                    "server.dispatch.latency",
-                    labels={"server": self.name}).observe(
-                        time.perf_counter() - start)
-
     @staticmethod
-    def _execute(conn: _Connection, request: Any) -> bytes:
-        """Thread tier: dispatch on a pool thread, in the tenant's
-        connection context."""
-        assert conn.session is not None
-        with entered(conn.context):
-            return conn.session.dispatch_encoded(request)
+    def _error_reply(request: Any, error: str) -> bytes:
+        """An error reply shaped like the request's own reply: the call
+        id echoed, and for a BATCH one error per call."""
+        if isinstance(request, BatchRequest):
+            return BatchReply(request.batch_id, tuple(
+                CallReply(call.call_id, ok=False, error=error)
+                for call in request.calls)).encode()
+        return CallReply(request.call_id, ok=False, error=error).encode()
 
-    def _worker_died(self, conn: _Connection, request: Any) -> bytes:
+    def _worker_died(self, conn: _Connection, request: Any,
+                     pool: ProcessPoolExecutor) -> bytes:
         """Account a dead sticky worker; the session's last reply.
 
         The session's servants and context died with the worker.
@@ -607,32 +825,29 @@ class AsyncRMIServer:
         """
         assert self._dispatcher is not None
         self._bump("server.dispatch.worker_deaths", "worker_deaths")
-        self._dispatcher.replace_dead_worker(conn.session_id)
-        error = (f"dispatch worker for session {conn.session_id} died; "
-                 f"session state is lost — reconnect")
-        if isinstance(request, BatchRequest):
-            return BatchReply(request.batch_id, tuple(
-                CallReply(call.call_id, ok=False, error=error)
-                for call in request.calls)).encode()
-        return CallReply(request.call_id, ok=False, error=error).encode()
+        self._dispatcher.replace_dead_worker(pool)
+        return self._error_reply(
+            request, f"dispatch worker for session {conn.session_id} "
+                     f"died; session state is lost — reconnect")
 
     # ------------------------------------------------------------------
-    # Frame + accounting helpers
+    # Accounting helpers
     # ------------------------------------------------------------------
 
-    @staticmethod
-    async def _read_frame(reader: asyncio.StreamReader) -> bytes:
-        header = await reader.readexactly(4)
-        return await reader.readexactly(frame_length(header))
+    def _count_submit(self, conn: _Connection) -> None:
+        """``server.dispatch.latency`` spans submit to reply on the
+        loop, queue wait included; ``server.dispatch.queue_depth``
+        counts dispatches in flight (at most one per connection)."""
+        if TELEMETRY.enabled:
+            conn.submitted = time.perf_counter()
+            self._queue_depth(+1)
 
-    @staticmethod
-    async def _send_frame(writer: asyncio.StreamWriter,
-                          payload: bytes) -> None:
-        try:
-            writer.write(encode_frame(payload))
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
+    def _observe_dispatch(self, submitted: float) -> None:
+        self._queue_depth(-1)
+        TELEMETRY.metrics.histogram(
+            "server.dispatch.latency",
+            labels={"server": self.name}).observe(
+                time.perf_counter() - submitted)
 
     def _auth_failure(self) -> None:
         self._bump("server.auth.failures", "auth_failures")
@@ -659,10 +874,9 @@ class AsyncRMIServer:
                 "server.connections.peak", labels=labels).set(peak)
 
     def _queue_depth(self, delta: int) -> None:
-        if TELEMETRY.enabled:
-            TELEMETRY.metrics.gauge(
-                "server.dispatch.queue_depth",
-                labels={"server": self.name}).inc(delta)
+        TELEMETRY.metrics.gauge(
+            "server.dispatch.queue_depth",
+            labels={"server": self.name}).inc(delta)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "running" if self._thread is not None else "stopped"

@@ -171,13 +171,14 @@ class ProcessDispatcher:
         return self.pool_for(session_id).submit(
             _worker_dispatch, self.id, session_id, frame)
 
-    def replace_dead_worker(self, session_id: int) -> None:
-        """Give the slot of ``session_id``'s dead worker a fresh pool.
+    def replace_dead_worker(self, dead: ProcessPoolExecutor) -> None:
+        """Give the slot of the dead pool ``dead`` a fresh pool.
 
         Only sessions that start afterwards use it; idempotent across
-        the several sessions that find the same worker dead.
+        the several sessions that find the same worker dead.  Named by
+        pool, not session: the session may be forgotten (its connection
+        closed) before its in-flight dispatch reports the death.
         """
-        dead = self._bound.get(session_id)
         if dead in self._pools:
             self._pools[self._pools.index(dead)] = self._new_pool()
             dead.shutdown(wait=False)
