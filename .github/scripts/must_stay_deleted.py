@@ -115,6 +115,14 @@ RULES = (
          "the front end reads frames through streams or hands calls to "
          "an executor again (frames are split in _Connection and reach "
          "the dispatch threads through one SimpleQueue)"),
+    # A campaign costs its kernel: patterns cross the farm as rows.
+    Rule(r"dict\(pattern\) for pattern", ("src/repro/parallel",), None,
+         "the farm ships or copies Logic-dict patterns again (a pattern "
+         "crosses as one row of text, packed once per campaign)"),
+    Rule(re.escape('"01XZ"') + "|" + re.escape("'01XZ'"), SRC,
+         "src/repro/parallel/remote.py",
+         "a second table between pattern-row characters and Logic "
+         "values (PATTERN_ALPHABET is the one)", exactly=1),
 )
 
 

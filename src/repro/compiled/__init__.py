@@ -16,9 +16,9 @@ interpreted path, which stays selectable as ``--engine event`` and is
 the oracle of ``tests/differential/test_engine_differential.py``.
 """
 
-from .compiler import (CompiledKernel, built_fault_list, clear_build_cache,
-                       clear_kernel_cache, compile_netlist,
-                       netlist_fingerprint)
+from .compiler import (CompiledKernel, built_bench, built_fault_list,
+                       clear_build_cache, clear_kernel_cache,
+                       compile_netlist, netlist_fingerprint)
 from .engine import (ENGINES, FaultSimulator, fault_simulator_for,
                      resolve_engine, simulator_for)
 from .ppsfp import (SUPERWORD_BITS, WORD_BITS, CompiledFaultSimulator,
@@ -32,6 +32,7 @@ __all__ = [
     "CompiledKernel",
     "CompiledSimulator",
     "FaultSimulator",
+    "built_bench",
     "built_fault_list",
     "clear_build_cache",
     "clear_kernel_cache",

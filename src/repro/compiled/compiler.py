@@ -62,7 +62,7 @@ import threading
 import time
 from functools import cached_property
 from typing import (Any, Callable, Dict, Iterable, Iterator, List,
-                    Sequence, Tuple)
+                    Optional, Sequence, Tuple)
 
 from ..core.errors import FaultSimulationError
 from ..faults.faultlist import FaultList, build_fault_list
@@ -383,7 +383,36 @@ def built_fault_list(netlist: Netlist, collapse: str = "equivalence"
     return built
 
 
-def clear_build_cache() -> None:
-    """Drop every memoized fault-list build (cold set-ups, tests)."""
+_BENCH_CACHE: Dict[Tuple[str, Optional[str]], Netlist] = {}
+
+
+def built_bench(key: Tuple[str, Optional[str]],
+                build: Callable[[], Netlist]) -> Netlist:
+    """The process-wide netlist of a bench spec, built once per ``key``.
+
+    ``key`` is ``(spec, sha256 of the file's bytes)`` for a file bench
+    and ``(spec, None)`` for a builtin, so an edited file is a new key
+    and rebuilt.  Like :func:`built_fault_list` the build runs under
+    the lock and its netlist is shared with every later caller (its
+    fingerprint stays cached on it, so the build memo then hits in
+    O(1)); callers must treat it as read-only.  A failing ``build``
+    stores nothing.
+    """
     with _BUILD_LOCK:
+        netlist = _BENCH_CACHE.get(key)
+        hit = netlist is not None
+        if netlist is None:
+            netlist = _BENCH_CACHE[key] = build()
+    if TELEMETRY.enabled:
+        TELEMETRY.metrics.counter(
+            "faults.bench_cache.hits" if hit
+            else "faults.bench_cache.misses").inc()
+    return netlist
+
+
+def clear_build_cache() -> None:
+    """Drop every memoized bench and fault-list build (cold set-ups,
+    tests)."""
+    with _BUILD_LOCK:
+        _BENCH_CACHE.clear()
         _BUILD_CACHE.clear()

@@ -160,6 +160,13 @@ def _looks_sequential(text: str) -> bool:
     return False
 
 
+def parse_bench(text: str, name: str, validate: bool = True) -> Bench:
+    """Parse ``.bench`` text: sequential if it has ``DFF`` lines."""
+    if _looks_sequential(text):
+        return read_sequential_bench(text, name=name, validate=validate)
+    return read_bench(text, name=name, validate=validate)
+
+
 def load_bench(spec: str, validate: bool = True) -> Bench:
     """Resolve a bench spec: a ``.bench`` file path or a builtin name.
 
@@ -171,11 +178,7 @@ def load_bench(spec: str, validate: bool = True) -> Bench:
     import os
     if os.path.exists(spec):
         with open(spec) as handle:
-            text = handle.read()
-        if _looks_sequential(text):
-            return read_sequential_bench(text, name=spec,
-                                         validate=validate)
-        return read_bench(text, name=spec, validate=validate)
+            return parse_bench(handle.read(), spec, validate=validate)
     if spec not in _CORPUS:
         raise DesignError(
             f"cannot resolve bench {spec!r}: neither a file nor a "

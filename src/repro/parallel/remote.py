@@ -11,10 +11,12 @@ campaign produce byte-identical reports.
 
 The unit an endpoint is told about is the *campaign*, not the shard:
 
-* ``begin_campaign`` (oneway) names the bench, the collapse mode,
-  ``drop_detected`` and the gate-simulation engine (event or compiled;
-  the client always sends a resolved name) under a client-chosen id;
-* ``add_patterns`` (oneway, chunked) streams the pattern set;
+* ``begin_campaign`` (oneway) names the bench, the collapse mode, the
+  input column order, ``drop_detected`` and the gate-simulation engine
+  (event or compiled; the client always sends a resolved name) under a
+  client-chosen id;
+* ``add_patterns`` (oneway, chunked) streams the pattern set, one
+  :data:`PATTERN_ALPHABET` text per pattern;
 * ``run_shard`` (blocking) names a fault subset, runs it and answers
   with the marshalled report plus the worker's telemetry snapshot;
 * ``end_campaign`` (oneway) drops the servant's campaign state.
@@ -30,10 +32,15 @@ the connection that announced it) and announces again with its next
 shard.
 
 Only marshallable values cross the wire: bench *names*, fault *names*,
-pattern dicts of :class:`~repro.core.signal.Logic`.  Netlists never
-travel (the marshaller rejects them by design); each worker rebuilds
-the bench from its name, which is deterministic, so client and farm
-agree on fault names and simulation semantics.
+input *names* and pattern rows.  A row is one character per input
+column (``Logic`` value ``k`` is character ``k`` of
+:data:`PATTERN_ALPHABET`), packed once per campaign by
+:func:`pack_rows`; the servant rebuilds the ``Logic`` dicts.  Netlists
+never travel (the marshaller rejects them by design); each worker
+rebuilds the bench from its name, which is deterministic, so client
+and farm agree on fault names and simulation semantics, and a servant
+whose bench has other input columns than the announced ones refuses
+the campaign.
 
 Endpoint failure is handled with the same ``excluded`` bookkeeping the
 local pool's docs describe for poison shards: a shard that fails on an
@@ -47,20 +54,25 @@ shard's index.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import os
 import threading
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
-                    Union)
+from operator import itemgetter
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from ..core.errors import ParallelExecutionError, RemoteError
 from ..core.ids import current_connection, id_scope
 from ..faults.faultlist import FaultList, build_fault_list
-from ..compiled import built_fault_list, resolve_engine
+from ..compiled import built_bench, built_fault_list, resolve_engine
+from ..core.signal import Logic
 from ..faults.serial import FaultSimReport
 from ..gates.netlist import Netlist
+from ..gates.simulator import input_value
 from ..rmi.server import JavaCADServer
 from ..rmi.stub import RemoteStub
 from ..rmi.tlsconfig import client_ssl_context
@@ -79,6 +91,14 @@ FAULT_FARM_OBJECT = "faultfarm"
 
 DEFAULT_PATTERNS_PER_CALL = 32
 """Patterns per ``add_patterns`` oneway (BATCH frame-size bound)."""
+
+PATTERN_ALPHABET = "01XZ"
+"""The characters of a pattern row: character ``k`` is ``Logic(k)``."""
+
+_ROW_OF_CODES = bytes.maketrans(bytes(range(len(PATTERN_ALPHABET))),
+                                PATTERN_ALPHABET.encode("ascii"))
+_LOGIC_OF_CHAR = {char: Logic(code)
+                  for code, char in enumerate(PATTERN_ALPHABET)}
 
 # Pool nonces namespace *client-chosen* farm campaign ids ("farm7").
 # They cross the wire inside begin_campaign, but the servant treats them
@@ -120,19 +140,42 @@ def report_from_wire(wire: Mapping[str, Any]) -> FaultSimReport:
 # ----------------------------------------------------------------------
 
 def resolve_bench(spec: str) -> Netlist:
-    """Build the netlist a bench spec names (builtin name or file).
+    """The netlist a bench spec names (builtin name or file).
 
     This mirrors the CLI's netlist loader so a farm worker started with
     no arguments can serve any bench the client can name; both sides
     build the same netlist from the same spec, which is what makes the
     fault names agree.
+
+    The result is memoized process-wide by ``(spec, sha256 of the
+    file's bytes)`` -- ``(spec, None)`` for a builtin -- through
+    :func:`repro.compiled.built_bench`: every caller of one content
+    gets the same shared, read-only :class:`Netlist`, an edited file is
+    resolved again, and :func:`repro.compiled.clear_build_cache` drops
+    the memo.
     """
+    from ..gates.corpus import load_bench, parse_bench
+
+    if os.path.exists(spec):
+        # Parsed from the bytes that were hashed: an edit racing this
+        # read cannot file new content under the old key.
+        with open(spec, "rb") as handle:
+            data = handle.read()
+        key = (spec, hashlib.sha256(data).hexdigest())
+        load = partial(parse_bench, data.decode(), spec)
+    else:
+        key, load = (spec, None), partial(load_bench, spec)
+    return built_bench(key, partial(_combinational, spec, load))
+
+
+def _combinational(spec: str, load: Callable[[], Any]) -> Netlist:
+    """``load()``'s bench, or the farm's error for an unknown or
+    sequential one."""
     from ..core.errors import DesignError
-    from ..gates.corpus import load_bench
     from ..gates.io import SequentialBench
 
     try:
-        bench = load_bench(spec)
+        bench = load()
     except DesignError as exc:
         raise ParallelExecutionError(
             f"unknown bench {spec!r}: neither a file on this worker nor "
@@ -146,24 +189,77 @@ def resolve_bench(spec: str) -> Netlist:
     return bench
 
 
+def pack_rows(inputs: Sequence[str],
+              patterns: Sequence[Mapping[str, Logic]]) -> Tuple[str, ...]:
+    """One :data:`PATTERN_ALPHABET` row per pattern, in ``inputs`` order.
+
+    A missing or non-``Logic`` value raises the engines' own
+    :class:`~repro.core.errors.SimulationError` for the first such
+    (pattern, input), as a local run of the patterns would.
+    """
+    count = len(inputs)
+    if not count or not patterns:
+        return ("",) * len(patterns)
+    row = itemgetter(*inputs)
+    try:
+        rows = map(row, patterns)
+        values = list(rows if count == 1
+                      else itertools.chain.from_iterable(rows))
+    except KeyError:
+        values = None
+    if values is None or set(map(type, values)) != {Logic}:
+        for pattern in patterns:
+            for net in inputs:
+                input_value(pattern, net)
+    text = bytes(values).translate(_ROW_OF_CODES).decode("ascii")
+    return tuple(text[start:start + count]
+                 for start in range(0, len(text), count))
+
+
+def _unpack_rows(inputs: Sequence[str],
+                 rows: Sequence[str]) -> List[Dict[str, Logic]]:
+    """The ``Logic`` dicts of :func:`pack_rows`'s rows."""
+    patterns = []
+    for index, row in enumerate(rows):
+        if type(row) is not str:
+            raise ParallelExecutionError(
+                f"pattern row {index} is a {type(row).__name__}, not a "
+                f"text")
+        if len(row) != len(inputs):
+            raise ParallelExecutionError(
+                f"pattern row {index} has {len(row)} characters for "
+                f"{len(inputs)} input columns")
+        try:
+            patterns.append(dict(zip(inputs,
+                                     map(_LOGIC_OF_CHAR.__getitem__, row))))
+        except KeyError as exc:
+            raise ParallelExecutionError(
+                f"pattern row {index} has {exc.args[0]!r}, a character "
+                f"outside {PATTERN_ALPHABET!r}") from None
+    return patterns
+
+
 class FaultFarmServant:
     """Provider-side worker: holds campaigns, simulates shards, replies.
 
-    A campaign arrives in pieces -- ``begin_campaign`` then any number
-    of ``add_patterns`` (both oneway, so they ride in the same BATCH
-    frame as the first blocking call) -- and each ``run_shard`` runs one
-    fault subset of it.  Campaigns are keyed by a client-chosen id, so
+    A campaign arrives in pieces -- ``begin_campaign`` (which names the
+    input columns) then any number of ``add_patterns`` (pattern rows;
+    both oneway, so they ride in the same BATCH frame as the first
+    blocking call) -- and each ``run_shard`` runs one fault subset of
+    it.  Campaigns are keyed by a client-chosen id, so
     one servant can serve several farms at once without mixing their
     state; ``end_campaign`` drops it.
 
-    ``begin_campaign`` only stores: every error (unknown bench or
-    engine, sequential bench, unknown fault name) surfaces on the
-    blocking ``run_shard`` with its own cause.  The first shard of a
-    campaign resolves the bench name and takes the netlist and fault
-    list from the process-wide build memo
-    (:func:`repro.compiled.built_fault_list`), so every session and
-    servant of one worker process shares one build per
-    (bench content, collapse) and a campaign resolves its bench once.
+    ``begin_campaign`` and ``add_patterns`` only store: every error
+    (unknown bench or engine, sequential bench, input columns that
+    differ from the bench's, a malformed row, unknown fault name)
+    surfaces on the blocking ``run_shard`` with its own cause.  The
+    first shard of a campaign resolves the bench (memoized by content,
+    :func:`resolve_bench`), takes the fault list from the process-wide
+    build memo (:func:`repro.compiled.built_fault_list`) and rebuilds
+    the ``Logic`` patterns from the rows, so every session and servant
+    of one worker process shares one netlist and one build per
+    (bench content, collapse).
 
     A campaign lives in the connection that announced it, so tenants
     of one servant never meet and a vanished client leaves nothing.
@@ -183,23 +279,29 @@ class FaultFarmServant:
         return "pong"
 
     def begin_campaign(self, campaign_id: str, bench: str, collapse: str,
-                       drop_detected: bool = True,
+                       inputs: Sequence[str], drop_detected: bool = True,
                        engine: Optional[str] = None) -> bool:
-        """Store (or replace) a campaign; nothing is resolved yet."""
+        """Store (or replace) a campaign; nothing is resolved yet.
+
+        ``inputs`` is the column order of the rows ``add_patterns``
+        brings.
+        """
         current_connection().sessions(self)[campaign_id] = {
             "bench": str(bench),
             "collapse": str(collapse),
+            "inputs": inputs,
             "drop_detected": bool(drop_detected),
             "engine": engine,
-            "patterns": [],
+            "rows": [],
             "built": None,
         }
         return True
 
-    def add_patterns(self, campaign_id: str,
-                     patterns: Sequence[Mapping[str, Any]]) -> bool:
-        self._campaign(campaign_id, "add_patterns")["patterns"].extend(
-            dict(pattern) for pattern in patterns)
+    def add_patterns(self, campaign_id: str, rows: Sequence[str]) -> bool:
+        """Append pattern rows (see :data:`PATTERN_ALPHABET`)."""
+        campaign = self._campaign(campaign_id, "add_patterns")
+        campaign["rows"].extend(rows)
+        campaign["built"] = None
         return True
 
     def run_shard(self, campaign_id: str, fault_names: Sequence[str],
@@ -215,12 +317,10 @@ class FaultFarmServant:
             # without disturbing the session the shard arrived on.
             with id_scope():
                 if campaign["built"] is None:
-                    campaign["built"] = built_fault_list(
-                        self.resolver(campaign["bench"]),
-                        campaign["collapse"])
-                netlist, fault_list = campaign["built"]
+                    campaign["built"] = self._build(campaign)
+                netlist, fault_list, patterns = campaign["built"]
                 report = simulate_shard(
-                    netlist, fault_list, campaign["patterns"],
+                    netlist, fault_list, patterns,
                     campaign["drop_detected"], campaign["engine"],
                     fault_names)
         finally:
@@ -235,6 +335,22 @@ class FaultFarmServant:
         """Drop the campaign's state (a no-op for an unknown id)."""
         current_connection().sessions(self).pop(campaign_id, None)
         return True
+
+    def _build(self, campaign: Dict[str, Any]
+               ) -> Tuple[Netlist, FaultList, List[Dict[str, Logic]]]:
+        """A campaign's netlist, fault list and ``Logic`` patterns."""
+        netlist, fault_list = built_fault_list(
+            self.resolver(campaign["bench"]), campaign["collapse"])
+        inputs = campaign["inputs"]
+        if not (isinstance(inputs, (list, tuple))
+                and tuple(inputs) == netlist.inputs):
+            raise ParallelExecutionError(
+                f"the announced input columns are not the "
+                f"{len(netlist.inputs)} inputs of bench "
+                f"{campaign['bench']!r} on this worker, in order: client "
+                f"and worker resolve different content under one spec")
+        return (netlist, fault_list,
+                _unpack_rows(netlist.inputs, campaign["rows"]))
 
     def _campaign(self, campaign_id: str, call: str) -> Dict[str, Any]:
         campaign = current_connection().sessions(self).get(campaign_id)
@@ -283,12 +399,15 @@ def parse_endpoint(spec: EndpointSpec) -> Tuple[str, int]:
 class RemoteCampaign:
     """What every shard of one farm run shares, fully marshallable.
 
-    A shard is then just a tuple of fault names.
+    ``rows`` are the patterns as :func:`pack_rows` packs them over the
+    ``inputs`` columns, once per campaign.  A shard is then just a
+    tuple of fault names.
     """
 
     bench: str
     collapse: str
-    patterns: Tuple[Mapping[str, Any], ...]
+    inputs: Tuple[str, ...]
+    rows: Tuple[str, ...]
     drop_detected: bool = True
     engine: Optional[str] = None
 
@@ -645,13 +764,14 @@ class RemoteWorkerPool:
         if not endpoint.announced:
             stub.invoke_oneway("begin_campaign", campaign_id,
                                campaign.bench, campaign.collapse,
+                               list(campaign.inputs),
                                campaign.drop_detected,
                                resolve_engine(campaign.engine))
             step = DEFAULT_PATTERNS_PER_CALL
-            for start in range(0, len(campaign.patterns), step):
+            for start in range(0, len(campaign.rows), step):
                 stub.invoke_oneway(
                     "add_patterns", campaign_id,
-                    list(campaign.patterns[start:start + step]))
+                    list(campaign.rows[start:start + step]))
             endpoint.announced = True
         payload = stub.run_shard(campaign_id, list(fault_names), collect)
         return report_from_wire(payload["report"]), dict(
@@ -710,8 +830,10 @@ def remote_fault_simulate(bench: str,
     cuts one shard per endpoint; ``workers`` (the CLI's ``--workers``)
     raises the shard count above the endpoint count so endpoints steal
     work from each other.  A single fault runs in this process.  The
-    merged report is byte-identical to a serial run.  Token, TLS and
-    timeouts are the ``pool``'s (default: a plain
+    patterns are packed into rows once, before any endpoint is
+    contacted, so a missing or non-``Logic`` value raises here what a
+    local run raises.  The merged report is byte-identical to a serial
+    run.  Token, TLS and timeouts are the ``pool``'s (default: a plain
     :class:`RemoteWorkerPool` over ``endpoints``).
     """
     engine = resolve_engine(engine)
@@ -721,10 +843,12 @@ def remote_fault_simulate(bench: str,
         netlist = resolve_bench(bench)
     if fault_list is None:
         fault_list = build_fault_list(netlist, collapse=collapse)
-    patterns = tuple(dict(pattern) for pattern in patterns)
+    patterns = list(patterns)
+    rows = pack_rows(netlist.inputs, patterns)
     return run_sharded(
         fault_list.names(),
-        RemoteCampaign(bench, collapse, patterns, drop_detected, engine),
+        RemoteCampaign(bench, collapse, netlist.inputs, rows,
+                       drop_detected, engine),
         merge_reports, pool, workers, shards,
         inline=partial(simulate_shard, netlist, fault_list, patterns,
                        drop_detected, engine))

@@ -39,7 +39,7 @@ from repro.bench.scenarios import LOCALHOST, run_scenario
 from repro.core.signal import Logic
 from repro.faults.faultlist import build_fault_list
 from repro.gates.corpus import load_bench
-from repro.parallel.remote import FaultFarmServant
+from repro.parallel.remote import FaultFarmServant, pack_rows
 from repro.rmi.marshal import marshal
 
 experiment = build_embedded(load_bench("alu8"))
@@ -53,8 +53,8 @@ rng = random.Random(0)
 farm_patterns = [{net: Logic(rng.getrandbits(1)) for net in netlist.inputs}
                  for _ in range(16)]
 servant = FaultFarmServant()
-servant.begin_campaign("farm1", "alu8", "equivalence")
-servant.add_patterns("farm1", farm_patterns)
+servant.begin_campaign("farm1", "alu8", "equivalence", netlist.inputs)
+servant.add_patterns("farm1", pack_rows(netlist.inputs, farm_patterns))
 reply = servant.run_shard("farm1",
                           list(build_fault_list(netlist).names()))
 

@@ -59,12 +59,30 @@ def serial_fingerprint(bench, pattern_set):
     return report_fingerprint(report)
 
 
-def farmed_fingerprint(endpoint, bench, pattern_set, **client):
+def farmed_fingerprint(endpoint, bench, pattern_set, pool_cls=None,
+                       **client):
     """``client``: the pool's token / TLS options."""
+    pool_cls = pool_cls or RemoteWorkerPool
     report = remote_fault_simulate(
         bench, pattern_set, [endpoint], workers=3,
-        pool=RemoteWorkerPool([endpoint], **client))
+        pool=pool_cls([endpoint], **client))
     return report_fingerprint(report)
+
+
+def meeting_pool(meeting):
+    """A pool class that waits at ``meeting`` after its first shard,
+    while its connection (its tenant's session) is still open."""
+    class MeetingPool(RemoteWorkerPool):
+        met = False
+
+        def _run_shard(self, *args):
+            result = super()._run_shard(*args)
+            if not self.met:
+                self.met = True
+                meeting.wait(timeout=30)
+            return result
+
+    return MeetingPool
 
 
 class TestServingStacksAreByteIdentical:
@@ -143,13 +161,16 @@ class TestConcurrentSessions:
         results = {}
         failures = []
         barrier = threading.Barrier(len(campaigns))
+        # Both sessions are open at the second barrier, so the two
+        # connections overlap by construction, not by timing.
+        pool_cls = meeting_pool(threading.Barrier(len(campaigns)))
 
         def tenant(name, bench, pattern_set):
             try:
                 barrier.wait(timeout=5)
                 results[name] = farmed_fingerprint(
                     f"{host}:{port}", bench, pattern_set,
-                    token="tenant")
+                    pool_cls=pool_cls, token="tenant")
             except Exception as exc:  # pragma: no cover - diagnostic
                 failures.append((name, exc))
 

@@ -3,22 +3,26 @@
 import collections
 import contextlib
 import random
+import re
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiled import ENGINES, fault_simulator_for
-from repro.core.errors import ParallelExecutionError, RemoteError
+from repro.core.errors import (ParallelExecutionError, RemoteError,
+                               SimulationError)
 from repro.core.ids import current_connection
 from repro.core.signal import Logic
 from repro.faults.faultlist import build_fault_list
 from repro.faults.serial import FaultSimReport, SerialFaultSimulator
+from repro.gates.generators import random_netlist
 from repro.parallel import (diff_reports, merge_reports,
                             parallel_fault_simulate, round_robin_shards)
 from repro.parallel.faultsim import simulate_shard
 from repro.parallel.remote import (FAULT_FARM_OBJECT, FaultFarmServant,
-                                   RemoteCampaign, RemoteWorkerPool,
+                                   PATTERN_ALPHABET, RemoteCampaign,
+                                   RemoteWorkerPool, pack_rows,
                                    parse_endpoint, register_fault_farm,
                                    remote_fault_simulate, report_from_wire,
                                    report_to_wire, resolve_bench)
@@ -71,8 +75,15 @@ def figure4_campaign(patterns=48, seed=0):
     return campaign_on("figure4", patterns, seed)
 
 
+def packed(bench, patterns):
+    """A campaign's wire form: ``bench``'s inputs and the packed rows."""
+    inputs = resolve_bench(bench).inputs
+    return RemoteCampaign(bench, "equivalence", inputs,
+                          pack_rows(inputs, patterns))
+
+
 def figure4(patterns):
-    return RemoteCampaign("figure4", "equivalence", tuple(patterns))
+    return packed("figure4", patterns)
 
 
 class TestEndpointParsing:
@@ -246,8 +257,9 @@ class TestFailureHandling:
         _, fault_list, patterns = figure4_campaign(patterns=4)
         with fault_farm(1) as (endpoints, _):
             pool = RemoteWorkerPool(endpoints)
-            campaign = RemoteCampaign("not-a-bench", "equivalence",
-                                      tuple(patterns))
+            inputs = resolve_bench("figure4").inputs
+            campaign = RemoteCampaign("not-a-bench", "equivalence", inputs,
+                                      pack_rows(inputs, patterns))
             with pytest.raises(ParallelExecutionError,
                                match="unknown bench 'not-a-bench'"):
                 pool.map(campaign, [fault_list.names()[:1]])
@@ -404,8 +416,14 @@ class TestCampaignCrossesOnce:
         assert calls == {"resolve": 2, "begin_campaign": 2,
                          "add_patterns": 2 * 4, "run_shard": 8,
                          "end_campaign": 2}
+        # Rows of "01XZ" text, not Logic dicts: each endpoint's
+        # announcing BATCH frame is a few kB.
         assert pool.bytes_sent() <= \
-            0.35 * self.PER_SHARD_PROTOCOL_BYTES_SENT
+            0.1 * self.PER_SHARD_PROTOCOL_BYTES_SENT
+        first = [sent for _index, announced, sent in pool.attempts
+                 if not announced]
+        assert len(first) == 2
+        assert max(first) < 8192
         later = [sent for _index, announced, sent in pool.attempts
                  if announced]
         assert len(later) == 6
@@ -434,6 +452,53 @@ class TestCampaignCrossesOnce:
             netlist, pattern_set, fault_list, workers=2, shards=shards,
             drop_detected=drop_detected, engine=engine)
         assert diff_reports(local, oracle) == []
+
+
+class _RecordingServant(FaultFarmServant):
+    """Serves one in-memory netlist under any spec and keeps the
+    ``Logic`` patterns each campaign's rows were rebuilt into."""
+
+    def __init__(self, netlist):
+        super().__init__(resolver=lambda _spec: netlist)
+        self.rebuilt = []
+
+    def _build(self, campaign):
+        built = super()._build(campaign)
+        self.rebuilt.append(built[2])
+        return built
+
+
+class TestRowsCrossExactly:
+    @settings(max_examples=25, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 14),
+                           st.integers(1, 3), st.integers(0, 2 ** 16)),
+           values=st.lists(st.lists(st.sampled_from(list(Logic)),
+                                    min_size=6, max_size=6),
+                           max_size=70),
+           engine=st.sampled_from(ENGINES), shards=st.integers(1, 3))
+    def test_farmed_equals_serial_with_z_kept(self, shape, values, engine,
+                                              shards):
+        """Rows over {0, 1, X, Z} rebuild the client's exact patterns
+        (``Z`` stays ``Z``), and the farmed report is the serial one."""
+        n_inputs, n_gates, n_outputs, seed = shape
+        netlist = random_netlist(n_inputs, n_gates, n_outputs, seed=seed)
+        fault_list = build_fault_list(netlist)
+        patterns = [dict(zip(netlist.inputs, row)) for row in values]
+        serial = fault_simulator_for(engine, netlist, fault_list).run(
+            patterns)
+        with fault_farm(1, servant_factory=lambda _server:
+                        _RecordingServant(netlist)) as (endpoints,
+                                                        servants):
+            farmed = remote_fault_simulate(
+                "in-memory", patterns, endpoints, netlist=netlist,
+                fault_list=fault_list, shards=shards, engine=engine)
+        assert diff_reports(farmed, serial) == []
+        if len(fault_list) > 1:
+            assert servants[0].rebuilt
+        for rebuilt in servants[0].rebuilt:
+            assert rebuilt == patterns
+            assert all(type(value) is Logic for pattern in rebuilt
+                       for value in pattern.values())
 
 
 class _ReplyKeepingServant(_CountingServant):
@@ -644,22 +709,14 @@ class TestCampaignStateEnds:
 
 
 class TestErrorsSurfaceOnTheBlockingCall:
-    """``begin_campaign`` only stores, so a bad announcement is not a
-    swallowed oneway failure followed by a misleading "unknown" error:
-    ``run_shard`` raises the real cause."""
+    """``begin_campaign`` and ``add_patterns`` only store, so a bad
+    announcement is not a swallowed oneway failure followed by a
+    misleading "unknown" error: ``run_shard`` raises the real cause."""
 
-    @pytest.mark.parametrize("announcement, fault, cause", [
-        (("c17", "equivalence", True, "nope"), "10sa1",
-         "unknown engine 'nope'"),
-        (("c17", "bogus", True, None), "10sa1",
-         "unknown collapse mode 'bogus'"),
-        (("s27", "equivalence", True, None), "10sa1",
-         "bench 's27' is sequential"),
-        (("c17", "equivalence", True, None), "no-such-fault sa0",
-         r"has no fault\(s\) \['no-such-fault sa0'\]"),
-    ])
-    def test_a_raw_stub_gets_the_real_cause(self, announcement, fault,
-                                            cause):
+    @staticmethod
+    @contextlib.contextmanager
+    def raw_stub():
+        """A raw stub on a one-servant farm; the test ends ``raw``."""
         with fault_farm(1, servant_factory=_CountingServant) as (
                 endpoints, servants):
             host, port = parse_endpoint(endpoints[0])
@@ -668,36 +725,93 @@ class TestErrorsSurfaceOnTheBlockingCall:
             stub = RemoteStub(transport, FAULT_FARM_OBJECT,
                               FaultFarmServant.REMOTE_METHODS)
             try:
-                stub.invoke_oneway("begin_campaign", "raw", *announcement)
-                with pytest.raises(RemoteError, match=cause):
-                    stub.run_shard("raw", [fault])
-                with pytest.raises(RemoteError,
-                                   match="unknown campaign 'other'"):
-                    stub.run_shard("other", [])
+                yield stub
                 stub.invoke_oneway("end_campaign", "raw")
             finally:
                 transport.close()
             assert campaigns_held(servants[0]) == []
 
-    def test_a_non_logic_pattern_value_is_named(self):
-        """A pattern value that is not a ``Logic`` (here the int 1,
-        which marshals as an int) fails the shard with the engine's
-        own error, not a silent X."""
-        pattern = {net: Logic.ZERO for net in resolve_bench("c17").inputs}
-        pattern["3"] = 1
+    @pytest.mark.parametrize("announcement, fault, cause", [
+        (("c17", "equivalence", "nope"), "10sa1", "unknown engine 'nope'"),
+        (("c17", "bogus", None), "10sa1", "unknown collapse mode 'bogus'"),
+        (("s27", "equivalence", None), "10sa1",
+         "bench 's27' is sequential"),
+        (("c17", "equivalence", None), "no-such-fault sa0",
+         r"has no fault\(s\) \['no-such-fault sa0'\]"),
+    ])
+    def test_a_raw_stub_gets_the_real_cause(self, announcement, fault,
+                                            cause):
+        bench, collapse, engine = announcement
+        inputs = list(resolve_bench("c17").inputs)
+        with self.raw_stub() as stub:
+            stub.invoke_oneway("begin_campaign", "raw", bench, collapse,
+                               inputs, True, engine)
+            with pytest.raises(RemoteError, match=cause):
+                stub.run_shard("raw", [fault])
+            with pytest.raises(RemoteError,
+                               match="unknown campaign 'other'"):
+                stub.run_shard("other", [])
+
+    @pytest.mark.parametrize("columns, rows, cause", [
+        (lambda inputs: inputs[::-1], ["01010"],
+         "the announced input columns are not the 5 inputs of bench 'c17'"),
+        (lambda inputs: inputs[:4], ["0101"],
+         "the announced input columns are not the 5 inputs of bench 'c17'"),
+        (list, ["01010", "0101"],
+         "pattern row 1 has 4 characters for 5 input columns"),
+        (list, ["01x01"],
+         "pattern row 0 has 'x', a character outside '01XZ'"),
+        (list, [[0, 1, 0, 1, 0]], "pattern row 0 is a list, not a text"),
+    ])
+    def test_a_bad_announcement_is_a_named_error(self, columns, rows,
+                                                 cause):
+        """Columns that are not the worker's bench inputs (same spec,
+        other content on the two sides) and malformed rows are named
+        errors of the shard, never a ``KeyError``."""
+        inputs = list(resolve_bench("c17").inputs)
+        with self.raw_stub() as stub:
+            stub.invoke_oneway("begin_campaign", "raw", "c17",
+                               "equivalence", columns(inputs))
+            stub.invoke_oneway("add_patterns", "raw", rows)
+            with pytest.raises(RemoteError,
+                               match="ParallelExecutionError: "
+                                     + re.escape(cause)):
+                stub.run_shard("raw", ["10sa1"])
+
+    def test_a_client_on_other_bench_content_is_refused(self):
+        """The client packs over its netlist's columns; a worker whose
+        bench under that spec has other columns refuses every shard."""
+        _, _, patterns = figure4_campaign(patterns=4)
+        with fault_farm(1) as (endpoints, servants):
+            with pytest.raises(ParallelExecutionError,
+                               match="input columns are not the 5 "
+                                     "inputs of bench 'c17'"):
+                remote_fault_simulate(
+                    "c17", patterns, endpoints,
+                    netlist=resolve_bench("figure4"))
+            assert servants[0].shards_served == 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("value", [1, "missing"])
+    def test_a_non_logic_pattern_value_is_named(self, engine, value):
+        """A value that is not a ``Logic`` (the int 1) or a missing input
+        raises, before any endpoint is contacted, the error a local run
+        of the same campaign raises -- not a silent X."""
+        netlist, fault_list, patterns = campaign_on("c17", 4)
+        if value == "missing":
+            del patterns[2]["3"]
+        else:
+            patterns[2]["3"] = value
+        with pytest.raises(SimulationError) as local:
+            fault_simulator_for(engine, netlist, fault_list).run(patterns)
         with fault_farm(1) as (endpoints, _):
-            host, port = parse_endpoint(endpoints[0])
-            transport = wrap_transport(TcpTransport(host, port),
-                                       batching=True, caching=False)
-            stub = RemoteStub(transport, FAULT_FARM_OBJECT,
-                              FaultFarmServant.REMOTE_METHODS)
-            try:
-                stub.invoke_oneway("begin_campaign", "raw", "c17",
-                                   "equivalence", True, None)
-                stub.invoke_oneway("add_patterns", "raw", [pattern])
-                with pytest.raises(RemoteError,
-                                   match="primary input '3' is 1, not a "
-                                         "Logic value"):
-                    stub.run_shard("raw", ["10sa1"])
-            finally:
-                transport.close()
+            pass  # torn down: reaching it would fail differently
+        with pytest.raises(SimulationError) as remote:
+            remote_fault_simulate("c17", patterns, endpoints, engine=engine)
+        assert str(remote.value) == str(local.value)
+        assert "'3'" in str(local.value)
+
+
+def test_the_row_alphabet_is_logic_to_char():
+    assert PATTERN_ALPHABET == "".join(
+        Logic(code).to_char() for code in range(len(Logic)))

@@ -10,7 +10,8 @@ import pytest
 from repro.core.errors import ParallelExecutionError
 from repro.core.signal import Logic
 from repro.parallel.remote import (RemoteCampaign, RemoteWorkerPool,
-                                   remote_fault_simulate, resolve_bench)
+                                   pack_rows, remote_fault_simulate,
+                                   resolve_bench)
 from repro.server import AsyncRMIServer
 from repro.server.farm import fault_farm_session_factory
 from repro.telemetry import TELEMETRY
@@ -33,7 +34,9 @@ def c17_campaign(patterns=12, seed=0):
 
 def trivial_campaign():
     """``pool.map`` arguments: a campaign and its one shard."""
-    return (RemoteCampaign("c17", "equivalence", tuple(c17_campaign(2))),
+    inputs = resolve_bench("c17").inputs
+    return (RemoteCampaign("c17", "equivalence", inputs,
+                           pack_rows(inputs, c17_campaign(2))),
             [("10sa1",)])
 
 

@@ -35,7 +35,7 @@ TABLE = DetectionTable(
 PATTERN = {"a": Logic.ONE, "b": Logic.ZERO, "cin": Logic.X}
 CALLS = (
     CallRequest("probe", "ping", (7,), call_id=1),
-    CallRequest("farm", "add_patterns", ("t1", [PATTERN, PATTERN]),
+    CallRequest("farm", "add_patterns", ("t1", ["10X", "Z01"]),
                 {"flush": True}, call_id=2, oneway=True),
     CallRequest("ip", "step", (Word(5, 8), Word.unknown(4), b"\x00\xff",
                                frozenset({1, "x"}), 2.5, None,

@@ -21,7 +21,6 @@ import pytest
 
 from repro.core.errors import RemoteError
 from repro.core.ids import next_id
-from repro.core.signal import Logic
 from repro.parallel.remote import register_fault_farm, resolve_bench
 from repro.rmi import CallReply, CallRequest, JavaCADServer, TcpTransport
 from repro.server import DISPATCH_TIERS, AsyncRMIServer
@@ -172,7 +171,8 @@ class TestSessionIdIsolation:
     def test_a_farm_shard_mid_session_leaves_tenant_ids_alone(self, tier):
         """Running a shard used to rewind process state from inside the
         live server, silently un-isolating every tenant."""
-        pattern = {net: Logic(1) for net in resolve_bench("c17").inputs}
+        inputs = list(resolve_bench("c17").inputs)
+        rows = ["1" * len(inputs)]
         barrier = threading.Barrier(2)
         seen = {}
 
@@ -187,9 +187,10 @@ class TestSessionIdIsolation:
                 barrier.wait(timeout=10)
                 campaign = f"farm{name}"
                 transport.invoke("faultfarm", "begin_campaign",
-                                 (campaign, "c17", "equivalence"), {})
+                                 (campaign, "c17", "equivalence", inputs),
+                                 {})
                 transport.invoke("faultfarm", "add_patterns",
-                                 (campaign, [pattern]), {})
+                                 (campaign, rows), {})
                 ids += draw(1)
                 transport.invoke("faultfarm", "run_shard",
                                  (campaign, []), {})
