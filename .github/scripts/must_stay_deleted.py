@@ -123,6 +123,11 @@ RULES = (
          "src/repro/parallel/remote.py",
          "a second table between pattern-row characters and Logic "
          "values (PATTERN_ALPHABET is the one)", exactly=1),
+    # Figure 5 pays for its events: the public model picks no engine.
+    Rule(re.escape("NetlistSimulator("), ("src/repro/bench",), None,
+         "a bench builder picks a simulator class again (the public "
+         "functional model runs simulator_for(None, netlist), like "
+         "everything else that means the default engine)"),
 )
 
 

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..compiled import simulator_for
 from ..core.connector import BitConnector, Connector
 from ..core.design import Circuit
 from ..core.errors import SimulationError
@@ -29,7 +30,6 @@ from ..faults.virtual import (IPBlockClient, TestabilityServant,
 from ..gates.generators import ip1_block
 from ..gates.module import LogicGateModule
 from ..gates.netlist import Netlist
-from ..gates.simulator import NetlistSimulator
 
 
 class PublicFunctionalModel(ModuleSkeleton):
@@ -84,10 +84,12 @@ def functional_model_of(netlist: Netlist) -> Callable[[Tuple[Logic, ...]],
 
     The provider compiles its implementation into an executable
     behavioural model (the paper's downloadable public part); here that
-    compilation is a closure over a fault-free simulator.  Only
-    input/output behaviour is exposed to the caller.
+    compilation is a closure over a fault-free simulator of the default
+    engine (``simulator_for(None, ...)``, like every other simulator the
+    library builds).  Only input/output behaviour is exposed to the
+    caller.
     """
-    simulator = NetlistSimulator(netlist)
+    simulator = simulator_for(None, netlist)
     input_names = netlist.inputs
 
     def fn(bits: Tuple[Logic, ...]) -> Tuple[Logic, ...]:

@@ -154,6 +154,11 @@ class CompiledSimulator:
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
+        # id(fault) -> (fault, its _injection): a servant's tables name
+        # the same fault objects over and over, so each site is resolved
+        # once per simulator.  The entry keeps its fault alive, so no
+        # other object can take that id while it is cached.
+        self._sites: Dict[int, Tuple[Any, Tuple[int, bool]]] = {}
 
     @cached_property
     def kernel(self) -> CompiledKernel:
@@ -186,9 +191,24 @@ class CompiledSimulator:
 
     def outputs(self, input_values: Mapping[str, Logic],
                 fault: Any = None) -> Tuple[Logic, ...]:
-        """Primary-output values only, in declaration order."""
-        values = self.evaluate(input_values, fault=fault)
-        return tuple(values[net] for net in self.netlist.outputs)
+        """Primary-output values only, in declaration order.
+
+        Without a fault only the output nets are unpacked; an output
+        that is also a primary input keeps its raw echo (``Z`` stays
+        ``Z``), as in :meth:`evaluate`.
+        """
+        if fault is not None:
+            values = self.evaluate(input_values, fault=fault)
+            return tuple(values[net] for net in self.netlist.outputs)
+        kernel = self.kernel
+        iv, ic = pack_patterns(kernel.inputs, [input_values])
+        words = kernel.run_good(iv, ic)
+        _record_work(kernel.gate_count, 1)
+        echoed = len(kernel.inputs)
+        return tuple(
+            input_values[kernel.nets[index]] if index < echoed
+            else _unpack_bit(words[2 * index], words[2 * index + 1], 0)
+            for index in kernel.output_index)
 
     def outputs_for_faults(self, input_values: Mapping[str, Logic],
                            faults: Sequence[Any]
@@ -201,7 +221,13 @@ class CompiledSimulator:
         """
         kernel = self.kernel
         iv, ic = pack_patterns(kernel.inputs, [input_values])
-        injections = [_injection(kernel, fault) for fault in faults]
+        sites = self._sites
+        injections = []
+        for fault in faults:
+            entry = sites.get(id(fault))
+            if entry is None:
+                entry = sites[id(fault)] = (fault, _injection(kernel, fault))
+            injections.append(entry[1])
         results: List[Tuple[Logic, ...]] = []
         runs = 0
         for count, rep, words in _fault_lanes(kernel, iv, ic, 1,

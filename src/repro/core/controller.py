@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextvars
 import threading
 from dataclasses import dataclass
+from heapq import heappop
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..net.clock import CostModel, VirtualClock
@@ -178,12 +179,18 @@ class SimulationController:
     # ------------------------------------------------------------------
 
     def initialize(self) -> None:
-        """Run every module's ``initialize`` hook exactly once."""
+        """Run every module's ``initialize`` hook exactly once.
+
+        A module whose class keeps the base class's no-op hook is
+        skipped: an injection run builds a controller per table row.
+        """
         if self._initialized:
             return
         self._initialized = True
+        noop = ModuleSkeleton.initialize
         for module in self.circuit.modules:
-            module.initialize(self._context)
+            if type(module).initialize is not noop:
+                module.initialize(self._context)
 
     def start(self, max_time: Optional[float] = None,
               max_events: Optional[int] = None) -> SimulationStats:
@@ -205,6 +212,8 @@ class SimulationController:
                       "controller": self.name}).start()
         # Loop invariants: none of these is rebound while a run lasts
         # (the queue is the scheduler's own heap, emptied in place).
+        # Untraced, the loop pops that heap itself and sets ``now`` and
+        # ``events_delivered`` exactly as Scheduler.pop would.
         scheduler = self.scheduler
         scheduler_id = scheduler.scheduler_id
         queue = scheduler._queue
@@ -223,7 +232,13 @@ class SimulationController:
                         and next_time > current_instant:
                     self._end_of_instant(current_instant)
                     stats.instants += 1
-                token = pop()
+                traced = TELEMETRY.enabled
+                if traced:
+                    token = pop()
+                else:
+                    token = heappop(queue)[2]
+                    scheduler.now = next_time
+                    scheduler.events_delivered += 1
                 current_instant = next_time
                 target = token.target
                 charge_cpu(event_dispatch + target.event_cost(cost, token))
@@ -234,7 +249,7 @@ class SimulationController:
                 if observers:
                     for observer in observers:
                         observer(token, context)
-                if TELEMETRY.enabled:
+                if traced:
                     with TELEMETRY.tracer.span(
                             "scheduler.deliver", category="scheduler",
                             clock=self.clock,

@@ -99,12 +99,15 @@ class Circuit:
         A caller that already holds the result of :meth:`connectors`
         (and knows the wiring has not changed since) passes it to spare
         the scan; it may add connectors of its own to be cleared.
+        Entries are dropped from each module's and connector's table
+        directly (what ``clear_state`` / ``clear`` do, without a call
+        per object: this runs after every injection run).
         """
         for module in self._modules:
-            module.clear_state(scheduler_id)
+            module._state.pop(scheduler_id, None)
         for connector in (self.connectors() if connectors is None
                           else connectors):
-            connector.clear(scheduler_id)
+            connector._values.pop(scheduler_id, None)
 
     def __iter__(self):
         return iter(self._modules)

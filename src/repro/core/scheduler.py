@@ -44,11 +44,13 @@ class Scheduler:
         """Enqueue a token ``delay`` time units from now.
 
         The token is stamped with this scheduler's identity; tokens
-        already owned by another scheduler are rejected.
+        already owned by another scheduler are rejected, and so is a
+        delay that is negative or NaN (a NaN time breaks the heap order:
+        later pops would run ``now`` backwards).
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(
-                f"cannot schedule in the past (delay={delay})")
+                f"cannot schedule at delay={delay} (must be >= 0)")
         if token.scheduler_id is not None and \
                 token.scheduler_id != self.scheduler_id:
             raise SchedulerInterferenceError(

@@ -14,7 +14,7 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
 
 from ..core.connector import Connector
 from ..core.errors import DesignError, SimulationError
-from ..core.module import ModuleSkeleton
+from ..core.module import ModuleSkeleton, deliver
 from ..core.port import PortDirection
 from ..core.signal import Logic, SignalValue, Word
 from ..core.token import SignalToken, Token
@@ -33,6 +33,11 @@ class LogicGateModule(ModuleSkeleton):
     whole :class:`~repro.gates.netlist.Netlist` with
     :class:`GateLevelModule` instead when the structure is provider IP.
     Ports: ``in0`` .. ``in{N-1}`` and ``out``.
+
+    An event reads its pins and indexes the cell's truth table
+    (``table[a]`` or ``table[a][b]``); a cell with three or more pins
+    has none and calls ``evaluate``.  Pins, table, output port and delay
+    are bound here, so no event looks a port up by name.
     """
 
     def __init__(self, cell_name: str, inputs: Sequence[Connector],
@@ -45,26 +50,36 @@ class LogicGateModule(ModuleSkeleton):
             raise DesignError(
                 f"gate module {self.name!r}: {self.cell.name} does not "
                 f"accept {len(inputs)} inputs")
-        for index, connector in enumerate(inputs):
+        self._pins = tuple(
             self.add_port(f"in{index}", PortDirection.IN, 1,
                           connector=connector)
-        self.add_port("out", PortDirection.OUT, 1, connector=output)
+            for index, connector in enumerate(inputs))
+        self._out = self.add_port("out", PortDirection.OUT, 1,
+                                  connector=output)
+        self._table = self.cell.table_for(len(inputs))
+        self._delay = self.cell.delay * 1e-3
 
     def process_input_event(self, token: SignalToken,
                             ctx: "SimulationContext") -> None:
         scheduler_id = ctx.scheduler_id
         values = []
-        for port in self.input_ports():
-            if port.connector is None:
+        for port in self._pins:
+            connector = port.connector
+            if connector is None:
                 raise SimulationError(
                     f"port {port.full_name} is not connected")
-            value = port.connector.get_value(scheduler_id)
+            value = connector.get_value(scheduler_id)
             if not isinstance(value, Logic):
                 raise DesignError(
                     f"gate module {self.name!r} needs Logic inputs")
             values.append(value)
-        self.emit("out", self.cell.evaluate(*values), ctx,
-                  delay=self.cell.delay * 1e-3)
+        result = self._table
+        if result is None:
+            result = self.cell.evaluate(*values)
+        else:
+            for value in values:
+                result = result[value]
+        deliver(self._out.route, result, ctx.scheduler, self._delay)
 
     def event_cost(self, cost_model: Any, token: Token) -> float:
         return cost_model.gate_eval

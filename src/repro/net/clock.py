@@ -64,7 +64,12 @@ class CostModel:
 
 
 class VirtualClock:
-    """Thread-safe virtual CPU / wall-clock accumulator."""
+    """Thread-safe virtual CPU / wall-clock accumulator.
+
+    Every charge, wait and async duration must be ``>= 0``: a negative
+    amount or a NaN (which would poison every later reading) raises
+    :class:`ValueError`.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -94,8 +99,8 @@ class VirtualClock:
 
     def charge_cpu(self, seconds: float) -> None:
         """Charge client CPU work; advances the wall clock equally."""
-        if seconds < 0:
-            raise ValueError("cannot charge negative time")
+        if not seconds >= 0:
+            raise ValueError("cannot charge negative or NaN time")
         with self._lock:
             self._cpu += seconds
             self._wall += seconds
@@ -109,8 +114,8 @@ class VirtualClock:
         which is why the paper's local-host real time exceeds the LAN
         real time for the fully remote multiplier.
         """
-        if seconds < 0:
-            raise ValueError("cannot charge negative time")
+        if not seconds >= 0:
+            raise ValueError("cannot charge negative or NaN time")
         with self._lock:
             self._server_cpu += seconds
             if shared_host:
@@ -118,8 +123,8 @@ class VirtualClock:
 
     def wait(self, seconds: float) -> None:
         """Blocking wait (network round trip): wall time only."""
-        if seconds < 0:
-            raise ValueError("cannot wait negative time")
+        if not seconds >= 0:
+            raise ValueError("cannot wait negative or NaN time")
         with self._lock:
             self._wall += seconds
 
@@ -132,8 +137,8 @@ class VirtualClock:
         running; :meth:`sync` later advances the wall clock past any
         completions that the client did not overtake.
         """
-        if duration < 0:
-            raise ValueError("cannot schedule negative duration")
+        if not duration >= 0:
+            raise ValueError("cannot schedule negative or NaN duration")
         with self._lock:
             completion = self._wall + duration
             self._outstanding.append(completion)

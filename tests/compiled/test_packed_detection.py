@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.compiled import CompiledSimulator, ppsfp, simulator_for
 from repro.core import Logic
-from repro.faults import build_fault_list
+from repro.faults import TestabilityServant, build_fault_list
 from repro.faults.atpg import generate_test_set
 from repro.faults.detection import build_detection_table
 from repro.gates import NetlistSimulator, load_bench
@@ -143,6 +143,57 @@ class TestDetectionTableParity:
             simulator=CompiledSimulator(netlist))
         assert compiled == event
         assert compiled.rows == event.rows
+
+
+class TestServantSiteCache:
+    """A servant's simulator resolves each fault's kernel site once:
+    its later tables, over a shrinking undetected list, equal tables
+    built by fresh (uncached) servants and by the event engine."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), data=st.data())
+    def test_cached_tables_equal_uncached_as_the_list_shrinks(self, seed,
+                                                              data):
+        netlist = random_netlist(5, 30, 3, seed=seed)
+        fault_list = build_fault_list(netlist, collapse="none")
+        cached = TestabilityServant(netlist, fault_list)
+        undetected = list(fault_list.names())
+        rng = random.Random(seed)
+        for _ in range(4):
+            bits = [data.draw(st.sampled_from(list(Logic)))
+                    for _ in netlist.inputs]
+            table = cached.detection_table(bits, undetected)
+            assert table == TestabilityServant(
+                netlist, fault_list).detection_table(bits, undetected)
+            assert table == TestabilityServant(
+                netlist, fault_list, engine="event").detection_table(
+                    bits, undetected)
+            undetected = sorted(rng.sample(undetected,
+                                           len(undetected) // 2))
+
+    def test_each_site_is_resolved_once_per_servant(self, monkeypatch):
+        netlist = load_bench("alu8")
+        fault_list = build_fault_list(netlist)
+        servant = TestabilityServant(netlist, fault_list)
+        resolved = []
+        injection = ppsfp._injection
+
+        def counted(kernel, fault):
+            resolved.append(fault)
+            return injection(kernel, fault)
+
+        monkeypatch.setattr(ppsfp, "_injection", counted)
+        names = list(fault_list.names())
+        rng = random.Random(3)
+        for undetected in (names, names[::2], names[1::3]):
+            bits = [Logic(rng.getrandbits(1)) for _ in netlist.inputs]
+            servant.detection_table(bits, undetected)
+        assert len(resolved) == len(names)
+        assert set(resolved) == {fault_list.fault(name) for name in names}
+        # A second servant keeps a memo of its own.
+        TestabilityServant(netlist, fault_list).detection_table(
+            bits, names[:5])
+        assert len(resolved) == len(names) + 5
 
 
 class TestAtpgByteIdentity:

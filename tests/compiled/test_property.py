@@ -17,15 +17,19 @@ K-lane kernel run against K one-lane runs, word for word.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compiled import (SUPERWORD_BITS, WORD_BITS,
                             CompiledFaultSimulator, CompiledSimulator,
                             compile_netlist, pack_patterns, ppsfp)
 from repro.compiled.ppsfp import _fault_lanes, _injection
+from repro.core.errors import SimulationError
 from repro.core.signal import Logic
 from repro.faults.faultlist import build_fault_list
 from repro.faults.serial import SerialFaultSimulator
 from repro.gates.generators import random_netlist
+from repro.gates.netlist import Netlist
 from repro.gates.simulator import NetlistSimulator
 
 SHAPES = [
@@ -62,6 +66,48 @@ def test_fault_free_evaluation_matches(seed):
     for pattern in three_valued_patterns(netlist, 25, rng):
         assert compiled.evaluate(pattern) \
             == interpreted.evaluate(pattern), (shape, seed, pattern)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 10 ** 6),
+       data=st.data())
+def test_fault_free_outputs_match(shape, seed, data):
+    """``outputs`` without a fault unpacks only the output nets; it
+    must still read exactly what the interpreted simulator reads."""
+    netlist = random_netlist(*shape, seed=seed)
+    pattern = {net: data.draw(st.sampled_from(FOUR_VALUES))
+               for net in netlist.inputs}
+    assert CompiledSimulator(netlist).outputs(pattern) \
+        == NetlistSimulator(netlist).outputs(pattern)
+
+
+@pytest.mark.parametrize("value", FOUR_VALUES)
+def test_an_output_that_is_an_input_keeps_its_echo(value):
+    """An undriven ``Z`` primary input that is also a primary output
+    reads ``Z`` on both engines, beside a gate output that sees it as
+    unknown."""
+    netlist = Netlist("echo")
+    for net in ("a", "b"):
+        netlist.add_input(net)
+    netlist.add_output("a")
+    netlist.add_output("y")
+    netlist.add_gate("AND", ["a", "b"], "y")
+    netlist.validate()
+    pattern = {"a": value, "b": Logic.ONE}
+    expected = NetlistSimulator(netlist).outputs(pattern)
+    assert expected[0] is value
+    assert CompiledSimulator(netlist).outputs(pattern) == expected
+    assert CompiledSimulator(netlist).outputs(pattern)[0] is value
+
+
+def test_fault_free_outputs_raise_the_engines_input_errors():
+    netlist = random_netlist(*SHAPES[0], seed=3)
+    for pattern in ({}, {net: 1 for net in netlist.inputs}):
+        with pytest.raises(SimulationError) as compiled:
+            CompiledSimulator(netlist).outputs(pattern)
+        with pytest.raises(SimulationError) as interpreted:
+            NetlistSimulator(netlist).outputs(pattern)
+        assert str(compiled.value) == str(interpreted.value)
 
 
 @pytest.mark.parametrize("seed", range(4))

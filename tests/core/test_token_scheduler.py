@@ -54,6 +54,36 @@ class TestScheduler:
         with pytest.raises(SimulationError):
             Scheduler().schedule(Token(module), delay=-1.0)
 
+    @pytest.mark.parametrize("delay", [float("nan"), -0.5,
+                                       float("-inf")])
+    def test_nan_and_negative_delays_rejected(self, module, delay):
+        scheduler = Scheduler()
+        with pytest.raises(SimulationError, match="must be >= 0"):
+            scheduler.schedule(Token(module), delay=delay)
+        assert scheduler.empty
+
+    def test_a_rejected_nan_leaves_time_monotonic(self, module):
+        """The sequence that used to pop 0.5, 0.1, 1.0, NaN, 2.0: the
+        NaN is refused and the rest still pop in time order."""
+        scheduler = Scheduler()
+        for delay in (1.0, float("nan"), 0.5, 2.0, 0.1):
+            try:
+                scheduler.schedule(Token(module), delay=delay)
+            except SimulationError:
+                assert delay != delay  # only the NaN is refused
+        times = []
+        while not scheduler.empty:
+            scheduler.pop()
+            times.append(scheduler.now)
+        assert times == [0.1, 0.5, 1.0, 2.0]
+
+    def test_infinite_delay_is_still_a_time(self, module):
+        scheduler = Scheduler()
+        scheduler.schedule(Token(module), delay=float("inf"))
+        scheduler.schedule(Token(module), delay=3.0)
+        scheduler.pop()
+        assert scheduler.now == 3.0
+
     def test_pop_empty_rejected(self):
         with pytest.raises(SimulationError):
             Scheduler().pop()

@@ -13,6 +13,8 @@ from repro.core import (BitConnector, Circuit, CompositeModule, Connector,
                         Logic, ModuleSkeleton, PortDirection,
                         SimulationController, connect)
 from repro.faults.virtual import drive_connector
+from repro.gates import LogicGateModule
+from repro.gates.cells import CELLS
 
 
 def names(ports):
@@ -242,6 +244,58 @@ class TestEventPathWorkCounts:
         out.connector.detach(out)
         assert calls == ["peer_of"]
         assert PortDirection.IN.can_read and calls[1:] == ["can_read"]
+
+    def test_gates_read_their_tables_and_hooks_are_skipped(
+            self, monkeypatch):
+        """Over one campaign a one- or two-pin gate module never calls
+        ``cell.evaluate`` (it indexes the truth table) or looks a port
+        up by name, and no module's no-op ``initialize`` is called."""
+        setup = build_figure4(collapse="none")
+        gates = [module for module in setup.circuit.modules
+                 if isinstance(module, LogicGateModule)]
+        assert sorted(len(gate.input_ports()) for gate in gates) \
+            == [1, 2, 2]
+        calls = []
+
+        def counting(name, wrapped):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return wrapped(*args, **kwargs)
+            return counted
+
+        originals = {cell: cell.evaluate for cell in CELLS.values()}
+        try:
+            for cell, evaluate in originals.items():
+                # CellType is frozen: swap the field in place.
+                object.__setattr__(cell, "evaluate", counting(
+                    f"{cell.name}.evaluate", evaluate))
+            port = ModuleSkeleton.port
+
+            def counted_port(module, name):
+                if isinstance(module, LogicGateModule):
+                    calls.append(f"{module.name}.port")
+                return port(module, name)
+
+            monkeypatch.setattr(ModuleSkeleton, "port", counted_port)
+            monkeypatch.setattr(ModuleSkeleton, "initialize", counting(
+                "initialize", ModuleSkeleton.initialize))
+            patterns = [dict(zip("ABCD", ((index >> 3) & 1,
+                                          (index >> 2) & 1,
+                                          (index >> 1) & 1, index & 1)))
+                        for index in range(16)]
+            report = setup.simulator.run(patterns)
+            assert setup.simulator.injection_runs == 12
+            assert len(report.detected) == 36
+            assert calls == []
+            # The counters do count.
+            gate = setup.circuit.module("gE")
+            gate.port("out")
+            CELLS["AND"].evaluate(Logic.ONE, Logic.ONE)
+            ModuleSkeleton.initialize(gate, None)
+            assert calls == ["gE.port", "AND.evaluate", "initialize"]
+        finally:
+            for cell, evaluate in originals.items():
+                object.__setattr__(cell, "evaluate", evaluate)
 
     def test_default_value_is_not_evaluated_for_a_present_value(
             self, monkeypatch):

@@ -37,6 +37,22 @@ class TestCharging:
         with pytest.raises(ValueError):
             getattr(VirtualClock(), method)(-1.0)
 
+    @pytest.mark.parametrize("method", ["charge_cpu", "wait",
+                                        "charge_server_cpu",
+                                        "begin_async"])
+    def test_nan_rejected_and_clock_unpoisoned(self, method):
+        """A NaN would make every later reading NaN; it is refused like
+        a negative amount and leaves the counters as they were."""
+        clock = VirtualClock()
+        clock.charge_cpu(1.0)
+        clock.charge_server_cpu(2.0)
+        with pytest.raises(ValueError):
+            getattr(clock, method)(float("nan"))
+        assert clock.snapshot() == {"cpu": 1.0, "wall": 1.0,
+                                    "server_cpu": 2.0, "pending_async": 0}
+        clock.sync()
+        assert clock.wall == 1.0
+
 
 class TestAsync:
     def test_overlapped_completion_is_hidden(self):
