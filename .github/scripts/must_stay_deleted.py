@@ -29,6 +29,7 @@ SRC = ("src/repro",)
 RMI = ("src/repro/rmi",)
 WIRE = ("src/repro/rmi", "src/repro/server")
 TRANSPORT = "src/repro/rmi/transport.py"
+CLI = "src/repro/cli.py"
 
 RULES = (
     # PR 13: one TCP server, framing in one module.
@@ -128,6 +129,39 @@ RULES = (
          "a bench builder picks a simulator class again (the public "
          "functional model runs simulator_for(None, netlist), like "
          "everything else that means the default engine)"),
+    # The CLI refuses in one place and runs each experiment one way.
+    Rule(r'"error: |return 2$', SRC, CLI,
+         "a command prints its own error or returns 2 again (it raises "
+         "DesignError; main() alone prints the error: line)", exactly=2),
+    Rule(r"def _load_bench\b|def _load_netlist\b", SRC, None,
+         "a print-and-return-None bench loader is back (commands call "
+         "gates.corpus.load_bench and let its DesignError reach main())"),
+    Rule(r"ok, ssl_context|return (True|False), ", (CLI,), None,
+         "a CLI helper reports (ok, value) pairs again"),
+    Rule(r"def _serve_until_interrupted\b|sleep\(3600", SRC, None,
+         "the serve sleep loop is back (one wait ends on --serve-seconds, "
+         "SIGINT or SIGTERM, then the server stops)"),
+    Rule(r"ExitStack|def _check_output_paths\b", (CLI,), None,
+         "telemetry outputs are opened apart from the one output check "
+         "again"),
+    Rule(re.escape("run_buffer_sweep("), (CLI,), CLI,
+         "`all` sweeps Figure 3 with its own copy again (it calls "
+         "_cmd_figure3)", exactly=1),
+    # Delete what nothing reaches (ROADMAP 8(a)).
+    Rule(r"def (dump_trace|dump_metrics|dump_summary|run_source_lint"
+         r"|max_severity|get_telemetry|branch_count|read_port"
+         r"|inner_modules)\b", SRC, None,
+         "an API nothing executed is back (give it a caller or a test "
+         "the system needs first)"),
+    Rule(r"def (keys|row|describe|__contains__|__enter__|__exit__)\b",
+         ("src/repro/bench/scenarios.py", "src/repro/rmi/caching.py",
+          "src/repro/faults/transition.py",
+          "src/repro/server/async_server.py"), None,
+         "a method nothing executed is back (ScenarioResult.row, "
+         "CachePolicy.describe, TransitionFaultList.__contains__, the "
+         "AsyncRMIServer context manager)"),
+    Rule(r"def keys\b", ("src/repro/cache/response.py",), None,
+         "ResponseCache.keys is back, and nothing executes it"),
 )
 
 

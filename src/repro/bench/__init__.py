@@ -6,9 +6,8 @@ from .faultbench import (EmbeddedExperiment, Figure4Setup,
                          chatty_fault_bench, embedded_simulator,
                          figure4_flat_netlist, figure4_internal_faults,
                          figure4_simulator, functional_model_of)
-from .reporting import (ascii_plot, dump_metrics, dump_summary, dump_trace,
-                        format_series, format_table, telemetry_session,
-                        write_bench_report)
+from .reporting import (ascii_plot, format_series, format_table,
+                        telemetry_session, write_bench_report)
 from .scenarios import (DEFAULT_BUFFER, DEFAULT_PATTERNS, DEFAULT_WIDTH,
                         SCENARIOS, Figure2Design, ScenarioResult,
                         run_buffer_sweep, run_scenario, run_table2,
@@ -22,8 +21,7 @@ __all__ = [
     "build_embedded", "build_figure4", "build_sequential_wrapper",
     "chatty_fault_bench", "embedded_simulator", "figure4_flat_netlist",
     "figure4_internal_faults", "figure4_simulator", "functional_model_of",
-    "ascii_plot", "dump_metrics", "dump_summary", "dump_trace",
-    "format_series", "format_table", "telemetry_session",
+    "ascii_plot", "format_series", "format_table", "telemetry_session",
     "write_bench_report",
     "DEFAULT_BUFFER", "DEFAULT_PATTERNS", "DEFAULT_WIDTH", "SCENARIOS",
     "Figure2Design", "ScenarioResult", "run_buffer_sweep", "run_scenario",

@@ -18,13 +18,10 @@ import json
 import os
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-from ..telemetry import (TELEMETRY, export_chrome_trace,
-                         export_metrics_json, export_summary,
-                         telemetry_session)
+from ..telemetry import telemetry_session
 
 __all__ = [
-    "ascii_plot", "dump_metrics", "dump_summary", "dump_trace",
-    "format_series", "format_table", "telemetry_session",
+    "ascii_plot", "format_series", "format_table", "telemetry_session",
     "write_bench_report",
 ]
 
@@ -45,21 +42,6 @@ def write_bench_report(name: str, payload: Dict[str, Any],
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def dump_trace(path: str) -> None:
-    """Write the global tracer's spans as a Chrome trace file."""
-    export_chrome_trace(TELEMETRY.tracer, path)
-
-
-def dump_metrics(path: str) -> None:
-    """Write the global metrics registry as a JSON snapshot."""
-    export_metrics_json(TELEMETRY.metrics, path)
-
-
-def dump_summary(path: str) -> None:
-    """Write combined metrics + per-span aggregates as JSON."""
-    export_summary(TELEMETRY.metrics, TELEMETRY.tracer, path)
 
 
 def format_table(headers: Sequence[str],

@@ -64,11 +64,6 @@ class ScenarioResult:
     powers: Optional[List[float]] = None
     round_trips: int = 0
 
-    def row(self) -> Tuple[str, str, float, float]:
-        """(design, host, CPU s, real s) -- the paper's column layout."""
-        return (self.scenario, self.host, round(self.cpu),
-                round(self.real))
-
 
 @lru_cache(maxsize=8)
 def _multiplier_provider(width: int, power_enabled: bool,

@@ -214,11 +214,6 @@ class ResponseCache:
         with self._lock:
             return key in self._entries
 
-    def keys(self) -> Tuple[str, ...]:
-        """Live keys, least recently used first."""
-        with self._lock:
-            return tuple(self._entries)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ResponseCache({len(self)}/{self.max_entries} entries, "
                 f"hits={self.stats.hits}, misses={self.stats.misses})")

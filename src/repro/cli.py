@@ -8,21 +8,30 @@ Usage (also available as the ``repro-bench`` console script)::
     python -m repro.cli figure4             # Figure 4/5 worked example
     python -m repro.cli faultsim FILE.bench # fault-simulate a netlist
     python -m repro.cli lint                # static design/servant lint
+
+Exit status: 0 when the command ran, 1 when ``lint`` keeps a finding at
+``--fail-on``, 2 when the command line or the design is refused (one
+``error:`` line on stderr).  Runtime failures such as ``RemoteError``
+or ``ParallelExecutionError`` raise.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import queue
 import random
+import signal
 import sys
 from typing import List, Optional
 
 from .bench.reporting import ascii_plot, format_table
-
-from .gates.corpus import corpus_names
+from .core.errors import DesignError
+from .gates.corpus import corpus_names, load_bench
 from .rmi.transport import DEFAULT_CONNECT_TIMEOUT, DEFAULT_TCP_TIMEOUT
+from .telemetry import telemetry_session
 
 BUILTIN_BENCHES = corpus_names()
 """Bench names the fault-simulation commands accept besides files
@@ -30,39 +39,6 @@ BUILTIN_BENCHES = corpus_names()
 
 SEQUENTIAL_BENCHES = corpus_names(kind="sequential")
 """The s-series subset of the corpus."""
-
-
-def _load_bench(spec: str, validate: bool = True):
-    """Load a ``.bench`` file or builtin corpus bench (either kind).
-
-    Returns a :class:`~repro.gates.netlist.Netlist`, a
-    :class:`~repro.gates.io.SequentialBench`, or ``None`` after
-    printing an error.
-    """
-    from .core.errors import DesignError
-    from .gates.corpus import load_bench
-
-    try:
-        return load_bench(spec, validate=validate)
-    except DesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def _load_netlist(spec: str, validate: bool = True,
-                  context: str = "this command"):
-    """Load a bench spec where only combinational input is legal."""
-    from .gates.io import SequentialBench
-
-    bench = _load_bench(spec, validate=validate)
-    if isinstance(bench, SequentialBench):
-        print(f"error: {spec!r} is a sequential bench "
-              f"({bench.ff_count()} flip-flops); {context} takes "
-              f"combinational netlists only -- load sequential designs "
-              f"with repro.gates.io.read_sequential_bench and run them "
-              f"through repro.faults.sequential", file=sys.stderr)
-        return None
-    return bench
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -83,32 +59,25 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_table2(args: argparse.Namespace) -> int:
     from .parallel import resolve_workers, run_table2_parallel
 
-    workers = resolve_workers(getattr(args, "workers", 0) or None)
-    engine = getattr(args, "engine", None)
-    bench = getattr(args, "bench", None)
+    workers = resolve_workers(args.workers or None)
     title = "Table 2"
-    if bench is not None:
+    if args.bench is not None:
         from .bench.scenarios import run_corpus_table2
-        from .core.errors import DesignError
 
-        try:
-            rows = run_corpus_table2(bench, patterns=args.patterns,
-                                     buffer_size=args.buffer,
-                                     engine=engine)
-        except DesignError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        title = f"Table 2 over bench {bench!r}"
+        rows = run_corpus_table2(args.bench, patterns=args.patterns,
+                                 buffer_size=args.buffer,
+                                 engine=args.engine)
+        title = f"Table 2 over bench {args.bench!r}"
     elif workers > 1:
         rows = run_table2_parallel(width=args.width,
                                    patterns=args.patterns,
                                    buffer_size=args.buffer,
-                                   workers=workers, engine=engine)
+                                   workers=workers, engine=args.engine)
     else:
         from .bench.scenarios import run_table2
 
         rows = run_table2(width=args.width, patterns=args.patterns,
-                          buffer_size=args.buffer, engine=engine)
+                          buffer_size=args.buffer, engine=args.engine)
     print(f"{title} -- {args.patterns} patterns, buffer of "
           f"{args.buffer}:")
     print(format_table(
@@ -161,8 +130,8 @@ def _cmd_figure4(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _reject_sequential_flags(args: argparse.Namespace, bench) -> bool:
-    """Print the error for combinational-only flags on a sequential bench.
+def _reject_sequential_flags(args: argparse.Namespace, bench) -> None:
+    """Refuse combinational-only flags on a sequential bench.
 
     The compiled PPSFP kernel, worker sharding and the remote farm are
     combinational-only; ``--workers 1`` and an unset ``--engine`` *are*
@@ -178,13 +147,13 @@ def _reject_sequential_flags(args: argparse.Namespace, bench) -> bool:
         rejected.append("--workers")
     if rejected:
         verb = "requires" if len(rejected) == 1 else "require"
-        print(f"error: {args.netlist!r} is a sequential bench "
-              f"({bench.ff_count()} flip-flops): {', '.join(rejected)} "
-              f"{verb} a combinational netlist; sequential campaigns "
-              f"run serially through repro.faults.sequential "
-              f"(read_sequential_bench -> design_from_bench -> "
-              f"SequentialSerialFaultSimulator)", file=sys.stderr)
-    return bool(rejected)
+        raise DesignError(
+            f"{args.netlist!r} is a sequential bench "
+            f"({bench.ff_count()} flip-flops): {', '.join(rejected)} "
+            f"{verb} a combinational netlist; sequential campaigns "
+            f"run serially through repro.faults.sequential "
+            f"(read_sequential_bench -> design_from_bench -> "
+            f"SequentialSerialFaultSimulator)")
 
 
 def _cmd_faultsim(args: argparse.Namespace) -> int:
@@ -201,12 +170,10 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
     from .gates.io import SequentialBench
     from .parallel import parallel_fault_simulate, resolve_workers
 
-    bench = _load_bench(args.netlist)
-    if bench is None:
-        return 2
+    bench = load_bench(args.netlist)
     sequential = isinstance(bench, SequentialBench)
-    if sequential and _reject_sequential_flags(args, bench):
-        return 2
+    if sequential:
+        _reject_sequential_flags(args, bench)
     netlist = bench.core if sequential else bench
     fault_list = build_fault_list(netlist, collapse=args.collapse)
     if sequential:
@@ -288,34 +255,15 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_until_interrupted(serve_seconds: Optional[float]) -> None:
-    import threading
-    import time as _time
-
-    if serve_seconds is not None:
-        threading.Event().wait(serve_seconds)
-    else:
-        while True:
-            _time.sleep(3600)
-
-
 def _build_server_ssl(args: argparse.Namespace):
-    """Build the server SSLContext from --tls-cert/--tls-key (or None).
-
-    Returns ``(ok, context)``: flag misuse prints an error and reports
-    ``ok=False``.
-    """
-    cert = getattr(args, "tls_cert", None)
-    key = getattr(args, "tls_key", None)
-    if cert is None and key is None:
-        return True, None
-    if not (cert and key):
-        print("error: --tls-cert and --tls-key must be given together",
-              file=sys.stderr)
-        return False, None
+    """The server SSLContext from --tls-cert/--tls-key, or None."""
+    if args.tls_cert is None and args.tls_key is None:
+        return None
+    if not (args.tls_cert and args.tls_key):
+        raise DesignError("--tls-cert and --tls-key must be given together")
     from .rmi.tlsconfig import server_ssl_context
 
-    return True, server_ssl_context(cert, key)
+    return server_ssl_context(args.tls_cert, args.tls_key)
 
 
 def _serve(args: argparse.Namespace, core, name: str, label: str,
@@ -323,13 +271,16 @@ def _serve(args: argparse.Namespace, core, name: str, label: str,
     """Start the one front end, print readiness, wait, stop, report.
 
     The first line printed, ``<label> serving<serving> on HOST:PORT``,
-    is the exact line CI and scripts wait for before connecting.
+    is the exact line CI and scripts wait for before connecting.  The
+    wait ends after ``--serve-seconds``, on SIGINT or on SIGTERM (how
+    container runtimes stop a job); the server, its dispatch workers
+    included, always stops and prints its stats line.  The handlers
+    stay through ``stop()``, so a second signal cannot cut the teardown
+    short; dispatch workers reset them when they fork.
     """
     from .server import AsyncRMIServer
 
-    ok, ssl_context = _build_server_ssl(args)
-    if not ok:
-        return 2
+    ssl_context = _build_server_ssl(args)
     server = AsyncRMIServer(
         core, host=args.host, port=args.port,
         max_connections=args.max_connections,
@@ -345,13 +296,20 @@ def _serve(args: argparse.Namespace, core, name: str, label: str,
     if args.auth_token is not None:
         security.append("token-auth")
     suffix = f" ({', '.join(security)})" if security else ""
-    print(f"{label} serving{serving} on {host}:{port}{suffix}", flush=True)
+    # SimpleQueue.put is reentrant: a handler may run mid-get().
+    stop: "queue.SimpleQueue[int]" = queue.SimpleQueue()
+    previous = {signum: signal.signal(signum, lambda got, _: stop.put(got))
+                for signum in (signal.SIGINT, signal.SIGTERM)}
     try:
-        _serve_until_interrupted(args.serve_seconds)
-    except KeyboardInterrupt:
-        pass
+        print(f"{label} serving{serving} on {host}:{port}{suffix}",
+              flush=True)
+        stop.get(timeout=args.serve_seconds)
+    except queue.Empty:
+        pass  # --serve-seconds elapsed
     finally:
         server.stop()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
         print(server.stats.summary_line(), flush=True)
         print(f"{label} stopped", flush=True)
     return 0
@@ -363,7 +321,8 @@ def _add_server_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--port", type=int, default=0,
                         help="TCP port to listen on (0 = pick a free "
                              "port and print it)")
-    parser.add_argument("--serve-seconds", type=float, default=None,
+    parser.add_argument("--serve-seconds", type=_positive_seconds,
+                        default=None,
                         metavar="S",
                         help="exit after S seconds (default: serve "
                              "until interrupted)")
@@ -391,7 +350,7 @@ def _add_server_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _positive_seconds(text: str) -> float:
-    """argparse type: a timeout in seconds, which must be positive."""
+    """argparse type: a duration in seconds, which must be positive."""
     value = float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
@@ -473,9 +432,7 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
     from .gates.scoap import ScoapAnalysis
     from .parallel import parallel_generate_test_set
 
-    netlist = _load_bench(args.netlist)
-    if netlist is None:
-        return 2
+    netlist = load_bench(args.netlist)
     if isinstance(netlist, SequentialBench):
         # Full-scan assumption: with every flip-flop on a scan chain
         # the ATPG problem is combinational over the core (register
@@ -514,11 +471,17 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
 
 def _cmd_scoap(args: argparse.Namespace) -> int:
     from .gates.analysis import critical_path, netlist_stats
+    from .gates.io import SequentialBench
     from .gates.scoap import ScoapAnalysis
 
-    netlist = _load_netlist(args.netlist, context="scoap")
-    if netlist is None:
-        return 2
+    netlist = load_bench(args.netlist)
+    if isinstance(netlist, SequentialBench):
+        raise DesignError(
+            f"{args.netlist!r} is a sequential bench "
+            f"({netlist.ff_count()} flip-flops); scoap takes "
+            f"combinational netlists only -- load sequential designs "
+            f"with repro.gates.io.read_sequential_bench and run them "
+            f"through repro.faults.sequential")
     print(netlist_stats(netlist))
     print("critical path:", " -> ".join(critical_path(netlist)))
     analysis = ScoapAnalysis(netlist)
@@ -536,28 +499,29 @@ def _cmd_scoap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_servant_spec(spec: str) -> Optional[str]:
+def _resolve_servant_spec(spec: str) -> str:
     """A --servants spec: a path, or an importable module/package name."""
-    if os.path.exists(spec):
-        return spec
-    import importlib.util
+    path = spec
+    if not os.path.exists(spec):
+        import importlib.util
 
-    try:
-        found = importlib.util.find_spec(spec)
-    except (ImportError, ValueError):
-        found = None
-    if found is not None and found.origin is not None:
-        if found.submodule_search_locations:
-            return os.path.dirname(found.origin)
-        return found.origin
-    print(f"error: {spec!r} is neither a path nor an importable "
-          f"module", file=sys.stderr)
-    return None
+        try:
+            found = importlib.util.find_spec(spec)
+        except (ImportError, ValueError):
+            found = None
+        if found is None or found.origin is None:
+            raise DesignError(f"{spec!r} is neither a path nor an "
+                              f"importable module")
+        path = os.path.dirname(found.origin) \
+            if found.submodule_search_locations else found.origin
+    if not (os.path.isfile(path) or os.path.isdir(path)):
+        raise DesignError(f"no such file or directory: {path!r}")
+    return path
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Static design lint + servant code analysis (no execution)."""
-    from .core.errors import DesignError
+    from .gates.io import SequentialBench
     from .lint import Severity, format_findings, lint_netlist, lint_sources
     from .lint.registry import check_codes, filter_suppressed
     from .lint.runner import record_lint_run
@@ -566,8 +530,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     try:
         check_codes(suppress)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise DesignError(str(exc)) from None
 
     design_specs = args.design or []
     servant_specs = args.servants or []
@@ -578,33 +541,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         servant_specs = [os.path.dirname(os.path.abspath(__file__))]
 
     findings = []
-    from .gates.io import SequentialBench
-
     for spec in design_specs:
-        try:
-            netlist = _load_bench(spec, validate=False)
-        except DesignError as exc:
-            print(f"error: cannot load {spec!r}: {exc}", file=sys.stderr)
-            return 2
-        if netlist is None:
-            return 2
+        netlist = load_bench(spec, validate=False)
         if isinstance(netlist, SequentialBench):
             # Sequential benches lint their combinational core; the
             # flip-flop boundary carries no lintable structure.
             netlist = netlist.core
         findings.extend(lint_netlist(netlist))
-    sources = []
-    for spec in servant_specs:
-        resolved = _resolve_servant_spec(spec)
-        if resolved is None:
-            return 2
-        sources.append(resolved)
+    sources = [_resolve_servant_spec(spec) for spec in servant_specs]
     if sources:
-        try:
-            findings.extend(lint_sources(sources))
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        findings.extend(lint_sources(sources))
 
     kept, dropped = filter_suppressed(findings, suppress)
     record_lint_run(kept, dropped)
@@ -616,37 +562,22 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_all(args: argparse.Namespace) -> int:
     """A reduced-scale pass over every experiment, one screen each."""
-    quick = args.quick
-    print("=" * 66)
-    print("Table 1 -- power estimators")
-    print("=" * 66)
-    _cmd_table1(argparse.Namespace(width=6 if quick else 8,
-                                   patterns=80 if quick else 150))
-    print()
-    print("=" * 66)
-    print("Table 2 -- AL / ER / MR scenarios")
-    print("=" * 66)
-    _cmd_table2(argparse.Namespace(width=8 if quick else 16,
-                                   patterns=40 if quick else 100,
-                                   buffer=5,
-                                   workers=getattr(args, "workers", 0)))
-    print()
-    print("=" * 66)
-    print("Figure 3 -- buffer-size sweep")
-    print("=" * 66)
-    from .bench.scenarios import run_buffer_sweep
-    percents = [1, 5, 10, 25, 50, 100] if quick else \
-        [1, 2, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-    series = run_buffer_sweep(percents, width=8 if quick else 16,
-                              patterns=40 if quick else 100)
-    print(format_table(["Buffer %", "Real (s)", "CPU (s)"],
-                       [[pct, f"{real:.1f}", f"{cpu:.1f}"]
-                        for pct, real, cpu in series]))
-    print()
-    print("=" * 66)
-    print("Figures 4-5 -- virtual fault simulation")
-    print("=" * 66)
-    _cmd_figure4(argparse.Namespace())
+    width, patterns = (8, 40) if args.quick else (16, 100)
+    for title, command, options in (
+            ("Table 1 -- power estimators", _cmd_table1,
+             dict(width=6 if args.quick else 8,
+                  patterns=80 if args.quick else 150)),
+            ("Table 2 -- AL / ER / MR scenarios", _cmd_table2,
+             dict(width=width, patterns=patterns, buffer=5,
+                  workers=args.workers, engine=None, bench=None)),
+            ("Figure 3 -- buffer-size sweep", _cmd_figure3,
+             dict(width=width, patterns=patterns)),
+            ("Figures 4-5 -- virtual fault simulation", _cmd_figure4, {})):
+        print("=" * 66)
+        print(title)
+        print("=" * 66)
+        command(argparse.Namespace(**options))
+        print()
     return 0
 
 
@@ -671,20 +602,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     table1 = subparsers.add_parser(
         "table1", help="power-estimator comparison (Table 1)")
-    table1.add_argument("--width", type=int, default=8)
-    table1.add_argument("--patterns", type=int, default=150)
+    table1.add_argument("--width", type=_positive_int, default=8)
+    table1.add_argument("--patterns", type=_positive_int, default=150)
     table1.set_defaults(fn=_cmd_table1)
 
     table2 = subparsers.add_parser(
         "table2", help="AL/ER/MR timing scenarios (Table 2)")
-    table2.add_argument("--width", type=int, default=16)
+    table2.add_argument("--width", type=_positive_int, default=16)
     table2.add_argument("--bench", default=None, metavar="BENCH",
                         help="run the scenarios over a corpus bench or "
                              ".bench file instead of the Figure 2 "
                              "multiplier (sequential benches thread "
                              "their register state client-side)")
-    table2.add_argument("--patterns", type=int, default=100)
-    table2.add_argument("--buffer", type=int, default=5)
+    table2.add_argument("--patterns", type=_positive_int, default=100)
+    table2.add_argument("--buffer", type=_positive_int, default=5)
     _add_campaign_options(
         table2,
         engine_help="logic-simulation engine under the provider's "
@@ -696,8 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure3 = subparsers.add_parser(
         "figure3", help="buffer-size sweep (Figure 3)")
-    figure3.add_argument("--width", type=int, default=16)
-    figure3.add_argument("--patterns", type=int, default=100)
+    figure3.add_argument("--width", type=_positive_int, default=16)
+    figure3.add_argument("--patterns", type=_positive_int, default=100)
     figure3.set_defaults(fn=_cmd_figure3)
 
     figure4 = subparsers.add_parser(
@@ -711,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     faultsim.add_argument("netlist",
                           help="ISCAS .bench file or builtin bench "
                                f"({', '.join(BUILTIN_BENCHES)})")
-    faultsim.add_argument("--patterns", type=int, default=64)
+    faultsim.add_argument("--patterns", type=_positive_int, default=64)
     faultsim.add_argument("--seed", type=int, default=0)
     faultsim.add_argument("--collapse", default="equivalence",
                           choices=["none", "equivalence", "dominance"])
@@ -764,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve", help="host the multiplier IP provider + fault farm on "
                       "the multi-tenant server")
-    serve.add_argument("--width", type=int, default=8,
+    serve.add_argument("--width", type=_positive_int, default=8,
                        help="bit width of the published multiplier IP")
     _add_campaign_options(
         serve,
@@ -779,9 +710,11 @@ def build_parser() -> argparse.ArgumentParser:
     atpg.add_argument("netlist",
                       help="ISCAS .bench file or builtin bench "
                            f"({', '.join(BUILTIN_BENCHES)})")
-    atpg.add_argument("--random-patterns", type=int, default=32)
+    atpg.add_argument("--random-patterns", type=_non_negative_int,
+                      default=32)
     atpg.add_argument("--seed", type=int, default=0)
-    atpg.add_argument("--max-backtracks", type=int, default=20_000,
+    atpg.add_argument("--max-backtracks", type=_non_negative_int,
+                      default=20_000,
                       metavar="N",
                       help="PODEM backtrack budget per fault; faults "
                            "over budget are reported as aborted "
@@ -801,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     scoap.add_argument("netlist",
                        help="ISCAS .bench file or builtin combinational "
                             "bench")
-    scoap.add_argument("--top", type=int, default=20,
+    scoap.add_argument("--top", type=_positive_int, default=20,
                        help="show the N hardest nets")
     scoap.set_defaults(fn=_cmd_scoap)
 
@@ -841,16 +774,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_output_paths(parser: argparse.ArgumentParser,
-                        args: argparse.Namespace) -> None:
-    """Reject unwritable output destinations before any work runs.
+def _check_outputs(parser: argparse.ArgumentParser,
+                   args: argparse.Namespace) -> None:
+    """Refuse an unwritable output path before any work runs.
 
-    A --report-out (or trace/metrics) path whose directory does not
-    exist used to surface only *after* a potentially long run, throwing
-    the completed results away; every output flag is validated up
-    front instead.
+    Otherwise a bad --report-out, --trace-out or --metrics-out would
+    surface only after a potentially long run and throw its results
+    away.  Each file is opened for appending, so an absent one is
+    created empty and an existing one is left as it is until the run
+    writes it.
     """
-    for attribute in ("trace_out", "metrics_out", "report_out"):
+    for attribute, kind in (("trace_out", "telemetry"),
+                            ("metrics_out", "telemetry"),
+                            ("report_out", "report")):
         path = getattr(args, attribute, None)
         if not path:
             continue
@@ -858,40 +794,35 @@ def _check_output_paths(parser: argparse.ArgumentParser,
         if not os.path.isdir(parent):
             option = "--" + attribute.replace("_", "-")
             parser.error(f"{option}: directory {parent!r} does not exist")
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            parser.error(f"cannot write {kind} output: {exc}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point; returns the exit status (module docstring).
+
+    The one place a refusal becomes output: a :class:`DesignError` from
+    any command prints one ``error:`` line and exits 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_output_paths(parser, args)
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    if trace_out is None and metrics_out is None:
-        return args.fn(args)
-
-    from contextlib import ExitStack
-
-    from .telemetry import telemetry_session
-
-    with ExitStack() as stack:
-        # Open the output files before running so a bad path fails
-        # fast instead of discarding a completed run.
-        try:
-            trace_file = stack.enter_context(open(trace_out, "w")) \
-                if trace_out else None
-            metrics_file = stack.enter_context(open(metrics_out, "w")) \
-                if metrics_out else None
-        except OSError as exc:
-            parser.error(f"cannot write telemetry output: {exc}")
-        with telemetry_session(trace_out=trace_file,
-                               metrics_out=metrics_file):
+    _check_outputs(parser, args)
+    session = telemetry_session(trace_out=args.trace_out or None,
+                                metrics_out=args.metrics_out or None) \
+        if args.trace_out or args.metrics_out else contextlib.nullcontext()
+    try:
+        with session:
             code = args.fn(args)
-    if trace_out:
-        print(f"trace written to {trace_out} "
+    except DesignError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.trace_out:
+        print(f"trace written to {args.trace_out} "
               f"(load it in chrome://tracing or ui.perfetto.dev)")
-    if metrics_out:
-        print(f"metrics written to {metrics_out}")
+    if args.metrics_out:
+        print(f"metrics written to {args.metrics_out}")
     return code
 
 

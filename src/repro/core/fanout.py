@@ -49,11 +49,6 @@ class Fanout(ModuleSkeleton):
             self.add_port(f"out{index}", PortDirection.OUT, width,
                           connector=branch)
 
-    @property
-    def branch_count(self) -> int:
-        """Number of output branches."""
-        return len(self.delays)
-
     def process_input_event(self, token: SignalToken,
                             ctx: "SimulationContext") -> None:
         for index, delay in enumerate(self.delays):

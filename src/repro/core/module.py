@@ -147,12 +147,6 @@ class ModuleSkeleton:
                 f"port {port.full_name} is not connected")
         return port.connector.get_value(ctx.scheduler_id)
 
-    def read_port(self, port: Port, ctx: "SimulationContext") -> SignalValue:
-        """Like :meth:`read` but takes a Port object."""
-        if port.connector is None:
-            raise SimulationError(f"port {port.full_name} is not connected")
-        return port.connector.get_value(ctx.scheduler_id)
-
     def emit(self, port_name: str, value: SignalValue,
              ctx: "SimulationContext", delay: float = 0.0) -> None:
         """Emit a new value from an output port.
@@ -307,11 +301,6 @@ class CompositeModule(ModuleSkeleton):
                               "module")
         self._inner: Tuple[ModuleSkeleton, ...] = tuple(modules)
         self._aliases: Dict[str, Port] = {}
-
-    @property
-    def inner_modules(self) -> Tuple[ModuleSkeleton, ...]:
-        """The directly contained modules."""
-        return self._inner
 
     def add_alias(self, name: str, inner_port: Port) -> None:
         """Expose an inner module's port under this composite's interface."""

@@ -102,9 +102,6 @@ class TransitionFaultList:
     def __len__(self) -> int:
         return len(self._faults)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._faults
-
 
 class TransitionTestabilityServant:
     """Provider-side servant for the transition-fault protocol.

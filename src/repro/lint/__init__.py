@@ -17,7 +17,7 @@ linted: behavioural tests under ``tests/server`` and
 ``tests/differential`` catch them by running the code.
 
 Run ``repro lint`` from the CLI, or :func:`run_lint` /
-:func:`run_source_lint` from Python.  The rule catalog lives in
+:func:`lint_sources` from Python.  The rule catalog lives in
 ``docs/lint.md`` and mirrors :func:`all_rules`.
 """
 
@@ -25,8 +25,8 @@ from .design import lint_circuit, lint_design, lint_setup
 from .findings import Finding, Severity
 from .netlist import lint_fault_list, lint_netlist
 from .registry import (Rule, all_rules, filter_suppressed, finding, rule)
-from .runner import (format_findings, max_severity, run_lint,
-                     run_source_lint, severity_counts, sort_findings)
+from .runner import (format_findings, run_lint, severity_counts,
+                     sort_findings)
 from .servants import lint_servant_source, lint_sources
 
 __all__ = [
@@ -45,9 +45,7 @@ __all__ = [
     "lint_servant_source",
     "lint_sources",
     "run_lint",
-    "run_source_lint",
     "format_findings",
-    "max_severity",
     "severity_counts",
     "sort_findings",
 ]

@@ -55,16 +55,6 @@ def run_lint(subject: Any,
     return kept
 
 
-def run_source_lint(specs: Sequence[str],
-                    suppress: Iterable[str] = ()) -> List[Finding]:
-    """Run the servant analyzers (JCD010-013) over files/directories."""
-    from .servants import lint_sources
-    findings = lint_sources(specs)
-    kept, dropped = filter_suppressed(findings, suppress)
-    record_lint_run(kept, dropped)
-    return kept
-
-
 def record_lint_run(kept: Sequence[Finding], dropped: int = 0) -> None:
     """Emit ``lint.*`` telemetry counters for one analyzer pass."""
     if not TELEMETRY.enabled:
@@ -76,15 +66,6 @@ def record_lint_run(kept: Sequence[Finding], dropped: int = 0) -> None:
         metrics.counter(f"lint.findings.{item.severity}").inc()
     if dropped:
         metrics.counter("lint.suppressed").inc(dropped)
-
-
-def max_severity(findings: Iterable[Finding]) -> Optional[Severity]:
-    """The worst severity present, or None for a clean run."""
-    worst: Optional[Severity] = None
-    for item in findings:
-        if worst is None or item.severity > worst:
-            worst = item.severity
-    return worst
 
 
 def sort_findings(findings: Iterable[Finding]) -> List[Finding]:

@@ -68,14 +68,6 @@ class CachePolicy:
         """
         return self.methods
 
-    def describe(self) -> Dict[str, Any]:
-        """JSON-able summary of the policy for diagnostics and lint."""
-        return {
-            "methods": sorted(self.methods),
-            "objects": sorted(self.objects)
-            if self.objects is not None else None,
-        }
-
 
 class CachingTransport(Transport):
     """Serve repeats of pure calls from a response cache.

@@ -467,13 +467,6 @@ class AsyncRMIServer:
         thread.join(timeout=timeout)
         self._thread = None
 
-    def __enter__(self) -> "AsyncRMIServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
-
     # ------------------------------------------------------------------
     # Event loop body
     # ------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import signal
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Callable, Dict, List, Tuple
 
@@ -57,9 +58,13 @@ _worker_sessions: Dict[Tuple[int, int],
 
 
 def _worker_init() -> None:
-    """Per-worker fork hygiene: drop inherited ids and caches."""
+    """Per-worker fork hygiene: drop inherited ids, caches and the
+    serving command's stop handlers (a worker forked mid-serve would
+    otherwise swallow SIGINT / SIGTERM)."""
     from ..parallel.scenarios import reset_session_state
 
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.SIG_DFL)
     reset_session_state()
     # Runs once per fork, before the worker serves anything; no other
     # thread exists in the child yet.

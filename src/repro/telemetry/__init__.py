@@ -20,7 +20,7 @@ from .export import (chrome_trace_events, export_chrome_trace,
                      export_metrics_json, export_summary, span_summary)
 from .metrics import (DEFAULT_BYTES_BUCKETS, DEFAULT_TIME_BUCKETS, Counter,
                       Gauge, Histogram, MetricsRegistry)
-from .runtime import TELEMETRY, Telemetry, get_telemetry, telemetry_session
+from .runtime import TELEMETRY, Telemetry, telemetry_session
 from .trace import Span, Tracer
 
 __all__ = [
@@ -29,5 +29,5 @@ __all__ = [
     "Span", "Tracer",
     "chrome_trace_events", "export_chrome_trace", "export_metrics_json",
     "export_summary", "span_summary",
-    "TELEMETRY", "Telemetry", "get_telemetry", "telemetry_session",
+    "TELEMETRY", "Telemetry", "telemetry_session",
 ]

@@ -50,11 +50,6 @@ TELEMETRY = Telemetry()
 """The process-wide telemetry instance every instrumented site consults."""
 
 
-def get_telemetry() -> Telemetry:
-    """The process-wide :class:`Telemetry` instance."""
-    return TELEMETRY
-
-
 @contextlib.contextmanager
 def telemetry_session(trace_out: Optional[Any] = None,
                       metrics_out: Optional[Any] = None,

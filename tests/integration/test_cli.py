@@ -1,5 +1,6 @@
 """The repro-bench command-line interface."""
 
+import glob
 import json
 import os
 import signal
@@ -41,6 +42,19 @@ class TestExecution:
         assert "I6sa1" in out
         assert "1100 detects I3sa0: False" in out
         assert "1101 detects I3sa0: True" in out
+
+    def test_figure3_small(self, capsys):
+        assert main(["figure3", "--width", "4", "--patterns", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("Figure 3 -- real and CPU time vs "
+                                   "pattern buffer size")
+        assert lines[1].split() == ["Buffer", "%", "Real", "(s)", "CPU",
+                                    "(s)"]
+        assert [line.split()[0] for line in lines[3:16]] == [
+            "1", "2", "5", "10", "20", "30", "40", "50", "60", "70", "80",
+            "90", "100"]
+        assert lines[17].startswith("wall clock time (y: ")
+        assert any("*" in line for line in lines[18:])
 
     def test_table1_small(self, capsys):
         assert main(["table1", "--width", "4", "--patterns", "40"]) == 0
@@ -133,6 +147,23 @@ class TestOutputPathValidation:
         with pytest.raises(SystemExit):
             main(["figure4", "--metrics-out", self._missing(tmp_path)])
         assert "--metrics-out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["figure4", "--trace-out"], "cannot write telemetry output: "),
+        (["figure4", "--metrics-out"], "cannot write telemetry output: "),
+        (["faultsim", "figure4", "--patterns", "4", "--report-out"],
+         "cannot write report output: ")])
+    def test_unwritable_output_fails_fast(self, argv, message, tmp_path,
+                                          capsys):
+        """A directory where a file should go: refused before the run,
+        --report-out included (it used to fail after the campaign)."""
+        with pytest.raises(SystemExit) as caught:
+            main(argv + [str(tmp_path)])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_valid_report_path_still_writes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -279,6 +310,38 @@ class TestRemoteFarmCli:
         assert f"argument {argv[1]}: must be positive" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--patterns", "0"],
+        ["table1", "--width", "0"],
+        ["table2", "--width", "0"],
+        ["serve", "--width", "0"],
+        ["table2", "--buffer", "0"],
+        ["table2", "--buffer", "-1"],
+        ["figure3", "--patterns", "0"],
+        ["faultsim", "figure4", "--patterns", "-3"],
+        ["atpg", "c17", "--random-patterns", "-1"],
+        ["atpg", "c17", "--max-backtracks", "-1"],
+        ["scoap", "c17", "--top", "-1"],
+        ["faultworker", "--serve-seconds", "0"],
+    ], ids=" ".join)
+    def test_nonsensical_counts_are_usage_errors(self, argv, capsys):
+        """Every count option is typed: a count that used to crash or
+        run as given is refused before any work."""
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--tls-cert", "--tls-key"])
+    def test_half_a_tls_pair_is_refused(self, flag, capsys):
+        assert main(["faultworker", flag, "x.pem"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --tls-cert and --tls-key must be "
+                                "given together\n")
+        assert captured.out == ""
+
     def test_serve_stops_after_serve_seconds(self, capsys):
         assert main(["serve", "--serve-seconds", "0.2"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -342,3 +405,48 @@ class TestRemoteFarmCli:
                 server.stop_tcp()
         out = capsys.readouterr().out
         assert "farmed across 2 remote endpoint(s)" in out
+
+
+def _running(pid):
+    """Whether ``pid`` exists and is not a zombie (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the worker's children from /proc")
+@pytest.mark.parametrize("dispatch", ["thread", "process"])
+def test_sigterm_stops_the_server_and_its_workers(dispatch):
+    """SIGTERM (how container runtimes stop a job) ends a server like
+    SIGINT: exit 0, the stats line, and no forked dispatch worker left
+    behind (they used to outlive the parent with ppid 1)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    worker = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "faultworker",
+         "--dispatch", dispatch, "--port", "0"], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    try:
+        ready = worker.stdout.readline()
+        assert "serving on" in ready, ready
+        # Workers fork from the server's loop thread, so read the
+        # children of every task, not only the main thread's.
+        children = set()
+        for path in glob.glob(f"/proc/{worker.pid}/task/*/children"):
+            with open(path) as handle:
+                children.update(int(pid) for pid in handle.read().split())
+        assert bool(children) == (dispatch == "process")
+        worker.send_signal(signal.SIGTERM)
+        log = worker.communicate(timeout=10)[0]
+    finally:
+        if worker.poll() is None:
+            worker.kill()
+            worker.communicate()
+    assert worker.returncode == 0, log
+    assert any(line.startswith("server stats:")
+               for line in log.splitlines()), log
+    assert [pid for pid in children if _running(pid)] == []

@@ -41,6 +41,12 @@ class TestExitCodes:
         assert main(["lint", "--servants", "no.such.module"]) == 2
         assert "neither a path" in capsys.readouterr().err
 
+    def test_servant_module_without_source_is_usage_error(self, capsys):
+        # A builtin module resolves, but to no file the analyzers read.
+        assert main(["lint", "--servants", "sys"]) == 2
+        assert capsys.readouterr().err == \
+            "error: no such file or directory: 'built-in'\n"
+
     def test_retired_concurrency_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["lint", "--concurrency"])

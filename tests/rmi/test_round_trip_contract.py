@@ -24,7 +24,7 @@ from repro.gates import array_multiplier
 from repro.net import VirtualClock
 from repro.net.model import WAN
 from repro.rmi import (BatchReply, CallRequest, InProcessTransport,
-                       JavaCADServer, TcpTransport)
+                       JavaCADServer, TcpTransport, wrap_transport)
 from repro.telemetry import TELEMETRY, telemetry_session
 
 
@@ -132,6 +132,28 @@ def test_batch_error_replies_name_their_failures(transport):
 def test_empty_batch_is_no_round_trip(transport):
     assert transport.invoke_batch([]) == []
     assert transport.stats == type(transport.stats)()
+
+
+@pytest.mark.parametrize("batching,caching", [(True, False),
+                                              (False, True),
+                                              (True, True)])
+def test_wrapped_stacks_pass_a_batch_through(transport, batching,
+                                             caching):
+    """``BatchingTransport`` and ``CachingTransport`` override
+    ``invoke_batch`` because the base one would call an ``_exchange``
+    no wrapper has: a pre-built batch handed to any ``wrap_transport``
+    stack crosses as one BATCH frame, uncached, behind the oneways a
+    batching layer had queued."""
+    stack = wrap_transport(transport, batching=batching, caching=caching)
+    stack.invoke("math", "add", (1, 1), oneway=True)
+    replies = stack.invoke_batch([CallRequest("math", "add", (1, 2)),
+                                  CallRequest("math", "add", (3, 4))])
+    assert [(reply.ok, reply.result) for reply in replies] \
+        == [(True, 3), (True, 7)]
+    # Without batching the oneway went alone, ahead of the batch.
+    assert transport.stats.calls == (1 if batching else 2)
+    assert transport.stats.batches == 1
+    assert transport.stats.batched_calls == (3 if batching else 2)
 
 
 class _ShortBatchServer(JavaCADServer):
