@@ -24,6 +24,7 @@ from ..core.connector import WordConnector
 from ..core.controller import SimulationController
 from ..core.design import Circuit, Design
 from ..core.errors import DesignError
+from ..core.ids import id_scope
 from ..core.library import PrimaryOutput, RandomPrimaryInput, Register
 from ..estimation.criteria import ByName
 from ..estimation.parameter import AVERAGE_POWER
@@ -239,10 +240,19 @@ def run_scenario(mode: str, network: NetworkModel = LOCALHOST,
 def run_table2(width: int = DEFAULT_WIDTH, patterns: int = DEFAULT_PATTERNS,
                buffer_size: int = DEFAULT_BUFFER,
                engine: Optional[str] = None) -> List[ScenarioResult]:
-    """All seven rows of the paper's Table 2, in paper order."""
-    return [run_scenario(mode, network, width, patterns, buffer_size,
-                         engine=engine)
-            for mode, network in TABLE2_ROWS]
+    """All seven rows of the paper's Table 2, in paper order.
+
+    Each row draws its ids from a fresh scope, as a row of
+    ``run_table2_parallel`` does in its worker: ids reach marshalled
+    bytes, so rows sharing one scope would charge later rows for
+    longer ids.
+    """
+    rows = []
+    for mode, network in TABLE2_ROWS:
+        with id_scope():
+            rows.append(run_scenario(mode, network, width, patterns,
+                                     buffer_size, engine=engine))
+    return rows
 
 
 def run_corpus_scenario(mode: str, bench: str,

@@ -24,7 +24,7 @@ equality of their (value, care) bit pairs, which is what makes the
 packed detection word ``(vg ^ vf) | (cg ^ cf)`` agree bit-for-bit with
 the interpreted simulator's output-tuple comparison.
 
-Two functions are generated per netlist:
+Two entry points run the generated code:
 
 * ``run_good(iv, ic)`` -- fault-free evaluation; returns the
   ``(v, c)`` pair of every net, interleaved in net order.  It is a
@@ -33,16 +33,26 @@ Two functions are generated per netlist:
   function's syntax tree at once, so a straight line of a few
   thousand gates costs tens of megabytes to compile.
 * ``run_fault(iv, ic, fm, fv)`` -- one straight line (chunking it
-  costs a quarter of a campaign's speed), built on first use so a
-  kernel that only ever runs fault-free (power estimation) never
-  compiles it, with a mask-based *injection hook* at every fault site:
-  ``fm`` holds one mask word per site (zero wherever no fault is
-  active; a hook whose mask is zero is skipped) and ``fv`` the stuck
-  value word, so activating a fault is two word writes, not a
-  recompile.  Every statement is a pure bitwise operation -- no shift,
-  no add -- so bit positions never interact and the words may be as
-  wide as the caller likes: the runners give every fault its own lane
-  of patterns.
+  costs a quarter of a campaign's speed) with a mask-based *injection
+  hook* at every fault site: ``fm`` holds one mask word per site (zero
+  wherever no fault is active; a hook whose mask is zero is skipped)
+  and ``fv`` the stuck value word, so activating a fault is two word
+  writes, not a recompile.  Every statement is a pure bitwise
+  operation -- no shift, no add -- so bit positions never interact and
+  the words may be as wide as the caller likes: the runners give every
+  fault its own lane of patterns.
+
+Each comes in two flavours generated from one gate walk, and each
+flavour is compiled on first use (a kernel that only ever runs
+fault-free -- power estimation -- never builds ``run_fault``).  The
+*three-valued* flavour computes both words of every net.  The
+*two-valued* one computes value words only and serves a block whose
+inputs are all known: when every input's care word is the same word
+``k``, every net's care word is ``k`` too (lanes in ``k`` see only 0/1
+inputs; lanes outside it see all-X inputs, so every net there is X),
+so a gate is one statement on value words, with an inverting cell
+complemented inside the known lanes (``... ^ k``).  The kernel picks
+the flavour from the words it is given; nothing else chooses.
 
 Sites mirror :func:`repro.faults.faultlist.enumerate_faults`: one stem
 site per net, plus one branch site per gate input pin whose source net
@@ -69,8 +79,8 @@ from ..faults.faultlist import FaultList, build_fault_list
 from ..gates.netlist import Netlist
 from ..telemetry.runtime import TELEMETRY
 
-_GoodFn = Callable[[Sequence[int], Sequence[int]], Tuple[int, ...]]
-_FaultFn = Callable[[Sequence[int], Sequence[int], Sequence[int], int],
+_GoodFn = Callable[[Sequence[int], Any], Tuple[int, ...]]
+_FaultFn = Callable[[Sequence[int], Any, Sequence[int], int],
                     Tuple[int, ...]]
 
 GOOD_CHUNK_GATES = 100
@@ -141,11 +151,49 @@ def _gate_lines(cell_name: str, out_v: str, out_c: str,
         f"cannot compile cell type {cell_name!r}")
 
 
-def _force(site: int, v: str, c: str) -> str:
+_VALUE_OPS = {"BUF": "", "NOT": "", "AND": " & ", "NAND": " & ",
+              "OR": " | ", "NOR": " | ", "XOR": " ^ ", "XNOR": " ^ "}
+"""Per cell: the operator joining its inputs' value words in a
+two-valued run (none for the one-input cells)."""
+
+_INVERTING = frozenset({"NOT", "NAND", "NOR", "XNOR"})
+
+
+def _value_line(cell_name: str, out_v: str, vs: Sequence[str]) -> str:
+    """The one statement computing a gate's value word in a two-valued
+    run: inputs are 0/1 inside ``k`` and 0 outside it, so ``... ^ k``
+    is the complement that keeps the lanes outside ``k`` at 0."""
+    op = _VALUE_OPS.get(cell_name)
+    if op is None:
+        raise FaultSimulationError(
+            f"cannot compile cell type {cell_name!r}")
+    term = f"({op.join(vs)})" if op else vs[0]
+    if cell_name in _INVERTING:
+        return f"{out_v} = {term} ^ k"
+    return f"{out_v} = {term}"
+
+
+def _force(site: int, v: str, c: Optional[str]) -> str:
     """The injection hook of one site: override the (value, care) pair
     ``v``, ``c`` where the site's mask is set, and skip the hook where
-    no fault is active (all but the live faults' sites in any one run)."""
-    return f"if m := fm[{site}]: {v} = {v} & ~m | fv & m; {c} |= m"
+    no fault is active (all but the live faults' sites in any one run).
+    A two-valued run (``c`` None) has every mask inside its known
+    lanes, so the care word stays ``k``."""
+    hook = f"if m := fm[{site}]: {v} = {v} & ~m | fv & m"
+    return hook if c is None else f"{hook}; {c} |= m"
+
+
+def _known_lanes(ic: Sequence[int]) -> int:
+    """The care word every input shares, or 0 when they differ."""
+    if not ic:
+        return 0
+    known = ic[0]
+    return known if ic.count(known) == len(ic) else 0
+
+
+def _count_two_valued() -> None:
+    if TELEMETRY.enabled:
+        TELEMETRY.metrics.counter("compiled.two_valued_runs").inc()
 
 
 def _exec(sources: Iterable[str], name: str, label: str) -> Any:
@@ -160,8 +208,9 @@ def _exec(sources: Iterable[str], name: str, label: str) -> Any:
 class CompiledKernel:
     """One netlist compiled to word-op Python.
 
-    Attributes are all derived once at compile time; the kernel itself
-    is immutable and safe to share between simulators (and across
+    Attributes are all derived once at compile time and each entry
+    point's flavours are compiled on first use; the kernel itself is
+    immutable and safe to share between simulators (and across
     equal-content netlists via the compile cache).
     """
 
@@ -197,30 +246,79 @@ class CompiledKernel:
         self.site_count = site
         self._order = order
         self._label = f"<compiled:{netlist.name}>"
-        self.run_good: _GoodFn = _exec(self._emit_good(order), "run_good",
-                                       self._label)
+
+    def run_good(self, iv: Sequence[int], ic: Sequence[int]
+                 ) -> Tuple[int, ...]:
+        """Fault-free evaluation of one block of packed patterns: the
+        ``(v, c)`` pair of every net, interleaved in net order.
+
+        ``iv`` / ``ic`` hold one value and one care word per input and
+        obey the canonical invariant.  When every care word is one
+        nonzero word ``k`` the two-valued flavour runs, and ``k`` is
+        every net's care word in the result; otherwise the three-valued
+        one does.  Both return the same words.
+        """
+        known = _known_lanes(ic)
+        if known:
+            _count_two_valued()
+            return self._good2(iv, known)
+        return self._good3(iv, ic)
+
+    def run_fault(self, iv: Sequence[int], ic: Sequence[int],
+                  fm: Sequence[int], fv: int) -> Tuple[int, ...]:
+        """:meth:`run_good` with the hooks of ``fm`` / ``fv`` forcing
+        their sites.
+
+        The two-valued flavour runs when every care word is one word
+        ``k`` that is nonzero and all-ones from bit 0, and every mask
+        lies inside it (``max(fm) <= k``): a forced lane is then a
+        known lane and no care word moves.  That is the precondition
+        of the fast path -- ``ppsfp._fault_lanes`` builds its masks
+        inside the block's lanes -- and anything else takes the
+        three-valued body, which is exact for any masks.
+        """
+        known = _known_lanes(ic)
+        if known and not known & (known + 1) \
+                and max(fm, default=0) <= known:
+            _count_two_valued()
+            return self._fault2(iv, known, fm, fv)
+        return self._fault3(iv, ic, fm, fv)
 
     @cached_property
-    def fault_source(self) -> str:
-        """The text of ``run_fault``, generated on first use."""
-        return self._emit_fault(self._order)
+    def _good3(self) -> _GoodFn:
+        return self._build(self._emit_good(self._order, False), "run_good")
 
     @cached_property
-    def run_fault(self) -> _FaultFn:
-        """The hooked kernel, compiled on first use.  Two threads racing
-        here both compile it and either copy serves."""
+    def _good2(self) -> _GoodFn:
+        return self._build(self._emit_good(self._order, True), "run_good2")
+
+    @cached_property
+    def _fault3(self) -> _FaultFn:
+        return self._build([self._emit_fault(self._order, False)],
+                           "run_fault")
+
+    @cached_property
+    def _fault2(self) -> _FaultFn:
+        return self._build([self._emit_fault(self._order, True)],
+                           "run_fault2")
+
+    def _build(self, sources: Iterable[str], name: str) -> Any:
+        """One flavour's functions, compiled on first use.  Two threads
+        racing here both compile it and either copy serves."""
         begin = time.perf_counter()
-        run_fault = _exec([self.fault_source], "run_fault", self._label)
+        function = _exec(sources, name, self._label)
         if TELEMETRY.enabled:
             TELEMETRY.metrics.counter("compiled.compile_seconds").inc(
                 time.perf_counter() - begin)
-        return run_fault
+        return function
 
     @property
     def source(self) -> str:
-        """Both entry points' text, generated again on each read."""
-        return "".join(self._emit_good(self._order)) + "\n" \
-            + self.fault_source
+        """Every entry point's text (three-valued, then two-valued),
+        generated again on each read."""
+        return "\n".join("".join(self._emit_good(self._order, two_valued))
+                         + "\n" + self._emit_fault(self._order, two_valued)
+                         for two_valued in (False, True))
 
     # ------------------------------------------------------------------
 
@@ -246,71 +344,102 @@ class CompiledKernel:
 
     # ------------------------------------------------------------------
 
-    def _emit_good(self, order: Sequence[Any]) -> Iterator[str]:
+    def _emit_good(self, order: Sequence[Any], two_valued: bool
+                   ) -> Iterator[str]:
         """``run_good``'s chunks and then ``run_good``, one function's
         text at a time: the inputs go into one word list, then one call
         per chunk; a chunk loads the words it reads from earlier chunks
-        and stores every word it computes."""
+        and stores every word it computes.  The two-valued flavour
+        (``run_good2``) fills the care slots with ``k`` up front and
+        computes value words only."""
         index = self.net_index
         inputs = 2 * len(self.inputs)
-        head = ["def run_good(iv, ic):",
-                f"    w = [0] * {2 * len(self.nets)}",
-                f"    w[0:{inputs}:2] = iv",
-                f"    w[1:{inputs}:2] = ic"]
+        if two_valued:
+            chunk, args = "_good2_", "w, k"
+            head = ["def run_good2(iv, k):",
+                    f"    w = [k] * {2 * len(self.nets)}",
+                    f"    w[0:{inputs}:2] = iv"]
+        else:
+            chunk, args = "_good", "w"
+            head = ["def run_good(iv, ic):",
+                    f"    w = [0] * {2 * len(self.nets)}",
+                    f"    w[0:{inputs}:2] = iv",
+                    f"    w[1:{inputs}:2] = ic"]
         for first in range(0, len(order), GOOD_CHUNK_GATES):
-            name = f"_good{first // GOOD_CHUNK_GATES}"
-            head.append(f"    {name}(w)")
+            name = f"{chunk}{first // GOOD_CHUNK_GATES}"
+            head.append(f"    {name}({args})")
             gates = order[first:first + GOOD_CHUNK_GATES]
             made = {index[gate.output] for gate in gates}
             loads = dict.fromkeys(index[source] for gate in gates
                                   for source in gate.inputs
                                   if index[source] not in made)
-            body = [f"v{i} = w[{2 * i}]; c{i} = w[{2 * i + 1}]"
+            body = [f"v{i} = w[{2 * i}]" if two_valued
+                    else f"v{i} = w[{2 * i}]; c{i} = w[{2 * i + 1}]"
                     for i in loads]
             for gate in gates:
                 out = index[gate.output]
+                vs = [f"v{index[s]}" for s in gate.inputs]
+                if two_valued:
+                    body.append(_value_line(gate.cell.name, f"v{out}", vs))
+                    body.append(f"w[{2 * out}] = v{out}")
+                    continue
                 body.extend(_gate_lines(
-                    gate.cell.name, f"v{out}", f"c{out}",
-                    [f"v{index[s]}" for s in gate.inputs],
+                    gate.cell.name, f"v{out}", f"c{out}", vs,
                     [f"c{index[s]}" for s in gate.inputs]))
                 body.append(f"w[{2 * out}] = v{out}; "
                             f"w[{2 * out + 1}] = c{out}")
-            yield "\n".join([f"def {name}(w):"] + [
+            yield "\n".join([f"def {name}({args}):"] + [
                 f"    {line}" for line in body]) + "\n"
         head.append("    return tuple(w)")
         yield "\n".join(head) + "\n"
 
-    def _emit_fault(self, order: Sequence[Any]) -> str:
+    def _emit_fault(self, order: Sequence[Any], two_valued: bool) -> str:
+        """``run_fault``'s straight line; the two-valued flavour
+        (``run_fault2``) carries value words only and returns ``k`` as
+        every net's care word."""
         index = self.net_index
         body: List[str] = []
+
+        def load(v: str, c: str, source_v: str, source_c: str,
+                 site: int) -> None:
+            body.append(f"{v} = {source_v}")
+            if two_valued:
+                body.append(_force(site, v, None))
+            else:
+                body.append(f"{c} = {source_c}")
+                body.append(_force(site, v, c))
+
         for position, net in enumerate(self.inputs):
             i = index[net]
-            body.append(f"v{i} = iv[{position}]")
-            body.append(f"c{i} = ic[{position}]")
-            body.append(_force(self.stem_site[net], f"v{i}", f"c{i}"))
+            load(f"v{i}", f"c{i}", f"iv[{position}]", f"ic[{position}]",
+                 self.stem_site[net])
         for gate in order:
             vs: List[str] = []
             cs: List[str] = []
             for pin, source in enumerate(gate.inputs):
                 s = index[source]
                 site = self.branch_site.get((gate.name, pin))
-                if site is not None:
-                    body.append(f"b{pin}v = v{s}")
-                    body.append(f"b{pin}c = c{s}")
-                    body.append(_force(site, f"b{pin}v", f"b{pin}c"))
-                    vs.append(f"b{pin}v")
-                    cs.append(f"b{pin}c")
-                else:
+                if site is None:
                     vs.append(f"v{s}")
                     cs.append(f"c{s}")
+                    continue
+                load(f"b{pin}v", f"b{pin}c", f"v{s}", f"c{s}", site)
+                vs.append(f"b{pin}v")
+                cs.append(f"b{pin}c")
             out = index[gate.output]
-            body.extend(_gate_lines(gate.cell.name, f"v{out}", f"c{out}",
-                                    vs, cs))
-            body.append(_force(self.stem_site[gate.output],
-                               f"v{out}", f"c{out}"))
-        terms = ", ".join(f"v{i}, c{i}" for i in range(len(self.nets)))
+            if two_valued:
+                body.append(_value_line(gate.cell.name, f"v{out}", vs))
+            else:
+                body.extend(_gate_lines(gate.cell.name, f"v{out}",
+                                        f"c{out}", vs, cs))
+            body.append(_force(self.stem_site[gate.output], f"v{out}",
+                               None if two_valued else f"c{out}"))
+        terms = ", ".join(f"v{i}, k" if two_valued else f"v{i}, c{i}"
+                          for i in range(len(self.nets)))
         body.append(f"return ({terms})")
-        return "\n".join(["def run_fault(iv, ic, fm, fv):"] + [
+        signature = "run_fault2(iv, k, fm, fv)" if two_valued \
+            else "run_fault(iv, ic, fm, fv)"
+        return "\n".join([f"def {signature}:"] + [
             f"    {line}" for line in body]) + "\n"
 
 

@@ -16,12 +16,9 @@ order, so ``run_table2_parallel`` reproduces ``run_table2``'s row order.
 
 Each worker first replaces the process-default id scope it
 inherited from the parent (fork), so every row equals a fresh-process
-run of that scenario and repeated parallel runs are byte-identical.  A
-sequential in-process ``run_table2`` instead lets call/session ids grow
-across rows, which nudges marshalled byte counts (and hence the
-modelled transfer times) by a few parts per million -- invisible at the
-paper's whole-second resolution, but the reason the parallel rows are
-compared to serial ones with a tolerance in the tests.
+run of that scenario and repeated parallel runs are byte-identical.
+The sequential ``run_table2`` runs each row in a fresh id scope too, so
+its rows equal these exactly.
 """
 
 from __future__ import annotations

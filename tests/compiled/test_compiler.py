@@ -6,7 +6,7 @@ import pytest
 
 from repro.compiled import (clear_kernel_cache, compile_netlist,
                             netlist_fingerprint)
-from repro.compiled.compiler import CompiledKernel, _gate_lines
+from repro.compiled.compiler import CompiledKernel, _gate_lines, _value_line
 from repro.core.errors import FaultSimulationError
 from repro.core.signal import Logic
 from repro.faults.model import StuckAtFault
@@ -95,12 +95,15 @@ class TestKernelShape:
         kernel = CompiledKernel(resolve_bench("figure4"))
         assert "def run_good(iv, ic):" in kernel.source
         assert "def run_fault(iv, ic, fm, fv):" in kernel.source
+        assert "def run_good2(iv, k):" in kernel.source
+        assert "def run_fault2(iv, k, fm, fv):" in kernel.source
         assert callable(kernel.run_good)
         assert callable(kernel.run_fault)
 
     def test_one_skippable_hook_per_site(self):
         kernel = CompiledKernel(resolve_bench("figure4"))
-        assert kernel.source.count("if m := fm[") == kernel.site_count
+        # One hook per site in each run_fault flavour.
+        assert kernel.source.count("if m := fm[") == 2 * kernel.site_count
         iv = [0b0101] * len(kernel.inputs)
         ic = [0b1111] * len(kernel.inputs)
         assert kernel.run_fault(iv, ic, [0] * kernel.site_count, 0) \
@@ -122,6 +125,14 @@ class TestKernelShape:
     def test_unknown_cell_rejected(self):
         with pytest.raises(FaultSimulationError, match="cannot compile"):
             _gate_lines("MAJ", "v9", "c9", ["v0"], ["c0"])
+        with pytest.raises(FaultSimulationError, match="cannot compile"):
+            _value_line("MAJ", "v9", ["v0"])
+
+    def test_two_valued_lines_complement_inside_the_known_lanes(self):
+        assert _value_line("NOT", "v2", ["v0"]) == "v2 = v0 ^ k"
+        assert _value_line("NOR", "v2", ["v0", "v1"]) \
+            == "v2 = (v0 | v1) ^ k"
+        assert _value_line("XOR", "v2", ["v0", "v1"]) == "v2 = (v0 ^ v1)"
 
 
 class TestSiteLookup:

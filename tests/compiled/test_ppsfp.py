@@ -270,8 +270,26 @@ class TestTelemetry:
         with telemetry_session():
             report = simulator.run(patterns)
             assert work_counts() == (2, 4, 25_489_488)
+            # Random 0/1 patterns: every run takes the value-only kernel.
+            assert TELEMETRY.metrics.counter(
+                "compiled.two_valued_runs").value == 4
         assert replayed_work(simulator, patterns, report) \
             == (2, 4, 25_489_488)
+
+    def test_x_pattern_campaign_runs_three_valued(self):
+        """A block with an ``X`` input keeps the care words: none of
+        its runs is two-valued, and the work counts are the block
+        rule's."""
+        netlist, patterns = figure4_patterns(70)
+        patterns[0][netlist.inputs[0]] = Logic.X
+        simulator = CompiledFaultSimulator(netlist)
+        with telemetry_session():
+            report = simulator.run(patterns)
+            assert work_counts() \
+                == replayed_work(simulator, patterns, report)
+            metrics = TELEMETRY.metrics
+            assert metrics.counter("compiled.kernel_runs").value == 2
+            assert metrics.counter("compiled.two_valued_runs").value == 0
 
     def test_probe_counters(self):
         netlist, patterns = figure4_patterns(1)

@@ -66,11 +66,11 @@ class TestTable2Parallel:
             assert actual.events == expected.events
             assert actual.remote_calls == expected.remote_calls
             assert actual.round_trips == expected.round_trips
-            # Worker rows run from reset session state, so marshalled id
-            # strings (and hence modelled byte/time charges) can differ
-            # from an accumulated serial run by a few parts per million.
-            assert actual.cpu == pytest.approx(expected.cpu, abs=0.1)
-            assert actual.real == pytest.approx(expected.real, abs=0.5)
+            # Serial rows draw ids from a fresh scope each, like worker
+            # rows: the same marshalled bytes, so the same clock.
+            assert actual.remote_bytes == expected.remote_bytes
+            assert actual.cpu == expected.cpu
+            assert actual.real == expected.real
 
     def test_parallel_runs_are_reproducible(self):
         first = run_table2_parallel(width=WIDTH, patterns=PATTERNS,
