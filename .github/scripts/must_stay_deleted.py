@@ -162,6 +162,14 @@ RULES = (
          "AsyncRMIServer context manager)"),
     Rule(r"def keys\b", ("src/repro/cache/response.py",), None,
          "ResponseCache.keys is back, and nothing executes it"),
+    # One multi-core serving shape: the process tier pre-forks whole
+    # thread-tier servers and hands each one its sockets.
+    Rule(r"ProcessPoolExecutor|BrokenProcessPool", ("src/repro/server",),
+         None, "the process tier ships frames to an executor again (its "
+               "children are whole servers that own their connections)"),
+    Rule(r"ProcessDispatcher|_FACTORIES", ("src/repro/server",), None,
+         "sticky session-to-worker routing is back (a connection stays "
+         "on the child it was handed to)"),
 )
 
 

@@ -273,10 +273,10 @@ def _serve(args: argparse.Namespace, core, name: str, label: str,
     The first line printed, ``<label> serving<serving> on HOST:PORT``,
     is the exact line CI and scripts wait for before connecting.  The
     wait ends after ``--serve-seconds``, on SIGINT or on SIGTERM (how
-    container runtimes stop a job); the server, its dispatch workers
-    included, always stops and prints its stats line.  The handlers
-    stay through ``stop()``, so a second signal cannot cut the teardown
-    short; dispatch workers reset them when they fork.
+    container runtimes stop a job); the server, its process-tier
+    children included, always stops and prints its stats line.  The
+    handlers stay through ``stop()``, so a second signal cannot cut the
+    teardown short; children restore the defaults when they fork.
     """
     from .server import AsyncRMIServer
 
@@ -345,8 +345,8 @@ def _add_server_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dispatch", default="thread",
                         choices=["thread", "process"],
                         help="session dispatch tier: thread (dispatch "
-                             "threads on one queue), process (forked "
-                             "workers, multi-core)")
+                             "threads on one queue), process (pre-forked "
+                             "servers, multi-core)")
 
 
 def _positive_seconds(text: str) -> float:

@@ -158,12 +158,12 @@ class JavaCADServer:
                          shared_host: bool = False) -> bytes:
         """Dispatch one decoded CALL or BATCH; its encoded reply.
 
-        The one entry the in-process transport, the thread tier and
-        the process-tier workers all use, so the IP-leak guard runs on
-        every path: a result that may not cross the boundary
-        (typically a MarshalError -- an attempted IP leak) travels as
-        an error reply instead of desynchronizing the stream, and
-        inside a BATCH only the offending calls are downgraded.
+        The one entry the in-process transport and both server tiers
+        use, so the IP-leak guard runs on every path: a result that
+        may not cross the boundary (typically a MarshalError -- an
+        attempted IP leak) travels as an error reply instead of
+        desynchronizing the stream, and inside a BATCH only the
+        offending calls are downgraded.
         """
         if isinstance(request, BatchRequest):
             reply: Any = self.dispatch_batch(request, clock=clock,

@@ -4,10 +4,9 @@ from .async_server import (DEFAULT_DISPATCH_WORKERS, DEFAULT_DRAIN_TIMEOUT,
                            DEFAULT_HANDSHAKE_TIMEOUT,
                            DEFAULT_MAX_CONNECTIONS, DISPATCH_TIERS,
                            AsyncRMIServer, ServerStats)
-from .dispatch import ProcessDispatcher
 
 __all__ = [
-    "AsyncRMIServer", "ServerStats", "ProcessDispatcher",
+    "AsyncRMIServer", "ServerStats",
     "DEFAULT_MAX_CONNECTIONS", "DEFAULT_DISPATCH_WORKERS",
     "DEFAULT_HANDSHAKE_TIMEOUT", "DEFAULT_DRAIN_TIMEOUT",
     "DISPATCH_TIERS",

@@ -11,14 +11,14 @@ end:
 * an :mod:`asyncio` event loop owns every socket -- thousands of idle
   connections cost file descriptors, not threads.  Each connection is
   an :class:`asyncio.Protocol` that splits frames off one buffer and
-  writes replies back; on the ``thread`` tier the loop does no other
-  per-frame work;
-* every frame leaves the loop exactly once, for a selectable
-  **dispatch tier** (``dispatch=``): ``thread`` puts the raw frame on
-  one queue served by ``dispatch_workers`` threads, each of which
-  decodes, dispatches and encodes it with no lock between tenants, and
-  ``process`` ships frames to forked worker processes with sticky
-  session routing so CPU-bound servant work escapes the GIL entirely;
+  writes replies back; the loop does no other per-frame work;
+* every frame leaves the loop exactly once, for one of
+  ``dispatch_workers`` threads fed from one queue, each of which
+  decodes, dispatches and encodes it with no lock between tenants;
+* the ``process`` tier (``dispatch=``) runs ``dispatch_workers``
+  pre-forked copies of that same server, one dispatch thread each; the
+  parent only accepts and hands each socket to the least-loaded child,
+  so CPU-bound servant work escapes the GIL;
 * a connection takes its next frame only after the previous reply was
   written and its transport is not paused for writing, so its frames
   dispatch strictly one at a time in arrival order, and a client that
@@ -41,16 +41,20 @@ benchmarks.
 from __future__ import annotations
 
 import asyncio
+import gc
 import hmac
 import itertools
+import json
+import os
 import queue
+import signal
+import socket
 import ssl
+import sys
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import RemoteError
 from ..core.ids import ConnectionContext, IdScope, entered
@@ -59,7 +63,8 @@ from ..rmi.protocol import (AuthRequest, BatchReply, BatchRequest,
                             frame_length)
 from ..rmi.server import JavaCADServer
 from ..telemetry.runtime import TELEMETRY
-from .dispatch import ProcessDispatcher, SessionFactory
+
+SessionFactory = Callable[[], JavaCADServer]
 
 DEFAULT_MAX_CONNECTIONS = 64
 DEFAULT_DISPATCH_WORKERS = 4
@@ -71,10 +76,23 @@ DISPATCH_TIERS = ("thread", "process")
 
 ``thread``: ``dispatch_workers`` threads on one shared queue and no
 lock between tenants -- a slow tenant never stalls the rest, though
-CPU-bound Python still shares the GIL.  ``process``: frames ship to
-forked worker processes with sticky session routing -- CPU-bound
-servant work runs truly in parallel.  Both keep each tenant
-byte-identical to a fresh-process serial run."""
+CPU-bound Python still shares the GIL.  ``process``:
+``dispatch_workers`` pre-forked one-thread servers, each serving the
+connections handed to it -- CPU-bound servant work runs truly in
+parallel.  Both keep each tenant byte-identical to a fresh-process
+serial run."""
+
+_CHILD_STATS = ("sessions_started", "auth_failures", "auth_refreshes",
+                "calls_served", "batches_served", "protocol_errors")
+"""What a process-tier child counts and its parent sums; the parent
+counts accepts, refusals, open connections and deaths itself."""
+
+_REPORT_BYTES = 4096
+"""Room for one child report (a small JSON object)."""
+
+_EXIT_GRACE = 0.5
+"""Seconds past ``drain_timeout`` a draining child gets to report and
+exit before it is killed."""
 
 
 @dataclass
@@ -92,8 +110,8 @@ class ServerStats:
     batches_served: int = 0
     protocol_errors: int = 0
     worker_deaths: int = 0
-    """Process-tier workers found dead at dispatch, counted once per
-    session that lost its state with them."""
+    """Process-tier children that died while serving (their
+    connections closed with them)."""
     drained: bool = True
     """Whether the last shutdown flushed every in-flight reply before
     the drain deadline (False means work was cut off)."""
@@ -146,12 +164,13 @@ class _Connection(asyncio.Protocol):
     """Unread bytes buffered before reading pauses -- or the whole
     frame in progress, if that is larger."""
 
-    def __init__(self, server: "AsyncRMIServer") -> None:
+    def __init__(self, server: "AsyncRMIServer",
+                 refused: bool = False) -> None:
         self.server = server
+        self.refused = refused
+        """Handed over past the parent's ``max_connections``."""
         self.transport: Optional[asyncio.Transport] = None
         self.buffer = bytearray()
-        # Process tier: both live in the sticky worker (``session`` is
-        # None, ``context`` unused).
         self.session: Optional[JavaCADServer] = None
         self.context = ConnectionContext(IdScope())
         self.session_id = 0
@@ -272,7 +291,7 @@ class _Connection(asyncio.Protocol):
         if not self.write_paused:
             self._done()
 
-    def replied(self, reply: Optional[bytes], close: bool = False) -> None:
+    def replied(self, reply: Optional[bytes]) -> None:
         """A dispatch came back to the loop: write it, take the next.
 
         ``None`` is an undecodable frame: the connection ends unanswered.
@@ -285,10 +304,7 @@ class _Connection(asyncio.Protocol):
             self.abort()
             return
         self.finish(reply)
-        if close:
-            self.close()
-        else:
-            self.pump()
+        self.pump()
 
     def _done(self) -> None:
         self.busy = False
@@ -340,6 +356,25 @@ class _Connection(asyncio.Protocol):
             self.transport.abort()
 
 
+@dataclass
+class _Child:
+    """A process-tier child server, as its parent sees it."""
+
+    pid: int
+    """0 once the child has exited and been reaped."""
+    channel: socket.socket
+    """The parent's end of the child's ``SOCK_SEQPACKET`` pair: sockets
+    and the drain order go down it, the child's reports come up."""
+    handed: int = 0
+    """Connections handed over, refusals excluded."""
+    report: Dict[str, Any] = field(default_factory=dict)
+    """The child's last report: its cumulative counts."""
+
+    @property
+    def load(self) -> int:
+        return self.handed - self.report.get("closed", 0)
+
+
 class AsyncRMIServer:
     """Asyncio front end multiplexing tenants onto a dispatch core.
 
@@ -352,10 +387,11 @@ class AsyncRMIServer:
 
     ``dispatch`` selects how servant work leaves the event loop (see
     :data:`DISPATCH_TIERS`): ``thread`` (default) is
-    ``dispatch_workers`` threads on one queue, and ``process`` routes
-    each session stickily to one of ``dispatch_workers`` forked worker
-    processes (the session factory crosses by fork inheritance, so it
-    need not be picklable).  On both, a connection's frames dispatch
+    ``dispatch_workers`` threads on one queue, and ``process`` forks
+    ``dispatch_workers`` copies of this server at ``start()``, each a
+    one-thread ``thread``-tier server that owns the connections handed
+    to it (the core or session factory crosses by fork inheritance, so
+    it need not be picklable).  On both, a connection's frames dispatch
     one at a time in arrival order inside that connection's context,
     which preserves per-tenant byte-identity with a fresh-process
     serial run.
@@ -415,7 +451,16 @@ class AsyncRMIServer:
         self.stats = ServerStats()
         self.address: Optional[Tuple[str, int]] = None
         self._session_ids = itertools.count(1)
-        self._dispatcher: Optional[ProcessDispatcher] = None
+        self._children: List[_Child] = []
+        """Process tier, parent: one per slot, in slot order."""
+        self._accepting: Optional[socket.socket] = None
+        """Process tier, parent: the listening socket."""
+        self._channel: Optional[socket.socket] = None
+        """Process tier, child: its end of the parent's socket pair."""
+        self._closed = 0
+        """Process tier, child: handed-over connections finished."""
+        self._adopting: Set["asyncio.Task[None]"] = set()
+        """Process tier, child: TLS handshakes in progress."""
         self._queue: "queue.SimpleQueue[Optional[Tuple[_Connection, bytes]]]" \
             = queue.SimpleQueue()
         self._dispatch_threads: List[threading.Thread] = []
@@ -440,6 +485,12 @@ class AsyncRMIServer:
         self._started.clear()
         self._finished.clear()
         self._startup_error = None
+        if self.dispatch_tier == "process":
+            try:
+                self._prefork()
+            except Exception as error:
+                raise RemoteError(
+                    f"{self.name} failed to start: {error}") from error
         self._thread = threading.Thread(
             target=self._run_loop, name=f"{self.name}-loop", daemon=True)
         self._thread.start()
@@ -488,25 +539,16 @@ class AsyncRMIServer:
         self._stop_event = asyncio.Event()
         self._draining = False
         try:
-            if self.dispatch_tier == "process":
-                factory = self._session_factory
-                if factory is None:
-                    # Shared-core mode: workers dispatch against their
-                    # fork-inherited copy of the shared server; each
-                    # session's servant state lives in its context.
-                    shared = self._shared_server
-                    factory = lambda: shared  # noqa: E731
-                self._dispatcher = ProcessDispatcher(
-                    factory, self.dispatch_workers)
-                # Fork every worker before the first tenant arrives.
-                await asyncio.gather(*[
-                    asyncio.wrap_future(future)
-                    for future in self._dispatcher.warm_futures()])
+            if self._children:  # process tier: the parent hands off
+                loop.add_reader(self._accepting.fileno(),  # type: ignore
+                                self._hand_off)
+                for slot in range(len(self._children)):
+                    self._watch(slot)
             else:
-                # Dispatch threads exist on the thread tier only, so a
-                # forked process-tier worker never inherits a live one
-                # (pinned at fork time by
-                # tests/server/test_dispatch_tiers.py::TestForkHygiene).
+                # Dispatch threads start only here, after any fork: a
+                # process-tier child starts its own (pinned at fork
+                # time by TestForkHygiene in
+                # tests/server/test_dispatch_tiers.py).
                 self._dispatch_threads = [
                     threading.Thread(
                         target=self._dispatch_thread, args=(loop,),
@@ -514,11 +556,14 @@ class AsyncRMIServer:
                     for index in range(self.dispatch_workers)]
                 for thread in self._dispatch_threads:
                     thread.start()
-            self._listener = await loop.create_server(
-                lambda: _Connection(self), self.host, self.port,
-                ssl=self.ssl_context)
-            sockname = self._listener.sockets[0].getsockname()
-            self.address = (sockname[0], sockname[1])
+                if self._channel is not None:  # a process-tier child
+                    loop.add_reader(self._channel.fileno(), self._adopt)
+                else:
+                    self._listener = await loop.create_server(
+                        lambda: _Connection(self), self.host, self.port,
+                        ssl=self.ssl_context)
+                    sockname = self._listener.sockets[0].getsockname()
+                    self.address = (sockname[0], sockname[1])
             if TELEMETRY.enabled:
                 TELEMETRY.metrics.gauge(
                     "server.dispatch.workers",
@@ -527,16 +572,17 @@ class AsyncRMIServer:
                         self.dispatch_workers)
             self._started.set()
             await self._stop_event.wait()
-            await self._shutdown()
+            if self._children:
+                await self._drain_children()
+            else:
+                await self._shutdown()
         finally:
             for _thread in self._dispatch_threads:
                 self._queue.put(None)
             for thread in self._dispatch_threads:
                 thread.join()
             self._dispatch_threads = []
-            if self._dispatcher is not None:
-                self._dispatcher.shutdown()
-                self._dispatcher = None
+            self._children = []
             self._listener = None
             self._loop = None
             self._stop_event = None
@@ -569,7 +615,8 @@ class AsyncRMIServer:
     def _accept(self, conn: _Connection) -> None:
         with self.stats._lock:
             open_now = self.stats.connections_open
-        if self._draining or open_now >= self.max_connections:
+        if conn.refused or self._draining \
+                or open_now >= self.max_connections:
             self._refuse(conn)
             return
         self._connections.add(conn)
@@ -596,12 +643,12 @@ class AsyncRMIServer:
         if conn.timer is not None:
             conn.timer.cancel()
             conn.timer = None
-        if self._dispatcher is None:
-            conn.session = (self._shared_server
-                            if self._shared_server is not None
-                            else self._session_factory())  # type: ignore[misc]
+        conn.session = (self._shared_server
+                        if self._shared_server is not None
+                        else self._session_factory())  # type: ignore[misc]
         conn.session_id = next(self._session_ids)
         self._bump("server.sessions", "sessions_started")
+        self._report()
         if self.idle_timeout is not None:
             assert self._loop is not None
             conn.idle_since = self._loop.time()
@@ -612,9 +659,9 @@ class AsyncRMIServer:
         if conn not in self._connections:
             return  # refused at capacity: never accounted
         self._connections.discard(conn)
-        if conn.session_id and self._dispatcher is not None:
-            self._dispatcher.forget(conn.session_id)
         self._count_open(-1)
+        self._closed += 1
+        self._report()
 
     def _oversized(self, conn: _Connection) -> None:
         """A length prefix above ``MAX_FRAME_BYTES``: refused unread."""
@@ -625,17 +672,226 @@ class AsyncRMIServer:
         conn.abort()
 
     # ------------------------------------------------------------------
+    # Process tier: pre-forked servers, one socket pair each
+    # ------------------------------------------------------------------
+
+    def _prefork(self) -> None:
+        """Bind the listener and fork every child, all before the loop
+        thread exists; each child reports once it serves."""
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._accepting = socket.create_server((self.host, self.port),
+                                               family=family)
+        self._accepting.setblocking(False)
+        self.address = self._accepting.getsockname()[:2]
+        try:
+            for _ in range(self.dispatch_workers):
+                child = self._fork_child()
+                self._children.append(child)
+                ready = child.channel.recv(_REPORT_BYTES)
+                if not ready:
+                    raise RemoteError("a child server exited at start-up")
+                self._merge(child, json.loads(ready))
+        except BaseException:
+            for child in self._children:
+                os.kill(child.pid, signal.SIGKILL)
+                os.waitpid(child.pid, 0)
+                child.channel.close()
+            self._children = []
+            self._accepting.close()
+            raise
+
+    def _fork_child(self) -> _Child:
+        ours, theirs = socket.socketpair(socket.AF_UNIX,
+                                         socket.SOCK_SEQPACKET)
+        pid = os.fork()
+        if pid == 0:
+            self._serve_as_child(theirs)
+        theirs.close()
+        return _Child(pid, ours)
+
+    def _serve_as_child(self, channel: socket.socket) -> None:
+        """The forked child: a one-thread ``thread``-tier copy of this
+        server that serves the sockets its parent hands it, until told
+        to drain; then it reports a last time and exits."""
+        status = 1
+        try:
+            from ..parallel.scenarios import reset_session_state
+
+            # Not the parent's handlers; and a terminal's Ctrl-C, which
+            # reaches the whole process group, is the parent's to turn
+            # into a drain -- it must not kill the children first.
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            reset_session_state()
+            os.closerange(3, channel.fileno())
+            os.closerange(channel.fileno() + 1, os.sysconf("SC_OPEN_MAX"))
+            # Inherited objects may own the fds just closed: the
+            # collector must never finalize one onto a reused number,
+            # nor may a traceback be printed through one.
+            gc.freeze()
+            sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+            child = AsyncRMIServer(
+                self._shared_server, session_factory=self._session_factory,
+                max_connections=self.max_connections,
+                auth_token=self.auth_token, ssl_context=self.ssl_context,
+                idle_timeout=self.idle_timeout,
+                handshake_timeout=self.handshake_timeout,
+                drain_timeout=self.drain_timeout, dispatch_workers=1,
+                name=self.name)
+            child.address = self.address
+            child._channel = channel
+            child.start()
+            child._report()
+            child._finished.wait()
+            child._report()
+            status = 0
+        finally:
+            os._exit(status)
+
+    def _watch(self, slot: int) -> None:
+        assert self._loop is not None
+        self._loop.add_reader(self._children[slot].channel.fileno(),
+                              self._heard, slot)
+
+    def _hand_off(self) -> None:
+        """Parent: pass one accepted socket to the least-loaded child
+        (ties in slot order).  Past ``max_connections`` it goes flagged
+        as refused, so the child answers it inside TLS like any other
+        refusal."""
+        try:
+            sock, _peer = self._accepting.accept()  # type: ignore[union-attr]
+        except OSError:  # another wake-up took it
+            return
+        with sock:
+            with self.stats._lock:
+                refused = self.stats.connections_open >= self.max_connections
+            child = min(self._children, key=lambda each: each.load)
+            try:
+                socket.send_fds(child.channel, [b"r" if refused else b"a"],
+                                [sock.fileno()])
+            except OSError:
+                return  # the child just died; the client sees a close
+        if refused:
+            self._bump("server.connections.refused", "connections_refused")
+            return
+        child.handed += 1
+        self._count_open(+1)
+        self._bump("server.connections.accepted", "connections_accepted")
+
+    def _heard(self, slot: int) -> None:
+        """Parent: a child's report, or its EOF -- it exited.  An exit
+        before the drain is a death: count it, fork the slot anew."""
+        assert self._loop is not None
+        child = self._children[slot]
+        try:
+            report = child.channel.recv(_REPORT_BYTES)
+        except OSError:
+            report = b""
+        if report:
+            self._merge(child, json.loads(report))
+            return
+        self._loop.remove_reader(child.channel.fileno())
+        child.channel.close()
+        os.waitpid(child.pid, 0)
+        child.pid = 0
+        self._count_open(-child.load)
+        if not self._draining:
+            self._bump("server.dispatch.worker_deaths", "worker_deaths")
+            self._children[slot] = self._fork_child()
+            self._watch(slot)
+
+    def _merge(self, child: _Child, report: Dict[str, Any]) -> None:
+        """Parent: fold a child's cumulative counts into the stats."""
+        last = child.report
+        with self.stats._lock:
+            for key in _CHILD_STATS:
+                setattr(self.stats, key, getattr(self.stats, key)
+                        + report[key] - last.get(key, 0))
+            self.stats.drained = self.stats.drained and report["drained"]
+        closed = report["closed"] - last.get("closed", 0)
+        child.report = report
+        if closed:
+            self._count_open(-closed)
+
+    async def _drain_children(self) -> None:
+        """Parent: stop accepting, tell every child to drain, and kill
+        any still running ``_EXIT_GRACE`` past ``drain_timeout``."""
+        assert self._loop is not None and self._accepting is not None
+        self._draining = True
+        self._loop.remove_reader(self._accepting.fileno())
+        self._accepting.close()
+        with self.stats._lock:
+            self.stats.drained = True
+        for child in self._children:
+            try:
+                child.channel.send(b"d")
+            except OSError:
+                pass  # already gone: its EOF is on the way
+        deadline = self._loop.time() + self.drain_timeout + _EXIT_GRACE
+        while any(child.pid for child in self._children):
+            if self._loop.time() >= deadline:
+                deadline = float("inf")
+                with self.stats._lock:
+                    self.stats.drained = False
+                for child in self._children:
+                    if child.pid:
+                        os.kill(child.pid, signal.SIGKILL)
+            await asyncio.sleep(0.01)
+
+    def _adopt(self) -> None:
+        """Child: take the next handed-over socket; the drain order, or
+        the parent's EOF, stops this server."""
+        assert self._loop is not None and self._channel is not None
+        try:
+            flag, fds, _flags, _address = socket.recv_fds(
+                self._channel, 1, 1)
+        except OSError:
+            flag, fds = b"", []
+        if not fds:
+            self._loop.remove_reader(self._channel.fileno())
+            self._stop_event.set()  # type: ignore[union-attr]
+            return
+        task = self._loop.create_task(self._connect(
+            socket.socket(fileno=fds[0]), refused=flag == b"r"))
+        self._adopting.add(task)
+        task.add_done_callback(self._adopting.discard)
+
+    async def _connect(self, sock: socket.socket, refused: bool) -> None:
+        """Child: run TLS (if any) on a handed-over socket, then serve
+        it as the thread tier serves an accepted one."""
+        try:
+            await self._loop.connect_accepted_socket(  # type: ignore
+                lambda: _Connection(self, refused), sock,
+                ssl=self.ssl_context)
+        except OSError:  # a failed TLS handshake, a reset
+            sock.close()
+            if not refused:
+                self._closed += 1
+                self._report()
+
+    def _report(self) -> None:
+        """Child: send the parent this server's cumulative counts."""
+        if self._channel is None:
+            return
+        with self.stats._lock:
+            report = {key: getattr(self.stats, key) for key in _CHILD_STATS}
+            report["drained"] = self.stats.drained
+        report["closed"] = self._closed
+        try:
+            self._channel.send(json.dumps(report).encode())
+        except OSError:
+            pass  # the parent is gone; its EOF stops this server
+
+    # ------------------------------------------------------------------
     # One frame: the handshake on the loop, everything else one hop away
     # ------------------------------------------------------------------
 
     def _submit(self, conn: _Connection, frame: bytes) -> None:
         if not conn.session_id:
             self._handshake(conn, frame)
-        elif self._dispatcher is None:
+        else:
             self._count_submit(conn)
             self._queue.put((conn, frame))
-        else:
-            self._submit_to_worker(conn, frame)
 
     def _handshake(self, conn: _Connection, frame: bytes) -> None:
         """Enforce the shared bearer token before any dispatch.
@@ -693,59 +949,9 @@ class AsyncRMIServer:
 
     def _serve_frame(self, conn: _Connection,
                      frame: bytes) -> Optional[bytes]:
-        """Admit, dispatch and encode one frame on a dispatch thread, in
-        the tenant's connection context; the framed reply (``None``:
-        undecodable, the connection ends)."""
-        request = self._admit(frame)
-        if request is None or isinstance(request, bytes):
-            return request
-        assert conn.session is not None
-        try:
-            with entered(conn.context):
-                reply = conn.session.dispatch_encoded(request)
-        except Exception:  # noqa: BLE001 - a bug in the dispatch core
-            reply = self._error_reply(request, "internal dispatch failure")
-        return encode_frame(reply)
-
-    def _submit_to_worker(self, conn: _Connection, frame: bytes) -> None:
-        """Process tier: admit on the loop, ship the frame to the
-        session's sticky worker; the reply returns by done-callback."""
-        request = self._admit(frame)
-        if request is None:
-            conn.replied(None)
-            return
-        if isinstance(request, bytes):
-            conn.finish(request)
-            return
-        self._count_submit(conn)
-        assert self._dispatcher is not None and self._loop is not None
-        pool = self._dispatcher.pool_for(conn.session_id)
-        try:
-            future = self._dispatcher.submit(conn.session_id, frame)
-        except Exception as exc:  # noqa: BLE001 - e.g. a dead worker
-            future = Future()
-            future.set_exception(exc)
-        loop = self._loop
-        future.add_done_callback(lambda done: loop.call_soon_threadsafe(
-            self._worker_replied, conn, request, pool, done))
-
-    def _worker_replied(self, conn: _Connection, request: Any,
-                        pool: ProcessPoolExecutor,
-                        done: "Future[bytes]") -> None:
-        try:
-            reply = done.result()
-        except BrokenProcessPool:
-            conn.replied(encode_frame(
-                self._worker_died(conn, request, pool)), close=True)
-            return
-        except Exception:  # noqa: BLE001 - a bug in the dispatch core
-            reply = self._error_reply(request, "internal dispatch failure")
-        conn.replied(encode_frame(reply))
-
-    def _admit(self, frame: bytes) -> Any:
-        """Decode one mid-session frame and apply the per-frame policy
-        of both tiers: the request to dispatch, already accounted; the
-        framed reply of an AUTH refresh (``bytes``); or ``None`` for an
+        """Decode, account, dispatch and encode one frame on a dispatch
+        thread, in the tenant's connection context; the framed reply.
+        A mid-session AUTH is answered, not dispatched; ``None`` is an
         undecodable frame, a protocol error that ends the connection."""
         try:
             request = decode_request(frame)
@@ -755,7 +961,13 @@ class AsyncRMIServer:
         if isinstance(request, AuthRequest):
             return encode_frame(self._refresh_auth(request))
         self._account_request(request)
-        return request
+        assert conn.session is not None
+        try:
+            with entered(conn.context):
+                reply = conn.session.dispatch_encoded(request)
+        except Exception:  # noqa: BLE001 - a bug in the dispatch core
+            reply = self._error_reply(request, "internal dispatch failure")
+        return encode_frame(reply)
 
     def _refresh_auth(self, request: AuthRequest) -> bytes:
         """Mid-session AUTH: re-verify the token and count the frame.
@@ -784,7 +996,7 @@ class AsyncRMIServer:
             self.auth_token.encode("utf-8", "surrogatepass"))
 
     def _account_request(self, request: Any) -> None:
-        """Count one dispatched frame (every tier)."""
+        """Count one dispatched frame."""
         if isinstance(request, BatchRequest):
             self._bump("server.batches", "batches_served")
             with self.stats._lock:
@@ -805,23 +1017,6 @@ class AsyncRMIServer:
                 CallReply(call.call_id, ok=False, error=error)
                 for call in request.calls)).encode()
         return CallReply(request.call_id, ok=False, error=error).encode()
-
-    def _worker_died(self, conn: _Connection, request: Any,
-                     pool: ProcessPoolExecutor) -> bytes:
-        """Account a dead sticky worker; the session's last reply.
-
-        The session's servants and context died with the worker.
-        Re-creating them on a fresh worker would rewind the tenant's
-        ids -- silently different bytes -- so the session ends with a
-        named error instead, and only *new* sessions use the slot's
-        replacement worker.
-        """
-        assert self._dispatcher is not None
-        self._bump("server.dispatch.worker_deaths", "worker_deaths")
-        self._dispatcher.replace_dead_worker(pool)
-        return self._error_reply(
-            request, f"dispatch worker for session {conn.session_id} "
-                     f"died; session state is lost — reconnect")
 
     # ------------------------------------------------------------------
     # Accounting helpers

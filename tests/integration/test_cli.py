@@ -450,3 +450,28 @@ def test_sigterm_stops_the_server_and_its_workers(dispatch):
     assert any(line.startswith("server stats:")
                for line in log.splitlines()), log
     assert [pid for pid in children if _running(pid)] == []
+
+
+def test_a_terminal_ctrl_c_drains_the_process_tier():
+    """A terminal's Ctrl-C signals the whole process group: the
+    children must leave the shutdown to the parent's drain, not die
+    first and be counted (and re-forked) as deaths."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    worker = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "faultworker",
+         "--dispatch", "process", "--port", "0"], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        start_new_session=True)
+    try:
+        ready = worker.stdout.readline()
+        assert "serving on" in ready, ready
+        os.killpg(worker.pid, signal.SIGINT)
+        log = worker.communicate(timeout=10)[0]
+    finally:
+        if worker.poll() is None:
+            worker.kill()
+            worker.communicate()
+    assert worker.returncode == 0, log
+    assert "worker_deaths=0 drained=True" in log, log

@@ -53,8 +53,9 @@ def echo_session():
 
 
 @contextlib.contextmanager
-def running(**options):
-    server = AsyncRMIServer(session_factory=echo_session, **options)
+def running(tier="thread", **options):
+    server = AsyncRMIServer(session_factory=echo_session, dispatch=tier,
+                            **options)
     host, port = server.start()
     try:
         yield server, host, port
@@ -131,13 +132,15 @@ class TestConstruction:
 
 
 class TestDispatch:
+    tier = "thread"
+
     def test_round_trip(self):
-        with running() as (_server, host, port):
+        with running(self.tier) as (_server, host, port):
             with connected(host, port) as transport:
                 assert transport.invoke("echo", "ping", (21,), {}) == 42
 
     def test_servant_errors_travel_as_error_replies(self):
-        with running() as (_server, host, port):
+        with running(self.tier) as (_server, host, port):
             with connected(host, port) as transport:
                 with pytest.raises(RemoteError, match="servant fault"):
                     transport.invoke("echo", "boom", (), {})
@@ -145,13 +148,13 @@ class TestDispatch:
                 assert transport.invoke("echo", "ping", (3,), {}) == 6
 
     def test_unknown_object_is_an_error_reply(self):
-        with running() as (_server, host, port):
+        with running(self.tier) as (_server, host, port):
             with connected(host, port) as transport:
                 with pytest.raises(RemoteError, match="not bound"):
                     transport.invoke("nowhere", "ping", (), {})
 
     def test_batch_frames_dispatch(self):
-        with running() as (server, host, port):
+        with running(self.tier) as (server, host, port):
             with connected(host, port) as transport:
                 stacked = wrap_transport(transport, batching=True,
                                          caching=False)
@@ -165,7 +168,8 @@ class TestDispatch:
 
     def test_many_concurrent_clients(self):
         clients = 8
-        with running(max_connections=clients) as (server, host, port):
+        with running(self.tier,
+                     max_connections=clients) as (server, host, port):
             barrier = threading.Barrier(clients)
             results = [None] * clients
             failures = []
@@ -194,10 +198,25 @@ class TestDispatch:
                     (index * 100 + i) * 2 for i in range(5)]
             assert server.stats.connections_peak == clients
 
+    def test_a_served_call_fills_the_stats(self):
+        with running(self.tier) as (server, host, port):
+            with connected(host, port) as transport:
+                assert transport.invoke("echo", "ping", (1,), {}) == 2
+            server.stop()
+        assert server.stats.snapshot() == {
+            "connections_accepted": 1, "connections_refused": 0,
+            "connections_open": 0, "connections_peak": 1,
+            "sessions_started": 1, "auth_failures": 0,
+            "auth_refreshes": 0, "calls_served": 1, "batches_served": 0,
+            "protocol_errors": 0, "worker_deaths": 0, "drained": True}
+        assert "calls=1 " in server.stats.summary_line()
+
 
 class TestLimitsAndTimeouts:
+    tier = "thread"
+
     def test_over_capacity_connection_refused_with_reason(self):
-        with running(max_connections=1) as (server, host, port):
+        with running(self.tier, max_connections=1) as (server, host, port):
             with connected(host, port) as first:
                 assert first.invoke("echo", "ping", (1,), {}) == 2
                 with connected(host, port) as second:
@@ -208,7 +227,7 @@ class TestLimitsAndTimeouts:
             assert server.stats.connections_refused == 1
 
     def test_capacity_frees_when_a_tenant_leaves(self):
-        with running(max_connections=1) as (_server, host, port):
+        with running(self.tier, max_connections=1) as (_server, host, port):
             with connected(host, port) as first:
                 assert first.invoke("echo", "ping", (1,), {}) == 2
             deadline = time.monotonic() + 5
@@ -224,7 +243,7 @@ class TestLimitsAndTimeouts:
                     time.sleep(0.02)
 
     def test_idle_timeout_drops_the_connection(self):
-        with running(idle_timeout=0.2) as (_server, host, port):
+        with running(self.tier, idle_timeout=0.2) as (_server, host, port):
             with connected(host, port) as transport:
                 assert transport.invoke("echo", "ping", (1,), {}) == 2
                 time.sleep(0.6)
@@ -232,7 +251,7 @@ class TestLimitsAndTimeouts:
                     transport.invoke("echo", "ping", (2,), {})
 
     def test_graceful_drain_flushes_in_flight_work(self):
-        with running() as (server, host, port):
+        with running(self.tier) as (server, host, port):
             answers = []
 
             def call():
@@ -300,8 +319,10 @@ class TestLimitsAndTimeouts:
 
 
 class TestAuth:
+    tier = "thread"
+
     def test_token_round_trip(self):
-        with running(auth_token="sekrit") as (server, host, port):
+        with running(self.tier, auth_token="sekrit") as (server, host, port):
             with connected(host, port, token="sekrit") as transport:
                 assert transport.invoke("echo", "ping", (21,), {}) == 42
             server.stop()
@@ -310,7 +331,8 @@ class TestAuth:
 
     def test_wrong_token_never_reaches_dispatch(self):
         shared = echo_session()
-        server = AsyncRMIServer(shared, auth_token="sekrit")
+        server = AsyncRMIServer(shared, auth_token="sekrit",
+                                dispatch=self.tier)
         host, port = server.start()
         try:
             with connected(host, port, token="wrong") as transport:
@@ -325,7 +347,8 @@ class TestAuth:
 
     def test_missing_token_is_an_auth_failure(self):
         shared = echo_session()
-        server = AsyncRMIServer(shared, auth_token="sekrit")
+        server = AsyncRMIServer(shared, auth_token="sekrit",
+                                dispatch=self.tier)
         host, port = server.start()
         try:
             with connected(host, port) as transport:  # no token at all
@@ -353,13 +376,15 @@ class TestAuth:
             TELEMETRY.reset()
 
     def test_tokenless_server_accepts_token_clients(self):
-        with running() as (_server, host, port):
+        with running(self.tier) as (_server, host, port):
             with connected(host, port, token="anything") as transport:
                 assert transport.invoke("echo", "ping", (5,), {}) == 10
 
 
 class TestFrameCap:
     """A 4-byte length prefix is honoured only up to MAX_FRAME_BYTES."""
+
+    tier = "thread"
 
     @staticmethod
     def _send_oversized_header(host, port):
@@ -372,7 +397,7 @@ class TestFrameCap:
     def test_pre_auth_oversized_header_is_refused_unread(self):
         # A long handshake timeout: the refusal must come from the
         # cap, not from waiting out a body that never arrives.
-        with running(auth_token="sekrit", handshake_timeout=30.0
+        with running(self.tier, auth_token="sekrit", handshake_timeout=30.0
                      ) as (server, host, port):
             assert self._send_oversized_header(host, port) < 5.0
             with connected(host, port, token="sekrit") as transport:
@@ -382,7 +407,7 @@ class TestFrameCap:
             assert server.stats.sessions_started == 1
 
     def test_mid_session_oversized_header_is_a_protocol_error(self):
-        with running() as (server, host, port):
+        with running(self.tier) as (server, host, port):
             with connected(host, port) as transport:
                 assert transport.invoke("echo", "ping", (1,), {}) == 2
                 self._send_oversized_header(host, port)
@@ -401,6 +426,8 @@ class TestMidSessionAuth:
     mid-session can never make the two sides' call totals disagree.
     """
 
+    tier = "thread"
+
     @staticmethod
     def _send_auth(transport, token):
         import struct
@@ -413,7 +440,7 @@ class TestMidSessionAuth:
         return CallReply.decode(transport._read_frame(sock))
 
     def test_refresh_is_counted_but_not_a_call(self):
-        with running(auth_token="sekrit") as (server, host, port):
+        with running(self.tier, auth_token="sekrit") as (server, host, port):
             with connected(host, port, token="sekrit") as transport:
                 assert transport.invoke("echo", "ping", (1,), {}) == 2
                 reply = self._send_auth(transport, "sekrit")
@@ -427,7 +454,7 @@ class TestMidSessionAuth:
         assert transport.stats.calls == 2
 
     def test_bad_refresh_token_is_an_auth_failure_not_a_call(self):
-        with running(auth_token="sekrit") as (server, host, port):
+        with running(self.tier, auth_token="sekrit") as (server, host, port):
             with connected(host, port, token="sekrit") as transport:
                 assert transport.invoke("echo", "ping", (1,), {}) == 2
                 reply = self._send_auth(transport, "wrong")
@@ -441,7 +468,7 @@ class TestMidSessionAuth:
         assert server.stats.calls_served == 2
 
     def test_refresh_on_tokenless_server_is_counted_too(self):
-        with running() as (server, host, port):
+        with running(self.tier) as (server, host, port):
             with connected(host, port) as transport:
                 assert transport.invoke("echo", "ping", (1,), {}) == 2
                 assert self._send_auth(transport, "whatever").ok
@@ -468,9 +495,11 @@ class TestMidSessionAuth:
 
 
 class TestTls:
+    tier = "thread"
+
     def test_tls_round_trip(self):
         context = server_ssl_context(CERT, KEY)
-        with running(ssl_context=context) as (_server, host, port):
+        with running(self.tier, ssl_context=context) as (_server, host, port):
             with connected(host, port,
                            ssl_context=client_ssl_context(cafile=CERT),
                            server_hostname="localhost") as transport:
@@ -478,7 +507,7 @@ class TestTls:
 
     def test_tls_plus_token(self):
         context = server_ssl_context(CERT, KEY)
-        with running(ssl_context=context,
+        with running(self.tier, ssl_context=context,
                      auth_token="sekrit") as (server, host, port):
             with connected(host, port, token="sekrit",
                            ssl_context=client_ssl_context(cafile=CERT),
@@ -489,7 +518,7 @@ class TestTls:
 
     def test_unverified_client_is_refused_by_tls(self):
         context = server_ssl_context(CERT, KEY)
-        with running(ssl_context=context) as (_server, host, port):
+        with running(self.tier, ssl_context=context) as (_server, host, port):
             # Default trust store does not contain the test CA.
             with connected(host, port,
                            ssl_context=client_ssl_context(),
@@ -566,3 +595,39 @@ class TestStatsAndTelemetry:
         finally:
             TELEMETRY.disable()
             TELEMETRY.reset()
+
+
+# The front end's duties -- limits, timeouts, AUTH, the frame cap, TLS,
+# the counted stats -- run inside the process tier's children, and the
+# parent sums their counts: the classes that pin them run again on that
+# tier.  Three tests stay on the thread tier: their servant runs in
+# this process (the reading stall), or they read server.* telemetry,
+# which a child counts in its own process (docs/server.md).
+
+
+class TestDispatchOnProcessTier(TestDispatch):
+    tier = "process"
+
+
+class TestLimitsAndTimeoutsOnProcessTier(TestLimitsAndTimeouts):
+    tier = "process"
+    test_a_client_that_stops_reading_stalls_only_its_own_dispatch = None
+
+
+class TestAuthOnProcessTier(TestAuth):
+    tier = "process"
+    test_auth_failures_counted_in_telemetry = None
+
+
+class TestFrameCapOnProcessTier(TestFrameCap):
+    tier = "process"
+
+
+class TestMidSessionAuthOnProcessTier(TestMidSessionAuth):
+    tier = "process"
+    test_refresh_telemetry_counter = None
+
+
+class TestTlsOnProcessTier(TestTls):
+    tier = "process"
+

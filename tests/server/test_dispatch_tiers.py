@@ -2,11 +2,12 @@
 
 Byte-identity of per-tenant reports against fresh-process serial runs
 lives in tests/differential/test_server_differential.py; this module
-pins the *scheduling* contract -- which tiers exist, how sessions are
-routed, that one tenant's slow dispatch never stalls another tenant's
-replies, that one connection's frames dispatch one at a time in
-arrival order, and that no process-tier worker is forked while a
-dispatch thread is alive.
+pins the *scheduling* contract -- which tiers exist, which process-tier
+child a connection lands on, what a child's death ends, that one
+tenant's slow dispatch never stalls another tenant's replies, that one
+connection's frames dispatch one at a time in arrival order, and that
+no process-tier child is forked while a loop or dispatch thread of its
+server is alive.
 """
 
 import contextlib
@@ -24,9 +25,12 @@ from repro.core.ids import next_id
 from repro.parallel.remote import register_fault_farm, resolve_bench
 from repro.rmi import CallReply, CallRequest, JavaCADServer, TcpTransport
 from repro.server import DISPATCH_TIERS, AsyncRMIServer
-from repro.server.dispatch import ProcessDispatcher
 
 ALL_TIERS = list(DISPATCH_TIERS)
+
+# A dead child's socket answers the client's next frame with a FIN or,
+# if the kernel's reset wins the race to the read, with a reset.
+CLOSED = "connection closed|transport failure"
 
 
 class Echo:
@@ -208,53 +212,88 @@ class TestSessionIdIsolation:
                 thread.join(timeout=30)
         assert seen == {"a": [1, 2, 3, 4, 5], "b": [1, 2, 3, 4, 5]}
 
-    def test_process_tier_routes_sessions_stickily(self):
-        dispatcher = ProcessDispatcher(tier_session, workers=3)
-        try:
-            for session_id in range(1, 10):
-                pool = dispatcher.pool_for(session_id)
-                assert pool is dispatcher.pool_for(session_id)
-                expected = (session_id - 1) % 3
-                assert dispatcher._pools.index(pool) == expected
-        finally:
-            dispatcher.shutdown()
 
-    def test_process_dispatcher_rejects_zero_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            ProcessDispatcher(tier_session, workers=0)
+def wait_for(predicate):
+    deadline = time.monotonic() + 10
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def deaths(server):
+    return server.stats.snapshot()["worker_deaths"]
+
+
+class TestPlacement:
+    def test_the_next_tenant_lands_on_the_child_a_tenant_freed(self):
+        """The parent hands each connection to the least-loaded child,
+        ties in slot order."""
+        with running("process", dispatch_workers=2) as (server, host, port):
+            first = TcpTransport(host, port)
+            second = TcpTransport(host, port)
+            third = TcpTransport(host, port)
+            try:
+                pids = [transport.invoke("echo", "pid", (), {})
+                        for transport in (first, second)]
+                assert len(set(pids)) == 2 and os.getpid() not in pids
+                first.close()
+                wait_for(lambda: server.stats.snapshot()[
+                    "connections_open"] == 1)
+                assert third.invoke("echo", "pid", (), {}) == pids[0]
+            finally:
+                for transport in (first, second, third):
+                    transport.close()
 
 
 class TestWorkerDeath:
+    def test_a_child_death_closes_only_its_own_connections(self):
+        """Two tenants on the killed child both see their connection
+        close; a tenant on the other child is unaffected; the death is
+        counted once, not per connection."""
+        with running("process", dispatch_workers=2) as (server, host, port):
+            # Ties go in slot order: children 0, 1, then 0 again.
+            tenants = [TcpTransport(host, port) for _ in range(3)]
+            try:
+                pids = [transport.invoke("echo", "pid", (), {})
+                        for transport in tenants]
+                assert pids[0] == pids[2] != pids[1]
+                os.kill(pids[0], signal.SIGKILL)
+                for doomed in (tenants[0], tenants[2]):
+                    with pytest.raises(RemoteError, match=CLOSED):
+                        doomed.invoke("echo", "ping", (1,), {})
+                assert tenants[1].invoke("echo", "ping", (2,), {}) == 4
+                assert tenants[1].invoke("echo", "pid", (), {}) == pids[1]
+                wait_for(lambda: deaths(server) == 1)
+            finally:
+                for transport in tenants:
+                    transport.close()
+            server.stop()
+            assert server.stats.worker_deaths == 1
+
     def test_a_killed_worker_ends_its_sessions_and_is_replaced(self):
-        """SIGKILL one sticky worker mid-session: its tenant gets one
-        named error and a closed socket (never a silently re-created
-        session with rewound ids), the other slot's tenant is
-        unaffected, and new sessions on the dead slot are served."""
+        """SIGKILL one child mid-session: its tenant's connection
+        closes (never a silently re-created session with rewound ids),
+        the other child's tenant is unaffected, and new sessions on
+        the dead slot are served."""
         def draw(transport, count):
             return [transport.invoke("ids", "next_session_id", (), {})
                     for _ in range(count)]
 
         with running("process", dispatch_workers=2) as (server, host, port):
-            doomed = TcpTransport(host, port)     # session 1 -> slot 0
-            bystander = TcpTransport(host, port)  # session 2 -> slot 1
+            doomed = TcpTransport(host, port)     # -> child 0
+            bystander = TcpTransport(host, port)  # -> child 1
             try:
                 assert draw(doomed, 2) == [1, 2]
                 assert draw(bystander, 2) == [1, 2]
                 victim = doomed.invoke("echo", "pid", (), {})
                 assert victim != bystander.invoke("echo", "pid", (), {})
                 os.kill(victim, signal.SIGKILL)
-                with pytest.raises(RemoteError, match=(
-                        "dispatch worker for session 1 died; "
-                        "session state is lost")):
-                    draw(doomed, 1)
-                # The server closed that connection after the error.
-                with pytest.raises(
-                        RemoteError,
-                        match="connection closed|transport failure"):
+                with pytest.raises(RemoteError, match=CLOSED):
                     draw(doomed, 1)
                 assert draw(bystander, 2) == [3, 4]
-                # The transport reconnects: session 3 -> the dead slot,
-                # now a fresh worker, and a fresh session's ids.
+                wait_for(lambda: deaths(server) == 1)
+                # The transport reconnects: the least-loaded child is the
+                # dead slot's fresh one, and a fresh session's ids.
                 assert draw(doomed, 3) == [1, 2, 3]
                 replacement = doomed.invoke("echo", "pid", (), {})
                 assert replacement not in (victim, os.getpid())
@@ -267,30 +306,60 @@ class TestWorkerDeath:
             assert "worker_deaths=1" in server.stats.summary_line()
 
 
+class TestDrainDeadline:
+    def test_stop_kills_a_child_still_busy_at_the_deadline(self):
+        """``stop()`` used to wait out a servant call in flight; now a
+        child still running past the drain deadline is killed."""
+        with running("process", dispatch_workers=1,
+                     drain_timeout=0.2) as (server, host, port):
+            transport = TcpTransport(host, port)
+            errors = []
+
+            def slow_call():
+                try:
+                    transport.invoke("echo", "slow", (1,), {"seconds": 3.0})
+                except RemoteError as exc:
+                    errors.append(exc)
+
+            caller = threading.Thread(target=slow_call)
+            caller.start()
+            try:
+                wait_for(lambda: server.stats.snapshot()[
+                    "sessions_started"] == 1)
+                time.sleep(0.2)  # the slow call is in the child
+                begin = time.monotonic()
+                server.stop()
+                elapsed = time.monotonic() - begin
+            finally:
+                caller.join(timeout=10)
+                transport.close()
+        assert elapsed < 0.2 + 1.0, elapsed
+        assert server.stats.drained is False
+        assert len(errors) == 1
+
+
 class TestForkHygiene:
     def test_no_dispatch_thread_is_alive_at_any_fork(self):
-        """A forked worker must never inherit live dispatch threads:
+        """A forked child must never inherit a live dispatch thread:
         checked at the fork itself, for both startup forks and the
-        replacement fork after a killed worker."""
+        replacement fork after a killed child.  The startup forks come
+        before the server's loop thread exists, too."""
         name = f"fork-hygiene-{os.getpid()}"
         with FORKS.recording() as forks:
             with running("process", dispatch_workers=2,
-                         name=name) as (_server, host, port):
+                         name=name) as (server, host, port):
                 startup = len(forks)
-                doomed = TcpTransport(host, port)     # session 1 -> slot 0
-                bystander = TcpTransport(host, port)  # session 2 -> slot 1
+                doomed = TcpTransport(host, port)     # -> child 0
+                bystander = TcpTransport(host, port)  # -> child 1
                 try:
                     assert doomed.invoke("echo", "ping", (1,), {}) == 2
                     assert bystander.invoke("echo", "ping", (2,), {}) == 4
                     os.kill(doomed.invoke("echo", "pid", (), {}),
                             signal.SIGKILL)
-                    with pytest.raises(RemoteError, match="died"):
+                    with pytest.raises(RemoteError, match=CLOSED):
                         doomed.invoke("echo", "ping", (3,), {})
-                    with pytest.raises(
-                            RemoteError,
-                            match="connection closed|transport failure"):
-                        doomed.invoke("echo", "ping", (3,), {})
-                    # Session 3 lands on the dead slot's replacement.
+                    wait_for(lambda: deaths(server) == 1)
+                    # The reconnect lands on the dead slot's replacement.
                     assert doomed.invoke("echo", "ping", (3,), {}) == 6
                 finally:
                     doomed.close()
@@ -300,6 +369,8 @@ class TestForkHygiene:
         dispatch = f"{name}-dispatch"
         assert [[thread for thread in alive if thread.startswith(dispatch)]
                 for alive in forks] == [[], [], []]
+        assert [f"{name}-loop" in alive for alive in forks[:startup]] \
+            == [False, False]
 
 
 class TestCrossTenantIndependence:

@@ -9,9 +9,8 @@ the client gets a named error instead of an undecodable frame, and a
 frame that makes the front end itself raise ends only its own
 connection: the dispatch thread lives on for the other tenants.  A
 connection buffers about one bound of unread bytes, however far ahead
-its client pipelines.  A reset connection is forgotten at once, so a
-process-tier worker that dies under it must still get its slot
-replaced.
+its client pipelines.  A process-tier child that dies after its
+tenant reset the connection must still get its slot forked anew.
 """
 
 import contextlib
@@ -316,15 +315,15 @@ class TestAccountingUnderContention:
 class TestWorkerDeathAfterDisconnect:
     def test_the_slot_is_replaced_when_its_session_already_left(self):
         """The tenant resets its connection mid-dispatch, then its
-        sticky worker dies: the death still replaces the slot, so the
-        next session is served, not handed a dead worker."""
+        child dies: the death still replaces the slot, so the next
+        sessions are served, not handed a dead child."""
         with running(echo_session, "process") as (server, host, port):
             with socket.create_connection((host, port), timeout=10) as sock:
                 victim = CallReply.decode(exchange(
                     sock, CallRequest("echo", "pid"))).result
                 sock.sendall(encode_frame(CallRequest(
                     "echo", "slow", (1.0,)).encode()))
-                time.sleep(0.3)  # the slow call is now in the worker
+                time.sleep(0.3)  # the slow call is now in the child
                 # Linger 0: close() sends a reset, not an orderly EOF.
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                                 struct.pack("ii", 1, 0))
@@ -333,7 +332,8 @@ class TestWorkerDeathAfterDisconnect:
             while server.stats.snapshot()["worker_deaths"] == 0:
                 assert time.monotonic() < deadline
                 time.sleep(0.02)
-            # Sessions 2..N: one lands on each slot, the dead one too.
+            # Sessions 2..N land on the least-loaded child: the dead
+            # slot's fresh one first.
             for _ in range(server.dispatch_workers):
                 transport = TcpTransport(host, port)
                 try:
