@@ -170,6 +170,12 @@ RULES = (
     Rule(r"ProcessDispatcher|_FACTORIES", ("src/repro/server",), None,
          "sticky session-to-worker routing is back (a connection stays "
          "on the child it was handed to)"),
+    # Servant contracts are checked by running the servants.
+    Rule(r"lint\.servants|lint_sources|lint_servant_source|lint: allow"
+         r"|cacheable_methods|tables_served|registered_value_types", SRC,
+         None, "the servant source lint, its waivers or a hook only it "
+               "read is back (tests/ip/test_servant_contracts.py calls "
+               "the servants and reads their replies)"),
 )
 
 

@@ -7,10 +7,10 @@ Usage (also available as the ``repro-bench`` console script)::
     python -m repro.cli figure3             # Figure 3 buffer-size sweep
     python -m repro.cli figure4             # Figure 4/5 worked example
     python -m repro.cli faultsim FILE.bench # fault-simulate a netlist
-    python -m repro.cli lint                # static design/servant lint
+    python -m repro.cli lint                # static design lint
 
-Exit status: 0 when the command ran, 1 when ``lint`` keeps a finding at
-``--fail-on``, 2 when the command line or the design is refused (one
+Exit status: 0 when the command ran, 1 when ``lint`` keeps a finding,
+2 when the command line or the design is refused (one
 ``error:`` line on stderr).  Runtime failures such as ``RemoteError``
 or ``ParallelExecutionError`` raise.
 """
@@ -499,30 +499,10 @@ def _cmd_scoap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_servant_spec(spec: str) -> str:
-    """A --servants spec: a path, or an importable module/package name."""
-    path = spec
-    if not os.path.exists(spec):
-        import importlib.util
-
-        try:
-            found = importlib.util.find_spec(spec)
-        except (ImportError, ValueError):
-            found = None
-        if found is None or found.origin is None:
-            raise DesignError(f"{spec!r} is neither a path nor an "
-                              f"importable module")
-        path = os.path.dirname(found.origin) \
-            if found.submodule_search_locations else found.origin
-    if not (os.path.isfile(path) or os.path.isdir(path)):
-        raise DesignError(f"no such file or directory: {path!r}")
-    return path
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """Static design lint + servant code analysis (no execution)."""
+    """Static design lint (no execution)."""
     from .gates.io import SequentialBench
-    from .lint import Severity, format_findings, lint_netlist, lint_sources
+    from .lint import format_findings, lint_netlist
     from .lint.registry import check_codes, filter_suppressed
     from .lint.runner import record_lint_run
 
@@ -532,32 +512,20 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise DesignError(str(exc)) from None
 
-    design_specs = args.design or []
-    servant_specs = args.servants or []
-    if not design_specs and not servant_specs:
-        # Default sweep: every builtin bench plus the installed
-        # package's own servant sources.
-        design_specs = list(BUILTIN_BENCHES)
-        servant_specs = [os.path.dirname(os.path.abspath(__file__))]
-
     findings = []
-    for spec in design_specs:
+    # Default sweep: every builtin bench.
+    for spec in args.design or BUILTIN_BENCHES:
         netlist = load_bench(spec, validate=False)
         if isinstance(netlist, SequentialBench):
             # Sequential benches lint their combinational core; the
             # flip-flop boundary carries no lintable structure.
             netlist = netlist.core
         findings.extend(lint_netlist(netlist))
-    sources = [_resolve_servant_spec(spec) for spec in servant_specs]
-    if sources:
-        findings.extend(lint_sources(sources))
 
     kept, dropped = filter_suppressed(findings, suppress)
     record_lint_run(kept, dropped)
     print(format_findings(kept, fmt=args.format))
-    threshold = Severity.parse(args.fail_on)
-    failing = any(item.severity >= threshold for item in kept)
-    return 1 if failing else 0
+    return 1 if kept else 0
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
@@ -739,24 +707,16 @@ def build_parser() -> argparse.ArgumentParser:
     scoap.set_defaults(fn=_cmd_scoap)
 
     lint = subparsers.add_parser(
-        "lint", help="static design lint + RMI servant code analysis "
-                     "(runs nothing, reports JCD0xx findings)")
+        "lint", help="static design lint (runs nothing, reports "
+                     "JCD0xx findings)")
     lint.add_argument("--design", metavar="BENCH", action="append",
                       default=None,
                       help="ISCAS .bench file or builtin bench to lint "
                            f"({', '.join(BUILTIN_BENCHES)}; repeatable; "
                            "defective files are loaded unvalidated so "
                            "every finding is reported)")
-    lint.add_argument("--servants", metavar="PATH", action="append",
-                      default=None,
-                      help="source file, directory or importable module "
-                           "of servant classes to analyze (repeatable)")
     lint.add_argument("--format", choices=["text", "json"],
                       default="text", help="output format")
-    lint.add_argument("--fail-on", choices=["warning", "error"],
-                      default="error", dest="fail_on",
-                      help="exit nonzero when a finding of this "
-                           "severity (or worse) survives suppression")
     lint.add_argument("--suppress", metavar="CODE", action="append",
                       default=None,
                       help="drop findings of a rule code for this run "

@@ -124,7 +124,6 @@ class TransitionTestabilityServant:
                                                         netlist=netlist)
         self.simulator = NetlistSimulator(netlist)
         self.gate_eval_cost = gate_eval_cost
-        self.tables_served = 0
 
     def fault_list(self) -> Tuple[str, ...]:
         """Phase 1: the symbolic transition fault list."""
@@ -154,8 +153,6 @@ class TransitionTestabilityServant:
             evaluations += 1
             if faulty != fault_free:
                 rows.setdefault(faulty, set()).add(name)
-        # Reply-invariant statistics counter; caching stays sound.
-        self.tables_served += 1  # lint: allow(JCD010)
         context = current_server_context()
         if context is not None:
             context.charge(self.gate_eval_cost * evaluations

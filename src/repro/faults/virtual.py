@@ -65,7 +65,6 @@ class TestabilityServant:
         self.engine = resolve_engine(engine)
         self.simulator = simulator_for(self.engine, netlist)
         self.gate_eval_cost = gate_eval_cost
-        self.tables_served = 0
 
     def fault_list(self) -> Tuple[str, ...]:
         """Phase 1: export the symbolic fault list."""
@@ -83,8 +82,6 @@ class TestabilityServant:
         table = build_detection_table(self.netlist, self.faults,
                                       input_values, only=tuple(undetected),
                                       simulator=self.simulator)
-        # Reply-invariant statistics counter; caching stays sound.
-        self.tables_served += 1  # lint: allow(JCD010)
         server_ctx = current_server_context()
         if server_ctx is not None:
             evaluations = (len(undetected) + 1) * self.netlist.gate_count()

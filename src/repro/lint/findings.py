@@ -2,8 +2,7 @@
 
 A :class:`Finding` is one diagnostic tied to a stable rule code
 (``JCD0xx``), a severity, a human-readable message and a *target* -- a
-dotted design location (``circuit.module.port``) for design lint, or a
-``path:line`` pair for the static code analyzers.  Findings are plain
+dotted design location (``circuit.module.port``).  Findings are plain
 frozen values so they can be sorted, deduplicated, JSON-exported and
 asserted on in tests.
 """
@@ -12,11 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 
 class Severity(enum.IntEnum):
-    """How bad a finding is; orderable so thresholds compare naturally."""
+    """How bad a finding is; orderable so findings sort worst first."""
 
     INFO = 10
     WARNING = 20
@@ -24,16 +23,6 @@ class Severity(enum.IntEnum):
 
     def __str__(self) -> str:
         return self.name.lower()
-
-    @classmethod
-    def parse(cls, text: str) -> "Severity":
-        """Parse ``"error"`` / ``"warning"`` / ``"info"`` (any case)."""
-        try:
-            return cls[text.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown severity {text!r}; expected one of "
-                f"{', '.join(s.name.lower() for s in cls)}") from None
 
 
 @dataclass(frozen=True)
@@ -50,17 +39,7 @@ class Finding:
     """Human-readable description of the defect."""
 
     target: str
-    """Where: a dotted design path, or a source file path."""
-
-    line: Optional[int] = None
-    """Source line for static-analysis findings, ``None`` otherwise."""
-
-    @property
-    def location(self) -> str:
-        """``target`` or ``target:line`` when a line is known."""
-        if self.line is None:
-            return self.target
-        return f"{self.target}:{self.line}"
+    """Where: a dotted design path."""
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-exportable representation (the ``--format json`` shape)."""
@@ -69,9 +48,8 @@ class Finding:
             "severity": str(self.severity),
             "message": self.message,
             "target": self.target,
-            "line": self.line,
         }
 
     def format(self) -> str:
-        """One-line text rendering: ``location: severity JCD0xx message``."""
-        return f"{self.location}: {self.severity} {self.code} {self.message}"
+        """One-line text rendering: ``target: severity JCD0xx message``."""
+        return f"{self.target}: {self.severity} {self.code} {self.message}"

@@ -5,14 +5,8 @@ Every shipped rule is declared here, in one place, so the catalog in
 analyzers.  Codes are stable across releases (``JCD0xx`` -- JavaCAD
 Design); retired codes are never reused.
 
-Suppression works at two levels:
-
-* per run -- pass ``suppress={"JCD002", ...}`` to the library API or
-  ``--suppress JCD002`` to the CLI;
-* per source line (static code analyzers only) -- a trailing
-  ``# lint: allow(JCD010)`` comment on the offending line or on the
-  enclosing ``def`` line silences the code there, keeping the waiver
-  next to the code it excuses.
+Suppression works per run: pass ``suppress={"JCD002", ...}`` to the
+library API or ``--suppress JCD002`` to the CLI.
 """
 
 from __future__ import annotations
@@ -73,7 +67,6 @@ def all_rules() -> Tuple[Rule, ...]:
 
 
 def finding(code: str, message: str, target: str,
-            line: "int | None" = None,
             severity: "Severity | None" = None) -> Finding:
     """Build a :class:`Finding` for a registered rule.
 
@@ -81,8 +74,7 @@ def finding(code: str, message: str, target: str,
     borderline case to a warning without registering a second code).
     """
     declared = rule(code)
-    return Finding(code, severity or declared.severity, message, target,
-                   line)
+    return Finding(code, severity or declared.severity, message, target)
 
 
 def check_codes(codes: Iterable[str]) -> Set[str]:
@@ -151,25 +143,11 @@ register_rule(
     "circuit has a candidate estimator for; only null estimates would "
     "be produced.")
 
-# -- static code analysis (Python ast over servant classes) ----------------
-register_rule(
-    "JCD010", "impure-pure-method", Severity.ERROR,
-    "A method declared pure (cacheable) writes servant state: caching "
-    "its replies would silently serve stale data.")
-register_rule(
-    "JCD011", "unmarshallable-return", Severity.ERROR,
-    "A remote method's return annotation names a type the restricted "
-    "RMI marshaller rejects; the call would fail at the wire.")
-register_rule(
-    "JCD012", "privacy-leak", Severity.ERROR,
-    "A servant method returns netlist/design internals instead of "
-    "port-local values, defeating the paper's IP protection.")
-register_rule(
-    "JCD013", "undeclared-pure-method", Severity.WARNING,
-    "A PURE_METHODS entry names a method the servant does not define, "
-    "or one missing from REMOTE_METHODS; the whitelist is stale.")
-
 # Retired codes, never reused:
+# JCD010-JCD013 (impure-pure-method, unmarshallable-return,
+# privacy-leak, undeclared-pure-method) went with the servant source
+# analyzer; tests/ip/test_servant_contracts.py checks the same
+# contracts by calling the servants and reading their replies.
 # JCD014-JCD018 (global-counter-on-dispatch-path, blocking-call-in-async,
 # fork-unsafe-state, unguarded-shared-mutation, nondeterministic-marshal)
 # went with the concurrency call graph; behavioural tests in

@@ -69,10 +69,9 @@ def record_lint_run(kept: Sequence[Finding], dropped: int = 0) -> None:
 
 
 def sort_findings(findings: Iterable[Finding]) -> List[Finding]:
-    """Stable display order: severity (worst first), then location."""
+    """Stable display order: severity (worst first), then target."""
     return sorted(findings,
-                  key=lambda f: (-int(f.severity), f.target,
-                                 f.line or 0, f.code))
+                  key=lambda f: (-int(f.severity), f.target, f.code))
 
 
 def format_findings(findings: Sequence[Finding],

@@ -60,14 +60,6 @@ class CachePolicy:
             return False
         return self.objects is None or object_name in self.objects
 
-    def cacheable_methods(self) -> FrozenSet[str]:
-        """The method names this policy treats as pure.
-
-        Introspection hook for tooling (``repro lint`` checks that
-        every whitelisted method really is side-effect-free).
-        """
-        return self.methods
-
 
 class CachingTransport(Transport):
     """Serve repeats of pure calls from a response cache.

@@ -60,16 +60,6 @@ def register_value_type(tag: str, cls: Type,
         _EMITTERS.clear()
 
 
-def registered_value_types() -> Dict[str, Type]:
-    """The whitelisted value types, keyed by wire tag.
-
-    Introspection only (the lint analyzers use it to know which return
-    types a servant may legally promise); mutating the returned dict
-    does not affect the registry.
-    """
-    return {tag: cls for tag, (cls, _t, _f) in _VALUE_CODECS.items()}
-
-
 # -- encoding -------------------------------------------------------------
 #
 # One pass: every value is written straight to its wire text by the

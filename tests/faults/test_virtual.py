@@ -25,12 +25,6 @@ class TestServant:
         with pytest.raises(FaultSimulationError, match="input bits"):
             servant.detection_table([Logic.ONE], servant.fault_list())
 
-    def test_tables_served_counter(self):
-        servant = TestabilityServant(ip1_block())
-        servant.detection_table([Logic.ONE, Logic.ZERO],
-                                servant.fault_list())
-        assert servant.tables_served == 1
-
 
 class TestClientProtocol:
     def test_phase1_composes_qualified_names(self):

@@ -10,8 +10,6 @@ from repro.cli import main
 DATA = os.path.join(os.path.dirname(__file__), "data")
 LOOP = os.path.join(DATA, "loop.bench")
 UNDRIVEN = os.path.join(DATA, "undriven.bench")
-FIXTURES = os.path.join(os.path.dirname(__file__),
-                        "servant_fixtures.py")
 
 
 class TestExitCodes:
@@ -24,11 +22,6 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "JCD006" in out and "combinational loop" in out
 
-    def test_defective_servants_fail(self, capsys):
-        assert main(["lint", "--servants", FIXTURES]) == 1
-        out = capsys.readouterr().out
-        assert "JCD010" in out and "JCD012" in out
-
     def test_builtin_bench_by_name(self, capsys):
         assert main(["lint", "--design", "c17"]) == 0
         assert "no findings" in capsys.readouterr().out
@@ -37,39 +30,23 @@ class TestExitCodes:
         assert main(["lint", "--design", "nope.bench"]) == 2
         assert "neither a file" in capsys.readouterr().err
 
-    def test_unknown_servant_module_is_usage_error(self, capsys):
-        assert main(["lint", "--servants", "no.such.module"]) == 2
-        assert "neither a path" in capsys.readouterr().err
-
-    def test_servant_module_without_source_is_usage_error(self, capsys):
-        # A builtin module resolves, but to no file the analyzers read.
-        assert main(["lint", "--servants", "sys"]) == 2
-        assert capsys.readouterr().err == \
-            "error: no such file or directory: 'built-in'\n"
-
     def test_retired_concurrency_flag_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["lint", "--concurrency"])
-        assert exit_info.value.code == 2
-        assert "--concurrency" in capsys.readouterr().err
+        # --servants and --fail-on went with the servant rules.
+        for argv in (["--concurrency"], ["--servants", "src"],
+                     ["--fail-on", "warning"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["lint", *argv])
+            assert exit_info.value.code == 2
+            assert argv[0] in capsys.readouterr().err
 
 
 class TestThresholds:
-    def test_warnings_pass_by_default(self, capsys):
-        # The stale-whitelist rule is warning-severity: suppress the
-        # error-level rules and the run must pass --fail-on error.
-        code = main(["lint", "--servants", FIXTURES,
-                     "--suppress", "JCD010", "--suppress", "JCD011",
-                     "--suppress", "JCD012"])
+    def test_suppression_keeps_other_codes(self, capsys):
+        code = main(["lint", "--design", LOOP, "--design", UNDRIVEN,
+                     "--suppress", "JCD006"])
         out = capsys.readouterr().out
-        assert code == 0
-        assert "JCD013" in out
-
-    def test_fail_on_warning_tightens(self):
-        assert main(["lint", "--servants", FIXTURES,
-                     "--suppress", "JCD010", "--suppress", "JCD011",
-                     "--suppress", "JCD012",
-                     "--fail-on", "warning"]) == 1
+        assert code == 1
+        assert "JCD007" in out and "JCD006" not in out
 
     def test_suppress_everything_passes(self, capsys):
         code = main(["lint", "--design", LOOP,
@@ -78,8 +55,9 @@ class TestThresholds:
         assert "no findings" in capsys.readouterr().out
 
     def test_unknown_suppress_code_is_usage_error(self, capsys):
-        # JCD014 is retired, and a retired code is an unknown one.
-        for code in ("JCD999", "JCD014"):
+        # JCD010 and JCD014 are retired, and a retired code is an
+        # unknown one.
+        for code in ("JCD999", "JCD010", "JCD014"):
             assert main(["lint", "--suppress", code]) == 2
             assert "unknown rule code" in capsys.readouterr().err
 
@@ -94,7 +72,7 @@ class TestJsonFormat:
         assert sites == {"JCD007"}
         for item in payload["findings"]:
             assert set(item) == {"code", "severity", "message",
-                                 "target", "line"}
+                                 "target"}
 
     def test_text_format_has_summary_line(self, capsys):
         main(["lint", "--design", UNDRIVEN])
@@ -103,8 +81,8 @@ class TestJsonFormat:
 
 
 class TestCombinedRun:
-    def test_designs_and_servants_combine(self, capsys):
+    def test_designs_combine(self, capsys):
         assert main(["lint", "--design", LOOP,
-                     "--servants", FIXTURES]) == 1
+                     "--design", UNDRIVEN]) == 1
         out = capsys.readouterr().out
-        assert "JCD006" in out and "JCD010" in out
+        assert "JCD006" in out and "JCD007" in out
