@@ -176,6 +176,10 @@ RULES = (
          None, "the servant source lint, its waivers or a hook only it "
                "read is back (tests/ip/test_servant_contracts.py calls "
                "the servants and reads their replies)"),
+    # A publish exports opaque fault names, always.
+    Rule(r"publish_netlist_component|obfuscate_faults", SRC, None,
+         "a publish path that can export structural fault names is back "
+         "(IPProvider._publish builds every .test fault list opaque)"),
 )
 
 

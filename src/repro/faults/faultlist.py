@@ -175,15 +175,15 @@ def _pin_site(netlist: Netlist, gate: Gate, pin: int, value: int) -> _Site:
 
 
 def build_fault_list(netlist: Netlist, collapse: str = "equivalence",
-                     obfuscate: bool = False,
-                     prefix: str = "") -> FaultList:
+                     obfuscate: bool = False) -> FaultList:
     """Build a component's (optionally collapsed) fault list.
 
     ``collapse`` is ``"none"``, ``"equivalence"`` (structural gate-local
     equivalence classes) or ``"dominance"`` (equivalence plus dropping
     gate-output faults dominated by their input faults).  With
     ``obfuscate`` the exported symbolic names are opaque (``f0``, ``f1``
-    ...), hiding internal net names from the user.
+    ...), hiding internal net names from the user: what every publish
+    exports (:meth:`repro.ip.provider.IPProvider._publish`).
 
     Each universe fault's name is formatted once; collapsing then works
     on names looked up by fault site, in time linear in the pin count.
@@ -219,13 +219,11 @@ def build_fault_list(netlist: Netlist, collapse: str = "equivalence",
         class_map[representative] = [by_name[name]
                                      for name in member_names]
     if obfuscate:
-        renamed = {}
-        renamed_classes = {}
-        for index, (name, fault) in enumerate(sorted(faults.items())):
-            symbol = f"{prefix}f{index}"
-            renamed[symbol] = fault
-            renamed_classes[symbol] = class_map[name]
-        return FaultList(netlist.name, renamed, renamed_classes)
+        symbols = [(f"f{index}", name)
+                   for index, name in enumerate(sorted(faults))]
+        return FaultList(
+            netlist.name, {symbol: faults[name] for symbol, name in symbols},
+            {symbol: class_map[name] for symbol, name in symbols})
     return FaultList(netlist.name, faults, class_map)
 
 

@@ -71,19 +71,14 @@ class TransitionFaultList:
 
     def __init__(self, component: str,
                  faults: Optional[Mapping[str, TransitionFault]] = None,
-                 netlist: Optional[Netlist] = None,
-                 obfuscate: bool = False, prefix: str = ""):
+                 netlist: Optional[Netlist] = None):
         self.component = component
         if faults is None:
             if netlist is None:
                 raise FaultSimulationError(
                     "need either a fault mapping or a netlist")
-            enumerated = enumerate_transition_faults(netlist)
-            if obfuscate:
-                faults = {f"{prefix}t{i}": fault
-                          for i, fault in enumerate(enumerated)}
-            else:
-                faults = {fault.name: fault for fault in enumerated}
+            faults = {fault.name: fault
+                      for fault in enumerate_transition_faults(netlist)}
         self._faults: Dict[str, TransitionFault] = dict(faults)
 
     def names(self) -> Tuple[str, ...]:

@@ -16,7 +16,7 @@ from ..compiled import simulator_for
 from ..core.errors import IPProtectionError, RemoteError
 from ..core.ids import current_connection
 from ..core.signal import Logic
-from ..faults.faultlist import FaultList, build_fault_list
+from ..faults.faultlist import build_fault_list
 from ..faults.virtual import TestabilityServant
 from ..gates.generators import array_multiplier
 from ..gates.netlist import Netlist
@@ -338,7 +338,6 @@ class IPProvider:
                            power_enabled: bool = True,
                            power_server_cost: float = 0.0,
                            fault_collapse: str = "equivalence",
-                           obfuscate_faults: bool = False,
                            engine: Optional[str] = None) -> str:
         """Author and publish the Figure 2 multiplier IP component.
 
@@ -410,18 +409,22 @@ class IPProvider:
                              calibration=calibration,
                              enabled=power_enabled,
                              gate_eval_cost=power_server_cost)
-        fault_list = build_fault_list(netlist, collapse=fault_collapse,
-                                      obfuscate=obfuscate_faults)
         return self._publish(name, netlist, datasheet, power,
-                             FunctionalServant(width), fault_list, engine)
+                             FunctionalServant(width), fault_collapse,
+                             engine)
 
     def _publish(self, name: str, netlist: Netlist, datasheet: dict,
                  power: SessionPowerServant, module: Any,
-                 fault_list: FaultList, engine: Optional[str]) -> str:
+                 fault_collapse: str, engine: Optional[str]) -> str:
         """Keep the netlist, export the data sheet, bind the four
-        private servants of a full component; returns ``name``."""
+        private servants of a full component; returns ``name``.  The
+        one naming rule of a publish: ``.test`` exports opaque fault
+        names (``f0`` ...); each stays mapped to its structural fault
+        here, in the fault list's class map."""
         self._netlists[name] = netlist
         self.catalog.add(name, datasheet)
+        fault_list = build_fault_list(netlist, collapse=fault_collapse,
+                                      obfuscate=True)
         for suffix, servant in (
                 ("power", power), ("module", module),
                 ("timing", TimingServant(netlist)),
@@ -429,25 +432,6 @@ class IPProvider:
                                             engine=engine))):
             self.server.bind(f"{name}.{suffix}", servant,
                              servant.REMOTE_METHODS)
-        return name
-
-    def publish_netlist_component(self, netlist: Netlist, name: str,
-                                  prefixes: Sequence[str],
-                                  widths: Sequence[int],
-                                  fault_collapse: str = "none",
-                                  obfuscate_faults: bool = False) -> str:
-        """Publish an arbitrary gate-level component (testability only)."""
-        self._netlists[name] = netlist
-        fault_list = build_fault_list(netlist, collapse=fault_collapse,
-                                      obfuscate=obfuscate_faults)
-        self.server.bind(f"{name}.test",
-                         TestabilityServant(netlist, fault_list),
-                         TestabilityServant.REMOTE_METHODS)
-        self.catalog.add(name, {
-            "component": name,
-            "area": netlist.area(),
-            "delay_ns": netlist.critical_path_delay(),
-        })
         return name
 
     def publish_bench(self, spec: str, engine: Optional[str] = None,
@@ -463,9 +447,9 @@ class IPProvider:
         thread): the bound servants are ``{name}.power``
         (:class:`BitPowerServant`), ``{name}.module``
         (:class:`BenchFunctionalServant`), ``{name}.timing`` and
-        ``{name}.test``.  ``engine`` selects the logic simulator under
-        ``.module`` and ``.test``; replies are identical either way.
-        Returns the component name.
+        ``{name}.test`` (opaque fault names).  ``engine`` selects the
+        logic simulator under ``.module`` and ``.test``; replies are
+        identical either way.  Returns the component name.
         """
         from ..gates.corpus import load_bench
         from ..gates.io import SequentialBench
@@ -486,8 +470,8 @@ class IPProvider:
                                 gate_eval_cost=power_server_cost)
         return self._publish(
             spec, core, datasheet, power,
-            BenchFunctionalServant(core, engine=engine),
-            build_fault_list(core, collapse=fault_collapse), engine)
+            BenchFunctionalServant(core, engine=engine), fault_collapse,
+            engine)
 
     def private_netlist(self, name: str) -> Netlist:
         """Provider-internal access to a published implementation.

@@ -53,7 +53,7 @@ import ssl
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import RemoteError
@@ -118,24 +118,15 @@ class ServerStats:
 
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False)
+    _refresh: Callable[[], None] = field(default=lambda: None, repr=False)
+    """Runs before each snapshot (a parent merges its children's)."""
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-ready copy of the counters."""
+        self._refresh()
         with self._lock:
-            return {
-                "connections_accepted": self.connections_accepted,
-                "connections_refused": self.connections_refused,
-                "connections_open": self.connections_open,
-                "connections_peak": self.connections_peak,
-                "sessions_started": self.sessions_started,
-                "auth_failures": self.auth_failures,
-                "auth_refreshes": self.auth_refreshes,
-                "calls_served": self.calls_served,
-                "batches_served": self.batches_served,
-                "protocol_errors": self.protocol_errors,
-                "worker_deaths": self.worker_deaths,
-                "drained": self.drained,
-            }
+            return {each.name: getattr(self, each.name)
+                    for each in fields(self) if each.name[0] != "_"}
 
     def summary_line(self) -> str:
         """One-line summary (``serve``/``faultworker`` print it at exit)."""
@@ -344,14 +335,18 @@ class _Connection(asyncio.Protocol):
     # -- teardown ---------------------------------------------------------
 
     def close(self) -> None:
-        """Flush what was written, then close."""
+        """Flush what was written, then close.  A process-tier child
+        reports first: its parent counts what closed the connection
+        before the client can see the close."""
         self.closed = True
+        self.server._report()
         if self.transport is not None:
             self.transport.close()
 
     def abort(self) -> None:
-        """Tear the transport down immediately."""
+        """Tear the transport down immediately (reporting first)."""
         self.closed = True
+        self.server._report()
         if self.transport is not None:
             self.transport.abort()
 
@@ -448,7 +443,7 @@ class AsyncRMIServer:
         self.dispatch_workers = dispatch_workers
         self.dispatch_tier = dispatch
         self.name = name
-        self.stats = ServerStats()
+        self.stats = ServerStats(_refresh=self._merge_sent_reports)
         self.address: Optional[Tuple[str, int]] = None
         self._session_ids = itertools.count(1)
         self._children: List[_Child] = []
@@ -778,18 +773,21 @@ class AsyncRMIServer:
         self._count_open(+1)
         self._bump("server.connections.accepted", "connections_accepted")
 
-    def _heard(self, slot: int) -> None:
+    def _heard(self, slot: int) -> bool:
         """Parent: a child's report, or its EOF -- it exited.  An exit
-        before the drain is a death: count it, fork the slot anew."""
+        before the drain is a death: count it, fork the slot anew.
+        False if the channel held nothing (a snapshot merged it)."""
         assert self._loop is not None
         child = self._children[slot]
         try:
-            report = child.channel.recv(_REPORT_BYTES)
+            report = child.channel.recv(_REPORT_BYTES, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return False
         except OSError:
             report = b""
         if report:
             self._merge(child, json.loads(report))
-            return
+            return True
         self._loop.remove_reader(child.channel.fileno())
         child.channel.close()
         os.waitpid(child.pid, 0)
@@ -799,6 +797,27 @@ class AsyncRMIServer:
             self._bump("server.dispatch.worker_deaths", "worker_deaths")
             self._children[slot] = self._fork_child()
             self._watch(slot)
+        return True
+
+    def _merge_sent_reports(self) -> None:
+        """Parent: hear, on the loop thread, every report (or EOF) the
+        children's channels hold now; another thread waits for that."""
+        loop = self._loop
+        if not self._children or loop is None:
+            return
+        if threading.current_thread() is self._thread:
+            for slot in range(len(self._children)):
+                while self._children[slot].pid and self._heard(slot):
+                    pass
+            return
+        merged = threading.Event()
+        try:
+            loop.call_soon_threadsafe(
+                lambda: (self._merge_sent_reports(), merged.set()))
+        except RuntimeError:
+            return  # the loop has closed: no child is left to report
+        while not (merged.wait(0.05) or self._finished.is_set()):
+            pass
 
     def _merge(self, child: _Child, report: Dict[str, Any]) -> None:
         """Parent: fold a child's cumulative counts into the stats."""

@@ -83,7 +83,7 @@ class TestMarshalling:
         """With obfuscated symbolic names (what a protective provider
         exports) the wire image contains no net or gate names at all."""
         netlist = ip1_block()
-        faults = build_fault_list(netlist, obfuscate=True, prefix="s")
+        faults = build_fault_list(netlist, obfuscate=True)
         table = build_detection_table(
             netlist, faults, {"IIP1": Logic.ONE, "IIP2": Logic.ZERO})
         wire = marshal(table).decode()

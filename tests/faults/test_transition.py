@@ -39,11 +39,6 @@ class TestModel:
         assert {f.name for f in faults} == {"aSTR", "aSTF", "oSTR",
                                             "oSTF"}
 
-    def test_fault_list_obfuscation(self):
-        fault_list = TransitionFaultList("ip", netlist=ip1_block(),
-                                         obfuscate=True, prefix="x")
-        assert all(name.startswith("xt") for name in fault_list.names())
-
     def test_unknown_name(self):
         fault_list = TransitionFaultList("ip", netlist=buffer_netlist())
         with pytest.raises(FaultSimulationError):

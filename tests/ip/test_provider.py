@@ -7,7 +7,7 @@ import pytest
 from repro.core import IPProtectionError, RemoteError
 from repro.core.ids import current_connection
 from repro.faults import DetectionTable
-from repro.gates import array_multiplier, parity_tree
+from repro.gates import array_multiplier, parity_tree, write_bench
 from repro.ip import IPProvider, PowerServant
 from repro.ip.provider import BitPowerServant, FunctionalServant
 from repro.net import LOCALHOST
@@ -50,12 +50,16 @@ class TestPublishing:
                              ("MultFastLowPower",))
         provider.server.registry.unbind("leak")
 
-    def test_publish_generic_component(self):
+    def test_publish_generic_component(self, tmp_path):
+        path = tmp_path / "parity4.bench"
+        path.write_text(write_bench(parity_tree(4)))
         vendor = IPProvider("generic.provider")
-        vendor.publish_netlist_component(parity_tree(4), "Parity4",
-                                         ("i",), (4,))
-        assert "Parity4.test" in vendor.server.registry.names()
-        assert vendor.catalog.describe("Parity4")["area"] > 0
+        name = vendor.publish_bench(str(path))
+        assert f"{name}.test" in vendor.server.registry.names()
+        assert vendor.catalog.describe(name)["area"] > 0
+        test = vendor.server.registry.lookup(f"{name}.test").servant
+        assert all(re.fullmatch(r"f\d+", fault)
+                   for fault in test.fault_list())
 
 
 class Surface:

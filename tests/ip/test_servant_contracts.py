@@ -35,8 +35,9 @@ from repro.core import Logic, MarshalError, RemoteError
 from repro.faults import DetectionTable, TestabilityServant
 from repro.faults.faultlist import build_fault_list
 from repro.faults.transition import (TransitionFaultList,
-                                     TransitionTestabilityServant)
-from repro.gates import ip1_block
+                                     TransitionTestabilityServant,
+                                     enumerate_transition_faults)
+from repro.gates import ip1_block, write_bench
 from repro.gates.corpus import load_bench
 from repro.gates.netlist import Netlist
 from repro.ip import (InteractiveNegotiation, IPProvider, LicenseServant,
@@ -50,6 +51,7 @@ from repro.rmi.caching import PURE_METHODS
 from repro.rmi.marshal import marshal
 
 TOKEN = re.compile(r"[A-Za-z0-9_]+")
+OPAQUE = re.compile(r"f\d+")
 WIDTH = 4
 MULT = "MultFastLowPower"
 BENCH = "alu8"
@@ -205,26 +207,36 @@ class Audit:
     """One provider's recorded replies and what they were checked for."""
 
     provider: IPProvider
+    ip1: str
+    """The component name Figure 4's IP1 is published under."""
     log: list
     private: FrozenSet[str]
     reports: Dict[str, Any]
 
 
-def publish(obfuscate: bool) -> IPProvider:
-    """The Figure 2 multiplier and Figure 4's IP1, both published."""
+@pytest.fixture(scope="module")
+def ip1_spec(tmp_path_factory) -> str:
+    """Figure 4's IP1 as a ``.bench`` file: it publishes as a bench."""
+    path = tmp_path_factory.mktemp("ip1") / "IP1.bench"
+    path.write_text(write_bench(ip1_block()))
+    return str(path)
+
+
+def publish(ip1_spec: str) -> IPProvider:
+    """The Figure 2 multiplier and Figure 4's IP1, both published: one
+    through each publish path."""
     provider = IPProvider("contracts.provider")
-    provider.publish_multiplier(WIDTH, obfuscate_faults=obfuscate)
-    provider.publish_netlist_component(ip1_block(), "IP1", ("IIP",), (2,),
-                                       obfuscate_faults=obfuscate)
+    provider.publish_multiplier(WIDTH)
+    provider.publish_bench(ip1_spec)
     return provider
 
 
-def run_campaigns(provider: IPProvider) -> Dict[str, Any]:
+def run_campaigns(provider: IPProvider, ip1: str) -> Dict[str, Any]:
     """Figure 4's virtual fault campaign and the multiplier's, each
     through its published ``.test`` stub; the two reports."""
     connection = ProviderConnection(provider, LOCALHOST)
     figure4 = build_figure4(stub=connection.stub(
-        "IP1.test", TestabilityServant.REMOTE_METHODS))
+        f"{ip1}.test", TestabilityServant.REMOTE_METHODS))
     # The user-side design around the multiplier is built from its
     # functional model; only the stub reaches the provider.
     embedded = build_embedded(provider.private_netlist(MULT),
@@ -235,20 +247,21 @@ def run_campaigns(provider: IPProvider) -> Dict[str, Any]:
             MULT: embedded.virtual.run(embedded.random_patterns(12))}
 
 
-def bind_extras(provider: IPProvider) -> None:
+def bind_extras(provider: IPProvider, ip1_spec: str) -> None:
     """Bind the servants a publish does not: sales, negotiation, the
     transition protocol, a corpus bench and the fault farm."""
     server = provider.server
     multiplier = provider.private_netlist(MULT)
-    ip1 = provider.private_netlist("IP1")
+    ip1 = provider.private_netlist(ip1_spec)
+    opaque = {f"t{index}": fault for index, fault
+              in enumerate(enumerate_transition_faults(ip1))}
     for name, servant in (
             (f"{MULT}.license",
              LicenseServant(multiplier, 500.0, "vendor-secret")),
             (f"{MULT}.negotiation", NegotiationServant(list_price=0.10)),
             ("IP1.vault", TestSequenceVault(ip1, random_patterns=4)),
             ("IP1.transition", TransitionTestabilityServant(
-                ip1, TransitionFaultList("IP1", netlist=ip1,
-                                         obfuscate=True)))):
+                ip1, TransitionFaultList("IP1", opaque)))):
         server.bind(name, servant, servant.REMOTE_METHODS)
     provider.publish_bench(BENCH)
     register_fault_farm(server)
@@ -257,9 +270,8 @@ def bind_extras(provider: IPProvider) -> None:
 def drive_servants(provider: IPProvider) -> None:
     """Call every remote method once or more, bad arguments included.
 
-    The ``.test`` servant of the corpus bench is left out: a bench is
-    published under its structural fault names (ROADMAP 9(b)).  So is a
-    paid licence purchase: it sells the implementation, by contract.
+    A paid licence purchase is left out: it sells the implementation,
+    by contract.
     """
     connection = ProviderConnection(provider, LOCALHOST)
     stub = connection.stub
@@ -299,6 +311,8 @@ def drive_servants(provider: IPProvider) -> None:
     power.reset("s")
     stub(f"{BENCH}.module", ("evaluate",)).evaluate(ones)
     stub(f"{BENCH}.timing", ("output_timing",)).output_timing()
+    bench_test = stub(f"{BENCH}.test", TestabilityServant.REMOTE_METHODS)
+    bench_test.detection_table([Logic.ONE] * width, bench_test.fault_list())
 
     c17 = load_bench("c17")
     farm = stub(FAULT_FARM_OBJECT, ("ping", "begin_campaign",
@@ -332,33 +346,37 @@ def drive_servants(provider: IPProvider) -> None:
             lambda: power.power_of_bits("s", [7]),
             lambda: stub(f"{BENCH}.module", ("evaluate",))
             .evaluate([9] * width),
+            lambda: bench_test.detection_table([Logic.ONE], []),
             lambda: farm.run_shard("no-such-campaign", [])):
         with pytest.raises(RemoteError):
             bad_call()
 
 
 @pytest.fixture(scope="module")
-def audit() -> Audit:
-    """Every servant, published the protective way, called and recorded."""
-    provider = publish(obfuscate=True)
-    bind_extras(provider)
+def audit(ip1_spec) -> Audit:
+    """Every servant, published, called and recorded."""
+    provider = publish(ip1_spec)
+    bind_extras(provider, ip1_spec)
     log = record_replies(provider.server)
-    reports = run_campaigns(provider)
+    reports = run_campaigns(provider, ip1_spec)
     drive_servants(provider)
     private = private_identifiers(provider.private_netlist(name)
-                                  for name in (MULT, "IP1", BENCH))
-    return Audit(provider, log, private, reports)
+                                  for name in (MULT, ip1_spec, BENCH))
+    return Audit(provider, ip1_spec, log, private, reports)
 
 
 @pytest.fixture(scope="module")
-def structural() -> Audit:
-    """The same components published under structural fault names."""
-    provider = publish(obfuscate=False)
-    log = record_replies(provider.server)
-    reports = run_campaigns(provider)
-    private = private_identifiers(provider.private_netlist(name)
-                                  for name in (MULT, "IP1"))
-    return Audit(provider, log, private, reports)
+def structural(ip1_spec) -> Dict[str, Any]:
+    """The two campaigns' reports with each ``.test`` servant rebound
+    by hand under structural fault names: the reference."""
+    provider = publish(ip1_spec)
+    for name in (MULT, ip1_spec):
+        netlist = provider.private_netlist(name)
+        provider.server.rebind(
+            f"{name}.test",
+            TestabilityServant(netlist, build_fault_list(netlist)),
+            TestabilityServant.REMOTE_METHODS)
+    return run_campaigns(provider, ip1_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +401,7 @@ class TestRealServants:
                   for request, reply, _servant in audit.log if not reply.ok}
         assert {"catalog.describe", "catalog.add",
                 f"{MULT}.test.detection_table",
+                f"{BENCH}.test.detection_table",
                 "IP1.transition.detection_table",
                 f"{MULT}.negotiation.quote", "IP1.vault.purchase",
                 f"{MULT}.license.purchase", f"{BENCH}.power.power_of_bits",
@@ -406,7 +425,8 @@ class TestRealServants:
 
 
 class TestOpaqueFaultNames:
-    """``obfuscate_faults=True`` hides the structure and loses nothing."""
+    """A publish exports opaque fault names: it hides the structure and
+    loses nothing."""
 
     def test_campaign_replies_carry_no_private_identifier(self, audit):
         test_log = [entry for entry in audit.log
@@ -419,15 +439,26 @@ class TestOpaqueFaultNames:
     def test_detection_equals_the_structural_run(self, audit, structural,
                                                  component):
         opaque = audit.reports[component]
-        named = structural.reports[component]
+        named = structural[component]
         assert opaque.detected_count > 0
         assert (opaque.detected_count, opaque.coverage) == \
             (named.detected_count, named.coverage)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP 9(b): a default "
-                       "publish exports structural fault names")
-    def test_default_publish_exports_no_structure(self, structural):
-        assert reply_violations(structural.log, structural.private) == []
+    def test_default_publish_exports_no_structure(self, audit):
+        """Both publish paths, the multiplier's and a bench's, export
+        ``f0`` ... and nothing else."""
+        published = {f"{name}.test" for name in (MULT, audit.ip1, BENCH)}
+        test_log = [entry for entry in audit.log
+                    if entry[0].object_name in published]
+        assert {(entry[0].object_name, entry[0].method)
+                for entry in test_log} == {
+            (name, method) for name in published
+            for method in ("fault_list", "detection_table")}
+        for request, reply, _servant in test_log:
+            if request.method == "fault_list":
+                assert reply.result
+                assert all(OPAQUE.fullmatch(name) for name in reply.result)
+        assert reply_violations(test_log, audit.private) == []
 
 
 # ---------------------------------------------------------------------------
