@@ -25,9 +25,9 @@ raises ``MarshalError`` for any bytes.
 from __future__ import annotations
 
 import json
+import re
 import threading
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from ..core.errors import MarshalError
@@ -268,14 +268,34 @@ def _refusal_message(obj: Any) -> str:
 # into values by the decoder its ``$t`` tag selects.  JSON scalars are
 # their own values, a JSON list is legal only directly under a tagged
 # container, a JSON object only as a tagged node.
+#
+# A run of logic nodes (a pattern, a table row) never reaches the
+# scanner as nodes: ``_decode_packed`` first rewrites every JSON array
+# made only of canonical ones into a single string token, ``"\u0004"``
+# and its digits, which ``_decode_elements`` expands with one ``map``.
+# A text that holds the ``\u0004`` escape itself is never rewritten, so
+# a string that starts with that character is a token.  In valid JSON
+# ``{"`` only opens an object, so every match is an array in a value
+# position; a token anywhere but under a tuple, list or set node (a
+# dict pair, a ``word`` field, a codec's value, a ``$t``) is either
+# refused or left unconsumed, and then the text is decoded again
+# without the rewrite, which alone decides the value or the refusal.
+# ``runs`` collects the tokens one call consumed (``None``: no rewrite).
 
 _LOGIC_OF = {int(bit): bit for bit in Logic}
-_ONLY_LOGIC = {"logic"}
+_LOGIC_OF_DIGIT = {str(int(bit)): bit for bit in Logic}
 _NESTED = {dict, list}
-_tag_of = itemgetter("$t")
+_RUN_MARK = "\x04"
+_LOGIC_RUN = re.compile(r'\[((?:\{"\$t":"logic","v":[0-3]\},)*'
+                        r'\{"\$t":"logic","v":[0-3]\})\]')
 
 
-def _decode(data: Any, depth: int) -> Any:
+def _pack_run(run: "re.Match[str]") -> str:
+    # Every node is 20 characters plus a comma; its digit is the 19th.
+    return '"\\u0004' + run.group(1)[18::21] + '"'
+
+
+def _decode(data: Any, depth: int, runs: Optional[list]) -> Any:
     if depth > _MAX_DEPTH:
         raise MarshalError(_TOO_DEEP)
     kind = type(data)
@@ -285,73 +305,70 @@ def _decode(data: Any, depth: int) -> Any:
         tag = data["$t"]
         decoder = _DECODERS.get(tag)
         if decoder is not None:
-            return decoder(data, depth)
+            return decoder(data, depth, runs)
         if type(tag) is str and tag.startswith("x:"):
             codec = _VALUE_CODECS.get(tag[2:])
             if codec is not None:
-                return codec[2](_decode(data.get("v"), depth + 1))
+                return codec[2](_decode(data.get("v"), depth + 1, runs))
         raise MarshalError(f"unknown marshal tag {tag!r}")
     if kind is list:  # only produced inside tagged containers
         raise MarshalError("bare JSON list in wire data")
     return data
 
 
-def _decode_elements(items: Any, depth: int) -> list:
-    """Values of the JSON list under a tuple, list or set node; its
-    elements sit at ``depth``."""
+def _decode_elements(items: Any, depth: int, runs: Optional[list]) -> list:
+    """Values of the JSON list (or run token) under a tuple, list or
+    set node; its elements sit at ``depth``."""
     if type(items) is not list:
-        raise MarshalError(f"malformed wire data: {items!r}")
+        if runs is None or type(items) is not str \
+                or items[:1] != _RUN_MARK:
+            raise MarshalError(f"malformed wire data: {items!r}")
+        if depth > _MAX_DEPTH:
+            raise MarshalError(_TOO_DEEP)
+        runs.append(items)
+        return list(map(_LOGIC_OF_DIGIT.__getitem__, items[1:]))
     if not items:
         return items
     if depth > _MAX_DEPTH:
         raise MarshalError(_TOO_DEEP)
-    if type(items[0]) is not dict:
-        if _NESTED.isdisjoint(map(type, items)):
-            return items  # scalars only: already their values
-    else:
-        # A run of logic nodes (a pattern, a table row).  Anything
-        # irregular -- a scalar or an untagged node among them, a value
-        # outside 0..3 -- falls through to be refused node by node.
-        try:
-            if set(map(_tag_of, items)) == _ONLY_LOGIC:
-                return [_LOGIC_OF[node["v"]] for node in items]
-        except (KeyError, TypeError):
-            pass
-    return [_decode(item, depth) for item in items]
+    if type(items[0]) is not dict \
+            and _NESTED.isdisjoint(map(type, items)):
+        return items  # scalars only: already their values
+    return [_decode(item, depth, runs) for item in items]
 
 
-def _decode_logic(node: dict, depth: int) -> Logic:
+def _decode_logic(node: dict, depth: int, runs: Optional[list]) -> Logic:
     return _LOGIC_OF[node["v"]]
 
 
-def _decode_word(node: dict, depth: int) -> Word:
+def _decode_word(node: dict, depth: int, runs: Optional[list]) -> Word:
     value, width = node.get("v"), node["w"]
     return Word.unknown(width) if value is None else Word(value, width)
 
 
-def _decode_tuple(node: dict, depth: int) -> tuple:
-    return tuple(_decode_elements(node["v"], depth + 1))
+def _decode_tuple(node: dict, depth: int, runs: Optional[list]) -> tuple:
+    return tuple(_decode_elements(node["v"], depth + 1, runs))
 
 
-def _decode_list(node: dict, depth: int) -> list:
-    return _decode_elements(node["v"], depth + 1)
+def _decode_list(node: dict, depth: int, runs: Optional[list]) -> list:
+    return _decode_elements(node["v"], depth + 1, runs)
 
 
-def _decode_set(node: dict, depth: int) -> frozenset:
-    return frozenset(_decode_elements(node["v"], depth + 1))
+def _decode_set(node: dict, depth: int, runs: Optional[list]) -> frozenset:
+    return frozenset(_decode_elements(node["v"], depth + 1, runs))
 
 
-def _decode_dict(node: dict, depth: int) -> dict:
+def _decode_dict(node: dict, depth: int, runs: Optional[list]) -> dict:
     depth += 1
-    return {_decode(key, depth): _decode(value, depth)
+    return {_decode(key, depth, runs): _decode(value, depth, runs)
             for key, value in node["v"]}
 
 
-def _decode_bytes(node: dict, depth: int) -> bytes:
+def _decode_bytes(node: dict, depth: int, runs: Optional[list]) -> bytes:
     return bytes.fromhex(node["v"])
 
 
-_DECODERS: Dict[str, Callable[[dict, int], Any]] = {
+_DECODERS: Dict[str, Callable[[dict, int, Optional[list]], Any]] = {
     "logic": _decode_logic,
     "word": _decode_word,
     "tuple": _decode_tuple,
@@ -376,14 +393,21 @@ def unmarshal(data: bytes) -> Any:
     """Deserialize wire bytes produced by :func:`marshal`.
 
     Total over hostile input: whatever ``data`` holds, the outcome is a
-    value or a ``MarshalError`` (cause chained).  The node decoders
-    index and unpack without checking shapes; the one handler here is
-    what turns a missing field, a wrong type, an unhashable key, a
-    codec's ``from_wire`` failing on a foreign shape, or the JSON
-    scanner running out of stack into the refusal.
+    value or a ``MarshalError`` (cause chained).  A text with logic
+    runs is decoded packed first (see "decoding" above); when that does
+    not answer, the plain scan and walk below decides.  The node
+    decoders index and unpack without checking shapes; the one handler
+    here is what turns a missing field, a wrong type, an unhashable
+    key, a codec's ``from_wire`` failing on a foreign shape, or the
+    JSON scanner running out of stack into the refusal.
     """
     try:
-        return _decode(json.loads(data.decode()), 0)
+        text = data.decode()
+        if '[{"$t":"logic"' in text and "\\u0004" not in text:
+            value = _decode_packed(text)
+            if value is not _UNPACKED:
+                return value
+        return _decode(json.loads(text), 0, None)
     except MarshalError:
         raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -391,6 +415,21 @@ def unmarshal(data: bytes) -> Any:
     except Exception as exc:
         raise MarshalError(f"malformed wire data: "
                            f"{type(exc).__name__}: {exc}") from exc
+
+
+_UNPACKED = object()
+
+
+def _decode_packed(text: str) -> Any:
+    """``text``'s value with its logic runs packed, or ``_UNPACKED``
+    unless that decode consumed every token it packed."""
+    try:
+        packed, count = _LOGIC_RUN.subn(_pack_run, text)
+        runs: list = []
+        value = _decode(json.loads(packed), 0, runs)
+    except Exception:  # the plain path decides, in its own words
+        return _UNPACKED
+    return value if len(runs) == count else _UNPACKED
 
 
 def payload_size(obj: Any) -> int:

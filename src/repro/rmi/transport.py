@@ -50,6 +50,12 @@ a sane network takes milliseconds, so a dead or unroutable endpoint
 should fail in about a second rather than inheriting the per-call
 timeout sized for slow servant work."""
 
+# A peer that vanished mid-exchange reads as one error however the
+# kernel told us: an EOF (``TcpTransport._read_exact``), a reset or a
+# broken pipe.  Which of them arrives first is a race.
+_PEER_GONE = (EOFError, ConnectionResetError, BrokenPipeError,
+              ssl.SSLEOFError)
+
 
 @dataclass
 class TransportStats:
@@ -396,7 +402,7 @@ class TcpTransport(Transport):
         with self._lock:
             try:
                 self._ensure_socket()
-            except OSError as exc:
+            except (OSError, EOFError) as exc:
                 self._close_locked()
                 raise RemoteError(
                     f"cannot connect to {self.host}:{self.port}: "
@@ -463,13 +469,15 @@ class TcpTransport(Transport):
                 connection = self._ensure_socket()
                 connection.sendall(encode_frame(payload))
                 return self._read_frame(connection)
-            except (OSError, RemoteError) as exc:
+            except (OSError, EOFError, RemoteError) as exc:
                 self._count_error(span)
                 self._close_locked()
                 if isinstance(exc, RemoteError):
                     raise
+                cause = (f"connection closed by {self.peer}"
+                         if isinstance(exc, _PEER_GONE) else exc)
                 raise RemoteError(
-                    f"transport failure {what}: {exc}") from exc
+                    f"transport failure {what}: {cause}") from exc
 
     def _read_frame(self, connection: socket.socket) -> bytes:
         header = self._read_exact(connection, 4)
@@ -481,7 +489,7 @@ class TcpTransport(Transport):
         while remaining:
             chunk = connection.recv(remaining)
             if not chunk:
-                raise RemoteError("connection closed mid-frame")
+                raise EOFError("connection closed mid-frame")
             chunks.append(chunk)
             remaining -= len(chunk)
         return b"".join(chunks)

@@ -10,6 +10,7 @@ the same words, and ``unmarshal`` must rebuild the same values.
 import collections
 import enum
 import hashlib
+import importlib
 import random
 
 import pytest
@@ -24,9 +25,13 @@ from repro.faults import (DetectionTable, build_detection_table,
 from repro.faults.detection import _table_to_wire
 from repro.gates import array_multiplier
 from repro.gates.corpus import load_bench
-from repro.rmi.marshal import marshal, unmarshal
+from repro.rmi.marshal import _UNPACKED, marshal, unmarshal
+from repro.rmi.marshal import _decode_packed as decode_packed
+from repro.rmi.protocol import CallRequest, decode_request
 
 from .reference_marshal import reference_marshal, reference_unmarshal
+
+MARSHAL = importlib.import_module("repro.rmi.marshal")
 
 # -- subclasses of the JSON-native types ------------------------------------
 # json prints them with the base type's repr, whatever they override.
@@ -295,13 +300,25 @@ class TestDetectionTableRows:
             table.rows, key=lambda pattern: tuple(int(bit) for bit in pattern))
 
 
+def harness_block():
+    rng = random.Random(1)
+    return [[Logic(rng.getrandbits(1)) for _ in range(32)]
+            for _ in range(64)]
+
+
+def alu32_table():
+    netlist = load_bench("alu32")
+    rng = random.Random(1)
+    inputs = {net: Logic(rng.getrandbits(1)) for net in netlist.inputs}
+    return build_detection_table(netlist, build_fault_list(netlist),
+                                 inputs)
+
+
 class TestPinnedPayloads:
     """The two payloads the harness times, by length and digest."""
 
     def test_harness_logic_block(self):
-        rng = random.Random(1)
-        block = [[Logic(rng.getrandbits(1)) for _ in range(32)]
-                 for _ in range(64)]
+        block = harness_block()
         data = marshal(block)
         assert len(data) == 44307
         assert hashlib.sha256(data).hexdigest() == (
@@ -310,11 +327,7 @@ class TestPinnedPayloads:
         assert unmarshal(data) == reference_unmarshal(data) == block
 
     def test_alu32_detection_table(self):
-        netlist = load_bench("alu32")
-        rng = random.Random(1)
-        inputs = {net: Logic(rng.getrandbits(1)) for net in netlist.inputs}
-        table = build_detection_table(netlist, build_fault_list(netlist),
-                                      inputs)
+        table = alu32_table()
         data = marshal(table)
         assert len(table.rows) == 39
         assert len(data) == 36216
@@ -322,6 +335,33 @@ class TestPinnedPayloads:
             "a2efd6b2531f7923f2481e5d62c2cb10a71d2d61f346c052e687d5c79ec7593e")
         assert data == reference_marshal(table)
         assert unmarshal(data) == reference_unmarshal(data) == table
+
+    @pytest.mark.parametrize("payload", [
+        harness_block,
+        alu32_table,
+        lambda: CallRequest("ip", "evaluate",
+                            ([Logic.ONE, Logic.ZERO, Logic.X, Logic.Z] * 8,),
+                            call_id=1),
+    ], ids=["harness-block", "alu32-table", "call-with-a-logic-list"])
+    def test_logic_runs_decode_packed(self, payload, monkeypatch):
+        """Packing answers these on its own: the plain path's scan and
+        walk is never reached (a stopwatch-free pin of the fast path)."""
+        answers = []
+
+        def packed_only(text):
+            answers.append(decode_packed(text))
+            if answers[-1] is _UNPACKED:
+                raise AssertionError("fell back to the plain decode")
+            return answers[-1]
+
+        value = payload()
+        data = value.encode() if isinstance(value, CallRequest) \
+            else marshal(value)
+        monkeypatch.setattr(MARSHAL, "_decode_packed", packed_only)
+        decoded = decode_request(data) if isinstance(value, CallRequest) \
+            else unmarshal(data)
+        assert decoded == value
+        assert len(answers) == 1
 
 
 class TestRefusedWire:

@@ -6,6 +6,7 @@ cached socket so the next call reconnects cleanly.
 """
 
 import socket
+import ssl
 import struct
 import threading
 
@@ -147,6 +148,77 @@ class TestStreamFailures:
         finally:
             transport.close()
             server.stop_tcp()
+
+
+class _VanishedSocket:
+    """A connected socket whose peer is gone: ``sendall`` or ``recv``
+    raises what the kernel reported, else ``recv`` reads EOF."""
+
+    def __init__(self, send_error=None, recv_error=None):
+        self.send_error, self.recv_error = send_error, recv_error
+
+    def sendall(self, data):
+        if self.send_error is not None:
+            raise self.send_error
+
+    def recv(self, count):
+        if self.recv_error is not None:
+            raise self.recv_error
+        return b""
+
+    def close(self):
+        pass
+
+
+class TestVanishedPeer:
+    """EOF, reset and broken pipe read as one error, naming the call
+    and the peer, however the race between them went."""
+
+    @pytest.mark.parametrize("connection", [
+        _VanishedSocket(),
+        _VanishedSocket(recv_error=ConnectionResetError(104, "reset")),
+        _VanishedSocket(send_error=BrokenPipeError(32, "broken pipe")),
+        _VanishedSocket(send_error=ConnectionResetError(104, "reset")),
+        _VanishedSocket(recv_error=ssl.SSLEOFError(8, "EOF")),
+    ], ids=["eof", "reset-on-recv", "epipe", "reset-on-send", "tls-eof"])
+    def test_one_wording(self, connection):
+        transport = TcpTransport("127.0.0.1", 9, timeout=1.0)
+        transport._socket = connection
+        with pytest.raises(RemoteError) as failure:
+            transport.invoke("math", "add", (1, 2))
+        assert str(failure.value) == (
+            "transport failure calling math.add on 127.0.0.1:9: "
+            "connection closed by 127.0.0.1:9")
+        assert transport.stats.errors == 1
+        assert transport._socket is None
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["fin", "rst"])
+    def test_a_real_peer_closing_after_the_request(self, reset):
+        acceptor = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        acceptor.bind(("127.0.0.1", 0))
+        acceptor.listen(1)
+        host, port = acceptor.getsockname()
+
+        def vanish():
+            connection, _address = acceptor.accept()
+            connection.recv(4096)
+            if reset:  # close with a reset instead of a FIN
+                connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                      struct.pack("ii", 1, 0))
+            connection.close()
+
+        thread = threading.Thread(target=vanish, daemon=True)
+        thread.start()
+        try:
+            transport = TcpTransport(host, port, timeout=2.0)
+            with pytest.raises(RemoteError) as failure:
+                transport.invoke("math", "add", (1, 2))
+            assert str(failure.value) == (
+                f"transport failure calling math.add on {host}:{port}: "
+                f"connection closed by {host}:{port}")
+        finally:
+            thread.join(timeout=2.0)
+            acceptor.close()
 
 
 class TestSuccessPathUnchanged:

@@ -4,11 +4,15 @@ A peer controls every byte of a frame.  Whatever arrives, ``unmarshal``,
 ``decode_request`` and the reply decoders answer with a value or a
 :class:`MarshalError` -- never another exception type (a traceback in
 the serving loop), never a hang (hypothesis's per-example deadline).
+And ``unmarshal``, which decodes logic runs packed before scanning,
+answers exactly what its plain scan-and-walk path alone does.
 """
 
+import importlib
 import json
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -18,13 +22,14 @@ from repro.behav.stream import Frame
 from repro.core import Logic, MarshalError, Word
 from repro.estimation import NullValue, ParamValue
 from repro.faults import DetectionTable
-from repro.rmi.marshal import (_VALUE_CODECS, marshal, register_value_type,
-                               unmarshal)
+from repro.rmi.marshal import (_UNPACKED, _VALUE_CODECS, marshal,
+                               register_value_type, unmarshal)
 from repro.rmi.protocol import (AuthRequest, BatchReply, BatchRequest,
                                 CallReply, CallRequest, decode_request)
 
 from .reference_marshal import reference_marshal
 
+MARSHAL = importlib.import_module("repro.rmi.marshal")
 DECODERS = (unmarshal, decode_request, CallRequest.decode, CallReply.decode,
             BatchRequest.decode, BatchReply.decode, AuthRequest.decode)
 
@@ -53,6 +58,18 @@ FRAMES = tuple(
     + [BatchRequest(CALLS, batch_id=9).encode(),
        BatchReply(9, REPLIES).encode(),
        AuthRequest("secret-token", call_id=5).encode()])
+
+# Frames whose logic runs the decoder packs.
+RUN_FRAMES = (
+    marshal([[Logic(bit % 4) for bit in range(row, row + 8)]
+             for row in range(4)]),
+    CallRequest("ip", "evaluate", ([Logic.ONE, Logic.ZERO] * 4,
+                                   (Logic.X, Logic.Z),
+                                   frozenset({Logic.ONE})),
+                call_id=6).encode(),
+    CallReply(7, True, TABLE).encode(),
+    marshal({Logic.ONE: Logic.ZERO, "pattern": PATTERN, "row": [Logic.X]}),
+)
 
 TAGS = [b'"logic"', b'"word"', b'"tuple"', b'"list"', b'"set"', b'"dict"',
         b'"bytes"', b'"x:frame"', b'"x:paramvalue"', b'"x:detection-table"',
@@ -86,7 +103,7 @@ def flip(draw, frame):
 
 
 def splice(draw, frame):
-    other = draw(st.sampled_from(FRAMES))
+    other = draw(st.sampled_from(FRAMES + RUN_FRAMES))
     return frame[:draw(st.integers(0, len(frame)))] \
         + other[draw(st.integers(0, len(other))):]
 
@@ -123,12 +140,24 @@ def swap_tag(draw, frame):
 
 MUTATIONS = (truncate, flip, splice, duplicate_key, swap_tag)
 
+NODE = b'{"$t":"logic","v":1}'
+RUN = b"[" + NODE + b',{"$t":"logic","v":0}]'
+# Text that lands a run (or a node, or a packing token's look-alike)
+# inside a string, after a backslash, next to a digit or a bracket.
+SNIPPETS = [RUN, NODE, b"[" + NODE + b"]", b'"\\u0004"', b'"\\u00041"',
+            b"\\", b'"', b"1", b"[", b"]", b",", b"[[", b"]]"]
+
+
+def insert(draw, frame):
+    index = draw(st.integers(0, len(frame)))
+    return frame[:index] + draw(st.sampled_from(SNIPPETS)) + frame[index:]
+
 
 @st.composite
-def mutated_frames(draw):
-    frame = draw(st.sampled_from(FRAMES))
+def mutated_frames(draw, frames=FRAMES, mutations=MUTATIONS):
+    frame = draw(st.sampled_from(frames))
     for _ in range(draw(st.integers(1, 3))):
-        frame = draw(st.sampled_from(MUTATIONS))(draw, frame)
+        frame = draw(st.sampled_from(mutations))(draw, frame)
     return frame
 
 
@@ -243,6 +272,133 @@ class TestTotality:
         assert decode_request(auth.encode()) == auth
 
 
+# -- logic runs: the packed decode against the plain one ---------------------
+
+def type_tree(value):
+    """``value``'s type and, for a container, its elements' type trees."""
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(map(type_tree, value))
+    if isinstance(value, (set, frozenset)):
+        return type(value), tuple(sorted(map(type_tree, value), key=repr))
+    if isinstance(value, dict):
+        return type(value), tuple((type_tree(key), type_tree(item))
+                                  for key, item in value.items())
+    return type(value)
+
+
+def outcome(decode, data):
+    """What ``decode`` answered: a value as its re-marshalled bytes and
+    type tree, a refusal as its exact text."""
+    try:
+        value = decode(data)
+    except MarshalError as exc:
+        return f"MarshalError: {exc}"
+    try:
+        return marshal(value), type_tree(value)
+    except MarshalError as exc:
+        return f"not marshallable: {exc}", type_tree(value)
+
+
+def packed_and_plain(data):
+    """``outcome(unmarshal, data)``, then the same with packing off: the
+    ``json.loads``-and-walk path alone, called at the same depth (a
+    refusal for running out of stack names the JSON level it ran out
+    at)."""
+    packed = outcome(unmarshal, data)
+    with mock.patch.object(MARSHAL, "_decode_packed",
+                           lambda text: _UNPACKED):
+        return packed, outcome(unmarshal, data)
+
+
+def nested_lists(depth, inner):
+    return b'{"$t":"list","v":[' * depth + inner + b"]}" * depth
+
+
+# Each puts a run (or a token's look-alike) where packing must not
+# change the answer.
+TARGETED = {
+    "node-inside-a-string": b'{"$t":"list","v":["a' + RUN + b'b"]}',
+    "escaped-node-in-a-string":
+        b'{"$t":"list","v":["[{\\"$t\\":\\"logic\\",\\"v\\":1}]"]}',
+    "after-a-backslash": b'{"$t":"list","v":["\\' + RUN + b'"]}',
+    "after-an-escaped-backslash": b'{"$t":"list","v":["\\\\' + RUN + b'"]}',
+    "digit-before": b'{"$t":"list","v":[1' + RUN + b"]}",
+    "digit-after": b'{"$t":"list","v":' + RUN + b"2}",
+    "literal-u0004": b'{"$t":"list","v":["\\u0004",{"$t":"list","v":'
+                     + RUN + b"}]}",
+    "u0004-as-a-list-value": b'{"$t":"list","v":"\\u00041"}',
+    # A look-alike where a token is consumed, beside a run that packs
+    # but is not consumed: the counts agree, so only the refusal to
+    # pack a text holding the escape keeps the look-alike a string.
+    "u0004-beside-an-unconsumed-run":
+        b'{"$t":"list","v":[{"$t":"list","v":"\\u00041"},'
+        b'{"$t":"dict","v":[[' + NODE + b"]]}]}",
+    "run-as-a-dict-pair": b'{"$t":"dict","v":[' + RUN + b"]}",
+    "run-as-dict-pairs": b'{"$t":"dict","v":' + RUN + b"}",
+    "one-element-pair": b'{"$t":"dict","v":[[' + NODE + b"]]}",
+    "run-as-a-dict-key": b"{" + RUN + b":1}",
+    "run-as-a-codec-value": b'{"$t":"x:frame","v":' + RUN + b"}",
+    "run-as-a-table-value": b'{"$t":"x:detection-table","v":' + RUN + b"}",
+    "run-as-word-value": b'{"$t":"word","v":' + RUN + b',"w":4}',
+    "run-as-word-width": b'{"$t":"word","v":1,"w":' + RUN + b"}",
+    "run-as-logic-value": b'{"$t":"logic","v":' + RUN + b"}",
+    "run-as-bytes-value": b'{"$t":"bytes","v":' + RUN + b"}",
+    "run-as-a-tag": b'{"$t":' + RUN + b',"v":1}',
+    "run-beside-a-duplicate-value":
+        b'{"$t":"list","v":' + RUN + b',"v":[1]}',
+    "bare-run": RUN,
+    "run-at-level-32": nested_lists(31, b'{"$t":"list","v":' + RUN + b"}"),
+    "run-at-level-33": nested_lists(32, b'{"$t":"list","v":' + RUN + b"}"),
+    "5000-deep-brackets": b"[" * 5000 + RUN + b"]" * 5000,
+    "5000-deep-list-nodes": nested_lists(5000, RUN),
+}
+
+
+class TestPackedRuns:
+    """``unmarshal`` answers every input as its plain path does: the
+    same value (by its bytes and element types) or the same refusal,
+    word for word."""
+
+    @given(mutated_frames(RUN_FRAMES, MUTATIONS + (insert,)))
+    def test_mutated_run_frames(self, data):
+        packed, plain = packed_and_plain(data)
+        assert packed == plain
+
+    @pytest.mark.parametrize("data", TARGETED.values(), ids=TARGETED.keys())
+    def test_targeted_inserts(self, data):
+        packed, plain = packed_and_plain(data)
+        assert packed == plain
+
+    def test_a_token_look_alike_is_a_string(self):
+        """Only packing makes tokens: a string sent as ``"\\u0004..."``
+        stays a string, refused where a list belongs."""
+        assert unmarshal(b'{"$t":"list","v":["\\u00041"]}') == ["\x041"]
+        with pytest.raises(MarshalError) as refusal:
+            unmarshal(TARGETED["u0004-as-a-list-value"])
+        assert str(refusal.value) == "malformed wire data: '\\x041'"
+
+    def test_unmutated_run_frames_decode_as_their_values(self):
+        for data in RUN_FRAMES:
+            packed, plain = packed_and_plain(data)
+            assert packed == plain == (data, packed[1])
+
+
+class Sealed:
+    """A value whose codec carries a whole frame, so decoding one
+    decodes again from inside ``from_wire``."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _seal(sealed):
+    return marshal(sealed.value).decode()
+
+
+def _unseal(text):
+    return Sealed(unmarshal(text.encode()))
+
+
 class TestThreads:
     def test_marshal_while_a_type_is_registered(self):
         """The dispatch memo is read lock-free on the thread tier's hot
@@ -289,5 +445,52 @@ class TestThreads:
             stop.set()
             sys.setswitchinterval(interval)
         assert not ninth.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_decode_on_eight_threads_with_reentry(self):
+        """Packing keeps its count per call: eight threads decode frames
+        that pack, frames that fall back and frames that are refused,
+        some of them re-entering ``unmarshal`` from a codec, and every
+        outcome is the single-threaded one."""
+        register_value_type("sealed-test", Sealed, _seal, _unseal)
+        frames = list(RUN_FRAMES) + [
+            marshal([Sealed([Logic.ONE, Logic.X]), [Logic.Z, Logic.ZERO]]),
+            marshal([Sealed({Logic.ONE: Logic.ZERO}), [Logic.ONE]]),
+            # The inner decode consumes one token, the outer packs one
+            # it leaves unconsumed: one shared count would agree.
+            b'{"$t":"list","v":[' + marshal(Sealed([Logic.ONE]))
+            + b',{"$t":"dict","v":[[' + NODE + b"]]}]}",
+            marshal({Logic.ONE: Logic.ZERO}),
+            TARGETED["literal-u0004"], TARGETED["one-element-pair"],
+            TARGETED["run-as-word-value"], TARGETED["run-at-level-33"],
+            TARGETED["run-as-a-codec-value"]]
+        expected = []
+        for data in frames:
+            packed, plain = packed_and_plain(data)
+            assert packed == plain
+            expected.append(packed)
+        assert any(type(answer) is str for answer in expected)
+        wrong = []
+
+        def worker():
+            try:
+                for _ in range(100):
+                    for data, answer in zip(frames, expected):
+                        if outcome(unmarshal, data) != answer:
+                            wrong.append(data)
+            except Exception as exc:  # reported by the assert below
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []

@@ -29,8 +29,9 @@ from repro.server import DISPATCH_TIERS, AsyncRMIServer
 ALL_TIERS = list(DISPATCH_TIERS)
 
 # A dead child's socket answers the client's next frame with a FIN or,
-# if the kernel's reset wins the race to the read, with a reset.
-CLOSED = "connection closed|transport failure"
+# if the kernel's reset wins the race to the read, with a reset; the
+# transport words both alike, naming the call and the peer.
+CLOSED = r"^transport failure calling \S+ on (\S+): connection closed by \1$"
 
 
 class Echo:
