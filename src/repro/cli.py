@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import queue
 import random
@@ -350,10 +351,12 @@ def _add_server_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _positive_seconds(text: str) -> float:
-    """argparse type: a duration in seconds, which must be positive."""
+    """argparse type: a duration in seconds, which must be positive
+    and finite (a NaN or infinite wait cannot be scheduled)."""
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
     return value
 
 

@@ -378,12 +378,15 @@ EndpointSpec = Union[str, Tuple[str, int]]
 
 
 def parse_endpoint(spec: EndpointSpec) -> Tuple[str, int]:
-    """Normalize an endpoint spec to ``(host, port)``."""
+    """Normalize an endpoint spec to ``(host, port)``; an IPv6 host may
+    be bracketed (``[::1]:9000``)."""
     if isinstance(spec, (tuple, list)) and len(spec) == 2:
         host, port = spec
         return str(host), int(port)
     text = str(spec)
     host, sep, port_text = text.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     if not sep or not host:
         raise ParallelExecutionError(
             f"remote endpoint {text!r} is not of the form HOST:PORT")
@@ -611,10 +614,10 @@ class RemoteWorkerPool:
         if connect_retries < 0:
             raise ParallelExecutionError(
                 f"connect_retries must be >= 0, got {connect_retries}")
-        if connect_backoff <= 0:
+        if not connect_backoff > 0:
             raise ParallelExecutionError(
                 f"connect_backoff must be positive, got {connect_backoff}")
-        if timeout <= 0 or connect_timeout <= 0:
+        if not (timeout > 0 and connect_timeout > 0):
             raise ParallelExecutionError(
                 f"timeouts must be positive, got timeout={timeout}, "
                 f"connect_timeout={connect_timeout}")

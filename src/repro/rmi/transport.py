@@ -374,7 +374,7 @@ class TcpTransport(Transport):
                  server_hostname: Optional[str] = None,
                  token: Optional[str] = None):
         super().__init__()
-        if timeout <= 0 or connect_timeout <= 0:
+        if not (timeout > 0 and connect_timeout > 0):
             raise ValueError(
                 f"timeouts must be positive, got timeout={timeout}, "
                 f"connect_timeout={connect_timeout}")

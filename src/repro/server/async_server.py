@@ -44,7 +44,7 @@ import asyncio
 import gc
 import hmac
 import itertools
-import json
+import mmap
 import os
 import queue
 import signal
@@ -87,12 +87,19 @@ _CHILD_STATS = ("sessions_started", "auth_failures", "auth_refreshes",
 """What a process-tier child counts and its parent sums; the parent
 counts accepts, refusals, open connections and deaths itself."""
 
-_REPORT_BYTES = 4096
-"""Room for one child report (a small JSON object)."""
+_SLOT = {name: word for word, name in enumerate(
+    _CHILD_STATS + ("closed", "cut", "handed"))}
+"""A process-tier child's slot in its parent's shared map: one 8-byte
+word per name.  The child writes each of its words the moment the
+count changes -- ``_CHILD_STATS``, the connections it finished and
+whether its drain was cut off; the parent writes ``handed``, the
+connections it handed that child.  The parent reads the live slots and
+adds a slot into its own stats once its child is gone."""
+_CLOSED, _CUT, _HANDED = _SLOT["closed"], _SLOT["cut"], _SLOT["handed"]
 
 _EXIT_GRACE = 0.5
-"""Seconds past ``drain_timeout`` a draining child gets to report and
-exit before it is killed."""
+"""Seconds past ``drain_timeout`` a draining child gets to exit before
+it is killed."""
 
 
 @dataclass
@@ -118,15 +125,21 @@ class ServerStats:
 
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False)
-    _refresh: Callable[[], None] = field(default=lambda: None, repr=False)
-    """Runs before each snapshot (a parent merges its children's)."""
+    _slots: List[memoryview] = field(default_factory=list, repr=False)
+    """Process tier, parent: every child's slot (see ``_SLOT``)."""
 
     def snapshot(self) -> Dict[str, Any]:
-        """A JSON-ready copy of the counters."""
-        self._refresh()
+        """A JSON-ready copy of the counters, a parent's children's
+        slots added in."""
         with self._lock:
-            return {each.name: getattr(self, each.name)
+            snap = {each.name: getattr(self, each.name)
                     for each in fields(self) if each.name[0] != "_"}
+            for slot in self._slots:
+                for key in _CHILD_STATS:
+                    snap[key] += slot[_SLOT[key]]
+                snap["connections_open"] += slot[_HANDED] - slot[_CLOSED]
+                snap["drained"] = snap["drained"] and not slot[_CUT]
+        return snap
 
     def summary_line(self) -> str:
         """One-line summary (``serve``/``faultworker`` print it at exit)."""
@@ -335,18 +348,14 @@ class _Connection(asyncio.Protocol):
     # -- teardown ---------------------------------------------------------
 
     def close(self) -> None:
-        """Flush what was written, then close.  A process-tier child
-        reports first: its parent counts what closed the connection
-        before the client can see the close."""
+        """Flush what was written, then close."""
         self.closed = True
-        self.server._report()
         if self.transport is not None:
             self.transport.close()
 
     def abort(self) -> None:
-        """Tear the transport down immediately (reporting first)."""
+        """Tear the transport down immediately."""
         self.closed = True
-        self.server._report()
         if self.transport is not None:
             self.transport.abort()
 
@@ -359,15 +368,14 @@ class _Child:
     """0 once the child has exited and been reaped."""
     channel: socket.socket
     """The parent's end of the child's ``SOCK_SEQPACKET`` pair: sockets
-    and the drain order go down it, the child's reports come up."""
-    handed: int = 0
-    """Connections handed over, refusals excluded."""
-    report: Dict[str, Any] = field(default_factory=dict)
-    """The child's last report: its cumulative counts."""
+    and the drain order go down it, a "started" byte and the child's
+    EOF come up."""
+    slot: memoryview
+    """The child's words in the parent's shared map (see ``_SLOT``)."""
 
     @property
     def load(self) -> int:
-        return self.handed - self.report.get("closed", 0)
+        return self.slot[_HANDED] - self.slot[_CLOSED]
 
 
 class AsyncRMIServer:
@@ -410,17 +418,18 @@ class AsyncRMIServer:
         if max_connections < 1:
             raise ValueError(
                 f"max_connections must be >= 1, got {max_connections}")
-        if idle_timeout is not None and idle_timeout <= 0:
+        if idle_timeout is not None and not idle_timeout > 0:
             # It would expire at once: every tenant would be dropped
-            # before its first frame.
+            # before its first frame (a NaN one is due at every turn of
+            # the loop, which then spins).
             raise ValueError(
                 f"idle_timeout must be positive (or None for never), "
                 f"got {idle_timeout}")
-        if handshake_timeout <= 0:
+        if not handshake_timeout > 0:
             # Same expiry: even a correct token would be refused.
             raise ValueError(f"handshake_timeout must be positive, "
                              f"got {handshake_timeout}")
-        if drain_timeout < 0:
+        if not drain_timeout >= 0:
             raise ValueError(f"drain_timeout must be >= 0, "
                              f"got {drain_timeout}")
         if dispatch_workers < 1:
@@ -443,7 +452,7 @@ class AsyncRMIServer:
         self.dispatch_workers = dispatch_workers
         self.dispatch_tier = dispatch
         self.name = name
-        self.stats = ServerStats(_refresh=self._merge_sent_reports)
+        self.stats = ServerStats()
         self.address: Optional[Tuple[str, int]] = None
         self._session_ids = itertools.count(1)
         self._children: List[_Child] = []
@@ -452,8 +461,8 @@ class AsyncRMIServer:
         """Process tier, parent: the listening socket."""
         self._channel: Optional[socket.socket] = None
         """Process tier, child: its end of the parent's socket pair."""
-        self._closed = 0
-        """Process tier, child: handed-over connections finished."""
+        self._slot: Optional[memoryview] = None
+        """Process tier, child: its slot in the parent's shared map."""
         self._adopting: Set["asyncio.Task[None]"] = set()
         """Process tier, child: TLS handshakes in progress."""
         self._queue: "queue.SimpleQueue[Optional[Tuple[_Connection, bytes]]]" \
@@ -598,6 +607,8 @@ class AsyncRMIServer:
             await asyncio.sleep(0.01)
         with self.stats._lock:
             self.stats.drained = clean
+        if self._slot is not None:
+            self._slot[_CUT] = int(not clean)
         for conn in list(self._connections):
             conn.abort()
         while self._connections:  # connection_lost runs on a later turn
@@ -643,7 +654,6 @@ class AsyncRMIServer:
                         else self._session_factory())  # type: ignore[misc]
         conn.session_id = next(self._session_ids)
         self._bump("server.sessions", "sessions_started")
-        self._report()
         if self.idle_timeout is not None:
             assert self._loop is not None
             conn.idle_since = self._loop.time()
@@ -655,8 +665,8 @@ class AsyncRMIServer:
             return  # refused at capacity: never accounted
         self._connections.discard(conn)
         self._count_open(-1)
-        self._closed += 1
-        self._report()
+        if self._slot is not None:
+            self._slot[_CLOSED] += 1
 
     def _oversized(self, conn: _Connection) -> None:
         """A length prefix above ``MAX_FRAME_BYTES``: refused unread."""
@@ -671,21 +681,25 @@ class AsyncRMIServer:
     # ------------------------------------------------------------------
 
     def _prefork(self) -> None:
-        """Bind the listener and fork every child, all before the loop
-        thread exists; each child reports once it serves."""
+        """Bind the listener, map the children's slots and fork every
+        child, all before the loop thread exists; each child sends one
+        byte once it serves."""
         family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
         self._accepting = socket.create_server((self.host, self.port),
                                                family=family)
         self._accepting.setblocking(False)
         self.address = self._accepting.getsockname()[:2]
+        words = len(_SLOT)
+        shared = memoryview(mmap.mmap(
+            -1, 8 * words * self.dispatch_workers)).cast("q")
+        self.stats._slots = [shared[index * words:(index + 1) * words]
+                             for index in range(self.dispatch_workers)]
         try:
-            for _ in range(self.dispatch_workers):
-                child = self._fork_child()
+            for index in range(self.dispatch_workers):
+                child = self._fork_child(index)
                 self._children.append(child)
-                ready = child.channel.recv(_REPORT_BYTES)
-                if not ready:
+                if not child.channel.recv(1):
                     raise RemoteError("a child server exited at start-up")
-                self._merge(child, json.loads(ready))
         except BaseException:
             for child in self._children:
                 os.kill(child.pid, signal.SIGKILL)
@@ -695,19 +709,21 @@ class AsyncRMIServer:
             self._accepting.close()
             raise
 
-    def _fork_child(self) -> _Child:
+    def _fork_child(self, index: int) -> _Child:
         ours, theirs = socket.socketpair(socket.AF_UNIX,
                                          socket.SOCK_SEQPACKET)
+        slot = self.stats._slots[index]
         pid = os.fork()
         if pid == 0:
-            self._serve_as_child(theirs)
+            self._serve_as_child(theirs, slot)
         theirs.close()
-        return _Child(pid, ours)
+        return _Child(pid, ours, slot)
 
-    def _serve_as_child(self, channel: socket.socket) -> None:
+    def _serve_as_child(self, channel: socket.socket,
+                        slot: memoryview) -> None:
         """The forked child: a one-thread ``thread``-tier copy of this
-        server that serves the sockets its parent hands it, until told
-        to drain; then it reports a last time and exits."""
+        server that serves the sockets its parent hands it, counting
+        into ``slot``, until told to drain; then it exits."""
         status = 1
         try:
             from ..parallel.scenarios import reset_session_state
@@ -735,10 +751,10 @@ class AsyncRMIServer:
                 name=self.name)
             child.address = self.address
             child._channel = channel
+            child._slot = slot
             child.start()
-            child._report()
+            channel.send(b"s")
             child._finished.wait()
-            child._report()
             status = 0
         finally:
             os._exit(status)
@@ -758,8 +774,8 @@ class AsyncRMIServer:
         except OSError:  # another wake-up took it
             return
         with sock:
-            with self.stats._lock:
-                refused = self.stats.connections_open >= self.max_connections
+            refused = sum(each.load for each in self._children) \
+                >= self.max_connections
             child = min(self._children, key=lambda each: each.load)
             try:
                 socket.send_fds(child.channel, [b"r" if refused else b"a"],
@@ -769,68 +785,39 @@ class AsyncRMIServer:
         if refused:
             self._bump("server.connections.refused", "connections_refused")
             return
-        child.handed += 1
-        self._count_open(+1)
+        child.slot[_HANDED] += 1
+        self._count_open(0)
         self._bump("server.connections.accepted", "connections_accepted")
 
-    def _heard(self, slot: int) -> bool:
-        """Parent: a child's report, or its EOF -- it exited.  An exit
-        before the drain is a death: count it, fork the slot anew.
-        False if the channel held nothing (a snapshot merged it)."""
+    def _heard(self, slot: int) -> None:
+        """Parent: a replacement child's "started" byte, or a child's
+        EOF -- it exited.  Its slot goes into the stats (its open
+        connections closed with it); an exit before the drain is a
+        death: count it, fork the slot anew."""
         assert self._loop is not None
         child = self._children[slot]
         try:
-            report = child.channel.recv(_REPORT_BYTES, socket.MSG_DONTWAIT)
-        except BlockingIOError:
-            return False
+            if child.channel.recv(1):
+                return
         except OSError:
-            report = b""
-        if report:
-            self._merge(child, json.loads(report))
-            return True
+            pass
         self._loop.remove_reader(child.channel.fileno())
         child.channel.close()
         os.waitpid(child.pid, 0)
         child.pid = 0
-        self._count_open(-child.load)
-        if not self._draining:
-            self._bump("server.dispatch.worker_deaths", "worker_deaths")
-            self._children[slot] = self._fork_child()
-            self._watch(slot)
-        return True
-
-    def _merge_sent_reports(self) -> None:
-        """Parent: hear, on the loop thread, every report (or EOF) the
-        children's channels hold now; another thread waits for that."""
-        loop = self._loop
-        if not self._children or loop is None:
-            return
-        if threading.current_thread() is self._thread:
-            for slot in range(len(self._children)):
-                while self._children[slot].pid and self._heard(slot):
-                    pass
-            return
-        merged = threading.Event()
-        try:
-            loop.call_soon_threadsafe(
-                lambda: (self._merge_sent_reports(), merged.set()))
-        except RuntimeError:
-            return  # the loop has closed: no child is left to report
-        while not (merged.wait(0.05) or self._finished.is_set()):
-            pass
-
-    def _merge(self, child: _Child, report: Dict[str, Any]) -> None:
-        """Parent: fold a child's cumulative counts into the stats."""
-        last = child.report
         with self.stats._lock:
             for key in _CHILD_STATS:
-                setattr(self.stats, key, getattr(self.stats, key)
-                        + report[key] - last.get(key, 0))
-            self.stats.drained = self.stats.drained and report["drained"]
-        closed = report["closed"] - last.get("closed", 0)
-        child.report = report
-        if closed:
-            self._count_open(-closed)
+                setattr(self.stats, key,
+                        getattr(self.stats, key) + child.slot[_SLOT[key]])
+            self.stats.drained = self.stats.drained \
+                and not child.slot[_CUT]
+            for word in range(len(child.slot)):
+                child.slot[word] = 0
+        self._count_open(0)
+        if not self._draining:
+            self._bump("server.dispatch.worker_deaths", "worker_deaths")
+            self._children[slot] = self._fork_child(slot)
+            self._watch(slot)
 
     async def _drain_children(self) -> None:
         """Parent: stop accepting, tell every child to drain, and kill
@@ -885,21 +872,7 @@ class AsyncRMIServer:
         except OSError:  # a failed TLS handshake, a reset
             sock.close()
             if not refused:
-                self._closed += 1
-                self._report()
-
-    def _report(self) -> None:
-        """Child: send the parent this server's cumulative counts."""
-        if self._channel is None:
-            return
-        with self.stats._lock:
-            report = {key: getattr(self.stats, key) for key in _CHILD_STATS}
-            report["drained"] = self.stats.drained
-        report["closed"] = self._closed
-        try:
-            self._channel.send(json.dumps(report).encode())
-        except OSError:
-            pass  # the parent is gone; its EOF stops this server
+                self._slot[_CLOSED] += 1  # type: ignore[index]
 
     # ------------------------------------------------------------------
     # One frame: the handshake on the loop, everything else one hop away
@@ -1018,12 +991,7 @@ class AsyncRMIServer:
         """Count one dispatched frame."""
         if isinstance(request, BatchRequest):
             self._bump("server.batches", "batches_served")
-            with self.stats._lock:
-                self.stats.calls_served += len(request.calls)
-            if TELEMETRY.enabled:
-                TELEMETRY.metrics.counter(
-                    "server.calls",
-                    labels={"server": self.name}).inc(len(request.calls))
+            self._bump("server.calls", "calls_served", len(request.calls))
         else:
             self._bump("server.calls", "calls_served")
 
@@ -1059,19 +1027,28 @@ class AsyncRMIServer:
     def _auth_failure(self) -> None:
         self._bump("server.auth.failures", "auth_failures")
 
-    def _bump(self, metric: Optional[str], stat: str) -> None:
+    def _bump(self, metric: Optional[str], stat: str, by: int = 1) -> None:
+        """Count ``by`` more ``stat``; a process-tier child writes the
+        new count into its slot at once."""
         with self.stats._lock:
-            setattr(self.stats, stat, getattr(self.stats, stat) + 1)
+            count = getattr(self.stats, stat) + by
+            setattr(self.stats, stat, count)
+            if self._slot is not None and stat in _SLOT:
+                self._slot[_SLOT[stat]] = count
         if metric is not None and TELEMETRY.enabled:
             TELEMETRY.metrics.counter(
-                metric, labels={"server": self.name}).inc()
+                metric, labels={"server": self.name}).inc(by)
 
     def _count_open(self, delta: int) -> None:
+        """Move the open count by ``delta`` and raise the peak.  A
+        parent's own count stays 0: it adds what its children's slots
+        hold open."""
         with self.stats._lock:
             self.stats.connections_open += delta
-            if self.stats.connections_open > self.stats.connections_peak:
-                self.stats.connections_peak = self.stats.connections_open
-            open_now = self.stats.connections_open
+            open_now = self.stats.connections_open + sum(
+                child.load for child in self._children)
+            self.stats.connections_peak = max(self.stats.connections_peak,
+                                              open_now)
             peak = self.stats.connections_peak
         if TELEMETRY.enabled:
             labels = {"server": self.name}

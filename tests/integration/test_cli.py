@@ -323,15 +323,23 @@ class TestRemoteFarmCli:
         ["atpg", "c17", "--max-backtracks", "-1"],
         ["scoap", "c17", "--top", "-1"],
         ["faultworker", "--serve-seconds", "0"],
+        # NaN passed a `<= 0` check, then crashed the serve wait or
+        # spun the event loop; inf crashed the serve wait.
+        ["faultworker", "--serve-seconds", "nan"],
+        ["faultworker", "--serve-seconds", "inf"],
+        ["serve", "--serve-seconds", "0.5", "--idle-timeout", "nan"],
+        ["faultsim", "c17", "--rmi-timeout", "inf"],
     ], ids=" ".join)
     def test_nonsensical_counts_are_usage_errors(self, argv, capsys):
-        """Every count option is typed: a count that used to crash or
-        run as given is refused before any work."""
+        """Every count and duration option is typed: a value that used
+        to crash or run as given is refused before any work, with one
+        error line."""
         with pytest.raises(SystemExit) as caught:
             main(argv)
         assert caught.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {argv[-2]}: must be " in err
+        assert err.count("error:") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--tls-cert", "--tls-key"])

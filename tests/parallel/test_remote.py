@@ -101,6 +101,33 @@ class TestEndpointParsing:
         with pytest.raises(ParallelExecutionError):
             parse_endpoint("host:http")
 
+    def test_ipv6_host_loses_its_brackets(self):
+        assert parse_endpoint("[::1]:9000") == ("::1", 9000)
+        assert parse_endpoint("[fe80::1%eth0]:80") == ("fe80::1%eth0", 80)
+        # Unbracketed, the last colon still starts the port.
+        assert parse_endpoint("::1:9000") == ("::1", 9000)
+        with pytest.raises(ParallelExecutionError):
+            parse_endpoint("[]:9000")
+
+    def test_a_bracketed_endpoint_reaches_an_ipv6_farm(self):
+        """``--remote [::1]:PORT`` used to look up the host "[::1]"."""
+        server = JavaCADServer("farm6")
+        register_fault_farm(server)
+        _host, port = server.serve_tcp("::1", 0)
+        try:
+            endpoint = f"[::1]:{port}"
+            transport = TcpTransport(*parse_endpoint(endpoint))
+            try:
+                assert transport.invoke(FAULT_FARM_OBJECT, "ping") == "pong"
+            finally:
+                transport.close()
+            netlist, fault_list, patterns = figure4_campaign(patterns=16)
+            serial = SerialFaultSimulator(netlist, fault_list).run(patterns)
+            remote = remote_fault_simulate("figure4", patterns, [endpoint])
+            assert diff_reports(remote, serial) == []
+        finally:
+            server.stop_tcp()
+
     def test_empty_pool_rejected(self):
         with pytest.raises(ParallelExecutionError):
             RemoteWorkerPool([])

@@ -46,14 +46,16 @@ class TestConstruction:
             RemoteWorkerPool(["h:1"], connect_retries=-1)
 
     def test_rejects_nonpositive_backoff(self):
-        with pytest.raises(ParallelExecutionError):
-            RemoteWorkerPool(["h:1"], connect_backoff=0)
+        for seconds in (0, float("nan")):
+            with pytest.raises(ParallelExecutionError):
+                RemoteWorkerPool(["h:1"], connect_backoff=seconds)
 
     def test_rejects_nonpositive_timeouts(self):
         for option in ("timeout", "connect_timeout"):
-            with pytest.raises(ParallelExecutionError,
-                               match="must be positive"):
-                RemoteWorkerPool(["h:1"], **{option: 0})
+            for seconds in (0, float("nan")):
+                with pytest.raises(ParallelExecutionError,
+                                   match="must be positive"):
+                    RemoteWorkerPool(["h:1"], **{option: seconds})
 
 
 class TestDeadEndpoints:

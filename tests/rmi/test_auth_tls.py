@@ -94,8 +94,9 @@ class TestConnectTimeout:
 
     def test_constructor_rejects_nonpositive(self):
         for option in ("timeout", "connect_timeout"):
-            with pytest.raises(ValueError, match="must be positive"):
-                TcpTransport("127.0.0.1", 1, **{option: 0})
+            for seconds in (0, float("nan")):
+                with pytest.raises(ValueError, match="must be positive"):
+                    TcpTransport("127.0.0.1", 1, **{option: seconds})
 
     def test_dead_endpoint_fails_fast_with_oserror_cause(self):
         probe = socket.socket()

@@ -85,15 +85,17 @@ class TestConstruction:
             AsyncRMIServer(session_factory=echo_session,
                            max_connections=0)
 
-    @pytest.mark.parametrize("seconds", [0, -1])
+    @pytest.mark.parametrize("seconds", [0, -1, float("nan")])
     def test_rejects_a_non_positive_idle_timeout(self, seconds):
-        # It would time out every tenant's first read at once.
+        # It would time out every tenant's first read at once; a NaN
+        # one passed `<= 0` and spun the event loop.
         with pytest.raises(ValueError, match="idle_timeout"):
             AsyncRMIServer(JavaCADServer("x"), idle_timeout=seconds)
 
     @pytest.mark.parametrize("option, value", [
         ("handshake_timeout", 0), ("handshake_timeout", -1),
-        ("drain_timeout", -0.5),
+        ("handshake_timeout", float("nan")),
+        ("drain_timeout", -0.5), ("drain_timeout", float("nan")),
         ("dispatch_workers", 0), ("dispatch_workers", -2),
     ])
     def test_rejects_what_would_break_it_later(self, option, value):

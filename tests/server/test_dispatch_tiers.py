@@ -15,6 +15,7 @@ import os
 import signal
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -305,6 +306,80 @@ class TestWorkerDeath:
             assert server.stats.worker_deaths == 1
             assert server.stats.sessions_started == 3
             assert "worker_deaths=1" in server.stats.summary_line()
+
+    def test_a_killed_childs_counts_survive_it(self):
+        """A child counts into its slot of the parent's shared map as
+        each count changes, so SIGKILL mid-connection loses none of
+        what it served."""
+        with running("process", dispatch_workers=1) as (server, host, port):
+            tenant = TcpTransport(host, port)
+            try:
+                assert [tenant.invoke("echo", "ping", (value,), {})
+                        for value in range(5)] == [0, 2, 4, 6, 8]
+                replies = tenant.invoke_batch([
+                    CallRequest("echo", "ping", (5,)),
+                    CallRequest("echo", "ping", (6,)),
+                    CallRequest("echo", "pid")])
+                assert [reply.result for reply in replies[:2]] == [10, 12]
+                os.kill(replies[2].result, signal.SIGKILL)
+                wait_for(lambda: deaths(server) == 1)
+                snapshot = server.stats.snapshot()
+            finally:
+                tenant.close()
+        assert (snapshot["calls_served"], snapshot["batches_served"],
+                snapshot["sessions_started"],
+                snapshot["connections_open"]) == (8, 1, 1, 0)
+
+
+class TestSharedCounts:
+    def test_snapshots_neither_lose_nor_double_a_count(self):
+        """Tenants call on three children while a reader snapshots on
+        through the drain, where the parent adds each child's slot into
+        its own stats: the calls a snapshot reads only ever grow, and
+        end exact."""
+        tenants, calls = 4, 50
+        seen, failures = [], []
+        done = threading.Event()
+
+        def reader(server):
+            while not done.is_set():
+                seen.append(server.stats.snapshot()["calls_served"])
+                time.sleep(0.001)
+
+        def tenant(host, port):
+            transport = TcpTransport(host, port)
+            try:
+                for value in range(calls):
+                    transport.invoke("echo", "ping", (value,), {})
+            except Exception as exc:  # pragma: no cover - diagnostic
+                failures.append(exc)
+            finally:
+                transport.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with running("process", dispatch_workers=3) as (server, host,
+                                                             port):
+                watcher = threading.Thread(target=reader, args=(server,))
+                watcher.start()
+                threads = [threading.Thread(target=tenant, args=(host, port))
+                           for _ in range(tenants)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                server.stop()
+            done.set()
+            watcher.join(timeout=10)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not failures
+        assert not any(thread.is_alive() for thread in threads + [watcher])
+        assert seen == sorted(seen) and seen[-1] <= tenants * calls
+        assert server.stats.snapshot()["calls_served"] \
+            == server.stats.calls_served == tenants * calls
 
 
 class TestDrainDeadline:
