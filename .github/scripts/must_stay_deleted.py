@@ -186,6 +186,15 @@ RULES = (
     Rule(r"publish_netlist_component|obfuscate_faults", SRC, None,
          "a publish path that can export structural fault names is back "
          "(IPProvider._publish builds every .test fault list opaque)"),
+    # An injection run is copy on write over the fault-free run.
+    Rule(r"\bprime_all\b|\bfault_free = \{connector", (*SRC, "tests",
+                                                    "examples"), None,
+         "full-snapshot priming is back (an injection reads the "
+         "fault-free run's values through SimulationController's "
+         "fallback= and clears only the tables it touched)"),
+    Rule(r"\bfallback=", SRC, "src/repro/faults/virtual.py",
+         "a copy-on-write controller is built outside Figure 5's "
+         "injection run", exactly=1),
 )
 
 

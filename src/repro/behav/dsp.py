@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Any, Callable, List, Optional,
                     Sequence, Tuple)
 
-from ..core.errors import DesignError
+from ..core.errors import DesignError, check_positive
 from ..core.module import ModuleSkeleton
 from ..core.port import PortDirection
 from ..core.token import SelfTriggerToken, SignalToken, Token
@@ -28,9 +28,7 @@ class StreamSource(ModuleSkeleton):
     def __init__(self, frames: Sequence[Frame], out: StreamConnector,
                  period: float = 1.0, name: Optional[str] = None):
         super().__init__(name=name)
-        if period <= 0:
-            raise DesignError(f"source {self.name!r}: period must be "
-                              f"positive")
+        check_positive(f"source {self.name!r}: period", period)
         self.frames = tuple(frames)
         self.period = period
         self.add_port("out", PortDirection.OUT, 1, connector=out)

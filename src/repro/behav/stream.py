@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from ..core.connector import Connector
-from ..core.errors import ConnectionError_
+from ..core.errors import ConnectionError_, check_positive
 from ..core.signal import SignalValue
 from ..rmi.marshal import register_value_type
 
@@ -30,8 +30,7 @@ class Frame:
 
     def __init__(self, samples: Iterable[int], rate: float = 1.0):
         self._samples: Tuple[int, ...] = tuple(int(s) for s in samples)
-        if rate <= 0:
-            raise ValueError("sample rate must be positive")
+        check_positive("sample rate", rate)
         self._rate = float(rate)
 
     @property

@@ -57,6 +57,7 @@ class PublicFunctionalModel(ModuleSkeleton):
 
     def process_input_event(self, token: SignalToken, ctx) -> None:
         scheduler_id = ctx.scheduler_id
+        fallback_id = ctx.fallback_id
         bits = []
         # Last pin first: inputs driven in port order leave the last one
         # unknown until all have arrived, so a wait costs one read.
@@ -64,7 +65,7 @@ class PublicFunctionalModel(ModuleSkeleton):
             if port.connector is None:
                 raise SimulationError(
                     f"port {port.full_name} is not connected")
-            bit = port.connector.get_value(scheduler_id)
+            bit = port.connector.get_value(scheduler_id, fallback_id)
             if bit is not Logic.ZERO and bit is not Logic.ONE:
                 return  # one unknown input decides; skip the rest
             bits.append(bit)

@@ -27,6 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from ..core.errors import check_positive
 from ..rmi.marshal import marshal
 
 
@@ -117,7 +118,8 @@ class ResponseCache:
         Upper bound on live entries; inserting beyond it evicts the
         least recently used entry.
     ttl:
-        Default time-to-live in seconds (``None`` = no expiry).
+        Default time-to-live in seconds, positive and finite (``None`` =
+        no expiry).
     time_fn:
         Clock used for TTL bookkeeping; injectable so tests (and
         virtual-time callers) control expiry deterministically.
@@ -128,8 +130,8 @@ class ResponseCache:
                  time_fn: Optional[Callable[[], float]] = None):
         if max_entries < 1:
             raise ValueError("cache needs room for at least one entry")
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive (or None for no expiry)")
+        if ttl is not None:
+            check_positive("ttl", ttl)
         import time
         self.max_entries = max_entries
         self.ttl = ttl
@@ -162,6 +164,8 @@ class ResponseCache:
         """Store ``value`` under ``key`` (``ttl`` overrides the default)."""
         if not isinstance(value, bytes):
             raise TypeError("ResponseCache stores marshalled bytes only")
+        if ttl is not None:
+            check_positive("ttl", ttl)
         now = self._time()
         live_ttl = self.ttl if ttl is None else ttl
         expires = now + live_ttl if live_ttl is not None else None

@@ -13,8 +13,8 @@ from .coordinator import RunConfig, SimulationCoordinator
 from .design import Circuit, Design
 from .errors import (BillingError, ConnectionError_, DesignError,
                      EstimationError, FaultSimulationError,
-                     IPProtectionError, MarshalError, RemoteError,
-                     ReproError, SchedulerInterferenceError,
+                     IPProtectionError, MarshalError, ParameterError,
+                     RemoteError, ReproError, SchedulerInterferenceError,
                      SecurityViolationError, SetupError, SimulationError,
                      WidthMismatchError)
 from .fanout import Delay, Fanout
@@ -38,9 +38,9 @@ __all__ = [
     "Circuit", "Design",
     "BillingError", "ConnectionError_", "DesignError", "EstimationError",
     "FaultSimulationError", "IPProtectionError", "MarshalError",
-    "RemoteError", "ReproError", "SchedulerInterferenceError",
-    "SecurityViolationError", "SetupError", "SimulationError",
-    "WidthMismatchError",
+    "ParameterError", "RemoteError", "ReproError",
+    "SchedulerInterferenceError", "SecurityViolationError", "SetupError",
+    "SimulationError", "WidthMismatchError",
     "Delay", "Fanout",
     "ClockGenerator", "PatternPrimaryInput", "PrimaryOutput",
     "RandomPrimaryInput", "Register",

@@ -103,10 +103,21 @@ class Connector:
         """Validate that a value is legal for this connector; raise if not."""
         raise NotImplementedError
 
-    def get_value(self, scheduler_id: int) -> SignalValue:
-        """Current value as seen by the given scheduler."""
+    def get_value(self, scheduler_id: int,
+                  fallback_id: Optional[int] = None) -> SignalValue:
+        """Current value as seen by the given scheduler.
+
+        ``fallback_id`` is the scheduler's copy-on-write fallback
+        (:attr:`~repro.core.scheduler.Scheduler.fallback_id`): where
+        ``scheduler_id`` stored no value, that scheduler's is seen.
+        """
         value = self._values.get(scheduler_id)  # None is no signal value
-        return self.default_value() if value is None else value
+        if value is None:
+            if fallback_id is not None:
+                value = self._values.get(fallback_id)
+            if value is None:
+                return self.default_value()
+        return value
 
     def set_value(self, scheduler_id: int, value: SignalValue) -> None:
         """Set the current value for the given scheduler."""

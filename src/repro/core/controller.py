@@ -18,7 +18,7 @@ import contextvars
 import threading
 from dataclasses import dataclass
 from heapq import heappop
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from ..net.clock import CostModel, VirtualClock
 from ..telemetry.runtime import TELEMETRY
@@ -39,8 +39,8 @@ class SimulationContext:
     through it, which is what enforces scheduler isolation.
     """
 
-    __slots__ = ("scheduler", "scheduler_id", "controller", "overrides",
-                 "clock", "cost")
+    __slots__ = ("scheduler", "scheduler_id", "fallback_id", "controller",
+                 "overrides", "clock", "cost")
 
     def __init__(self, scheduler: Scheduler,
                  controller: "SimulationController",
@@ -48,6 +48,10 @@ class SimulationContext:
         self.scheduler = scheduler
         #: Identity of the active scheduler (keys all state LUTs).
         self.scheduler_id: int = scheduler.scheduler_id
+        #: The scheduler's copy-on-write fallback, passed with
+        #: ``scheduler_id`` to every ``Connector.get_value`` (None on a
+        #: plain run).
+        self.fallback_id: Optional[int] = scheduler.fallback_id
         self.controller = controller
         #: The controller's handler overrides by module id (the live
         #: dict: usually empty, so ``receive`` tests it before a lookup).
@@ -99,17 +103,27 @@ class SimulationController:
     clock, cost_model:
         Virtual time accounting.  Several controllers may share one clock
         (e.g. a client controller and the accounting of its remote calls).
+    fallback:
+        A controller whose stored values this one reads wherever it has
+        stored none of its own (copy on write, see
+        :class:`~repro.core.scheduler.Scheduler`); :meth:`teardown` then
+        clears only what this run stored.  The fallback's values must
+        not change while this controller is alive.
     """
 
     def __init__(self, circuit: Circuit, setup: Any = None,
                  clock: Optional[VirtualClock] = None,
                  cost_model: Optional[CostModel] = None,
-                 name: Optional[str] = None):
+                 name: Optional[str] = None,
+                 fallback: "Optional[SimulationController]" = None):
         self.circuit = circuit
         self.setup = setup
         self.clock = clock or VirtualClock()
         self.cost = cost_model or CostModel()
-        self.scheduler = Scheduler(name=f"{name or 'sim'}-queue")
+        self.scheduler = Scheduler(
+            name=f"{name or 'sim'}-queue",
+            fallback_id=(None if fallback is None
+                         else fallback.scheduler.scheduler_id))
         self.name = name or f"controller-{self.scheduler.scheduler_id}"
         self._overrides: Dict[int, HandlerOverride] = {}
         self._observers: List[Any] = []
@@ -161,13 +175,9 @@ class SimulationController:
     def prime(self, connector: Any, value: SignalValue) -> None:
         """Preset a connector's value for this controller's scheduler."""
         connector.set_value(self.scheduler.scheduler_id, value)
-
-    def prime_all(self, snapshot: Mapping[Any, SignalValue]) -> None:
-        """:meth:`prime` every connector of ``snapshot`` in one pass."""
-        scheduler_id = self.scheduler.scheduler_id
-        for connector, value in snapshot.items():
-            connector.check_value(value)
-            connector._values[scheduler_id] = value
+        touched = self.scheduler.touched
+        if touched is not None:
+            touched.append(connector._values)
 
     def inject(self, port: Port, value: SignalValue,
                delay: float = 0.0) -> None:
@@ -188,8 +198,11 @@ class SimulationController:
             return
         self._initialized = True
         noop = ModuleSkeleton.initialize
+        touched = self.scheduler.touched
         for module in self.circuit.modules:
             if type(module).initialize is not noop:
+                if touched is not None:
+                    touched.append(module._state)
                 module.initialize(self._context)
 
     def start(self, max_time: Optional[float] = None,
@@ -213,9 +226,12 @@ class SimulationController:
         # Loop invariants: none of these is rebound while a run lasts
         # (the queue is the scheduler's own heap, emptied in place).
         # Untraced, the loop pops that heap itself and sets ``now`` and
-        # ``events_delivered`` exactly as Scheduler.pop would.
+        # ``events_delivered`` exactly as Scheduler.pop would.  A
+        # copy-on-write scheduler records the tables each event may
+        # store in: its connector's values and its target's state.
         scheduler = self.scheduler
         scheduler_id = scheduler.scheduler_id
+        touched = scheduler.touched
         queue = scheduler._queue
         pop = scheduler.pop
         context = self._context
@@ -246,6 +262,11 @@ class SimulationController:
                     connector = token.port.connector
                     if connector is not None:
                         connector.set_value(scheduler_id, token.value)
+                if touched is not None:
+                    touched.append(target._state)
+                    if isinstance(token, SignalToken) \
+                            and connector is not None:
+                        touched.append(connector._values)
                 if observers:
                     for observer in observers:
                         observer(token, context)
@@ -299,7 +320,10 @@ class SimulationController:
         if results is None:
             raise SimulationError(
                 f"setup {self.setup!r} has no results sink")
+        touched = self.scheduler.touched
         for module in self.circuit.modules:
+            if touched is not None:
+                touched.append(module._state)
             token = EstimationToken(module, self.setup, results)
             token.time = instant
             token.scheduler_id = self.scheduler.scheduler_id
@@ -308,8 +332,20 @@ class SimulationController:
     # ------------------------------------------------------------------
 
     def teardown(self) -> None:
-        """Drop all per-scheduler state created by this controller."""
-        self.circuit.clear_scheduler_state(self.scheduler.scheduler_id)
+        """Drop all per-scheduler state created by this controller.
+
+        A copy-on-write controller pops its entry from exactly the
+        tables its run touched; any other clears the whole circuit.
+        """
+        scheduler = self.scheduler
+        touched = scheduler.touched
+        if touched is None:
+            self.circuit.clear_scheduler_state(scheduler.scheduler_id)
+            return
+        scheduler_id = scheduler.scheduler_id
+        for table in touched:
+            table.pop(scheduler_id, None)
+        touched.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimulationController({self.name!r}, {self.circuit!r})"

@@ -101,7 +101,7 @@ class Circuit:
         the scan; it may add connectors of its own to be cleared.
         Entries are dropped from each module's and connector's table
         directly (what ``clear_state`` / ``clear`` do, without a call
-        per object: this runs after every injection run).
+        per object: this runs after every fault-free run of a campaign).
         """
         for module in self._modules:
             module._state.pop(scheduler_id, None)

@@ -5,6 +5,8 @@ callers can catch everything raised by the framework with a single
 ``except`` clause while still distinguishing subsystems.
 """
 
+import math
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -42,6 +44,29 @@ class EstimationError(ReproError):
 
 class SetupError(EstimationError):
     """A setup controller could not satisfy a requested criterion."""
+
+
+class ParameterError(DesignError, EstimationError, ValueError):
+    """A number outside the range its parameter documents.
+
+    Raised by :func:`check_positive`, where the number enters.  It is a
+    ``ValueError``, and also the ``DesignError`` / ``EstimationError``
+    that the constructors calling the checker raised before it.
+    """
+
+
+def check_positive(name: str, value: float, zero: bool = False) -> None:
+    """Refuse ``value`` unless it is finite and positive.
+
+    With ``zero``, zero is allowed as well.  The refusal is a
+    :class:`ParameterError` naming ``name``.  ``value <= 0`` alone would
+    let NaN through (every comparison with NaN is false), and an
+    infinity too.
+    """
+    if not (math.isfinite(value) and (value > 0 or (zero and value == 0))):
+        bound = "non-negative" if zero else "positive"
+        raise ParameterError(
+            f"{name} must be {bound} and finite, got {value!r}")
 
 
 class MarshalError(ReproError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .connector import Connector
-from .errors import DesignError
+from .errors import DesignError, check_positive
 from .module import ModuleSkeleton
 from .port import PortDirection
 from .token import SignalToken
@@ -40,8 +40,9 @@ class Fanout(ModuleSkeleton):
             raise DesignError(
                 f"fanout {self.name!r}: {len(branches)} branches but "
                 f"{len(delays)} delays")
-        if any(delay < 0 for delay in delays):
-            raise DesignError(f"fanout {self.name!r}: negative branch delay")
+        for delay in delays:
+            check_positive(f"fanout {self.name!r}: branch delay", delay,
+                           zero=True)
         self.width = width
         self.delays = tuple(delays)
         self.add_port("in", PortDirection.IN, width, connector=source)
@@ -61,8 +62,8 @@ class Delay(ModuleSkeleton):
     def __init__(self, width: int, source: Connector, target: Connector,
                  delay: float, name: Optional[str] = None):
         super().__init__(name=name)
-        if delay < 0:
-            raise DesignError(f"delay module {self.name!r}: negative delay")
+        check_positive(f"delay module {self.name!r}: delay", delay,
+                       zero=True)
         self.delay = delay
         self.add_port("in", PortDirection.IN, width, connector=source)
         self.add_port("out", PortDirection.OUT, width, connector=target)

@@ -12,7 +12,7 @@ from typing import (TYPE_CHECKING, Any, List, Optional, Sequence, Tuple,
                     Union)
 
 from .connector import Connector
-from .errors import DesignError, SimulationError
+from .errors import DesignError, SimulationError, check_positive
 from .module import ModuleSkeleton
 from .port import PortDirection
 from .signal import Logic, SignalValue, Word
@@ -51,8 +51,7 @@ class PatternPrimaryInput(ModuleSkeleton):
         super().__init__(name=name)
         if not connectors:
             raise DesignError(f"input {self.name!r} drives no connector")
-        if period <= 0:
-            raise DesignError(f"input {self.name!r}: period must be positive")
+        check_positive(f"input {self.name!r}: period", period)
         self.width = width
         self.period = period
         self._patterns: Tuple[SignalValue, ...] = tuple(
@@ -141,8 +140,7 @@ class Register(ModuleSkeleton):
                  clock: Optional[Connector] = None, delay: float = 0.0,
                  name: Optional[str] = None):
         super().__init__(name=name)
-        if delay < 0:
-            raise DesignError(f"register {self.name!r}: negative delay")
+        check_positive(f"register {self.name!r}: delay", delay, zero=True)
         self.width = width
         self.delay = delay
         self.add_port("d", PortDirection.IN, width, connector=data_in)
@@ -191,8 +189,7 @@ class ClockGenerator(ModuleSkeleton):
                  cycles: Optional[int] = None, start_high: bool = True,
                  name: Optional[str] = None):
         super().__init__(name=name)
-        if period <= 0:
-            raise DesignError(f"clock {self.name!r}: period must be positive")
+        check_positive(f"clock {self.name!r}: period", period)
         self.period = period
         self.cycles = cycles
         self.start_high = start_high

@@ -32,7 +32,8 @@ def deliver(route: Optional[Route], value: SignalValue, scheduler: Any,
     The one way a value leaves a port, however it got there
     (:meth:`ModuleSkeleton.emit`, ``SimulationController.inject``,
     ``drive_connector``): no route drops the value, a route with no
-    peer just records it on the connector, and a peer that cannot read
+    peer just records it on the connector (and, on a copy-on-write
+    scheduler, in its ``touched`` tables), and a peer that cannot read
     is refused.
     """
     if route is None:
@@ -40,6 +41,8 @@ def deliver(route: Optional[Route], value: SignalValue, scheduler: Any,
     connector, peer, owner = route
     if peer is None:
         connector.set_value(scheduler.scheduler_id, value)
+        if scheduler.touched is not None:
+            scheduler.touched.append(connector._values)
     elif not peer.can_read:
         raise SimulationError(
             f"peer port {peer.full_name} cannot receive events")
@@ -145,7 +148,7 @@ class ModuleSkeleton:
         if port.connector is None:
             raise SimulationError(
                 f"port {port.full_name} is not connected")
-        return port.connector.get_value(ctx.scheduler_id)
+        return port.connector.get_value(ctx.scheduler_id, ctx.fallback_id)
 
     def emit(self, port_name: str, value: SignalValue,
              ctx: "SimulationContext", delay: float = 0.0) -> None:

@@ -28,11 +28,23 @@ class Scheduler:
 
     Ties at equal simulated time are broken by scheduling order, which
     makes runs deterministic.
+
+    A scheduler built with ``fallback_id`` is copy on write over that
+    scheduler's stored values: a read finds the fallback's value
+    wherever this one stored none, and ``touched`` lists every
+    per-scheduler table (a connector's values, a module's state) this
+    one may have stored an entry in, so that its run clears exactly
+    those.  Without a fallback, ``touched`` is None and reads of an
+    unstored value see the connector's default.
     """
 
-    def __init__(self, name: Optional[str] = None):
+    def __init__(self, name: Optional[str] = None,
+                 fallback_id: Optional[int] = None):
         self.scheduler_id: int = next_id("scheduler")
         self.name = name or f"scheduler{self.scheduler_id}"
+        self.fallback_id = fallback_id
+        self.touched: Optional[List[dict]] = (
+            None if fallback_id is None else [])
         self.now: float = 0.0
         self.events_delivered: int = 0
         self._queue: List[Tuple[float, int, Token]] = []

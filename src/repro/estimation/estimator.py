@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any, Callable, Tuple
 
-from ..core.errors import EstimationError
+from ..core.errors import check_positive
 from ..core.module import ModuleSkeleton
 from ..telemetry.runtime import TELEMETRY
 from .parameter import NullValue, ParamValue
@@ -37,10 +37,9 @@ class EstimatorSkeleton:
     def __init__(self, parameter: str, name: str,
                  expected_error: float = 0.0, cost: float = 0.0,
                  cpu_time: float = 0.0, units: str = ""):
-        if expected_error < 0:
-            raise EstimationError("expected error cannot be negative")
-        if cost < 0 or cpu_time < 0:
-            raise EstimationError("cost and CPU time cannot be negative")
+        check_positive("expected_error", expected_error, zero=True)
+        check_positive("cost", cost, zero=True)
+        check_positive("cpu_time", cpu_time, zero=True)
         self.parameter = parameter
         self.name = name
         self.expected_error = expected_error

@@ -44,7 +44,20 @@ class DetectionTable(ParamValue):
             tuple(pattern): frozenset(names)
             for pattern, names in rows.items()
         }
-        self.value = self  # ParamValue protocol: the table is the value
+
+    @property
+    def value(self) -> "DetectionTable":
+        """The ParamValue protocol's value: the table itself.
+
+        A property, not an attribute: a table that referred to itself
+        would be a reference cycle, freed only by the cyclic collector
+        long after its last use (a campaign's tables are megabytes).
+        """
+        return self
+
+    @value.setter
+    def value(self, value: Any) -> None:
+        """``ParamValue.__init__`` stores its ``value`` (None); ignored."""
 
     # -- queries ----------------------------------------------------------
 

@@ -8,11 +8,14 @@ for each IP block it sends the provider the signal configuration at the
 block's inputs and receives a :class:`~repro.faults.detection.DetectionTable`;
 for each table row it injects the erroneous output pattern at the
 block's outputs into an otherwise fault-free copy of the design (a fresh
-single-instant scheduler whose connector values are primed from the
-fault-free run and whose faulty module's event handling is replaced),
-propagates, and marks every fault of the row detected if any primary
-output differs.  Detected faults are dropped from the fault list and the
-simulation history records the incremental coverage.
+single-instant scheduler that reads the fault-free run's connector
+values wherever it has stored none, and whose faulty module's event
+handling is replaced), propagates, and marks every fault of the row
+detected if any primary output differs.  Only the output ports whose
+faulty value differs from the fault-free one are injected: an unchanged
+value would re-deliver what every reader already sees.  Detected faults
+are dropped from the fault list and the simulation history records the
+incremental coverage.
 
 No netlist ever crosses the boundary: the provider sees only port
 values, the user sees only symbolic names and output patterns.
@@ -117,6 +120,14 @@ class IPBlockClient:
             bits.extend(_value_bits(port.connector.get_value(scheduler_id)))
         return tuple(bits)
 
+    def output_values(self, scheduler_id: int
+                      ) -> Tuple[Optional[SignalValue], ...]:
+        """The value at each output port (None where unconnected), in
+        :meth:`~repro.core.module.ModuleSkeleton.output_ports` order."""
+        return tuple(None if port.connector is None
+                     else port.connector.get_value(scheduler_id)
+                     for port in self.module.output_ports())
+
     def fetch_table(self, input_bits: Tuple[Logic, ...],
                     undetected: Sequence[str]) -> DetectionTable:
         """Get the detection table, reusing cached tables.
@@ -143,8 +154,16 @@ class IPBlockClient:
         return table
 
     def inject_outputs(self, controller: SimulationController,
-                       pattern: Sequence[Logic]) -> None:
-        """Assign a faulty output configuration at the block's outputs."""
+                       pattern: Sequence[Logic],
+                       fault_free: Sequence[Optional[SignalValue]]
+                       ) -> None:
+        """Assign a faulty output configuration at the block's outputs.
+
+        ``fault_free`` holds each port's fault-free value (see
+        :meth:`output_values`); a port whose faulty value equals it is
+        not injected, and a word port is injected whole when any of its
+        bits differs.
+        """
         ports = self.module.output_ports()
         expected = sum(port.width for port in ports)
         if expected != len(pattern):
@@ -152,7 +171,7 @@ class IPBlockClient:
                 f"output pattern width {len(pattern)} does not match the "
                 f"block's output ports ({expected} bits)")
         offset = 0
-        for port in ports:
+        for port, good in zip(ports, fault_free):
             width = port.width
             value: SignalValue
             if width == 1:
@@ -160,7 +179,8 @@ class IPBlockClient:
             else:
                 value = Word.from_bits(pattern[offset:offset + width])
             offset += width
-            controller.inject(port, value)
+            if value != good:
+                controller.inject(port, value)
 
 
 def _value_bits(value: SignalValue) -> Tuple[Logic, ...]:
@@ -281,17 +301,11 @@ class VirtualFaultSimulator:
         good = SimulationController(self.circuit, clock=self.clock,
                                     cost_model=self.cost, name="fault-free")
         good_sid = good.scheduler.scheduler_id
-        # The one structure scan of the pattern: wiring cannot change
-        # while it is simulated, so the fault-free run and every
-        # injection run below prime from and clear over this tuple.
-        connectors = self.circuit.connectors()
         newly: Set[str] = set()
         try:
             self._drive(good, pattern)
             good.start()
-            good_outputs = self._observe(good_sid)
-            fault_free = {connector: connector.get_value(good_sid)
-                          for connector in connectors}
+            good_outputs = self._observe(good)
             for block in self.ip_blocks:
                 if block.name not in live:
                     continue
@@ -302,54 +316,55 @@ class VirtualFaultSimulator:
                     continue
                 newly.update(
                     f"{block.name}:{name}" for name in self._try_rows(
-                        block, table, undetected, fault_free, good_outputs))
+                        block, table, undetected, good, good_outputs))
         finally:
             # A primary input nothing in the circuit reads is primed by
             # drive_connector but is no connector of the circuit.
             self.circuit.clear_scheduler_state(
-                good_sid, (*connectors, *self.inputs.values()))
+                good_sid, (*self.circuit.connectors(),
+                           *self.inputs.values()))
         return [qualified for qualified in remaining if qualified in newly]
 
     def _try_rows(self, block: IPBlockClient, table: DetectionTable,
-                  undetected: Sequence[str],
-                  fault_free: Mapping[Connector, SignalValue],
+                  undetected: Sequence[str], good: SimulationController,
                   good_outputs: Dict[str, SignalValue]) -> Set[str]:
         detected: Set[str] = set()
         undetected_set = set(undetected)
+        fault_free = block.output_values(good.scheduler.scheduler_id)
         # The wire's row order (Logic is an IntEnum): see _table_to_wire.
         for faulty_pattern, names in sorted(table.rows.items(),
                                             key=itemgetter(0)):
             live = names & undetected_set
             if not live:
                 continue
-            if self._injection_detects(block, faulty_pattern, fault_free,
-                                       good_outputs):
+            if self._injection_detects(block, faulty_pattern, good,
+                                       fault_free, good_outputs):
                 detected |= live
         return detected
 
     def _injection_detects(self, block: IPBlockClient,
                            faulty_pattern: Tuple[Logic, ...],
-                           fault_free: Mapping[Connector, SignalValue],
+                           good: SimulationController,
+                           fault_free: Sequence[Optional[SignalValue]],
                            good_outputs: Dict[str, SignalValue]) -> bool:
         """Figure 5 step 2: inject, propagate, compare primary outputs."""
+        # Copy on write over the fault-free run: a connector no event
+        # reaches keeps its fault-free value, and teardown clears only
+        # what this run stored.
         injection = SimulationController(self.circuit, clock=self.clock,
                                          cost_model=self.cost,
-                                         name="injection")
+                                         name="injection", fallback=good)
         self.injection_runs += 1
         try:
-            # Retain the fault-free signal values everywhere.
-            injection.prime_all(fault_free)
             # The faulty module's event handling is replaced: it holds
             # the injected outputs no matter what reaches its inputs.
             injection.override_handler(block.module,
                                        lambda module, token, ctx: None)
-            block.inject_outputs(injection, faulty_pattern)
+            block.inject_outputs(injection, faulty_pattern, fault_free)
             injection.start()
-            bad_outputs = self._observe(injection.scheduler.scheduler_id)
-            return bad_outputs != good_outputs
+            return self._observe(injection) != good_outputs
         finally:
-            self.circuit.clear_scheduler_state(
-                injection.scheduler.scheduler_id, fault_free)
+            injection.teardown()
 
     # ------------------------------------------------------------------
 
@@ -369,6 +384,10 @@ class VirtualFaultSimulator:
                 value = Word(int(raw), connector.width)
             drive_connector(controller, connector, value)
 
-    def _observe(self, scheduler_id: int) -> Dict[str, SignalValue]:
-        return {name: connector.get_value(scheduler_id)
+    def _observe(self, controller: SimulationController
+                 ) -> Dict[str, SignalValue]:
+        scheduler = controller.scheduler
+        scheduler_id = scheduler.scheduler_id
+        fallback_id = scheduler.fallback_id
+        return {name: connector.get_value(scheduler_id, fallback_id)
                 for name, connector in self.outputs.items()}

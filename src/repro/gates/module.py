@@ -62,13 +62,14 @@ class LogicGateModule(ModuleSkeleton):
     def process_input_event(self, token: SignalToken,
                             ctx: "SimulationContext") -> None:
         scheduler_id = ctx.scheduler_id
+        fallback_id = ctx.fallback_id
         values = []
         for port in self._pins:
             connector = port.connector
             if connector is None:
                 raise SimulationError(
                     f"port {port.full_name} is not connected")
-            value = connector.get_value(scheduler_id)
+            value = connector.get_value(scheduler_id, fallback_id)
             if not isinstance(value, Logic):
                 raise DesignError(
                     f"gate module {self.name!r} needs Logic inputs")

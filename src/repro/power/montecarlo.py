@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-from ..core.errors import EstimationError
+from ..core.errors import EstimationError, check_positive
 from .constant import operands_to_inputs
 from .toggle import PowerModel
 
@@ -62,8 +62,7 @@ def monte_carlo_power(model: PowerModel,
     ``relative_tolerance x mean`` (after ``min_patterns``), or at
     ``max_patterns`` with ``converged=False``.
     """
-    if relative_tolerance <= 0:
-        raise EstimationError("relative tolerance must be positive")
+    check_positive("relative_tolerance", relative_tolerance)
     if min_patterns < 2:
         raise EstimationError("need at least two patterns for a CI")
     rng = random.Random(seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..core.connector import Connector
-from ..core.errors import DesignError
+from ..core.errors import check_positive
 from ..core.module import ModuleSkeleton
 from ..core.port import PortDirection
 from ..core.signal import Logic, Word
@@ -34,8 +34,7 @@ class BinaryWordOp(ModuleSkeleton):
                  out_width: Optional[int] = None, delay: float = 0.0,
                  name: Optional[str] = None):
         super().__init__(name=name)
-        if delay < 0:
-            raise DesignError(f"module {self.name!r}: negative delay")
+        check_positive(f"module {self.name!r}: delay", delay, zero=True)
         self.width = width
         self.out_width = out_width or width
         self.delay = delay
@@ -141,6 +140,7 @@ class WordMux(ModuleSkeleton):
                  b: Connector, o: Connector, delay: float = 0.0,
                  name: Optional[str] = None):
         super().__init__(name=name)
+        check_positive(f"mux {self.name!r}: delay", delay, zero=True)
         self.width = width
         self.delay = delay
         self.add_port("sel", PortDirection.IN, 1, connector=sel)

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import (Circuit, Logic, ModuleSkeleton,
                         PatternPrimaryInput, PortDirection, PrimaryOutput,
-                        SimulationController, SimulationError, Word,
-                        WordConnector, connect)
+                        Register, SimulationController, SimulationError,
+                        Word, WordConnector, connect)
 from repro.estimation import (AVERAGE_POWER, ByName, ConstantEstimator,
                               SetupController)
 
@@ -99,6 +99,85 @@ class TestPrimeAndInject:
         assert str(injected.value) == str(emitted.value) \
             == "peer port b.o cannot receive events"
         assert controller.scheduler.pending == 0
+
+
+class TestCopyOnWrite:
+    """A controller built with ``fallback=`` reads the fallback's values
+    wherever it stored none, and its teardown pops only its own."""
+
+    @staticmethod
+    def chain():
+        """a.o -> w1 -> register -> w2 -> OUT; b.o -> w3 (no reader)."""
+        a, b = ModuleSkeleton("a"), ModuleSkeleton("b")
+        out = a.add_port("o", PortDirection.OUT, 8)
+        spare = b.add_port("o", PortDirection.OUT, 8)
+        w1, w2, w3 = WordConnector(8), WordConnector(8), WordConnector(8)
+        w1.attach(out)
+        w3.attach(spare)
+        register = Register(8, w1, w2, name="R")
+        sink = PrimaryOutput(8, w2, name="OUT")
+        circuit = Circuit(a, b, register, sink)
+        return circuit, out, spare, (w1, w2, w3), (register, sink)
+
+    def test_reads_fall_back_and_stores_shadow(self):
+        circuit, out, spare, (w1, w2, w3), (_register, sink) = \
+            self.chain()
+        good = SimulationController(circuit)
+        good.inject(out, Word(1, 8))
+        good.inject(spare, Word(3, 8))  # no peer: stored, not scheduled
+        good.start()
+        overlay = SimulationController(circuit, fallback=good)
+        sid = overlay.scheduler.scheduler_id
+        fallback = overlay.context.fallback_id
+        assert fallback == good.scheduler.scheduler_id
+        assert w2.get_value(sid, fallback) == Word(1, 8)
+        assert w3.get_value(sid, fallback) == Word(3, 8)
+        assert not w3.get_value(sid).known  # a plain read: the default
+        overlay.inject(out, Word(2, 8))
+        stats = overlay.start()
+        assert stats.events == 2
+        assert w2.get_value(sid, fallback) == Word(2, 8)
+        assert w2.get_value(good.scheduler.scheduler_id) == Word(1, 8)
+        assert sink.last_value(overlay.context) == Word(2, 8)
+
+    def test_teardown_pops_only_what_the_run_stored(self):
+        circuit, out, spare, connectors, modules = self.chain()
+        good = SimulationController(circuit)
+        good.inject(out, Word(1, 8))
+        good.inject(spare, Word(3, 8))
+        good.start()
+        before = [dict(table._values) for table in connectors] \
+            + [dict(module._state) for module in modules]
+        overlay = SimulationController(circuit, fallback=good)
+        overlay.inject(out, Word(2, 8))
+        overlay.inject(spare, Word(4, 8))  # the peer-less store
+        overlay.start()
+        sid = overlay.scheduler.scheduler_id
+        assert all(sid in table._values for table in connectors)
+        assert all(sid in module._state for module in modules)
+        overlay.teardown()
+        after = [dict(table._values) for table in connectors] \
+            + [dict(module._state) for module in modules]
+        assert after == before
+        assert overlay.scheduler.touched == []
+
+    def test_an_unreached_connector_is_never_touched(self):
+        circuit, out, _spare, (w1, w2, w3), _modules = self.chain()
+        good = SimulationController(circuit)
+        good.inject(out, Word(1, 8))
+        good.start()
+        overlay = SimulationController(circuit, fallback=good)
+        overlay.start()
+        assert overlay.scheduler.touched == []
+        assert w2.get_value(overlay.scheduler.scheduler_id,
+                            overlay.context.fallback_id) == Word(1, 8)
+
+    def test_a_plain_controller_keeps_no_log(self):
+        circuit, _source, _sink = simple_pipeline([1, 2])
+        controller = SimulationController(circuit)
+        controller.start()
+        assert controller.scheduler.touched is None
+        assert controller.context.fallback_id is None
 
 
 class TestEstimationSweep:

@@ -1,0 +1,93 @@
+"""Numeric parameters are refused where they enter: NaN and the
+infinities as well as zero and negatives, by one checker that names the
+parameter (``repro.core.errors.check_positive``)."""
+
+import math
+
+import pytest
+
+from repro.behav.dsp import StreamSource
+from repro.behav.stream import Frame, StreamConnector
+from repro.cache.response import ResponseCache
+from repro.core import (BitConnector, ClockGenerator, Delay, DesignError,
+                        EstimationError, Fanout, ParameterError,
+                        PatternPrimaryInput, Register, WordConnector)
+from repro.estimation import EstimatorSkeleton
+from repro.gates import parity_tree
+from repro.power import ToggleCountModel
+from repro.power.montecarlo import monte_carlo_power
+from repro.rtl import WordAdder, WordMux
+
+VALUES = [math.nan, math.inf, -math.inf, 0, -1]
+
+
+def words(count):
+    return [WordConnector(8) for _ in range(count)]
+
+
+#: (what is called, the parameter its message names, values it
+#: allows among VALUES).  Zero is allowed for a delay (the value moves
+#: in the same instant) and for an estimator's error, cost and CPU time;
+#: it is their default everywhere but ``Delay``.
+CALLS = {
+    "ResponseCache.ttl": (lambda v: ResponseCache(ttl=v), "ttl", ()),
+    "ResponseCache.put.ttl": (
+        lambda v: ResponseCache().put("o.m:k", b"v", ttl=v), "ttl", ()),
+    "Frame.rate": (lambda v: Frame([1], rate=v), "rate", ()),
+    "StreamSource.period": (
+        lambda v: StreamSource([], StreamConnector(), period=v), "period",
+        ()),
+    "PatternPrimaryInput.period": (
+        lambda v: PatternPrimaryInput(1, [0], BitConnector(), period=v),
+        "period", ()),
+    "Register.delay": (
+        lambda v: Register(8, *words(2), delay=v), "delay", (0,)),
+    "WordAdder.delay": (
+        lambda v: WordAdder(8, *words(3), delay=v), "delay", (0,)),
+    "WordMux.delay": (
+        lambda v: WordMux(8, BitConnector(), *words(3), delay=v), "delay",
+        (0,)),
+    "Fanout.delays": (
+        lambda v: Fanout(8, *words(1), words(2), delays=[0.0, v]),
+        "branch delay", (0,)),
+    "Delay.delay": (
+        lambda v: Delay(8, *words(2), delay=v), "delay", (0,)),
+    "EstimatorSkeleton.expected_error": (
+        lambda v: EstimatorSkeleton("p", "e", expected_error=v),
+        "expected_error", (0,)),
+    "EstimatorSkeleton.cost": (
+        lambda v: EstimatorSkeleton("p", "e", cost=v), "cost", (0,)),
+    "EstimatorSkeleton.cpu_time": (
+        lambda v: EstimatorSkeleton("p", "e", cpu_time=v), "cpu_time",
+        (0,)),
+    "ClockGenerator.period": (
+        lambda v: ClockGenerator(BitConnector(), period=v), "period", ()),
+    "monte_carlo_power.relative_tolerance": (
+        lambda v: monte_carlo_power(ToggleCountModel(parity_tree(4)),
+                                    ("i",), (4,), relative_tolerance=v),
+        "relative_tolerance", ()),
+}
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+@pytest.mark.parametrize("call", list(CALLS))
+def test_out_of_range_values_are_refused_by_name(call, value):
+    build, parameter, allowed = CALLS[call]
+    if value in allowed:
+        build(value)  # documented as allowed
+        return
+    with pytest.raises(ParameterError, match=parameter):
+        build(value)
+
+
+def test_the_refusal_is_every_error_the_constructors_raised_before():
+    assert issubclass(ParameterError, ValueError)
+    assert issubclass(ParameterError, DesignError)
+    assert issubclass(ParameterError, EstimationError)
+
+
+def test_an_in_range_value_passes_through():
+    assert Frame([1], rate=0.5).rate == 0.5
+    assert Register(8, WordConnector(8), WordConnector(8),
+                    delay=0.25).delay == 0.25
+

@@ -1,5 +1,8 @@
 """Detection tables: construction, queries, marshalling."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import Logic
@@ -62,6 +65,21 @@ class TestConstruction:
         lead to the same detection table."""
         assert table_for(ip1, 1, 0) == table_for(ip1, 1, 0)
         assert table_for(ip1, 1, 0) != table_for(ip1, 0, 1)
+
+
+    def test_a_table_dies_with_its_last_reference(self, ip1):
+        """The table is its own ParamValue ``value`` without referring
+        to itself: no reference cycle keeps it for the cyclic
+        collector."""
+        table = table_for(ip1, 1, 0)
+        assert table.value is table
+        dead = weakref.ref(table)
+        gc.disable()
+        try:
+            del table
+            assert dead() is None
+        finally:
+            gc.enable()
 
 
 class TestMarshalling:

@@ -2,15 +2,17 @@
 
 import pytest
 
-from repro.bench import PublicFunctionalModel, build_figure4
+from repro.bench import PublicFunctionalModel, build_embedded, build_figure4
 from repro.core import (BitConnector, Circuit, ConnectionError_,
-                        FaultSimulationError, Logic,
-                        SimulationController, SimulationError, Word)
-from repro.faults import (DetectionTable, TestabilityServant,
-                          build_fault_list)
+                        FaultSimulationError, Logic, ModuleSkeleton,
+                        PortDirection, PrimaryOutput, SimulationController,
+                        SimulationError, Word, WordConnector)
+from repro.faults import (DetectionTable, IPBlockClient,
+                          TestabilityServant, build_fault_list)
 from repro.faults.detection import _table_to_wire
 from repro.faults.virtual import drive_connector
 from repro.gates import ip1_block
+from repro.gates.corpus import load_bench
 
 
 class TestServant:
@@ -117,6 +119,41 @@ class TestNothingLeftBehind:
         assert setup.simulator.injection_runs > 0
         assert self.leftovers(setup, spare) == []
 
+    def test_injection_runs_leave_nothing_figure4(self):
+        """Figure 4 with O2 read by no module: gF's output route has no
+        peer, so every value reaching O2 is ``deliver``'s direct store,
+        in the fault-free run and in the injections alike."""
+        setup = build_figure4(collapse="none")
+        po2 = setup.circuit.module("PO2").port("in")
+        o2 = po2.connector
+        o2.detach(po2)
+        stores = []
+        set_value = o2.set_value
+
+        def recorded(scheduler_id, value):
+            stores.append(scheduler_id)
+            set_value(scheduler_id, value)
+
+        o2.set_value = recorded
+        patterns = [dict(zip("ABCD", ((index >> 3) & 1, (index >> 2) & 1,
+                                      (index >> 1) & 1, index & 1)))
+                    for index in range(16)]
+        report = setup.simulator.run(patterns)
+        assert setup.simulator.injection_runs > 0 and report.detected
+        # Injection runs stored on O2 too, not only the 16 fault-free.
+        assert len(set(stores)) > len(patterns)
+        assert self.leftovers(setup, o2) == []
+
+    def test_injection_runs_leave_nothing_embedded_alu8(self):
+        experiment = build_embedded(load_bench("alu8"), block_name="IP")
+        virtual = experiment.virtual
+        virtual.run(experiment.random_patterns(16, seed=1))
+        assert virtual.injection_runs > 0
+        assert [c.name for c in (*virtual.circuit.connectors(),
+                                 *virtual.inputs.values()) if c._values] \
+            == []
+        assert [m.name for m in virtual.circuit.modules if m._state] == []
+
     def test_missing_input_error_still_tears_down(self):
         setup = build_figure4(collapse="none")
         spare = BitConnector("SPARE")
@@ -142,11 +179,67 @@ class TestInjectOutputs:
         setup = build_figure4(collapse="none")
         controller = SimulationController(setup.circuit)
         block = setup.simulator.ip_blocks[0]
+        fault_free = (Logic.ZERO, Logic.ZERO)
         for width in (1, 3):
             with pytest.raises(FaultSimulationError,
                                match="output pattern width"):
-                block.inject_outputs(controller, [Logic.ONE] * width)
+                block.inject_outputs(controller, [Logic.ONE] * width,
+                                     fault_free)
         assert controller.scheduler.empty
+
+    @staticmethod
+    def word_and_bit_block():
+        """A block with a 3-bit word output ``w`` and a bit output ``b``,
+        each read by a primary output (so an injection is a token)."""
+        block = ModuleSkeleton("blk")
+        word = WordConnector(3)
+        bit = BitConnector()
+        block.add_port("w", PortDirection.OUT, 3, connector=word)
+        block.add_port("b", PortDirection.OUT, 1, connector=bit)
+        circuit = Circuit(block, PrimaryOutput(3, word, name="PW"),
+                          PrimaryOutput(1, bit, name="PB"))
+        return circuit, IPBlockClient(block, stub=None)
+
+    def scheduled(self, fault_free, pattern):
+        circuit, client = self.word_and_bit_block()
+        controller = SimulationController(circuit)
+        client.inject_outputs(controller, pattern, fault_free)
+        return sorted((token.port.owner.name, token.value)
+                      for _time, _seq, token in controller.scheduler._queue)
+
+    def test_an_unchanged_bit_is_not_scheduled(self):
+        assert self.scheduled(
+            (Word(5, 3), Logic.ONE),
+            (Logic.ZERO, Logic.ZERO, Logic.ONE, Logic.ONE)) \
+            == [("PW", Word(4, 3))]
+
+    def test_an_unchanged_word_is_not_scheduled(self):
+        assert self.scheduled(
+            (Word(5, 3), Logic.ONE),
+            (Logic.ONE, Logic.ZERO, Logic.ONE, Logic.ZERO)) \
+            == [("PB", Logic.ZERO)]
+
+    def test_a_word_with_one_flipped_bit_is_scheduled_whole(self):
+        assert self.scheduled(
+            (Word(5, 3), Logic.ONE),
+            (Logic.ONE, Logic.ONE, Logic.ONE, Logic.ONE)) \
+            == [("PW", Word(7, 3))]
+
+    def test_x_and_z_compare_as_themselves(self):
+        unknown = (Logic.X, Logic.X, Logic.X)
+        # X against X and Z against Z are unchanged ...
+        assert self.scheduled((Word.unknown(3), Logic.X),
+                              unknown + (Logic.X,)) == []
+        assert self.scheduled((Word(0, 3), Logic.Z),
+                              (Logic.ZERO,) * 3 + (Logic.Z,)) == []
+        # ... Z against X, X against 0 and a known word against an
+        # unknown one are not.
+        assert self.scheduled((Word.unknown(3), Logic.X),
+                              (Logic.ZERO,) * 3 + (Logic.Z,)) \
+            == [("PB", Logic.Z), ("PW", Word(0, 3))]
+        assert self.scheduled((Word(0, 3), Logic.ZERO),
+                              (Logic.ZERO, Logic.X, Logic.ZERO, Logic.X)) \
+            == [("PB", Logic.X), ("PW", Word.unknown(3))]
 
 
 class TestRowOrder:
@@ -167,7 +260,8 @@ class TestRowOrder:
             setup.simulator, "_injection_detects",
             lambda block, pattern, *rest: injected.append(pattern))
         setup.simulator._try_rows(setup.simulator.ip_blocks[0], table,
-                                  names, {}, {})
+                                  names, SimulationController(setup.circuit),
+                                  {})
         assert injected == [tuple(pattern) for pattern, _names
                             in _table_to_wire(table)["rows"]]
         assert injected == sorted(

@@ -2,10 +2,13 @@
 
 The client's clock is charged per delivered event and per wire byte, so
 making the backplane cheaper on the host must move none of these.  The
-totals below were recorded at the parent commit (757e932), before the
-per-pattern connector snapshot, the cached port views and the
-lane-shared table rows; the harness's ``--selfcheck`` pins the same
-quantities at full size, outside tier-1.
+totals below were recorded at commit 757e932, before the per-pattern
+connector snapshot, the cached port views and the lane-shared table
+rows; ``cpu``, ``wall`` and ``events`` were re-pinned once since, when
+injection runs stopped injecting the block outputs a fault leaves
+unchanged (fewer events are charged: a deliberate change to the cost
+model, see docs/faults.md).  The harness's ``--selfcheck`` pins the
+same quantities at full size, outside tier-1.
 """
 
 import hashlib
@@ -98,18 +101,18 @@ def digest(detected):
 
 PINNED = {
     embedded_alu8: {
-        "cpu": 15.311467999999152, "wall": 406.54746799999833,
-        "injection_runs": 124, "controllers": 140, "events": 3424,
+        "cpu": 6.660427999999808, "wall": 397.8964280000004,
+        "injection_runs": 124, "controllers": 140, "events": 1272,
         "bytes_sent": 41509, "bytes_received": 55025,
         "detected": (183, "50a3b0d85ab60767")},
     figure4: {
-        "cpu": 1.439450000000004, "wall": 24.239449999999973,
-        "injection_runs": 12, "controllers": 28, "events": 256,
+        "cpu": 1.3429700000000035, "wall": 24.142969999999973,
+        "injection_runs": 12, "controllers": 28, "events": 232,
         "bytes_sent": 2229, "bytes_received": 3096,
         "detected": (36, "e57e3bf0f798dab3")},
     transition_alu8: {
-        "cpu": 14.642301999999203, "wall": 352.84630199999776,
-        "injection_runs": 117, "controllers": 133, "events": 3284,
+        "cpu": 6.570141999999809, "wall": 344.7741419999997,
+        "injection_runs": 117, "controllers": 133, "events": 1276,
         "bytes_sent": 34395, "bytes_received": 48956,
         "detected": (132, "9f29d1174c0408d8")},
 }
