@@ -195,6 +195,17 @@ RULES = (
     Rule(r"\bfallback=", SRC, "src/repro/faults/virtual.py",
          "a copy-on-write controller is built outside Figure 5's "
          "injection run", exactly=1),
+    # A context holds no reference to its controller (no cycle: both
+    # are freed by reference counting), and an injection compares only
+    # the primary-output tables its run touched.
+    Rule(r"self\.controller = controller|\b(ctx|context)\.controller\b",
+         (*SRC, "tests", "examples"), None,
+         "SimulationContext.controller is back (a controller <-> "
+         "context cycle leaves every run to the cyclic collector)"),
+    Rule(r"\b_observe\(", (*SRC, "tests", "examples"), None,
+         "a per-injection _observe of every primary output is back "
+         "(copy on write: only the output tables the run touched can "
+         "differ from the fault-free run)"),
 )
 
 

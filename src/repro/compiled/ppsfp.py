@@ -81,6 +81,10 @@ def pack_patterns(inputs: Sequence[str],
     codes = bytes(values)
     value = codes.translate(_VALUE_DIGITS)
     care = codes.translate(_CARE_DIGITS)
+    if len(patterns) == 1:
+        # Each word is one digit (a single-pattern servant or public
+        # model call): read the digits, not ``count`` one-digit texts.
+        return [digit - 48 for digit in value], [digit - 48 for digit in care]
     return ([int(value[k::count], 2) for k in range(count)],
             [int(care[k::count], 2) for k in range(count)])
 
@@ -91,11 +95,15 @@ def _unpack_bit(v: int, c: int, bit: int) -> Logic:
     return Logic.X
 
 
-def _unpack_lane(words: Sequence[int], output_index: Sequence[int],
-                 lane: int) -> Tuple[Logic, ...]:
-    """One lane's primary-output values out of a kernel result."""
-    return tuple(_unpack_bit(words[2 * index], words[2 * index + 1], lane)
-                 for index in output_index)
+def _set_lanes(mask: int) -> List[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    digits = bin(mask)[:1:-1]  # least significant bit first
+    lanes: List[int] = []
+    lane = digits.find("1")
+    while lane >= 0:
+        lanes.append(lane)
+        lane = digits.find("1", lane + 1)
+    return lanes
 
 
 def _injection(kernel: CompiledKernel, fault: Any) -> Tuple[int, bool]:
@@ -189,6 +197,21 @@ class CompiledSimulator:
                 words[2 * index], words[2 * index + 1], 0)
         return values
 
+    def _fault_free(self, input_values: Mapping[str, Logic]
+                    ) -> Tuple[List[int], List[int], Tuple[int, ...],
+                               Tuple[Logic, ...]]:
+        """One packed good run: the input words, every net's words and
+        the primary outputs (an output that is also a primary input
+        keeps its raw echo, ``Z`` stays ``Z``, as in :meth:`evaluate`)."""
+        kernel = self.kernel
+        iv, ic = pack_patterns(kernel.inputs, [input_values])
+        words = kernel.run_good(iv, ic)
+        echoed = len(kernel.inputs)
+        return iv, ic, words, tuple(
+            input_values[kernel.nets[index]] if index < echoed
+            else _unpack_bit(words[2 * index], words[2 * index + 1], 0)
+            for index in kernel.output_index)
+
     def outputs(self, input_values: Mapping[str, Logic],
                 fault: Any = None) -> Tuple[Logic, ...]:
         """Primary-output values only, in declaration order.
@@ -200,15 +223,9 @@ class CompiledSimulator:
         if fault is not None:
             values = self.evaluate(input_values, fault=fault)
             return tuple(values[net] for net in self.netlist.outputs)
-        kernel = self.kernel
-        iv, ic = pack_patterns(kernel.inputs, [input_values])
-        words = kernel.run_good(iv, ic)
-        _record_work(kernel.gate_count, 1)
-        echoed = len(kernel.inputs)
-        return tuple(
-            input_values[kernel.nets[index]] if index < echoed
-            else _unpack_bit(words[2 * index], words[2 * index + 1], 0)
-            for index in kernel.output_index)
+        outputs = self._fault_free(input_values)[3]
+        _record_work(self.kernel.gate_count, 1)
+        return outputs
 
     def outputs_for_faults(self, input_values: Mapping[str, Logic],
                            faults: Sequence[Any]
@@ -216,47 +233,64 @@ class CompiledSimulator:
         """Faulty primary outputs for many faults of one input pattern.
 
         Equivalent to ``[self.outputs(input_values, fault=f) for f in
-        faults]`` but lane-packed (:func:`_fault_lanes`, block of one
-        pattern).  This is the path under detection-table construction.
+        faults]``; see :meth:`detection_outputs`.
+        """
+        return self.detection_outputs(input_values, faults)[1]
+
+    def detection_outputs(self, input_values: Mapping[str, Logic],
+                          faults: Sequence[Any]
+                          ) -> Tuple[Tuple[Logic, ...],
+                                     List[Tuple[Logic, ...]]]:
+        """The fault-free primary outputs of one input pattern, and each
+        fault's; a fault that leaves them unchanged gets the fault-free
+        tuple itself.
+
+        One pack, one good run and lane-packed faulty runs
+        (:func:`_fault_lanes`, block of one pattern).  Each run's work
+        beyond the kernel scales with what the faults changed: lane
+        ``k`` differs from the fault-free run at an output exactly where
+        ``(vg ^ vf) | (cg ^ cf)`` has bit ``k`` (the canonical encoding,
+        as in :meth:`CompiledFaultSimulator._detection_words`), so only
+        those (lane, output) bits are unpacked, each into a copy of the
+        fault-free tuple.  Equal faulty rows of one call share a tuple.
+        This is the path under detection-table construction.
         """
         kernel = self.kernel
-        iv, ic = pack_patterns(kernel.inputs, [input_values])
+        iv, ic, good, fault_free = self._fault_free(input_values)
         sites = self._sites
-        injections = []
-        for fault in faults:
-            entry = sites.get(id(fault))
-            if entry is None:
-                entry = sites[id(fault)] = (fault, _injection(kernel, fault))
-            injections.append(entry[1])
+        try:
+            injections = [sites[id(fault)][1] for fault in faults]
+        except KeyError:
+            for fault in faults:
+                if id(fault) not in sites:
+                    sites[id(fault)] = (fault, _injection(kernel, fault))
+            injections = [sites[id(fault)][1] for fault in faults]
         results: List[Tuple[Logic, ...]] = []
-        runs = 0
+        shared: Dict[Tuple[Logic, ...], Tuple[Logic, ...]] = {}
+        runs = 1
         for count, rep, words in _fault_lanes(kernel, iv, ic, 1,
                                               injections):
             runs += 1
-            # Lanes that agree on every output word share one row, and
-            # most faults leave the outputs as lane 0 has them: split
-            # the lanes word by word, then unpack one lane per group
-            # and hand its tuple to the group's other lanes.
-            groups = [rep]
-            for index in kernel.output_index:
-                for word in words[2 * index:2 * index + 2]:
-                    other = ~word
-                    groups = [part for group in groups
-                              for part in (group & word, group & other)
-                              if part]
-            rows = [_unpack_lane(words, kernel.output_index, 0)] * count
-            for group in groups:
-                if group & 1:
-                    continue  # lane 0's own group: already in place
-                row = _unpack_lane(words, kernel.output_index,
-                                   (group & -group).bit_length() - 1)
-                while group:
-                    low = group & -group
-                    rows[low.bit_length() - 1] = row
-                    group ^= low
+            rows = [fault_free] * count
+            changed: Dict[int, List[Logic]] = {}
+            for slot, index in enumerate(kernel.output_index):
+                pos = 2 * index
+                value, care = words[pos], words[pos + 1]
+                diff = (good[pos] * rep ^ value) \
+                    | (good[pos + 1] * rep ^ care)
+                if not diff:
+                    continue
+                for lane in _set_lanes(diff):
+                    row = changed.get(lane)
+                    if row is None:
+                        row = changed[lane] = list(fault_free)
+                    row[slot] = _unpack_bit(value, care, lane)
+            for lane, row in changed.items():
+                faulty = tuple(row)
+                rows[lane] = shared.setdefault(faulty, faulty)
             results += rows
-        _record_work(kernel.gate_count * len(injections), runs)
-        return results
+        _record_work(kernel.gate_count * (1 + len(injections)), runs)
+        return fault_free, results
 
 
 class CompiledFaultSimulator:

@@ -34,16 +34,19 @@ from .token import EstimationToken, SignalToken, Token
 class SimulationContext:
     """Everything a module may touch while handling a token.
 
-    The context binds the *current* scheduler, controller, virtual clock
-    and cost model; modules must route all scheduling and cost charging
-    through it, which is what enforces scheduler isolation.
+    The context binds the *current* scheduler, the controller's handler
+    overrides, virtual clock and cost model; modules must route all
+    scheduling and cost charging through it, which is what enforces
+    scheduler isolation.  It holds no reference to its controller, so a
+    controller and its scheduler are freed by reference counting as
+    soon as their run's caller drops them.
     """
 
-    __slots__ = ("scheduler", "scheduler_id", "fallback_id", "controller",
-                 "overrides", "clock", "cost")
+    __slots__ = ("scheduler", "scheduler_id", "fallback_id", "overrides",
+                 "clock", "cost")
 
     def __init__(self, scheduler: Scheduler,
-                 controller: "SimulationController",
+                 overrides: Dict[int, HandlerOverride],
                  clock: VirtualClock, cost: CostModel):
         self.scheduler = scheduler
         #: Identity of the active scheduler (keys all state LUTs).
@@ -52,10 +55,9 @@ class SimulationContext:
         #: ``scheduler_id`` to every ``Connector.get_value`` (None on a
         #: plain run).
         self.fallback_id: Optional[int] = scheduler.fallback_id
-        self.controller = controller
         #: The controller's handler overrides by module id (the live
         #: dict: usually empty, so ``receive`` tests it before a lookup).
-        self.overrides: Dict[int, HandlerOverride] = controller._overrides
+        self.overrides = overrides
         self.clock = clock
         self.cost = cost
 
@@ -128,7 +130,7 @@ class SimulationController:
         self._overrides: Dict[int, HandlerOverride] = {}
         self._observers: List[Any] = []
         self._initialized = False
-        self._context = SimulationContext(self.scheduler, self,
+        self._context = SimulationContext(self.scheduler, self._overrides,
                                           self.clock, self.cost)
 
     # ------------------------------------------------------------------
@@ -192,18 +194,17 @@ class SimulationController:
         """Run every module's ``initialize`` hook exactly once.
 
         A module whose class keeps the base class's no-op hook is
-        skipped: an injection run builds a controller per table row.
+        skipped (:attr:`~repro.core.design.Circuit.initializers`): an
+        injection run builds a controller per table row.
         """
         if self._initialized:
             return
         self._initialized = True
-        noop = ModuleSkeleton.initialize
         touched = self.scheduler.touched
-        for module in self.circuit.modules:
-            if type(module).initialize is not noop:
-                if touched is not None:
-                    touched.append(module._state)
-                module.initialize(self._context)
+        for module in self.circuit.initializers:
+            if touched is not None:
+                touched.append(module._state)
+            module.initialize(self._context)
 
     def start(self, max_time: Optional[float] = None,
               max_events: Optional[int] = None) -> SimulationStats:

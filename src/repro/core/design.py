@@ -43,6 +43,12 @@ class Circuit:
                     f"duplicate module name {module.name!r} in circuit "
                     f"{name!r}")
             self._by_name[module.name] = module
+        noop = ModuleSkeleton.initialize
+        #: The modules whose class has an ``initialize`` hook of its
+        #: own: a controller calls no other module's no-op hook.
+        self.initializers: Tuple[ModuleSkeleton, ...] = tuple(
+            module for module in self._modules
+            if type(module).initialize is not noop)
 
     # -- access -----------------------------------------------------------
 

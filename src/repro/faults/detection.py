@@ -103,20 +103,21 @@ def build_detection_table(netlist: Netlist, fault_list: FaultList,
 
     Simulates the fault-free component for ``input_values``, then every
     (remaining) fault; faults whose output pattern differs from the
-    fault-free one are grouped by that erroneous pattern.  ``only``
+    fault-free one are grouped by that erroneous pattern (the
+    simulator's ``detection_outputs`` hands every other fault the
+    fault-free tuple itself, so an identity test finds them).  ``only``
     restricts the computation to the user's still-undetected faults.
     ``simulator`` is what :func:`repro.compiled.simulator_for` returns
     for either engine (the compiled one gives every fault a bit lane
     of one kernel run); both build identical tables.
     """
     simulator = simulator or NetlistSimulator(netlist)
-    fault_free = simulator.outputs(input_values)
     names = tuple(only) if only is not None else fault_list.names()
+    fault_free, outputs = simulator.detection_outputs(
+        input_values, fault_list.faults(names))
     rows: Dict[OutputPattern, set] = {}
-    faults = [fault_list.fault(name) for name in names]
-    for name, faulty in zip(
-            names, simulator.outputs_for_faults(input_values, faults)):
-        if faulty != fault_free:
+    for name, faulty in zip(names, outputs):
+        if faulty is not fault_free:
             rows.setdefault(faulty, set()).add(name)
     input_pattern = tuple(input_values[net] for net in netlist.inputs)
     return DetectionTable(netlist.name, input_pattern, fault_free, rows)

@@ -120,6 +120,14 @@ class FaultList:
                 f"component {self.component!r} has no fault {name!r}"
             ) from None
 
+    def faults(self, names: Sequence[str]) -> List[StuckAtFault]:
+        """The representative faults behind many symbolic names, in
+        order (:meth:`fault` per name, one C-level lookup each)."""
+        try:
+            return list(map(self._faults.__getitem__, names))
+        except KeyError:
+            return [self.fault(name) for name in names]
+
     def class_of(self, name: str) -> Tuple[StuckAtFault, ...]:
         """All universe faults a symbolic name stands for."""
         return self._classes.get(name, (self.fault(name),))

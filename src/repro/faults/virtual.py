@@ -13,7 +13,9 @@ values wherever it has stored none, and whose faulty module's event
 handling is replaced), propagates, and marks every fault of the row
 detected if any primary output differs.  Only the output ports whose
 faulty value differs from the fault-free one are injected: an unchanged
-value would re-deliver what every reader already sees.  Detected faults
+value would re-deliver what every reader already sees.  Likewise only
+the primary outputs the injection run stored on are compared: every
+other one reads the fault-free run's value.  Detected faults
 are dropped from the fault list and the simulation history records the
 incremental coverage.
 
@@ -23,7 +25,8 @@ values, the user sees only symbolic names and output patterns.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, ne
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
@@ -32,6 +35,7 @@ from ..core.controller import SimulationController
 from ..core.design import Circuit
 from ..core.errors import FaultSimulationError
 from ..core.module import ModuleSkeleton, deliver
+from ..core.port import Port, Route
 from ..core.signal import Logic, SignalValue, Word
 from ..gates.netlist import Netlist
 from ..net.clock import CostModel, VirtualClock
@@ -107,6 +111,9 @@ class IPBlockClient:
         self.name = name or module.name
         self._table_cache: Dict[Any, DetectionTable] = {}
         self.remote_table_fetches = 0
+        # (output ports, their total width), checked against the
+        # module's current port view on every injection.
+        self._output_layout: Optional[Tuple[Tuple[Port, ...], int]] = None
 
     # -- flattened port views ------------------------------------------------
 
@@ -165,11 +172,22 @@ class IPBlockClient:
         bits differs.
         """
         ports = self.module.output_ports()
-        expected = sum(port.width for port in ports)
+        layout = self._output_layout
+        if layout is None or layout[0] is not ports:
+            # The port views are rebuilt on every wiring change.
+            layout = self._output_layout = (
+                ports, sum(port.width for port in ports))
+        expected = layout[1]
         if expected != len(pattern):
             raise FaultSimulationError(
                 f"output pattern width {len(pattern)} does not match the "
                 f"block's output ports ({expected} bits)")
+        if expected == len(ports):
+            # Bit ports only: one C-level pass finds the changed ones.
+            for slot in compress(range(expected),
+                                 map(ne, pattern, fault_free)):
+                controller.inject(ports[slot], pattern[slot])
+            return
         offset = 0
         for port, good in zip(ports, fault_free):
             width = port.width
@@ -189,14 +207,26 @@ def _value_bits(value: SignalValue) -> Tuple[Logic, ...]:
     return value.to_bits()
 
 
+def _reader_route(connector: Connector) -> Route:
+    """The route a primary-input value takes to the module reading
+    ``connector`` (with no reader, ``deliver`` just records it)."""
+    reader = next((endpoint for endpoint in connector.endpoints
+                   if endpoint.can_read), None)
+    return (connector, reader, None if reader is None else reader.owner)
+
+
 def drive_connector(controller: SimulationController, connector: Connector,
                     value: SignalValue) -> None:
     """Schedule a primary-input value at the module reading ``connector``."""
-    reader = next((endpoint for endpoint in connector.endpoints
-                   if endpoint.can_read), None)
-    # With no reader, deliver just records the value.
-    deliver((connector, reader, None if reader is None else reader.owner),
-            value, controller.scheduler)
+    deliver(_reader_route(connector), value, controller.scheduler)
+
+
+def _hold_outputs(module: ModuleSkeleton, token: Any, ctx: Any) -> None:
+    """An injection run's handler for the faulty module: it holds the
+    injected outputs no matter what reaches its inputs."""
+
+
+_BITS = (Logic.ZERO, Logic.ONE)
 
 
 class VirtualFaultSimulator:
@@ -228,6 +258,11 @@ class VirtualFaultSimulator:
         self.clock = clock or VirtualClock()
         self.cost = cost_model or CostModel()
         self.injection_runs = 0
+        # Resolved at the start of each run (the wiring is fixed while
+        # one lasts): each primary input's reader route, and everything
+        # a fault-free run may store on.
+        self._input_routes: List[Tuple[str, Connector, Route]] = []
+        self._connectors: Tuple[Connector, ...] = ()
 
     # ------------------------------------------------------------------
 
@@ -250,6 +285,12 @@ class VirtualFaultSimulator:
         a disjoint partition merge into exactly the full run's report.
         """
         self._reset_tables()
+        self._input_routes = [(name, connector, _reader_route(connector))
+                              for name, connector in self.inputs.items()]
+        # A primary input nothing in the circuit reads is primed by
+        # _drive but is no connector of the circuit.
+        self._connectors = (*self.circuit.connectors(),
+                            *self.inputs.values())
         composed = self.build_fault_list()
         if only is not None:
             wanted = set(only)
@@ -305,7 +346,9 @@ class VirtualFaultSimulator:
         try:
             self._drive(good, pattern)
             good.start()
-            good_outputs = self._observe(good)
+            good_outputs = {id(connector._values):
+                            connector.get_value(good_sid)
+                            for connector in self.outputs.values()}
             for block in self.ip_blocks:
                 if block.name not in live:
                     continue
@@ -318,16 +361,12 @@ class VirtualFaultSimulator:
                     f"{block.name}:{name}" for name in self._try_rows(
                         block, table, undetected, good, good_outputs))
         finally:
-            # A primary input nothing in the circuit reads is primed by
-            # drive_connector but is no connector of the circuit.
-            self.circuit.clear_scheduler_state(
-                good_sid, (*self.circuit.connectors(),
-                           *self.inputs.values()))
+            self.circuit.clear_scheduler_state(good_sid, self._connectors)
         return [qualified for qualified in remaining if qualified in newly]
 
     def _try_rows(self, block: IPBlockClient, table: DetectionTable,
                   undetected: Sequence[str], good: SimulationController,
-                  good_outputs: Dict[str, SignalValue]) -> Set[str]:
+                  good_outputs: Dict[int, SignalValue]) -> Set[str]:
         detected: Set[str] = set()
         undetected_set = set(undetected)
         fault_free = block.output_values(good.scheduler.scheduler_id)
@@ -346,23 +385,33 @@ class VirtualFaultSimulator:
                            faulty_pattern: Tuple[Logic, ...],
                            good: SimulationController,
                            fault_free: Sequence[Optional[SignalValue]],
-                           good_outputs: Dict[str, SignalValue]) -> bool:
-        """Figure 5 step 2: inject, propagate, compare primary outputs."""
+                           good_outputs: Dict[int, SignalValue]) -> bool:
+        """Figure 5 step 2: inject, propagate, compare primary outputs.
+
+        ``good_outputs`` maps each primary output's value table (by id)
+        to its fault-free value.
+        """
         # Copy on write over the fault-free run: a connector no event
-        # reaches keeps its fault-free value, and teardown clears only
-        # what this run stored.
+        # reaches keeps its fault-free value, so only the output tables
+        # this run touched can differ, and teardown clears only what
+        # this run stored.
         injection = SimulationController(self.circuit, clock=self.clock,
                                          cost_model=self.cost,
                                          name="injection", fallback=good)
         self.injection_runs += 1
         try:
-            # The faulty module's event handling is replaced: it holds
-            # the injected outputs no matter what reaches its inputs.
-            injection.override_handler(block.module,
-                                       lambda module, token, ctx: None)
+            injection.override_handler(block.module, _hold_outputs)
             block.inject_outputs(injection, faulty_pattern, fault_free)
             injection.start()
-            return self._observe(injection) != good_outputs
+            scheduler = injection.scheduler
+            stored = scheduler.scheduler_id
+            for table in scheduler.touched:
+                good_value = good_outputs.get(id(table))
+                if good_value is not None:
+                    value = table.get(stored)
+                    if value is not None and value != good_value:
+                        return True
+            return False
         finally:
             injection.teardown()
 
@@ -370,7 +419,8 @@ class VirtualFaultSimulator:
 
     def _drive(self, controller: SimulationController,
                pattern: Mapping[str, object]) -> None:
-        for name, connector in self.inputs.items():
+        scheduler = controller.scheduler
+        for name, connector, route in self._input_routes:
             if name not in pattern:
                 raise FaultSimulationError(
                     f"pattern is missing primary input {name!r}")
@@ -379,15 +429,7 @@ class VirtualFaultSimulator:
             if isinstance(raw, (Logic, Word)):
                 value = raw
             elif connector.width == 1:
-                value = Logic(int(raw) & 1)
+                value = _BITS[int(raw) & 1]
             else:
                 value = Word(int(raw), connector.width)
-            drive_connector(controller, connector, value)
-
-    def _observe(self, controller: SimulationController
-                 ) -> Dict[str, SignalValue]:
-        scheduler = controller.scheduler
-        scheduler_id = scheduler.scheduler_id
-        fallback_id = scheduler.fallback_id
-        return {name: connector.get_value(scheduler_id, fallback_id)
-                for name, connector in self.outputs.items()}
+            deliver(route, value, scheduler)

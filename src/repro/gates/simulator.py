@@ -77,6 +77,17 @@ class NetlistSimulator:
         """Faulty primary outputs of one input pattern, one per fault."""
         return [self.outputs(input_values, fault=fault) for fault in faults]
 
+    def detection_outputs(self, input_values: Mapping[str, Logic],
+                          faults: Sequence[Any]
+                          ) -> Tuple[Tuple[Logic, ...],
+                                     List[Tuple[Logic, ...]]]:
+        """The fault-free primary outputs and each fault's; a fault that
+        leaves them unchanged gets the fault-free tuple itself."""
+        fault_free = self.outputs(input_values)
+        return fault_free, [
+            fault_free if faulty == fault_free else faulty
+            for faulty in self.outputs_for_faults(input_values, faults)]
+
     def evaluate_int(self, input_word: int,
                      fault: Any = None) -> Dict[str, Logic]:
         """Evaluate from an integer whose bit ``i`` drives input ``i``."""

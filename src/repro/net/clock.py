@@ -22,8 +22,10 @@ completion still pending.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List
+
+from ..core.errors import check_positive
 
 
 @dataclass
@@ -62,13 +64,25 @@ class CostModel:
     wire_overhead_factor: float = 6.0
     """Wire bytes per raw payload byte (object-serialization bloat)."""
 
+    def __post_init__(self) -> None:
+        # A cost may be zero (a free operation); the wire bytes per
+        # payload byte may not.
+        for field in fields(self):
+            check_positive(field.name, getattr(self, field.name),
+                           zero=field.name != "wire_overhead_factor")
+
+
+_INF = float("inf")
+
 
 class VirtualClock:
     """Thread-safe virtual CPU / wall-clock accumulator.
 
-    Every charge, wait and async duration must be ``>= 0``: a negative
-    amount or a NaN (which would poison every later reading) raises
-    :class:`ValueError`.
+    Every charge, wait and async duration must be finite and ``>= 0``:
+    a negative amount, a NaN or an infinity (any of which would poison
+    every later reading) raises :class:`ValueError`.  Each guard is one
+    chained comparison (``0 <= seconds < inf`` is false for NaN), as
+    :meth:`charge_cpu` runs on every delivered event.
     """
 
     def __init__(self) -> None:
@@ -99,8 +113,9 @@ class VirtualClock:
 
     def charge_cpu(self, seconds: float) -> None:
         """Charge client CPU work; advances the wall clock equally."""
-        if not seconds >= 0:
-            raise ValueError("cannot charge negative or NaN time")
+        if not 0 <= seconds < _INF:
+            raise ValueError(
+                f"cannot charge negative or non-finite time {seconds!r}")
         with self._lock:
             self._cpu += seconds
             self._wall += seconds
@@ -114,8 +129,9 @@ class VirtualClock:
         which is why the paper's local-host real time exceeds the LAN
         real time for the fully remote multiplier.
         """
-        if not seconds >= 0:
-            raise ValueError("cannot charge negative or NaN time")
+        if not 0 <= seconds < _INF:
+            raise ValueError(
+                f"cannot charge negative or non-finite time {seconds!r}")
         with self._lock:
             self._server_cpu += seconds
             if shared_host:
@@ -123,8 +139,9 @@ class VirtualClock:
 
     def wait(self, seconds: float) -> None:
         """Blocking wait (network round trip): wall time only."""
-        if not seconds >= 0:
-            raise ValueError("cannot wait negative or NaN time")
+        if not 0 <= seconds < _INF:
+            raise ValueError(
+                f"cannot wait negative or non-finite time {seconds!r}")
         with self._lock:
             self._wall += seconds
 
@@ -137,8 +154,10 @@ class VirtualClock:
         running; :meth:`sync` later advances the wall clock past any
         completions that the client did not overtake.
         """
-        if not duration >= 0:
-            raise ValueError("cannot schedule negative or NaN duration")
+        if not 0 <= duration < _INF:
+            raise ValueError(
+                f"cannot schedule negative or non-finite duration "
+                f"{duration!r}")
         with self._lock:
             completion = self._wall + duration
             self._outstanding.append(completion)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.errors import check_positive
+
 
 @dataclass(frozen=True)
 class NetworkModel:
@@ -33,6 +35,10 @@ class NetworkModel:
     shared_host: bool = False
     """Client and server share one machine: server CPU work contends with
     the client for the single host (paper's local-host anomaly)."""
+
+    def __post_init__(self) -> None:
+        check_positive("latency", self.latency, zero=True)
+        check_positive("bandwidth", self.bandwidth)
 
     def transfer_time(self, nbytes: int) -> float:
         """Seconds to push ``nbytes`` through the link."""

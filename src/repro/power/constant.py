@@ -26,6 +26,9 @@ class ConstantPowerEstimator(ConstantEstimator):
                          cpu_time=0.0, units="mW")
 
 
+_BITS = (Logic.ZERO, Logic.ONE)
+
+
 def operands_to_inputs(operands: Sequence[int], prefixes: Sequence[str],
                        widths: Sequence[int]) -> Dict[str, Logic]:
     """Expand integer operands into a netlist input-value mapping.
@@ -38,7 +41,7 @@ def operands_to_inputs(operands: Sequence[int], prefixes: Sequence[str],
     inputs: Dict[str, Logic] = {}
     for value, prefix, width in zip(operands, prefixes, widths):
         for bit in range(width):
-            inputs[f"{prefix}{bit}"] = Logic((value >> bit) & 1)
+            inputs[f"{prefix}{bit}"] = _BITS[(value >> bit) & 1]
     return inputs
 
 

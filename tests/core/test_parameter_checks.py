@@ -3,6 +3,7 @@ infinities as well as zero and negatives, by one checker that names the
 parameter (``repro.core.errors.check_positive``)."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.core import (BitConnector, ClockGenerator, Delay, DesignError,
                         PatternPrimaryInput, Register, WordConnector)
 from repro.estimation import EstimatorSkeleton
 from repro.gates import parity_tree
+from repro.net import CostModel, NetworkModel, VirtualClock
 from repro.power import ToggleCountModel
 from repro.power.montecarlo import monte_carlo_power
 from repro.rtl import WordAdder, WordMux
@@ -66,7 +68,20 @@ CALLS = {
         lambda v: monte_carlo_power(ToggleCountModel(parity_tree(4)),
                                     ("i",), (4,), relative_tolerance=v),
         "relative_tolerance", ()),
+    "NetworkModel.latency": (
+        lambda v: NetworkModel("x", latency=v, bandwidth=1.0), "latency",
+        (0,)),
+    "NetworkModel.bandwidth": (
+        lambda v: NetworkModel("x", latency=0.0, bandwidth=v),
+        "bandwidth", ()),
 }
+# Every cost may be zero (a free operation); the wire bytes per
+# payload byte may not.
+CALLS.update({
+    f"CostModel.{field.name}": (
+        lambda v, name=field.name: CostModel(**{name: v}), field.name,
+        () if field.name == "wire_overhead_factor" else (0,))
+    for field in fields(CostModel)})
 
 
 @pytest.mark.parametrize("value", VALUES, ids=repr)
@@ -91,3 +106,27 @@ def test_an_in_range_value_passes_through():
     assert Register(8, WordConnector(8), WordConnector(8),
                     delay=0.25).delay == 0.25
 
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0],
+                         ids=repr)
+@pytest.mark.parametrize("method", ["charge_cpu", "charge_server_cpu",
+                                    "wait", "begin_async"])
+def test_the_clock_refuses_time_that_is_not_finite(method, value):
+    """An infinite charge would leave every later reading infinite, as
+    a NaN would leave it NaN: both are refused and the clock keeps the
+    readings it had."""
+    clock = VirtualClock()
+    clock.charge_cpu(1.0)
+    before = clock.snapshot()
+    with pytest.raises(ValueError, match="non-finite"):
+        getattr(clock, method)(value)
+    assert clock.snapshot() == before
+    getattr(clock, method)(0.0)  # zero is a legal amount
+
+
+def test_a_network_model_with_no_bandwidth_is_refused_at_construction():
+    """It used to construct and raise ZeroDivisionError on its first
+    call_time."""
+    with pytest.raises(ParameterError, match="bandwidth"):
+        NetworkModel("x", latency=0.1, bandwidth=0.0)

@@ -1,5 +1,8 @@
 """The virtual fault-simulation protocol, unit scale."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bench import PublicFunctionalModel, build_embedded, build_figure4
@@ -10,6 +13,7 @@ from repro.core import (BitConnector, Circuit, ConnectionError_,
 from repro.faults import (DetectionTable, IPBlockClient,
                           TestabilityServant, build_fault_list)
 from repro.faults.detection import _table_to_wire
+from repro.faults import virtual as virtual_module
 from repro.faults.virtual import drive_connector
 from repro.gates import ip1_block
 from repro.gates.corpus import load_bench
@@ -153,6 +157,35 @@ class TestNothingLeftBehind:
                                  *virtual.inputs.values()) if c._values] \
             == []
         assert [m.name for m in virtual.circuit.modules if m._state] == []
+
+    def test_controllers_are_freed_by_reference_count(self, monkeypatch):
+        """A controller, its context and its scheduler form no cycle: with
+        the cyclic collector off, every fault-free and injection
+        controller of a campaign is gone once its pattern is done."""
+        alive = []
+
+        class Watched(SimulationController):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                alive.append((weakref.ref(self),
+                              weakref.ref(self.scheduler)))
+
+        monkeypatch.setattr(virtual_module, "SimulationController",
+                            Watched)
+        experiment = build_embedded(load_bench("alu8"), block_name="IP")
+        virtual = experiment.virtual
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            virtual.run(experiment.random_patterns(8, seed=1))
+            assert virtual.injection_runs > 0
+            assert len(alive) == 8 + virtual.injection_runs
+            assert [pair for pair in alive
+                    if pair[0]() is not None or pair[1]() is not None] \
+                == []
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_missing_input_error_still_tears_down(self):
         setup = build_figure4(collapse="none")
