@@ -206,6 +206,16 @@ RULES = (
          "a per-injection _observe of every primary output is back "
          "(copy on write: only the output tables the run touched can "
          "differ from the fault-free run)"),
+    # The silicon reads kernel lanes; a publish characterizes once.
+    Rule(r"EventDrivenState|NetlistSimulator", ("src/repro/power",), None,
+         "a power model steps the interpreted event wave again (every "
+         "model reads toggles off the compiled kernel's lanes; the wave "
+         "is the oracle in tests/)"),
+    Rule(r"SiliconReference\(", ("src/repro/ip",),
+         "src/repro/ip/provider.py",
+         "a publish runs the silicon more than once (one power sequence "
+         "feeds the constant, the regression and the calibration)",
+         exactly=1),
 )
 
 

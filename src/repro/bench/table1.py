@@ -144,9 +144,9 @@ def run_table1(width: int = 8, eval_patterns: int = 150,
     # replayed over the evaluation stimulus.
     netlist = provider.private_netlist("MultFastLowPower")
     silicon = SiliconReference(netlist, seed=provider.seed)
-    truths = [silicon.power_of_pattern(
-        operands_to_inputs(p, ("a", "b"), (width, width)))
-        for p in patterns]
+    truths = silicon.power_of_sequence(
+        [operands_to_inputs(p, ("a", "b"), (width, width))
+         for p in patterns])
     mean_true = sum(truths) / len(truths)
 
     # Baseline cpu without any estimation, to isolate per-pattern cost.

@@ -114,10 +114,18 @@ class TransitionTestabilityServant:
     def __init__(self, netlist: Netlist,
                  fault_list: Optional[TransitionFaultList] = None,
                  gate_eval_cost: float = 40e-6):
+        # Imported lazily: repro.compiled depends on this package.
+        from ..compiled import simulator_for
         self.netlist = netlist
         self.faults = fault_list or TransitionFaultList(netlist.name,
                                                         netlist=netlist)
-        self.simulator = NetlistSimulator(netlist)
+        self.simulator = simulator_for(None, netlist)
+        # One stuck-at object per fault: the compiled simulator resolves
+        # each fault object's site once and keeps it.
+        self._stuck_at: Dict[str, Tuple[TransitionFault, StuckAtFault]] = {}
+        for name in self.faults.names():
+            fault = self.faults.fault(name)
+            self._stuck_at[name] = (fault, fault.equivalent_stuck_at())
         self.gate_eval_cost = gate_eval_cost
 
     def fault_list(self) -> Tuple[str, ...]:
@@ -127,7 +135,12 @@ class TransitionTestabilityServant:
     def detection_table(self, previous_bits: Sequence[Logic],
                         current_bits: Sequence[Logic],
                         undetected: Sequence[str]) -> DetectionTable:
-        """Phase 2: the two-pattern transition detection table."""
+        """Phase 2: the two-pattern transition detection table.
+
+        The launched faults' equivalent stuck-at faults run as the
+        lanes of one ``detection_outputs`` call, grouped as in
+        :func:`~repro.faults.detection.build_detection_table`.
+        """
         if len(previous_bits) != len(self.netlist.inputs) or \
                 len(current_bits) != len(self.netlist.inputs):
             raise FaultSimulationError(
@@ -136,21 +149,24 @@ class TransitionTestabilityServant:
         previous = dict(zip(self.netlist.inputs, previous_bits))
         current = dict(zip(self.netlist.inputs, current_bits))
         initial_values = self.simulator.evaluate(previous)
-        fault_free = self.simulator.outputs(current)
-        rows: Dict[Tuple[Logic, ...], set] = {}
-        evaluations = 1
+        launched: List[str] = []
+        stuck_at: List[StuckAtFault] = []
         for name in undetected:
-            fault = self.faults.fault(name)
-            if initial_values[fault.net] is not fault.initial_value:
-                continue  # transition not launched by this pair
-            faulty = self.simulator.outputs(
-                current, fault=fault.equivalent_stuck_at())
-            evaluations += 1
-            if faulty != fault_free:
+            if name not in self._stuck_at:
+                self.faults.fault(name)  # refuses the unknown name
+            fault, equivalent = self._stuck_at[name]
+            if initial_values[fault.net] is fault.initial_value:
+                launched.append(name)
+                stuck_at.append(equivalent)
+        fault_free, outputs = self.simulator.detection_outputs(current,
+                                                               stuck_at)
+        rows: Dict[Tuple[Logic, ...], set] = {}
+        for name, faulty in zip(launched, outputs):
+            if faulty is not fault_free:
                 rows.setdefault(faulty, set()).add(name)
         context = current_server_context()
         if context is not None:
-            context.charge(self.gate_eval_cost * evaluations
+            context.charge(self.gate_eval_cost * (1 + len(launched))
                            * self.netlist.gate_count())
         input_pattern = tuple(current[net] for net in self.netlist.inputs)
         return DetectionTable(self.netlist.name, input_pattern,

@@ -353,20 +353,18 @@ class IPProvider:
         netlist = array_multiplier(width, name=f"{name}-impl")
         prefixes, widths = ("a", "b"), (width, width)
 
-        # Provider-side characterization against measured silicon.
-        silicon = SiliconReference(netlist, seed=self.seed)
+        # Provider-side characterization against measured silicon: one
+        # pass over the training sequence feeds all three fits.
         rng = random.Random(self.seed)
         training = [(rng.getrandbits(width), rng.getrandbits(width))
                     for _ in range(training_patterns)]
-        constant = characterize_constant(silicon, training, prefixes,
-                                         widths)
-        silicon = SiliconReference(netlist, seed=self.seed)
-        regression = fit_regression(silicon, training, prefixes, widths)
-        toggle = ToggleCountModel(netlist)
-        silicon = SiliconReference(netlist, seed=self.seed)
-        calibration = calibrate_toggle_model(
-            toggle, silicon,
-            [operands_to_inputs(p, prefixes, widths) for p in training])
+        inputs = [operands_to_inputs(p, prefixes, widths) for p in training]
+        powers = SiliconReference(netlist, seed=self.seed
+                                  ).power_of_sequence(inputs)
+        constant = characterize_constant(powers)
+        regression = fit_regression(powers, training, prefixes)
+        calibration = calibrate_toggle_model(ToggleCountModel(netlist),
+                                             powers, inputs)
 
         from ..gates.scoap import ScoapAnalysis
         scoap = ScoapAnalysis(netlist)

@@ -8,12 +8,11 @@ entirely, which is what gives it the largest error.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..core.signal import Logic
 from ..estimation.estimator import ConstantEstimator
 from ..estimation.parameter import AVERAGE_POWER
-from .toggle import PowerModel
 
 
 class ConstantPowerEstimator(ConstantEstimator):
@@ -45,25 +44,17 @@ def operands_to_inputs(operands: Sequence[int], prefixes: Sequence[str],
     return inputs
 
 
-def characterize_constant(model: PowerModel,
-                          training: Sequence[Sequence[int]],
-                          prefixes: Sequence[str],
-                          widths: Sequence[int],
+def characterize_constant(powers: Sequence[float],
                           name: str = "constant-power",
                           expected_error: float = 25.0
                           ) -> ConstantPowerEstimator:
     """Provider-side characterization: average power over training data.
 
-    Runs the provider's accurate model over the training sequence and
-    releases only the mean -- no structural information leaves the
-    provider, so this estimator ships with the public part.
+    ``powers`` is the provider's accurate model over the training
+    sequence (mW per pattern); only their mean is released -- no
+    structural information leaves the provider, so this estimator ships
+    with the public part.
     """
-    model.reset()
-    powers: List[float] = [
-        model.power_of_pattern(
-            operands_to_inputs(pattern, prefixes, widths))
-        for pattern in training
-    ]
     mean = sum(powers) / len(powers) if powers else 0.0
     return ConstantPowerEstimator(mean, name=name,
                                   expected_error=expected_error)

@@ -20,8 +20,6 @@ from ..core.signal import Word
 from ..estimation.estimator import EstimatorSkeleton
 from ..estimation.parameter import AVERAGE_POWER
 from .activity import pair_activity, word_activity
-from .constant import operands_to_inputs
-from .toggle import PowerModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.controller import SimulationContext
@@ -61,26 +59,22 @@ class LinearRegressionPowerEstimator(EstimatorSkeleton):
         return self.intercept + self.slope * activity
 
 
-def fit_regression(model: PowerModel,
+def fit_regression(powers: Sequence[float],
                    training: Sequence[Sequence[int]],
-                   prefixes: Sequence[str], widths: Sequence[int],
+                   prefixes: Sequence[str],
                    name: str = "linreg-power",
                    expected_error: float = 20.0
                    ) -> LinearRegressionPowerEstimator:
     """Provider-side fit of the regression macro-model.
 
-    Runs the accurate model over the training sequence, regresses power
-    on input activity with least squares, and releases only the two
-    coefficients.
+    ``powers`` is the accurate model's power of each training pattern
+    (mW); power is regressed on input activity with least squares, and
+    only the two coefficients are released.
     """
-    model.reset()
     activities: List[float] = []
-    powers: List[float] = []
     previous = tuple(0 for _ in prefixes)
     for pattern in training:
         activities.append(float(pair_activity(previous, pattern)))
-        powers.append(model.power_of_pattern(
-            operands_to_inputs(pattern, prefixes, widths)))
         previous = tuple(pattern)
     design_matrix = np.column_stack(
         [np.ones(len(activities)), np.array(activities)])

@@ -10,17 +10,19 @@ change, and average power is energy x pattern frequency.
 :class:`ToggleCountModel` evaluates a whole buffer of patterns in one
 run of the compiled fault-free kernel (:mod:`repro.compiled`), one
 pattern per bit lane, and reads every transition off adjacent lanes.
-It reports exactly what stepping
-:class:`~repro.gates.simulator.EventDrivenState` one pattern at a time
-would -- the same energies and the same per-pattern count of gates the
-event wave evaluates, which feeds the provider's virtual clock -- and
-the wave stays in the tests as its oracle.
+It reports exactly what stepping the interpreted event wave
+(:mod:`repro.gates.simulator`) one pattern at a time would -- the same
+energies and the same per-pattern count of gates the wave evaluates,
+which feeds the provider's virtual clock -- and the wave stays in the
+tests as its oracle.
 
 A :class:`SiliconReference` adds the physical effects a pure toggle
 count misses (short-circuit currents, glitching, leakage, per-gate
 process variation), providing the "true" power against which Table 1's
-three estimators are scored.  It keeps its own event-driven state: its
-seeded glitch draws follow the wave's toggled nets one by one.
+three estimators are scored.  It reads the same kernel lanes: its
+seeded glitch draws follow each transition's toggled gate-driven nets
+in name order (the wave's ``sorted(toggled)``), which the toggle words
+give exactly, so it equals the wave too.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..compiled import CompiledKernel, compile_netlist
-from ..core.errors import SimulationError
+from ..core.errors import SimulationError, check_positive
 from ..core.signal import Logic
 from ..gates.netlist import Netlist
-from ..gates.simulator import EventDrivenState, NetlistSimulator
 
 FJ_TO_MW = 1e-12
 """fJ per pattern at 1 MHz pattern rate -> mW conversion helper
@@ -60,6 +61,7 @@ class PowerModel:
     """
 
     def __init__(self, netlist: Netlist, frequency: float = 50e6):
+        check_positive("frequency", frequency)
         self.netlist = netlist
         self.frequency = frequency
 
@@ -192,18 +194,28 @@ class ToggleCountModel(PowerModel):
             else:
                 lead = [self._previous]
             block = rows[len(results):len(results) + LANES - len(lead)]
-            energies, gates = self._run(lead + block)
+            toggles, gates = self._run(lead + block)
             self.evaluated_gates += sum(gates)
             if len(lead) == 2:
                 gates[2] += gates[1]
-            results.extend(zip(energies[len(lead):], gates[len(lead):]))
+            energies = self._energies(toggles, len(lead),
+                                      len(lead) + len(block))
+            results.extend(zip(energies, gates[len(lead):]))
             self._previous = block[-1]
         return results
 
+    def _energies(self, toggles: np.ndarray, first: int, lanes: int
+                  ) -> List[float]:
+        """Switched energy of lanes ``first`` .. ``lanes - 1``."""
+        plan = self._plan
+        energies = (plan.units @ _lane_bits(toggles, lanes)) / plan.scale
+        return energies[first:].tolist()
+
     def _run(self, lanes: Sequence[Tuple[Logic, ...]]
-             ) -> Tuple[List[float], List[int]]:
-        """Energy and gate count of each lane's move from the lane
-        before it (zero for lane 0), from one kernel run."""
+             ) -> Tuple[np.ndarray, List[int]]:
+        """One kernel run: every net's toggle word (bit ``i``: lane
+        ``i`` differs from lane ``i - 1``; bit 0 clear) and each lane's
+        gate count."""
         plan = self._plan
         count = len(plan.inputs)
         iv, ic, iz = [0] * count, [0] * count, [0] * count
@@ -228,27 +240,28 @@ class ToggleCountModel(PowerModel):
         z = np.array(iz, _WORD)
         toggles[:count] |= z ^ (z << _ONE)
         toggles &= np.uint64(((1 << len(lanes)) - 1) & ~1)
-        energies = (plan.units @ _lane_bits(toggles, len(lanes))) / plan.scale
         if len(plan.starts):
             read = np.bitwise_or.reduceat(toggles[plan.pins], plan.starts)
             gates = _lane_bits(read, len(lanes)).sum(axis=0).tolist()
         else:
             gates = [0] * len(lanes)
-        return energies.tolist(), gates
+        return toggles, gates
 
 
-def calibrate_toggle_model(model: PowerModel, reference: PowerModel,
+def calibrate_toggle_model(model: PowerModel,
+                           reference_powers: Sequence[float],
                            patterns: Sequence[Mapping[str, Logic]]) -> float:
     """Provider-side calibration of the toggle model against silicon.
 
     Gate-level toggle counting tracks data-dependent activity but has a
     systematic bias against measured power (short-circuit currents,
     glitching).  Providers remove the bias by scaling with the ratio of
-    mean measured to mean estimated power over a training sequence; the
-    returned scale multiplies the model's raw output.
+    mean measured to mean estimated power over a training sequence;
+    ``reference_powers`` is the silicon's power of each of ``patterns``
+    (its :meth:`~PowerModel.power_of_sequence`).  The returned scale
+    multiplies the model's raw output.
     """
     model_powers = model.power_of_sequence(patterns)
-    reference_powers = reference.power_of_sequence(patterns)
     model_mean = sum(model_powers) / len(model_powers)
     reference_mean = sum(reference_powers) / len(reference_powers)
     if model_mean == 0.0:
@@ -256,7 +269,7 @@ def calibrate_toggle_model(model: PowerModel, reference: PowerModel,
     return reference_mean / model_mean
 
 
-class SiliconReference(PowerModel):
+class SiliconReference(ToggleCountModel):
     """The "true" power: toggle count plus second-order physical effects.
 
     Adds, deterministically from ``seed``:
@@ -269,6 +282,13 @@ class SiliconReference(PowerModel):
     The gate-level toggle-count estimator approximates this closely but
     not exactly (the paper's 10% average error band); the regression and
     constant estimators sit progressively further away.
+
+    Transitions come off the toggle model's kernel runs; per lane, the
+    toggled gate-driven nets are walked in name order, each drawing its
+    glitch in turn, then the transition draws its jitter.  Draws and
+    float additions happen in the order of the event wave's
+    ``sorted(toggled)`` walk, so energies equal it exactly.
+    ``evaluated_gates`` counts from the last :meth:`reset`.
     """
 
     def __init__(self, netlist: Netlist, frequency: float = 50e6,
@@ -276,11 +296,15 @@ class SiliconReference(PowerModel):
                  short_circuit: float = 0.12, glitch: float = 0.25,
                  transition_jitter: float = 0.18,
                  leakage_fj: float = 40.0):
+        for name, value in (("variation", variation),
+                            ("short_circuit", short_circuit),
+                            ("glitch", glitch),
+                            ("transition_jitter", transition_jitter),
+                            ("leakage_fj", leakage_fj)):
+            check_positive(name, value, zero=True)
         super().__init__(netlist, frequency)
-        self.simulator = NetlistSimulator(netlist)
-        self._state: Optional[EventDrivenState] = None
         rng = random.Random(seed)
-        self._gate_factor: Dict[str, float] = {
+        gate_factor: Dict[str, float] = {
             gate.name: 1.0 + rng.uniform(-variation, variation)
             for gate in netlist.gates
         }
@@ -290,49 +314,49 @@ class SiliconReference(PowerModel):
         self.leakage_fj = leakage_fj
         self._seed = seed
         self._glitch_rng = random.Random(seed + 1)
+        # Gate-driven nets in name order: their kernel net numbers, each
+        # driver's switched energy with variation and short circuit, and
+        # whether it glitches (more than one input pin).
+        order = netlist.levelize()
+        first = len(self._plan.inputs)
+        nets, bases, glitches = [], [], []
+        for index in sorted(range(len(order)),
+                            key=lambda index: order[index].output):
+            gate = order[index]
+            base = gate.cell.energy * gate_factor[gate.name]
+            base *= 1.0 + short_circuit
+            nets.append(first + index)
+            bases.append(base)
+            glitches.append(len(gate.inputs) > 1)
+        self._by_name = np.array(nets, np.intp)
+        self._bases: List[float] = bases
+        self._glitches: List[bool] = glitches
 
     def reset(self) -> None:
         """Restart the sequence; silicon replays deterministically."""
-        self._state = None
+        super().reset()
+        self.evaluated_gates = 0
         self._glitch_rng = random.Random(self._seed + 1)
 
-    def _ensure_state(self) -> EventDrivenState:
-        if self._state is None:
-            self._state = EventDrivenState(self.simulator)
-            # Settle at all-zero so the first pattern's energy is the
-            # transition from a defined state.
-            self._state.apply({net: Logic.ZERO
-                               for net in self.netlist.inputs})
-        return self._state
-
-    @property
-    def evaluated_gates(self) -> int:
-        """Gate evaluations performed so far (cost accounting)."""
-        return self._state.evaluated_gates if self._state else 0
-
-    def energies(self, patterns: Sequence[Mapping[str, Logic]]
-                 ) -> List[float]:
-        return [self.energy_of_pattern(inputs) for inputs in patterns]
-
-    def energy_of_pattern(self, inputs: Mapping[str, Logic]) -> float:
-        state = self._ensure_state()
-        toggled = state.apply(inputs)
-        dynamic = 0.0
-        for net in sorted(toggled):
-            driver = self.netlist.driver_of(net)
-            if driver is None:
-                continue
-            base = driver.cell.energy * self._gate_factor[driver.name]
-            base *= 1.0 + self.short_circuit
-            if len(driver.inputs) > 1:
-                # Glitching: reconvergent multi-input cells occasionally
-                # switch more than once per transition.
-                base *= 1.0 + self.glitch * self._glitch_rng.random()
-            dynamic += base
-        # Glitch waves are correlated across the whole array for a given
-        # transition; a zero-delay toggle count cannot see them, which is
-        # what keeps even the gate-level estimator around the paper's
-        # ~10% error band.
-        dynamic *= 1.0 + self.transition_jitter * self._glitch_rng.uniform(
-            -1.0, 1.0)
-        return self.leakage_fj + dynamic
+    def _energies(self, toggles: np.ndarray, first: int, lanes: int
+                  ) -> List[float]:
+        bits = _lane_bits(toggles[self._by_name], lanes).T
+        bases, glitches = self._bases, self._glitches
+        draw, jitter = self._glitch_rng.random, self._glitch_rng.uniform
+        energies: List[float] = []
+        for lane in range(first, lanes):
+            dynamic = 0.0
+            for index in np.flatnonzero(bits[lane]).tolist():
+                base = bases[index]
+                if glitches[index]:
+                    # Glitching: reconvergent multi-input cells
+                    # occasionally switch more than once per transition.
+                    base *= 1.0 + self.glitch * draw()
+                dynamic += base
+            # Glitch waves are correlated across the whole array for a
+            # given transition; a zero-delay toggle count cannot see
+            # them, which is what keeps even the gate-level estimator
+            # around the paper's ~10% error band.
+            dynamic *= 1.0 + self.transition_jitter * jitter(-1.0, 1.0)
+            energies.append(self.leakage_fj + dynamic)
+        return energies

@@ -16,8 +16,9 @@ from repro.core import (BitConnector, ClockGenerator, Delay, DesignError,
 from repro.estimation import EstimatorSkeleton
 from repro.gates import parity_tree
 from repro.net import CostModel, NetworkModel, VirtualClock
-from repro.power import ToggleCountModel
+from repro.power import SiliconReference, ToggleCountModel
 from repro.power.montecarlo import monte_carlo_power
+from repro.power.toggle import PowerModel
 from repro.rtl import WordAdder, WordMux
 
 VALUES = [math.nan, math.inf, -math.inf, 0, -1]
@@ -68,6 +69,13 @@ CALLS = {
         lambda v: monte_carlo_power(ToggleCountModel(parity_tree(4)),
                                     ("i",), (4,), relative_tolerance=v),
         "relative_tolerance", ()),
+    "PowerModel.frequency": (
+        lambda v: PowerModel(parity_tree(4), frequency=v), "frequency", ()),
+    **{f"SiliconReference.{name}": (
+        lambda v, name=name: SiliconReference(parity_tree(4),
+                                              **{name: v}), name, (0,))
+       for name in ("variation", "short_circuit", "glitch",
+                    "transition_jitter", "leakage_fj")},
     "NetworkModel.latency": (
         lambda v: NetworkModel("x", latency=v, bandwidth=1.0), "latency",
         (0,)),

@@ -3,15 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import build_embedded
 from repro.core import FaultSimulationError, Logic
+from repro.faults import transition
 from repro.faults import (SerialTransitionSimulator, TransitionFault,
                           TransitionFaultList,
                           TransitionTestabilityServant,
                           VirtualTransitionSimulator,
                           enumerate_transition_faults, reports_agree)
-from repro.gates import Netlist, ip1_block, parity_tree
+from repro.gates import (Netlist, ip1_block, load_bench, parity_tree,
+                         random_netlist)
+
+from . import reference_transition
+from .reference_transition import ReferenceTransitionServant
 
 
 def buffer_netlist():
@@ -93,6 +100,70 @@ class TestServant:
             servant.detection_table([Logic.ONE], [Logic.ONE, Logic.ZERO],
                                     servant.fault_list())
 
+
+
+class Charges:
+    """A server-call context that records what a servant charges."""
+
+    def __init__(self):
+        self.charged = []
+
+    def charge(self, seconds):
+        self.charged.append(seconds)
+
+
+def tables_and_charges(servant, pairs, undetected, module):
+    charges = Charges()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "current_server_context", lambda: charges)
+        tables = [servant.detection_table(previous, current, undetected)
+                  for previous, current in pairs]
+    return tables, charges.charged
+
+
+class TestTablesEqualTheReference:
+    """The compiled servant builds the interpreted one's tables (rows,
+    fault-free outputs, ``Z`` echoed on an output that is an input) and
+    charges its evaluations, over all four values."""
+
+    @staticmethod
+    def check(netlist, pairs, undetected):
+        fast = TransitionTestabilityServant(netlist)
+        slow = ReferenceTransitionServant(netlist)
+        names = undetected(fast.fault_list())
+        assert tables_and_charges(fast, pairs, names, transition) \
+            == tables_and_charges(slow, pairs, names, reference_transition)
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10_000), inputs=st.integers(1, 6),
+           gates=st.integers(1, 40), picks=st.data())
+    def test_on_random_netlists(self, seed, inputs, gates, picks):
+        netlist = random_netlist(inputs, gates, 3, seed=seed)
+        bits = st.lists(st.sampled_from(list(Logic)),
+                        min_size=inputs, max_size=inputs)
+        pairs = picks.draw(st.lists(st.tuples(bits, bits), min_size=1,
+                                    max_size=4))
+        names = picks.draw(st.randoms(use_true_random=False))
+        self.check(netlist, pairs,
+                   lambda all_names: names.sample(
+                       all_names, names.randint(0, len(all_names))))
+
+    def test_on_alu8(self):
+        netlist = load_bench("alu8")
+        rng = random.Random(8)
+        pairs = []
+        for values in [[Logic.ZERO, Logic.ONE]] * 3 + [list(Logic)] * 3:
+            pairs.append(tuple([rng.choice(values) for _ in netlist.inputs]
+                               for _ in range(2)))
+        self.check(netlist, pairs, lambda all_names: all_names)
+
+    def test_an_unknown_fault_is_refused_alike(self):
+        netlist = buffer_netlist()
+        for servant in (TransitionTestabilityServant(netlist),
+                        ReferenceTransitionServant(netlist)):
+            with pytest.raises(FaultSimulationError, match="ghost"):
+                servant.detection_table([Logic.ZERO], [Logic.ONE],
+                                        ["aSTR", "ghost"])
 
 def transition_experiment(ip_netlist, block_name="IP"):
     """``(experiment, virtual, serial)`` over one embedded IP block."""

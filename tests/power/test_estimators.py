@@ -30,33 +30,35 @@ def training_patterns(n=200, seed=5):
             for _ in range(n)]
 
 
+def silicon_powers(netlist, patterns):
+    """The silicon reference's power of each pattern, from a reset."""
+    return SiliconReference(netlist).power_of_sequence(
+        [operands_to_inputs(p, ("a", "b"), (WIDTH, WIDTH))
+         for p in patterns])
+
+
 class TestCharacterization:
     def test_constant_is_the_training_mean(self, netlist):
         reference = SiliconReference(netlist)
         patterns = training_patterns()
-        estimator = characterize_constant(reference, patterns,
-                                          ("a", "b"), (WIDTH, WIDTH))
-        reference.reset()
         powers = [reference.power_of_pattern(
             operands_to_inputs(p, ("a", "b"), (WIDTH, WIDTH)))
             for p in patterns]
+        estimator = characterize_constant(silicon_powers(netlist, patterns))
         assert estimator._value == pytest.approx(
             sum(powers) / len(powers))
 
     def test_regression_fit_tracks_activity(self, netlist):
-        reference = SiliconReference(netlist)
-        estimator = fit_regression(reference, training_patterns(),
-                                   ("a", "b"), (WIDTH, WIDTH))
+        patterns = training_patterns()
+        estimator = fit_regression(silicon_powers(netlist, patterns),
+                                   patterns, ("a", "b"))
         assert estimator.slope > 0  # more flips, more power
 
     def test_regression_beats_constant_on_extreme_activity(self, netlist):
         patterns = training_patterns()
-        reference = SiliconReference(netlist)
-        constant = characterize_constant(reference, patterns, ("a", "b"),
-                                         (WIDTH, WIDTH))
-        reference = SiliconReference(netlist)
-        regression = fit_regression(reference, patterns, ("a", "b"),
-                                    (WIDTH, WIDTH))
+        powers = silicon_powers(netlist, patterns)
+        constant = characterize_constant(powers)
+        regression = fit_regression(powers, patterns, ("a", "b"))
         # An idle transition (zero activity): constant grossly
         # overestimates, regression predicts near its intercept.
         assert regression.intercept < constant._value
@@ -64,9 +66,9 @@ class TestCharacterization:
 
 class TestEstimatorsInTheFramework:
     def test_linreg_tracks_port_activity_per_scheduler(self, netlist):
-        reference = SiliconReference(netlist)
-        regression = fit_regression(reference, training_patterns(),
-                                    ("a", "b"), (WIDTH, WIDTH))
+        patterns = training_patterns()
+        regression = fit_regression(silicon_powers(netlist, patterns),
+                                    patterns, ("a", "b"))
         a, b = WordConnector(WIDTH), WordConnector(WIDTH)
         o = WordConnector(2 * WIDTH)
         pattern_pairs = [(0, 0), (63, 63), (63, 63)]
@@ -110,16 +112,12 @@ class TestAccuracyOrdering:
         train = heterogeneous_patterns(WIDTH, 250, seed=3)
         evaluation = heterogeneous_patterns(WIDTH, 120, seed=4)
 
-        reference = SiliconReference(netlist)
-        constant = characterize_constant(reference, train, ("a", "b"),
-                                         (WIDTH, WIDTH))
-        reference = SiliconReference(netlist)
-        regression = fit_regression(reference, train, ("a", "b"),
-                                    (WIDTH, WIDTH))
+        powers = silicon_powers(netlist, train)
+        constant = characterize_constant(powers)
+        regression = fit_regression(powers, train, ("a", "b"))
         toggle = ToggleCountModel(netlist)
-        reference = SiliconReference(netlist)
         scale = calibrate_toggle_model(
-            toggle, reference,
+            toggle, powers,
             [operands_to_inputs(p, ("a", "b"), (WIDTH, WIDTH))
              for p in train])
 

@@ -1,4 +1,4 @@
-"""The packed toggle model against its oracle, the event wave.
+"""The packed power models against their oracle, the event wave.
 
 ``ToggleCountModel`` runs a buffer of patterns through the compiled
 fault-free kernel, one pattern per lane.  Stepping
@@ -7,6 +7,11 @@ what it must still equal: per pattern, the switched energy and the
 gates the wave evaluates (that count feeds the provider's virtual
 clock).  The first pattern of a sequence counts the all-zero settle's
 gates too, as the provider always charged it.
+
+``SiliconReference`` reads the same kernel runs and must equal the
+wave-stepping body it replaced (``ReferenceSiliconReference``): every
+energy, ``evaluated_gates`` and the glitch generator's state after
+every block, so the provider's published datasheet cannot move.
 """
 
 import os
@@ -19,11 +24,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from repro.core.signal import Logic
 from repro.gates import (EventDrivenState, Netlist, NetlistSimulator,
-                         load_bench, random_netlist)
-from repro.power import ToggleCountModel
+                         array_multiplier, load_bench, random_netlist)
+from repro.ip import IPProvider
+from repro.power import SiliconReference, ToggleCountModel
+from repro.power.activity import pair_activity
+from repro.power.constant import operands_to_inputs
 from repro.power.toggle import LANES
+
+from ..gates.reference_event import ReferenceSiliconReference
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
@@ -136,6 +148,129 @@ class TestPackedEqualsTheWave:
         assert all(type(energy) is float for energy, _ in results)
         assert model.evaluated_gates == sum(gates for _, gates in results)
 
+
+
+def silicon(model, blocks, singles=()):
+    """Per block: its energies, then ``evaluated_gates`` and the glitch
+    generator's state after it; ``None`` in ``blocks`` is a reset.  A
+    block whose index is in ``singles`` goes one ``energy_of_pattern``
+    at a time, the others as one ``energies`` buffer."""
+    results = []
+    for index, block in enumerate(blocks):
+        if block is None:
+            model.reset()
+            continue
+        if index in singles:
+            energies = [model.energy_of_pattern(p) for p in block]
+        else:
+            energies = model.energies(block)
+        results.append((energies, model.evaluated_gates,
+                        model._glitch_rng.getstate()))
+    return results
+
+
+def both_silicons(netlist, blocks, singles=(), seed=2099):
+    return (silicon(SiliconReference(netlist, seed=seed), blocks, singles),
+            silicon(ReferenceSiliconReference(netlist, seed=seed), blocks,
+                    singles))
+
+
+def training_inputs(width, seed=2099, count=300):
+    """``IPProvider.publish_multiplier``'s training sequence."""
+    rng = random.Random(seed)
+    training = [(rng.getrandbits(width), rng.getrandbits(width))
+                for _ in range(count)]
+    return training, [operands_to_inputs(p, ("a", "b"), (width, width))
+                      for p in training]
+
+
+class TestPackedSiliconEqualsTheWave:
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10_000), inputs=st.integers(1, 6),
+           gates=st.integers(1, 40),
+           sizes=st.lists(st.one_of(st.sampled_from([1, 63, 64, 200]),
+                                    st.integers(1, 70)),
+                          min_size=1, max_size=4),
+           reset_at=st.one_of(st.none(), st.integers(1, 3)),
+           singles=st.sets(st.integers(0, 4)),
+           pattern_seed=st.integers(0, 2 ** 32),
+           silicon_seed=st.integers(0, 2 ** 16))
+    def test_on_random_netlists(self, seed, inputs, gates, sizes, reset_at,
+                                singles, pattern_seed, silicon_seed):
+        netlist = random_netlist(inputs, gates, 3, seed=seed)
+        patterns = random_patterns(netlist.inputs, sum(sizes), pattern_seed)
+        packed_runs, wave_runs = both_silicons(
+            netlist, split(patterns, sizes, reset_at), singles, silicon_seed)
+        assert packed_runs == wave_runs
+
+    def test_mult16_training_sequence_in_any_blocks(self):
+        netlist = load_bench("mult16")
+        _, inputs = training_inputs(16)
+        expected = silicon(ReferenceSiliconReference(netlist), [inputs])
+        energies, gates, state = expected[0]
+        assert len(energies) == 300 and gates > 0
+        for sizes in ([300], [1, 62, 63, 100, 74], [64] * 4 + [44]):
+            runs = silicon(SiliconReference(netlist),
+                           split(inputs, sizes, None), singles={1})
+            assert [e for block, _, _ in runs for e in block] == energies
+            assert runs[-1][1:] == (gates, state)
+
+    def test_blocks_longer_than_a_run_chain_through_lane_zero(self):
+        netlist = load_bench("c17")
+        patterns = random_patterns(netlist.inputs, 3 * LANES + 5, 3)
+        packed_runs, wave_runs = both_silicons(
+            netlist, [patterns[:LANES + 1], None, patterns], singles={0})
+        assert packed_runs == wave_runs
+
+    def test_an_empty_buffer_draws_nothing(self):
+        netlist = load_bench("c17")
+        patterns = random_patterns(netlist.inputs, 5, 9)
+        packed_runs, wave_runs = both_silicons(netlist,
+                                               [[], patterns, [], patterns])
+        assert packed_runs == wave_runs
+
+
+def wave_fits(width, seed=2099):
+    """``publish_multiplier``'s three fits as they were: each over a
+    fresh wave silicon, stepped pattern by pattern.  Returns the
+    constant, the regression's intercept and slope, and the toggle
+    model's calibration."""
+    netlist = array_multiplier(width, name="MultFastLowPower-impl")
+    training, inputs = training_inputs(width, seed)
+
+    def wave_powers():
+        model = ReferenceSiliconReference(netlist, seed=seed)
+        model.reset()
+        return [model.power_of_pattern(p) for p in inputs]
+
+    powers = wave_powers()
+    constant = sum(powers) / len(powers)
+    activities, previous = [], (0, 0)
+    for pattern in training:
+        activities.append(float(pair_activity(previous, pattern)))
+        previous = tuple(pattern)
+    design = np.column_stack([np.ones(len(activities)),
+                              np.array(activities)])
+    (intercept, slope), *_ = np.linalg.lstsq(
+        design, np.array(wave_powers()), rcond=None)
+    model_powers = ToggleCountModel(netlist).power_of_sequence(inputs)
+    reference_powers = ReferenceSiliconReference(
+        netlist, seed=seed).power_of_sequence(inputs)
+    model_mean = sum(model_powers) / len(model_powers)
+    reference_mean = sum(reference_powers) / len(reference_powers)
+    return (constant, float(intercept), float(slope),
+            reference_mean / model_mean)
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_the_published_datasheet_equals_the_wave_fits(width):
+    provider = IPProvider()
+    name = provider.publish_multiplier(width)
+    sheet = provider.catalog.describe(name)
+    calibration = provider.server.registry.lookup(
+        f"{name}.power").servant.calibration
+    assert (sheet["power_constant_mw"], sheet["linreg_intercept"],
+            sheet["linreg_slope"], calibration) == wave_fits(width)
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak RSS from /proc")

@@ -109,7 +109,8 @@ class TestCalibration:
                     for i in range(60)]
         toggle = ToggleCountModel(netlist)
         reference = SiliconReference(netlist)
-        scale = calibrate_toggle_model(toggle, reference, patterns)
+        scale = calibrate_toggle_model(
+            toggle, reference.power_of_sequence(patterns), patterns)
         assert scale > 1.0  # silicon draws more than the bare count
         toggle.reset()
         reference.reset()
@@ -122,6 +123,7 @@ class TestCalibration:
         toggle = ToggleCountModel(netlist)
         reference = SiliconReference(netlist)
         # Constant patterns: no toggles at all.
-        scale = calibrate_toggle_model(toggle, reference,
-                                       [{"a": Logic.ZERO}] * 3)
+        patterns = [{"a": Logic.ZERO}] * 3
+        scale = calibrate_toggle_model(
+            toggle, reference.power_of_sequence(patterns), patterns)
         assert scale == 1.0
