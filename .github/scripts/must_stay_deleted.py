@@ -216,6 +216,16 @@ RULES = (
          "a publish runs the silicon more than once (one power sequence "
          "feeds the constant, the regression and the calibration)",
          exactly=1),
+    # A process loads only the layers it runs.
+    Rule(r"^\s*(import numpy|from numpy)",
+         tuple(f"src/repro/{name}" for name in (
+             "cache", "core", "net", "rmi", "server", "telemetry",
+             "parallel", "compiled", "faults", "gates")), None,
+         "numpy is imported below the power layer (it stays in "
+         "repro.power, which no served child loads)"),
+    Rule(r"^from \. import|^import repro\.", ("src/repro/__init__.py",),
+         None, "the package root imports a subpackage eagerly again "
+               "(each loads on first use through its __getattr__)"),
 )
 
 

@@ -21,12 +21,27 @@ Package map:
 * :mod:`repro.parallel` -- sharded multi-worker fault simulation and
   scenario fan-out over a process pool.
 * :mod:`repro.bench` -- harnesses regenerating the paper's tables/figures.
+
+Each subpackage loads on first use (``repro.core``, ``from repro import
+net``), so a process loads only the layers it runs, and a marshalled
+value decodes in any process: its codec tag names the module that
+registers it (:mod:`repro.rmi.marshal`).
 """
 
-from . import (behav, bench, core, estimation, faults, gates, ip, net,
-               parallel, power, rmi, rtl)
+from importlib import import_module
+from typing import Any, List
 
 __version__ = "1.0.0"
 
 __all__ = ["behav", "bench", "core", "estimation", "faults", "gates",
            "ip", "net", "parallel", "power", "rmi", "rtl", "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return import_module(f"{__name__}.{name}")
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

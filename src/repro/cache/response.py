@@ -27,7 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from ..core.errors import check_positive
+from ..core.errors import check_count, check_positive
 from ..rmi.marshal import marshal
 
 
@@ -128,8 +128,7 @@ class ResponseCache:
     def __init__(self, max_entries: int = 1024,
                  ttl: Optional[float] = None,
                  time_fn: Optional[Callable[[], float]] = None):
-        if max_entries < 1:
-            raise ValueError("cache needs room for at least one entry")
+        check_count("max_entries", max_entries)
         if ttl is not None:
             check_positive("ttl", ttl)
         import time

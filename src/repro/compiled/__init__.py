@@ -16,30 +16,14 @@ interpreted path, which stays selectable as ``--engine event`` and is
 the oracle of ``tests/differential/test_engine_differential.py``.
 """
 
-from .compiler import (CompiledKernel, built_bench, built_fault_list,
-                       clear_build_cache, clear_kernel_cache,
-                       compile_netlist, netlist_fingerprint)
-from .engine import (ENGINES, FaultSimulator, fault_simulator_for,
-                     resolve_engine, simulator_for)
-from .ppsfp import (SUPERWORD_BITS, WORD_BITS, CompiledFaultSimulator,
-                    CompiledSimulator, pack_patterns)
+from .._lazy import attach
 
-__all__ = [
-    "ENGINES",
-    "SUPERWORD_BITS",
-    "WORD_BITS",
-    "CompiledFaultSimulator",
-    "CompiledKernel",
-    "CompiledSimulator",
-    "FaultSimulator",
-    "built_bench",
-    "built_fault_list",
-    "clear_build_cache",
-    "clear_kernel_cache",
-    "compile_netlist",
-    "fault_simulator_for",
-    "netlist_fingerprint",
-    "pack_patterns",
-    "resolve_engine",
-    "simulator_for",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "compiler": ("CompiledKernel", "built_bench", "built_fault_list",
+                 "clear_build_cache", "clear_kernel_cache", "compile_netlist",
+                 "netlist_fingerprint"),
+    "engine": ("ENGINES", "FaultSimulator", "fault_simulator_for",
+               "resolve_engine", "simulator_for"),
+    "ppsfp": ("SUPERWORD_BITS", "WORD_BITS", "CompiledFaultSimulator",
+              "CompiledSimulator", "pack_patterns"),
+})

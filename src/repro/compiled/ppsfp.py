@@ -162,11 +162,17 @@ class CompiledSimulator:
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        # id(fault) -> (fault, its _injection): a servant's tables name
-        # the same fault objects over and over, so each site is resolved
-        # once per simulator.  The entry keeps its fault alive, so no
-        # other object can take that id while it is cached.
+        # Each site is resolved once per simulator.  ``_sites`` maps
+        # id(fault) -> (fault, its _injection) for the first fault
+        # object seen at a site, and keeps it alive so no other object
+        # can take that id: a servant's tables name the same fault
+        # objects over and over and stay on this one lookup.
+        # ``_by_site`` maps the fault itself (a frozen dataclass: equal
+        # faults, one site) to the same injection, so a caller that
+        # builds equal faults per call adds nothing; both maps hold at
+        # most one entry per distinct site.
         self._sites: Dict[int, Tuple[Any, Tuple[int, bool]]] = {}
+        self._by_site: Dict[Any, Tuple[int, bool]] = {}
 
     @cached_property
     def kernel(self) -> CompiledKernel:
@@ -227,6 +233,17 @@ class CompiledSimulator:
         _record_work(self.kernel.gate_count, 1)
         return outputs
 
+    def _injection_of(self, fault: Any) -> Tuple[int, bool]:
+        entry = self._sites.get(id(fault))
+        if entry is not None:
+            return entry[1]
+        injection = self._by_site.get(fault)
+        if injection is None:
+            injection = _injection(self.kernel, fault)
+            self._by_site[fault] = injection
+            self._sites[id(fault)] = (fault, injection)
+        return injection
+
     def outputs_for_faults(self, input_values: Mapping[str, Logic],
                            faults: Sequence[Any]
                            ) -> List[Tuple[Logic, ...]]:
@@ -261,10 +278,7 @@ class CompiledSimulator:
         try:
             injections = [sites[id(fault)][1] for fault in faults]
         except KeyError:
-            for fault in faults:
-                if id(fault) not in sites:
-                    sites[id(fault)] = (fault, _injection(kernel, fault))
-            injections = [sites[id(fault)][1] for fault in faults]
+            injections = list(map(self._injection_of, faults))
         results: List[Tuple[Logic, ...]] = []
         shared: Dict[Tuple[Logic, ...], Tuple[Logic, ...]] = {}
         runs = 1

@@ -46,12 +46,27 @@ class SetupError(EstimationError):
     """A setup controller could not satisfy a requested criterion."""
 
 
-class ParameterError(DesignError, EstimationError, ValueError):
+class ParallelExecutionError(ReproError):
+    """A sharded multi-worker run failed (bad worker count, task error).
+
+    When the failure is attributable to one shard, ``shard_index`` is
+    its submission index, so the caller of a campaign can report
+    *which* slice of the fault list poisoned the run.
+    """
+
+    def __init__(self, message: str, shard_index=None):
+        super().__init__(message)
+        self.shard_index = shard_index
+
+
+class ParameterError(DesignError, EstimationError, ParallelExecutionError,
+                     ValueError):
     """A number outside the range its parameter documents.
 
-    Raised by :func:`check_positive`, where the number enters.  It is a
-    ``ValueError``, and also the ``DesignError`` / ``EstimationError``
-    that the constructors calling the checker raised before it.
+    Raised by :func:`check_positive` and :func:`check_count`, where the
+    number enters.  It is a ``ValueError``, and also the ``DesignError``
+    / ``EstimationError`` / ``ParallelExecutionError`` that the
+    constructors calling the checkers raised before them.
     """
 
 
@@ -67,6 +82,19 @@ def check_positive(name: str, value: float, zero: bool = False) -> None:
         bound = "non-negative" if zero else "positive"
         raise ParameterError(
             f"{name} must be {bound} and finite, got {value!r}")
+
+
+def check_count(name: str, value: int, minimum: int = 1) -> None:
+    """Refuse ``value`` unless it is an integer of at least ``minimum``.
+
+    The refusal is a :class:`ParameterError` naming ``name``.  ``value <
+    minimum`` alone would let NaN through, and an infinity or a fraction
+    too; a ``bool`` is an ``int`` to Python but never a count.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise ParameterError(
+            f"expected an integer {name} >= {minimum}, got {value!r}")
 
 
 class MarshalError(ReproError):
@@ -88,19 +116,6 @@ class SecurityViolationError(ReproError):
 
 class FaultSimulationError(ReproError):
     """Problem during (virtual) fault simulation."""
-
-
-class ParallelExecutionError(ReproError):
-    """A sharded multi-worker run failed (bad worker count, task error).
-
-    When the failure is attributable to one shard, ``shard_index`` is
-    its submission index, so campaign drivers can report *which* slice
-    of the fault list poisoned the run.
-    """
-
-    def __init__(self, message: str, shard_index=None):
-        super().__init__(message)
-        self.shard_index = shard_index
 
 
 class IPProtectionError(ReproError):

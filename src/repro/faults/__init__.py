@@ -1,41 +1,24 @@
 """Fault simulation: stuck-at models, detection tables, virtual protocol."""
 
-from .atpg import (ABORTED, DETECTED, UNTESTABLE, TestGenResult, TestSet,
-                   generate_test, generate_test_set)
-from .coverage import (CoverageSummary, expand_composed_coverage,
-                       expand_coverage, reports_agree)
-from .detection import DetectionTable, build_detection_table
-from .faultlist import (FaultList, build_fault_list,
-                        compose_design_fault_list, enumerate_faults)
-from .model import StuckAtFault
-from .sequential import (SequentialDesign, SequentialEvaluator,
-                         SequentialSerialFaultSimulator,
-                         SequentialVirtualFaultSimulator,
-                         design_from_bench)
-from .serial import FaultSimReport, SerialFaultSimulator
-from .transition import (SerialTransitionSimulator, TransitionFault,
-                         TransitionFaultList, TransitionTestabilityServant,
-                         VirtualTransitionSimulator,
-                         enumerate_transition_faults)
-from .virtual import (IPBlockClient, TestabilityServant,
-                      VirtualFaultSimulator, drive_connector)
+from .._lazy import attach
 
-__all__ = [
-    "ABORTED", "DETECTED", "UNTESTABLE", "TestGenResult", "TestSet",
-    "generate_test", "generate_test_set",
-    "CoverageSummary", "expand_composed_coverage", "expand_coverage",
-    "reports_agree",
-    "DetectionTable", "build_detection_table",
-    "FaultList", "build_fault_list", "compose_design_fault_list",
-    "enumerate_faults",
-    "StuckAtFault",
-    "SequentialDesign", "SequentialEvaluator",
-    "SequentialSerialFaultSimulator", "SequentialVirtualFaultSimulator",
-    "design_from_bench",
-    "FaultSimReport", "SerialFaultSimulator",
-    "SerialTransitionSimulator", "TransitionFault", "TransitionFaultList",
-    "TransitionTestabilityServant", "VirtualTransitionSimulator",
-    "enumerate_transition_faults",
-    "IPBlockClient", "TestabilityServant", "VirtualFaultSimulator",
-    "drive_connector",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "atpg": ("ABORTED", "DETECTED", "UNTESTABLE", "TestGenResult", "TestSet",
+             "generate_test", "generate_test_set"),
+    "coverage": ("CoverageSummary", "expand_composed_coverage",
+                 "expand_coverage", "reports_agree"),
+    "detection": ("DetectionTable", "build_detection_table"),
+    "faultlist": ("FaultList", "build_fault_list", "compose_design_fault_list",
+                  "enumerate_faults"),
+    "model": ("StuckAtFault",),
+    "sequential": ("SequentialDesign", "SequentialEvaluator",
+                   "SequentialSerialFaultSimulator",
+                   "SequentialVirtualFaultSimulator", "design_from_bench"),
+    "serial": ("FaultSimReport", "SerialFaultSimulator"),
+    "transition": ("SerialTransitionSimulator", "TransitionFault",
+                   "TransitionFaultList", "TransitionTestabilityServant",
+                   "VirtualTransitionSimulator",
+                   "enumerate_transition_faults"),
+    "virtual": ("IPBlockClient", "TestabilityServant", "VirtualFaultSimulator",
+                "drive_connector"),
+})

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..compiled import fault_simulator_for
 from ..core.signal import Logic
 from ..gates.netlist import Netlist
 from ..gates.simulator import NetlistSimulator
@@ -182,8 +183,6 @@ def generate_test_set(netlist: Netlist,
     test_set = TestSet()
     remaining: List[str] = list(fault_list.names())
 
-    # Imported lazily: repro.compiled depends on this package.
-    from ..compiled import fault_simulator_for
     detected_by = fault_simulator_for(engine, netlist, fault_list).detecting
 
     # Phase 1: random patterns with dropping.

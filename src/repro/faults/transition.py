@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..compiled import simulator_for
 from ..core.errors import FaultSimulationError
 from ..core.signal import Logic
 from ..gates.netlist import Netlist
@@ -114,8 +115,6 @@ class TransitionTestabilityServant:
     def __init__(self, netlist: Netlist,
                  fault_list: Optional[TransitionFaultList] = None,
                  gate_eval_cost: float = 40e-6):
-        # Imported lazily: repro.compiled depends on this package.
-        from ..compiled import simulator_for
         self.netlist = netlist
         self.faults = fault_list or TransitionFaultList(netlist.name,
                                                         netlist=netlist)

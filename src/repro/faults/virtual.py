@@ -30,6 +30,7 @@ from operator import itemgetter, ne
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
+from ..compiled import resolve_engine, simulator_for
 from ..core.connector import Connector
 from ..core.controller import SimulationController
 from ..core.design import Circuit
@@ -65,8 +66,6 @@ class TestabilityServant:
                  fault_list: Optional[FaultList] = None,
                  gate_eval_cost: float = 40e-6,
                  engine: Optional[str] = None):
-        # Imported lazily: repro.compiled depends on this package.
-        from ..compiled import resolve_engine, simulator_for
         self.netlist = netlist
         self.faults = fault_list or build_fault_list(netlist)
         self.engine = resolve_engine(engine)

@@ -23,26 +23,18 @@ See ``docs/parallel.md`` for the sharding model and the determinism
 guarantees (and their limits).
 """
 
-from .faultsim import parallel_fault_simulate, parallel_generate_test_set
-from .merge import diff_reports, merge_reports, merge_test_sets
-from .pool import TaskOutcome, WorkerPool, resolve_workers
-from .remote import (FaultFarmServant, RemoteCampaign, RemoteWorkerPool,
-                     register_fault_farm, remote_fault_simulate)
-from .scenarios import (ScenarioSpec, reset_session_state,
-                        run_scenarios_parallel, run_table2_parallel,
-                        table2_specs)
-from .sharding import (Shard, round_robin_shards, shard_fault_list,
-                       shard_names, weighted_shards)
-from .virtualsim import block_gate_weights, parallel_virtual_fault_simulate
+from .._lazy import attach
 
-__all__ = [
-    "FaultFarmServant", "RemoteCampaign", "RemoteWorkerPool",
-    "ScenarioSpec", "Shard", "TaskOutcome", "WorkerPool",
-    "block_gate_weights", "diff_reports", "merge_reports",
-    "merge_test_sets", "parallel_fault_simulate",
-    "parallel_generate_test_set", "parallel_virtual_fault_simulate",
-    "register_fault_farm", "remote_fault_simulate",
-    "reset_session_state", "resolve_workers", "round_robin_shards",
-    "run_scenarios_parallel", "run_table2_parallel", "shard_fault_list",
-    "shard_names", "table2_specs", "weighted_shards",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "faultsim": ("parallel_fault_simulate", "parallel_generate_test_set"),
+    "merge": ("diff_reports", "merge_reports", "merge_test_sets"),
+    "pool": ("TaskOutcome", "WorkerPool", "resolve_workers"),
+    "remote": ("FaultFarmServant", "RemoteCampaign", "RemoteWorkerPool",
+               "register_fault_farm", "remote_fault_simulate"),
+    "scenarios": ("ScenarioSpec", "reset_session_state",
+                  "run_scenarios_parallel", "run_table2_parallel",
+                  "table2_specs"),
+    "sharding": ("Shard", "round_robin_shards", "shard_fault_list",
+                 "shard_names", "weighted_shards"),
+    "virtualsim": ("block_gate_weights", "parallel_virtual_fault_simulate"),
+})

@@ -40,7 +40,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from ..core.errors import ParallelExecutionError
+from ..core.errors import ParallelExecutionError, check_count
 from ..telemetry.export import chrome_trace_events
 from ..telemetry.runtime import TELEMETRY
 
@@ -49,14 +49,13 @@ _TASK_WALL_BUCKETS = (1e-3, 1e-2, 1e-1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0)
 
 def resolve_workers(workers: Optional[int]) -> int:
     """Resolve a ``--workers`` value: ``None``/``0`` = one per usable CPU."""
-    if workers is None or workers == 0:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if workers < 0:
-        raise ParallelExecutionError(
-            f"worker count must be >= 0, got {workers}")
-    return workers
+    if workers is not None:
+        check_count("workers", workers, 0)
+    if workers:
+        return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def merge_worker_metrics(snapshot: Mapping[str, Any], prefix: str) -> None:

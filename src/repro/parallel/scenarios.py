@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence
 from ..bench.scenarios import (DEFAULT_BUFFER, DEFAULT_PATTERNS,
                                DEFAULT_WIDTH, TABLE2_ROWS, ScenarioResult,
                                clear_shared_providers, run_scenario)
+from ..compiled import clear_build_cache
 from ..core.errors import ParallelExecutionError
 from ..core.ids import reset_default_context
 from ..net.model import PRESETS
@@ -67,8 +68,6 @@ def reset_session_state() -> None:
     goes too: it cannot change a byte, but a set-up timed after this
     call should pay its build like a fresh process does.
     """
-    from ..compiled import clear_build_cache
-
     reset_default_context()
     clear_shared_providers()
     clear_build_cache()

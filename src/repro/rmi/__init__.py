@@ -1,30 +1,24 @@
 """RMI-like distributed object substrate with restricted marshalling."""
 
-from .batching import DEFAULT_MAX_BATCH, BatchingTransport
-from .caching import PURE_METHODS, CachePolicy, CachingTransport
+from .._lazy import attach
+# Bound now: the function ``marshal`` shadows its own module's name,
+# which importing ``repro.rmi.marshal`` later would otherwise rebind.
 from .marshal import marshal, payload_size, register_value_type, unmarshal
-from .protocol import (AuthRequest, BatchReply, BatchRequest, CallReply,
-                       CallRequest, decode_request)
-from .tlsconfig import client_ssl_context, server_ssl_context
-from .registry import Binding, Registry
-from .security import SecurityPolicy, default_policy_for
-from .server import JavaCADServer, ServerCallContext, current_server_context
-from .stub import RemoteStub
-from .transport import (InProcessTransport, TcpTransport, Transport,
-                        TransportStats)
-from .wire import base_transport_of, wrap_transport
 
-__all__ = [
-    "marshal", "payload_size", "register_value_type", "unmarshal",
-    "AuthRequest", "BatchReply", "BatchRequest", "CallReply",
-    "CallRequest", "decode_request",
-    "client_ssl_context", "server_ssl_context",
-    "Binding", "Registry",
-    "SecurityPolicy", "default_policy_for",
-    "JavaCADServer", "ServerCallContext", "current_server_context",
-    "RemoteStub",
-    "InProcessTransport", "TcpTransport", "Transport", "TransportStats",
-    "DEFAULT_MAX_BATCH", "BatchingTransport",
-    "PURE_METHODS", "CachePolicy", "CachingTransport",
-    "base_transport_of", "wrap_transport",
-]
+__getattr__, __dir__, _lazy_names = attach(__name__, {
+    "batching": ("DEFAULT_MAX_BATCH", "BatchingTransport"),
+    "caching": ("PURE_METHODS", "CachePolicy", "CachingTransport"),
+    "protocol": ("AuthRequest", "BatchReply", "BatchRequest", "CallReply",
+                 "CallRequest", "decode_request"),
+    "tlsconfig": ("client_ssl_context", "server_ssl_context"),
+    "registry": ("Binding", "Registry"),
+    "security": ("SecurityPolicy", "default_policy_for"),
+    "server": ("JavaCADServer", "ServerCallContext", "current_server_context"),
+    "stub": ("RemoteStub",),
+    "transport": ("InProcessTransport", "TcpTransport", "Transport",
+                  "TransportStats"),
+    "wire": ("base_transport_of", "wrap_transport"),
+})
+
+__all__ = ["marshal", "payload_size", "register_value_type", "unmarshal",
+           *_lazy_names]

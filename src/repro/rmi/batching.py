@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import RemoteError
+from ..core.errors import RemoteError, check_count
 from ..telemetry.runtime import TELEMETRY
 from .protocol import CallReply, CallRequest
 from .transport import Transport, _BATCH_SIZE_BUCKETS
@@ -46,9 +46,8 @@ class BatchingTransport(Transport):
 
     def __init__(self, inner: Transport,
                  max_batch: int = DEFAULT_MAX_BATCH):
-        if max_batch < 2:
-            raise ValueError("batching needs max_batch >= 2 to ever "
-                             "coalesce anything")
+        # One call per batch would never coalesce anything.
+        check_count("max_batch", max_batch, 2)
         super().__init__()
         self.inner = inner
         self.max_batch = max_batch

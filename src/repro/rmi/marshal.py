@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+from importlib import import_module
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
@@ -36,9 +37,18 @@ from ..core.signal import Logic, Word
 _MAX_DEPTH = 32
 _TOO_DEEP = "marshalled structure is too deeply nested"
 
-_VALUE_CODECS: Dict[str, Tuple[Type, Callable[[Any], Any],
-                               Callable[[Any], Any]]] = {}
+_Codec = Tuple[Type, Callable[[Any], Any], Callable[[Any], Any]]
+_VALUE_CODECS: Dict[str, _Codec] = {}
 _REGISTRY_LOCK = threading.Lock()
+
+# The module that registers each built-in codec.  A process that has
+# not imported it yet (packages load on first use) imports it on the
+# tag's first arrival, so every built-in tag decodes in any process.
+_CODEC_OWNERS = {
+    "paramvalue": "repro.estimation.parameter",
+    "detection-table": "repro.faults.detection",
+    "frame": "repro.behav.stream",
+}
 
 
 def register_value_type(tag: str, cls: Type,
@@ -307,13 +317,22 @@ def _decode(data: Any, depth: int, runs: Optional[list]) -> Any:
         if decoder is not None:
             return decoder(data, depth, runs)
         if type(tag) is str and tag.startswith("x:"):
-            codec = _VALUE_CODECS.get(tag[2:])
+            codec = _VALUE_CODECS.get(tag[2:]) or _owned_codec(tag[2:])
             if codec is not None:
                 return codec[2](_decode(data.get("v"), depth + 1, runs))
         raise MarshalError(f"unknown marshal tag {tag!r}")
     if kind is list:  # only produced inside tagged containers
         raise MarshalError("bare JSON list in wire data")
     return data
+
+
+def _owned_codec(tag: str) -> Optional[_Codec]:
+    """``tag``'s codec once the module that owns it has run."""
+    owner = _CODEC_OWNERS.get(tag)
+    if owner is None:
+        return None
+    import_module(owner)
+    return _VALUE_CODECS.get(tag)
 
 
 def _decode_elements(items: Any, depth: int, runs: Optional[list]) -> list:

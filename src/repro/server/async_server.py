@@ -56,7 +56,7 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..core.errors import RemoteError
+from ..core.errors import RemoteError, check_count
 from ..core.ids import ConnectionContext, IdScope, entered
 from ..rmi.protocol import (AuthRequest, BatchReply, BatchRequest,
                             CallReply, decode_request, encode_frame,
@@ -415,9 +415,7 @@ class AsyncRMIServer:
         if (server is None) == (session_factory is None):
             raise ValueError(
                 "exactly one of server / session_factory is required")
-        if max_connections < 1:
-            raise ValueError(
-                f"max_connections must be >= 1, got {max_connections}")
+        check_count("max_connections", max_connections)
         if idle_timeout is not None and not idle_timeout > 0:
             # It would expire at once: every tenant would be dropped
             # before its first frame (a NaN one is due at every turn of
@@ -432,9 +430,7 @@ class AsyncRMIServer:
         if not drain_timeout >= 0:
             raise ValueError(f"drain_timeout must be >= 0, "
                              f"got {drain_timeout}")
-        if dispatch_workers < 1:
-            raise ValueError(f"dispatch_workers must be >= 1, "
-                             f"got {dispatch_workers}")
+        check_count("dispatch_workers", dispatch_workers)
         if dispatch not in DISPATCH_TIERS:
             raise ValueError(
                 f"unknown dispatch tier {dispatch!r}; expected one of "

@@ -39,7 +39,7 @@ class TestBasics:
         assert len(cache) == 1
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="at least one entry"):
+        with pytest.raises(ValueError, match="max_entries >= 1"):
             ResponseCache(max_entries=0)
         with pytest.raises(ValueError, match="ttl must be positive"):
             ResponseCache(ttl=0)

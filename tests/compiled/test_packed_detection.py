@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.compiled import CompiledSimulator, ppsfp, simulator_for
 from repro.core import Logic
-from repro.faults import TestabilityServant, build_fault_list
+from repro.faults import StuckAtFault, TestabilityServant, build_fault_list
 from repro.faults.atpg import generate_test_set
 from repro.faults.detection import build_detection_table
 from repro.gates import NetlistSimulator, load_bench
@@ -194,6 +194,21 @@ class TestServantSiteCache:
         TestabilityServant(netlist, fault_list).detection_table(
             bits, names[:5])
         assert len(resolved) == len(names) + 5
+
+    def test_equal_faults_share_one_entry(self):
+        """A caller that builds a fresh fault object per call adds no
+        entry for a site already seen, so the memo is bounded by the
+        number of distinct sites, not of calls."""
+        netlist = load_bench("c17")
+        simulator = CompiledSimulator(netlist)
+        bits = {net: Logic.ONE for net in netlist.inputs}
+        stem = netlist.inputs[0]
+        expected = simulator.outputs(bits, fault=StuckAtFault.stem(stem, 0))
+        for _ in range(1000):
+            fault = StuckAtFault.stem(stem, 0)
+            assert simulator.detection_outputs(bits, [fault])[1] \
+                == [expected]
+        assert len(simulator._sites) == len(simulator._by_site) == 1
 
 
 class TestAtpgByteIdentity:

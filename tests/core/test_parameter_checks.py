@@ -1,6 +1,7 @@
 """Numeric parameters are refused where they enter: NaN and the
 infinities as well as zero and negatives, by one checker that names the
-parameter (``repro.core.errors.check_positive``)."""
+parameter (``repro.core.errors.check_positive``; integer counts go
+through ``check_count``, which refuses fractions and bools as well)."""
 
 import math
 from dataclasses import fields
@@ -13,13 +14,17 @@ from repro.cache.response import ResponseCache
 from repro.core import (BitConnector, ClockGenerator, Delay, DesignError,
                         EstimationError, Fanout, ParameterError,
                         PatternPrimaryInput, Register, WordConnector)
+from repro.core.errors import ParallelExecutionError
 from repro.estimation import EstimatorSkeleton
 from repro.gates import parity_tree
-from repro.net import CostModel, NetworkModel, VirtualClock
+from repro.net import LOCALHOST, CostModel, NetworkModel, VirtualClock
+from repro.parallel import WorkerPool, resolve_workers
 from repro.power import SiliconReference, ToggleCountModel
 from repro.power.montecarlo import monte_carlo_power
 from repro.power.toggle import PowerModel
+from repro.rmi import BatchingTransport, JavaCADServer
 from repro.rtl import WordAdder, WordMux
+from repro.server import AsyncRMIServer
 
 VALUES = [math.nan, math.inf, -math.inf, 0, -1]
 
@@ -83,6 +88,24 @@ CALLS = {
         lambda v: NetworkModel("x", latency=0.0, bandwidth=v),
         "bandwidth", ()),
 }
+# Integer counts.  ``workers`` 0 (like None) means one per usable CPU.
+COUNTS = {
+    "ResponseCache.max_entries": (
+        lambda v: ResponseCache(max_entries=v), "max_entries", ()),
+    "BatchingTransport.max_batch": (
+        lambda v: BatchingTransport(JavaCADServer("x").connect(LOCALHOST),
+                                    max_batch=v), "max_batch", ()),
+    "WorkerPool.workers": (
+        lambda v: WorkerPool(workers=v), "workers", (0,)),
+    "resolve_workers": (resolve_workers, "workers", (0,)),
+    "AsyncRMIServer.dispatch_workers": (
+        lambda v: AsyncRMIServer(JavaCADServer("x"), dispatch_workers=v),
+        "dispatch_workers", ()),
+    "AsyncRMIServer.max_connections": (
+        lambda v: AsyncRMIServer(JavaCADServer("x"), max_connections=v),
+        "max_connections", ()),
+}
+CALLS.update(COUNTS)
 # Every cost may be zero (a free operation); the wire bytes per
 # payload byte may not.
 CALLS.update({
@@ -103,10 +126,21 @@ def test_out_of_range_values_are_refused_by_name(call, value):
         build(value)
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"], ids=repr)
+@pytest.mark.parametrize("call", list(COUNTS))
+def test_a_count_refuses_what_is_not_an_integer(call, value):
+    """``value < minimum`` alone let a fraction through: a cache of 2.5
+    entries, a batch of 2.0 calls."""
+    build, parameter, _allowed = COUNTS[call]
+    with pytest.raises(ParameterError, match=parameter):
+        build(value)
+
+
 def test_the_refusal_is_every_error_the_constructors_raised_before():
     assert issubclass(ParameterError, ValueError)
     assert issubclass(ParameterError, DesignError)
     assert issubclass(ParameterError, EstimationError)
+    assert issubclass(ParameterError, ParallelExecutionError)
 
 
 def test_an_in_range_value_passes_through():
