@@ -216,6 +216,11 @@ RULES = (
          "a publish runs the silicon more than once (one power sequence "
          "feeds the constant, the regression and the calibration)",
          exactly=1),
+    # A single-pattern power call is one kernel run and a few whole-array
+    # operations.
+    Rule(r"reduceat", ("src/repro/power",), None,
+         "a gate's changed inputs are OR-ed per gate over a flat pin list "
+         "again (every gate reads the padded pin matrix, _Plan.pins)"),
     # A process loads only the layers it runs.
     Rule(r"^\s*(import numpy|from numpy)",
          tuple(f"src/repro/{name}" for name in (

@@ -28,6 +28,15 @@ from ..power.toggle import (SiliconReference, ToggleCountModel,
 from ..rmi.server import JavaCADServer, current_server_context
 
 
+def _check_operand(port: str, value: Any, width: int) -> None:
+    """Refuse a value no local model could drive ``port`` with: it must
+    be an ``int`` that is not a ``bool``, in ``0 .. 2**width - 1``."""
+    if type(value) is bool or not isinstance(value, int) \
+            or not 0 <= value < 1 << width:
+        raise RemoteError(f"{port} is {value!r}; expected an int in "
+                          f"0..{(1 << width) - 1}")
+
+
 def bits_to_inputs(netlist: Netlist,
                    bits: Sequence[int]) -> Dict[str, Logic]:
     """One wire bit per netlist primary input, in declaration order:
@@ -38,9 +47,7 @@ def bits_to_inputs(netlist: Netlist,
             f"got {len(bits)}")
     inputs: Dict[str, Logic] = {}
     for position, (net, bit) in enumerate(zip(netlist.inputs, bits)):
-        if not isinstance(bit, int) or not 0 <= bit <= 3:
-            raise RemoteError(f"input bit {position} ({net}) is {bit!r}; "
-                              f"expected an int in 0..3")
+        _check_operand(f"input bit {position} ({net})", bit, 2)
         inputs[net] = Logic(bit)
     return inputs
 
@@ -147,11 +154,7 @@ class PowerServant(SessionPowerServant):
                               f"got {len(pattern)}")
         for prefix, width, operand in zip(self.prefixes, self.widths,
                                           pattern):
-            if not isinstance(operand, int) \
-                    or not 0 <= operand < 1 << width:
-                raise RemoteError(
-                    f"operand {prefix} is {operand!r}; expected an int "
-                    f"in 0..{(1 << width) - 1}")
+            _check_operand(f"operand {prefix}", operand, width)
         return operands_to_inputs(pattern, self.prefixes, self.widths)
 
     def power_of_pair(self, session: str, a: int, b: int) -> float:
@@ -193,6 +196,7 @@ class FunctionalServant:
         """Process one input event; return the output emissions."""
         if port not in ("a", "b"):
             raise RemoteError(f"multiplier has no input port {port!r}")
+        _check_operand(f"operand {port}", value, self.width)
         state = current_connection().sessions(self).setdefault(session, {})
         state[port] = value
         a, b = state.get("a"), state.get("b")
@@ -216,6 +220,8 @@ class FunctionalServant:
         if unknown:
             raise RemoteError(
                 f"multiplier has no input port(s) {sorted(unknown)!r}")
+        for port, value in inputs.items():
+            _check_operand(f"operand {port}", value, self.width)
         context = current_server_context()
         if context is not None:
             context.charge(self.word_op_cost)

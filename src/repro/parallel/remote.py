@@ -364,7 +364,12 @@ class FaultFarmServant:
 
 def register_fault_farm(server: JavaCADServer, resolver=None,
                         name: str = FAULT_FARM_OBJECT) -> FaultFarmServant:
-    """Bind a fresh fault-farm servant on ``server`` and return it."""
+    """Bind a fresh fault-farm servant on ``server`` and return it.
+
+    Loads what resolving a bench reads, so no served call imports a
+    module.
+    """
+    from ..gates import corpus, generators, io  # noqa: F401
     servant = FaultFarmServant(resolver=resolver)
     server.rebind(name, servant, FaultFarmServant.REMOTE_METHODS)
     return servant

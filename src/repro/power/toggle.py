@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import random
 from array import array
-from functools import cached_property
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import (Any, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -104,14 +105,15 @@ class _Plan(NamedTuple):
     inputs: Tuple[str, ...]
     input_set: frozenset
     units: np.ndarray
-    """Per net: the driving cell's energy per toggle x ``scale``."""
+    """Per net: the driving cell's energy per toggle x ``scale``, a
+    whole number held as a float (sums of them are exact below 2**53)."""
     scale: int
-    """A power of two making every cell energy an integer: a sum of
-    such energies is exact in any order, so it equals the wave's."""
+    """A power of two making every cell energy a whole number: a sum of
+    such numbers is exact in any order, so it equals the wave's."""
     pins: np.ndarray
-    """Every gate's distinct input nets, gate after gate."""
-    starts: np.ndarray
-    """Each gate's first entry in ``pins``."""
+    """Row ``k``, column ``g``: gate ``g``'s ``k``-th distinct input
+    net, or its first one where it has fewer (OR-ing it twice changes
+    nothing)."""
 
 
 def _plan(netlist: Netlist) -> _Plan:
@@ -124,15 +126,54 @@ def _plan(netlist: Netlist) -> _Plan:
     energies = [0.0] * len(inputs) + [gate.cell.energy for gate in order]
     scale = max(energy.as_integer_ratio()[1] for energy in energies) \
         if energies else 1
-    pins: List[int] = []
-    starts: List[int] = []
-    for gate in order:
-        starts.append(len(pins))
-        pins.extend(dict.fromkeys(number[source] for source in gate.inputs))
+    reads = [list(dict.fromkeys(number[source] for source in gate.inputs))
+             for gate in order]
+    pins = [[read[k] if k < len(read) else read[0] for read in reads]
+            for k in range(max(map(len, reads), default=1))]
     return _Plan(inputs, frozenset(inputs),
-                 np.array([int(energy * scale) for energy in energies],
-                          np.int64),
-                 scale, np.array(pins, np.intp), np.array(starts, np.intp))
+                 np.array([energy * scale for energy in energies],
+                          np.float64),
+                 scale, np.array(pins, np.intp).reshape(len(pins), -1))
+
+
+_DIGITS = tuple(bytes.maketrans(b"\0\1\2\3", digits)
+                for digits in (b"0100", b"1100", b"0001"))
+"""Per plane (value, care, ``Z``): each :class:`Logic` code's bit as a
+binary digit."""
+
+_BYTE_LANES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                            axis=1, bitorder="little").astype(np.int64)
+"""Row ``b``: the eight lane bits of byte value ``b``."""
+
+
+@lru_cache(maxsize=1 << 12)
+def _column(values: Tuple[Logic, ...]) -> Tuple[int, int, int]:
+    """One input's value, care and ``Z`` words, bit ``i`` from
+    ``values[i]``.  Runs repeat columns (a two-lane run has at most 16
+    kinds), so each is packed once."""
+    lanes = bytes(values)[::-1]
+    value, care, z = (int(lanes.translate(digits), 2) for digits in _DIGITS)
+    return value, care, z
+
+
+def _lane_sums(words: np.ndarray, weights: Optional[np.ndarray],
+               lanes: int) -> List[Any]:
+    """Per lane ``0 .. lanes - 1``: how many ``words`` have its bit set,
+    or with ``weights`` the sum of theirs.
+
+    Bit 0 is always clear.  A two-lane run (a single-pattern call) can
+    set bit 1 only, so its sum is one count or one dot product.  Longer
+    runs take a histogram of each byte of lanes over its 256 values,
+    which ``_BYTE_LANES`` spreads over its eight lanes.
+    """
+    if lanes == 2:
+        hit = words != 0
+        return [0, int(np.count_nonzero(hit)) if weights is None
+                else float(weights @ hit)]
+    octets = words.view(np.uint8).reshape(-1, 8)
+    return np.concatenate([
+        np.bincount(octets[:, byte], weights, 256) @ _BYTE_LANES
+        for byte in range((lanes + 7) // 8)])[:lanes].tolist()
 
 
 def _lane_bits(words: np.ndarray, lanes: int) -> np.ndarray:
@@ -208,8 +249,8 @@ class ToggleCountModel(PowerModel):
                   ) -> List[float]:
         """Switched energy of lanes ``first`` .. ``lanes - 1``."""
         plan = self._plan
-        energies = (plan.units @ _lane_bits(toggles, lanes)) / plan.scale
-        return energies[first:].tolist()
+        return [energy / plan.scale for energy in
+                _lane_sums(toggles, plan.units, lanes)[first:]]
 
     def _run(self, lanes: Sequence[Tuple[Logic, ...]]
              ) -> Tuple[np.ndarray, List[int]]:
@@ -217,35 +258,27 @@ class ToggleCountModel(PowerModel):
         ``i`` differs from lane ``i - 1``; bit 0 clear) and each lane's
         gate count."""
         plan = self._plan
-        count = len(plan.inputs)
-        iv, ic, iz = [0] * count, [0] * count, [0] * count
-        for lane, row in enumerate(lanes):
-            bit = 1 << lane
-            for index, value in enumerate(row):
-                if value is Logic.ONE:
-                    iv[index] |= bit
-                    ic[index] |= bit
-                elif value is Logic.ZERO:
-                    ic[index] |= bit
-                elif value is Logic.Z:
-                    iz[index] |= bit
+        # Per input, its (value, care, Z) words; none without inputs.
+        iv, ic, iz = list(zip(*map(_column, zip(*lanes)))) or [()] * 3
         words = self.kernel.run_good(iv, ic)
+        full = (1 << len(lanes)) - 1
         # Every word fits 64 bits: one buffer copy, no per-word call.
-        planes = np.frombuffer(array("Q", words), np.uint64)
-        value, care = planes[0::2], planes[1::2]
-        # Bit i of a net's toggle word: lane i differs from lane i - 1.
-        toggles = (value ^ (value << _ONE)) | (care ^ (care << _ONE))
-        # The kernel packs Z like X; a primary input's Z <-> X still
-        # changes its value, so its readers still evaluate.
-        z = np.array(iz, _WORD)
-        toggles[:count] |= z ^ (z << _ONE)
-        toggles &= np.uint64(((1 << len(lanes)) - 1) & ~1)
-        if len(plan.starts):
-            read = np.bitwise_or.reduceat(toggles[plan.pins], plan.starts)
-            gates = _lane_bits(read, len(lanes)).sum(axis=0).tolist()
+        if ic.count(full) == len(ic):
+            # Every lane known: each care word is ``full`` and no input
+            # is Z, so only the values can toggle.
+            value = np.frombuffer(array("Q", words[0::2]), np.uint64)
+            toggles = value ^ (value << _ONE)
         else:
-            gates = [0] * len(lanes)
-        return toggles, gates
+            planes = np.frombuffer(array("Q", words), np.uint64)
+            planes = planes ^ (planes << _ONE)
+            toggles = planes[0::2] | planes[1::2]  # value or care flips
+            # The kernel packs Z like X; a primary input's Z <-> X still
+            # changes its value, so its readers still evaluate.
+            z = np.array(iz, _WORD)
+            toggles[:len(z)] |= z ^ (z << _ONE)
+        toggles &= np.uint64(full & ~1)
+        read = np.bitwise_or.reduce(toggles[plan.pins], axis=0)
+        return toggles, _lane_sums(read, None, len(lanes))
 
 
 def calibrate_toggle_model(model: PowerModel,

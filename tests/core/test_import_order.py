@@ -77,22 +77,44 @@ FARM_CHILD = """
     fault_farm_session_factory()()
 """
 NOT_LOADED = ("numpy", "repro.bench", "repro.ip", "repro.power")
+GATE_ANALYSES = ("repro.gates.analysis", "repro.gates.scoap")
 CLI = """
     import repro.cli
 """
 
 
 @pytest.mark.parametrize("child, not_loaded", [
-    (PROBE_CHILD, NOT_LOADED), (FARM_CHILD, NOT_LOADED),
-    (CLI, ("numpy", "repro.ip", "repro.power", "repro.bench.scenarios")),
+    (PROBE_CHILD, NOT_LOADED), (FARM_CHILD, NOT_LOADED + GATE_ANALYSES),
+    (CLI, ("numpy", "repro.ip", "repro.power", "repro.bench.scenarios")
+     + GATE_ANALYSES),
 ], ids=["probe", "farm", "cli"])
 def test_a_served_child_loads_only_the_layers_it_runs(child, not_loaded):
     """Neither the probe server of the harness, a fault-farm session nor
     the command line that `repro faultworker` starts loads numpy or the
     IP and power layers; the command line needs only the bench layer's
-    reporting helpers, the two children no bench layer at all."""
+    reporting helpers, the two children no bench layer at all.  Neither
+    the farm nor the command line loads the netlist analyses."""
     out = run_fresh(BUDGET_PREAMBLE + child + f"""
     print(sorted(set({not_loaded!r}) & set(sys.modules)))
+""")
+    assert out.decode().strip() == "[]"
+
+
+def test_a_farm_session_serves_a_campaign_without_importing():
+    """The farm's session build loads what resolving a bench reads
+    (``gates.corpus`` and the generators behind the builtin benches),
+    so the first campaign's calls import nothing."""
+    out = run_fresh(BUDGET_PREAMBLE + """
+    from repro.parallel.remote import FAULT_FARM_OBJECT
+    from repro.server.farm import fault_farm_session_factory
+    session = fault_farm_session_factory()()
+    farm = session.registry.lookup(FAULT_FARM_OBJECT).servant
+    before = set(sys.modules)
+    inputs = [port + str(bit) for port in "ab" for bit in range(8)]
+    farm.begin_campaign("c", "mult8", "none", inputs)
+    farm.add_patterns("c", ["01" * 8, "1" * 16])
+    farm.run_shard("c", [])
+    print(sorted(set(sys.modules) - before))
 """)
     assert out.decode().strip() == "[]"
 

@@ -211,6 +211,8 @@ class TestWirePatternsAreChecked:
         ((1, -1), "operand b is -1; expected an int in 0..15"),
         ((16, 0), "operand a is 16"),
         ((1.5, 0), "operand a is 1.5"),
+        ((True, 3), "operand a is True; expected an int in 0..15"),
+        ((3, False), "operand b is False"),
     ])
     def test_operand_out_of_range(self, pair, operand):
         servant = PowerServant(array_multiplier(4), ("a", "b"), (4, 4))
@@ -221,7 +223,7 @@ class TestWirePatternsAreChecked:
         assert current_connection().sessions(servant) == {}
         assert servant.power_of_pair("s", 15, 15) > 0.0
 
-    @pytest.mark.parametrize("bit", [5, -1, "1", None])
+    @pytest.mark.parametrize("bit", [5, -1, "1", None, True])
     def test_bit_out_of_range(self, bit):
         netlist = array_multiplier(2)
         servant = BitPowerServant(netlist)
@@ -277,6 +279,22 @@ class TestFunctionalServant:
         servant.handle_event("s", "a", 2)
         servant.reset("s")
         assert servant.handle_event("s", "b", 3) == []
+
+    @pytest.mark.parametrize("port, value", [
+        ("a", -1), ("a", 300), ("a", True), ("b", 2.0), ("b", None)])
+    def test_an_operand_a_local_model_never_drives_is_refused(
+            self, port, value):
+        """The local multiplier takes a known word of ``width`` bits:
+        wrapping a negative or wide operand, or multiplying a bool, would
+        answer what no local model of the component could."""
+        servant = FunctionalServant(8)
+        refusal = f"operand {port} is {value!r}; expected an int in 0..255"
+        with pytest.raises(RemoteError, match=re.escape(refusal)):
+            servant.evaluate({"a": 3, "b": 5, port: value})
+        with pytest.raises(RemoteError, match=re.escape(refusal)):
+            servant.handle_event("s", port, value)
+        assert current_connection().sessions(servant) == {}
+        assert servant.evaluate({"a": 255, "b": 255}) == [("o", 65025)]
 
 
 class TestTimingServant:

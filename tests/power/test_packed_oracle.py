@@ -61,23 +61,35 @@ def wave(netlist, blocks):
     return results
 
 
-def packed(netlist, blocks):
+def packed(netlist, blocks, singles=()):
+    """The model's results over ``blocks``; a block whose index is in
+    ``singles`` goes one single-pattern call at a time."""
     model, results = ToggleCountModel(netlist), []
-    for block in blocks:
+    for index, block in enumerate(blocks):
         if block is None:
             model.reset()
+        elif index in singles:
+            for pattern in block:
+                results.extend(model.transitions([pattern]))
         else:
             results.extend(model.transitions(block))
     return results
 
 
-def random_patterns(inputs, count, seed):
+def random_patterns(inputs, count, seed, known=0.0):
     """Full and partial patterns over all four values, with runs of
-    ``X`` <-> ``Z`` flips on the primary inputs."""
+    ``X`` <-> ``Z`` flips on the primary inputs.  With probability
+    ``known`` a pattern starts a run of one to eight full patterns over
+    {0, 1}, which the kernel runs two-valued."""
     rng = random.Random(seed)
-    patterns = []
+    patterns, run = [], 0
     for _ in range(count):
-        if patterns and rng.random() < 0.3:
+        if known and not run and rng.random() < known:
+            run = rng.randint(1, 8)
+        if run:
+            run -= 1
+            pattern = {net: Logic(rng.getrandbits(1)) for net in inputs}
+        elif patterns and rng.random() < 0.3:
             swap = {Logic.X: Logic.Z, Logic.Z: Logic.X}
             pattern = {net: swap.get(value, value)
                        for net, value in patterns[-1].items()}
@@ -86,6 +98,15 @@ def random_patterns(inputs, count, seed):
                        if rng.random() < 0.9}
         patterns.append(pattern)
     return patterns
+
+
+def read_twice(netlist):
+    """Add gates that read one net on two pins: each must count once
+    when that net changes."""
+    first, last = netlist.inputs[0], netlist.gates[-1].output
+    netlist.add_gate("AND", [first, first], "twice_and", name="twice0")
+    netlist.add_gate("XOR", [last, first, last], "twice_xor",
+                     name="twice1")
 
 
 def split(patterns, sizes, reset_at):
@@ -106,13 +127,21 @@ class TestPackedEqualsTheWave:
                                     st.integers(1, 70)),
                           min_size=1, max_size=4),
            reset_at=st.one_of(st.none(), st.integers(1, 3)),
+           singles=st.sets(st.integers(0, 4)),
+           known=st.sampled_from([0.0, 0.3, 1.0]), twice=st.booleans(),
            pattern_seed=st.integers(0, 2 ** 32))
     def test_on_random_netlists(self, seed, inputs, gates, sizes, reset_at,
-                                pattern_seed):
+                                singles, known, twice, pattern_seed):
+        """Runs of full {0, 1} patterns take the kernel's two-valued
+        flavour; single-pattern calls among them switch between it and
+        X/Z lanes inside one session."""
         netlist = random_netlist(inputs, gates, 3, seed=seed)
-        patterns = random_patterns(netlist.inputs, sum(sizes), pattern_seed)
+        if twice:
+            read_twice(netlist)
+        patterns = random_patterns(netlist.inputs, sum(sizes), pattern_seed,
+                                   known)
         blocks = split(patterns, sizes, reset_at)
-        assert packed(netlist, blocks) == wave(netlist, blocks)
+        assert packed(netlist, blocks, singles) == wave(netlist, blocks)
 
     def test_mult16_in_blocks_of_1_5_and_20(self):
         netlist = load_bench("mult16")
@@ -142,10 +171,13 @@ class TestPackedEqualsTheWave:
 
     def test_energies_are_floats_and_totals_add_up(self):
         netlist = load_bench("c17")
-        patterns = random_patterns(netlist.inputs, 30, 5)
+        patterns = random_patterns(netlist.inputs, 30, 5, known=0.5)
         model = ToggleCountModel(netlist)
         results = model.transitions(patterns)
-        assert all(type(energy) is float for energy, _ in results)
+        results += [result for pattern in patterns
+                    for result in model.transitions([pattern])]
+        assert all(type(energy) is float and type(gates) is int
+                   for energy, gates in results)
         assert model.evaluated_gates == sum(gates for _, gates in results)
 
 
