@@ -65,12 +65,14 @@ from operator import itemgetter
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Set, Tuple, Union)
 
-from ..core.errors import ParallelExecutionError, RemoteError
+from ..core.errors import DesignError, ParallelExecutionError, RemoteError
 from ..core.ids import current_connection, id_scope
 from ..faults.faultlist import FaultList, build_fault_list
 from ..compiled import built_bench, built_fault_list, resolve_engine
 from ..core.signal import Logic
 from ..faults.serial import FaultSimReport
+from ..gates.corpus import load_bench, parse_bench
+from ..gates.io import SequentialBench
 from ..gates.netlist import Netlist
 from ..gates.simulator import input_value
 from ..rmi.server import JavaCADServer
@@ -154,8 +156,6 @@ def resolve_bench(spec: str) -> Netlist:
     resolved again, and :func:`repro.compiled.clear_build_cache` drops
     the memo.
     """
-    from ..gates.corpus import load_bench, parse_bench
-
     if os.path.exists(spec):
         # Parsed from the bytes that were hashed: an edit racing this
         # read cannot file new content under the old key.
@@ -171,9 +171,6 @@ def resolve_bench(spec: str) -> Netlist:
 def _combinational(spec: str, load: Callable[[], Any]) -> Netlist:
     """``load()``'s bench, or the farm's error for an unknown or
     sequential one."""
-    from ..core.errors import DesignError
-    from ..gates.io import SequentialBench
-
     try:
         bench = load()
     except DesignError as exc:
@@ -366,10 +363,11 @@ def register_fault_farm(server: JavaCADServer, resolver=None,
                         name: str = FAULT_FARM_OBJECT) -> FaultFarmServant:
     """Bind a fresh fault-farm servant on ``server`` and return it.
 
-    Loads what resolving a bench reads, so no served call imports a
-    module.
+    Loads the generators behind the builtin ``alu`` / ``ecc`` /
+    ``mult`` benches, so a campaign on one of them imports nothing
+    inside a served call.
     """
-    from ..gates import corpus, generators, io  # noqa: F401
+    from ..gates import generators  # noqa: F401
     servant = FaultFarmServant(resolver=resolver)
     server.rebind(name, servant, FaultFarmServant.REMOTE_METHODS)
     return servant

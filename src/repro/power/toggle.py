@@ -111,9 +111,19 @@ class _Plan(NamedTuple):
     """A power of two making every cell energy a whole number: a sum of
     such numbers is exact in any order, so it equals the wave's."""
     pins: np.ndarray
-    """Row ``k``, column ``g``: gate ``g``'s ``k``-th distinct input
-    net, or its first one where it has fewer (OR-ing it twice changes
-    nothing)."""
+    """Row ``k``, column ``j``: the ``k``-th distinct input net of the
+    ``j``-th gate by descending fan-in (only counts of gates are read,
+    in no order)."""
+    wide: np.ndarray
+    """The remaining rows of the first ``wide.shape[1]`` gates, those
+    wider than ``pins`` has rows: a few very wide gates (``alu32``'s
+    32-input NOR) do not pad every other gate to their width."""
+
+
+_MATRIX_CELLS = 4096
+"""What ``wide`` costs (three more whole-array calls) in gathered cells
+of ``pins``: ``alu32``'s one 32-input NOR gets rows of its own,
+``ecc32``'s 33 six-input gates do not."""
 
 
 def _plan(netlist: Netlist) -> _Plan:
@@ -126,14 +136,31 @@ def _plan(netlist: Netlist) -> _Plan:
     energies = [0.0] * len(inputs) + [gate.cell.energy for gate in order]
     scale = max(energy.as_integer_ratio()[1] for energy in energies) \
         if energies else 1
-    reads = [list(dict.fromkeys(number[source] for source in gate.inputs))
-             for gate in order]
-    pins = [[read[k] if k < len(read) else read[0] for read in reads]
-            for k in range(max(map(len, reads), default=1))]
+    reads = sorted((list(dict.fromkeys(number[source]
+                                       for source in gate.inputs))
+                    for gate in order), key=len, reverse=True)
+    widest = len(reads[0]) if reads else 1
+
+    def cost(rows: int) -> int:
+        wider = sum(len(read) > rows for read in reads)
+        return (rows * len(reads) + (widest - rows) * wider
+                + (_MATRIX_CELLS if wider else 0))
+
+    rows = min(range(1, widest + 1), key=cost)
     return _Plan(inputs, frozenset(inputs),
                  np.array([energy * scale for energy in energies],
                           np.float64),
-                 scale, np.array(pins, np.intp).reshape(len(pins), -1))
+                 scale, _pin_rows(reads, range(rows)),
+                 _pin_rows([read for read in reads if len(read) > rows],
+                           range(rows, widest)))
+
+
+def _pin_rows(reads: List[List[int]], rows: range) -> np.ndarray:
+    """Rows ``rows`` of a pins x gates matrix: a gate with fewer pins
+    repeats its first (OR-ing it twice changes nothing)."""
+    return np.array([[read[k] if k < len(read) else read[0]
+                      for read in reads] for k in rows],
+                    np.intp).reshape(len(rows), len(reads))
 
 
 _DIGITS = tuple(bytes.maketrans(b"\0\1\2\3", digits)
@@ -161,15 +188,9 @@ def _lane_sums(words: np.ndarray, weights: Optional[np.ndarray],
     """Per lane ``0 .. lanes - 1``: how many ``words`` have its bit set,
     or with ``weights`` the sum of theirs.
 
-    Bit 0 is always clear.  A two-lane run (a single-pattern call) can
-    set bit 1 only, so its sum is one count or one dot product.  Longer
-    runs take a histogram of each byte of lanes over its 256 values,
-    which ``_BYTE_LANES`` spreads over its eight lanes.
+    One histogram of each byte of lanes over its 256 values, which
+    ``_BYTE_LANES`` spreads over its eight lanes.
     """
-    if lanes == 2:
-        hit = words != 0
-        return [0, int(np.count_nonzero(hit)) if weights is None
-                else float(weights @ hit)]
     octets = words.view(np.uint8).reshape(-1, 8)
     return np.concatenate([
         np.bincount(octets[:, byte], weights, 256) @ _BYTE_LANES
@@ -261,23 +282,19 @@ class ToggleCountModel(PowerModel):
         # Per input, its (value, care, Z) words; none without inputs.
         iv, ic, iz = list(zip(*map(_column, zip(*lanes)))) or [()] * 3
         words = self.kernel.run_good(iv, ic)
-        full = (1 << len(lanes)) - 1
         # Every word fits 64 bits: one buffer copy, no per-word call.
-        if ic.count(full) == len(ic):
-            # Every lane known: each care word is ``full`` and no input
-            # is Z, so only the values can toggle.
-            value = np.frombuffer(array("Q", words[0::2]), np.uint64)
-            toggles = value ^ (value << _ONE)
-        else:
-            planes = np.frombuffer(array("Q", words), np.uint64)
-            planes = planes ^ (planes << _ONE)
-            toggles = planes[0::2] | planes[1::2]  # value or care flips
-            # The kernel packs Z like X; a primary input's Z <-> X still
-            # changes its value, so its readers still evaluate.
-            z = np.array(iz, _WORD)
-            toggles[:len(z)] |= z ^ (z << _ONE)
-        toggles &= np.uint64(full & ~1)
+        planes = np.frombuffer(array("Q", words), np.uint64)
+        planes = planes ^ (planes << _ONE)
+        toggles = planes[0::2] | planes[1::2]  # value or care flips
+        # The kernel packs Z like X; a primary input's Z <-> X still
+        # changes its value, so its readers still evaluate.
+        z = np.array(iz, _WORD)
+        toggles[:len(z)] |= z ^ (z << _ONE)
+        toggles &= np.uint64(((1 << len(lanes)) - 1) & ~1)
         read = np.bitwise_or.reduce(toggles[plan.pins], axis=0)
+        if plan.wide.size:
+            read[:plan.wide.shape[1]] |= np.bitwise_or.reduce(
+                toggles[plan.wide], axis=0)
         return toggles, _lane_sums(read, None, len(lanes))
 
 

@@ -101,9 +101,9 @@ def test_a_served_child_loads_only_the_layers_it_runs(child, not_loaded):
 
 
 def test_a_farm_session_serves_a_campaign_without_importing():
-    """The farm's session build loads what resolving a bench reads
-    (``gates.corpus`` and the generators behind the builtin benches),
-    so the first campaign's calls import nothing."""
+    """The farm's module loads ``gates.corpus`` and its session build
+    the generators behind the builtin ``alu`` / ``ecc`` / ``mult``
+    benches, so a first campaign on one of them imports nothing."""
     out = run_fresh(BUDGET_PREAMBLE + """
     from repro.parallel.remote import FAULT_FARM_OBJECT
     from repro.server.farm import fault_farm_session_factory

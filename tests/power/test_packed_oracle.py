@@ -19,6 +19,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from repro.ip import IPProvider
 from repro.power import SiliconReference, ToggleCountModel
 from repro.power.activity import pair_activity
 from repro.power.constant import operands_to_inputs
+from repro.power import toggle
 from repro.power.toggle import LANES
 
 from ..gates.reference_event import ReferenceSiliconReference
@@ -109,6 +111,14 @@ def read_twice(netlist):
                      name="twice1")
 
 
+def read_wide(netlist):
+    """Add a gate reading every net so far, wider than every other
+    gate."""
+    nets = [*netlist.inputs, *(gate.output for gate in netlist.gates)]
+    netlist.add_gate("OR", (nets * 2)[:max(len(nets), 4)], "wide_or",
+                     name="wide0")
+
+
 def split(patterns, sizes, reset_at):
     blocks, start = [], 0
     for index, size in enumerate(sizes):
@@ -129,19 +139,25 @@ class TestPackedEqualsTheWave:
            reset_at=st.one_of(st.none(), st.integers(1, 3)),
            singles=st.sets(st.integers(0, 4)),
            known=st.sampled_from([0.0, 0.3, 1.0]), twice=st.booleans(),
-           pattern_seed=st.integers(0, 2 ** 32))
+           wide=st.booleans(), pattern_seed=st.integers(0, 2 ** 32))
     def test_on_random_netlists(self, seed, inputs, gates, sizes, reset_at,
-                                singles, known, twice, pattern_seed):
+                                singles, known, twice, wide, pattern_seed):
         """Runs of full {0, 1} patterns take the kernel's two-valued
         flavour; single-pattern calls among them switch between it and
         X/Z lanes inside one session."""
         netlist = random_netlist(inputs, gates, 3, seed=seed)
         if twice:
             read_twice(netlist)
+        if wide:
+            read_wide(netlist)
         patterns = random_patterns(netlist.inputs, sum(sizes), pattern_seed,
                                    known)
         blocks = split(patterns, sizes, reset_at)
-        assert packed(netlist, blocks, singles) == wave(netlist, blocks)
+        # However small the netlist, its widest gates get rows of their
+        # own (``_Plan.wide``).
+        with mock.patch.object(toggle, "_MATRIX_CELLS",
+                               0 if wide else toggle._MATRIX_CELLS):
+            assert packed(netlist, blocks, singles) == wave(netlist, blocks)
 
     def test_mult16_in_blocks_of_1_5_and_20(self):
         netlist = load_bench("mult16")
@@ -168,6 +184,23 @@ class TestPackedEqualsTheWave:
                  {"a": Logic.X}, {"a": Logic.ONE}]
         assert packed(netlist, [steps]) == wave(netlist, [steps]) == [
             (5.0, 2), (0.0, 1), (0.0, 1), (0.0, 0), (5.0, 1)]
+
+    def test_one_wide_gate_does_not_pad_every_gate(self):
+        """``alu32`` has one 32-input NOR among 388 gates of at most four
+        distinct inputs: it is read on rows of its own."""
+        netlist = load_bench("alu32")
+        plan = ToggleCountModel(netlist)._plan
+        assert (plan.pins.shape, plan.wide.shape) == ((4, 388), (28, 1))
+        patterns = random_patterns(netlist.inputs, 20, 2, known=0.5)
+        patterns.append({net: Logic.ONE if net[0] == "b" else Logic.ZERO
+                         for net in netlist.inputs})
+        # One high result bit at a time: only the NOR's own rows see it.
+        patterns += [{f"a{bit}": Logic.ONE} for bit in range(4, 32)]
+        expected = wave(netlist, [patterns])
+        for size in (1, 7):
+            blocks = [patterns[i:i + size]
+                      for i in range(0, len(patterns), size)]
+            assert packed(netlist, blocks) == expected
 
     def test_energies_are_floats_and_totals_add_up(self):
         netlist = load_bench("c17")
