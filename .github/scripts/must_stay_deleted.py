@@ -231,6 +231,16 @@ RULES = (
     Rule(r"^from \. import|^import repro\.", ("src/repro/__init__.py",),
          None, "the package root imports a subpackage eagerly again "
                "(each loads on first use through its __getattr__)"),
+    # Validation is the linter: each structure owns one findings().
+    Rule(r"def check\(self\)", ("src/repro/core/design.py",), None,
+         "Circuit.check is back (Circuit.findings is the one structural "
+         "check; repro lint prints it)"),
+    Rule(r"def lint_circuit|def lint_netlist", SRC, None,
+         "a second walk over a circuit or netlist is back in the lint "
+         "(run_lint calls the structure's own findings())"),
+    Rule(r'"JCD004"', SRC, None,
+         "the retired width-mismatch rule is back (Connector.attach "
+         "refuses a width mismatch as the wiring is built)"),
 )
 
 

@@ -505,7 +505,7 @@ def _cmd_scoap(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Static design lint (no execution)."""
     from .gates.io import SequentialBench
-    from .lint import format_findings, lint_netlist
+    from .lint import format_findings
     from .lint.registry import check_codes, filter_suppressed
     from .lint.runner import record_lint_run
 
@@ -523,7 +523,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             # Sequential benches lint their combinational core; the
             # flip-flop boundary carries no lintable structure.
             netlist = netlist.core
-        findings.extend(lint_netlist(netlist))
+        findings.extend(netlist.findings())
 
     kept, dropped = filter_suppressed(findings, suppress)
     record_lint_run(kept, dropped)

@@ -12,10 +12,24 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..lint.findings import Finding, Severity
+from ..lint.registry import finding
 from .connector import Connector
 from .errors import DesignError
 from .module import ModuleSkeleton
 from .port import PortDirection
+
+_EVENT_HOOKS = ("receive", "process_input_event", "process_self_trigger",
+                "process_control_token")
+"""Overriding any of these makes a module handle (some) events."""
+
+
+def _handles_events(module: ModuleSkeleton) -> bool:
+    """Whether the module's class overrides any event handling hook."""
+    for hook in _EVENT_HOOKS:
+        if getattr(type(module), hook) is not getattr(ModuleSkeleton, hook):
+            return True
+    return False
 
 
 class Circuit:
@@ -76,26 +90,63 @@ class Circuit:
 
     # -- validation ---------------------------------------------------------
 
-    def check(self) -> List[str]:
-        """Structural sanity check; returns a list of warnings.
+    def findings(self) -> Tuple[Finding, ...]:
+        """Every structural defect at once, as lint findings.
 
-        Dangling *input* ports are reported (they would read X forever);
-        dangling outputs are legal.  Connectors with a single endpoint
-        inside the circuit are also flagged.
+        Per module, unconnected input ports (JCD001) and readable ports
+        on a module that handles no event (JCD005); per connector, fewer
+        than two endpoints (JCD002) and more than one pure output or (a
+        warning) no possible driver (JCD003).  Dangling outputs are
+        legal; ``Connector.attach`` refuses a width mismatch and a third
+        endpoint as the wiring is built.
         """
-        warnings: List[str] = []
+        found: List[Finding] = []
+        prefix = self.name
         for module in self._modules:
             for port in module.ports:
                 if port.direction is PortDirection.IN and \
                         not port.is_connected:
-                    warnings.append(
-                        f"input port {port.full_name} is unconnected")
+                    found.append(finding(
+                        "JCD001",
+                        f"input port {port.full_name!r} is unconnected "
+                        f"and would read X forever",
+                        f"{prefix}.{port.full_name}"))
+            if module.input_ports() and not _handles_events(module):
+                found.append(finding(
+                    "JCD005",
+                    f"module {module.name!r} has readable ports but "
+                    f"overrides no event handling hook; tokens sent to "
+                    f"it are dropped",
+                    f"{prefix}.{module.name}"))
         for connector in self.connectors():
-            if len(connector.endpoints) < 2:
-                warnings.append(
+            target = f"{prefix}.{connector.name}"
+            endpoints = connector.endpoints
+            if len(endpoints) < 2:
+                found.append(finding(
+                    "JCD002",
                     f"connector {connector.name!r} has only "
-                    f"{len(connector.endpoints)} endpoint(s)")
-        return warnings
+                    f"{len(endpoints)} endpoint(s) inside the circuit",
+                    target))
+            drivers = [port for port in endpoints
+                       if port.direction is PortDirection.OUT]
+            if len(drivers) > 1:
+                names = ", ".join(port.full_name for port in drivers)
+                found.append(finding(
+                    "JCD003",
+                    f"connector {connector.name!r} is driven by "
+                    f"{len(drivers)} output ports ({names}); conflicting "
+                    f"drivers",
+                    target))
+            if len(endpoints) >= 2 and \
+                    not any(port.direction.can_write for port in endpoints):
+                found.append(finding(
+                    "JCD003",
+                    f"connector {connector.name!r} has no endpoint that "
+                    f"can drive it; it would carry its default value "
+                    f"forever",
+                    target,
+                    severity=Severity.WARNING))
+        return tuple(found)
 
     def clear_scheduler_state(
             self, scheduler_id: int,

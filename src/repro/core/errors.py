@@ -59,14 +59,19 @@ class ParallelExecutionError(ReproError):
         self.shard_index = shard_index
 
 
+class BillingError(ReproError):
+    """Problem in estimator billing (insufficient budget, unknown fee)."""
+
+
 class ParameterError(DesignError, EstimationError, ParallelExecutionError,
-                     ValueError):
+                     BillingError, ValueError):
     """A number outside the range its parameter documents.
 
     Raised by :func:`check_positive` and :func:`check_count`, where the
     number enters.  It is a ``ValueError``, and also the ``DesignError``
-    / ``EstimationError`` / ``ParallelExecutionError`` that the
-    constructors calling the checkers raised before them.
+    / ``EstimationError`` / ``ParallelExecutionError`` /
+    ``BillingError`` that the constructors calling the checkers raised
+    before them.
     """
 
 
@@ -120,7 +125,3 @@ class FaultSimulationError(ReproError):
 
 class IPProtectionError(ReproError):
     """An operation would have disclosed IP-protected information."""
-
-
-class BillingError(ReproError):
-    """Problem in estimator billing (insufficient budget, unknown fee)."""

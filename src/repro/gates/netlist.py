@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Sequence, Set, Tuple)
 
 from ..core.errors import DesignError
+from ..lint.findings import Finding, Severity
+from ..lint.registry import finding
 from .cells import CellType, cell as lookup_cell
 
 
@@ -57,9 +59,11 @@ class Netlist:
     """A combinational gate-level network.
 
     Nets are identified by string names; primary inputs and outputs are
-    declared explicitly.  The netlist validates single-driver and
-    acyclicity invariants and exposes a topological gate order for
-    levelized evaluation.
+    declared explicitly.  A second driver is refused as the netlist is
+    built; undriven nets and combinational loops are reported by
+    :meth:`findings`, and :meth:`validate` raises the first of them.
+    The netlist exposes a topological gate order for levelized
+    evaluation.
 
     Everything derived from the declarations -- the tuples and sets the
     accessors hand out, the levelized order, the fan-out index, the
@@ -211,18 +215,48 @@ class Netlist:
 
     # -- validation & levelization --------------------------------------------
 
-    def validate(self) -> None:
-        """Check single drivers, driven outputs/pins and acyclicity."""
-        known = set(self._inputs) | set(self._driver)
+    def findings(self) -> Tuple[Finding, ...]:
+        """Every structural defect at once, as lint findings.
+
+        Each gate pin, then each primary output, that reads a net no
+        primary input or gate drives (JCD007), then one combinational
+        loop named as its closed net/gate path (JCD006).  Empty for a
+        well-formed netlist; ``repro lint`` prints these.
+        """
+        return self._cached("findings", self._build_findings)
+
+    def _build_findings(self) -> Tuple[Finding, ...]:
+        found: List[Finding] = []
+        driven = self.has_net
         for gate in self._gates:
-            for source in gate.inputs:
-                if source not in known:
-                    raise DesignError(
-                        f"gate {gate.name!r} reads undriven net {source!r}")
+            for pin, source in enumerate(gate.inputs):
+                if not driven(source):
+                    found.append(finding(
+                        "JCD007",
+                        f"gate {gate.name!r} input pin {pin} reads net "
+                        f"{source!r}, which nothing drives",
+                        f"{self.name}.{gate.name}"))
         for net in self._outputs:
-            if net not in known:
-                raise DesignError(f"primary output {net!r} is undriven")
-        self.levelize()  # raises on cycles
+            if not driven(net):
+                found.append(finding(
+                    "JCD007", f"primary output {net!r} is undriven",
+                    f"{self.name}.{net}"))
+        # Only a loop or an undriven net leaves a gate unordered, so the
+        # loop search runs on those netlists alone.
+        ordered = self._cached("levelized", self._build_levelized)
+        cycle = None if len(ordered) == len(self._gates) \
+            else self.find_combinational_cycle()
+        if cycle is not None:
+            found.append(finding(
+                "JCD006", f"combinational loop: {' -> '.join(cycle)}",
+                f"{self.name}.{cycle[0]}"))
+        return tuple(found)
+
+    def validate(self) -> None:
+        """Raise :class:`DesignError` on :meth:`findings`' first error."""
+        for item in self.findings():
+            if item.severity is Severity.ERROR:
+                raise DesignError(f"netlist {self.name!r}: {item.message}")
 
     def find_combinational_cycle(self) -> Optional[List[str]]:
         """One combinational loop as an ordered net/gate name list.
@@ -230,77 +264,72 @@ class Netlist:
         The returned path alternates net and gate names and is closed
         (first element repeated at the end), e.g.
         ``["q", "g1_nq", "nq", "g0_q", "q"]``.  Returns ``None`` for an
-        acyclic netlist.  The same finder backs :meth:`levelize`'s
-        diagnostic and the ``JCD006`` lint rule.
+        acyclic netlist.  The search is a depth-first walk from each
+        gate output in turn, along the fan-out, with an explicit stack:
+        a chain of any depth is walked without recursion.
         """
-        # DFS over the net-dependency graph: net -> gate -> output net.
-        WHITE, GREY, BLACK = 0, 1, 2
-        color: Dict[str, int] = {}
-        readers: Dict[str, List[Gate]] = {}
-        for gate in self._gates:
-            for source in gate.inputs:
-                readers.setdefault(source, []).append(gate)
-
-        def visit(net: str, path: List[Tuple[str, Optional[Gate]]]
-                  ) -> Optional[List[str]]:
-            color[net] = GREY
-            for gate in readers.get(net, ()):
-                target = gate.output
-                state = color.get(target, WHITE)
-                if state == GREY:
-                    # Close the loop: walk back to the first occurrence.
-                    cycle: List[str] = [target, gate.name, net]
-                    for previous, via in reversed(path):
-                        if via is not None:
-                            cycle.append(via.name)
-                        cycle.append(previous)
-                        if previous == target:
-                            break
-                    cycle.reverse()
-                    return cycle
-                if state == WHITE:
-                    found = visit(target, path + [(net, gate)])
-                    if found is not None:
-                        return found
-            color[net] = BLACK
-            return None
-
+        fanout = self._cached("fanout", self._build_fanout)
+        done: Set[str] = set()
         for start in [gate.output for gate in self._gates]:
-            if color.get(start, WHITE) == WHITE:
-                found = visit(start, [])
-                if found is not None:
-                    return found
+            if start in done:
+                continue
+            # path[i] is a net on the walk, via[i] the gate from path[i]
+            # to path[i + 1], and pending[i] path[i]'s unread fan-out.
+            path: List[str] = [start]
+            via: List[str] = []
+            on_path = {start: 0}
+            pending = [iter(fanout.get(start, ()))]
+            while pending:
+                for gate, _pin in pending[-1]:
+                    target = gate.output
+                    first = on_path.get(target)
+                    if first is not None:
+                        cycle: List[str] = []
+                        for net, name in zip(path[first:],
+                                             via[first:] + [gate.name]):
+                            cycle += (net, name)
+                        cycle.append(target)
+                        return cycle
+                    if target not in done:
+                        on_path[target] = len(path)
+                        path.append(target)
+                        via.append(gate.name)
+                        pending.append(iter(fanout.get(target, ())))
+                        break
+                else:
+                    net = path.pop()
+                    del on_path[net]
+                    done.add(net)
+                    pending.pop()
+                    del via[-1:]
         return None
 
     def levelize(self) -> Tuple[Gate, ...]:
-        """Topologically ordered gates; raises on combinational loops."""
-        return self._cached("levelized", self._build_levelized)
+        """Topologically ordered gates.
+
+        A gate that reads an undriven net or sits on or behind a loop
+        cannot be ordered: :meth:`validate` raises on that netlist.
+        """
+        ordered = self._cached("levelized", self._build_levelized)
+        if len(ordered) < len(self._gates):
+            self.validate()
+        return ordered
 
     def _build_levelized(self) -> Tuple[Gate, ...]:
+        # Pass over the gates until one orders nothing more.
         order: List[Gate] = []
-        level: Dict[str, int] = {net: 0 for net in self._inputs}
+        ready = set(self._inputs)
         remaining = list(self._gates)
         while remaining:
-            progressed = False
             still: List[Gate] = []
             for gate in remaining:
-                if all(source in level for source in gate.inputs):
-                    level[gate.output] = 1 + max(
-                        (level[s] for s in gate.inputs), default=0)
+                if all(source in ready for source in gate.inputs):
+                    ready.add(gate.output)
                     order.append(gate)
-                    progressed = True
                 else:
                     still.append(gate)
-            if not progressed:
-                cycle = self.find_combinational_cycle()
-                if cycle is not None:
-                    raise DesignError(
-                        f"netlist {self.name!r} has a combinational "
-                        f"loop: {' -> '.join(cycle)}")
-                names = ", ".join(g.name for g in still[:5])
-                raise DesignError(
-                    f"netlist {self.name!r} has undriven nets feeding: "
-                    f"{names}")
+            if len(still) == len(remaining):
+                break
             remaining = still
         return tuple(order)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.errors import BillingError
+from ..core.errors import BillingError, check_positive
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class BillingAccount:
 
     def __init__(self, budget: Optional[float] = None,
                  owner: str = "ip-user"):
-        if budget is not None and budget < 0:
-            raise BillingError("budget cannot be negative")
+        if budget is not None:
+            check_positive("budget", budget, zero=True)
         self.budget = budget
         self.owner = owner
         self._ledger: List[LedgerEntry] = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..core.errors import BillingError, RemoteError
+from ..core.errors import BillingError, RemoteError, check_positive
 from ..core.ids import current_connection, next_id
 
 
@@ -56,6 +56,7 @@ class NegotiationServant:
     def __init__(self, list_price: float, floor_fraction: float = 0.6,
                  volume_break: int = 1000, concession: float = 0.15,
                  max_rounds: int = 5):
+        check_positive("list_price", list_price, zero=True)
         if not 0 < floor_fraction <= 1:
             raise BillingError("floor fraction must be in (0, 1]")
         self.list_price = list_price

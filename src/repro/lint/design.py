@@ -1,10 +1,9 @@
-"""Design lint: structural rules over Design / Circuit hierarchies.
+"""Design lint: what a circuit cannot check about itself.
 
-These rules walk a built circuit without running it, catching at lint
-time what today only surfaces deep inside a simulation run (or never):
-unconnected input ports, dangling or conflicting connectors, width
-mismatches, modules that silently drop every event, and estimation
-setups that can only ever produce null estimates.
+A built circuit reports its own structural defects
+(:meth:`~repro.core.design.Circuit.findings`).  These rules add the two
+that lie outside it: a design whose build fails, and an estimation
+setup that can only ever produce null estimates.
 """
 
 from __future__ import annotations
@@ -13,90 +12,8 @@ from typing import Any, List
 
 from ..core.design import Circuit, Design
 from ..core.errors import DesignError
-from ..core.module import ModuleSkeleton
-from ..core.port import PortDirection
-from .findings import Finding, Severity
+from .findings import Finding
 from .registry import finding
-
-_EVENT_HOOKS = ("receive", "process_input_event", "process_self_trigger",
-                "process_control_token")
-"""Overriding any of these makes a module handle (some) events."""
-
-
-def _handles_events(module: ModuleSkeleton) -> bool:
-    """Whether the module's class overrides any event handling hook."""
-    for hook in _EVENT_HOOKS:
-        if getattr(type(module), hook) is not getattr(ModuleSkeleton, hook):
-            return True
-    return False
-
-
-def lint_circuit(circuit: Circuit) -> List[Finding]:
-    """Run every structural rule over a flattened circuit."""
-    findings: List[Finding] = []
-    prefix = circuit.name
-
-    for module in circuit.modules:
-        for port in module.ports:
-            if port.direction is PortDirection.IN and not port.is_connected:
-                findings.append(finding(
-                    "JCD001",
-                    f"input port {port.full_name!r} is unconnected and "
-                    f"would read X forever",
-                    f"{prefix}.{port.full_name}"))
-        if module.input_ports() and not _handles_events(module):
-            findings.append(finding(
-                "JCD005",
-                f"module {module.name!r} has readable ports but "
-                f"overrides no event handling hook; tokens sent to it "
-                f"are dropped",
-                f"{prefix}.{module.name}"))
-
-    for connector in circuit.connectors():
-        target = f"{prefix}.{connector.name}"
-        endpoints = connector.endpoints
-        if len(endpoints) < 2:
-            findings.append(finding(
-                "JCD002",
-                f"connector {connector.name!r} has only "
-                f"{len(endpoints)} endpoint(s) inside the circuit",
-                target))
-        if len(endpoints) > 2:
-            names = ", ".join(p.full_name for p in endpoints)
-            findings.append(finding(
-                "JCD003",
-                f"connector {connector.name!r} is point-to-point but "
-                f"has {len(endpoints)} endpoints ({names}); use a "
-                f"Fanout module for multi-fanout nets",
-                target))
-        drivers = [p for p in endpoints
-                   if p.direction is PortDirection.OUT]
-        if len(drivers) > 1:
-            names = ", ".join(p.full_name for p in drivers)
-            findings.append(finding(
-                "JCD003",
-                f"connector {connector.name!r} is driven by "
-                f"{len(drivers)} output ports ({names}); conflicting "
-                f"drivers",
-                target))
-        if len(endpoints) >= 2 and \
-                not any(p.direction.can_write for p in endpoints):
-            findings.append(finding(
-                "JCD003",
-                f"connector {connector.name!r} has no endpoint that "
-                f"can drive it; it would carry its default value "
-                f"forever",
-                target,
-                severity=Severity.WARNING))
-        for port in endpoints:
-            if port.width != connector.width:
-                findings.append(finding(
-                    "JCD004",
-                    f"port {port.full_name!r} (width {port.width}) is "
-                    f"attached to connector {connector.name!r} (width "
-                    f"{connector.width})",
-                    target))
-    return findings
 
 
 def lint_design(design: Design) -> List[Finding]:
@@ -113,7 +30,7 @@ def lint_design(design: Design) -> List[Finding]:
         except DesignError as exc:
             return [finding("JCD001", f"design {design.name!r} failed to "
                             f"build: {exc}", design.name)]
-    return lint_circuit(circuit)
+    return list(circuit.findings())
 
 
 def lint_setup(setup: Any, circuit: Circuit) -> List[Finding]:

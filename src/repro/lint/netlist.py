@@ -1,11 +1,8 @@
-"""Netlist lint: gate-level structural rules.
+"""Fault-list lint: every fault names a site its netlist has (JCD008).
 
-Unlike :meth:`repro.gates.netlist.Netlist.validate`, which raises on
-the *first* defect it meets, these rules sweep the whole netlist and
-report every undriven net, undriven primary output and combinational
-loop at once -- with the loop named as the actual net/gate cycle (the
-same finder :meth:`~repro.gates.netlist.Netlist.levelize` uses for its
-diagnostic).
+A netlist reports its own undriven nets and loop
+(:meth:`~repro.gates.netlist.Netlist.findings`); a fault list is
+checked against the netlist it targets.
 """
 
 from __future__ import annotations
@@ -16,36 +13,6 @@ from ..faults.faultlist import FaultList
 from ..gates.netlist import Netlist
 from .findings import Finding
 from .registry import finding
-
-
-def lint_netlist(netlist: Netlist) -> List[Finding]:
-    """Run every gate-level rule over a netlist."""
-    findings: List[Finding] = []
-    prefix = netlist.name
-    known = set(netlist.inputs) | {gate.output for gate in netlist.gates}
-
-    for gate in netlist.gates:
-        for pin, source in enumerate(gate.inputs):
-            if source not in known:
-                findings.append(finding(
-                    "JCD007",
-                    f"gate {gate.name!r} input pin {pin} reads net "
-                    f"{source!r}, which nothing drives",
-                    f"{prefix}.{gate.name}"))
-    for net in netlist.outputs:
-        if net not in known:
-            findings.append(finding(
-                "JCD007",
-                f"primary output {net!r} is undriven",
-                f"{prefix}.{net}"))
-
-    cycle = netlist.find_combinational_cycle()
-    if cycle is not None:
-        findings.append(finding(
-            "JCD006",
-            f"combinational loop: {' -> '.join(cycle)}",
-            f"{prefix}.{cycle[0]}"))
-    return findings
 
 
 def lint_fault_list(fault_list: FaultList,

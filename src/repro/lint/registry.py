@@ -104,7 +104,7 @@ def filter_suppressed(findings: Iterable[Finding],
 # The shipped rule catalog (docs/lint.md mirrors this table).
 # ---------------------------------------------------------------------------
 
-# -- design lint (walks Design / Circuit / Netlist structures) -------------
+# -- design lint (each structure's findings(), lint.design, lint.netlist) --
 register_rule(
     "JCD001", "unconnected-input-port", Severity.ERROR,
     "An input port is not attached to any connector; it would read X "
@@ -115,12 +115,8 @@ register_rule(
     "values set on it go nowhere.")
 register_rule(
     "JCD003", "connector-drivers", Severity.ERROR,
-    "A connector has more than two endpoints, more than one pure "
-    "output driving it, or no endpoint that can drive it at all.")
-register_rule(
-    "JCD004", "width-mismatch", Severity.ERROR,
-    "A port's width differs from its connector's width; values would "
-    "be rejected at simulation time.")
+    "A connector has more than one pure output driving it, or no "
+    "endpoint that can drive it at all.")
 register_rule(
     "JCD005", "silent-module", Severity.WARNING,
     "A module has readable ports but overrides none of the event "
@@ -144,6 +140,10 @@ register_rule(
     "be produced.")
 
 # Retired codes, never reused:
+# JCD004 (width-mismatch) and JCD003's "more than two endpoints" arm
+# went because Connector.attach refuses both as the wiring is built;
+# they fired only on a connector whose private endpoint list was
+# edited by hand.
 # JCD010-JCD013 (impure-pure-method, unmarshallable-return,
 # privacy-leak, undeclared-pure-method) went with the servant source
 # analyzer; tests/ip/test_servant_contracts.py checks the same

@@ -16,9 +16,9 @@ from typing import Any, Iterable, List, Optional, Sequence
 from ..core.design import Circuit, Design
 from ..gates.netlist import Netlist
 from ..telemetry.runtime import TELEMETRY
-from .design import lint_circuit, lint_design, lint_setup
+from .design import lint_design, lint_setup
 from .findings import Finding, Severity
-from .netlist import lint_fault_list, lint_netlist
+from .netlist import lint_fault_list
 from .registry import filter_suppressed
 
 
@@ -38,10 +38,10 @@ def run_lint(subject: Any,
         findings.extend(lint_design(subject))
         circuit = subject.circuit
     elif isinstance(subject, Circuit):
-        findings.extend(lint_circuit(subject))
+        findings.extend(subject.findings())
         circuit = subject
     elif isinstance(subject, Netlist):
-        findings.extend(lint_netlist(subject))
+        findings.extend(subject.findings())
         if fault_list is not None:
             findings.extend(lint_fault_list(fault_list, subject))
     else:

@@ -14,9 +14,10 @@ from repro.cache.response import ResponseCache
 from repro.core import (BitConnector, ClockGenerator, Delay, DesignError,
                         EstimationError, Fanout, ParameterError,
                         PatternPrimaryInput, Register, WordConnector)
-from repro.core.errors import ParallelExecutionError
+from repro.core.errors import BillingError, ParallelExecutionError
 from repro.estimation import EstimatorSkeleton
 from repro.gates import parity_tree
+from repro.ip import BillingAccount, NegotiationServant
 from repro.net import LOCALHOST, CostModel, NetworkModel, VirtualClock
 from repro.parallel import WorkerPool, resolve_workers
 from repro.power import SiliconReference, ToggleCountModel
@@ -87,6 +88,12 @@ CALLS = {
     "NetworkModel.bandwidth": (
         lambda v: NetworkModel("x", latency=0.0, bandwidth=v),
         "bandwidth", ()),
+    # A NaN budget was accepted and then never enforced: every
+    # ``total + amount > nan`` is false.
+    "BillingAccount.budget": (
+        lambda v: BillingAccount(budget=v), "budget", (0,)),
+    "NegotiationServant.list_price": (
+        lambda v: NegotiationServant(list_price=v), "list_price", (0,)),
 }
 # Integer counts.  ``workers`` 0 (like None) means one per usable CPU.
 COUNTS = {
@@ -141,6 +148,7 @@ def test_the_refusal_is_every_error_the_constructors_raised_before():
     assert issubclass(ParameterError, DesignError)
     assert issubclass(ParameterError, EstimationError)
     assert issubclass(ParameterError, ParallelExecutionError)
+    assert issubclass(ParameterError, BillingError)
 
 
 def test_an_in_range_value_passes_through():

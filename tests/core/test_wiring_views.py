@@ -21,6 +21,11 @@ def names(ports):
     return [port.name for port in ports]
 
 
+def found(circuit):
+    """Each of a circuit's findings as its (code, target)."""
+    return [(item.code, item.target) for item in circuit.findings()]
+
+
 class TestPortViewInvalidation:
     def test_add_port_after_first_use_is_seen(self):
         module = ModuleSkeleton("m")
@@ -66,7 +71,8 @@ class TestPortViewInvalidation:
 
 class TestCircuitSeesRewiring:
     """``connectors()`` is not cached: attach / detach / add_port after
-    its first use reach it, ``check()`` and ``clear_scheduler_state``."""
+    its first use reach it, ``findings()`` and ``clear_scheduler_state``.
+    ``b`` reads a port and handles no event, so JCD005 stays."""
 
     def make(self):
         a = ModuleSkeleton("a")
@@ -79,17 +85,17 @@ class TestCircuitSeesRewiring:
     def test_detach_and_attach(self):
         circuit, _a, _b, out, inp, connector = self.make()
         assert circuit.connectors() == (connector,)
-        assert circuit.check() == []
+        assert found(circuit) == [("JCD005", "circuit.b")]
         connector.detach(inp)
         assert circuit.connectors() == (connector,)
-        assert circuit.check() == [
-            "input port b.i is unconnected",
-            f"connector {connector.name!r} has only 1 endpoint(s)"]
+        assert found(circuit) == [
+            ("JCD001", "circuit.b.i"), ("JCD005", "circuit.b"),
+            ("JCD002", f"circuit.{connector.name}")]
         connector.detach(out)
         assert circuit.connectors() == ()
         replacement = connect(out, inp)
         assert circuit.connectors() == (replacement,)
-        assert circuit.check() == []
+        assert found(circuit) == [("JCD005", "circuit.b")]
 
     def test_port_added_after_first_use(self):
         circuit, a, _b, _out, _inp, connector = self.make()
@@ -97,8 +103,9 @@ class TestCircuitSeesRewiring:
         late = BitConnector("late")
         a.add_port("extra", PortDirection.IN, connector=late)
         assert circuit.connectors() == (connector, late)
-        assert circuit.check() == [
-            f"connector {late.name!r} has only 1 endpoint(s)"]
+        assert found(circuit) == [
+            ("JCD005", "circuit.a"), ("JCD005", "circuit.b"),
+            ("JCD002", "circuit.late")]
 
     def test_clear_scheduler_state_reaches_a_late_connector(self):
         circuit, a, _b, _out, _inp, connector = self.make()

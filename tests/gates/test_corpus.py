@@ -10,7 +10,6 @@ from repro.gates import (NetlistSimulator, SequentialBench, alu,
                          corpus_entries, corpus_entry, corpus_names,
                          load_bench, secded, sequential_wrap)
 from repro.gates.generators import parity_tree
-from repro.lint import lint_netlist
 
 # The ISCAS size class each corpus entry is calibrated against: a
 # floor on gate count keeps the generators honest about their scale.
@@ -62,7 +61,7 @@ class TestRegistry:
             bench = entry.build()
             core = bench.core if isinstance(bench, SequentialBench) \
                 else bench
-            assert lint_netlist(core) == [], entry.name
+            assert core.findings() == (), entry.name
 
 
 class TestAluGenerator:

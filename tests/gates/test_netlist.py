@@ -58,7 +58,7 @@ class TestValidation:
         netlist = Netlist("n")
         netlist.add_input("a")
         netlist.add_gate("AND", ["a", "ghost"], "n1")
-        with pytest.raises(DesignError, match="undriven"):
+        with pytest.raises(DesignError, match="'ghost'"):
             netlist.validate()
 
     def test_undriven_output(self):

@@ -1,13 +1,17 @@
-"""Netlist lint: undriven nets, loops, phantom fault sites."""
+"""Netlist lint: a netlist's own findings (undriven nets, loops) and
+phantom fault sites."""
 
 import os
 
+import pytest
+
+from repro.core.errors import DesignError
 from repro.core.signal import Logic
 from repro.faults.faultlist import FaultList, build_fault_list
 from repro.faults.model import StuckAtFault
 from repro.gates.io import c17, read_bench
 from repro.gates.netlist import Netlist
-from repro.lint import lint_fault_list, lint_netlist
+from repro.lint import lint_fault_list
 from repro.lint.runner import run_lint
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -24,7 +28,7 @@ def codes(findings):
 
 class TestCleanNetlists:
     def test_c17_is_clean(self):
-        assert lint_netlist(c17()) == []
+        assert c17().findings() == ()
 
     def test_valid_fault_list_is_clean(self):
         netlist = c17()
@@ -33,7 +37,7 @@ class TestCleanNetlists:
 
 class TestCombinationalLoop:
     def test_jcd006_names_the_cycle(self):
-        findings = lint_netlist(load_fixture("loop.bench"))
+        findings = load_fixture("loop.bench").findings()
         [loop] = [f for f in findings if f.code == "JCD006"]
         assert "q -> " in loop.message and "-> q" in loop.message
 
@@ -43,12 +47,12 @@ class TestCombinationalLoop:
         netlist.add_gate("AND", ["a", "r"], "q")
         netlist.add_gate("BUF", ["q"], "r")
         netlist.add_output("q")
-        assert "JCD006" in codes(lint_netlist(netlist))
+        assert "JCD006" in codes(netlist.findings())
 
 
 class TestUndrivenNets:
     def test_jcd007_reports_every_site(self):
-        findings = lint_netlist(load_fixture("undriven.bench"))
+        findings = load_fixture("undriven.bench").findings()
         undriven = [f for f in findings if f.code == "JCD007"]
         messages = " | ".join(f.message for f in undriven)
         assert "ghost" in messages          # phantom gate input
@@ -110,10 +114,6 @@ class TestLevelizeDiagnostic:
     """Satellite: the levelize error names the actual cycle."""
 
     def test_loop_error_names_cycle(self):
-        import pytest
-
-        from repro.core.errors import DesignError
-
         netlist = Netlist("ring")
         netlist.add_input("a")
         netlist.add_gate("AND", ["a", "r"], "q")
@@ -137,3 +137,54 @@ class TestLevelizeDiagnostic:
         gates = {g.name for g in netlist.gates}
         kinds = ["gate" if item in gates else "net" for item in cycle]
         assert all(a != b for a, b in zip(kinds, kinds[1:]))
+
+    def test_fixture_loop_path_is_pinned(self):
+        cycle = load_fixture("loop.bench").find_combinational_cycle()
+        assert cycle == ["q", "g1_r", "r", "g0_q", "q"]
+
+    def test_self_loop_behind_a_gate_is_closed(self):
+        """Reached through another gate's output, a gate reading its own
+        output is the whole loop (the recursive finder returned the
+        walk that led there, unclosed)."""
+        netlist = Netlist("self")
+        netlist.add_input("a")
+        netlist.add_gate("NOT", ["a"], "x")
+        netlist.add_gate("AND", ["x", "q"], "q")
+        assert netlist.find_combinational_cycle() == ["q", "g1_q", "q"]
+
+
+DEPTH = 2000
+
+
+def buffer_chain(depth):
+    """``a -> c1 -> ... -> c<depth>``, one BUF per link."""
+    netlist = Netlist("chain")
+    netlist.add_input("a")
+    previous = "a"
+    for index in range(1, depth + 1):
+        netlist.add_gate("BUF", [previous], f"c{index}")
+        previous = f"c{index}"
+    netlist.add_output(previous)
+    return netlist
+
+
+class TestDeepNetlists:
+    """The cycle finder walks with an explicit stack: its depth is not
+    bounded by the interpreter's recursion limit."""
+
+    def test_a_deep_clean_chain_has_no_findings(self):
+        netlist = buffer_chain(DEPTH)
+        assert netlist.find_combinational_cycle() is None
+        assert netlist.findings() == ()
+        netlist.validate()
+
+    def test_a_loop_behind_a_deep_chain_is_named(self):
+        netlist = buffer_chain(DEPTH)
+        netlist.add_gate("AND", [f"c{DEPTH}", "r"], "q")
+        netlist.add_gate("BUF", ["q"], "r")
+        with pytest.raises(DesignError,
+                           match="combinational loop: q -> .* -> q$"):
+            netlist.validate()
+        [loop] = netlist.findings()
+        assert loop.code == "JCD006"
+        assert loop.target == "chain.q"

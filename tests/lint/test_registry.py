@@ -6,8 +6,8 @@ from repro.lint import Finding, Severity, all_rules, finding, rule
 from repro.lint.registry import (check_codes, filter_suppressed,
                                  register_rule)
 
-# JCD010-JCD019 are retired, not renumbered: 9 rules.
-EXPECTED_CODES = [f"JCD{i:03d}" for i in range(1, 10)]
+# JCD004 and JCD010-JCD019 are retired, not renumbered: 8 rules.
+EXPECTED_CODES = [f"JCD{i:03d}" for i in range(1, 10) if i != 4]
 
 
 class TestCatalog:
@@ -22,6 +22,10 @@ class TestCatalog:
     def test_unknown_code_raises(self):
         with pytest.raises(ValueError, match="unknown rule code"):
             rule("JCD999")
+
+    def test_retired_code_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown rule code"):
+            check_codes({"JCD004"})
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
