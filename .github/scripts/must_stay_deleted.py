@@ -241,6 +241,11 @@ RULES = (
     Rule(r'"JCD004"', SRC, None,
          "the retired width-mismatch rule is back (Connector.attach "
          "refuses a width mismatch as the wiring is built)"),
+    # A publish binds .test without building its fault list.
+    Rule(r"= (fault_list or )?build_fault_list\(",
+         ("src/repro/ip/provider.py", "src/repro/faults/virtual.py"), None,
+         "the eager build is gone: a publish or a TestabilityServant "
+         "builds its fault list only on the first read of .faults"),
 )
 
 

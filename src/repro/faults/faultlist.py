@@ -182,6 +182,12 @@ def _pin_site(netlist: Netlist, gate: Gate, pin: int, value: int) -> _Site:
     return (source, "", -1, value)
 
 
+def check_collapse(collapse: str) -> None:
+    """Refuse a ``collapse`` mode :func:`build_fault_list` does not know."""
+    if collapse not in ("none", "equivalence", "dominance"):
+        raise FaultSimulationError(f"unknown collapse mode {collapse!r}")
+
+
 def build_fault_list(netlist: Netlist, collapse: str = "equivalence",
                      obfuscate: bool = False) -> FaultList:
     """Build a component's (optionally collapsed) fault list.
@@ -196,8 +202,7 @@ def build_fault_list(netlist: Netlist, collapse: str = "equivalence",
     Each universe fault's name is formatted once; collapsing then works
     on names looked up by fault site, in time linear in the pin count.
     """
-    if collapse not in ("none", "equivalence", "dominance"):
-        raise FaultSimulationError(f"unknown collapse mode {collapse!r}")
+    check_collapse(collapse)
     by_name = {fault.name: fault for fault in enumerate_faults(netlist)}
     union = _UnionFind(by_name)
 

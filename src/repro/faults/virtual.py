@@ -25,10 +25,12 @@ values, the user sees only symbolic names and output patterns.
 
 from __future__ import annotations
 
+import threading
+from functools import partial
 from itertools import compress
 from operator import itemgetter, ne
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Set, Tuple)
+                    Set, Tuple, Union)
 
 from ..compiled import resolve_engine, simulator_for
 from ..core.connector import Connector
@@ -57,20 +59,47 @@ class TestabilityServant:
 
     The component's netlist stays inside this object on the provider's
     server; the restricted marshaller would reject it anyway.
+
+    ``fault_list`` is the list served, or a zero-argument callable that
+    builds it; by default the netlist's equivalence-collapsed list.  A
+    list not given whole is built on the first read of :attr:`faults`
+    (the first call of either method), so binding the servant costs no
+    fault enumeration.
     """
 
     REMOTE_METHODS = ("fault_list", "detection_table")
     __test__ = False  # not a pytest test class despite the name
 
     def __init__(self, netlist: Netlist,
-                 fault_list: Optional[FaultList] = None,
+                 fault_list: Union[FaultList, Callable[[], FaultList],
+                                   None] = None,
                  gate_eval_cost: float = 40e-6,
                  engine: Optional[str] = None):
         self.netlist = netlist
-        self.faults = fault_list or build_fault_list(netlist)
+        if callable(fault_list):
+            self._build_faults, self._faults = fault_list, None
+        else:
+            self._build_faults = partial(build_fault_list, netlist)
+            self._faults = fault_list or None
+        self._faults_lock = threading.Lock()
         self.engine = resolve_engine(engine)
         self.simulator = simulator_for(self.engine, netlist)
         self.gate_eval_cost = gate_eval_cost
+
+    @property
+    def faults(self) -> FaultList:
+        """The served fault list, built once on first read.
+
+        The build runs under a lock, so the dispatch threads of a
+        thread-tier server racing on a first call build it once.
+        """
+        faults = self._faults
+        if faults is None:
+            with self._faults_lock:
+                faults = self._faults
+                if faults is None:
+                    faults = self._faults = self._build_faults()
+        return faults
 
     def fault_list(self) -> Tuple[str, ...]:
         """Phase 1: export the symbolic fault list."""

@@ -9,6 +9,7 @@ leave a provider's server.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
@@ -316,21 +317,44 @@ class Netlist:
         return ordered
 
     def _build_levelized(self) -> Tuple[Gate, ...]:
-        # Pass over the gates until one orders nothing more.
+        # The order of repeated passes over the gates in declaration
+        # order, each taking every gate whose inputs are driven when the
+        # pass reaches it, until one takes nothing.  A gate's pass is
+        # the largest over its gate-driven inputs of the driver's pass,
+        # plus one where that driver is declared after it, and at least
+        # 1; the order is by (pass, declaration position).  The first
+        # pass is one sweep; a gate it leaves waits for its missing
+        # inputs, and a heap on that key takes each once its last one is
+        # driven.  A gate reading an undriven net, or on or behind a
+        # loop, is never taken.
+        gates = self._gates
+        driven = set(self._inputs)
+        waiting: Dict[int, int] = {}
+        readers: Dict[str, List[int]] = {}
+        heap: List[Tuple[int, int]] = []
         order: List[Gate] = []
-        ready = set(self._inputs)
-        remaining = list(self._gates)
-        while remaining:
-            still: List[Gate] = []
-            for gate in remaining:
-                if all(source in ready for source in gate.inputs):
-                    ready.add(gate.output)
-                    order.append(gate)
-                else:
-                    still.append(gate)
-            if len(still) == len(remaining):
-                break
-            remaining = still
+
+        def take(level: int, index: int, gate: Gate) -> None:
+            order.append(gate)
+            driven.add(gate.output)
+            # A second driver finds its net's readers already released.
+            for reader in readers.pop(gate.output, ()):
+                waiting[reader] -= 1
+                if not waiting[reader]:
+                    heappush(heap, (level + (reader < index), reader))
+
+        for index, gate in enumerate(gates):
+            missing = [source for source in gate.inputs
+                       if source not in driven]
+            if missing:
+                waiting[index] = len(missing)
+                for source in missing:
+                    readers.setdefault(source, []).append(index)
+            else:
+                take(1, index, gate)
+        while heap:
+            level, index = heappop(heap)
+            take(level, index, gates[index])
         return tuple(order)
 
     # -- physical summary ---------------------------------------------------

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..core.errors import BillingError, RemoteError, check_positive
+from ..core.errors import (BillingError, ParameterError, RemoteError,
+                           check_count, check_positive)
 from ..core.ids import current_connection, next_id
 
 
@@ -68,9 +69,14 @@ class NegotiationServant:
     # -- remote methods ------------------------------------------------------
 
     def open_session(self, volume: int) -> str:
-        """Start a session for an intended pattern volume; returns id."""
-        if volume <= 0:
-            raise RemoteError("volume must be positive")
+        """Start a session for an intended pattern volume; returns id.
+
+        ``volume`` is a pattern count of at least 1; anything else is a
+        :class:`RemoteError` naming it."""
+        try:
+            check_count("volume", volume)
+        except ParameterError as error:
+            raise RemoteError(str(error)) from None
         session_id = f"neg{next_id('negotiation')}"
         floor = self.list_price * self.floor_fraction
         if volume >= self.volume_break:

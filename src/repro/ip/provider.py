@@ -10,13 +10,14 @@ itself can never leave: the restricted marshaller rejects it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..compiled import simulator_for
 from ..core.errors import IPProtectionError, RemoteError
 from ..core.ids import current_connection
 from ..core.signal import Logic
-from ..faults.faultlist import build_fault_list
+from ..faults.faultlist import build_fault_list, check_collapse
 from ..faults.virtual import TestabilityServant
 from ..gates.generators import array_multiplier
 from ..gates.netlist import Netlist
@@ -424,15 +425,18 @@ class IPProvider:
         private servants of a full component; returns ``name``.  The
         one naming rule of a publish: ``.test`` exports opaque fault
         names (``f0`` ...); each stays mapped to its structural fault
-        here, in the fault list's class map."""
+        here, in the fault list's class map.  The ``.test`` servant
+        builds that list on its first call, so a client that never
+        calls it never pays for it."""
+        check_collapse(fault_collapse)
         self._netlists[name] = netlist
         self.catalog.add(name, datasheet)
-        fault_list = build_fault_list(netlist, collapse=fault_collapse,
-                                      obfuscate=True)
+        faults = partial(build_fault_list, netlist, collapse=fault_collapse,
+                         obfuscate=True)
         for suffix, servant in (
                 ("power", power), ("module", module),
                 ("timing", TimingServant(netlist)),
-                ("test", TestabilityServant(netlist, fault_list,
+                ("test", TestabilityServant(netlist, faults,
                                             engine=engine))):
             self.server.bind(f"{name}.{suffix}", servant,
                              servant.REMOTE_METHODS)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.errors import ParallelExecutionError
+from ..core.errors import ParallelExecutionError, check_positive
 from ..faults.faultlist import FaultList
 from ..telemetry.runtime import TELEMETRY
 from .pool import WorkerPool, resolve_workers
@@ -77,9 +77,7 @@ def weighted_shards(names: Iterable[str], count: int,
     ordered, count = _listed(names, count)
     weights = {name: float(weight_of(name)) for name in ordered}
     for name, weight in weights.items():
-        if weight < 0:
-            raise ParallelExecutionError(
-                f"negative shard weight {weight} for {name!r}")
+        check_positive(f"shard weight of {name!r}", weight, zero=True)
     by_weight = sorted(range(len(ordered)),
                        key=lambda i: (-weights[ordered[i]], i))
     loads = [0.0] * count

@@ -8,7 +8,7 @@ entirely, which is what gives it the largest error.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from ..core.signal import Logic
 from ..estimation.estimator import ConstantEstimator
@@ -25,7 +25,19 @@ class ConstantPowerEstimator(ConstantEstimator):
                          cpu_time=0.0, units="mW")
 
 
-_BITS = (Logic.ZERO, Logic.ONE)
+_DIGITS = {"0": Logic.ZERO, "1": Logic.ONE}.__getitem__
+
+_OPERAND_NETS: Dict[Tuple[str, int], Tuple[Tuple[str, ...], int]] = {}
+"""Per (prefix, width): the operand's net names, LSB first, and
+``1 << width``.  Every decoded pattern shares these strings."""
+
+
+def _operand_nets(prefix: str, width: int) -> Tuple[Tuple[str, ...], int]:
+    nets = _OPERAND_NETS.get((prefix, width))
+    if nets is None:
+        nets = _OPERAND_NETS[prefix, width] = (
+            tuple(f"{prefix}{bit}" for bit in range(width)), 1 << width)
+    return nets
 
 
 def operands_to_inputs(operands: Sequence[int], prefixes: Sequence[str],
@@ -33,14 +45,18 @@ def operands_to_inputs(operands: Sequence[int], prefixes: Sequence[str],
     """Expand integer operands into a netlist input-value mapping.
 
     ``operands[k]`` drives nets ``{prefixes[k]}0 .. {prefixes[k]}{w-1}``
-    LSB-first.
+    LSB-first, from its low ``w`` bits (two's complement for a negative
+    operand).
     """
     if not (len(operands) == len(prefixes) == len(widths)):
         raise ValueError("operands, prefixes and widths must align")
     inputs: Dict[str, Logic] = {}
     for value, prefix, width in zip(operands, prefixes, widths):
-        for bit in range(width):
-            inputs[f"{prefix}{bit}"] = _BITS[(value >> bit) & 1]
+        names, top = _operand_nets(prefix, width)
+        # The top bit pins the digit count; [:2:-1] drops "0b1" and
+        # reads the low ``width`` bits LSB first.
+        inputs.update(zip(names, map(_DIGITS,
+                                     bin(value & (top - 1) | top)[:2:-1])))
     return inputs
 
 

@@ -16,6 +16,10 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.errors import ParameterError
+
+_INF = float("inf")
+
 DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 """Default histogram edges for durations in seconds (wall or virtual)."""
@@ -41,9 +45,13 @@ class Counter:
         self._value: float = 0
 
     def inc(self, amount: float = 1) -> None:
-        """Add ``amount`` (must be non-negative) to the counter."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
+        """Add ``amount`` (must be finite and non-negative) to the
+        counter.  One chained comparison guards it (``0 <= amount < inf``
+        is false for NaN): this runs on every counted event."""
+        if not 0 <= amount < _INF:
+            raise ParameterError(
+                f"counter {self.name!r}: amount must be non-negative and "
+                f"finite, got {amount!r}")
         with self._lock:
             self._value += amount
 

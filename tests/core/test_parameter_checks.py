@@ -19,13 +19,16 @@ from repro.estimation import EstimatorSkeleton
 from repro.gates import parity_tree
 from repro.ip import BillingAccount, NegotiationServant
 from repro.net import LOCALHOST, CostModel, NetworkModel, VirtualClock
+from repro.core.errors import RemoteError
 from repro.parallel import WorkerPool, resolve_workers
+from repro.parallel.sharding import weighted_shards
 from repro.power import SiliconReference, ToggleCountModel
 from repro.power.montecarlo import monte_carlo_power
 from repro.power.toggle import PowerModel
 from repro.rmi import BatchingTransport, JavaCADServer
 from repro.rtl import WordAdder, WordMux
 from repro.server import AsyncRMIServer
+from repro.telemetry.metrics import Counter
 
 VALUES = [math.nan, math.inf, -math.inf, 0, -1]
 
@@ -94,6 +97,11 @@ CALLS = {
         lambda v: BillingAccount(budget=v), "budget", (0,)),
     "NegotiationServant.list_price": (
         lambda v: NegotiationServant(list_price=v), "list_price", (0,)),
+    # ``amount < 0`` alone let a NaN or an infinity into the total.
+    "Counter.inc": (lambda v: Counter("c").inc(v), "amount", (0,)),
+    "weighted_shards.weight_of": (
+        lambda v: weighted_shards(["a", "b"], 2, lambda name: v), "weight",
+        (0,)),
 }
 # Integer counts.  ``workers`` 0 (like None) means one per usable CPU.
 COUNTS = {
@@ -141,6 +149,20 @@ def test_a_count_refuses_what_is_not_an_integer(call, value):
     build, parameter, _allowed = COUNTS[call]
     with pytest.raises(ParameterError, match=parameter):
         build(value)
+
+
+@pytest.mark.parametrize("value", VALUES + [2.5, True], ids=repr)
+def test_a_remote_volume_is_refused_by_name(value):
+    """``volume <= 0`` alone opened a session for NaN, 2.5 or True
+    patterns."""
+    server = JavaCADServer("x")
+    server.bind("negotiation", NegotiationServant(list_price=1.0),
+                NegotiationServant.REMOTE_METHODS)
+    with pytest.raises(RemoteError, match="volume"):
+        server.connect(LOCALHOST).invoke("negotiation", "open_session",
+                                         (value,))
+    with pytest.raises(RemoteError, match="volume"):
+        NegotiationServant(list_price=1.0).open_session(value)
 
 
 def test_the_refusal_is_every_error_the_constructors_raised_before():

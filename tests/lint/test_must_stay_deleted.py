@@ -12,4 +12,4 @@ def test_no_deleted_mechanism_is_back():
     result = subprocess.run([sys.executable, SCRIPT], cwd=ROOT, text=True,
                             capture_output=True)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "52 of 52 rules hold" in result.stdout
+    assert "53 of 53 rules hold" in result.stdout
