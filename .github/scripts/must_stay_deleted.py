@@ -246,6 +246,19 @@ RULES = (
          ("src/repro/ip/provider.py", "src/repro/faults/virtual.py"), None,
          "the eager build is gone: a publish or a TestabilityServant "
          "builds its fault list only on the first read of .faults"),
+    # A remote call pays for its bytes and its servant.
+    Rule(re.escape("marshal(self.to_wire())"), ("src/repro/rmi/protocol.py",),
+         None, "a frame is marshalled through its to_wire() dict again "
+               "(each frame writes its own text, field by field)"),
+    Rule(r"def entered\(", ("src/repro/core/ids.py",), None,
+         "entered is a generator context manager again (it is a class: "
+         "every served call enters one)"),
+    Rule(r'what = \(?f"(calling|sending)', (TRANSPORT,), None,
+         "_round_trip names its exchange on every call again (the text "
+         "is built by _what, only for an error)"),
+    Rule(r"\[0::2\] \| .*\[1::2\]", ("src/repro/power",), None,
+         "a power model undoes interleaved kernel words again (the "
+         "kernel returns a value plane and a care plane)"),
 )
 
 

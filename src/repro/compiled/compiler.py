@@ -26,12 +26,13 @@ the interpreted simulator's output-tuple comparison.
 
 Two entry points run the generated code:
 
-* ``run_good(iv, ic)`` -- fault-free evaluation; returns the
-  ``(v, c)`` pair of every net, interleaved in net order.  It is a
-  chain of chunk functions of :data:`GOOD_CHUNK_GATES` gates each,
-  all writing one word list: CPython's compiler holds a whole
-  function's syntax tree at once, so a straight line of a few
-  thousand gates costs tens of megabytes to compile.
+* ``run_good(iv, ic)`` -- fault-free evaluation; returns two planes,
+  ``(values, cares)``: every net's value word and every net's care
+  word, each in net order.  It is a chain of chunk functions of
+  :data:`GOOD_CHUNK_GATES` gates each, all writing one list per
+  plane: CPython's compiler holds a whole function's syntax tree at
+  once, so a straight line of a few thousand gates costs tens of
+  megabytes to compile.
 * ``run_fault(iv, ic, fm, fv)`` -- one straight line (chunking it
   costs a quarter of a campaign's speed) with a mask-based *injection
   hook* at every fault site: ``fm`` holds one mask word per site (zero
@@ -51,8 +52,12 @@ inputs are all known: when every input's care word is the same word
 ``k``, every net's care word is ``k`` too (lanes in ``k`` see only 0/1
 inputs; lanes outside it see all-X inputs, so every net there is X),
 so a gate is one statement on value words, with an inverting cell
-complemented inside the known lanes (``... ^ k``).  The kernel picks
-the flavour from the words it is given; nothing else chooses.
+complemented inside the known lanes (``... ^ k``), and its care plane
+is the one int ``k`` standing for every net's care word (``k`` may
+have holes: lanes outside it are X on every net).  The kernel picks
+the flavour from the words it is given; nothing else chooses, and a
+consumer reads ``type(cares) is int`` as that fact rather than
+re-deriving it (:func:`care_word`).
 
 Sites mirror :func:`repro.faults.faultlist.enumerate_faults`: one stem
 site per net, plus one branch site per gate input pin whose source net
@@ -79,9 +84,12 @@ from ..faults.faultlist import FaultList, build_fault_list
 from ..gates.netlist import Netlist
 from ..telemetry.runtime import TELEMETRY
 
-_GoodFn = Callable[[Sequence[int], Any], Tuple[int, ...]]
-_FaultFn = Callable[[Sequence[int], Any, Sequence[int], int],
-                    Tuple[int, ...]]
+Planes = Tuple[Tuple[int, ...], Any]
+"""A kernel result: every net's value word, and its care words -- a
+tuple in net order, or one int that is every net's care word."""
+
+_GoodFn = Callable[[Sequence[int], Any], Planes]
+_FaultFn = Callable[[Sequence[int], Any, Sequence[int], int], Planes]
 
 GOOD_CHUNK_GATES = 100
 """Gates per chunk function of ``run_good``.  A constant, not a knob:
@@ -183,6 +191,12 @@ def _force(site: int, v: str, c: Optional[str]) -> str:
     return hook if c is None else f"{hook}; {c} |= m"
 
 
+def care_word(cares: Any, index: int) -> int:
+    """Net ``index``'s care word in the care plane of a kernel result
+    (a two-valued run's plane is one word for every net)."""
+    return cares if type(cares) is int else cares[index]
+
+
 def _known_lanes(ic: Sequence[int]) -> int:
     """The care word every input shares, or 0 when they differ."""
     if not ic:
@@ -247,16 +261,15 @@ class CompiledKernel:
         self._order = order
         self._label = f"<compiled:{netlist.name}>"
 
-    def run_good(self, iv: Sequence[int], ic: Sequence[int]
-                 ) -> Tuple[int, ...]:
+    def run_good(self, iv: Sequence[int], ic: Sequence[int]) -> Planes:
         """Fault-free evaluation of one block of packed patterns: the
-        ``(v, c)`` pair of every net, interleaved in net order.
+        ``(values, cares)`` planes, one word per net in net order.
 
         ``iv`` / ``ic`` hold one value and one care word per input and
         obey the canonical invariant.  When every care word is one
-        nonzero word ``k`` the two-valued flavour runs, and ``k`` is
-        every net's care word in the result; otherwise the three-valued
-        one does.  Both return the same words.
+        nonzero word ``k`` the two-valued flavour runs and ``cares`` is
+        ``k`` itself, every net's care word; otherwise the three-valued
+        one does and ``cares`` is a tuple.  Both state the same words.
         """
         known = _known_lanes(ic)
         if known:
@@ -265,7 +278,7 @@ class CompiledKernel:
         return self._good3(iv, ic)
 
     def run_fault(self, iv: Sequence[int], ic: Sequence[int],
-                  fm: Sequence[int], fv: int) -> Tuple[int, ...]:
+                  fm: Sequence[int], fv: int) -> Planes:
         """:meth:`run_good` with the hooks of ``fm`` / ``fv`` forcing
         their sites.
 
@@ -347,24 +360,26 @@ class CompiledKernel:
     def _emit_good(self, order: Sequence[Any], two_valued: bool
                    ) -> Iterator[str]:
         """``run_good``'s chunks and then ``run_good``, one function's
-        text at a time: the inputs go into one word list, then one call
-        per chunk; a chunk loads the words it reads from earlier chunks
-        and stores every word it computes.  The two-valued flavour
-        (``run_good2``) fills the care slots with ``k`` up front and
-        computes value words only."""
+        text at a time: the inputs go into one word list per plane
+        (``wv``, ``wc``), then one call per chunk; a chunk loads the
+        words it reads from earlier chunks and stores every word it
+        computes.  The two-valued flavour (``run_good2``) computes value
+        words only and returns ``k`` as the care plane."""
         index = self.net_index
-        inputs = 2 * len(self.inputs)
+        inputs = len(self.inputs)
+        nets = len(self.nets)
         if two_valued:
-            chunk, args = "_good2_", "w, k"
+            chunk, args = "_good2_", "wv, k"
             head = ["def run_good2(iv, k):",
-                    f"    w = [k] * {2 * len(self.nets)}",
-                    f"    w[0:{inputs}:2] = iv"]
+                    f"    wv = [0] * {nets}",
+                    f"    wv[0:{inputs}] = iv"]
         else:
-            chunk, args = "_good", "w"
+            chunk, args = "_good", "wv, wc"
             head = ["def run_good(iv, ic):",
-                    f"    w = [0] * {2 * len(self.nets)}",
-                    f"    w[0:{inputs}:2] = iv",
-                    f"    w[1:{inputs}:2] = ic"]
+                    f"    wv = [0] * {nets}",
+                    f"    wc = [0] * {nets}",
+                    f"    wv[0:{inputs}] = iv",
+                    f"    wc[0:{inputs}] = ic"]
         for first in range(0, len(order), GOOD_CHUNK_GATES):
             name = f"{chunk}{first // GOOD_CHUNK_GATES}"
             head.append(f"    {name}({args})")
@@ -373,30 +388,30 @@ class CompiledKernel:
             loads = dict.fromkeys(index[source] for gate in gates
                                   for source in gate.inputs
                                   if index[source] not in made)
-            body = [f"v{i} = w[{2 * i}]" if two_valued
-                    else f"v{i} = w[{2 * i}]; c{i} = w[{2 * i + 1}]"
+            body = [f"v{i} = wv[{i}]" if two_valued
+                    else f"v{i} = wv[{i}]; c{i} = wc[{i}]"
                     for i in loads]
             for gate in gates:
                 out = index[gate.output]
                 vs = [f"v{index[s]}" for s in gate.inputs]
                 if two_valued:
                     body.append(_value_line(gate.cell.name, f"v{out}", vs))
-                    body.append(f"w[{2 * out}] = v{out}")
+                    body.append(f"wv[{out}] = v{out}")
                     continue
                 body.extend(_gate_lines(
                     gate.cell.name, f"v{out}", f"c{out}", vs,
                     [f"c{index[s]}" for s in gate.inputs]))
-                body.append(f"w[{2 * out}] = v{out}; "
-                            f"w[{2 * out + 1}] = c{out}")
+                body.append(f"wv[{out}] = v{out}; wc[{out}] = c{out}")
             yield "\n".join([f"def {name}({args}):"] + [
                 f"    {line}" for line in body]) + "\n"
-        head.append("    return tuple(w)")
+        head.append("    return tuple(wv), k" if two_valued
+                    else "    return tuple(wv), tuple(wc)")
         yield "\n".join(head) + "\n"
 
     def _emit_fault(self, order: Sequence[Any], two_valued: bool) -> str:
         """``run_fault``'s straight line; the two-valued flavour
         (``run_fault2``) carries value words only and returns ``k`` as
-        every net's care word."""
+        the care plane."""
         index = self.net_index
         body: List[str] = []
 
@@ -434,9 +449,10 @@ class CompiledKernel:
                                         f"c{out}", vs, cs))
             body.append(_force(self.stem_site[gate.output], f"v{out}",
                                None if two_valued else f"c{out}"))
-        terms = ", ".join(f"v{i}, k" if two_valued else f"v{i}, c{i}"
-                          for i in range(len(self.nets)))
-        body.append(f"return ({terms})")
+        values = "".join(f"v{i}, " for i in range(len(self.nets)))
+        cares = "k" if two_valued else "(" + "".join(
+            f"c{i}, " for i in range(len(self.nets))) + ")"
+        body.append(f"return ({values}), {cares}")
         signature = "run_fault2(iv, k, fm, fv)" if two_valued \
             else "run_fault(iv, ic, fm, fv)"
         return "\n".join([f"def {signature}:"] + [

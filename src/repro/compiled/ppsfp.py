@@ -27,7 +27,7 @@ from ..faults.serial import FaultSimReport
 from ..gates.netlist import Netlist
 from ..gates.simulator import input_value
 from ..telemetry.runtime import TELEMETRY
-from .compiler import CompiledKernel, compile_netlist
+from .compiler import CompiledKernel, Planes, care_word, compile_netlist
 
 WORD_BITS = 64
 """The classic PPSFP block size, and the narrowest block a campaign runs
@@ -114,7 +114,7 @@ def _injection(kernel: CompiledKernel, fault: Any) -> Tuple[int, bool]:
 def _fault_lanes(kernel: CompiledKernel, iv: Sequence[int],
                  ic: Sequence[int], width: int,
                  injections: Sequence[Tuple[int, bool]]
-                 ) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
+                 ) -> Iterator[Tuple[int, int, Planes]]:
     """Run the hooked kernel over many faults, one lane of bits each.
 
     ``iv`` / ``ic`` pack one block of ``width`` patterns; the faults go
@@ -192,30 +192,31 @@ class CompiledSimulator:
             echo[net] = value
         iv, ic = pack_patterns(kernel.inputs, [echo])
         if fault is None:
-            words = kernel.run_good(iv, ic)
+            words, cares = kernel.run_good(iv, ic)
         else:
-            _, _, words = next(_fault_lanes(kernel, iv, ic, 1,
-                                            [_injection(kernel, fault)]))
+            _, _, (words, cares) = next(_fault_lanes(
+                kernel, iv, ic, 1, [_injection(kernel, fault)]))
         _record_work(kernel.gate_count, 1)
         values: Dict[str, Logic] = dict(echo)
         for index in range(len(kernel.inputs), len(kernel.nets)):
             values[kernel.nets[index]] = _unpack_bit(
-                words[2 * index], words[2 * index + 1], 0)
+                words[index], care_word(cares, index), 0)
         return values
 
     def _fault_free(self, input_values: Mapping[str, Logic]
-                    ) -> Tuple[List[int], List[int], Tuple[int, ...],
+                    ) -> Tuple[List[int], List[int], Planes,
                                Tuple[Logic, ...]]:
-        """One packed good run: the input words, every net's words and
+        """One packed good run: the input words, the run's planes and
         the primary outputs (an output that is also a primary input
         keeps its raw echo, ``Z`` stays ``Z``, as in :meth:`evaluate`)."""
         kernel = self.kernel
         iv, ic = pack_patterns(kernel.inputs, [input_values])
-        words = kernel.run_good(iv, ic)
+        planes = kernel.run_good(iv, ic)
+        words, cares = planes
         echoed = len(kernel.inputs)
-        return iv, ic, words, tuple(
+        return iv, ic, planes, tuple(
             input_values[kernel.nets[index]] if index < echoed
-            else _unpack_bit(words[2 * index], words[2 * index + 1], 0)
+            else _unpack_bit(words[index], care_word(cares, index), 0)
             for index in kernel.output_index)
 
     def outputs(self, input_values: Mapping[str, Logic],
@@ -273,7 +274,8 @@ class CompiledSimulator:
         This is the path under detection-table construction.
         """
         kernel = self.kernel
-        iv, ic, good, fault_free = self._fault_free(input_values)
+        iv, ic, (good, good_cares), fault_free = \
+            self._fault_free(input_values)
         sites = self._sites
         try:
             injections = [sites[id(fault)][1] for fault in faults]
@@ -282,18 +284,21 @@ class CompiledSimulator:
         results: List[Tuple[Logic, ...]] = []
         shared: Dict[Tuple[Logic, ...], Tuple[Logic, ...]] = {}
         runs = 1
-        for count, rep, words in _fault_lanes(kernel, iv, ic, 1,
-                                              injections):
+        for count, rep, (words, cares) in _fault_lanes(kernel, iv, ic, 1,
+                                                       injections):
             runs += 1
             rows = [fault_free] * count
             changed: Dict[int, List[Logic]] = {}
+            three_valued = type(cares) is not int
             for slot, index in enumerate(kernel.output_index):
-                pos = 2 * index
-                value, care = words[pos], words[pos + 1]
-                diff = (good[pos] * rep ^ value) \
-                    | (good[pos + 1] * rep ^ care)
+                value = words[index]
+                diff = good[index] * rep ^ value
+                if three_valued:  # else the cares are the good run's
+                    diff |= care_word(good_cares, index) * rep \
+                        ^ cares[index]
                 if not diff:
                     continue
+                care = care_word(cares, index)
                 for lane in _set_lanes(diff):
                     row = changed.get(lane)
                     if row is None:
@@ -328,8 +333,6 @@ class CompiledFaultSimulator:
         self._sites: Dict[str, Tuple[int, bool]] = {
             name: _injection(self.kernel, self.fault_list.fault(name))
             for name in self.fault_list.names()}
-        self._out_pos: Tuple[int, ...] = tuple(
-            2 * index for index in self.kernel.output_index)
 
     def _detection_words(self, block: Sequence[Mapping[str, Logic]],
                          names: Sequence[str]) -> Tuple[List[int], int]:
@@ -338,17 +341,24 @@ class CompiledFaultSimulator:
         kernel = self.kernel
         width = len(block)
         iv, ic = pack_patterns(kernel.inputs, block)
-        good = kernel.run_good(iv, ic)
+        good, good_cares = kernel.run_good(iv, ic)
+        outputs = kernel.output_index
         detections: List[int] = []
         runs = 1
-        for count, rep, faulty in _fault_lanes(
+        for count, rep, (faulty, cares) in _fault_lanes(
                 kernel, iv, ic, width,
                 [self._sites[name] for name in names]):
             runs += 1
             diff = 0
-            for pos in self._out_pos:
-                diff |= (good[pos] * rep ^ faulty[pos]) \
-                    | (good[pos + 1] * rep ^ faulty[pos + 1])
+            for index in outputs:
+                diff |= good[index] * rep ^ faulty[index]
+            if type(cares) is not int:
+                # Three-valued: a forced lane can move a care word too.
+                # (A two-valued run's plane is the good run's, copied
+                # into every lane.)
+                for index in outputs:
+                    diff |= care_word(good_cares, index) * rep \
+                        ^ cares[index]
             # Lane k is bits [k * width, (k + 1) * width): in the
             # binary text, the k-th slice counting from the right.
             digits = format(diff, f"0{count * width}b")

@@ -113,15 +113,27 @@ def id_scope(scope: Optional[IdScope] = None) -> Iterator[IdScope]:
         _scope.reset(token)
 
 
-@contextlib.contextmanager
-def entered(context: ConnectionContext) -> Iterator[ConnectionContext]:
+class entered:
     """Serve ``context``'s connection for the block: its session state,
-    and its scope if it has one."""
-    token = _connection.set(context)
-    scope_token = _scope.set(context.scope or _scope.get())
-    try:
-        yield context
-    finally:
+    and its scope if it has one.
+
+    A class, not a generator: every served call enters one, and a
+    generator-based context manager costs several times as much.
+    """
+
+    __slots__ = ("_context", "_tokens")
+
+    def __init__(self, context: ConnectionContext) -> None:
+        self._context = context
+
+    def __enter__(self) -> ConnectionContext:
+        context = self._context
+        self._tokens = (_connection.set(context),
+                        _scope.set(context.scope or _scope.get()))
+        return context
+
+    def __exit__(self, *exc_info: Any) -> None:
+        token, scope_token = self._tokens
         _scope.reset(scope_token)
         _connection.reset(token)
 

@@ -197,6 +197,13 @@ def _lane_sums(words: np.ndarray, weights: Optional[np.ndarray],
         for byte in range((lanes + 7) // 8)])[:lanes].tolist()
 
 
+def _flips(plane: Sequence[int]) -> np.ndarray:
+    """Per word of ``plane``: bit ``i`` set where lane ``i`` differs from
+    lane ``i - 1`` (bit 0 is lane 0's own bit; the caller masks it)."""
+    words = np.frombuffer(array("Q", plane), np.uint64)
+    return words ^ (words << _ONE)
+
+
 def _lane_bits(words: np.ndarray, lanes: int) -> np.ndarray:
     """One row per word, one 0/1 column per lane."""
     return np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1,
@@ -281,16 +288,24 @@ class ToggleCountModel(PowerModel):
         plan = self._plan
         # Per input, its (value, care, Z) words; none without inputs.
         iv, ic, iz = list(zip(*map(_column, zip(*lanes)))) or [()] * 3
-        words = self.kernel.run_good(iv, ic)
+        values, cares = self.kernel.run_good(iv, ic)
+        inside = ((1 << len(lanes)) - 1) & ~1
         # Every word fits 64 bits: one buffer copy, no per-word call.
-        planes = np.frombuffer(array("Q", words), np.uint64)
-        planes = planes ^ (planes << _ONE)
-        toggles = planes[0::2] | planes[1::2]  # value or care flips
+        toggles = _flips(values)
+        if type(cares) is int:
+            # Two-valued: ``k`` is every net's care word, so it flips
+            # in the same lanes on every net (lane 1 of a first run,
+            # whose lane 0 is all X; none in a run of known lanes).
+            flips = (cares ^ (cares << 1)) & inside
+            if flips:
+                toggles |= np.uint64(flips)
+        else:
+            toggles |= _flips(cares)  # value or care flips
         # The kernel packs Z like X; a primary input's Z <-> X still
         # changes its value, so its readers still evaluate.
         z = np.array(iz, _WORD)
         toggles[:len(z)] |= z ^ (z << _ONE)
-        toggles &= np.uint64(((1 << len(lanes)) - 1) & ~1)
+        toggles &= np.uint64(inside)
         read = np.bitwise_or.reduce(toggles[plan.pins], axis=0)
         if plan.wide.size:
             read[:plan.wide.shape[1]] |= np.bitwise_or.reduce(

@@ -29,7 +29,7 @@ import re
 import threading
 from importlib import import_module
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Type
 
 from ..core.errors import MarshalError
 from ..core.signal import Logic, Word
@@ -79,6 +79,11 @@ def register_value_type(tag: str, cls: Type,
 # ``int.__repr__`` / ``float.__repr__`` whatever a subclass overrides,
 # ``NaN`` / ``Infinity`` / ``-Infinity``, keys in ``$t``, ``v``, ``w``
 # order, no whitespace.
+#
+# A container writes the elements, keys and values whose exact type is
+# a scalar of ``_SCALAR_TEXT`` with one call each (a C function for all
+# but ``float``), not through ``_emit``; they are leaves, so their depth
+# is checked once, for all of them.
 
 _Emitter = Callable[[Any, int], str]
 
@@ -99,29 +104,28 @@ def _emit(obj: Any, depth: int) -> str:
     return (_EMITTERS.get(type(obj)) or _resolve(type(obj)))(obj, depth)
 
 
-def _emit_logic(obj: Logic, depth: int) -> str:
-    return _LOGIC_TEXT[obj]
-
-
-def _emit_none(obj: None, depth: int) -> str:
-    return "null"
-
-
-def _emit_bool(obj: bool, depth: int) -> str:
-    return "true" if obj else "false"
-
-
-def _emit_int(obj: int, depth: int) -> str:
-    return int.__repr__(obj)
-
-
-def _emit_float(obj: float, depth: int) -> str:
+def _float_text(obj: float) -> str:
     text = float.__repr__(obj)
     return _NON_FINITE.get(text, text)
 
 
-def _emit_str(obj: str, depth: int) -> str:
-    return _quote(obj)
+# The text of a value whose exact type is a key, by value.
+_SCALAR_TEXT: Dict[type, Callable[[Any], str]] = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    float: _float_text,
+    Logic: _LOGIC_TEXT.__getitem__,
+}
+
+
+def _scalar_emitter(text: Callable[[Any], str]) -> _Emitter:
+    # ``int.__repr__`` and ``float.__repr__`` also print a subclass's
+    # value, whatever its own ``__repr__`` says.
+    def emit(obj: Any, depth: int) -> str:
+        return text(obj)
+    return emit
 
 
 def _json_field(value: Any) -> str:
@@ -140,32 +144,30 @@ def _emit_bytes(obj: bytes, depth: int) -> str:
     return '{"$t":"bytes","v":"' + obj.hex() + '"}'
 
 
-# Element types whose text does not depend on depth and comes from one
-# C-level callable: a sequence of nothing else is one ``map``.
-_BULK: Dict[type, Callable[[Any], str]] = {
-    Logic: _LOGIC_TEXT.__getitem__,
-    str: _quote,
-}
-
-
-def _element_texts(items: Any, depth: int) -> Any:
-    """Wire texts of the elements of a tuple or list, which sit at
-    ``depth`` (one below their container)."""
-    if items and depth <= _MAX_DEPTH:  # too deep: _emit below refuses
-        bulk = _BULK.get(type(items[0]))
-        if bulk is not None and len(set(map(type, items))) == 1:
-            return map(bulk, items)
-    return [_emit(item, depth) for item in items]
+def _texts(items: Any, depth: int) -> Iterable[str]:
+    """Wire texts of a container's elements, which sit at ``depth``.
+    A run of one scalar type is one ``map``; a sequence that starts
+    with a container (a table's rows) goes through ``_emit`` whole."""
+    if not items:
+        return items
+    if depth > _MAX_DEPTH:
+        raise MarshalError(_TOO_DEEP)
+    scalar = _SCALAR_TEXT.get
+    text = scalar(type(items[0]))
+    if text is None:
+        return [_emit(item, depth) for item in items]
+    if len(set(map(type, items))) == 1:
+        return map(text, items)
+    return [text(item) if (text := scalar(type(item))) is not None
+            else _emit(item, depth) for item in items]
 
 
 def _emit_tuple(obj: tuple, depth: int) -> str:
-    return ('{"$t":"tuple","v":['
-            + ",".join(_element_texts(obj, depth + 1)) + "]}")
+    return '{"$t":"tuple","v":[' + ",".join(_texts(obj, depth + 1)) + "]}"
 
 
 def _emit_list(obj: list, depth: int) -> str:
-    return ('{"$t":"list","v":['
-            + ",".join(_element_texts(obj, depth + 1)) + "]}")
+    return '{"$t":"list","v":[' + ",".join(_texts(obj, depth + 1)) + "]}"
 
 
 def _emit_set(obj: Any, depth: int) -> str:
@@ -174,17 +176,18 @@ def _emit_set(obj: Any, depth: int) -> str:
     # emitted in sorted order already, and a space after every
     # structural "," and ":" never moves the first differing character.
     return ('{"$t":"set","v":['
-            + ",".join(sorted(_element_texts(tuple(obj), depth + 1)))
-            + "]}")
+            + ",".join(sorted(_texts(tuple(obj), depth + 1))) + "]}")
 
 
 def _emit_dict(obj: dict, depth: int) -> str:
     depth += 1
-    return ('{"$t":"dict","v":['
-            + ",".join(["[" + _emit(key, depth) + ","
-                        + _emit(value, depth) + "]"
-                        for key, value in obj.items()])
-            + "]}")
+    if obj and depth > _MAX_DEPTH:
+        raise MarshalError(_TOO_DEEP)
+    scalar = _SCALAR_TEXT.get
+    return ('{"$t":"dict","v":[' + ",".join([
+        f"[{k(key) if (k := scalar(type(key))) else _emit(key, depth)},"
+        f"{v(value) if (v := scalar(type(value))) else _emit(value, depth)}]"
+        for key, value in obj.items()]) + "]}")
 
 
 def _codec_emitter(tag: str, to_wire: Callable[[Any], Any]) -> _Emitter:
@@ -201,13 +204,9 @@ def _refuse(obj: Any, depth: int) -> str:
 
 # In precedence order: Logic is an int and bool is an int, so both are
 # asked before int.
-_BUILTIN_EMITTERS: Tuple[Tuple[type, _Emitter], ...] = (
-    (Logic, _emit_logic),
-    (type(None), _emit_none),
-    (bool, _emit_bool),
-    (int, _emit_int),
-    (float, _emit_float),
-    (str, _emit_str),
+_BUILTIN_EMITTERS: Tuple[Tuple[type, _Emitter], ...] = tuple(
+    (cls, _scalar_emitter(_SCALAR_TEXT[cls]))
+    for cls in (Logic, type(None), bool, int, float, str)) + (
     (Word, _emit_word),
     (tuple, _emit_tuple),
     (list, _emit_list),
@@ -295,6 +294,10 @@ def _refusal_message(obj: Any) -> str:
 _LOGIC_OF = {int(bit): bit for bit in Logic}
 _LOGIC_OF_DIGIT = {str(int(bit)): bit for bit in Logic}
 _NESTED = {dict, list}
+# What ``json.loads`` builds that is its own value: a dict node's walk
+# keeps these keys and values without a ``_decode`` call (a sequence of
+# nothing else is returned whole, above).
+_PLAIN = frozenset({str, int, float, bool, type(None)})
 _RUN_MARK = "\x04"
 _LOGIC_RUN = re.compile(r'\[((?:\{"\$t":"logic","v":[0-3]\},)*'
                         r'\{"\$t":"logic","v":[0-3]\})\]')
@@ -303,6 +306,20 @@ _LOGIC_RUN = re.compile(r'\[((?:\{"\$t":"logic","v":[0-3]\},)*'
 def _pack_run(run: "re.Match[str]") -> str:
     # Every node is 20 characters plus a comma; its digit is the 19th.
     return '"\\u0004' + run.group(1)[18::21] + '"'
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _scan(text: str) -> Any:
+    """``json.loads(text)``: one call of json's C scanner when it takes
+    the whole text, else ``json.loads`` itself, which then decides
+    (surrounding whitespace, trailing data, every error in its words)."""
+    try:
+        value, end = _scan_once(text, 0)
+    except Exception:  # json.loads below raises it again, as it words it
+        return json.loads(text)
+    return value if end == len(text) else json.loads(text)
 
 
 def _decode(data: Any, depth: int, runs: Optional[list]) -> Any:
@@ -379,7 +396,12 @@ def _decode_set(node: dict, depth: int, runs: Optional[list]) -> frozenset:
 
 def _decode_dict(node: dict, depth: int, runs: Optional[list]) -> dict:
     depth += 1
-    return {_decode(key, depth, runs): _decode(value, depth, runs)
+    # Too deep, no key or value is plain: the first pair's ``_decode``
+    # refuses, after its unpacking had its say.
+    plain = _PLAIN if depth <= _MAX_DEPTH else ()
+    return {(key if type(key) in plain else _decode(key, depth, runs)):
+            (value if type(value) in plain
+             else _decode(value, depth, runs))
             for key, value in node["v"]}
 
 
@@ -426,7 +448,7 @@ def unmarshal(data: bytes) -> Any:
             value = _decode_packed(text)
             if value is not _UNPACKED:
                 return value
-        return _decode(json.loads(text), 0, None)
+        return _decode(_scan(text), 0, None)
     except MarshalError:
         raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -445,7 +467,7 @@ def _decode_packed(text: str) -> Any:
     try:
         packed, count = _LOGIC_RUN.subn(_pack_run, text)
         runs: list = []
-        value = _decode(json.loads(packed), 0, runs)
+        value = _decode(_scan(packed), 0, runs)
     except Exception:  # the plain path decides, in its own words
         return _UNPACKED
     return value if len(runs) == count else _UNPACKED

@@ -3,6 +3,12 @@
 Messages are plain value objects that marshal through the restricted
 serializer; the same message types travel over the in-process transport
 (with simulated network timing) and the real TCP transport.
+
+Each frame writes its own text: the fixed head of its tagged ``dict``,
+then one ``_emit(field, depth)`` per field, at the depth the field has
+in ``marshal(message.to_wire())`` -- whose bytes, and refusals, these
+are (``tests/rmi/test_frame_codec.py``).  ``to_wire`` stays the frame's
+shape in data and names the frame in an encode refusal.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..core.errors import MarshalError, RemoteError
 from ..core.ids import next_id
-from .marshal import marshal, unmarshal
+from .marshal import _emit, unmarshal
 
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 """Largest frame body any TCP reader accepts.  The 4-byte length
@@ -48,6 +54,18 @@ def encode_frame(payload: bytes) -> bytes:
 _FIELD_ERRORS = (KeyError, TypeError, ValueError)
 
 
+def _encoded(message: Any) -> bytes:
+    """``message``'s frame bytes (its text at depth 0), refused as
+    :func:`~repro.rmi.marshal.marshal` refuses its ``to_wire()``."""
+    try:
+        return message._text(0).encode()
+    except MarshalError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise MarshalError(
+            f"cannot marshal {message.to_wire()!r}: {exc}") from exc
+
+
 def _malformed(what: str, exc: Exception) -> MarshalError:
     """The refusal for a frame of the right kind whose fields are
     missing or mistyped: decoding is total, like ``unmarshal``."""
@@ -77,9 +95,20 @@ class CallRequest:
             "oneway": self.oneway,
         }
 
+    def _text(self, depth: int) -> str:
+        """The frame's text with its dict at ``depth``."""
+        depth += 1
+        return ('{"$t":"dict","v":[["kind","call"],["object",'
+                + _emit(self.object_name, depth) + '],["method",'
+                + _emit(self.method, depth) + '],["args",'
+                + _emit(tuple(self.args), depth) + '],["kwargs",'
+                + _emit(dict(self.kwargs), depth) + '],["id",'
+                + _emit(self.call_id, depth) + '],["oneway",'
+                + _emit(self.oneway, depth) + "]]}")
+
     def encode(self) -> bytes:
         """Marshal to wire bytes (rejects non-whitelisted arguments)."""
-        return marshal(self.to_wire())
+        return _encoded(self)
 
     @staticmethod
     def from_wire(wire: Any) -> "CallRequest":
@@ -87,14 +116,11 @@ class CallRequest:
         if not isinstance(wire, dict) or wire.get("kind") != "call":
             raise MarshalError(f"not a call request: {wire!r}")
         try:
-            return CallRequest(
-                object_name=wire["object"],
-                method=wire["method"],
-                args=tuple(wire["args"]),
-                kwargs=dict(wire["kwargs"]),
-                call_id=wire["id"],
-                oneway=wire["oneway"],
-            )
+            # One pass, in field order: a refusal names the first field
+            # that fails, as it always has.
+            return CallRequest(wire["object"], wire["method"],
+                               tuple(wire["args"]), dict(wire["kwargs"]),
+                               wire["id"], wire["oneway"])
         except _FIELD_ERRORS as exc:
             raise _malformed("call request", exc) from exc
 
@@ -123,9 +149,18 @@ class CallReply:
             "error": self.error,
         }
 
+    def _text(self, depth: int) -> str:
+        """The frame's text with its dict at ``depth``."""
+        depth += 1
+        return ('{"$t":"dict","v":[["kind","reply"],["id",'
+                + _emit(self.call_id, depth) + '],["ok",'
+                + _emit(self.ok, depth) + '],["result",'
+                + _emit(self.result, depth) + '],["error",'
+                + _emit(self.error, depth) + "]]}")
+
     def encode(self) -> bytes:
         """Marshal to wire bytes (rejects non-whitelisted results)."""
-        return marshal(self.to_wire())
+        return _encoded(self)
 
     @staticmethod
     def from_wire(wire: Any) -> "CallReply":
@@ -133,8 +168,8 @@ class CallReply:
         if not isinstance(wire, dict) or wire.get("kind") != "reply":
             raise MarshalError(f"not a call reply: {wire!r}")
         try:
-            return CallReply(call_id=wire["id"], ok=wire["ok"],
-                             result=wire["result"], error=wire["error"])
+            return CallReply(wire["id"], wire["ok"], wire["result"],
+                             wire["error"])
         except _FIELD_ERRORS as exc:
             raise _malformed("call reply", exc) from exc
 
@@ -159,15 +194,29 @@ class BatchRequest:
     calls: Tuple[CallRequest, ...]
     batch_id: int = field(default_factory=lambda: next_id("call"))
 
+    def to_wire(self) -> Dict[str, Any]:
+        """The batch as a marshallable dict."""
+        return {
+            "kind": "batch",
+            "id": self.batch_id,
+            "calls": tuple(call.to_wire() for call in self.calls),
+        }
+
+    def _text(self, depth: int) -> str:
+        """The frame's text with its dict at ``depth``: each call's
+        dict sits two levels below it, inside the ``calls`` tuple."""
+        depth += 1
+        return ('{"$t":"dict","v":[["kind","batch"],["id",'
+                + _emit(self.batch_id, depth) + '],["calls",'
+                + '{"$t":"tuple","v":['
+                + ",".join([call._text(depth + 1) for call in self.calls])
+                + "]}]]}")
+
     def encode(self) -> bytes:
         """Marshal to wire bytes (rejects non-whitelisted arguments)."""
         if not self.calls:
             raise MarshalError("a BATCH frame needs at least one call")
-        return marshal({
-            "kind": "batch",
-            "id": self.batch_id,
-            "calls": tuple(call.to_wire() for call in self.calls),
-        })
+        return _encoded(self)
 
     @staticmethod
     def from_wire(wire: Any) -> "BatchRequest":
@@ -196,13 +245,28 @@ class BatchReply:
     batch_id: int
     replies: Tuple[CallReply, ...]
 
-    def encode(self) -> bytes:
-        """Marshal to wire bytes (rejects non-whitelisted results)."""
-        return marshal({
+    def to_wire(self) -> Dict[str, Any]:
+        """The batch reply as a marshallable dict."""
+        return {
             "kind": "batch-reply",
             "id": self.batch_id,
             "replies": tuple(reply.to_wire() for reply in self.replies),
-        })
+        }
+
+    def _text(self, depth: int) -> str:
+        """The frame's text with its dict at ``depth`` (replies as in
+        :meth:`BatchRequest._text`)."""
+        depth += 1
+        return ('{"$t":"dict","v":[["kind","batch-reply"],["id",'
+                + _emit(self.batch_id, depth) + '],["replies",'
+                + '{"$t":"tuple","v":['
+                + ",".join([reply._text(depth + 1)
+                            for reply in self.replies])
+                + "]}]]}")
+
+    def encode(self) -> bytes:
+        """Marshal to wire bytes (rejects non-whitelisted results)."""
+        return _encoded(self)
 
     @staticmethod
     def decode(data: bytes) -> "BatchReply":
@@ -244,9 +308,16 @@ class AuthRequest:
             "id": self.call_id,
         }
 
+    def _text(self, depth: int) -> str:
+        """The frame's text with its dict at ``depth``."""
+        depth += 1
+        return ('{"$t":"dict","v":[["kind","auth"],["token",'
+                + _emit(self.token, depth) + '],["id",'
+                + _emit(self.call_id, depth) + "]]}")
+
     def encode(self) -> bytes:
         """Marshal to wire bytes."""
-        return marshal(self.to_wire())
+        return _encoded(self)
 
     @staticmethod
     def from_wire(wire: Any) -> "AuthRequest":

@@ -9,6 +9,7 @@ module is identical to the instantiation of any local module").
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..core.errors import RemoteError
@@ -55,11 +56,12 @@ class RemoteStub:
         self.invoke(method, *args, oneway=True, **kwargs)
 
     def __getattr__(self, name: str) -> Callable[..., Any]:
+        # Reached only for a name nothing else answers; its proxy is
+        # bound once and answers every later lookup itself.
         methods = object.__getattribute__(self, "methods")
         if name in methods:
-            def proxy(*args: Any, **kwargs: Any) -> Any:
-                return self.invoke(name, *args, **kwargs)
-            proxy.__name__ = name
+            proxy = partial(self.invoke, name)
+            object.__setattr__(self, name, proxy)
             return proxy
         raise AttributeError(
             f"stub for {self.object_name!r} has no attribute {name!r}")

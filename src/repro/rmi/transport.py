@@ -156,17 +156,14 @@ class Transport:
             calls = request.calls
             # Fire-and-forget only if nobody waits on any of the replies.
             oneway = all(call.oneway for call in calls)
-            what = f"sending a {len(calls)}-call batch to {self.peer}"
         else:
             calls = (request,)
             oneway = request.oneway
-            what = (f"calling {request.object_name}.{request.method} "
-                    f"on {self.peer}")
         with (self._span(request) if TELEMETRY.enabled
               else _NO_SPAN) as span:
             marshal_begin = time.perf_counter() if span is not None else 0.0
             payload = request.encode()
-            reply_bytes = self._exchange(payload, oneway, what, span)
+            reply_bytes = self._exchange(payload, oneway, request, span)
             try:
                 replies = (BatchReply.decode(reply_bytes).replies if batch
                            else (CallReply.decode(reply_bytes),))
@@ -174,7 +171,8 @@ class Transport:
                 self._count_error(span)
                 self.close()  # a desynchronized wire is never reused
                 raise RemoteError(
-                    f"undecodable reply while {what}: {exc}") from exc
+                    f"undecodable reply while {self._what(request)}: "
+                    f"{exc}") from exc
             if len(replies) != len(calls):
                 self._count_error(span)
                 raise RemoteError(
@@ -196,6 +194,15 @@ class Transport:
                         replies[0].error or "remote call failed")
             return replies
 
+    def _what(self, request: Any) -> str:
+        """The exchange of ``request`` as an error message names it
+        (built only for an error)."""
+        if isinstance(request, BatchRequest):
+            return (f"sending a {len(request.calls)}-call batch to "
+                    f"{self.peer}")
+        return (f"calling {request.object_name}.{request.method} "
+                f"on {self.peer}")
+
     def _span(self, request: Any) -> Any:
         """The ``rmi.invoke`` / ``rmi.invoke_batch`` span of a request."""
         if isinstance(request, BatchRequest):
@@ -209,14 +216,14 @@ class Transport:
         return TELEMETRY.tracer.span(name, category="rmi",
                                      clock=self.clock, args=args)
 
-    def _exchange(self, payload: bytes, oneway: bool, what: str,
+    def _exchange(self, payload: bytes, oneway: bool, request: Any,
                   span: Optional[Any]) -> bytes:
         """Carry one encoded request to the server; its reply bytes.
 
         The per-wire half of a round trip.  ``oneway`` says nobody
-        waits for the reply; ``what`` names the exchange and the peer
-        in errors.  A wire-level failure is counted once
-        (:meth:`_count_error`) and raised as
+        waits for the reply; ``request`` is what ``payload`` encodes
+        (:meth:`_what` names it in errors).  A wire-level failure is
+        counted once (:meth:`_count_error`) and raised as
         :class:`~repro.core.errors.RemoteError`.
         """
         raise NotImplementedError
@@ -302,7 +309,7 @@ class InProcessTransport(Transport):
         self._link_free = 0.0  # virtual time the shared link is busy until
         self.context = ConnectionContext()
 
-    def _exchange(self, payload: bytes, oneway: bool, what: str,
+    def _exchange(self, payload: bytes, oneway: bool, request: Any,
                   span: Optional[Any]) -> bytes:
         if self.policy is not None:
             self.policy.check_connect(self.server.host_name)
@@ -455,7 +462,7 @@ class TcpTransport(Transport):
     def _span_labels(self) -> Dict[str, Any]:
         return {"transport": "tcp", "host": self.host}
 
-    def _exchange(self, payload: bytes, oneway: bool, what: str,
+    def _exchange(self, payload: bytes, oneway: bool, request: Any,
                   span: Optional[Any]) -> bytes:
         """Send one frame and read its reply frame.
 
@@ -477,7 +484,8 @@ class TcpTransport(Transport):
                 cause = (f"connection closed by {self.peer}"
                          if isinstance(exc, _PEER_GONE) else exc)
                 raise RemoteError(
-                    f"transport failure {what}: {cause}") from exc
+                    f"transport failure {self._what(request)}: "
+                    f"{cause}") from exc
 
     def _read_frame(self, connection: socket.socket) -> bytes:
         header = self._read_exact(connection, 4)

@@ -78,12 +78,21 @@ class Gauge:
         self._value: float = 0
 
     def set(self, value: float) -> None:
-        """Replace the gauge's value."""
+        """Replace the gauge's value (must be finite)."""
+        if not -_INF < value < _INF:
+            raise ParameterError(
+                f"gauge {self.name!r}: value must be finite, got {value!r}")
         with self._lock:
             self._value = value
 
     def inc(self, amount: float = 1) -> None:
-        """Adjust the gauge by ``amount`` (may be negative)."""
+        """Adjust the gauge by ``amount`` (finite; may be negative).
+        One chained comparison guards it, false for NaN as for the
+        infinities: either would stick in every later reading."""
+        if not -_INF < amount < _INF:
+            raise ParameterError(
+                f"gauge {self.name!r}: amount must be finite, "
+                f"got {amount!r}")
         with self._lock:
             self._value += amount
 
@@ -119,6 +128,10 @@ class Histogram:
             raise ValueError(
                 f"histogram {name!r} needs at least one bucket edge")
         edges = tuple(float(edge) for edge in buckets)
+        if any(edge != edge for edge in edges):
+            raise ParameterError(
+                f"histogram {name!r}: a bucket edge is NaN, got "
+                f"{buckets!r}")
         if list(edges) != sorted(set(edges)):
             raise ValueError(
                 f"histogram {name!r} bucket edges must be strictly "
@@ -133,8 +146,12 @@ class Histogram:
         self._max: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one observation (must be finite)."""
         value = float(value)
+        if not -_INF < value < _INF:
+            raise ParameterError(
+                f"histogram {self.name!r}: observation must be finite, "
+                f"got {value!r}")
         index = len(self.edges)  # overflow unless an edge catches it
         for i, edge in enumerate(self.edges):
             if value <= edge:

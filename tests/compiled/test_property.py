@@ -308,12 +308,21 @@ def test_k_lane_run_equals_k_one_lane_runs(seed, width):
                                      random.Random(seed + 400))
     iv, ic = pack_patterns(kernel.inputs, patterns)
     mask = (1 << width) - 1
+
+    def lane_words(planes, lane):
+        """Lane ``lane`` of every value word, then of every care word
+        (a two-valued run's care plane is one word for every net)."""
+        values, cares = planes
+        if type(cares) is int:
+            cares = (cares,) * len(values)
+        return tuple((word >> lane * width) & mask
+                     for word in values + cares)
+
     checked = 0
     for count, _, words in _fault_lanes(kernel, iv, ic, width, injections):
         for lane in range(count):
             (_, _, alone), = _fault_lanes(kernel, iv, ic, width,
                                           [injections[checked]])
-            assert tuple((word >> lane * width) & mask
-                         for word in words) == alone
+            assert lane_words(words, lane) == lane_words(alone, 0)
             checked += 1
     assert checked == len(injections)

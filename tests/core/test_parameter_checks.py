@@ -28,7 +28,7 @@ from repro.power.toggle import PowerModel
 from repro.rmi import BatchingTransport, JavaCADServer
 from repro.rtl import WordAdder, WordMux
 from repro.server import AsyncRMIServer
-from repro.telemetry.metrics import Counter
+from repro.telemetry.metrics import Counter, Gauge, Histogram
 
 VALUES = [math.nan, math.inf, -math.inf, 0, -1]
 
@@ -99,6 +99,22 @@ CALLS = {
         lambda v: NegotiationServant(list_price=v), "list_price", (0,)),
     # ``amount < 0`` alone let a NaN or an infinity into the total.
     "Counter.inc": (lambda v: Counter("c").inc(v), "amount", (0,)),
+    # A gauge or histogram took NaN and the infinities as it took any
+    # number, and every later reading (sum, mean, value) kept them.  Its
+    # refusal names the instrument.
+    "Gauge.set": (lambda v: Gauge("queue.depth").set(v), "queue.depth",
+                  (0, -1)),
+    "Gauge.inc": (lambda v: Gauge("queue.depth").inc(v), "queue.depth",
+                  (0, -1)),
+    "Gauge.dec": (lambda v: Gauge("queue.depth").dec(v), "queue.depth",
+                  (0, -1)),
+    "Histogram.observe": (
+        lambda v: Histogram("rmi.reply_bytes").observe(v),
+        "rmi.reply_bytes", (0, -1)),
+    # A NaN edge sorted anywhere and caught no observation.
+    "Histogram.buckets": (
+        lambda v: Histogram("rmi.batch.size", buckets=(v,)),
+        "rmi.batch.size", (math.inf, -math.inf, 0, -1)),
     "weighted_shards.weight_of": (
         lambda v: weighted_shards(["a", "b"], 2, lambda name: v), "weight",
         (0,)),
