@@ -40,9 +40,36 @@ SUPERWORD_BITS = 16384
 copied into ``SUPERWORD_BITS // w`` lanes, one live fault each, because
 CPython pays the same ~25 ns of interpreter overhead per word operation
 whatever the word's width.  A campaign sizes its blocks so that the
-live faults fill one such run.  A constant, not a tunable: campaign
-time measured flat from 8 k to 32 k bits, and one run holds ``2 * nets
-* SUPERWORD_BITS / 8`` bytes of live words (~6 MB on ``mult16``)."""
+live faults fill one such run; with fault dropping a block is also held
+to the ramp below (:data:`RAMP_FIRST_PATTERNS`).  A constant, not a
+tunable: campaign time measured flat from 8 k to 32 k bits, and one run
+holds ``2 * nets * SUPERWORD_BITS / 8`` bytes of live words (~6 MB on
+``mult16``).  4 k bits without the ramp ran the harness campaign
+nearly as fast as the ramp does (5.51 against 5.27 ms, 6.56 at 16 k
+without it; one process, median of 40), but then a no-drop block of 64
+patterns carries 64 faults per hooked run instead of 256: ``mult8``'s
+no-drop campaign takes 22 runs, not 7."""
+
+RAMP_FIRST_PATTERNS = 8
+"""With fault dropping, the most patterns a campaign's first block
+holds.  A few random patterns detect most faults (the first 8 detect
+429 of the harness campaign's 479 ``mult16`` faults), so a short first
+block drops them before any wide run carries them.  Measured in one
+process on a 2-core VM (median of 40 runs) on the harness campaign and
+on the two halves of the two-endpoint farm's (128 patterns): 4.95,
+3.05 and 2.51 ms with 8, against 6.49, 4.54 and 3.93 ms without the
+ramp.  A first cap of 4 read 4.90, 3.15 and 3.09 ms (slower on both
+halves), one of 16 5.67, 2.85 and 2.84 ms (slower on the harness
+campaign).  The harness campaign's gate evaluations fall from 25.5 M
+to 10.8 M."""
+
+RAMP_GROWTH = 8
+"""How many times the last block's cap the next block's is (8, 64,
+512, ... patterns), so a campaign whose faults resist pays at most one
+extra block per cap narrower than the superword rule's block.  Growth
+4 read 5.23, 3.00 and 2.44 ms on the three campaigns above (8: 4.95,
+3.05 and 2.51 ms): slower on the harness campaign, within 0.07 ms on
+the farm's halves."""
 
 # A pattern's Logic codes as the digits of its value and care words:
 # ONE is value 1, ONE and ZERO are cared for, X and Z are not.
@@ -320,9 +347,10 @@ class CompiledFaultSimulator:
     (:func:`_fault_lanes`); a fault's lane of the detection word
     ``(vg ^ vf) | (cg ^ cf)`` over the primary outputs marks every
     detecting pattern of the block at once.  A block is as wide as one
-    hooked run's lanes allow for the live faults, so with
-    ``drop_detected`` the faults a few patterns detect leave the active
-    list after one short block rather than after a fixed-width one.
+    hooked run's lanes allow for the live faults and, with
+    ``drop_detected``, no wider than the ramp allows, so the faults a
+    few patterns detect leave the active list after one short block
+    rather than after a wide one.
     """
 
     def __init__(self, netlist: Netlist,
@@ -380,18 +408,25 @@ class CompiledFaultSimulator:
         The floor is one pattern with ``drop_detected`` and
         :data:`WORD_BITS` without it (no fault ever leaves, so a
         narrower block only adds runs).  Lanes x width stays within
-        ``SUPERWORD_BITS`` either way.
+        ``SUPERWORD_BITS`` either way.  With ``drop_detected`` the
+        blocks also ramp: the first holds at most
+        :data:`RAMP_FIRST_PATTERNS` patterns and each cap is
+        :data:`RAMP_GROWTH` times the last, so the faults the first
+        few patterns detect leave before a wide block carries them.
         """
         remaining: List[str] = list(self.fault_list.names())
         report = FaultSimReport(total_faults=len(remaining))
         patterns = list(patterns)
         report.per_pattern = [set() for _ in patterns]
         floor = 1 if drop_detected else WORD_BITS
+        cap = RAMP_FIRST_PATTERNS if drop_detected else len(patterns)
+        growth = RAMP_GROWTH if drop_detected else 1
         begin = time.perf_counter()
         evals = blocks = kernel_runs = start = 0
         while remaining and start < len(patterns):
             width = min(max(SUPERWORD_BITS // len(remaining), floor),
-                        len(patterns) - start)
+                        cap, len(patterns) - start)
+            cap *= growth
             block = patterns[start:start + width]
             detections, runs = self._detection_words(block, remaining)
             blocks += 1

@@ -11,6 +11,7 @@ computed from.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import (Any, Dict, FrozenSet, Iterable, Mapping, Optional,
                     Sequence, Tuple)
@@ -138,10 +139,36 @@ def _table_to_wire(table: DetectionTable) -> dict:
     }
 
 
+_TABLE_SHAPE = ("a detection table is component: str, input and "
+                "fault_free: tuples of Logic, and rows: [tuple of Logic, "
+                "list of str] pairs")
+
+
 def _table_from_wire(wire: dict) -> DetectionTable:
-    return DetectionTable(
-        wire["component"], tuple(wire["input"]), tuple(wire["fault_free"]),
-        {tuple(pattern): set(names) for pattern, names in wire["rows"]})
+    """The table ``_table_to_wire`` wrote; any other shape raises
+    ``TypeError`` (``unmarshal`` refuses it as malformed), so a hostile
+    frame cannot build a table that fails later, in its own repr.
+
+    The check is a fixed number of C-level type passes per table, not
+    a Python loop per row: the rows' patterns and name lists are
+    typed as two columns, then their elements as two flat runs.
+    """
+    component, pattern, fault_free, rows = (
+        wire["component"], wire["input"], wire["fault_free"], wire["rows"])
+    if type(component) is not str or type(pattern) is not tuple \
+            or type(fault_free) is not tuple or type(rows) is not list \
+            or not {list}.issuperset(map(type, rows)) \
+            or not {2}.issuperset(map(len, rows)):
+        raise TypeError(_TABLE_SHAPE)
+    patterns, names = zip(*rows) if rows else ((), ())
+    if not {tuple}.issuperset(map(type, patterns)) \
+            or not {list}.issuperset(map(type, names)) \
+            or not {Logic}.issuperset(map(type, chain(
+                pattern, fault_free, chain.from_iterable(patterns)))) \
+            or not {str}.issuperset(map(type, chain.from_iterable(names))):
+        raise TypeError(_TABLE_SHAPE)
+    return DetectionTable(component, pattern, fault_free,
+                          dict(zip(patterns, map(frozenset, names))))
 
 
 register_value_type("detection-table", DetectionTable, _table_to_wire,

@@ -450,6 +450,26 @@ class _Endpoint:
                                FaultFarmServant.REMOTE_METHODS)
         self.alive = False
         self.announced = False
+        self._ended = False
+        self._end_lock = threading.Lock()
+
+    def end(self, campaign_id: str) -> None:
+        """Tell a live servant the campaign is over, then close.
+
+        Once only: the endpoint's own thread ends it when it has no
+        more work, ``map`` ends whatever is left.  ``close`` drains
+        the queued ``end_campaign`` oneway, so the servant hears that
+        the campaign is over before the connection goes.
+        """
+        with self._end_lock:
+            if self._ended:
+                return
+            self._ended = True
+        try:
+            if self.alive:
+                self.stub.invoke_oneway("end_campaign", campaign_id)
+        finally:
+            self.close()
 
     def probe(self) -> bool:
         """Can the worker still answer at all?"""
@@ -493,6 +513,11 @@ class _RunState:
         self._cond = threading.Condition()
 
     def take(self, endpoint_index: int) -> Optional[int]:
+        """The next shard for this endpoint, or None once none can come
+        to it: the run failed, the endpoint left the live set, or no
+        pending shard may run here and none is in flight to come back.
+        The endpoint's thread ends its campaign and closes on None, so
+        None never comes while a retry could still be owed to it."""
         with self._cond:
             while True:
                 if self.failure is not None:
@@ -672,12 +697,10 @@ class RemoteWorkerPool:
             for thread in threads:
                 thread.join()
         finally:
+            # Each thread ends its endpoint once it has no more work;
+            # this ends any that never connected, died or failed.
             for endpoint in endpoints:
-                if endpoint.alive:
-                    # Drained by close(), which would drop the campaign
-                    # anyway; the servant hears that it is over first.
-                    endpoint.stub.invoke_oneway("end_campaign", campaign_id)
-                endpoint.close()
+                endpoint.end(campaign_id)
         if state.failure is not None:
             raise state.failure
         unfinished = state.unfinished()
@@ -741,6 +764,9 @@ class RemoteWorkerPool:
         while True:
             index = state.take(endpoint.index)
             if index is None:
+                # Nothing can come back to this endpoint: end its
+                # campaign now, beside the threads still working.
+                endpoint.end(campaign_id)
                 return
             begin = time.perf_counter()
             try:

@@ -173,16 +173,19 @@ class TestSinglePatternProbes:
                         if compiled.detects(patterns[0], name)]
 
 
-def replayed_work(simulator, patterns, report, drop_detected=True):
+def replayed_work(simulator, patterns, report, drop_detected=True,
+                  ramp=True):
     """(blocks, kernel runs, gate evaluations) that the block rule
     implies for a campaign whose report is ``report``: a block is
     ``SUPERWORD_BITS // live`` patterns (floor 1 with dropping,
-    ``WORD_BITS`` without, capped at the patterns left) and takes one
+    ``WORD_BITS`` without, capped at the patterns left and, with
+    dropping, at the ramp's 8, 64, 512, ... patterns) and takes one
     fault-free run plus one hooked run per ``SUPERWORD_BITS // width``
-    live faults."""
+    live faults.  ``ramp=False`` replays the rule without the ramp."""
     names = simulator.fault_list.names()
     gates = simulator.kernel.gate_count
     blocks = runs = evals = start = 0
+    cap = ppsfp.RAMP_FIRST_PATTERNS
     while start < len(patterns):
         live = [name for name in names if not drop_detected
                 or report.detected.get(name, start) >= start]
@@ -191,6 +194,9 @@ def replayed_work(simulator, patterns, report, drop_detected=True):
         width = min(max(SUPERWORD_BITS // len(live),
                         1 if drop_detected else WORD_BITS),
                     len(patterns) - start)
+        if drop_detected and ramp:
+            width = min(width, cap)
+            cap *= ppsfp.RAMP_GROWTH
         blocks += 1
         runs += 1 + -(-len(live) // (SUPERWORD_BITS // width))
         evals += gates * width * (1 + len(live))
@@ -215,8 +221,9 @@ class TestTelemetry:
         with telemetry_session():
             report = simulator.run(patterns)
             metrics = TELEMETRY.metrics
-            # A handful of faults: one block holds all 70 patterns.
-            assert metrics.counter("compiled.blocks").value == 1
+            # A handful of faults: the ramp's 8-pattern block, then
+            # one block for the other 62 patterns.
+            assert metrics.counter("compiled.blocks").value == 2
             assert work_counts() \
                 == replayed_work(simulator, patterns, report)
             assert metrics.counter("compiled.eval_seconds").value > 0
@@ -245,9 +252,10 @@ class TestTelemetry:
         """The logical work (``gate_evals``) does not depend on how the
         faults are packed; the kernel invocations (``kernel_runs``) do:
         one fault-free run plus one hooked run per superword of faults,
-        per block.  1344 live faults open with a 12-pattern block.
+        per block.  1344 live faults open with the ramp's 8-pattern
+        block (12 patterns without the ramp: 7 149 520 evaluations).
         """
-        assert self.mult8_counts(drop=True) == (2, 4, 7_149_520)
+        assert self.mult8_counts(drop=True) == (2, 4, 6_704_800)
 
     def test_no_drop_work_counters(self):
         # 340 gates x 64 patterns x (1 fault-free + 1344 faults) in one
@@ -256,9 +264,11 @@ class TestTelemetry:
 
     def test_harness_campaign_counts(self):
         """The ``compiled_campaign`` benchmark's campaign: 479 faults
-        fill a 34-pattern block and the 5 left share the other 222
-        patterns (fixed 64-pattern blocks took 4 blocks, 9 runs and
-        44 914 176 evaluations)."""
+        enter the ramp's 8-pattern block, the 50 left a 64-pattern one
+        and the one no pattern detects the other 184 (without the ramp, a
+        34-pattern block of 479 faults took 2 blocks, 4 runs and
+        25 489 488 evaluations; fixed 64-pattern blocks took 4 blocks,
+        9 runs and 44 914 176)."""
         netlist = load_bench("mult16")
         full = build_fault_list(netlist, collapse="equivalence")
         fault_list = full.subset(full.names()[::12])
@@ -269,17 +279,61 @@ class TestTelemetry:
         simulator = CompiledFaultSimulator(netlist, fault_list)
         with telemetry_session():
             report = simulator.run(patterns)
-            assert work_counts() == (2, 4, 25_489_488)
+            assert work_counts() == (3, 6, 10_789_568)
             # Random 0/1 patterns: every run takes the value-only kernel.
             assert TELEMETRY.metrics.counter(
-                "compiled.two_valued_runs").value == 4
+                "compiled.two_valued_runs").value == 6
         assert replayed_work(simulator, patterns, report) \
+            == (3, 6, 10_789_568)
+        assert replayed_work(simulator, patterns, report, ramp=False) \
             == (2, 4, 25_489_488)
 
+    @pytest.mark.parametrize("live", [1, 60, 255, 256, 1344])
+    def test_ramp_worst_case(self, monkeypatch, live):
+        """A campaign that drops nothing early gains nothing from the
+        ramp and pays at most one extra block for each ramp cap below
+        the block the superword rule alone would run: the same gate
+        evaluations, and at most one extra block once 256 or more
+        faults are live (that rule then holds blocks to 64 patterns,
+        so only the first cap bites).  The block loop is shown no
+        detection, so no fault ever drops."""
+        real = CompiledFaultSimulator._detection_words
+
+        def blind(self, block, names):
+            detections, runs = real(self, block, names)
+            return [0] * len(detections), runs
+
+        monkeypatch.setattr(CompiledFaultSimulator, "_detection_words",
+                            blind)
+        netlist = resolve_bench("mult8")
+        fault_list = build_fault_list(netlist)
+        fault_list = fault_list.subset(fault_list.names()[:live])
+        rng = random.Random(1)
+        patterns = [{net: Logic(rng.getrandbits(1))
+                     for net in netlist.inputs}
+                    for _ in range(256)]
+        simulator = CompiledFaultSimulator(netlist, fault_list)
+        with telemetry_session():
+            report = simulator.run(patterns)
+            blocks, runs, evals = work_counts()
+        assert not report.detected
+        assert (blocks, runs, evals) \
+            == replayed_work(simulator, patterns, report)
+        old_blocks, _, old_evals = replayed_work(
+            simulator, patterns, report, ramp=False)
+        assert evals == old_evals
+        widest = min(SUPERWORD_BITS // live, len(patterns))
+        caps = [ppsfp.RAMP_FIRST_PATTERNS * ppsfp.RAMP_GROWTH ** k
+                for k in range(8)]
+        assert blocks <= old_blocks + sum(cap < widest for cap in caps)
+        if live >= SUPERWORD_BITS // WORD_BITS:
+            assert blocks <= old_blocks + 1
+
     def test_x_pattern_campaign_runs_three_valued(self):
-        """A block with an ``X`` input keeps the care words: none of
-        its runs is two-valued, and the work counts are the block
-        rule's."""
+        """A block with an ``X`` input keeps the care words: neither
+        run of the first block, whose pattern 0 has one, is two-valued;
+        both of the all-binary second block's are.  The work counts
+        are the block rule's."""
         netlist, patterns = figure4_patterns(70)
         patterns[0][netlist.inputs[0]] = Logic.X
         simulator = CompiledFaultSimulator(netlist)
@@ -288,8 +342,8 @@ class TestTelemetry:
             assert work_counts() \
                 == replayed_work(simulator, patterns, report)
             metrics = TELEMETRY.metrics
-            assert metrics.counter("compiled.kernel_runs").value == 2
-            assert metrics.counter("compiled.two_valued_runs").value == 0
+            assert metrics.counter("compiled.kernel_runs").value == 4
+            assert metrics.counter("compiled.two_valued_runs").value == 2
 
     def test_probe_counters(self):
         netlist, patterns = figure4_patterns(1)

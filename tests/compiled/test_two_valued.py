@@ -173,7 +173,7 @@ def test_mult16_campaign_identical_through_both_flavours():
     slow.kernel.run_fault = slow.kernel._fault3
     with telemetry_session():
         reports = [fast.run(patterns), slow.run(patterns)]
-        assert two_valued_runs() == 4
+        assert two_valued_runs() == 6
     first, second = reports
     assert list(first.detected.items()) == list(second.detected.items())
     assert marshal(report_to_wire(first)) \

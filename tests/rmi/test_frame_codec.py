@@ -257,3 +257,69 @@ class TestDecode:
                     + b'{"$t":"dict","v":' + inner + b"}"
                     + b"]}" * depth)
             same_answers(data)
+
+
+def table_frame(component=b'"c"', pattern=b'{"$t":"logic","v":1}',
+                row=b'{"$t":"list","v":[{"$t":"tuple","v":['
+                    b'{"$t":"logic","v":1}]},{"$t":"list","v":["f0"]}]}'):
+    """A batch-reply frame carrying one detection table, with the given
+    wire text in place of its component, its first input value and its
+    one row."""
+    return (b'{"$t":"dict","v":[["kind","batch-reply"],["id",2],'
+            b'["replies",{"$t":"tuple","v":[{"$t":"dict","v":['
+            b'["kind","reply"],["id",1],["ok",true],["result",'
+            b'{"$t":"x:detection-table","v":{"$t":"dict","v":['
+            b'["component",' + component + b'],'
+            b'["input",{"$t":"tuple","v":[' + pattern + b']}],'
+            b'["fault_free",{"$t":"tuple","v":[{"$t":"logic","v":0}]}],'
+            b'["rows",{"$t":"list","v":[' + row + b']}]]}}],'
+            b'["error",null]]}]}]]}')
+
+
+class TestHostileTables:
+    """A detection table in any shape but the one its codec writes is
+    refused as malformed wire data by every decoder.  The first frame
+    is the one hypothesis found: a string where a ``Logic`` belongs
+    decoded, and ``decode_request`` then raised ``AttributeError`` from
+    the table's repr while it wrote its "not a call request" refusal."""
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(table_frame(pattern=b'"1"'), id="str-input"),
+        pytest.param(table_frame(pattern=b"1"), id="int-input"),
+        pytest.param(table_frame(component=b"7"), id="int-component"),
+        pytest.param(table_frame(component=b'{"$t":"logic","v":1}'),
+                     id="logic-component"),
+        pytest.param(table_frame(
+            row=b'{"$t":"list","v":[{"$t":"tuple","v":["1"]},'
+                b'{"$t":"list","v":["f0"]}]}'), id="str-in-row-pattern"),
+        pytest.param(table_frame(
+            row=b'{"$t":"list","v":[{"$t":"tuple","v":['
+                b'{"$t":"logic","v":1}]},{"$t":"list","v":[5]}]}'),
+            id="int-fault-name"),
+        pytest.param(table_frame(
+            row=b'{"$t":"list","v":[{"$t":"list","v":['
+                b'{"$t":"logic","v":1}]},{"$t":"list","v":["f0"]}]}'),
+            id="row-pattern-list"),
+        pytest.param(table_frame(
+            row=b'{"$t":"list","v":[{"$t":"tuple","v":['
+                b'{"$t":"logic","v":1}]},{"$t":"set","v":["f0"]}]}'),
+            id="row-names-set"),
+        pytest.param(table_frame(
+            row=b'{"$t":"list","v":[{"$t":"tuple","v":[]}]}'),
+            id="one-element-row"),
+        pytest.param(table_frame(
+            row=b'{"$t":"tuple","v":[{"$t":"tuple","v":[]},'
+                b'{"$t":"list","v":[]}]}'), id="tuple-row"),
+        pytest.param(table_frame(row=b'"ab"'), id="str-row"),
+    ])
+    def test_refused_by_every_decoder(self, data):
+        for name, decode in LIVE.items():
+            with pytest.raises(MarshalError,
+                               match="TypeError: a detection table is"):
+                decode(data)
+        same_answers(data)
+
+    def test_the_written_shape_still_decodes(self):
+        table = unmarshal(table_frame())["replies"][0]["result"]
+        assert repr(table) == "DetectionTable('c', in=1, 1 rows)"
+        assert table.rows == {(Logic.ONE,): frozenset({"f0"})}
