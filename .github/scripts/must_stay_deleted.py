@@ -121,9 +121,18 @@ RULES = (
          "the farm ships or copies Logic-dict patterns again (a pattern "
          "crosses as one row of text, packed once per campaign)"),
     Rule(re.escape('"01XZ"') + "|" + re.escape("'01XZ'"), SRC,
-         "src/repro/parallel/remote.py",
+         "src/repro/compiled/ppsfp.py",
          "a second table between pattern-row characters and Logic "
          "values (PATTERN_ALPHABET is the one)", exactly=1),
+    # A shard runs from its rows and its campaign ends with its
+    # connection.
+    Rule(r"_unpack_rows|_LOGIC_OF_CHAR", SRC, "src/repro/compiled/ppsfp.py",
+         "a farm shard decodes its rows into Logic dicts again (a compiled "
+         "shard packs its words from the row text; a row becomes a dict "
+         "only when an event-engine shard reads PatternRows)", exactly=2),
+    Rule(r"end_campaign", SRC, None,
+         "the pool sends end_campaign again (a campaign lives in its "
+         "connection's context; closing the connection ends it)"),
     # Figure 5 pays for its events: the public model picks no engine.
     Rule(re.escape("NetlistSimulator("), ("src/repro/bench",), None,
          "a bench builder picks a simulator class again (the public "

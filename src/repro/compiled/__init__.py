@@ -24,6 +24,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
                  "netlist_fingerprint"),
     "engine": ("ENGINES", "FaultSimulator", "fault_simulator_for",
                "resolve_engine", "simulator_for"),
-    "ppsfp": ("SUPERWORD_BITS", "WORD_BITS", "CompiledFaultSimulator",
-              "CompiledSimulator", "pack_patterns"),
+    "ppsfp": ("PATTERN_ALPHABET", "SUPERWORD_BITS", "WORD_BITS",
+              "CompiledFaultSimulator", "CompiledSimulator", "PatternRows",
+              "pack_patterns", "pack_rows"),
 })

@@ -15,6 +15,7 @@ history.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence as SequenceABC
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -71,11 +72,83 @@ extra block per cap narrower than the superword rule's block.  Growth
 3.05 and 2.51 ms): slower on the harness campaign, within 0.07 ms on
 the farm's halves."""
 
-# A pattern's Logic codes as the digits of its value and care words:
-# ONE is value 1, ONE and ZERO are cared for, X and Z are not.
-_VALUE_DIGITS = bytes(b"01"[code == Logic.ONE] for code in range(256))
-_CARE_DIGITS = bytes(b"01"[code in (Logic.ZERO, Logic.ONE)]
-                     for code in range(256))
+PATTERN_ALPHABET = "01XZ"
+"""The characters of a pattern row: character ``k`` is ``Logic(k)``.
+
+A row is one pattern, one character per input column.  The fault farm
+ships a campaign's patterns as rows, and a compiled campaign packs its
+words straight from them (:class:`PatternRows`)."""
+
+_ALPHABET = PATTERN_ALPHABET.encode("ascii")
+_TEXT_OF_CODES = bytes.maketrans(bytes(range(len(_ALPHABET))), _ALPHABET)
+_LOGIC_OF_CHAR = {char: Logic(code)
+                  for code, char in enumerate(PATTERN_ALPHABET)}
+# A row character as the digits of its value and care words: 1 is
+# value 1, 0 and 1 are cared for, X and Z are not.
+_VALUE_DIGITS = bytes.maketrans(_ALPHABET, b"0100")
+_CARE_DIGITS = bytes.maketrans(_ALPHABET, b"1100")
+
+
+def pattern_text(inputs: Sequence[str],
+                 patterns: Sequence[Mapping[str, Logic]]) -> bytes:
+    """The patterns as :data:`PATTERN_ALPHABET` rows, back to back.
+
+    Row ``i`` is ``patterns[i]``, one character per input in ``inputs``
+    order.  This is the one converter from ``Logic`` mappings to rows:
+    :func:`pack_rows` cuts its rows apart and :func:`pack_patterns`
+    packs words from them.  A missing or non-``Logic`` value raises the
+    interpreted simulator's error for the first such input in
+    ``inputs`` order.
+    """
+    count = len(inputs)
+    if not count or not patterns:
+        return b""
+    row = itemgetter(*inputs)
+    try:
+        rows = map(row, patterns)
+        values = list(rows if count == 1 else chain.from_iterable(rows))
+    except KeyError:
+        values = None
+    if values is None or set(map(type, values)) != {Logic}:
+        for net in inputs:
+            for pattern in patterns:
+                input_value(pattern, net)
+    return bytes(values).translate(_TEXT_OF_CODES)
+
+
+def pack_rows(inputs: Sequence[str],
+              patterns: Sequence[Mapping[str, Logic]]) -> Tuple[str, ...]:
+    """One :data:`PATTERN_ALPHABET` row per pattern, in ``inputs`` order
+    (:func:`pattern_text`, with its errors)."""
+    count = len(inputs)
+    if not count:
+        return ("",) * len(patterns)
+    text = pattern_text(inputs, patterns).decode("ascii")
+    return tuple(text[start:start + count]
+                 for start in range(0, len(text), count))
+
+
+def _pack_text(text: bytes, count: int) -> Tuple[List[int], List[int]]:
+    """(value, care) words per column of ``count``-character rows of
+    :data:`PATTERN_ALPHABET` text; bit ``i`` of each word is row ``i``.
+
+    Reversed, the text reads last row first, so each column (now
+    counted from the right) is one extended slice that ``int(..., 2)``
+    reads with row 0 as its lowest bit.
+    """
+    if not text:
+        return [0] * count, [0] * count
+    if len(text) == count:
+        # Each word is one digit (a single-pattern servant or public
+        # model call): read the digits, not ``count`` one-digit texts.
+        return ([digit - 48 for digit in text.translate(_VALUE_DIGITS)],
+                [digit - 48 for digit in text.translate(_CARE_DIGITS)])
+    text = text[::-1]
+    value = text.translate(_VALUE_DIGITS)
+    care = text.translate(_CARE_DIGITS)
+    last = count - 1
+    return ([int(value[last - k::count], 2) for k in range(count)],
+            [int(care[last - k::count], 2) for k in range(count)])
 
 
 def pack_patterns(inputs: Sequence[str],
@@ -88,32 +161,36 @@ def pack_patterns(inputs: Sequence[str],
     non-``Logic`` primary-input value raises the interpreted
     simulator's error for the first such input in ``inputs`` order.
 
-    One columnar pass: the block's codes, last pattern first, become
-    one ``bytes``; each input's column is an extended slice of it,
+    One columnar pass: the block's rows (:func:`pattern_text`) are one
+    ``bytes``; each input's column is an extended slice of it,
     translated to binary digits and read by one ``int(..., 2)``.
     """
-    count = len(inputs)
-    if not count or not patterns:
-        return [0] * count, [0] * count
-    row = itemgetter(*inputs)
-    try:
-        rows = map(row, reversed(patterns))
-        values = list(rows if count == 1 else chain.from_iterable(rows))
-    except KeyError:
-        values = None
-    if values is None or set(map(type, values)) != {Logic}:
-        for net in inputs:
-            for pattern in patterns:
-                input_value(pattern, net)
-    codes = bytes(values)
-    value = codes.translate(_VALUE_DIGITS)
-    care = codes.translate(_CARE_DIGITS)
-    if len(patterns) == 1:
-        # Each word is one digit (a single-pattern servant or public
-        # model call): read the digits, not ``count`` one-digit texts.
-        return [digit - 48 for digit in value], [digit - 48 for digit in care]
-    return ([int(value[k::count], 2) for k in range(count)],
-            [int(care[k::count], 2) for k in range(count)])
+    return _pack_text(pattern_text(inputs, patterns), len(inputs))
+
+
+class PatternRows(SequenceABC):
+    """Patterns held as :data:`PATTERN_ALPHABET` rows over ``inputs``.
+
+    The rows must already be checked: text, one character per input,
+    each in the alphabet.  :meth:`CompiledFaultSimulator.run` packs
+    its words straight from their text; whoever reads the patterns one
+    by one (the interpreted engine) gets each row as a ``Logic`` dict,
+    built on access.
+    """
+
+    def __init__(self, inputs: Sequence[str], rows: Sequence[str]):
+        self.inputs = tuple(inputs)
+        self.rows = tuple(rows)
+        self.text = "".join(self.rows).encode("ascii")
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        return dict(zip(self.inputs,
+                        map(_LOGIC_OF_CHAR.__getitem__, self.rows[index])))
 
 
 def _unpack_bit(v: int, c: int, bit: int) -> Logic:
@@ -362,13 +439,12 @@ class CompiledFaultSimulator:
             name: _injection(self.kernel, self.fault_list.fault(name))
             for name in self.fault_list.names()}
 
-    def _detection_words(self, block: Sequence[Mapping[str, Logic]],
+    def _detection_words(self, iv: List[int], ic: List[int], width: int,
                          names: Sequence[str]) -> Tuple[List[int], int]:
         """One detection word per fault of ``names`` (bit ``i`` set iff
-        ``block[i]`` detects it) and the kernel runs that took."""
+        pattern ``i`` of the packed block ``iv`` / ``ic`` detects it)
+        and the kernel runs that took."""
         kernel = self.kernel
-        width = len(block)
-        iv, ic = pack_patterns(kernel.inputs, block)
         good, good_cares = kernel.run_good(iv, ic)
         outputs = kernel.output_index
         detections: List[int] = []
@@ -413,11 +489,22 @@ class CompiledFaultSimulator:
         :data:`RAMP_FIRST_PATTERNS` patterns and each cap is
         :data:`RAMP_GROWTH` times the last, so the faults the first
         few patterns detect leave before a wide block carries them.
+
+        :class:`PatternRows` over the kernel's inputs pack each block
+        straight from their text; no ``Logic`` dict is built.
         """
+        inputs = self.kernel.inputs
+        if isinstance(patterns, PatternRows) and patterns.inputs == inputs:
+            text, count = patterns.text, len(inputs)
+            block = (lambda start, stop:
+                     _pack_text(text[start * count:stop * count], count))
+        else:
+            patterns = list(patterns)
+            block = (lambda start, stop:
+                     pack_patterns(inputs, patterns[start:stop]))
         remaining: List[str] = list(self.fault_list.names())
         report = FaultSimReport(total_faults=len(remaining))
-        patterns = list(patterns)
-        report.per_pattern = [set() for _ in patterns]
+        report.per_pattern = [set() for _ in range(len(patterns))]
         floor = 1 if drop_detected else WORD_BITS
         cap = RAMP_FIRST_PATTERNS if drop_detected else len(patterns)
         growth = RAMP_GROWTH if drop_detected else 1
@@ -427,8 +514,8 @@ class CompiledFaultSimulator:
             width = min(max(SUPERWORD_BITS // len(remaining), floor),
                         cap, len(patterns) - start)
             cap *= growth
-            block = patterns[start:start + width]
-            detections, runs = self._detection_words(block, remaining)
+            detections, runs = self._detection_words(
+                *block(start, start + width), width, remaining)
             blocks += 1
             kernel_runs += runs
             evals += self.kernel.gate_count * width * (1 + len(remaining))
@@ -463,9 +550,11 @@ class CompiledFaultSimulator:
                 report.detected[name] = index
             remaining = still
             start += width
-        # Nothing is live past ``start``, but the serial oracle still
-        # reads those patterns: raise its error on a bad one too.
-        pack_patterns(self.kernel.inputs, patterns[start:])
+        if not isinstance(patterns, PatternRows):
+            # Nothing is live past ``start``, but the serial oracle
+            # still reads those patterns: raise its error on a bad one
+            # too.  (Rows are checked when they are built.)
+            pack_patterns(inputs, patterns[start:])
         _record_work(evals, kernel_runs)
         if TELEMETRY.enabled:
             elapsed = time.perf_counter() - begin
@@ -491,6 +580,7 @@ class CompiledFaultSimulator:
         hooked kernel run probes up to ``SUPERWORD_BITS`` faults.
         """
         names = list(names)
-        detections, runs = self._detection_words([pattern], names)
+        iv, ic = pack_patterns(self.kernel.inputs, [pattern])
+        detections, runs = self._detection_words(iv, ic, 1, names)
         _record_work(self.kernel.gate_count * (1 + len(names)), runs)
         return [name for name, diff in zip(names, detections) if diff]

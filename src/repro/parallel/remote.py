@@ -18,24 +18,26 @@ The unit an endpoint is told about is the *campaign*, not the shard:
 * ``add_patterns`` (oneway, chunked) streams the pattern set, one
   :data:`PATTERN_ALPHABET` text per pattern;
 * ``run_shard`` (blocking) names a fault subset, runs it and answers
-  with the marshalled report plus the worker's telemetry snapshot;
-* ``end_campaign`` (oneway) drops the servant's campaign state.
+  with the report in its wire form (:func:`report_to_wire`) plus the
+  worker's telemetry snapshot.
 
 All are issued through a :class:`~repro.rmi.batching.
 BatchingTransport`, so the announcement queues client-side and rides in
 the :class:`~repro.rmi.protocol.BatchRequest` frame of that endpoint's
 first ``run_shard``; every later shard is one small call carrying fault
 names only.  The campaign crosses the wire once per endpoint
-connection: an endpoint that fails a shard attempt forgets what it
-announced (its transport may have reconnected, and a campaign lives in
-the connection that announced it) and announces again with its next
-shard.
+connection and lives in that connection's context, so closing the
+connection ends it: an endpoint that fails a shard attempt forgets what
+it announced (its transport may have reconnected) and announces again
+with its next shard.
 
 Only marshallable values cross the wire: bench *names*, fault *names*,
 input *names* and pattern rows.  A row is one character per input
 column (``Logic`` value ``k`` is character ``k`` of
 :data:`PATTERN_ALPHABET`), packed once per campaign by
-:func:`pack_rows`; the servant rebuilds the ``Logic`` dicts.  Netlists
+:func:`pack_rows`; a compiled shard packs its kernel words straight
+from the rows (:class:`~repro.compiled.ppsfp.PatternRows`), and only an
+event-engine shard reads them back as ``Logic`` dicts.  Netlists
 never travel (the marshaller rejects them by design); each worker
 rebuilds the bench from its name, which is deterministic, so client
 and farm agree on fault names and simulation semantics, and a servant
@@ -59,22 +61,21 @@ import itertools
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Set, Tuple, Union)
 
-from ..core.errors import DesignError, ParallelExecutionError, RemoteError
+from ..core.errors import (DesignError, ParallelExecutionError, RemoteError,
+                           check_count, check_positive)
 from ..core.ids import current_connection, id_scope
 from ..faults.faultlist import FaultList, build_fault_list
 from ..compiled import built_bench, built_fault_list, resolve_engine
-from ..core.signal import Logic
+from ..compiled.ppsfp import PATTERN_ALPHABET, PatternRows, pack_rows
 from ..faults.serial import FaultSimReport
 from ..gates.corpus import load_bench, parse_bench
 from ..gates.io import SequentialBench
 from ..gates.netlist import Netlist
-from ..gates.simulator import input_value
 from ..rmi.server import JavaCADServer
 from ..rmi.stub import RemoteStub
 from ..rmi.tlsconfig import client_ssl_context
@@ -94,13 +95,6 @@ FAULT_FARM_OBJECT = "faultfarm"
 DEFAULT_PATTERNS_PER_CALL = 32
 """Patterns per ``add_patterns`` oneway (BATCH frame-size bound)."""
 
-PATTERN_ALPHABET = "01XZ"
-"""The characters of a pattern row: character ``k`` is ``Logic(k)``."""
-
-_ROW_OF_CODES = bytes.maketrans(bytes(range(len(PATTERN_ALPHABET))),
-                                PATTERN_ALPHABET.encode("ascii"))
-_LOGIC_OF_CHAR = {char: Logic(code)
-                  for code, char in enumerate(PATTERN_ALPHABET)}
 
 # Pool nonces namespace *client-chosen* farm campaign ids ("farm7").
 # They cross the wire inside begin_campaign, but the servant treats them
@@ -115,25 +109,115 @@ _pool_nonces = itertools.count(1)
 # ----------------------------------------------------------------------
 
 def report_to_wire(report: FaultSimReport) -> Dict[str, Any]:
-    """A report as a plain marshallable dict (no custom classes)."""
+    """A report as a plain marshallable dict (no custom classes).
+
+    ``detected`` implies one per-pattern entry per fault: fault ``f``
+    is in ``per_pattern[detected[f]]`` (its first detecting pattern
+    with fault dropping, its last without).  So the dict carries
+    ``total_faults``, the pattern count, ``detected`` and, under
+    ``earlier``, only the entries ``detected`` does not imply: each
+    fault's earlier detecting patterns, ascending, in ``detected``
+    order.  Under fault dropping there are none.  A report whose sets
+    hold an entry ``detected`` cannot account for, or lack one it
+    implies, has no wire form (``ValueError``).
+    """
+    detected = report.detected
+    earlier: Dict[str, List[int]] = {}
+    implied = 0
+    for index, newly in enumerate(report.per_pattern):
+        for name in newly:
+            last = detected.get(name, -1)
+            if last == index:
+                implied += 1
+            elif last > index:
+                earlier.setdefault(name, []).append(index)
+            else:
+                raise ValueError(
+                    f"per-pattern set {index} holds {name!r}, which the "
+                    f"report detects at {detected.get(name)}")
+    if implied != len(detected):
+        raise ValueError("a detected fault is missing from the per-pattern "
+                         "set of its detecting pattern")
     return {
         "total_faults": report.total_faults,
-        "detected": dict(report.detected),
-        "per_pattern": [set(newly) for newly in report.per_pattern],
+        "patterns": len(report.per_pattern),
+        "detected": dict(detected),
+        "earlier": {name: earlier[name] for name in detected
+                    if name in earlier} if earlier else {},
     }
 
 
-def report_from_wire(wire: Mapping[str, Any]) -> FaultSimReport:
-    """Rebuild a report from its wire dict.
+def _is_index(value: Any, below: int) -> bool:
+    """An ``int`` (not a ``bool``) in ``range(below)``."""
+    return type(value) is int and 0 <= value < below
 
-    The marshaller decodes ``set`` tags as frozensets; the per-pattern
-    entries are rebuilt as plain sets so the result is structurally
-    identical to a locally produced report.
+
+def report_from_wire(wire: Mapping[str, Any]) -> FaultSimReport:
+    """Rebuild a report from :func:`report_to_wire`'s dict.
+
+    A dict that is no report's wire form is refused with a
+    :class:`~repro.core.errors.ParallelExecutionError` naming what is
+    wrong: a count that is not a non-negative ``int``, a detection
+    index that is not an ``int`` below the pattern count (a ``-1``
+    would otherwise land in the last set), an ``earlier`` entry for a
+    fault that is not detected, or earlier indices that are not
+    ascending and below that fault's detected index.  The per-pattern
+    entries are plain sets, as in a locally produced report.
     """
-    report = FaultSimReport(total_faults=int(wire["total_faults"]))
-    report.detected.update({str(name): int(index)
-                            for name, index in wire["detected"].items()})
-    report.per_pattern.extend(set(newly) for newly in wire["per_pattern"])
+    total, patterns = wire["total_faults"], wire["patterns"]
+    detected, earlier = wire["detected"], wire["earlier"]
+    for key, count in (("total_faults", total), ("patterns", patterns)):
+        if type(count) is not int or count < 0:
+            raise ParallelExecutionError(
+                f"the report's {key} is {count!r}, not a count")
+    if not (isinstance(detected, dict) and isinstance(earlier, dict)):
+        raise ParallelExecutionError(
+            "the report's detected and earlier entries are not dicts")
+    per_pattern: List[Set[str]] = [set() for _ in range(patterns)]
+    for name, index in detected.items():
+        if type(name) is not str or not _is_index(index, patterns):
+            raise ParallelExecutionError(
+                f"the report detects {name!r} at {index!r}, not at a "
+                f"pattern index below {patterns}")
+        per_pattern[index].add(name)
+    for name, indices in earlier.items():
+        last = detected.get(name)
+        if last is None:
+            raise ParallelExecutionError(
+                f"the report lists earlier detections of {name!r}, "
+                f"which it does not detect")
+        if not (isinstance(indices, (list, tuple))
+                and all(_is_index(index, last) for index in indices)
+                and list(indices) == sorted(set(indices))):
+            raise ParallelExecutionError(
+                f"the report's earlier detections of {name!r}, "
+                f"{indices!r}, are not ascending pattern indices below "
+                f"its detected index {last}")
+        for index in indices:
+            per_pattern[index].add(name)
+    report = FaultSimReport(total_faults=total)
+    report.detected.update(detected)
+    report.per_pattern.extend(per_pattern)
+    return report
+
+
+def _shard_report(wire: Any, fault_names: Sequence[str],
+                  patterns: int) -> FaultSimReport:
+    """The report of a shard reply, once it is one the shard can have
+    produced: ``total_faults`` is the shard's size, the pattern count is
+    the campaign's and every detected fault is one of the shard's (on
+    top of :func:`report_from_wire`'s own checks)."""
+    for key, expected in (("total_faults", len(fault_names)),
+                          ("patterns", patterns)):
+        if type(wire[key]) is not int or wire[key] != expected:
+            raise ParallelExecutionError(
+                f"its {key} is {wire[key]!r}, not {expected}")
+    report = report_from_wire(wire)
+    strangers = report.detected.keys() - set(fault_names)
+    if strangers:
+        raise ParallelExecutionError(
+            f"it detects {sorted(strangers)[:5]}, which are not in the "
+            f"shard")
     return report
 
 
@@ -186,54 +270,47 @@ def _combinational(spec: str, load: Callable[[], Any]) -> Netlist:
     return bench
 
 
-def pack_rows(inputs: Sequence[str],
-              patterns: Sequence[Mapping[str, Logic]]) -> Tuple[str, ...]:
-    """One :data:`PATTERN_ALPHABET` row per pattern, in ``inputs`` order.
+def _checked_rows(inputs: Sequence[str],
+                  rows: Sequence[str]) -> PatternRows:
+    """:func:`pack_rows`'s rows over ``inputs``, once each is a text of
+    one :data:`PATTERN_ALPHABET` character per input column.
 
-    A missing or non-``Logic`` value raises the engines' own
-    :class:`~repro.core.errors.SimulationError` for the first such
-    (pattern, input), as a local run of the patterns would.
+    Whole-list passes first; only a bad row is looked for row by row,
+    to name the first one.
     """
     count = len(inputs)
-    if not count or not patterns:
-        return ("",) * len(patterns)
-    row = itemgetter(*inputs)
-    try:
-        rows = map(row, patterns)
-        values = list(rows if count == 1
-                      else itertools.chain.from_iterable(rows))
-    except KeyError:
-        values = None
-    if values is None or set(map(type, values)) != {Logic}:
-        for pattern in patterns:
-            for net in inputs:
-                input_value(pattern, net)
-    text = bytes(values).translate(_ROW_OF_CODES).decode("ascii")
-    return tuple(text[start:start + count]
-                 for start in range(0, len(text), count))
-
-
-def _unpack_rows(inputs: Sequence[str],
-                 rows: Sequence[str]) -> List[Dict[str, Logic]]:
-    """The ``Logic`` dicts of :func:`pack_rows`'s rows."""
-    patterns = []
+    if set(map(type, rows)) <= {str} and set(map(len, rows)) <= {count} \
+            and not "".join(rows).strip(PATTERN_ALPHABET):
+        return PatternRows(inputs, rows)
     for index, row in enumerate(rows):
         if type(row) is not str:
             raise ParallelExecutionError(
                 f"pattern row {index} is a {type(row).__name__}, not a "
                 f"text")
-        if len(row) != len(inputs):
+        if len(row) != count:
             raise ParallelExecutionError(
                 f"pattern row {index} has {len(row)} characters for "
-                f"{len(inputs)} input columns")
-        try:
-            patterns.append(dict(zip(inputs,
-                                     map(_LOGIC_OF_CHAR.__getitem__, row))))
-        except KeyError as exc:
-            raise ParallelExecutionError(
-                f"pattern row {index} has {exc.args[0]!r}, a character "
-                f"outside {PATTERN_ALPHABET!r}") from None
-    return patterns
+                f"{count} input columns")
+        for char in row:
+            if char not in PATTERN_ALPHABET:
+                raise ParallelExecutionError(
+                    f"pattern row {index} has {char!r}, a character "
+                    f"outside {PATTERN_ALPHABET!r}")
+    return PatternRows(inputs, rows)
+
+
+@dataclass
+class _Campaign:
+    """One announced campaign, as ``begin_campaign`` and
+    ``add_patterns`` stored it, and what its first shard built."""
+
+    bench: str
+    collapse: str
+    inputs: Any
+    drop_detected: bool
+    engine: Optional[str]
+    rows: List[str] = field(default_factory=list)
+    built: Optional[Tuple[Netlist, FaultList, PatternRows]] = None
 
 
 class FaultFarmServant:
@@ -245,7 +322,7 @@ class FaultFarmServant:
     blocking call) -- and each ``run_shard`` runs one fault subset of
     it.  Campaigns are keyed by a client-chosen id, so
     one servant can serve several farms at once without mixing their
-    state; ``end_campaign`` drops it.
+    state.
 
     ``begin_campaign`` and ``add_patterns`` only store: every error
     (unknown bench or engine, sequential bench, input columns that
@@ -253,17 +330,17 @@ class FaultFarmServant:
     surfaces on the blocking ``run_shard`` with its own cause.  The
     first shard of a campaign resolves the bench (memoized by content,
     :func:`resolve_bench`), takes the fault list from the process-wide
-    build memo (:func:`repro.compiled.built_fault_list`) and rebuilds
-    the ``Logic`` patterns from the rows, so every session and servant
-    of one worker process shares one netlist and one build per
-    (bench content, collapse).
+    build memo (:func:`repro.compiled.built_fault_list`) and checks
+    the rows, so every session and servant of one worker process
+    shares one netlist and one build per (bench content, collapse).
 
-    A campaign lives in the connection that announced it, so tenants
-    of one servant never meet and a vanished client leaves nothing.
+    A campaign lives in the connection that announced it and ends with
+    it: tenants of one servant never meet, and a client that is done
+    (or vanished) leaves nothing.
     """
 
     REMOTE_METHODS = ("ping", "begin_campaign", "add_patterns",
-                      "run_shard", "end_campaign")
+                      "run_shard")
 
     def __init__(self, resolver=None):
         self.resolver = resolver or resolve_bench
@@ -283,22 +360,15 @@ class FaultFarmServant:
         ``inputs`` is the column order of the rows ``add_patterns``
         brings.
         """
-        current_connection().sessions(self)[campaign_id] = {
-            "bench": str(bench),
-            "collapse": str(collapse),
-            "inputs": inputs,
-            "drop_detected": bool(drop_detected),
-            "engine": engine,
-            "rows": [],
-            "built": None,
-        }
+        current_connection().sessions(self)[campaign_id] = _Campaign(
+            str(bench), str(collapse), inputs, bool(drop_detected), engine)
         return True
 
     def add_patterns(self, campaign_id: str, rows: Sequence[str]) -> bool:
         """Append pattern rows (see :data:`PATTERN_ALPHABET`)."""
         campaign = self._campaign(campaign_id, "add_patterns")
-        campaign["rows"].extend(rows)
-        campaign["built"] = None
+        campaign.rows.extend(rows)
+        campaign.built = None
         return True
 
     def run_shard(self, campaign_id: str, fault_names: Sequence[str],
@@ -313,12 +383,12 @@ class FaultFarmServant:
             # fresh process (repeated farm runs stay byte-identical)
             # without disturbing the session the shard arrived on.
             with id_scope():
-                if campaign["built"] is None:
-                    campaign["built"] = self._build(campaign)
-                netlist, fault_list, patterns = campaign["built"]
+                if campaign.built is None:
+                    campaign.built = self._build(campaign)
+                netlist, fault_list, patterns = campaign.built
                 report = simulate_shard(
                     netlist, fault_list, patterns,
-                    campaign["drop_detected"], campaign["engine"],
+                    campaign.drop_detected, campaign.engine,
                     fault_names)
         finally:
             if collect_telemetry:
@@ -328,33 +398,28 @@ class FaultFarmServant:
             self.shards_served += 1
         return {"report": report_to_wire(report), "metrics": snapshot}
 
-    def end_campaign(self, campaign_id: str) -> bool:
-        """Drop the campaign's state (a no-op for an unknown id)."""
-        current_connection().sessions(self).pop(campaign_id, None)
-        return True
-
-    def _build(self, campaign: Dict[str, Any]
-               ) -> Tuple[Netlist, FaultList, List[Dict[str, Logic]]]:
-        """A campaign's netlist, fault list and ``Logic`` patterns."""
+    def _build(self, campaign: _Campaign
+               ) -> Tuple[Netlist, FaultList, PatternRows]:
+        """A campaign's netlist, fault list and checked pattern rows."""
         netlist, fault_list = built_fault_list(
-            self.resolver(campaign["bench"]), campaign["collapse"])
-        inputs = campaign["inputs"]
+            self.resolver(campaign.bench), campaign.collapse)
+        inputs = campaign.inputs
         if not (isinstance(inputs, (list, tuple))
                 and tuple(inputs) == netlist.inputs):
             raise ParallelExecutionError(
                 f"the announced input columns are not the "
                 f"{len(netlist.inputs)} inputs of bench "
-                f"{campaign['bench']!r} on this worker, in order: client "
+                f"{campaign.bench!r} on this worker, in order: client "
                 f"and worker resolve different content under one spec")
         return (netlist, fault_list,
-                _unpack_rows(netlist.inputs, campaign["rows"]))
+                _checked_rows(netlist.inputs, campaign.rows))
 
-    def _campaign(self, campaign_id: str, call: str) -> Dict[str, Any]:
+    def _campaign(self, campaign_id: str, call: str) -> _Campaign:
         campaign = current_connection().sessions(self).get(campaign_id)
         if campaign is None:
             raise ParallelExecutionError(
                 f"{call} for unknown campaign {campaign_id!r} "
-                f"(begin_campaign missing, ended, or sent on an earlier "
+                f"(begin_campaign missing, or sent on an earlier "
                 f"connection)")
         return campaign
 
@@ -427,8 +492,8 @@ class _Endpoint:
     assembled by earlier oneways, not a pure call; replaying a cached
     reply for a different shard would be wrong).
 
-    ``alive`` turns true once the connection is up; ``announced`` says
-    this connection's servant has been told the campaign.
+    ``announced`` says this connection's servant has been told the
+    campaign.  Closing the connection ends the campaign there.
     """
 
     def __init__(self, index: int, host: str, port: int,
@@ -448,28 +513,7 @@ class _Endpoint:
             self.base, batching=True, caching=False, max_batch=max_batch)
         self.stub = RemoteStub(self.transport, FAULT_FARM_OBJECT,
                                FaultFarmServant.REMOTE_METHODS)
-        self.alive = False
         self.announced = False
-        self._ended = False
-        self._end_lock = threading.Lock()
-
-    def end(self, campaign_id: str) -> None:
-        """Tell a live servant the campaign is over, then close.
-
-        Once only: the endpoint's own thread ends it when it has no
-        more work, ``map`` ends whatever is left.  ``close`` drains
-        the queued ``end_campaign`` oneway, so the servant hears that
-        the campaign is over before the connection goes.
-        """
-        with self._end_lock:
-            if self._ended:
-                return
-            self._ended = True
-        try:
-            if self.alive:
-                self.stub.invoke_oneway("end_campaign", campaign_id)
-        finally:
-            self.close()
 
     def probe(self) -> bool:
         """Can the worker still answer at all?"""
@@ -479,6 +523,7 @@ class _Endpoint:
             return False
 
     def close(self) -> None:
+        """Close the connection (idempotent); its campaign goes with it."""
         try:
             self.transport.close()
         except Exception:  # pragma: no cover - close is best effort
@@ -575,6 +620,13 @@ class _RunState:
         with self._cond:
             self.connect_retries += 1
 
+    def abort(self, failure: ParallelExecutionError,
+              cause: Exception) -> None:
+        """Fail the run with ``failure`` (a client-side fault)."""
+        with self._cond:
+            self._fail_locked(failure, cause)
+            self._cond.notify_all()
+
     def endpoint_lost(self, endpoint_index: int,
                       cause: Optional[Exception]) -> None:
         """An endpoint never became usable (connect/auth failure).
@@ -639,16 +691,11 @@ class RemoteWorkerPool:
         if not specs:
             raise ParallelExecutionError(
                 "a remote pool needs at least one endpoint")
-        if connect_retries < 0:
-            raise ParallelExecutionError(
-                f"connect_retries must be >= 0, got {connect_retries}")
-        if not connect_backoff > 0:
-            raise ParallelExecutionError(
-                f"connect_backoff must be positive, got {connect_backoff}")
-        if not (timeout > 0 and connect_timeout > 0):
-            raise ParallelExecutionError(
-                f"timeouts must be positive, got timeout={timeout}, "
-                f"connect_timeout={connect_timeout}")
+        check_count("max_batch", max_batch)
+        check_positive("timeout", timeout)
+        check_positive("connect_timeout", connect_timeout)
+        check_count("connect_retries", connect_retries, minimum=0)
+        check_positive("connect_backoff", connect_backoff)
         self.endpoints = specs
         self.max_batch = max_batch
         self.timeout = timeout
@@ -697,10 +744,10 @@ class RemoteWorkerPool:
             for thread in threads:
                 thread.join()
         finally:
-            # Each thread ends its endpoint once it has no more work;
-            # this ends any that never connected, died or failed.
+            # Each thread closes its endpoint once it has no more work;
+            # this closes any whose thread never ran to its end.
             for endpoint in endpoints:
-                endpoint.end(campaign_id)
+                endpoint.close()
         if state.failure is not None:
             raise state.failure
         unfinished = state.unfinished()
@@ -736,7 +783,6 @@ class RemoteWorkerPool:
                 return False
             try:
                 endpoint.base.connect()
-                endpoint.alive = True
                 return True
             except (RemoteError, OSError) as exc:
                 last = exc
@@ -759,27 +805,39 @@ class RemoteWorkerPool:
     def _serve_endpoint(self, endpoint: _Endpoint, state: _RunState,
                         campaign: RemoteCampaign, campaign_id: str,
                         collect: bool) -> None:
-        if not self._connect_endpoint(endpoint, state):
-            return
+        """One endpoint's thread: connect, run shards until none can
+        come here, close.  Closing ends the campaign on the servant, so
+        one endpoint's teardown overlaps the others' last shards.  An
+        unexpected exception fails the run with it as the cause."""
+        try:
+            if self._connect_endpoint(endpoint, state):
+                self._drive_endpoint(endpoint, state, campaign,
+                                     campaign_id, collect)
+        except Exception as exc:
+            state.abort(ParallelExecutionError(
+                f"the client thread of endpoint {endpoint.host}:"
+                f"{endpoint.port} failed: {exc!r}"), exc)
+        finally:
+            endpoint.close()
+
+    def _drive_endpoint(self, endpoint: _Endpoint, state: _RunState,
+                        campaign: RemoteCampaign, campaign_id: str,
+                        collect: bool) -> None:
         while True:
             index = state.take(endpoint.index)
             if index is None:
-                # Nothing can come back to this endpoint: end its
-                # campaign now, beside the threads still working.
-                endpoint.end(campaign_id)
                 return
             begin = time.perf_counter()
             try:
                 report, metrics = self._run_shard(
-                    endpoint, campaign, campaign_id, state.shards[index],
-                    collect)
+                    endpoint, campaign, campaign_id, index,
+                    state.shards[index], collect)
             except Exception as exc:
                 # The transport may have dropped its socket and will
                 # reconnect on a connection with no campaign: announce
                 # again.
                 endpoint.announced = False
                 alive = endpoint.probe()
-                endpoint.alive = alive
                 state.shard_failed(index, endpoint.index, alive, exc)
                 if not alive:
                     return
@@ -789,7 +847,7 @@ class RemoteWorkerPool:
                 endpoint.index, metrics))
 
     def _run_shard(self, endpoint: _Endpoint, campaign: RemoteCampaign,
-                   campaign_id: str, fault_names: Sequence[str],
+                   campaign_id: str, index: int, fault_names: Sequence[str],
                    collect: bool
                    ) -> Tuple[FaultSimReport, Dict[str, Any]]:
         stub = endpoint.stub
@@ -806,8 +864,17 @@ class RemoteWorkerPool:
                     list(campaign.rows[start:start + step]))
             endpoint.announced = True
         payload = stub.run_shard(campaign_id, list(fault_names), collect)
-        return report_from_wire(payload["report"]), dict(
-            payload.get("metrics") or {})
+        try:
+            return (_shard_report(payload["report"], fault_names,
+                                  len(campaign.rows)),
+                    dict(payload.get("metrics") or {}))
+        except (ParallelExecutionError, LookupError, TypeError,
+                AttributeError, ValueError) as exc:
+            # A reply of any other shape than a run_shard reply's.
+            raise ParallelExecutionError(
+                f"endpoint {endpoint.host}:{endpoint.port} replied to "
+                f"shard {index} with a report it cannot have produced: "
+                f"{exc}", shard_index=index) from exc
 
     # ------------------------------------------------------------------
 
@@ -863,8 +930,9 @@ def remote_fault_simulate(bench: str,
     raises the shard count above the endpoint count so endpoints steal
     work from each other.  A single fault runs in this process.  The
     patterns are packed into rows once, before any endpoint is
-    contacted, so a missing or non-``Logic`` value raises here what a
-    local run raises.  The merged report is byte-identical to a serial
+    contacted, so a missing or non-``Logic`` value raises here the
+    ``SimulationError`` a local run raises (naming the first such input
+    in ``inputs`` order).  The merged report is byte-identical to a serial
     run.  Token, TLS and timeouts are the ``pool``'s (default: a plain
     :class:`RemoteWorkerPool` over ``endpoints``).
     """

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import RemoteError
+from ..core.errors import RemoteError, check_positive
 from ..core.ids import ConnectionContext, entered
 from ..net.clock import CostModel, VirtualClock
 from ..net.model import NetworkModel
@@ -381,10 +381,8 @@ class TcpTransport(Transport):
                  server_hostname: Optional[str] = None,
                  token: Optional[str] = None):
         super().__init__()
-        if not (timeout > 0 and connect_timeout > 0):
-            raise ValueError(
-                f"timeouts must be positive, got timeout={timeout}, "
-                f"connect_timeout={connect_timeout}")
+        check_positive("timeout", timeout)
+        check_positive("connect_timeout", connect_timeout)
         self.host = host
         self.port = port
         self.peer = f"{host}:{port}"

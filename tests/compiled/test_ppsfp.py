@@ -299,8 +299,8 @@ class TestTelemetry:
         detection, so no fault ever drops."""
         real = CompiledFaultSimulator._detection_words
 
-        def blind(self, block, names):
-            detections, runs = real(self, block, names)
+        def blind(self, *block_and_names):
+            detections, runs = real(self, *block_and_names)
             return [0] * len(detections), runs
 
         monkeypatch.setattr(CompiledFaultSimulator, "_detection_words",

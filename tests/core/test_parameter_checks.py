@@ -21,11 +21,12 @@ from repro.ip import BillingAccount, NegotiationServant
 from repro.net import LOCALHOST, CostModel, NetworkModel, VirtualClock
 from repro.core.errors import RemoteError
 from repro.parallel import WorkerPool, resolve_workers
+from repro.parallel.remote import RemoteWorkerPool
 from repro.parallel.sharding import weighted_shards
 from repro.power import SiliconReference, ToggleCountModel
 from repro.power.montecarlo import monte_carlo_power
 from repro.power.toggle import PowerModel
-from repro.rmi import BatchingTransport, JavaCADServer
+from repro.rmi import BatchingTransport, JavaCADServer, TcpTransport
 from repro.rtl import WordAdder, WordMux
 from repro.server import AsyncRMIServer
 from repro.telemetry.metrics import Counter, Gauge, Histogram
@@ -118,6 +119,15 @@ CALLS = {
     "weighted_shards.weight_of": (
         lambda v: weighted_shards(["a", "b"], 2, lambda name: v), "weight",
         (0,)),
+    # An infinite timeout killed each endpoint thread in settimeout
+    # (OverflowError), and an infinite backoff would sleep forever; the
+    # run then blamed "unserved" shards.
+    **{f"RemoteWorkerPool.{name}": (
+        lambda v, name=name: RemoteWorkerPool(["h:1"], **{name: v}), name,
+        ()) for name in ("timeout", "connect_timeout", "connect_backoff")},
+    **{f"TcpTransport.{name}": (
+        lambda v, name=name: TcpTransport("h", 1, **{name: v}), name, ())
+       for name in ("timeout", "connect_timeout")},
 }
 # Integer counts.  ``workers`` 0 (like None) means one per usable CPU.
 COUNTS = {
@@ -135,6 +145,12 @@ COUNTS = {
     "AsyncRMIServer.max_connections": (
         lambda v: AsyncRMIServer(JavaCADServer("x"), max_connections=v),
         "max_connections", ()),
+    # A fractional count reached range() in each endpoint thread.
+    "RemoteWorkerPool.connect_retries": (
+        lambda v: RemoteWorkerPool(["h:1"], connect_retries=v),
+        "connect_retries", (0,)),
+    "RemoteWorkerPool.max_batch": (
+        lambda v: RemoteWorkerPool(["h:1"], max_batch=v), "max_batch", ()),
 }
 CALLS.update(COUNTS)
 # Every cost may be zero (a free operation); the wire bytes per

@@ -19,8 +19,7 @@ from repro.core.signal import Logic
 from repro.faults.faultlist import build_fault_list
 from repro.faults.serial import SerialFaultSimulator
 from repro.parallel.remote import (RemoteWorkerPool, register_fault_farm,
-                                   remote_fault_simulate, report_to_wire,
-                                   resolve_bench)
+                                   remote_fault_simulate, resolve_bench)
 from repro.rmi import JavaCADServer, server_ssl_context
 from repro.server import AsyncRMIServer
 from repro.server.farm import fault_farm_session_factory
@@ -44,11 +43,10 @@ def campaign(bench="figure4", patterns=48, seed=0):
 
 def report_fingerprint(report):
     """Canonical bytes of a report's functional content."""
-    wire = report_to_wire(report)
     return fingerprint_of({
-        "total_faults": wire["total_faults"],
-        "detected": wire["detected"],
-        "per_pattern": [sorted(newly) for newly in wire["per_pattern"]],
+        "total_faults": report.total_faults,
+        "detected": dict(report.detected),
+        "per_pattern": [sorted(newly) for newly in report.per_pattern],
     })
 
 

@@ -2,12 +2,15 @@
 
 import collections
 import contextlib
+import gc
 import random
 import re
 import threading
+import time
+import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.compiled import ENGINES, fault_simulator_for
 from repro.core.errors import (ParallelExecutionError, RemoteError,
@@ -133,17 +136,176 @@ class TestEndpointParsing:
             RemoteWorkerPool([])
 
 
+def wire_round_trip(report):
+    """``report`` through its wire form and the marshaller."""
+    return report_from_wire(unmarshal(marshal(report_to_wire(report))))
+
+
 class TestReportWireForm:
     def test_round_trip_through_marshaller(self):
         report = FaultSimReport(total_faults=4)
         report.detected.update({"a sa0": 0, "b sa1": 2})
         report.per_pattern.extend([{"a sa0"}, set(), {"b sa1"}])
-        wire = unmarshal(marshal(report_to_wire(report)))
-        rebuilt = report_from_wire(wire)
+        rebuilt = wire_round_trip(report)
         assert diff_reports(rebuilt, report) == []
-        # Marshal decodes sets as frozensets; the rebuilt report must
-        # carry plain sets like every locally produced report.
+        # The rebuilt report carries plain sets like every locally
+        # produced report.
         assert all(type(newly) is set for newly in rebuilt.per_pattern)
+
+    @settings(deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 14),
+                           st.integers(1, 3), st.integers(0, 2 ** 16)),
+           values=st.lists(st.lists(st.sampled_from(list(Logic)),
+                                    min_size=6, max_size=6),
+                           max_size=70),
+           engine=st.sampled_from(ENGINES), drop_detected=st.booleans())
+    @example(shape=(3, 6, 2, 0), values=[], engine="compiled",
+             drop_detected=True)
+    @example(shape=(3, 6, 2, 0), values=[[Logic.X] * 6] * 5,
+             engine="event", drop_detected=False)
+    @example(shape=(4, 10, 2, 7), values=[[Logic.Z, Logic.ONE] * 3] * 9,
+             engine="compiled", drop_detected=False)
+    def test_every_report_survives_the_wire(self, shape, values, engine,
+                                            drop_detected):
+        """Serial and compiled reports, with and without dropping, over
+        {0, 1, X, Z} patterns (none, or none detecting, included) come
+        back identical: the detected map in its order, every
+        per-pattern set, the fault count."""
+        n_inputs, n_gates, n_outputs, seed = shape
+        netlist = random_netlist(n_inputs, n_gates, n_outputs, seed=seed)
+        patterns = [dict(zip(netlist.inputs, row)) for row in values]
+        report = fault_simulator_for(engine, netlist).run(
+            patterns, drop_detected=drop_detected)
+        rebuilt = wire_round_trip(report)
+        assert diff_reports(rebuilt, report) == []
+        assert list(rebuilt.detected.items()) == \
+            list(report.detected.items())
+        assert rebuilt.per_pattern == report.per_pattern
+        assert rebuilt.total_faults == report.total_faults
+        if drop_detected:
+            # Dropping: ``detected`` implies every per-pattern entry.
+            assert report_to_wire(report)["earlier"] == {}
+
+    def test_only_what_detected_leaves_out_crosses(self):
+        report = FaultSimReport(total_faults=3)
+        report.detected.update({"b": 1, "a": 2})
+        report.per_pattern.extend([{"a", "b"}, {"b"}, {"a"}])
+        assert report_to_wire(report) == {
+            "total_faults": 3, "patterns": 3, "detected": {"b": 1, "a": 2},
+            "earlier": {"b": [0], "a": [0]}}
+
+    @pytest.mark.parametrize("per_pattern", [
+        [{"a"}, {"b"}],   # b is never detected
+        [{"a"}, {"a"}],   # a after its detected index
+        [set(), set()],   # a missing from its detecting pattern
+    ])
+    def test_a_report_detected_cannot_account_for_has_no_wire_form(
+            self, per_pattern):
+        report = FaultSimReport(total_faults=2, detected={"a": 0},
+                                per_pattern=per_pattern)
+        with pytest.raises(ValueError):
+            report_to_wire(report)
+
+
+def _first_at_least(wire, least):
+    """A detected fault whose detected index is at least ``least``."""
+    return next(name for name, index in wire["detected"].items()
+                if index >= least)
+
+
+def _stranger(wire):
+    wire["detected"]["no-such-fault sa0"] = 0
+
+
+def _index(value):
+    def lie(wire):
+        wire["detected"][_first_at_least(wire, 0)] = value
+    return lie
+
+
+def _count(key, value):
+    def lie(wire):
+        wire[key] = value(wire[key])
+    return lie
+
+
+def _undetected_earlier(wire):
+    name = _first_at_least(wire, 1)
+    del wire["detected"][name]
+    wire["earlier"][name] = [0]
+
+
+def _earlier(indices):
+    def lie(wire):
+        name = _first_at_least(wire, 2)
+        wire["earlier"][name] = indices(wire["detected"][name])
+    return lie
+
+
+class _LyingServant(FaultFarmServant):
+    """Edits each true report's wire dict with ``lie`` before it
+    answers."""
+
+    def __init__(self, lie):
+        super().__init__()
+        self.lie = lie
+
+    def run_shard(self, campaign_id, fault_names, collect_telemetry=False):
+        reply = super().run_shard(campaign_id, fault_names,
+                                  collect_telemetry)
+        self.lie(reply["report"])
+        return reply
+
+
+class TestShardRepliesAreChecked:
+    """A reply is merged only if its shard can have produced it; the
+    wire form indexes lists with integers read off the wire."""
+
+    @pytest.mark.parametrize("lie, problem", [
+        (_stranger, r"detects \['no-such-fault sa0'\], which are not in "
+                    r"the shard"),
+        (_index(-1), "at -1, not at a pattern index below 16"),
+        (_index(16), "at 16, not at a pattern index below 16"),
+        (_index(True), "at True, not at a pattern index"),
+        (_index(1.0), "at 1.0, not at a pattern index"),
+        (_index("1"), "at '1', not at a pattern index"),
+        (_count("total_faults", lambda total: total + 1),
+         "its total_faults is"),
+        (_count("total_faults", float), "its total_faults is"),
+        (_count("patterns", lambda _: 10 ** 12), "its patterns is"),
+        (_count("detected", list), "detected and earlier entries are not "
+                                   "dicts"),
+        (_undetected_earlier, "which it does not detect"),
+        (_earlier(lambda last: [0, 0]), "not ascending"),
+        (_earlier(lambda last: [1, 0]), "not ascending"),
+        (_earlier(lambda last: [last]), "not ascending"),
+        (_earlier(lambda last: [-1]), "not ascending"),
+        (_earlier(lambda last: [False]), "not ascending"),
+        (_earlier(lambda last: 0), "not ascending"),
+    ])
+    def test_a_lying_reply_names_the_endpoint_and_the_shard(self, lie,
+                                                            problem):
+        netlist, fault_list, patterns = figure4_campaign(patterns=16)
+        with fault_farm(1, servant_factory=lambda _server:
+                        _LyingServant(lie)) as (endpoints, _):
+            with pytest.raises(ParallelExecutionError) as excinfo:
+                remote_fault_simulate("figure4", patterns, endpoints,
+                                      drop_detected=False)
+        assert excinfo.value.shard_index == 0
+        assert re.search(
+            rf"endpoint {re.escape(endpoints[0])} replied to shard 0 with "
+            rf"a report it cannot have produced: .*{problem}",
+            str(excinfo.value)), str(excinfo.value)
+
+    def test_an_honest_reply_is_merged(self):
+        netlist, fault_list, patterns = figure4_campaign(patterns=16)
+        serial = SerialFaultSimulator(netlist, fault_list).run(
+            patterns, drop_detected=False)
+        with fault_farm(1, servant_factory=lambda _server:
+                        _LyingServant(lambda wire: None)) as (endpoints, _):
+            remote = remote_fault_simulate("figure4", patterns, endpoints,
+                                           drop_detected=False)
+        assert diff_reports(remote, serial) == []
 
 
 class TestRemoteFarm:
@@ -299,20 +461,26 @@ class TestFailureHandling:
 def _counted(name):
     def method(self, campaign_id, *args, **kwargs):
         self.calls[name] += 1
-        self.seen.append((current_connection(), campaign_id))
-        return getattr(FaultFarmServant, name)(self, campaign_id, *args,
-                                               **kwargs)
+        try:
+            return getattr(FaultFarmServant, name)(self, campaign_id, *args,
+                                                   **kwargs)
+        finally:
+            campaign = current_connection().sessions(self).get(campaign_id)
+            if campaign is not None:
+                self.seen.append(weakref.ref(campaign))
     method.__name__ = name
     return method
 
 
 class _CountingServant(FaultFarmServant):
-    """Counts the calls it serves and the benches it resolves, and
-    remembers each (connection context, campaign id) it was called
-    with."""
+    """Counts the calls it serves and the benches it resolves, and keeps
+    a weak reference to each campaign it was called on.  ``server`` is
+    the ``JavaCADServer`` that :func:`fault_farm` built it for (None in
+    :func:`session_farm`)."""
 
-    def __init__(self, _server=None):
+    def __init__(self, server=None):
         super().__init__(resolver=self._resolve)
+        self.server = server
         self.calls = collections.Counter()
         self.seen = []
 
@@ -321,15 +489,52 @@ class _CountingServant(FaultFarmServant):
         return resolve_bench(spec)
 
 
-for _name in ("begin_campaign", "add_patterns", "run_shard",
-              "end_campaign"):
+for _name in ("begin_campaign", "add_patterns", "run_shard"):
     setattr(_CountingServant, _name, _counted(_name))
 
 
 def campaigns_held(servant):
-    """Campaigns a counting servant still keeps, on any connection."""
-    return [campaign for context, campaign in servant.seen
-            if campaign in context.sessions(servant)]
+    """The campaigns a counting servant was called on that are still
+    alive, wherever they are held; reached only through weak
+    references, so asking keeps nothing alive."""
+    alive = (campaign_ref() for campaign_ref in servant.seen)
+    return [campaign for campaign in alive if campaign is not None]
+
+
+def wait_until_closed(*servers, deadline=None):
+    """Wait, until ``deadline`` (default: 10 s from now), for no server
+    of ``servers`` to report an open connection.
+
+    A server is an ``AsyncRMIServer`` or a ``JavaCADServer`` serving
+    TCP (read through the front end its ``serve_tcp`` started; a
+    stopped one holds nothing).
+    """
+    deadline = deadline or time.monotonic() + 10
+    for server in servers:
+        front = getattr(server, "_tcp_front", server)
+        while front is not None \
+                and front.stats.snapshot()["connections_open"]:
+            assert time.monotonic() < deadline, "connections never closed"
+            time.sleep(0.01)
+
+
+def held_once_closed(servants, *servers):
+    """What each of ``servants`` still holds (:func:`campaigns_held`)
+    once ``servers`` report no open connection.
+
+    A closed connection's context goes with its last reference, and a
+    dispatch thread may drop that just after the server counts the
+    connection closed, so the answer is polled, after a garbage
+    collection each time, until it is empty or 10 s have passed.
+    """
+    deadline = time.monotonic() + 10
+    wait_until_closed(*servers, deadline=deadline)
+    while True:
+        gc.collect()
+        held = [campaigns_held(servant) for servant in servants]
+        if not any(held) or time.monotonic() > deadline:
+            return held
+        time.sleep(0.01)
 
 
 class _FailOnceServant(_CountingServant):
@@ -355,8 +560,8 @@ class _ScriptedPool(RemoteWorkerPool):
     attempt sent; ``stacks`` keeps each endpoint's transport stack.
     """
 
-    def __init__(self, endpoints, lead=0, before=None):
-        super().__init__(endpoints)
+    def __init__(self, endpoints, lead=0, before=None, **options):
+        super().__init__(endpoints, **options)
         self.lead = lead
         self.before = before
         self.attempts = []
@@ -391,11 +596,11 @@ class _ScriptedPool(RemoteWorkerPool):
 
 
 @contextlib.contextmanager
-def session_farm(count, servant_cls=None):
+def session_farm(count, servant_cls=None, **server_options):
     """``count`` servers with a servant per connection
     (``session_factory=`` mode); yields (endpoints, servers, servants)
     where ``servants[i]`` lists endpoint i's servants in connection
-    order."""
+    order.  ``server_options`` go to each ``AsyncRMIServer``."""
     servers, endpoints, servants = [], [], []
     try:
         for _ in range(count):
@@ -411,7 +616,8 @@ def session_farm(count, servant_cls=None):
                     session.registry.lookup(FAULT_FARM_OBJECT).servant)
                 return session
 
-            server = AsyncRMIServer(session_factory=factory)
+            server = AsyncRMIServer(session_factory=factory,
+                                    **server_options)
             host, port = server.start()
             servers.append(server)
             servants.append(made)
@@ -441,8 +647,7 @@ class TestCampaignCrossesOnce:
         calls = sum((servant.calls for servant in servants),
                     collections.Counter())
         assert calls == {"resolve": 2, "begin_campaign": 2,
-                         "add_patterns": 2 * 4, "run_shard": 8,
-                         "end_campaign": 2}
+                         "add_patterns": 2 * 4, "run_shard": 8}
         # Rows of "01XZ" text, not Logic dicts: each endpoint's
         # announcing BATCH frame is a few kB.
         assert pool.bytes_sent() <= \
@@ -456,7 +661,7 @@ class TestCampaignCrossesOnce:
         assert len(later) == 6
         assert max(later) < 4096
 
-    @settings(max_examples=20, deadline=None)
+    @settings(deadline=None)
     @given(endpoints=st.integers(1, 3), shards=st.integers(1, 12),
            patterns=st.sampled_from([0, 1, 63, 64, 65, 130]),
            engine=st.sampled_from(ENGINES), drop_detected=st.booleans())
@@ -481,9 +686,72 @@ class TestCampaignCrossesOnce:
         assert diff_reports(local, oracle) == []
 
 
+def harness_campaign():
+    """The benchmark harness's ``farm_tcp`` campaign: ``mult16``, every
+    12th collapsed fault, 128 seed-1 patterns."""
+    netlist = resolve_bench("mult16")
+    full = build_fault_list(netlist, collapse="equivalence")
+    fault_list = full.subset(full.names()[::12])
+    rng = random.Random(1)
+    patterns = [{net: Logic(rng.getrandbits(1)) for net in netlist.inputs}
+                for _ in range(128)]
+    return netlist, fault_list, patterns
+
+
+class _PayloadServant(_CountingServant):
+    """Keeps the marshalled size of each ``run_shard`` reply."""
+
+    def __init__(self, server=None):
+        super().__init__(server)
+        self.payloads = []
+
+    def run_shard(self, *args, **kwargs):
+        reply = super().run_shard(*args, **kwargs)
+        self.payloads.append(len(marshal(reply)))
+        return reply
+
+
+class TestHarnessCampaignCounts:
+    """What the harness's ``farm_tcp`` campaign on 2 endpoints costs in
+    counts that repeat exactly on any runner (ROADMAP item 12): the
+    frames each endpoint writes, the calls each servant serves, the
+    bytes each shard answers with."""
+
+    TOKEN = "farm-secret"
+
+    def test_frames_calls_and_reply_bytes(self):
+        netlist, fault_list, patterns = harness_campaign()
+        oracle = fault_simulator_for(None, netlist, fault_list).run(patterns)
+        with session_farm(2, _PayloadServant, auth_token=self.TOKEN) as (
+                endpoints, servers, servants):
+            pool = _ScriptedPool(endpoints, token=self.TOKEN)
+            remote = remote_fault_simulate(
+                "mult16", patterns, endpoints, netlist=netlist,
+                fault_list=fault_list, pool=pool)
+            wait_until_closed(*servers)
+            stats = [server.stats.snapshot() for server in servers]
+        assert diff_reports(remote, oracle) == []
+        # One connection each, so one AUTH frame each; then one round
+        # trip: the BATCH of the announcement and the one run_shard.
+        # Closing the connection ends the campaign (no end_campaign).
+        assert [each["sessions_started"] for each in stats] == [1, 1]
+        assert [1 + pool.stacks[index].base.stats.calls
+                for index in (0, 1)] == [2, 2]
+        assert [each["calls_served"] for each in stats] == [6, 6]
+        assert [each["batches_served"] for each in stats] == [1, 1]
+        for (servant,) in servants:
+            assert servant.calls == {"resolve": 1, "begin_campaign": 1,
+                                     "add_patterns": 4, "run_shard": 1}
+        # Under fault dropping a reply lists each detected fault once
+        # (13 521 and 13 338 bytes when it listed them again as 128
+        # per-pattern sets).
+        assert sorted(payload for (servant,) in servants
+                      for payload in servant.payloads) == [5991, 6079]
+
+
 class _RecordingServant(FaultFarmServant):
     """Serves one in-memory netlist under any spec and keeps the
-    ``Logic`` patterns each campaign's rows were rebuilt into."""
+    pattern rows each campaign built."""
 
     def __init__(self, netlist):
         super().__init__(resolver=lambda _spec: netlist)
@@ -523,7 +791,9 @@ class TestRowsCrossExactly:
         if len(fault_list) > 1:
             assert servants[0].rebuilt
         for rebuilt in servants[0].rebuilt:
-            assert rebuilt == patterns
+            # Read pattern by pattern (as the event engine reads them),
+            # the rows are the client's patterns.
+            assert list(rebuilt) == patterns
             assert all(type(value) is Logic for pattern in rebuilt
                        for value in pattern.values())
 
@@ -626,6 +896,8 @@ class TestReannounce:
             pool = _ScriptedPool(endpoints, lead=2)
             remote = remote_fault_simulate("mult8", patterns, endpoints,
                                            shards=8, pool=pool)
+            held = held_once_closed(
+                servants, *(servant.server for servant in servants))
         # Replaced, not appended to: doubled patterns would change the
         # report's per-pattern history.
         assert diff_reports(remote, serial) == []
@@ -633,7 +905,7 @@ class TestReannounce:
                 if index == 0][:2] == [False, False]
         assert servants[0].calls["begin_campaign"] == 2
         assert servants[0].calls["add_patterns"] == 2 * 2
-        assert not any(campaigns_held(servant) for servant in servants)
+        assert held == [[], []]
 
     def test_a_reconnected_endpoint_announces_to_its_new_servant(self):
         netlist, fault_list, patterns = campaign_on("mult8", 40)
@@ -643,7 +915,7 @@ class TestReannounce:
             if attempt == 1:
                 endpoint.base.close()
 
-        with session_farm(2, _CountingServant) as (endpoints, _servers,
+        with session_farm(2, _CountingServant) as (endpoints, servers,
                                                    servants):
             # Endpoint 0: announce, then a lone run_shard on a silently
             # reopened connection (unknown campaign), then the
@@ -652,6 +924,9 @@ class TestReannounce:
             remote = remote_fault_simulate("mult8", patterns, endpoints,
                                            shards=8, pool=pool)
             first, second = servants[0]
+            held = held_once_closed(
+                [servant for made in servants for servant in made],
+                *servers)
         assert diff_reports(remote, serial) == []
         assert [announced for index, announced, _sent in pool.attempts
                 if index == 0][:3] == [False, True, False]
@@ -659,59 +934,61 @@ class TestReannounce:
         assert second.calls["begin_campaign"] == 1
         assert second.calls["run_shard"] >= 2  # the orphan, then real ones
         assert second.shards_served >= 1
-        assert campaigns_held(second) == []
+        assert held == [[]] * len(held)
 
 
 class TestCampaignStateEnds:
-    """After ``map`` returns or raises no surviving servant holds state
-    (the farm's part of ROADMAP item 3(i))."""
+    """After ``map`` returns or raises, and its closed connections are
+    gone from the servers, no surviving servant holds state (the farm's
+    part of ROADMAP item 3(i)).  Nothing ends a campaign but its
+    connection."""
 
     @staticmethod
     @contextlib.contextmanager
     def farm(kind):
-        """Two endpoints; yields (endpoints, servants per endpoint,
-        a callable that kills endpoint 0)."""
+        """Two endpoints; yields (endpoints, servants per endpoint, a
+        callable that kills endpoint 0, the servers)."""
         if kind == "session":
             with session_farm(2, _CountingServant) as (endpoints, servers,
                                                        servants):
-                yield endpoints, servants, servers[0].stop
+                yield endpoints, servants, servers[0].stop, servers
         else:
             servers = []
 
             def shared(server):
                 servers.append(server)
-                return _CountingServant()
+                return _CountingServant(server)
 
             with fault_farm(2, servant_factory=shared) as (endpoints,
                                                            servants):
                 yield (endpoints, [[servant] for servant in servants],
-                       servers[0].stop_tcp)
+                       servers[0].stop_tcp, servers)
 
     @staticmethod
-    def held(servants):
-        return [campaigns_held(servant) for made in servants
-                for servant in made]
+    def held(servants, servers):
+        return held_once_closed(
+            [servant for made in servants for servant in made], *servers)
 
     @pytest.mark.parametrize("kind", ["shared", "session"])
     def test_after_success(self, kind):
         _, _, patterns = figure4_campaign(patterns=8)
-        with self.farm(kind) as (endpoints, servants, _kill):
+        with self.farm(kind) as (endpoints, servants, _kill, servers):
             remote_fault_simulate("figure4", patterns, endpoints,
                                   pool=_ScriptedPool(endpoints))
-            held = self.held(servants)
+            held = self.held(servants, servers)
         assert held == [[], []]
 
     @pytest.mark.parametrize("kind", ["shared", "session"])
     def test_after_a_poison_shard(self, kind):
         _, fault_list, patterns = figure4_campaign(patterns=8)
-        with self.farm(kind) as (endpoints, servants, _kill):
+        with self.farm(kind) as (endpoints, servants, _kill, servers):
             with pytest.raises(ParallelExecutionError,
                                match="every remaining endpoint"):
                 _ScriptedPool(endpoints).map(
                     figure4(patterns),
                     [fault_list.names()[:2], ("no-such-fault sa0",),
                      fault_list.names()[2:4]])
-            held = self.held(servants)
+            held = self.held(servants, servers)
         assert held == [[], []]
 
     @pytest.mark.parametrize("kind", ["shared", "session"])
@@ -722,17 +999,18 @@ class TestCampaignStateEnds:
             if attempt == 1:
                 kill()
 
-        with self.farm(kind) as (endpoints, servants, kill):
+        with self.farm(kind) as (endpoints, servants, kill, servers):
             # Spare shards, so that endpoint 0 has a second attempt.
             pool = _ScriptedPool(endpoints, lead=2,
                                  before=kill_before_the_second_attempt)
             remote = remote_fault_simulate("figure4", patterns, endpoints,
                                            shards=8, pool=pool)
             survivors = servants[1]
+            held = self.held([survivors], servers[1:])
         assert diff_reports(remote, serial) == []
         assert [servant.shards_served > 0 for servant in survivors] == \
             [True]
-        assert self.held([survivors]) == [[]]
+        assert held == [[]]
 
 
 class TestErrorsSurfaceOnTheBlockingCall:
@@ -743,7 +1021,7 @@ class TestErrorsSurfaceOnTheBlockingCall:
     @staticmethod
     @contextlib.contextmanager
     def raw_stub():
-        """A raw stub on a one-servant farm; the test ends ``raw``."""
+        """A raw stub on a one-servant farm; closing it ends ``raw``."""
         with fault_farm(1, servant_factory=_CountingServant) as (
                 endpoints, servants):
             host, port = parse_endpoint(endpoints[0])
@@ -753,10 +1031,9 @@ class TestErrorsSurfaceOnTheBlockingCall:
                               FaultFarmServant.REMOTE_METHODS)
             try:
                 yield stub
-                stub.invoke_oneway("end_campaign", "raw")
             finally:
                 transport.close()
-            assert campaigns_held(servants[0]) == []
+            assert held_once_closed(servants, servants[0].server) == [[]]
 
     @pytest.mark.parametrize("announcement, fault, cause", [
         (("c17", "equivalence", "nope"), "10sa1", "unknown engine 'nope'"),

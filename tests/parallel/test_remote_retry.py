@@ -58,6 +58,33 @@ class TestConstruction:
                     RemoteWorkerPool(["h:1"], **{option: seconds})
 
 
+class TestClientThreadFailures:
+    """An exception nothing triages (a bug on the client side) fails
+    the run with itself as the cause, instead of ending its endpoint's
+    thread and leaving the shards "unserved"."""
+
+    @pytest.mark.parametrize("step", ["_connect_endpoint",
+                                      "_drive_endpoint"])
+    def test_an_unexpected_exception_is_the_cause(self, step):
+        class BrokenPool(RemoteWorkerPool):
+            pass
+
+        def broken(*_args):
+            raise TypeError("a client-side bug")
+
+        setattr(BrokenPool, step, broken)
+        server = AsyncRMIServer(session_factory=fault_farm_session_factory())
+        host, port = server.start()
+        try:
+            with pytest.raises(ParallelExecutionError,
+                               match="client thread of endpoint") as excinfo:
+                BrokenPool([f"{host}:{port}"]).map(*trivial_campaign())
+        finally:
+            server.stop()
+        assert isinstance(excinfo.value.__cause__, TypeError)
+        assert "unserved" not in str(excinfo.value)
+
+
 class TestDeadEndpoints:
     def test_dead_endpoint_fails_after_bounded_retries(self):
         pool = RemoteWorkerPool([f"127.0.0.1:{free_port()}"],
