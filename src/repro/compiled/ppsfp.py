@@ -89,17 +89,10 @@ _VALUE_DIGITS = bytes.maketrans(_ALPHABET, b"0100")
 _CARE_DIGITS = bytes.maketrans(_ALPHABET, b"1100")
 
 
-def pattern_text(inputs: Sequence[str],
-                 patterns: Sequence[Mapping[str, Logic]]) -> bytes:
-    """The patterns as :data:`PATTERN_ALPHABET` rows, back to back.
-
-    Row ``i`` is ``patterns[i]``, one character per input in ``inputs``
-    order.  This is the one converter from ``Logic`` mappings to rows:
-    :func:`pack_rows` cuts its rows apart and :func:`pack_patterns`
-    packs words from them.  A missing or non-``Logic`` value raises the
-    interpreted simulator's error for the first such input in
-    ``inputs`` order.
-    """
+def _codes(inputs: Sequence[str],
+           patterns: Sequence[Mapping[str, Logic]]) -> Optional[bytes]:
+    """The patterns' ``Logic`` codes, row after row, one per input in
+    ``inputs`` order; None if a value is missing or not a ``Logic``."""
     count = len(inputs)
     if not count or not patterns:
         return b""
@@ -108,12 +101,32 @@ def pattern_text(inputs: Sequence[str],
         rows = map(row, patterns)
         values = list(rows if count == 1 else chain.from_iterable(rows))
     except KeyError:
-        values = None
-    if values is None or set(map(type, values)) != {Logic}:
-        for net in inputs:
-            for pattern in patterns:
+        return None
+    if set(map(type, values)) != {Logic}:
+        return None
+    return bytes(values)
+
+
+def pattern_text(inputs: Sequence[str],
+                 patterns: Sequence[Mapping[str, Logic]]) -> bytes:
+    """The patterns as :data:`PATTERN_ALPHABET` rows, back to back.
+
+    Row ``i`` is ``patterns[i]``, one character per input in ``inputs``
+    order.  This is the one converter from ``Logic`` mappings to rows:
+    :func:`pack_rows` cuts its rows apart and
+    :meth:`CompiledFaultSimulator.run` packs words from them
+    (:func:`pack_patterns` makes the same text, but names a bad value
+    input by input).  A missing or non-``Logic`` value raises the
+    interpreted simulator's error for the first such (pattern, input),
+    pattern by pattern, as a serial run of the patterns would.
+    """
+    codes = _codes(inputs, patterns)
+    if codes is None:
+        for pattern in patterns:
+            for net in inputs:
                 input_value(pattern, net)
-    return bytes(values).translate(_TEXT_OF_CODES)
+    assert codes is not None  # a bad value raised above
+    return codes.translate(_TEXT_OF_CODES)
 
 
 def pack_rows(inputs: Sequence[str],
@@ -161,11 +174,17 @@ def pack_patterns(inputs: Sequence[str],
     non-``Logic`` primary-input value raises the interpreted
     simulator's error for the first such input in ``inputs`` order.
 
-    One columnar pass: the block's rows (:func:`pattern_text`) are one
-    ``bytes``; each input's column is an extended slice of it,
+    One columnar pass: the block's rows (:func:`pattern_text`'s text)
+    are one ``bytes``; each input's column is an extended slice of it,
     translated to binary digits and read by one ``int(..., 2)``.
     """
-    return _pack_text(pattern_text(inputs, patterns), len(inputs))
+    codes = _codes(inputs, patterns)
+    if codes is None:
+        for net in inputs:
+            for pattern in patterns:
+                input_value(pattern, net)
+    assert codes is not None  # a bad value raised above
+    return _pack_text(codes.translate(_TEXT_OF_CODES), len(inputs))
 
 
 class PatternRows(SequenceABC):
@@ -173,24 +192,26 @@ class PatternRows(SequenceABC):
 
     The rows must already be checked: text, one character per input,
     each in the alphabet.  :meth:`CompiledFaultSimulator.run` packs
-    its words straight from their text; whoever reads the patterns one
-    by one (the interpreted engine) gets each row as a ``Logic`` dict,
-    built on access.
+    its words straight from their ``text`` (the rows back to back);
+    whoever reads the patterns one by one (the interpreted engine) gets
+    each row as a ``Logic`` dict, built on access.
     """
 
     def __init__(self, inputs: Sequence[str], rows: Sequence[str]):
         self.inputs = tuple(inputs)
-        self.rows = tuple(rows)
-        self.text = "".join(self.rows).encode("ascii")
+        self.text = "".join(rows).encode("ascii")
+        self._length = len(rows)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._length
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[k] for k in range(*index.indices(len(self)))]
-        return dict(zip(self.inputs,
-                        map(_LOGIC_OF_CHAR.__getitem__, self.rows[index])))
+        index = range(self._length)[index]
+        count = len(self.inputs)
+        row = self.text[index * count:(index + 1) * count].decode("ascii")
+        return dict(zip(self.inputs, map(_LOGIC_OF_CHAR.__getitem__, row)))
 
 
 def _unpack_bit(v: int, c: int, bit: int) -> Logic:
@@ -490,18 +511,18 @@ class CompiledFaultSimulator:
         :data:`RAMP_GROWTH` times the last, so the faults the first
         few patterns detect leave before a wide block carries them.
 
-        :class:`PatternRows` over the kernel's inputs pack each block
-        straight from their text; no ``Logic`` dict is built.
+        :class:`PatternRows` (over the kernel's inputs) give their text;
+        other patterns become text once, up front (:func:`pattern_text`,
+        with its errors), and every block packs its words from a slice
+        of it, with no ``Logic`` dict in between.
         """
         inputs = self.kernel.inputs
-        if isinstance(patterns, PatternRows) and patterns.inputs == inputs:
-            text, count = patterns.text, len(inputs)
-            block = (lambda start, stop:
-                     _pack_text(text[start * count:stop * count], count))
+        count = len(inputs)
+        if isinstance(patterns, PatternRows):
+            text = patterns.text
         else:
             patterns = list(patterns)
-            block = (lambda start, stop:
-                     pack_patterns(inputs, patterns[start:stop]))
+            text = pattern_text(inputs, patterns)
         remaining: List[str] = list(self.fault_list.names())
         report = FaultSimReport(total_faults=len(remaining))
         report.per_pattern = [set() for _ in range(len(patterns))]
@@ -515,7 +536,9 @@ class CompiledFaultSimulator:
                         cap, len(patterns) - start)
             cap *= growth
             detections, runs = self._detection_words(
-                *block(start, start + width), width, remaining)
+                *_pack_text(text[start * count:(start + width) * count],
+                            count),
+                width, remaining)
             blocks += 1
             kernel_runs += runs
             evals += self.kernel.gate_count * width * (1 + len(remaining))
@@ -550,11 +573,6 @@ class CompiledFaultSimulator:
                 report.detected[name] = index
             remaining = still
             start += width
-        if not isinstance(patterns, PatternRows):
-            # Nothing is live past ``start``, but the serial oracle
-            # still reads those patterns: raise its error on a bad one
-            # too.  (Rows are checked when they are built.)
-            pack_patterns(inputs, patterns[start:])
         _record_work(evals, kernel_runs)
         if TELEMETRY.enabled:
             elapsed = time.perf_counter() - begin

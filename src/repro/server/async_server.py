@@ -360,6 +360,12 @@ class _Connection(asyncio.Protocol):
             self.transport.abort()
 
 
+def _replied_from(box: List[_Connection], reply: Optional[bytes]) -> None:
+    """A dispatch thread's reply, on the loop: the connection it served
+    is the one in ``box``, which is left empty."""
+    box.pop().replied(reply)
+
+
 @dataclass
 class _Child:
     """A process-tier child server, as its parent sees it."""
@@ -930,10 +936,14 @@ class AsyncRMIServer:
                     reply = self._serve_frame(conn, frame)
                 except Exception:  # noqa: BLE001 - end this tenant only
                     pass
-            loop.call_soon_threadsafe(conn.replied, reply)
-            # An idle thread must not keep a closed connection's
-            # context (and its servant state) alive.
+            # The loop takes the connection out of ``box``.  Waking the
+            # loop lets the GIL go, and this thread may not run again
+            # before the client has its reply and has closed: it must
+            # not keep a closed connection's context (and its servant
+            # state) alive meanwhile.
+            box = [conn]
             del item, conn, frame
+            loop.call_soon_threadsafe(_replied_from, box, reply)
 
     def _serve_frame(self, conn: _Connection,
                      frame: bytes) -> Optional[bytes]:

@@ -501,15 +501,15 @@ def campaigns_held(servant):
     return [campaign for campaign in alive if campaign is not None]
 
 
-def wait_until_closed(*servers, deadline=None):
-    """Wait, until ``deadline`` (default: 10 s from now), for no server
-    of ``servers`` to report an open connection.
+def wait_until_closed(*servers):
+    """Wait, at most 10 s, for no server of ``servers`` to report an
+    open connection.
 
     A server is an ``AsyncRMIServer`` or a ``JavaCADServer`` serving
     TCP (read through the front end its ``serve_tcp`` started; a
     stopped one holds nothing).
     """
-    deadline = deadline or time.monotonic() + 10
+    deadline = time.monotonic() + 10
     for server in servers:
         front = getattr(server, "_tcp_front", server)
         while front is not None \
@@ -520,21 +520,12 @@ def wait_until_closed(*servers, deadline=None):
 
 def held_once_closed(servants, *servers):
     """What each of ``servants`` still holds (:func:`campaigns_held`)
-    once ``servers`` report no open connection.
-
-    A closed connection's context goes with its last reference, and a
-    dispatch thread may drop that just after the server counts the
-    connection closed, so the answer is polled, after a garbage
-    collection each time, until it is empty or 10 s have passed.
-    """
-    deadline = time.monotonic() + 10
-    wait_until_closed(*servers, deadline=deadline)
-    while True:
-        gc.collect()
-        held = [campaigns_held(servant) for servant in servants]
-        if not any(held) or time.monotonic() > deadline:
-            return held
-        time.sleep(0.01)
+    once ``servers`` report no open connection and a garbage collection
+    has freed what only cycles keep (a servant's error traceback holds
+    the frames that held its campaign)."""
+    wait_until_closed(*servers)
+    gc.collect()
+    return [campaigns_held(servant) for servant in servants]
 
 
 class _FailOnceServant(_CountingServant):
@@ -1114,6 +1105,30 @@ class TestErrorsSurfaceOnTheBlockingCall:
             remote_fault_simulate("c17", patterns, endpoints, engine=engine)
         assert str(remote.value) == str(local.value)
         assert "'3'" in str(local.value)
+
+    def test_the_first_bad_pattern_is_named_before_the_first_bad_input(
+            self):
+        """Two bad values, on different patterns and inputs: the farm and
+        a local run of either engine name the earlier pattern's, as a
+        serial run meets them, not the earlier input's."""
+        netlist, fault_list, patterns = campaign_on("c17", 80)
+        first, last = netlist.inputs[0], netlist.inputs[-1]
+        patterns[3][last] = 1
+        del patterns[70][first]
+        errors = set()
+        for engine in ENGINES:
+            with pytest.raises(SimulationError) as local:
+                fault_simulator_for(engine, netlist, fault_list).run(
+                    patterns)
+            errors.add(str(local.value))
+            with fault_farm(1) as (endpoints, _):
+                pass  # torn down: reaching it would fail differently
+            with pytest.raises(SimulationError) as remote:
+                remote_fault_simulate("c17", patterns, endpoints,
+                                      engine=engine)
+            errors.add(str(remote.value))
+        assert errors == {f"primary input {last!r} is 1, not a Logic "
+                          f"value"}
 
 
 def test_the_row_alphabet_is_logic_to_char():

@@ -192,6 +192,56 @@ class TestNothingOutlivesItsConnection:
         assert after == before
 
 
+class _HeldHandOff:
+    """Stands in for a dispatch thread's event loop: keeps the thread
+    inside its hand-off until ``release`` is set, and keeps what it was
+    handed for the test to run."""
+
+    def __init__(self):
+        self.handed = threading.Event()
+        self.release = threading.Event()
+        self.call = None
+
+    def call_soon_threadsafe(self, callback, *args):
+        self.call = callback, args
+        self.handed.set()
+        self.release.wait(10)
+
+
+class _AbortedConnection:
+    """A connection aborted before its queued frame was served."""
+
+    closed = True
+
+    def replied(self, reply):
+        self.reply = reply
+
+
+def test_a_dispatch_thread_holds_no_connection_past_its_hand_off():
+    """Handing a reply to the loop wakes it and lets the GIL go, so the
+    dispatch thread may not run again before the client has its reply
+    and closes: meanwhile it must not keep the connection (whose context
+    holds its servant state) alive."""
+    server = AsyncRMIServer(JavaCADServer("hand-off"))
+    conn = _AbortedConnection()
+    conn_ref = weakref.ref(conn)
+    server._queue.put((conn, b"frame"))
+    server._queue.put(None)
+    loop = _HeldHandOff()
+    thread = threading.Thread(target=server._dispatch_thread, args=(loop,))
+    thread.start()
+    try:
+        assert loop.handed.wait(10)
+        callback, args = loop.call
+        callback(*args)  # the loop writes the reply
+        assert conn.reply is None
+        loop.call = callback = args = conn = None
+        assert conn_ref() is None
+    finally:
+        loop.release.set()
+        thread.join(10)
+
+
 class TestInProcessConnections:
     @staticmethod
     def buffered(connection):
