@@ -268,6 +268,14 @@ RULES = (
     Rule(r"\[0::2\] \| .*\[1::2\]", ("src/repro/power",), None,
          "a power model undoes interleaved kernel words again (the "
          "kernel returns a value plane and a care plane)"),
+    # A fault list is built over the numbered universe.
+    Rule(r"_UnionFind", SRC, None,
+         "the name-keyed union-find is back (collapsing unions universe "
+         "indices; tests/faults/reference_faultlist.py keeps the old "
+         "builder)"),
+    Rule(r"\bname_at\b|def _pin_site\b|def _site\b", SRC, None,
+         "the (net, gate, pin, value) site map to fault names is back "
+         "(a pin's fault is its universe index)"),
 )
 
 

@@ -14,11 +14,47 @@ universe is still reported exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from ..core.errors import FaultSimulationError
+from ..core.signal import Logic
 from ..gates.netlist import Gate, Netlist
 from .model import StuckAtFault
+
+
+def _universe(netlist: Netlist) -> Tuple[List[StuckAtFault], List[str]]:
+    """The numbered single-stuck-at universe and each fault's name.
+
+    Net ``i`` of :meth:`Netlist.nets` has its stem faults at ``2*i`` and
+    ``2*i + 1`` (stuck-at 0 and 1); the branch pins of every net with
+    more than one reader follow, net by net in the same order, each
+    reader's pair in fan-out order.  Each name is formatted here, once.
+    """
+    if not isinstance(netlist, Netlist):
+        raise FaultSimulationError(
+            f"fault lists are built over a combinational Netlist, not "
+            f"{type(netlist).__name__}: for a sequential bench pass its "
+            f"combinational core, bench.core")
+    unchecked = StuckAtFault._unchecked
+    zero, one = Logic.ZERO, Logic.ONE
+    nets = netlist.nets()
+    faults: List[StuckAtFault] = []
+    names: List[str] = []
+    for net in nets:
+        faults += (unchecked(net, zero, "", -1), unchecked(net, one, "", -1))
+        names += (f"{net}sa0", f"{net}sa1")
+    for net in nets:
+        readers = netlist.fanout_of(net)
+        if len(readers) <= 1:
+            continue
+        for gate, pin in readers:
+            gate_name = gate.name
+            faults += (unchecked(net, zero, gate_name, pin),
+                       unchecked(net, one, gate_name, pin))
+            prefix = f"{net}->{gate_name}.{pin}sa"
+            names += (prefix + "0", prefix + "1")
+    return faults, names
 
 
 def enumerate_faults(netlist: Netlist) -> List[StuckAtFault]:
@@ -28,18 +64,7 @@ def enumerate_faults(netlist: Netlist) -> List[StuckAtFault]:
     every gate input pin whose source net fans out to more than one
     reader (for single-fanout nets the branch is the stem).
     """
-    faults: List[StuckAtFault] = []
-    for net in netlist.nets():
-        faults.append(StuckAtFault.stem(net, 0))
-        faults.append(StuckAtFault.stem(net, 1))
-    for net in netlist.nets():
-        readers = netlist.fanout_of(net)
-        if len(readers) <= 1:
-            continue
-        for gate, pin in readers:
-            faults.append(StuckAtFault.branch(net, gate.name, pin, 0))
-            faults.append(StuckAtFault.branch(net, gate.name, pin, 1))
-    return faults
+    return _universe(netlist)[0]
 
 
 # Gate-local equivalence data: (controlling value, output value when
@@ -52,27 +77,6 @@ _CONTROLLING: Dict[str, Tuple[int, int]] = {
     "OR": (1, 1),
     "NOR": (1, 0),
 }
-
-
-class _UnionFind:
-    def __init__(self, items: Iterable[str]) -> None:
-        self._parent: Dict[str, str] = {item: item for item in items}
-
-    def find(self, item: str) -> str:
-        parent = self._parent[item]
-        if parent != item:
-            parent = self.find(parent)
-            self._parent[item] = parent
-        return parent
-
-    def union(self, a: str, b: str) -> None:
-        self._parent[self.find(a)] = self.find(b)
-
-    def classes(self) -> Dict[str, List[str]]:
-        groups: Dict[str, List[str]] = {}
-        for item in self._parent:
-            groups.setdefault(self.find(item), []).append(item)
-        return groups
 
 
 class FaultList:
@@ -164,24 +168,6 @@ class FaultList:
                 f"{self.universe_size()} total)")
 
 
-_Site = Tuple[str, str, int, int]
-"""(net, gate name, pin, stuck value) of a universe fault; stems carry
-the dataclass defaults ``""`` / ``-1`` for gate and pin."""
-
-
-def _site(fault: StuckAtFault) -> _Site:
-    return (fault.net, fault.gate_name, fault.pin, int(fault.value))
-
-
-def _pin_site(netlist: Netlist, gate: Gate, pin: int, value: int) -> _Site:
-    """The universe fault standing for a gate input pin stuck at value:
-    the pin's branch where the source fans out, else the source's stem."""
-    source = gate.inputs[pin]
-    if len(netlist.fanout_of(source)) > 1:
-        return (source, gate.name, pin, value)
-    return (source, "", -1, value)
-
-
 def check_collapse(collapse: str) -> None:
     """Refuse a ``collapse`` mode :func:`build_fault_list` does not know."""
     if collapse not in ("none", "equivalence", "dominance"):
@@ -199,38 +185,59 @@ def build_fault_list(netlist: Netlist, collapse: str = "equivalence",
     ...), hiding internal net names from the user: what every publish
     exports (:meth:`repro.ip.provider.IPProvider._publish`).
 
-    Each universe fault's name is formatted once; collapsing then works
-    on names looked up by fault site, in time linear in the pin count.
+    Collapsing unions fault indices of the numbered universe, in time
+    linear in the pin count; classes are ordered by their root's name,
+    members by name, and each class is represented by its first stem
+    fault, else its first member.  Two universe faults whose names
+    coincide are refused: the list is keyed by name.
     """
     check_collapse(collapse)
-    by_name = {fault.name: fault for fault in enumerate_faults(netlist)}
-    union = _UnionFind(by_name)
+    universe, names = _universe(netlist)
+    if len(set(names)) < len(names):
+        _refuse_shared_name(netlist, universe, names)
+    parent = list(range(len(universe)))
+
+    def find(index: int) -> int:
+        while parent[index] != index:  # path halving
+            parent[index] = index = parent[parent[index]]
+        return index
 
     dropped: set = set()
     if collapse != "none":
-        name_at = {_site(fault): name for name, fault in by_name.items()}
-        for gate in netlist.gates:
-            _merge_gate_equivalences(netlist, gate, union, name_at)
+        index_of = {net: index for index, net in enumerate(netlist.nets())}
+        for gate, pins in _pin_sites(netlist, index_of):
+            _merge_gate_equivalences(gate, 2 * index_of[gate.output], pins,
+                                     parent, find)
         if collapse == "dominance":
-            dropped = _dominated_output_faults(netlist, union, name_at)
+            dropped = _dominated_output_faults(netlist, index_of, find)
 
+    stems = 2 * len(netlist.nets())
+    roots = [index if root == index else find(index)
+             for index, root in enumerate(parent)]
+    members: Dict[int, List[int]] = {}
+    for index in sorted(range(len(universe)), key=names.__getitem__):
+        members.setdefault(roots[index], []).append(index)
+    member = universe.__getitem__
     faults: Dict[str, StuckAtFault] = {}
-    class_map: Dict[str, List[StuckAtFault]] = {}
-    for root, member_names in sorted(union.classes().items()):
+    class_map: Dict[str, Tuple[StuckAtFault, ...]] = {}
+    for root in sorted(members, key=names.__getitem__):
         if root in dropped:
             # The whole class is dominated by input faults that remain in
             # the list: every test for a dominating fault detects these,
             # so they are removed from the target list (classic dominance
             # collapsing loses nothing for test generation).
             continue
-        member_names.sort()
-        # Prefer stem faults, then the lexicographically smallest name.
-        representative = next(
-            (name for name in member_names if by_name[name].is_stem),
-            member_names[0])
-        faults[representative] = by_name[representative]
-        class_map[representative] = [by_name[name]
-                                     for name in member_names]
+        indices = members[root]
+        if len(indices) == 1:
+            representative, members_of = root, (universe[root],)
+        else:
+            # Prefer stem faults, then the lexicographically smallest name.
+            representative = next(
+                (index for index in indices if index < stems), indices[0])
+            members_of = tuple(map(member, indices))
+        name = names[representative]
+        faults[name] = universe[representative]
+        class_map[name] = members_of
     if obfuscate:
         symbols = [(f"f{index}", name)
                    for index, name in enumerate(sorted(faults))]
@@ -240,30 +247,80 @@ def build_fault_list(netlist: Netlist, collapse: str = "equivalence",
     return FaultList(netlist.name, faults, class_map)
 
 
-def _merge_gate_equivalences(netlist: Netlist, gate: Gate,
-                             union: _UnionFind,
-                             name_at: Mapping[_Site, str]) -> None:
+def _refuse_shared_name(netlist: Netlist, universe: Sequence[StuckAtFault],
+                        names: Sequence[str]) -> None:
+    first: Dict[str, int] = {}
+    for index, name in enumerate(names):
+        earlier = first.setdefault(name, index)
+        if earlier != index:
+            raise FaultSimulationError(
+                f"netlist {netlist.name!r}: universe faults "
+                f"{_describe(universe[earlier])} and "
+                f"{_describe(universe[index])} share the name {name!r}")
+
+
+def _describe(fault: StuckAtFault) -> str:
+    if fault.is_stem:
+        return f"(stem of net {fault.net!r}, stuck-at {int(fault.value)})"
+    return (f"(branch of net {fault.net!r} at gate {fault.gate_name!r} "
+            f"pin {fault.pin}, stuck-at {int(fault.value)})")
+
+
+def _pin_sites(netlist: Netlist, index_of: Mapping[str, int]
+               ) -> Iterator[Tuple[Gate, List[int]]]:
+    """Each gate, in order, with the universe index of each input pin's
+    stuck-at-0 fault (stuck-at-1 is the next index): the pin's branch
+    where the source fans out, else the source's stem.
+
+    A net's readers are its fan-out in gate order then pin order, which
+    is the order this walk meets them, so each fanning-out net keeps a
+    cursor over its run of branch faults.
+    """
+    nets = netlist.nets()
+    cursor = [-1] * len(nets)
+    start = 2 * len(nets)
+    for position, net in enumerate(nets):
+        readers = len(netlist.fanout_of(net))
+        if readers > 1:
+            cursor[position] = start
+            start += 2 * readers
+    for gate in netlist.gates:
+        pins = []
+        for source in gate.inputs:
+            position = index_of[source]
+            branch = cursor[position]
+            if branch < 0:
+                pins.append(2 * position)
+            else:
+                pins.append(branch)
+                cursor[position] = branch + 2
+        yield gate, pins
+
+
+def _merge_gate_equivalences(gate: Gate, output: int, pins: Sequence[int],
+                             parent: List[int],
+                             find: Callable[[int], int]) -> None:
+    """Union each pin fault with the output stem fault it is equivalent
+    to; ``output`` is the index of the output's stuck-at-0 fault."""
+    # Each union is ``parent[find(pin)] = find(out)``: the pin's root
+    # goes under the output's, and Python finds the output's first.
     cell = gate.cell.name
-    output = gate.output
     if cell in ("NOT", "BUF"):
         inverted = cell == "NOT"
         for value in (0, 1):
             out_value = (1 - value) if inverted else value
-            union.union(name_at[_pin_site(netlist, gate, 0, value)],
-                        name_at[(output, "", -1, out_value)])
+            parent[find(pins[0] + value)] = find(output + out_value)
         return
     if cell in _CONTROLLING:
         controlling, forced = _CONTROLLING[cell]
-        out_fault = name_at[(output, "", -1, forced)]
-        for pin in range(len(gate.inputs)):
-            union.union(
-                name_at[_pin_site(netlist, gate, pin, controlling)],
-                out_fault)
+        out_fault = output + forced
+        for pin in pins:
+            parent[find(pin + controlling)] = find(out_fault)
 
 
-def _dominated_output_faults(netlist: Netlist, union: _UnionFind,
-                             name_at: Mapping[_Site, str]) -> set:
-    """Output stem faults dominated by each of their input faults.
+def _dominated_output_faults(netlist: Netlist, index_of: Mapping[str, int],
+                             find: Callable[[int], int]) -> set:
+    """Roots of output stem faults dominated by each of their input faults.
 
     For an AND gate, the output stuck-at-1 is detected by any test that
     detects an input stuck-at-1, so the output fault can be dropped from
@@ -280,7 +337,7 @@ def _dominated_output_faults(netlist: Netlist, union: _UnionFind,
             # user handles faults on component boundary signals itself.
             continue
         _controlling, forced = _CONTROLLING[cell]
-        dropped.add(union.find(name_at[(gate.output, "", -1, 1 - forced)]))
+        dropped.add(find(2 * index_of[gate.output] + 1 - forced))
     return dropped
 
 

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from ..core.errors import FaultSimulationError
 from ..core.signal import Logic
 
+_new = object.__new__
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class StuckAtFault:
@@ -51,6 +54,24 @@ class StuckAtFault:
                value: int) -> "StuckAtFault":
         """A stuck-at fault on one gate input pin fed by ``net``."""
         return StuckAtFault(net, Logic(value), gate_name, pin)
+
+    @classmethod
+    def _unchecked(cls, net: str, value: Logic, gate_name: str,
+                   pin: int) -> "StuckAtFault":
+        """The fault the constructor would build, without its checks.
+
+        For the fault-list builder alone: every fault it enumerates has
+        a ``Logic.ZERO`` / ``Logic.ONE`` value and either a gate name
+        and pin or neither.  The fields are set in declaration order,
+        as ``__init__`` sets them, so the instance is laid out, compares,
+        hashes and pickles like a checked one.
+        """
+        fault = _new(cls)
+        _set(fault, "net", net)
+        _set(fault, "value", value)
+        _set(fault, "gate_name", gate_name)
+        _set(fault, "pin", pin)
+        return fault
 
     # -- classification ----------------------------------------------------
 

@@ -12,4 +12,4 @@ def test_no_deleted_mechanism_is_back():
     result = subprocess.run([sys.executable, SCRIPT], cwd=ROOT, text=True,
                             capture_output=True)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "59 of 59 rules hold" in result.stdout
+    assert "61 of 61 rules hold" in result.stdout
