@@ -104,6 +104,12 @@ RULES = (
          ("src/repro/compiled",), None,
          "the compiled campaign steps fixed 64-pattern blocks again "
          "(a block is SUPERWORD_BITS // live patterns)"),
+    # A lane run picks its flavour from the run's lanes word: no scan of
+    # every site's mask, and one hooked entry point.
+    Rule(r"max\(fm\b|def run_lanes", ("src/repro/compiled",), None,
+         "a hooked kernel run scans every site's mask again, or lane "
+         "runs have a second entry point beside run_fault (it compares "
+         "the care words with the run's lanes word)"),
     # One shard per worker: no fixed split of each worker's share.
     Rule(r"DEFAULT_CHUNKS_PER_WORKER|default_shard_count", SRC, None,
          "the default cut splits each worker's share into several shards "

@@ -299,10 +299,7 @@ def build_embedded(ip_netlist: Netlist, collapse: str = "equivalence",
     fault_list = build_fault_list(ip_netlist, collapse=collapse)
     internal = [name for name in fault_list.names()
                 if not ip_netlist.is_input(fault_list.fault(name).net)]
-    restricted = FaultList(
-        ip_netlist.name,
-        {name: fault_list.fault(name) for name in internal},
-        {name: fault_list.class_of(name) for name in internal})
+    restricted = fault_list.subset(internal)
     servant = TestabilityServant(ip_netlist, restricted)
 
     # Backplane representation.

@@ -33,7 +33,7 @@ Two entry points run the generated code:
   plane: CPython's compiler holds a whole function's syntax tree at
   once, so a straight line of a few thousand gates costs tens of
   megabytes to compile.
-* ``run_fault(iv, ic, fm, fv)`` -- one straight line (chunking it
+* ``run_fault(iv, ic, fm, fv, lanes)`` -- one straight line (chunking it
   costs a quarter of a campaign's speed) with a mask-based *injection
   hook* at every fault site: ``fm`` holds one mask word per site (zero
   wherever no fault is active; a hook whose mask is zero is skipped)
@@ -41,7 +41,8 @@ Two entry points run the generated code:
   writes, not a recompile.  Every statement is a pure bitwise
   operation -- no shift, no add -- so bit positions never interact and
   the words may be as wide as the caller likes: the runners give every
-  fault its own lane of patterns.
+  fault its own lane of patterns, and ``lanes`` is the word of every
+  bit of the lanes a run fills, every mask inside it.
 
 Each comes in two flavours generated from one gate walk, and each
 flavour is compiled on first use (a kernel that only ever runs
@@ -278,23 +279,25 @@ class CompiledKernel:
         return self._good3(iv, ic)
 
     def run_fault(self, iv: Sequence[int], ic: Sequence[int],
-                  fm: Sequence[int], fv: int) -> Planes:
+                  fm: Sequence[int], fv: int, lanes: int) -> Planes:
         """:meth:`run_good` with the hooks of ``fm`` / ``fv`` forcing
         their sites.
 
-        The two-valued flavour runs when every care word is one word
-        ``k`` that is nonzero and all-ones from bit 0, and every mask
-        lies inside it (``max(fm) <= k``): a forced lane is then a
-        known lane and no care word moves.  That is the precondition
-        of the fast path -- ``ppsfp._fault_lanes`` builds its masks
-        inside the block's lanes -- and anything else takes the
-        three-valued body, which is exact for any masks.
+        Every mask lies inside ``lanes``, the word of every bit of the
+        lanes the run fills (``ppsfp._fault_lanes`` builds them so).
+        The two-valued flavour runs when every input's care word is
+        ``lanes`` itself: every pattern is known in every lane, so a
+        forced lane is a known lane and no care word moves.  Anything
+        else takes the three-valued body.  A care word that is all-ones
+        from bit 0 is not enough: a block whose last pattern is all
+        ``X``, copied into one lane, has such a word, and its lane mask
+        reaches the unknown bit.  Checking ``lanes`` rather than every
+        mask keeps a scan of ``fm`` (one word per site, thousands of
+        them) out of every run.
         """
-        known = _known_lanes(ic)
-        if known and not known & (known + 1) \
-                and max(fm, default=0) <= known:
+        if _known_lanes(ic) == lanes:
             _count_two_valued()
-            return self._fault2(iv, known, fm, fv)
+            return self._fault2(iv, lanes, fm, fv)
         return self._fault3(iv, ic, fm, fv)
 
     @cached_property

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence as SequenceABC
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
 from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -248,8 +248,11 @@ def _fault_lanes(kernel: CompiledKernel, iv: Sequence[int],
     copies the block into each lane, a site's mask is the OR of the
     lanes whose fault sits there and ``fv`` holds each lane's stuck
     value.  The kernel is bitwise throughout, so lanes cannot interact.
-    Yields ``(lanes used, rep, run_fault result)`` per run, in fault
-    order; ``word * rep`` copies a one-lane word into every used lane.
+    Every mask lies inside the used lanes, ``mask * rep``, which is
+    what :meth:`~repro.compiled.compiler.CompiledKernel.run_fault`
+    compares the care words with to pick its flavour.
+    Yields ``(lanes used, rep, run result)`` per run, in fault order;
+    ``word * rep`` copies a one-lane word into every used lane.
     """
     mask = (1 << width) - 1
     lanes = SUPERWORD_BITS // width
@@ -266,7 +269,7 @@ def _fault_lanes(kernel: CompiledKernel, iv: Sequence[int],
             lane <<= width
         yield len(chunk), rep, kernel.run_fault(
             [word * rep for word in iv], [word * rep for word in ic],
-            fm, fv)
+            fm, fv, mask * rep)
 
 
 def _record_work(gate_evals: int, kernel_runs: int) -> None:
@@ -456,23 +459,38 @@ class CompiledFaultSimulator:
         self.netlist = netlist
         self.kernel: CompiledKernel = compile_netlist(netlist)
         self.fault_list = fault_list or build_fault_list(netlist)
+        # ``_injection`` of every fault, inlined: a call per fault was
+        # about a third of resolving a list.
+        site_for = self.kernel.site_for
+        one = Logic.ONE
         self._sites: Dict[str, Tuple[int, bool]] = {
-            name: _injection(self.kernel, self.fault_list.fault(name))
-            for name in self.fault_list.names()}
+            name: (site_for(fault), fault.value is one)
+            for name, fault in self.fault_list.items()}
 
     def _detection_words(self, iv: List[int], ic: List[int], width: int,
-                         names: Sequence[str]) -> Tuple[List[int], int]:
-        """One detection word per fault of ``names`` (bit ``i`` set iff
-        pattern ``i`` of the packed block ``iv`` / ``ic`` detects it)
-        and the kernel runs that took."""
+                         injections: Sequence[Tuple[int, bool]],
+                         first_only: bool
+                         ) -> Tuple[List[Tuple[int, int]], int]:
+        """``(position, detection word)`` for each fault of
+        ``injections`` that some pattern of the packed block ``iv`` /
+        ``ic`` detects, in position order, and the kernel runs that
+        took.  Bit ``i`` of a word is set iff pattern ``i`` detects the
+        fault; with ``first_only`` the word's place holds the index of
+        its lowest set bit instead, the first detecting pattern.
+
+        Only the detected lanes are read: the set bits of each run's
+        detection word ``diff`` are walked in its binary text, jumping
+        to the next lane after each hit, so the work beyond the kernel
+        scales with what the block detects, not with its lanes.
+        """
         kernel = self.kernel
         good, good_cares = kernel.run_good(iv, ic)
         outputs = kernel.output_index
-        detections: List[int] = []
+        hits: List[Tuple[int, int]] = []
         runs = 1
+        first = 0  # position of the run's lane 0
         for count, rep, (faulty, cares) in _fault_lanes(
-                kernel, iv, ic, width,
-                [self._sites[name] for name in names]):
+                kernel, iv, ic, width, injections):
             runs += 1
             diff = 0
             for index in outputs:
@@ -484,12 +502,19 @@ class CompiledFaultSimulator:
                 for index in outputs:
                     diff |= care_word(good_cares, index) * rep \
                         ^ cares[index]
-            # Lane k is bits [k * width, (k + 1) * width): in the
-            # binary text, the k-th slice counting from the right.
-            digits = format(diff, f"0{count * width}b")
-            detections += [int(digits[end - width:end], 2)
-                           for end in range(len(digits), 0, -width)]
-        return detections, runs
+            # Lane k is bits [k * width, (k + 1) * width): characters
+            # [k * width, (k + 1) * width) of the reversed binary text.
+            digits = bin(diff)[:1:-1]
+            bit = digits.find("1")
+            while bit >= 0:
+                lane = bit // width
+                low = lane * width
+                end = low + width
+                hits.append((first + lane, bit - low if first_only
+                             else int(digits[low:end][::-1], 2)))
+                bit = digits.find("1", end)
+            first += count
+        return hits, runs
 
     def run(self, patterns: Sequence[Mapping[str, Logic]],
             drop_detected: bool = True) -> FaultSimReport:
@@ -524,8 +549,11 @@ class CompiledFaultSimulator:
             patterns = list(patterns)
             text = pattern_text(inputs, patterns)
         remaining: List[str] = list(self.fault_list.names())
+        injections = list(map(self._sites.__getitem__, remaining))
         report = FaultSimReport(total_faults=len(remaining))
-        report.per_pattern = [set() for _ in range(len(patterns))]
+        per_pattern = report.per_pattern = [
+            set() for _ in range(len(patterns))]
+        detected = report.detected
         floor = 1 if drop_detected else WORD_BITS
         cap = RAMP_FIRST_PATTERNS if drop_detected else len(patterns)
         growth = RAMP_GROWTH if drop_detected else 1
@@ -535,43 +563,30 @@ class CompiledFaultSimulator:
             width = min(max(SUPERWORD_BITS // len(remaining), floor),
                         cap, len(patterns) - start)
             cap *= growth
-            detections, runs = self._detection_words(
+            hits, runs = self._detection_words(
                 *_pack_text(text[start * count:(start + width) * count],
                             count),
-                width, remaining)
+                width, injections, drop_detected)
             blocks += 1
             kernel_runs += runs
             evals += self.kernel.gate_count * width * (1 + len(remaining))
-            # (first detecting index, name, index to report) per fault
-            # this block detects for the first time.
-            hits: List[Tuple[int, str, int]] = []
-            still: List[str] = []
-            for name, diff in zip(remaining, detections):
-                if not diff:
-                    still.append(name)
-                    continue
-                first = start + (diff & -diff).bit_length() - 1
-                if drop_detected:
-                    report.per_pattern[first].add(name)
-                    hits.append((first, name, first))
-                    continue
-                still.append(name)
-                bits = diff
-                while bits:
-                    low = (bits & -bits).bit_length() - 1
-                    report.per_pattern[start + low].add(name)
-                    bits &= bits - 1
-                last = start + diff.bit_length() - 1
-                if name in report.detected:
-                    report.detected[name] = last
-                else:
-                    hits.append((first, name, last))
-            # Serial inserts detections pattern-major (pattern index,
-            # then fault-list order); a stable sort on the first
-            # detecting index reproduces that insertion order.
-            for _, name, index in sorted(hits, key=lambda hit: hit[0]):
-                report.detected[name] = index
-            remaining = still
+            if drop_detected:
+                # Serial inserts detections pattern-major (pattern
+                # index, then fault-list order): a stable sort of the
+                # hits, which come in fault-list order, on the first
+                # detecting pattern.
+                keep = bytearray(b"\x01") * len(remaining)
+                for position, offset in sorted(hits, key=itemgetter(1)):
+                    name = remaining[position]
+                    index = start + offset
+                    per_pattern[index].add(name)
+                    detected[name] = index
+                    keep[position] = 0
+                remaining = list(compress(remaining, keep))
+                injections = list(compress(injections, keep))
+            else:
+                self._record_every_detection(report, start, remaining,
+                                             hits)
             start += width
         _record_work(evals, kernel_runs)
         if TELEMETRY.enabled:
@@ -583,6 +598,34 @@ class CompiledFaultSimulator:
                 metrics.gauge("compiled.gate_evals_per_second").set(
                     evals / elapsed)
         return report
+
+    @staticmethod
+    def _record_every_detection(report: FaultSimReport, start: int,
+                                names: Sequence[str],
+                                hits: Sequence[Tuple[int, int]]) -> None:
+        """Without dropping: every detecting pattern of each hit goes
+        into ``per_pattern``, and ``detected`` holds each fault's last
+        detecting index, inserted in the order of first detections."""
+        per_pattern = report.per_pattern
+        detected = report.detected
+        # (first detecting index, name, last detecting index) per fault
+        # this block detects for the first time.
+        new: List[Tuple[int, str, int]] = []
+        for position, word in hits:
+            name = names[position]
+            bits = word
+            while bits:
+                low = bits & -bits
+                per_pattern[start + low.bit_length() - 1].add(name)
+                bits ^= low
+            last = start + word.bit_length() - 1
+            if name in detected:
+                detected[name] = last
+            else:
+                new.append((start + (word & -word).bit_length() - 1,
+                            name, last))
+        for _, name, index in sorted(new, key=itemgetter(0)):
+            detected[name] = index
 
     def detects(self, pattern: Mapping[str, Logic],
                 fault_name: str) -> bool:
@@ -599,6 +642,7 @@ class CompiledFaultSimulator:
         """
         names = list(names)
         iv, ic = pack_patterns(self.kernel.inputs, [pattern])
-        detections, runs = self._detection_words(iv, ic, 1, names)
+        hits, runs = self._detection_words(
+            iv, ic, 1, list(map(self._sites.__getitem__, names)), True)
         _record_work(self.kernel.gate_count * (1 + len(names)), runs)
-        return [name for name, diff in zip(names, detections) if diff]
+        return [names[position] for position, _ in hits]

@@ -101,6 +101,19 @@ class FaultList:
                                    in self._faults.items()}).items()
         }
 
+    @classmethod
+    def _adopt(cls, component: str, faults: Dict[str, StuckAtFault],
+               classes: Dict[str, Tuple[StuckAtFault, ...]]
+               ) -> "FaultList":
+        """A list over maps its caller built for it and hands over
+        (classes already tuples, one per name): the public
+        constructor's defensive copies are skipped."""
+        fault_list = cls.__new__(cls)
+        fault_list.component = component
+        fault_list._faults = faults
+        fault_list._classes = classes
+        return fault_list
+
     # -- user-visible (symbolic) view -------------------------------------
 
     def names(self) -> Tuple[str, ...]:
@@ -149,7 +162,8 @@ class FaultList:
 
         The restriction keeps each name's collapsed class intact, so
         per-shard universe accounting still adds up across a partition;
-        unknown names raise :class:`FaultSimulationError`.
+        unknown names raise :class:`FaultSimulationError`.  The new list
+        owns its maps outright (no second copy).
         """
         wanted = list(names)
         missing = [name for name in wanted if name not in self._faults]
@@ -157,11 +171,12 @@ class FaultList:
             raise FaultSimulationError(
                 f"component {self.component!r} has no fault(s) "
                 f"{missing[:5]!r}")
-        return FaultList(
+        faults = self._faults
+        classes = self._classes
+        return FaultList._adopt(
             self.component,
-            {name: self._faults[name] for name in wanted},
-            {name: self._classes.get(name, (self._faults[name],))
-             for name in wanted})
+            dict(zip(wanted, map(faults.__getitem__, wanted))),
+            {name: classes.get(name, (faults[name],)) for name in wanted})
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"FaultList({self.component!r}, {len(self)} collapsed / "
@@ -241,10 +256,10 @@ def build_fault_list(netlist: Netlist, collapse: str = "equivalence",
     if obfuscate:
         symbols = [(f"f{index}", name)
                    for index, name in enumerate(sorted(faults))]
-        return FaultList(
+        return FaultList._adopt(
             netlist.name, {symbol: faults[name] for symbol, name in symbols},
             {symbol: class_map[name] for symbol, name in symbols})
-    return FaultList(netlist.name, faults, class_map)
+    return FaultList._adopt(netlist.name, faults, class_map)
 
 
 def _refuse_shared_name(netlist: Netlist, universe: Sequence[StuckAtFault],

@@ -106,7 +106,8 @@ class TestKernelShape:
         assert kernel.source.count("if m := fm[") == 2 * kernel.site_count
         iv = [0b0101] * len(kernel.inputs)
         ic = [0b1111] * len(kernel.inputs)
-        assert kernel.run_fault(iv, ic, [0] * kernel.site_count, 0) \
+        assert kernel.run_fault(iv, ic, [0] * kernel.site_count, 0,
+                                0b1111) \
             == kernel.run_good(iv, ic)
 
     def test_net_order_inputs_then_levelized(self):

@@ -106,6 +106,129 @@ def test_report_matches_serial(data, drop, superword):
     assert report.coverage_history() == expected.coverage_history()
 
 
+@functools.lru_cache(maxsize=None)
+def lane_edges():
+    """``(a, b, pa, pb, fill)``: pool pattern ``pa`` detects fault ``a``
+    and not ``b``, ``pb`` detects ``b`` and not ``a``, and ``fill``
+    detects neither -- what a block needs to put a detection on the
+    last bit of ``a``'s lane right next to one on the first bit of
+    ``b``'s."""
+    pool, detects = serial_pool()
+    rng = random.Random(31)
+    edges = []
+    for pa in range(POOL_SIZE):
+        for pb in range(POOL_SIZE):
+            only_a = sorted(detects[pa] - detects[pb])
+            only_b = sorted(detects[pb] - detects[pa])
+            if not only_a or not only_b:
+                continue
+            a, b = rng.choice(only_a), rng.choice(only_b)
+            fill = next((k for k in range(POOL_SIZE)
+                         if a not in detects[k] and b not in detects[k]),
+                        None)
+            if fill is not None:
+                edges.append((a, b, pa, pb, fill))
+    return edges
+
+
+def reference_words(names, sequence):
+    """Each fault's detection word over a block of pool patterns, from
+    the serial oracle's answers."""
+    _, detects = serial_pool()
+    return [sum(1 << bit for bit, index in enumerate(sequence)
+                if name in detects[index]) for name in names]
+
+
+@settings(deadline=None)
+@given(data=st.data(), first_only=st.booleans(),
+       width=st.sampled_from([1, 2, 3, 7, 8, 37, 64, 65, 184]))
+def test_detection_words_read_every_detected_lane(data, first_only,
+                                                  width):
+    """``_detection_words`` reads the detected lanes only, walking the
+    set bits of each run's detection word: the words (or, with
+    ``first_only``, the first detecting offsets) must be the serial
+    oracle's, across lane and run boundaries.  Fault ``a`` detected on
+    its lane's last bit sits right below fault ``b`` detected on its
+    first bit, in one run or at the edge of two."""
+    pool, _ = serial_pool()
+    a, b, pa, pb, fill = data.draw(st.sampled_from(lane_edges()),
+                                   label="edge")
+    others = data.draw(st.lists(st.sampled_from(FAULTS.names()),
+                                max_size=24, unique=True), label="others")
+    others = [name for name in others if name not in (a, b)]
+    at = data.draw(st.integers(0, len(others)), label="at")
+    names = others[:at] + [a, b] + others[at:]
+    sequence = data.draw(st.lists(st.integers(0, POOL_SIZE - 1),
+                                  min_size=width, max_size=width),
+                         label="sequence")
+    if data.draw(st.booleans(), label="edge only"):
+        sequence = [fill] * width
+    sequence[0] = pb
+    if width > 1:
+        sequence[-1] = pa
+    lanes = data.draw(st.integers(1, 6), label="lanes")
+    simulator = CompiledFaultSimulator(NETLIST, FAULTS)
+    iv, ic = pack_patterns(NETLIST.inputs,
+                           [pool[index] for index in sequence])
+    injections = [simulator._sites[name] for name in names]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ppsfp, "SUPERWORD_BITS", lanes * width)
+        hits, runs = simulator._detection_words(iv, ic, width, injections,
+                                                first_only)
+    words = reference_words(names, sequence)
+    assert words[at + 1] & 1
+    if width > 1:
+        assert words[at] >> width - 1
+    assert hits == [(position, (word & -word).bit_length() - 1
+                     if first_only else word)
+                    for position, word in enumerate(words) if word]
+    assert runs == 1 + -(-len(names) // lanes)
+
+
+@settings(deadline=None)
+@given(data=st.data(), drop=st.booleans())
+def test_uneven_blocks_match_serial(data, drop):
+    """The harness campaign's shape: 256 patterns over few enough live
+    faults that, with dropping, the blocks are 8, 64 and 184 patterns
+    (184 lanes of bits a fault, not a power of two), and without it
+    one block of ``SUPERWORD_BITS // live`` and the rest; faults are
+    often detected by several patterns of one block."""
+    pool, detects = serial_pool()
+    live = data.draw(st.integers(2, SUPERWORD_BITS // 184), label="live")
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    fault_list = FAULTS.subset(
+        random.Random(seed).sample(FAULTS.names(), live))
+    # The first two blocks draw from the patterns that detect least,
+    # so faults live on into the third, which draws from them all.
+    weak = sorted(range(POOL_SIZE), key=lambda k: len(detects[k]))[:6]
+    rng = random.Random(~seed)
+    sequence = rng.choices(weak, k=72) + rng.choices(range(POOL_SIZE),
+                                                     k=184)
+    expected = run_campaign(
+        fault_list.names(), sequence,
+        lambda index, names: [name for name in names
+                              if name in detects[index]],
+        drop)
+    widths = []
+    real = CompiledFaultSimulator._detection_words
+
+    def recorded(self, iv, ic, width, *rest):
+        widths.append(width)
+        return real(self, iv, ic, width, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CompiledFaultSimulator, "_detection_words", recorded)
+        report = CompiledFaultSimulator(NETLIST, fault_list).run(
+            [pool[index] for index in sequence], drop_detected=drop)
+    assert list(report.detected.items()) == list(expected.detected.items())
+    assert report.per_pattern == expected.per_pattern
+    if drop:
+        assert widths == [8, 64, 184][:len(widths)]
+    else:
+        first = min(SUPERWORD_BITS // live, 256)
+        assert widths == [first, 256 - first][:1 + (first < 256)]
+
+
 def reference_pack(inputs, patterns):
     """The per-bit packing loop that ``pack_patterns`` replaced."""
     iv = []

@@ -299,9 +299,9 @@ class TestTelemetry:
         detection, so no fault ever drops."""
         real = CompiledFaultSimulator._detection_words
 
-        def blind(self, *block_and_names):
-            detections, runs = real(self, *block_and_names)
-            return [0] * len(detections), runs
+        def blind(self, *block_and_faults):
+            _hits, runs = real(self, *block_and_faults)
+            return [], runs
 
         monkeypatch.setattr(CompiledFaultSimulator, "_detection_words",
                             blind)

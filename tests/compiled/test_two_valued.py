@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiled import (CompiledFaultSimulator, CompiledKernel,
-                            pack_patterns, ppsfp)
+                            CompiledSimulator, pack_patterns, ppsfp)
 from repro.compiled.ppsfp import _fault_lanes, _injection
 from repro.core.signal import Logic
 from repro.faults.faultlist import build_fault_list
@@ -72,14 +72,18 @@ def blocks(draw):
 
 class _BothFlavours:
     """What ``_fault_lanes`` needs of a kernel, running each hooked run
-    through the flavour the kernel picks and the three-valued body."""
+    through the flavour the kernel picks and the three-valued body.
+    ``_fault_lanes`` reaches the kernel through ``run_fault`` only, so
+    every hooked run it makes is seen and compared here."""
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.site_count = kernel.site_count
+        self.runs = 0
 
-    def run_fault(self, iv, ic, fm, fv):
-        words = self.kernel.run_fault(iv, ic, fm, fv)
+    def run_fault(self, iv, ic, fm, fv, lanes):
+        self.runs += 1
+        words = self.kernel.run_fault(iv, ic, fm, fv, lanes)
         assert interleaved(words) \
             == interleaved(self.kernel._fault3(iv, ic, fm, fv))
         return words
@@ -118,24 +122,27 @@ def test_run_fault_flavours_agree(block, data):
     lanes = data.draw(st.integers(1, 8))
     iv, ic = pack_patterns(kernel.inputs, patterns)
     known = (1 << width) - 1
+    both = _BothFlavours(kernel)
     with mock.patch.object(ppsfp, "SUPERWORD_BITS", lanes * width), \
             telemetry_session():
-        runs = sum(1 for _ in _fault_lanes(_BothFlavours(kernel), iv, ic,
-                                           width, injections))
+        runs = sum(1 for _ in _fault_lanes(both, iv, ic, width,
+                                           injections))
         taken = two_valued_runs()
-    assert runs == -(-len(injections) // lanes)
+    assert runs == both.runs == -(-len(injections) // lanes)
     # Hooked runs are two-valued only for a block with every input of
     # every pattern known.
     assert taken == (runs if set(ic) == {known} else 0)
 
 
 def test_masks_outside_the_known_lanes_run_three_valued():
+    """A run whose lanes reach past the known bits: its last lane's
+    mask forces a site there."""
     kernel = CompiledKernel(random_netlist(3, 12, 2, seed=5))
     iv, ic = [0b0101, 0b0011, 0b0110], [0b1111] * 3
     fm = [0] * kernel.site_count
     fm[kernel.site_count - 1] = 0b10000
     with telemetry_session():
-        words = kernel.run_fault(iv, ic, fm, 0b10000)
+        words = kernel.run_fault(iv, ic, fm, 0b10000, 0b11111)
         assert two_valued_runs() == 0
     assert interleaved(words) \
         == interleaved(kernel._fault3(iv, ic, fm, 0b10000))
@@ -147,13 +154,88 @@ def test_all_x_and_mixed_blocks_run_three_valued():
     with telemetry_session():
         kernel.run_good([0, 0, 0], [0, 0, 0])
         kernel.run_good([0b01, 0, 0b10], [0b11, 0b01, 0b11])
-        kernel.run_fault([0b01, 0, 0b10], [0b11, 0b01, 0b11], fm, 0)
+        kernel.run_fault([0b01, 0, 0b10], [0b11, 0b01, 0b11], fm, 0, 0b11)
         # Equal care words with a hole: exact for run_good, but not
-        # all-ones, so run_fault keeps the three-valued body.
-        kernel.run_fault([0b100, 0, 0b100], [0b101] * 3, fm, 0)
+        # the run's lanes, so run_fault keeps the three-valued body.
+        kernel.run_fault([0b100, 0, 0b100], [0b101] * 3, fm, 0, 0b111)
         assert two_valued_runs() == 0
         kernel.run_good([0b100, 0, 0b100], [0b101] * 3)
         assert two_valued_runs() == 1
+
+
+LANE_NETLIST = random_netlist(4, 30, 3, seed=11)
+
+
+def lane_runs(patterns, lanes=3):
+    """Two-valued runs among ``_fault_lanes``' hooked runs over one
+    block of ``LANE_NETLIST``, ``lanes`` faults a run and two runs,
+    each run checked against the three-valued body; and how many runs
+    the kernel was handed."""
+    kernel = CompiledKernel(LANE_NETLIST)
+    faults = build_fault_list(LANE_NETLIST, collapse="none")
+    injections = [_injection(kernel, fault)
+                  for _, fault in faults.items()][:2 * lanes]
+    iv, ic = pack_patterns(kernel.inputs, patterns)
+    both = _BothFlavours(kernel)
+    with mock.patch.object(ppsfp, "SUPERWORD_BITS",
+                           lanes * len(patterns)), telemetry_session():
+        for _ in _fault_lanes(both, iv, ic, len(patterns), injections):
+            pass
+        return two_valued_runs(), both.runs
+
+
+def binary_block(width, seed=0):
+    rng = random.Random(seed)
+    return [{net: rng.choice(BINARY) for net in LANE_NETLIST.inputs}
+            for _ in range(width)]
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("width", [1, 3, 5, 8])
+def test_lane_runs_of_a_known_block_are_two_valued(width, lanes):
+    assert lane_runs(binary_block(width), lanes) == (2, 2)
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("width", [1, 3, 5, 8])
+def test_last_pattern_all_x_keeps_lane_runs_three_valued(width, lanes):
+    """Such a block's care word is all-ones from bit 0 (bit ``width -
+    1`` is the one missing): each copy of it in a run of several lanes
+    has that hole, and a run of one lane has it at the top, inside the
+    lane's mask.  Every lane run is three-valued either way."""
+    patterns = binary_block(width)
+    patterns[-1] = {net: Logic.X for net in LANE_NETLIST.inputs}
+    _, ic = pack_patterns(LANE_NETLIST.inputs, patterns)
+    known = ic[0]
+    assert set(ic) == {known} and not known & (known + 1)
+    assert lane_runs(patterns, lanes) == (0, 2)
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("unknown", [Logic.X, Logic.Z])
+def test_x_on_some_inputs_keeps_lane_runs_three_valued(unknown, lanes):
+    patterns = binary_block(5)
+    patterns[2][LANE_NETLIST.inputs[1]] = unknown
+    assert lane_runs(patterns, lanes) == (0, 2)
+
+
+def test_single_pattern_servant_calls_pin_their_flavour():
+    """``detection_outputs`` runs a block of one pattern: the good run
+    and every lane run are two-valued for an all-binary pattern, and
+    none is with an ``X`` input."""
+    netlist = load_bench("c17")
+    simulator = CompiledSimulator(netlist)
+    faults = build_fault_list(netlist, collapse="none")
+    everything = [fault for _, fault in faults.items()]
+    pattern = {net: Logic.ONE for net in netlist.inputs}
+    with mock.patch.object(ppsfp, "SUPERWORD_BITS", 16), \
+            telemetry_session():
+        simulator.detection_outputs(pattern, everything)
+        assert two_valued_runs() == 1 + -(-len(everything) // 16)
+    pattern[netlist.inputs[0]] = Logic.X
+    with telemetry_session():
+        simulator.detection_outputs(pattern, everything)
+        assert two_valued_runs() == 0
 
 
 def test_mult16_campaign_identical_through_both_flavours():
@@ -170,7 +252,8 @@ def test_mult16_campaign_identical_through_both_flavours():
     slow = CompiledFaultSimulator(netlist, fault_list)
     slow.kernel = CompiledKernel(netlist)
     slow.kernel.run_good = slow.kernel._good3
-    slow.kernel.run_fault = slow.kernel._fault3
+    slow.kernel.run_fault = \
+        lambda iv, ic, fm, fv, lanes: slow.kernel._fault3(iv, ic, fm, fv)
     with telemetry_session():
         reports = [fast.run(patterns), slow.run(patterns)]
         assert two_valued_runs() == 6

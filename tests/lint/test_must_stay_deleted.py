@@ -12,4 +12,4 @@ def test_no_deleted_mechanism_is_back():
     result = subprocess.run([sys.executable, SCRIPT], cwd=ROOT, text=True,
                             capture_output=True)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "61 of 61 rules hold" in result.stdout
+    assert "62 of 62 rules hold" in result.stdout
